@@ -9,7 +9,9 @@ failover, policy-gated weak-coherence stale reads) keeps names
 resolving across crashes and partitions (experiment A8), and a lease
 subsystem (server-granted promises with expiry, callback breaking,
 grace mode) bounds cache staleness even when callbacks are lost
-(experiment A9).  Hot directories can be *sharded* — bindings split
+(experiment A9).  Every binding write takes one path — commit,
+replicate, then invalidate or break leases (:mod:`repro.nameservice.
+writes`).  Hot directories can be *sharded* — bindings split
 across shard servers by consistent hashing, with live load-driven
 splits migrating bindings as simulated messages (experiment A10).
 """
@@ -29,6 +31,7 @@ from repro.nameservice.leases import (
     LeaseState,
     LeaseTable,
     callback_fanout,
+    fanout_effects,
 )
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.protocol import (
@@ -54,6 +57,7 @@ from repro.nameservice.sharding import (
     SplitPlan,
     binding_hash,
 )
+from repro.nameservice.writes import WritePath, commit_binding
 
 __all__ = [
     "AsyncNameClient",
@@ -81,7 +85,10 @@ __all__ = [
     "ShardManager",
     "ShardMap",
     "SplitPlan",
+    "WritePath",
     "binding_hash",
     "callback_fanout",
     "check_semantics_preserved",
+    "commit_binding",
+    "fanout_effects",
 ]

@@ -33,16 +33,13 @@ from typing import Optional
 from repro.errors import SchemeError
 from repro.model.context import Context
 from repro.model.entities import Entity, ObjectEntity
-from repro.nameservice.leases import (
-    LeaseManager,
-    LeaseTable,
-    callback_fanout,
-)
+from repro.nameservice.leases import LeaseManager, LeaseTable
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import RetryPolicy
 from repro.obs.instrument import NO_OBS, Instrumentation
 from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
+from repro.sim.process import SimProcess
 
 __all__ = ["CachePolicy", "CacheEntry", "BindingCache",
            "CachingDirectoryService", "PrefixEntry", "PrefixCache",
@@ -375,24 +372,32 @@ class CachingDirectoryService:
         self._latency = latency
         self.retry_policy = retry_policy
         self._caches: dict[int, BindingCache] = {}
-        # (directory uid, name) -> machines holding a cached copy.
-        # Under LEASE the same information lives in the LeaseManager's
-        # holder index (with expiry), so _copies is INVALIDATE-only.
-        self._copies: dict[tuple[int, str], dict[int, None]] = {}
-        self._machines_by_id: dict[int, Machine] = {}
-        self._agents: dict[int, object] = {}
+        self._agents: dict[int, SimProcess] = {}
         self.remote_reads = 0
-        self.invalidation_messages = 0
-        self.invalidation_latency = 0.0
-        self.invalidation_losses = 0
-        # LEASE policy state: one server-side manager, per-machine
-        # client tables.  ``ttl`` doubles as the lease term.
-        self.leases: Optional[LeaseManager] = None
-        self._lease_tables: dict[int, LeaseTable] = {}
-        if policy is CachePolicy.LEASE:
-            self.leases = LeaseManager(term=ttl,
-                                       retry_policy=retry_policy,
-                                       obs=simulator.obs)
+        # Import cycle: the write path needs CachePolicy/binding_dep.
+        from repro.nameservice.writes import WritePath
+        #: The shared write discipline; ``ttl`` doubles as lease term.
+        self.writes = WritePath(
+            simulator, placement, policy, latency=latency,
+            retry_policy=retry_policy, lease_term=ttl,
+            speaker=self._agent, drop_copies=self._drop_copy)
+        #: The LEASE policy's server-side manager (``None`` otherwise).
+        self.leases: Optional[LeaseManager] = self.writes.leases
+
+    @property
+    def invalidation_messages(self) -> int:
+        """Invalidation / lease-callback / ack messages sent."""
+        return self.writes.invalidation_messages
+
+    @property
+    def invalidation_latency(self) -> float:
+        """Virtual time :meth:`rebind` spent draining its fan-outs."""
+        return self.writes.invalidation_latency
+
+    @property
+    def invalidation_losses(self) -> int:
+        """Undeliverable invalidations plus broken leases."""
+        return self.writes.invalidation_losses
 
     # -- cache plumbing -----------------------------------------------------
 
@@ -401,25 +406,29 @@ class CachingDirectoryService:
         if cache is None:
             cache = BindingCache(machine)
             self._caches[id(machine)] = cache
-            self._machines_by_id[id(machine)] = machine
         return cache
 
     def lease_table_of(self, machine: Machine) -> LeaseTable:
         """The LEASE policy's client-side table for *machine*."""
-        table = self._lease_tables.get(id(machine))
-        if table is None:
-            table = LeaseTable(machine.label, obs=self._sim.obs)
-            self._lease_tables[id(machine)] = table
-        return table
+        return self.writes.lease_table_of(machine)
 
-    def _agent(self, machine: Machine):
-        """A per-machine process carrying cache/invalidation traffic."""
+    def _agent(self, machine: Machine) -> Optional[SimProcess]:
+        """The per-machine process carrying cache/invalidation traffic:
+        spawned on demand (again once a crashed machine is back up);
+        while the machine is down, its last agent or ``None``."""
         agent = self._agents.get(id(machine))
-        if agent is None:
+        if machine.alive and (agent is None or not agent.alive):
             agent = self._sim.spawn(machine,
                                     label=f"cacheagent@{machine.label}")
             self._agents[id(machine)] = agent
         return agent
+
+    def _drop_copy(self, machine_id: int, directory: ObjectEntity,
+                   name_: str) -> int:
+        cache = self._caches.get(machine_id)
+        if cache is not None:
+            cache.invalidate(directory, name_)
+        return 0  # a binding copy carries no cached prefixes
 
     def _round_trip(self, client: Machine, server: Machine) -> None:
         if client is server:
@@ -482,16 +491,8 @@ class CachingDirectoryService:
             ttl = self.ttl if self.policy is CachePolicy.TTL else None
             self.cache_of(client_machine).fill(
                 directory, name_, entity, now, ttl)
-            if self.policy is CachePolicy.INVALIDATE:
-                self._copies.setdefault(
-                    (directory.uid, name_), {})[id(client_machine)] = None
-            elif self.policy is CachePolicy.LEASE:
-                dep = binding_dep(directory, name_)
-                epoch = self._placement.epoch
-                self.leases.grant(id(client_machine), dep, now, epoch,
-                                  machine_label=client_machine.label)
-                self.lease_table_of(client_machine).grant(
-                    dep, now, self.ttl, epoch)
+            self.writes.note_copies(
+                client_machine, (binding_dep(directory, name_),))
         return entity
 
     # -- writes --------------------------------------------------------------------
@@ -500,143 +501,13 @@ class CachingDirectoryService:
                entity: Entity) -> None:
         """Change a binding; under INVALIDATE/LEASE, notify copies.
 
-        Invalidations are messages (one per caching machine) sent from
-        the hosting server's agent as one batched fan-out: all sends
-        are enqueued first, then a single bounded drain delivers them
-        before this call returns, modelling a synchronous invalidation
-        protocol.  The drain's virtual time is accumulated in
-        :attr:`invalidation_latency`, so the INVALIDATE policy's write
-        cost is measured alongside its message count.  Under TTL,
-        stale copies simply live out their window.
-
-        Crucially, a holder's cache is only invalidated when its
-        invalidation message was actually *delivered*.  A dropped
-        message (partition, downed client, flaky link) leaves the
-        holder's stale copy in place and is counted in
-        :attr:`invalidation_losses` — under INVALIDATE that holder is
-        now weakly coherent for an unbounded time (the holder is
-        re-registered so a later rebind retries); under LEASE the
-        undeliverable callback *breaks the lease* instead, so the
-        stale copy expires by the lease term (bounded staleness).
+        The write takes the shared write discipline
+        (:meth:`repro.nameservice.writes.WritePath.rebind`), drained
+        before this call returns: a copy is dropped only where its
+        invalidation (or break callback) was *delivered*; a lost one is
+        counted in :attr:`invalidation_losses`.
         """
-        context: Context = directory.state
-        auditor = self._sim.obs.auditor
-        old = context(name_) if auditor is not None else None
-        context.bind(name_, entity)
-        # New bindings in a sharded directory belong to exactly one
-        # shard; record membership so later splits migrate them.
-        self._placement.note_binding(directory, name_)
-        if auditor is not None:
-            auditor.record_write(directory, name_, old, entity,
-                                 self._sim.clock.now,
-                                 self._placement.epoch)
-        if self.policy is CachePolicy.INVALIDATE:
-            self._invalidate_copies(directory, name_)
-        elif self.policy is CachePolicy.LEASE:
-            self._lease_callbacks(directory, name_)
-
-    def _invalidate_copies(self, directory: ObjectEntity,
-                           name_: str) -> None:
-        host = self._placement.host_of_binding(directory, name_)
-        holders = self._copies.pop((directory.uid, name_), {})
-        fanout: list[tuple[int, object]] = []
-        for machine_id in holders:
-            machine = self._machines_by_id[machine_id]
-            if host is None or machine is host:
-                # Local copy: no message needed, drop it directly.
-                self._caches[machine_id].invalidate(directory, name_)
-                continue
-            message = self._agent(host).send(
-                self._agent(machine),
-                payload={"cache": "invalidate"},
-                latency=self._latency)
-            self.invalidation_messages += 1
-            fanout.append((machine_id, message))
-        if not fanout:
-            return
-        before = self._sim.clock.now
-        self._sim.run_until_settled([msg for _mid, msg in fanout])
-        self.invalidation_latency += self._sim.clock.now - before
-        for machine_id, message in fanout:
-            if message.dropped:
-                # Silent loss made loud: the holder still has a stale
-                # copy; keep it registered so a later rebind retries.
-                self.invalidation_losses += 1
-                self._copies.setdefault(
-                    (directory.uid, name_), {})[machine_id] = None
-            else:
-                self._caches[machine_id].invalidate(directory, name_)
-
-    def _lease_callbacks(self, directory: ObjectEntity,
-                         name_: str) -> None:
-        """Break the promise: call back every live lease holder."""
-        dep = binding_dep(directory, name_)
-        host = self._placement.host_of_binding(directory, name_)
-        now = self._sim.clock.now
-        holders = self.leases.holders_of(dep, now)
-        if not holders:
-            return
-        before = self._sim.clock.now
-
-        def deliver(lease, attempt: int) -> bool:
-            machine = self._machines_by_id.get(lease.machine_id)
-            if machine is None:
-                return False
-            if host is None or machine is host:
-                self._on_callback(lease, directory, name_)
-                return True
-            message = self._agent(host).send(
-                self._agent(machine),
-                payload={"lease": {"op": "break", "dep": dep}},
-                latency=self._latency)
-            self.invalidation_messages += 1
-            self._sim.run_until_settled(message)
-            if message.dropped:
-                return False
-            self._on_callback(lease, directory, name_)
-            ack = self._agent(machine).send(
-                self._agent(host),
-                payload={"lease": {"op": "ack", "dep": dep}},
-                latency=self._latency)
-            self.invalidation_messages += 1
-            self._sim.run_until_settled(ack)
-            if not ack.dropped:
-                self.leases.record_ack(lease.machine_id, dep,
-                                       self._sim.clock.now)
-            return True
-
-        def wait(delay: float) -> None:
-            self._sim.run(until=self._sim.clock.now + delay)
-
-        report = callback_fanout(
-            holders,
-            now=lambda: self._sim.clock.now,
-            rng=self._sim.rng,
-            deliver=deliver,
-            wait=wait,
-            retry_policy=self.retry_policy,
-            breaker_for=lambda lease: self.leases.breaker_for_machine(
-                lease.machine_id,
-                label=self._machine_label(lease.machine_id)),
-            on_broken=lambda lease: self.leases.break_lease(
-                lease, self._sim.clock.now))
-        self.invalidation_losses += report.broken
-        self.invalidation_latency += self._sim.clock.now - before
-
-    def _on_callback(self, lease, directory: ObjectEntity,
-                     name_: str) -> None:
-        """A break callback reached its holder: drop the leased copy."""
-        now = self._sim.clock.now
-        table = self._lease_tables.get(lease.machine_id)
-        if table is not None:
-            table.revoke(lease.dep, now)
-        cache = self._caches.get(lease.machine_id)
-        if cache is not None:
-            cache.invalidate(directory, name_)
-
-    def _machine_label(self, machine_id: int) -> str:
-        machine = self._machines_by_id.get(machine_id)
-        return machine.label if machine is not None else str(machine_id)
+        self.writes.rebind(directory, name_, entity)
 
     # -- reporting --------------------------------------------------------------------
 

@@ -28,8 +28,10 @@ Three cooperating pieces:
   but every answer must be tagged weakly coherent by the caller; on
   heal, :meth:`LeaseTable.exit_grace` revalidates epochs before
   entries may be promoted back to fresh.
-* :func:`callback_fanout` — the generic bounded-retry delivery driver
-  shared by the resolver's rebind path (and testable on its own).
+* :func:`fanout_effects` — the bounded-retry callback delivery loop as
+  an effect-yielding generator, with :func:`callback_fanout` its
+  simulator-pumping driver (the asyncio driver lives in
+  :mod:`repro.transport.leases`).
 
 Everything runs over the simulator's virtual clock and seeded RNG, so
 lease schedules are deterministic per seed.
@@ -39,7 +41,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import (TYPE_CHECKING, Callable, Generator, NamedTuple,
+                    Optional, Union)
 
 from repro.errors import SimulationError
 from repro.nameservice.retry import CircuitBreaker, RetryPolicy
@@ -49,7 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache.py)
     from repro.nameservice.cache import DepKey
 
 __all__ = ["LeaseState", "Lease", "LeaseTable", "LeaseManager",
-           "FanoutReport", "callback_fanout"]
+           "FanoutReport", "Deliver", "Wait", "fanout_effects",
+           "callback_fanout"]
 
 
 class LeaseState(enum.Enum):
@@ -278,32 +282,41 @@ class FanoutReport:
     skipped: int = 0    #: holders skipped by an open circuit breaker
 
 
-def callback_fanout(holders: list[Lease], *,
-                    now: Callable[[], float],
-                    rng,
-                    deliver: Callable[[Lease, int], bool],
-                    wait: Callable[[float], None],
-                    retry_policy: Optional[RetryPolicy],
-                    breaker_for: Callable[[Lease],
-                                          Optional[CircuitBreaker]],
-                    on_broken: Callable[[Lease], None]) -> FanoutReport:
-    """Drive callback delivery to every lease holder, with retries.
+class Deliver(NamedTuple):
+    """Fan-out effect: make delivery *attempt* of *lease*'s callback;
+    the driver sends back whether the callback (and its ack) made it."""
 
-    This is the shared bounded-retry delivery loop: for each holder,
-    attempt ``deliver(lease, attempt)`` up to
-    ``retry_policy.max_attempts`` times, sleeping
-    ``retry_policy.backoff(attempt, rng)`` between failures via
-    *wait* (virtual time).  A holder whose circuit breaker (from
-    *breaker_for*) is open is skipped without an attempt — its lease
-    is broken outright, exactly as an exhausted retry budget would.
-    Breaker bookkeeping uses the same
-    :meth:`~repro.nameservice.retry.CircuitBreaker.record_success` /
-    :meth:`~repro.nameservice.retry.CircuitBreaker.record_failure`
-    hooks the resolver's hop path uses, so transition behaviour is
-    identical for both callers.
+    lease: Lease
+    attempt: int
 
-    ``deliver`` returns True when the callback (and its ack) made it;
-    *on_broken* runs for every lease left undeliverable.
+
+class Wait(NamedTuple):
+    """Fan-out effect: let *delay* of backoff pass before resuming."""
+
+    delay: float
+
+
+def fanout_effects(holders: list[Lease], *,
+                   now: Callable[[], float],
+                   rng,
+                   retry_policy: Optional[RetryPolicy],
+                   breaker_for: Callable[[Lease],
+                                         Optional[CircuitBreaker]],
+                   on_broken: Callable[[Lease], None],
+                   ) -> Generator[Union[Deliver, Wait], Optional[bool],
+                                  FanoutReport]:
+    """The callback fan-out as a sans-IO state machine.
+
+    The one bounded-retry delivery loop: for each holder it yields
+    :class:`Deliver` up to ``retry_policy.max_attempts`` times (the
+    driver answers with the delivery outcome) and :class:`Wait` with
+    ``retry_policy.backoff(attempt, rng)`` between failures.  A holder
+    whose circuit breaker (from *breaker_for*) is open is skipped
+    without an attempt — its lease is broken outright, exactly as an
+    exhausted retry budget would.  Breaker bookkeeping uses the same
+    ``record_success`` / ``record_failure`` hooks as the resolver's
+    hop path.  *on_broken* runs for every lease left undeliverable;
+    the generator returns the :class:`FanoutReport`.
     """
     report = FanoutReport()
     attempts_per = 1 if retry_policy is None else retry_policy.max_attempts
@@ -317,7 +330,7 @@ def callback_fanout(holders: list[Lease], *,
         delivered = False
         for attempt in range(1, attempts_per + 1):
             report.attempts += 1
-            if deliver(lease, attempt):
+            if (yield Deliver(lease, attempt)):
                 delivered = True
                 if breaker is not None:
                     breaker.record_success(now())
@@ -325,7 +338,7 @@ def callback_fanout(holders: list[Lease], *,
             if breaker is not None:
                 breaker.record_failure(now())
             if attempt < attempts_per and retry_policy is not None:
-                wait(retry_policy.backoff(attempt, rng))
+                yield Wait(retry_policy.backoff(attempt, rng))
             if breaker is not None and not breaker.allow(now()):
                 break  # tripped mid-holder: stop burning attempts
         if delivered:
@@ -334,6 +347,35 @@ def callback_fanout(holders: list[Lease], *,
             report.broken += 1
             on_broken(lease)
     return report
+
+
+def callback_fanout(holders: list[Lease], *,
+                    now: Callable[[], float],
+                    rng,
+                    deliver: Callable[[Lease, int], bool],
+                    wait: Callable[[float], None],
+                    retry_policy: Optional[RetryPolicy],
+                    breaker_for: Callable[[Lease],
+                                          Optional[CircuitBreaker]],
+                    on_broken: Callable[[Lease], None]) -> FanoutReport:
+    """Drive :func:`fanout_effects` by blocking on each effect.
+
+    ``deliver(lease, attempt)`` returns True when the callback (and
+    its ack) made it; *wait* spends the backoff (virtual time on the
+    simulator).
+    """
+    steps = fanout_effects(holders, now=now, rng=rng,
+                           retry_policy=retry_policy,
+                           breaker_for=breaker_for, on_broken=on_broken)
+    outcome = None
+    try:
+        while True:
+            effect = steps.send(outcome)
+            outcome = (deliver(effect.lease, effect.attempt)
+                       if isinstance(effect, Deliver)
+                       else wait(effect.delay))
+    except StopIteration as done:
+        return done.value
 
 
 class LeaseManager:

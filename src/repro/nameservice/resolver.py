@@ -73,7 +73,9 @@ from repro.nameservice.cache import (
     binding_dep,
     context_dep,
 )
-from repro.nameservice.leases import (
+# callback_fanout is kept bound here although the fan-out now runs in
+# repro.nameservice.writes: benchmarks/e2e patches it by this name.
+from repro.nameservice.leases import (  # noqa: F401
     LeaseManager,
     LeaseTable,
     callback_fanout,
@@ -82,6 +84,7 @@ from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import (BreakerState, CircuitBreaker,
                                      RetryPolicy)
 from repro.nameservice.sharding import Shard
+from repro.nameservice.writes import WritePath
 from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
 from repro.sim.process import SimProcess
@@ -238,42 +241,32 @@ class DistributedResolver:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.lease_term = lease_term
-        # LEASE policy: one server-side manager for the deployment,
-        # one client-side table per machine (created lazily alongside
-        # its prefix cache).
-        self.leases: Optional[LeaseManager] = None
-        self._lease_tables: dict[int, LeaseTable] = {}
-        if cache_policy is CachePolicy.LEASE:
-            self.leases = LeaseManager(
-                term=lease_term, retry_policy=retry_policy,
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown=breaker_cooldown, obs=self._obs)
         if self._obs.enabled:
             metrics = self._obs.metrics
             self._m_messages = metrics.counter("resolver_messages_total")
-            self._m_invalidation_msgs = metrics.counter(
-                "resolver_invalidation_messages_total")
             self._m_latency = metrics.histogram(
                 "resolver_resolution_latency")
             self._m_res_messages = metrics.histogram(
                 "resolver_resolution_messages",
                 buckets=(0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0))
         self._prefix_caches: dict[int, PrefixCache] = {}
-        self._machines_by_id: dict[int, Machine] = {}
         # Per-server-process circuit breakers, keyed by process uid.
         self._breakers: dict[int, CircuitBreaker] = {}
-        # INVALIDATE bookkeeping: consumed binding → caching machines
-        # (insertion-ordered so fan-outs are deterministic per seed).
-        self._holders: dict[tuple, dict[int, None]] = {}
+        #: The write discipline (rebind → replicate → invalidate /
+        #: lease-break), its holder registry, lease state and counters.
+        self.writes = WritePath(
+            simulator, placement, cache_policy, latency=latency,
+            retry_policy=retry_policy, lease_term=lease_term,
+            breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown,
+            speaker=self._speaker_for, drop_copies=self._drop_prefixes)
+        #: The LEASE policy's server-side manager (``None`` otherwise).
+        self.leases: Optional[LeaseManager] = self.writes.leases
         # Per-server load, keyed by process uid — labels are not
         # identities (two machines may share one), so counters never
         # collide; `load` aggregates by label for reporting only.
         self._load: dict[int, int] = {}
         self._server_labels: dict[int, str] = {}
-        self.invalidation_messages = 0
-        self.invalidation_latency = 0.0
-        self.invalidation_losses = 0
-        self.replication_messages = 0
         self.anti_entropy_messages = 0
         # Sharding: bindings moved per migration message, the live
         # split policy (wired by the deployment as
@@ -287,6 +280,26 @@ class DistributedResolver:
         self.shard_split_aborts = 0
         self.shard_merges = 0
         self.shard_merge_aborts = 0
+
+    @property
+    def replication_messages(self) -> int:
+        """Replica-propagation messages sent by :meth:`rebind`."""
+        return self.writes.replication_messages
+
+    @property
+    def invalidation_messages(self) -> int:
+        """Invalidation / lease-callback / ack messages sent."""
+        return self.writes.invalidation_messages
+
+    @property
+    def invalidation_latency(self) -> float:
+        """Virtual time :meth:`rebind` spent draining its fan-outs."""
+        return self.writes.invalidation_latency
+
+    @property
+    def invalidation_losses(self) -> int:
+        """Undeliverable invalidations plus broken leases."""
+        return self.writes.invalidation_losses
 
     @property
     def placement(self) -> DirectoryPlacement:
@@ -309,6 +322,14 @@ class DistributedResolver:
             self._servers[id(machine)] = server
             self._server_labels[server.uid] = server.label
         return server
+
+    def _speaker_for(self, machine: Machine) -> Optional[SimProcess]:
+        """The process that can speak for *machine* right now: its
+        server while the machine is up, else whatever (dead) server it
+        last ran — ``None`` if it never ran one."""
+        if machine.alive:
+            return self.server_for(machine)
+        return self._servers.get(id(machine))
 
     def _breaker_for(self, server: SimProcess) -> CircuitBreaker:
         breaker = self._breakers.get(server.uid)
@@ -409,23 +430,17 @@ class DistributedResolver:
                 lease_table=(self.lease_table_of(machine)
                              if leased else None))
             self._prefix_caches[id(machine)] = cache
-            self._machines_by_id[id(machine)] = machine
         return cache
 
     def lease_table_of(self, machine: Machine) -> LeaseTable:
         """The (lazily created) client-side lease table of a machine."""
-        table = self._lease_tables.get(id(machine))
-        if table is None:
-            table = LeaseTable(machine.label, obs=self._obs)
-            self._lease_tables[id(machine)] = table
-            self._machines_by_id[id(machine)] = machine
-        return table
+        return self.writes.lease_table_of(machine)
 
     def lease_stats(self) -> dict[str, int]:
         """Server-side plus aggregated client-side lease counters."""
         totals = {"grants": 0, "renewals": 0, "revocations": 0,
                   "expirations": 0, "grace_hits": 0, "revalidations": 0}
-        for table in self._lease_tables.values():
+        for table in self.writes.lease_tables.values():
             for key, value in table.stats().items():
                 if key in totals:
                     totals[key] += value
@@ -875,14 +890,7 @@ class DistributedResolver:
         epoch = self._placement.epoch
         cache.fill(context, rooted, consumed, directory, deps,
                    now, ttl, epoch)
-        if self.cache_policy is CachePolicy.INVALIDATE:
-            for dep in deps:
-                self._holders.setdefault(
-                    dep, {})[id(client_machine)] = None
-        elif self.cache_policy is CachePolicy.LEASE:
-            # Grants piggyback on the fill — the walk just talked to
-            # the serving machines, so no extra grant messages are
-            # modelled; renewals are re-walks.
+        if self.cache_policy is CachePolicy.LEASE:
             table = self.lease_table_of(client_machine)
             if table.in_grace \
                     and self._placement.host_of(directory) \
@@ -892,10 +900,7 @@ class DistributedResolver:
                 # anything back to fresh.  (Locally-placed directories
                 # answer through any partition, so they prove nothing.)
                 table.exit_grace(now, epoch)
-            for dep in deps:
-                self.leases.grant(id(client_machine), dep, now, epoch,
-                                  machine_label=client_machine.label)
-                table.grant(dep, now, self.lease_term, epoch)
+        self.writes.note_copies(client_machine, deps)
 
     def _walk_one(self, client_server: SimProcess, context: Context,
                   name_: CompoundName, style: ResolutionStyle,
@@ -1162,320 +1167,23 @@ class DistributedResolver:
 
     def rebind(self, directory: ObjectEntity, name_: str,
                entity: Entity) -> int:
-        """Change ``σ(directory)(name_)`` under the write discipline.
-
-        All binding writes to placed directories must come through
-        here.  Two fan-outs happen, both traced under one ``rebind``
-        span:
-
-        * **Replication** — the write is propagated from the primary
-          to every secondary replica (one message each); a secondary
-          the propagation cannot reach (dead primary, dropped message)
-          is marked **stale** in the placement so failover skips it
-          until anti-entropy on restart (:meth:`handle_restart`).
-        * **Invalidation** (policy ``INVALIDATE``) — every prefix
-          entry whose walk consumed the changed binding is dropped on
-          every caching machine *whose invalidation message arrived*,
-          with the messages sent as one batched fan-out and a single
-          bounded drain (latency accumulated in
-          :attr:`invalidation_latency`); undeliverable invalidations
-          are counted in :attr:`invalidation_losses` — that holder is
-          stale for an unbounded time.  Under ``LEASE`` the fan-out is
-          a *callback break* instead: retried per holder, acked on
-          delivery, and escalated to a lease break when undeliverable,
-          so the stale copy expires by the lease term.  Under TTL,
-          stale prefixes live out their window; under NONE there is
-          nothing to keep coherent.
+        """Change ``σ(directory)(name_)`` under the write discipline
+        (:meth:`repro.nameservice.writes.WritePath.rebind`): commit,
+        replicate, then invalidate or break the leases on every cached
+        prefix that consumed the binding.  All binding writes to
+        placed directories must come through here.
 
         Returns the number of invalidation/callback messages sent.
         """
-        context: Context = directory.state
-        auditor = self._obs.auditor
-        old = context(name_) if auditor is not None else None
-        context.bind(name_, entity)
-        # Sharded directory: the new binding belongs to exactly one
-        # shard; record it so a later split migrates it.
-        self._placement.note_binding(directory, name_)
-        if auditor is not None:
-            # The authoritative history feed: commit time + placement
-            # epoch, captured the instant σ changed.
-            auditor.record_write(directory, name_, old, entity,
-                                 self._sim.clock.now,
-                                 self._placement.epoch)
-        obs = self._obs
-        # Sharded directory: the write fans out across the owning
-        # *shard's* replica set (pure shard read — a write must not
-        # perturb the split policy's load window).  Unsharded: the
-        # directory's replica set as before.
-        replicas = self._placement.replicas_of(directory)
-        forced_stale: tuple = ()
-        if not replicas:
-            shard = self._placement.shard_of_binding(directory, name_)
-            if shard is not None:
-                # A shard has no global primary: any live replica can
-                # originate the propagation, and every dead replica
-                # missed the write — including a dead ``replicas[0]``
-                # and the sole copy of a degree-1 shard (which then
-                # has no sync source: the range stays dark until the
-                # operator re-places it).
-                forced_stale = tuple(m for m in shard.replicas
-                                     if not m.alive)
-                replicas = tuple(m for m in shard.replicas if m.alive)
-        secondaries = replicas[1:] if len(replicas) > 1 else ()
-        if self.cache_policy not in (CachePolicy.INVALIDATE,
-                                     CachePolicy.LEASE) \
-                and not secondaries and not forced_stale:
-            return 0
-        span = None
-        if obs.enabled:
-            span = obs.tracer.begin(
-                "rebind", f"{directory.label}/{name_}",
-                self._sim.clock.now, parent=None,
-                attrs={"directory": directory.label,
-                       "component": name_})
-        # -- replica propagation ------------------------------------------
-        replicated = 0
-        stale_marked = 0
-        for machine in forced_stale:
-            self._placement.mark_stale(directory, machine)
-            stale_marked += 1
-        if secondaries:
-            primary_machine = replicas[0]
-            primary_server = (self.server_for(primary_machine)
-                              if primary_machine.alive
-                              else self._servers.get(id(primary_machine)))
-            for machine in secondaries:
-                if primary_server is None or not primary_server.alive:
-                    # The write cannot be propagated at all; every
-                    # secondary missed it.
-                    self._placement.mark_stale(directory, machine)
-                    stale_marked += 1
-                    continue
-                if not machine.alive \
-                        and id(machine) not in self._servers:
-                    # No process on the downed secondary to deliver
-                    # to — the write is lost on this replica.
-                    self._placement.mark_stale(directory, machine)
-                    stale_marked += 1
-                    continue
-                message = primary_server.send(
-                    self.server_for(machine),
-                    payload={"ns": "replicate"}, latency=self._latency)
-                if span is not None:
-                    message.trace_id = span.trace_id
-                    message.parent_span_id = span.span_id
-                self._sim.run_until_settled(message)
-                self.replication_messages += 1
-                if message.dropped:
-                    self._placement.mark_stale(directory, machine)
-                    stale_marked += 1
-                else:
-                    replicated += 1
-        if obs.enabled:
-            if replicated:
-                obs.metrics.counter(
-                    "resolver_replication_messages_total",
-                ).inc(replicated)
-            if stale_marked:
-                obs.metrics.counter(
-                    "resolver_replica_stale_marked_total",
-                ).inc(stale_marked)
-                obs.tracer.event(
-                    "failover", "replica.marked-stale",
-                    self._sim.clock.now,
-                    attrs={"directory": directory.label,
-                           "count": stale_marked})
-        # -- cache invalidation -------------------------------------------
-        sent = 0
-        if self.cache_policy is CachePolicy.INVALIDATE:
-            sent = self._invalidate_holders(directory, name_, span)
-        elif self.cache_policy is CachePolicy.LEASE:
-            sent = self._lease_callbacks(directory, name_, span)
-        if span is not None:
-            self._m_invalidation_msgs.inc(sent)
-            span.attrs["messages"] = sent
-            span.attrs["replicated"] = replicated
-            span.attrs["stale_marked"] = stale_marked
-            obs.tracer.end(span, self._sim.clock.now)
-        return sent
+        return self.writes.rebind(directory, name_, entity)
 
-    def _invalidate_holders(self, directory: ObjectEntity, name_: str,
-                            span) -> int:
-        """INVALIDATE fan-out: drop each holder's cached prefixes —
-        but only where the invalidation message actually *arrived*.
-
-        A dropped message (partition, downed client, flaky link) used
-        to be silently ignored, leaving that holder stale forever with
-        no record; it is now counted in :attr:`invalidation_losses`
-        (and ``resolver_invalidation_losses_total``) and the holder
-        stays registered so a later rebind of the same binding retries.
-        """
-        obs = self._obs
-        dep = binding_dep(directory, name_)
-        holders = self._holders.pop(dep, {})
-        # Per-binding routing: the invalidation originates at the
-        # server that owns the changed binding (for a sharded
-        # directory, its shard's machine — not some directory-wide
-        # primary).
-        host = self._placement.host_of_binding(directory, name_)
-        fanout: list[tuple[int, object]] = []
-        sent = 0
-        for machine_id in holders:
-            machine = self._machines_by_id[machine_id]
-            if host is None or machine is host:
-                # Local holder: no message needed, drop directly.
-                self._drop_holder_prefixes(machine_id, dep, span)
-                continue
-            message = self.server_for(host).send(
-                self.server_for(machine),
-                payload={"ns": "invalidate"},
-                latency=self._latency)
-            if span is not None:
-                message.trace_id = span.trace_id
-                message.parent_span_id = span.span_id
-            fanout.append((machine_id, message))
-            sent += 1
-        self.invalidation_messages += sent
-        if fanout:
-            before = self._sim.clock.now
-            self._sim.run_until_settled([m for _mid, m in fanout])
-            self.invalidation_latency += self._sim.clock.now - before
-        for machine_id, message in fanout:
-            if message.dropped:
-                self.invalidation_losses += 1
-                self._holders.setdefault(dep, {})[machine_id] = None
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "resolver_invalidation_losses_total").inc()
-                    obs.tracer.event(
-                        "cache", "invalidation.lost",
-                        self._sim.clock.now,
-                        attrs={"machine":
-                               self._machines_by_id[machine_id].label,
-                               "reason": message.drop_reason})
-            else:
-                self._drop_holder_prefixes(machine_id, dep, span)
-        return sent
-
-    def _drop_holder_prefixes(self, machine_id: int, dep, span) -> None:
+    def _drop_prefixes(self, machine_id: int, directory: ObjectEntity,
+                       name_: str) -> int:
+        """Drop a holder's cached prefixes through one binding."""
         cache = self._prefix_caches.get(machine_id)
         if cache is None:
-            return
-        dropped = cache.invalidate_through(dep)
-        if span is not None and dropped:
-            self._obs.tracer.event(
-                "cache", "prefix.invalidated", self._sim.clock.now,
-                attrs={"machine": self._machines_by_id[machine_id].label,
-                       "count": dropped})
-
-    def _lease_callbacks(self, directory: ObjectEntity, name_: str,
-                         span) -> int:
-        """LEASE fan-out: break the promise at every live holder.
-
-        Each callback is one message with bounded retries (the shared
-        :class:`RetryPolicy`/:class:`CircuitBreaker` machinery via
-        :func:`callback_fanout`); a delivered callback revokes the
-        holder's lease, drops its cached prefixes and is acked back; a
-        holder that stays unreachable has its lease *broken* — the
-        stale copy then expires by the lease term, which is what
-        bounds staleness where INVALIDATE would silently lose.
-        """
-        obs = self._obs
-        dep = binding_dep(directory, name_)
-        now = self._sim.clock.now
-        holders = self.leases.holders_of(dep, now)
-        if not holders:
             return 0
-        # Break callbacks fan out from the owning shard's machine for
-        # sharded directories (per-binding routing, as in rebind).
-        host = self._placement.host_of_binding(directory, name_)
-        host_server = None
-        if host is not None:
-            host_server = (self.server_for(host) if host.alive
-                           else self._servers.get(id(host)))
-        counters = {"sent": 0}
-        before = self._sim.clock.now
-
-        def deliver(lease, attempt: int) -> bool:
-            machine = self._machines_by_id.get(lease.machine_id)
-            if machine is None:
-                return False
-            if host is None or machine is host:
-                self._on_lease_callback(lease.machine_id, dep, span)
-                return True
-            if host_server is None or not host_server.alive:
-                return False  # nobody left to send the callback
-            message = host_server.send(
-                self.server_for(machine),
-                payload={"lease": {"op": "break", "dep": dep}},
-                latency=self._latency)
-            if span is not None:
-                message.trace_id = span.trace_id
-                message.parent_span_id = span.span_id
-            counters["sent"] += 1
-            self.invalidation_messages += 1
-            self._sim.run_until_settled(message)
-            if obs.enabled:
-                obs.tracer.event(
-                    "lease", "lease.callback", self._sim.clock.now,
-                    attrs={"machine": machine.label, "dep": repr(dep),
-                           "attempt": attempt,
-                           "delivered": not message.dropped})
-                obs.metrics.counter(
-                    "lease_callbacks_total",
-                    {"delivered": str(not message.dropped).lower()}
-                ).inc()
-            if message.dropped:
-                return False
-            self._on_lease_callback(lease.machine_id, dep, span)
-            ack = self.server_for(machine).send(
-                host_server,
-                payload={"lease": {"op": "ack", "dep": dep}},
-                latency=self._latency)
-            if span is not None:
-                ack.trace_id = span.trace_id
-                ack.parent_span_id = span.span_id
-            counters["sent"] += 1
-            self.invalidation_messages += 1
-            self._sim.run_until_settled(ack)
-            if not ack.dropped:
-                self.leases.record_ack(lease.machine_id, dep,
-                                       self._sim.clock.now)
-            return True
-
-        def wait(delay: float) -> None:
-            start = self._sim.clock.now
-            self._sim.run(until=start + delay)
-
-        report = callback_fanout(
-            holders,
-            now=lambda: self._sim.clock.now,
-            rng=self._sim.rng,
-            deliver=deliver,
-            wait=wait,
-            retry_policy=self.retry_policy,
-            breaker_for=lambda lease: self.leases.breaker_for_machine(
-                lease.machine_id,
-                label="lease-cb:" + (
-                    self._machines_by_id[lease.machine_id].label
-                    if lease.machine_id in self._machines_by_id
-                    else str(lease.machine_id))),
-            on_broken=lambda lease: self.leases.break_lease(
-                lease, self._sim.clock.now))
-        self.invalidation_losses += report.broken
-        self.invalidation_latency += self._sim.clock.now - before
-        if obs.enabled and report.broken:
-            obs.metrics.counter(
-                "resolver_invalidation_losses_total").inc(report.broken)
-        return counters["sent"]
-
-    def _on_lease_callback(self, machine_id: int, dep, span) -> None:
-        """A break callback reached its holder: revoke + drop."""
-        now = self._sim.clock.now
-        table = self._lease_tables.get(machine_id)
-        if table is not None:
-            table.revoke(dep, now)
-        self._drop_holder_prefixes(machine_id, dep, span)
+        return cache.invalidate_through(binding_dep(directory, name_))
 
     # -- shard splits / migration ------------------------------------------
 
@@ -1515,63 +1223,15 @@ class DistributedResolver:
             raise SchemeError(
                 f"directory {directory.label!r} is not sharded")
         plan = shard_map.plan_split(shard, machine)
-        obs = self._obs
-        span = None
-        if obs.enabled:
-            span = obs.tracer.begin(
-                "shard", f"split:{directory.label}", self._sim.clock.now,
-                parent=None,
-                attrs={"directory": directory.label,
-                       "source": shard.machine.label,
-                       "target": machine.label,
-                       "split_at": plan.split_at,
-                       "moved": len(plan.moved),
-                       "replicas": len(plan.targets)})
-        source_machine = shard.machine
-        committed = False
-        cost = ResolutionCost()  # migration accounting only
-        # A migration endpoint that is down and has never had a server
-        # cannot even be addressed — abort without sending anything
-        # (a dead machine with an existing server still gets messages
-        # sent at it, which fail and abort through the hop path).
-        if ((source_machine.alive or id(source_machine) in self._servers)
-                and (machine.alive or id(machine) in self._servers)):
-            source = self.server_for(source_machine)
-            target = self.server_for(machine)
-            batches = max(
-                1, -(-len(plan.moved) // max(1, self.migration_batch)))
-            delivered = 0
-            for _index in range(batches):
-                if not self._hop_retried(source, target, cost,
-                                         "migrate"):
-                    break
-                delivered += 1
-            if delivered == batches:
-                self._placement.apply_split(plan)
-                committed = True
-        self.migration_messages += cost.messages
-        self.migration_latency += cost.latency
-        if committed:
-            self.shard_splits += 1
-        else:
-            self.shard_split_aborts += 1
-        if obs.enabled:
-            obs.metrics.counter(
-                "resolver_shard_splits_total",
-                {"outcome": "committed" if committed else "aborted"}
-            ).inc()
-            if cost.messages:
-                obs.metrics.counter(
-                    "resolver_migration_messages_total"
-                ).inc(cost.messages)
-            if span is not None:
-                span.attrs["messages"] = cost.messages
-                span.attrs["committed"] = committed
-                span.attrs["shards"] = len(shard_map)
-                if not committed:
-                    span.fail("migration undeliverable — split aborted")
-                obs.tracer.end(span, self._sim.clock.now)
-        return committed
+        return self._migrate(
+            "split", directory, plan, shard.machine, [machine],
+            self._placement.apply_split,
+            {"directory": directory.label,
+             "source": shard.machine.label,
+             "target": machine.label,
+             "split_at": plan.split_at,
+             "moved": len(plan.moved),
+             "replicas": len(plan.targets)})
 
     def merge_shards(self, directory: ObjectEntity, left: Shard,
                      right: Shard) -> bool:
@@ -1596,54 +1256,62 @@ class DistributedResolver:
             raise SchemeError(
                 f"directory {directory.label!r} is not sharded")
         plan = shard_map.plan_merge(left, right)
+        return self._migrate(
+            "merge", directory, plan, right.machine,
+            [m for m in left.replicas if m not in right.replicas],
+            self._placement.apply_merge,
+            {"directory": directory.label,
+             "source": right.machine.label,
+             "target": left.machine.label,
+             "merge_at": right.lo,
+             "moved": len(plan.moved)})
+
+    def _migrate(self, kind: str, directory: ObjectEntity, plan,
+                 source_machine: Machine, receivers: list[Machine],
+                 commit, attrs: dict) -> bool:
+        """The commit-last migration behind :meth:`split_shard` and
+        :meth:`merge_shards`: stream ``plan.moved`` from
+        *source_machine*'s server to every receiver in ⌈moved /
+        :attr:`migration_batch`⌉ retried ``migrate`` hops each
+        (minimum one — an empty range still hands off ownership), and
+        ``commit(plan)`` only when every batch reached every receiver.
+        """
         obs = self._obs
         span = None
         if obs.enabled:
             span = obs.tracer.begin(
-                "shard", f"merge:{directory.label}", self._sim.clock.now,
-                parent=None,
-                attrs={"directory": directory.label,
-                       "source": right.machine.label,
-                       "target": left.machine.label,
-                       "merge_at": right.lo,
-                       "moved": len(plan.moved)})
-        source_machine = right.machine
-        receivers = [m for m in left.replicas
-                     if m not in right.replicas]
+                "shard", f"{kind}:{directory.label}", self._sim.clock.now,
+                parent=None, attrs=attrs)
         committed = False
         cost = ResolutionCost()  # migration accounting only
-        addressable = (
-            (source_machine.alive or id(source_machine) in self._servers)
-            and all(m.alive or id(m) in self._servers
-                    for m in receivers))
-        if addressable:
+        # A migration endpoint that is down and has never had a server
+        # cannot even be addressed — abort without sending anything
+        # (a dead machine with an existing server still gets messages
+        # sent at it, which fail and abort through the hop path).
+        if all(m.alive or id(m) in self._servers
+               for m in [source_machine, *receivers]):
             source = self.server_for(source_machine)
             batches = max(
                 1, -(-len(plan.moved) // max(1, self.migration_batch)))
-            delivered_all = True
+            committed = True
             for receiver in receivers:
                 target = self.server_for(receiver)
-                delivered = 0
-                for _index in range(batches):
-                    if not self._hop_retried(source, target, cost,
-                                             "migrate"):
-                        break
-                    delivered += 1
-                if delivered != batches:
-                    delivered_all = False
+                if not all(self._hop_retried(source, target, cost,
+                                             "migrate")
+                           for _index in range(batches)):
+                    # A receiver that missed data must never become
+                    # an owner of the range.
+                    committed = False
                     break
-            if delivered_all:
-                self._placement.apply_merge(plan)
-                committed = True
+            if committed:
+                commit(plan)
         self.migration_messages += cost.messages
         self.migration_latency += cost.latency
-        if committed:
-            self.shard_merges += 1
-        else:
-            self.shard_merge_aborts += 1
+        tally = f"shard_{kind}s" if committed else f"shard_{kind}_aborts"
+        setattr(self, tally, getattr(self, tally) + 1)
         if obs.enabled:
             obs.metrics.counter(
-                "resolver_shard_merges_total",
+                f"resolver_shard_{kind}s_total",
                 {"outcome": "committed" if committed else "aborted"}
             ).inc()
             if cost.messages:
@@ -1653,9 +1321,11 @@ class DistributedResolver:
             if span is not None:
                 span.attrs["messages"] = cost.messages
                 span.attrs["committed"] = committed
-                span.attrs["shards"] = len(shard_map)
+                span.attrs["shards"] = len(
+                    self._placement.shard_map_of(directory))
                 if not committed:
-                    span.fail("migration undeliverable — merge aborted")
+                    span.fail(
+                        f"migration undeliverable — {kind} aborted")
                 obs.tracer.end(span, self._sim.clock.now)
         return committed
 
@@ -1699,9 +1369,7 @@ class DistributedResolver:
             if source is None and self._placement.is_placed_uid(uid):
                 continue  # no live fresh source — stays stale
             if source is not None and source is not machine:
-                source_server = (self.server_for(source)
-                                 if source.alive
-                                 else self._servers.get(id(source)))
+                source_server = self._speaker_for(source)
                 if source_server is None or not source_server.alive:
                     continue  # stays stale; a later restart retries
                 message = source_server.send(

@@ -247,6 +247,9 @@ class AsyncioTransport(Transport):
         self._peers: dict[tuple[str, int], _Peer] = {}
         self._accepted: list[_Connection] = []
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Called with the session id of every connection that closes,
+        #: so a server can drop the state it keeps per session.
+        self.on_connection_closed: Optional[Callable[[int], None]] = None
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_dropped = 0
@@ -378,6 +381,8 @@ class AsyncioTransport(Transport):
                 peer.conn = None
         if conn in self._accepted:
             self._accepted.remove(conn)
+        if self.on_connection_closed is not None:
+            self.on_connection_closed(conn.session_id)
 
     # -- inbound -----------------------------------------------------------
 

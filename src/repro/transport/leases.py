@@ -1,19 +1,12 @@
 """Lease break-callback fan-out over the transport seam.
 
-:func:`repro.nameservice.leases.callback_fanout` is the simulator's
-bounded-retry delivery loop: it *blocks* between attempts by spending
-virtual time.  A real event loop cannot block, so
-:func:`callback_fanout_async` is the same control flow — same
-attempt bounds, same :class:`~repro.nameservice.retry.RetryPolicy`
-backoff draws, same :class:`~repro.nameservice.retry.CircuitBreaker`
-bookkeeping (skip-when-open, probe on half-open, trip mid-holder),
-same :class:`~repro.nameservice.leases.FanoutReport` accounting —
-with ``await`` at the two points the sim version waits.  The policy
-objects are *shared*, not reimplemented: a fan-out is driven by the
-identical ``RetryPolicy``/``CircuitBreaker`` instances whichever
-substrate delivers the callbacks, and
-``tests/transport/test_lease_fanout.py`` pins the two drivers to
-identical reports over scripted delivery schedules.
+The bounded-retry delivery loop is written once, as the effect-
+yielding generator :func:`repro.nameservice.leases.fanout_effects`.
+The simulator's driver *blocks* on each effect by spending virtual
+time; a real event loop cannot block, so :func:`callback_fanout_async`
+executes the same effects with ``await``
+(``tests/transport/test_lease_fanout.py`` runs one schedule table
+through both drivers).
 
 :class:`AckWaiter` is the small matching table a real server needs:
 break callbacks are fire-and-forget frames, so the deliverer awaits
@@ -27,7 +20,8 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable, Optional
 
-from repro.nameservice.leases import FanoutReport, Lease
+from repro.nameservice.leases import (Deliver, FanoutReport, Lease,
+                                      fanout_effects)
 from repro.nameservice.retry import CircuitBreaker, RetryPolicy
 
 __all__ = ["callback_fanout_async", "AckWaiter"]
@@ -43,44 +37,27 @@ async def callback_fanout_async(
         on_broken: Callable[[Lease], None],
         wait: Optional[Callable[[float], Awaitable[None]]] = None,
 ) -> FanoutReport:
-    """Drive callback delivery to every lease holder, with retries.
+    """Drive :func:`~repro.nameservice.leases.fanout_effects` on an
+    event loop, awaiting each effect.
 
-    The async twin of :func:`repro.nameservice.leases.callback_fanout`
-    — see there for the full semantics.  *deliver* is awaited (send
-    the callback, await its ack, return True on success); *wait*
-    defaults to :func:`asyncio.sleep`, i.e. real backoff seconds.
+    *deliver* is awaited (send the callback, await its ack, return
+    True on success); *wait* defaults to :func:`asyncio.sleep`, i.e.
+    real backoff seconds.
     """
     if wait is None:
         wait = asyncio.sleep
-    report = FanoutReport()
-    attempts_per = 1 if retry_policy is None else retry_policy.max_attempts
-    for lease in holders:
-        breaker = breaker_for(lease)
-        if breaker is not None and not breaker.allow(now()):
-            report.skipped += 1
-            report.broken += 1
-            on_broken(lease)
-            continue
-        delivered = False
-        for attempt in range(1, attempts_per + 1):
-            report.attempts += 1
-            if await deliver(lease, attempt):
-                delivered = True
-                if breaker is not None:
-                    breaker.record_success(now())
-                break
-            if breaker is not None:
-                breaker.record_failure(now())
-            if attempt < attempts_per and retry_policy is not None:
-                await wait(retry_policy.backoff(attempt, rng))
-            if breaker is not None and not breaker.allow(now()):
-                break  # tripped mid-holder: stop burning attempts
-        if delivered:
-            report.notified += 1
-        else:
-            report.broken += 1
-            on_broken(lease)
-    return report
+    steps = fanout_effects(holders, now=now, rng=rng,
+                           retry_policy=retry_policy,
+                           breaker_for=breaker_for, on_broken=on_broken)
+    outcome = None
+    try:
+        while True:
+            effect = steps.send(outcome)
+            outcome = await (deliver(effect.lease, effect.attempt)
+                             if isinstance(effect, Deliver)
+                             else wait(effect.delay))
+    except StopIteration as done:
+        return done.value
 
 
 class AckWaiter:

@@ -31,7 +31,8 @@ payloads through untouched):
 * ``{"ctl": {"op": "rebind", "path": [...], "label": ..,
   "dir": bool}}`` → break callbacks fan out to holders, then
   ``rebound`` reports the :class:`~repro.nameservice.leases.
-  FanoutReport` counts;
+  FanoutReport` counts (or an ``error`` for a path that cannot be
+  rebound);
 * ``{"ctl": {"op": "stats"}}`` → server counters (requests served,
   frames, leases) for smoke checks.
 """
@@ -42,13 +43,14 @@ import asyncio
 from collections import deque
 from typing import Any, Optional
 
-from repro.errors import SchemeError
+from repro.errors import NameSyntaxError, SchemeError
 from repro.model.context import Context, context_object
 from repro.model.entities import Entity, ObjectEntity
 from repro.model.names import ROOT_NAME
 from repro.nameservice.leases import LeaseManager, LeaseTable
 from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
 from repro.nameservice.retry import CircuitBreaker, RetryPolicy
+from repro.nameservice.writes import commit_binding
 from repro.obs.instrument import Instrumentation
 from repro.transport.aio import Address, AsyncioTransport
 from repro.transport.base import Endpoint
@@ -139,7 +141,12 @@ class NamingService:
         self.acks = AckWaiter()
         self.epoch = 0
         self.rebinds = 0
-        self._holders: dict[int, Any] = {}  # session id → reply address
+        # Live lease-holding sessions: session id → reply address,
+        # forgotten when the session's connection closes.
+        self._holders: dict[int, Any] = {}
+        self.transport.on_connection_closed = (
+            lambda session: self._holders.pop(session, None))
+        self._rebind_tasks: set[asyncio.Task] = set()
         self.ctl = self.transport.endpoint(label=CTL_LABEL)
         self.ctl.on_message(self._on_ctl)
         self.address: Optional[Address] = None
@@ -153,6 +160,12 @@ class NamingService:
         return self.address
 
     async def aclose(self) -> None:
+        """Cancel in-flight rebinds (a fan-out may be mid-backoff),
+        then close the transport."""
+        tasks = list(self._rebind_tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         await self.transport.aclose()
 
     # -- control plane -----------------------------------------------------
@@ -179,8 +192,10 @@ class NamingService:
         elif op == "lease-grant":
             self._grant(message.sender, body)
         elif op == "rebind":
-            asyncio.get_running_loop().create_task(
+            task = asyncio.get_running_loop().create_task(
                 self._rebind(message.sender, body))
+            self._rebind_tasks.add(task)
+            task.add_done_callback(self._rebind_tasks.discard)
         elif op == "stats":
             endpoint.send(message.sender, payload={"ctl": {
                 "op": "stats-reply",
@@ -215,29 +230,33 @@ class NamingService:
 
     async def _rebind(self, reply_to: Any, body: dict) -> None:
         """Rebind a path server-side, then break holders' leases."""
-        path = list(body["path"])
+        path = body.get("path")
+
+        def refuse(error: str) -> None:
+            self.ctl.send(reply_to, payload={"ctl": {
+                "op": "rebound", "path": path, "error": error}})
+
+        if not isinstance(path, list) or not path \
+                or not all(isinstance(c, str) for c in path):
+            return refuse("path must be a non-empty list of names")
         now = self.transport.now()
         parent: Entity = self.root
         for component in path[:-1]:
             parent = parent.state(component)
             if not parent.is_context_object():
-                self.ctl.send(reply_to, payload={"ctl": {
-                    "op": "rebound", "path": path,
-                    "error": f"not a directory at {component!r}"}})
-                return
+                return refuse(f"not a directory at {component!r}")
         component = path[-1]
-        context: Context = parent.state
-        old = context(component)
         if body.get("dir"):
             new: Entity = context_object(body.get("label", component))
         else:
             new = ObjectEntity(body.get("label", component))
-        context.bind(component, new)
+        try:
+            commit_binding(parent, component, new, now=now,
+                           epoch=self.epoch, auditor=self.auditor)
+        except NameSyntaxError as error:
+            return refuse(str(error))
         self.registry.register(new)
         self.rebinds += 1
-        if self.auditor is not None:
-            self.auditor.record_write(parent, component, old, new,
-                                      now, self.epoch)
         dep = ("binding", remote_uid_of(parent), component)
         holders = self.leases.holders_of(dep, now)
         report = await callback_fanout_async(

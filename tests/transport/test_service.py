@@ -169,6 +169,95 @@ class TestLeases:
         run(scenario())
 
 
+class TestWritePathRobustness:
+    def test_malformed_rebind_path_is_refused_not_dropped(self):
+        """A rebind whose path is missing, empty, not a list or ends in
+        an unbindable name must answer ``rebound`` with an error at
+        once — not die in a fire-and-forget task while the caller
+        waits out its timeout."""
+        async def scenario():
+            service, client = await start_pair()
+            try:
+                for request in ({"op": "rebind"},
+                                {"op": "rebind", "path": []},
+                                {"op": "rebind", "path": "usr"},
+                                {"op": "rebind", "path": [["usr"]]},
+                                {"op": "rebind", "path": ["usr", "a/b"]}):
+                    reply = await client._ctl_call(request, "rebound",
+                                                   timeout=2.0)
+                    assert "error" in reply, request
+                assert service.rebinds == 0
+                assert not service._rebind_tasks
+                # The namespace is untouched and the service still works.
+                report = await client.rebind(["usr", "bin", "python"],
+                                             label="python4")
+                assert "error" not in report
+                outcome = await client.resolve("/usr/bin/python")
+                assert outcome.entity.label == "python4"
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+    def test_aclose_cancels_a_rebind_in_mid_backoff(self):
+        """The fan-out task must not outlive the service: a rebind
+        stuck retrying a silent holder is cancelled and awaited."""
+        async def scenario():
+            service = NamingService(
+                build_root(), ack_timeout=0.05,
+                retry_policy=RetryPolicy(max_attempts=5,
+                                         base_backoff=30.0,
+                                         max_backoff=30.0))
+            address = await service.start()
+            client = RemoteNameClient([(address.host, address.port)],
+                                      retry_policy=FAST_RETRY)
+            await client.connect()
+            await client.lease(client.dep_for(client.root, "usr"))
+            # Never ack: the holder swallows break callbacks.
+            client.endpoint.on_message(lambda endpoint, envelope: None)
+            client.endpoint.send(client._ctl_address(), payload={"ctl": {
+                "op": "rebind", "path": ["usr"], "label": "usr-v2",
+                "dir": True}})
+            for _ in range(100):
+                if service._rebind_tasks:
+                    break
+                await asyncio.sleep(0.01)
+            (task,) = service._rebind_tasks
+            await asyncio.sleep(0.1)     # first attempt timed out
+            assert not task.done()       # …now asleep in the backoff
+            await client.aclose()
+            await asyncio.wait_for(service.aclose(), timeout=2.0)
+            assert task.cancelled()
+            assert not service._rebind_tasks
+        run(scenario())
+
+    def test_closed_sessions_leave_the_holder_map(self):
+        """``_holders`` is bounded by live sessions, not by every
+        session that ever took a lease."""
+        async def scenario():
+            service = NamingService(build_root(),
+                                    retry_policy=FAST_RETRY)
+            address = await service.start()
+            try:
+                for index in range(5):
+                    holder = RemoteNameClient(
+                        [(address.host, address.port)],
+                        retry_policy=FAST_RETRY, label=f"h{index}")
+                    await holder.connect()
+                    await holder.lease(
+                        holder.dep_for(holder.root, "usr"))
+                    assert len(service._holders) == 1
+                    await holder.aclose()
+                    for _ in range(100):
+                        if not service._holders:
+                            break
+                        await asyncio.sleep(0.01)
+                    assert not service._holders
+            finally:
+                await service.aclose()
+        run(scenario())
+
+
 class TestFailover:
     def test_resend_fails_over_to_live_replica(self):
         """Primary address is dead: the first step times out, the
