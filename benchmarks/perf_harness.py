@@ -109,8 +109,9 @@ def obs_overhead_sampled(scale: float = 1.0) -> ScenarioStats:
     """The throughput workload under *sampled* instrumentation: a
     :class:`~repro.obs.trace.SpanSampler` keeps ~5% of traces, and the
     kernel defers per-message counter emission to an end-of-run flush
-    (``_flush_message_counters``) — the configuration the 1.15×
-    overhead bound is asserted against."""
+    (``_flush_message_counters``) — the kernel-only reading of the
+    one obs budget (sampled ≤ 1.05× of ``obs_overhead_no_obs``; see
+    docs/observability.md, "Span sampling", for the resolver path)."""
     from repro.obs.instrument import Instrumentation
     from repro.obs.trace import SpanSampler
 

@@ -227,6 +227,8 @@ class PrefixCache:
                 "cache_prefix_expirations_total", labels)
             self._m_invalidations = metrics.counter(
                 "cache_prefix_invalidations_total", labels)
+            self._m_stale_served = metrics.counter_family(
+                "cache_prefix_stale_served_total", "machine")
 
     def lookup_longest(self, context: Context, rooted: bool,
                        comps: list[str], now: float,
@@ -289,9 +291,7 @@ class PrefixCache:
             return None
         self.stale_hits += 1
         if self._obs.enabled:
-            self._obs.metrics.counter(
-                "cache_prefix_stale_served_total",
-                {"machine": self.machine.label}).inc()
+            self._m_stale_served.labels(self.machine.label).inc()
         return entry
 
     def fill(self, context: Context, rooted: bool,

@@ -249,6 +249,14 @@ class DistributedResolver:
             self._m_res_messages = metrics.histogram(
                 "resolver_resolution_messages",
                 buckets=(0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0))
+            self._m_load = metrics.counter_family(
+                "resolver_server_load_total", "server")
+            self._m_resolutions = metrics.counter_family(
+                "resolver_resolutions_total", "style")
+            self._m_outcomes = metrics.counter_family(
+                "resolver_resolution_outcomes_total", "outcome")
+            self._m_steps = metrics.counter_family(
+                "resolver_steps_total", "kind")
         self._prefix_caches: dict[int, PrefixCache] = {}
         # Per-server-process circuit breakers, keyed by process uid.
         self._breakers: dict[int, CircuitBreaker] = {}
@@ -412,8 +420,7 @@ class DistributedResolver:
         """Account one directory step served by *server*."""
         self._load[server.uid] = self._load.get(server.uid, 0) + 1
         if self._obs.enabled:
-            self._obs.metrics.counter("resolver_server_load_total",
-                                      {"server": server.label}).inc()
+            self._m_load.labels(server.label).inc()
 
     # -- prefix caching ----------------------------------------------------
 
@@ -1032,20 +1039,17 @@ class DistributedResolver:
                           resolved=entity.is_defined(),
                           coherence=cost.coherence)
         self._obs.tracer.end(span, self._sim.clock.now)
-        metrics = self._obs.metrics
-        metrics.counter("resolver_resolutions_total",
-                        {"style": str(style)}).inc()
-        metrics.counter("resolver_resolution_outcomes_total",
-                        {"outcome": ("failed" if cost.failed
-                                     else cost.coherence)}).inc()
+        self._m_resolutions.labels(style.value).inc()
+        self._m_outcomes.labels("failed" if cost.failed
+                                else cost.coherence).inc()
         self._m_latency.observe(cost.latency)
         self._m_res_messages.observe(cost.messages)
+        steps = self._m_steps
         for kind, amount in (("local", cost.local_steps),
                              ("remote", cost.remote_steps),
                              ("cached", cost.cached_steps)):
             if amount:
-                metrics.counter("resolver_steps_total",
-                                {"kind": kind}).inc(amount)
+                steps.labels(kind).inc(amount)
 
     # -- API ---------------------------------------------------------------
 

@@ -128,6 +128,9 @@ class CircuitBreaker:
         self.label = label
         self.clock = clock
         self._obs = obs if obs is not None else NO_OBS
+        if self._obs.enabled:
+            self._m_transitions = self._obs.metrics.counter_family(
+                "circuit_transitions_total", "breaker", "to")
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0.0
@@ -145,9 +148,8 @@ class CircuitBreaker:
         self.state = to
         self.transitions += 1
         if self._obs.enabled:
-            self._obs.metrics.counter(
-                "circuit_transitions_total",
-                {"breaker": self.label or "?", "to": str(to)}).inc()
+            self._m_transitions.labels(self.label or "?",
+                                       to.value).inc()
             self._obs.tracer.event(
                 "circuit", f"{self.label or '?'}→{to}", now,
                 trace_id=None, parent_span_id=None,

@@ -49,7 +49,13 @@ from repro.obs.inspect import (
     trace_roots,
 )
 from repro.obs.instrument import NO_OBS, Instrumentation
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Family,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.obs.slo import SLObjective, SLOTracker
 from repro.obs.trace import Span, SpanSampler, Tracer
 
@@ -58,6 +64,7 @@ __all__ = [
     "CoherenceAuditor",
     "CoherenceContract",
     "Counter",
+    "Family",
     "FlightRecorder",
     "Gauge",
     "Histogram",

@@ -42,8 +42,10 @@ audited run is event-for-event identical to an unaudited one.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Any, Optional
+from operator import attrgetter
+from typing import Any, Callable, Optional
 
 from repro.model.context import Context
 from repro.model.entities import Entity, UNDEFINED_ENTITY
@@ -69,6 +71,8 @@ STALENESS_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
 
 #: Sentinel: "this binding has no audited history — trust the live σ".
 _NO_HISTORY = object()
+
+_write_time = attrgetter("time")
 
 
 class BindingWrite:
@@ -283,7 +287,14 @@ class CoherenceAuditor:
         only) and offer its tracer to the recorder.  Called by
         ``Instrumentation.__init__``; idempotent."""
         if getattr(obs, "enabled", False):
-            self._metrics = obs.metrics
+            metrics = self._metrics = obs.metrics
+            self._m_staleness = metrics.histogram_family(
+                "audit_staleness", "policy", "shard",
+                buckets=STALENESS_BUCKETS)
+            self._m_resolutions = metrics.counter_family(
+                "audit_resolutions_total", "policy", "verdict")
+            self._m_violations = metrics.counter_family(
+                "audit_violations_total", "policy", "shard")
             if self.recorder is not None and self.recorder.tracer is None:
                 self.recorder.wire(tracer=obs.tracer)
 
@@ -314,27 +325,72 @@ class CoherenceAuditor:
 
     # -- ground truth -------------------------------------------------------
 
+    @staticmethod
+    def _value_in(writes: list[BindingWrite], at: float,
+                  strict: bool) -> Entity:
+        """The value one binding's (nonempty, commit-ordered) write
+        list gives it at *at*: the newest write at or before *at*
+        (``strict``: before), else the first write's recorded old
+        value — the pre-history binding."""
+        count = (bisect_left if strict else bisect_right)(
+            writes, at, key=_write_time)
+        return writes[count - 1].new if count else writes[0].old
+
     def _value_at(self, directory_uid: Optional[int], component: str,
                   at: float, strict: bool) -> Any:
         """The audited value of ``directory/component`` at *at*, or
         :data:`_NO_HISTORY` when no write discipline ever touched it
         (→ the live σ value is authoritative for all time)."""
-        if directory_uid is None:
-            return _NO_HISTORY
         writes = self._writes.get((directory_uid, component))
         if not writes:
             return _NO_HISTORY
-        value = _NO_HISTORY
-        for write in writes:
-            if (write.time < at) if strict else (write.time <= at):
-                value = write.new
-            else:
+        return self._value_in(writes, at, strict)
+
+    def _walk_as_of(self, context: Context, name_: CompoundName,
+                    at: float, strict: bool,
+                    ) -> tuple[Entity, Optional[Entity], bool]:
+        """The §2 recursion over *name_* with every audited binding
+        replaced by its value at *at*.
+
+        Returns ``(entity, holder, live)``: *holder* is the directory
+        entity whose context answered the final component (``None``
+        if that was *context* itself or the walk ended early), and
+        *live* says every step read what live σ holds right now — then
+        *holder* is also where the live tree keeps the binding.
+        """
+        parts = name_.parts
+        current: Context = context
+        holder: Optional[Entity] = None
+        if name_.rooted:
+            root = context(ROOT_NAME)
+            if not parts:
+                return root, None, True
+            state = root.state if root.is_defined() else None
+            if not isinstance(state, Context):
+                return UNDEFINED_ENTITY, None, True
+            current, holder = state, root
+        elif not parts:
+            return UNDEFINED_ENTITY, None, True
+        # *context*'s own bindings are process state, outside the
+        # write discipline; with no writes at all, neither is anything.
+        history = self._writes
+        live = True
+        last = len(parts) - 1
+        for index, component in enumerate(parts):
+            entity = current(component)
+            if history and holder is not None:
+                writes = history.get((holder.uid, component))
+                if writes:
+                    then = self._value_in(writes, at, strict)
+                    if then is not entity:
+                        entity, live = then, False
+            if index == last:
+                return entity, holder, live
+            state = entity.state if entity.is_defined() else None
+            if not isinstance(state, Context):
                 break
-        if value is _NO_HISTORY:
-            # *at* precedes the first write: its recorded old value is
-            # the pre-history binding.
-            return writes[0].old
-        return value
+            current, holder = state, entity
+        return UNDEFINED_ENTITY, None, live
 
     def resolve_as_of(self, context: Context, name_: NameLike,
                       at: float, *, strict: bool = False) -> Entity:
@@ -344,36 +400,8 @@ class CoherenceAuditor:
         writes committed exactly at *at*).  Bindings outside the write
         discipline never change, so their live value stands in for
         all of history."""
-        name_ = CompoundName.coerce(name_)
-        current: Optional[Context] = context
-        current_uid: Optional[int] = None
-        if name_.rooted:
-            root = context(ROOT_NAME)
-            if len(name_) == 0:
-                return root
-            if not root.is_defined():
-                return UNDEFINED_ENTITY
-            state = root.state
-            if not isinstance(state, Context):
-                return UNDEFINED_ENTITY
-            current, current_uid = state, root.uid
-        elif len(name_) == 0:
-            return UNDEFINED_ENTITY
-        parts = name_.parts
-        last = len(parts) - 1
-        for index, component in enumerate(parts):
-            entity = self._value_at(current_uid, component, at, strict)
-            if entity is _NO_HISTORY:
-                entity = current(component)
-            if index == last:
-                return entity
-            if not entity.is_defined():
-                return UNDEFINED_ENTITY
-            state = entity.state
-            if not isinstance(state, Context):
-                return UNDEFINED_ENTITY
-            current, current_uid = state, entity.uid
-        return UNDEFINED_ENTITY
+        return self._walk_as_of(context, CompoundName.coerce(name_),
+                                at, strict)[0]
 
     def measure(self, context: Context, name_: NameLike,
                 entity: Entity, now: float) -> float:
@@ -383,18 +411,27 @@ class CoherenceAuditor:
         resolve_as_of(t) = entity}``, and ``0.0`` for a fresh answer.
         An answer that was *never* authoritative (a phantom) measures
         from the oldest committed write — the conservative bound."""
-        name_ = CompoundName.coerce(name_)
-        truth = self.resolve_as_of(context, name_, now)
-        if self._same(truth, entity):
-            return 0.0
-        boundaries = [t for t in self._write_times if t <= now]
-        for time in reversed(boundaries):
-            if self._same(self.resolve_as_of(context, name_, time,
-                                             strict=True), entity):
-                return now - time
-        if boundaries:
-            return now - boundaries[0]
-        return 0.0
+        return self._measure(context, CompoundName.coerce(name_),
+                             entity, now)[0]
+
+    def _measure(self, context: Context, name_: CompoundName,
+                 entity: Entity, now: float,
+                 ) -> tuple[float, Optional[Entity], bool]:
+        """:meth:`measure` plus the ``(holder, live)`` of the walk at
+        *now* (see :meth:`_walk_as_of`)."""
+        truth, holder, live = self._walk_as_of(context, name_, now, False)
+        staleness = 0.0
+        if not self._same(truth, entity):
+            times = self._write_times
+            count = bisect_right(times, now)
+            if count:
+                staleness = now - times[0]
+            for index in range(count - 1, -1, -1):
+                if self._same(self._walk_as_of(
+                        context, name_, times[index], True)[0], entity):
+                    staleness = now - times[index]
+                    break
+        return staleness, holder, live
 
     @staticmethod
     def _same(a: Entity, b: Entity) -> bool:
@@ -424,23 +461,28 @@ class CoherenceAuditor:
         split decisions.
         """
         if failed:
-            return self._publish("failed", 0.0, policy, "-", now,
-                                 str(name_), latency, weak)
+            return self._publish("failed", 0.0, policy, now, latency,
+                                 weak, lambda: str(name_))
         name_ = CompoundName.coerce(name_)
-        staleness = self.measure(context, name_, entity, now)
-        if (directory is None and placement is not None
-                and len(name_.parts) >= 1):
-            directory, component = self._live_parent(context, name_)
-        shard = self._shard_label(placement, directory, component)
+        staleness, holder, live = self._measure(context, name_, entity,
+                                                now)
+        if directory is None and placement is not None and name_.parts:
+            if live:
+                directory, component = holder, name_.parts[-1]
+            else:
+                directory, component = self._live_parent(context, name_)
         verdict = self._judge(staleness, weak, policy, ttl, lease_term)
-        return self._publish(verdict, staleness, policy, shard, now,
-                             str(name_), latency, weak)
+        return self._publish(verdict, staleness, policy, now, latency,
+                             weak, name_.__str__, placement, directory,
+                             component)
 
     @staticmethod
     def _live_parent(context: Context,
                      name_: CompoundName) -> tuple[Any, Optional[str]]:
         """The directory entity holding *name_*'s final binding (live
-        σ walk — pure reads, no load counting), for shard labelling."""
+        σ walk — pure reads, no load counting), for shard labelling
+        when the audited history and live σ disagree along the path
+        (a binding changed behind the write discipline's back)."""
         current: Context = context
         parent: Any = None
         if name_.rooted:
@@ -481,10 +523,9 @@ class CoherenceAuditor:
                 # Phantom value: measure from the oldest commit.
                 staleness = now - writes[0].time
         verdict = self._judge(staleness, weak, policy, ttl, lease_term)
-        shard = self._shard_label(placement, directory, component)
-        return self._publish(verdict, staleness, policy, shard, now,
-                             f"{directory.label}/{component}", 0.0,
-                             weak)
+        return self._publish(verdict, staleness, policy, now, 0.0, weak,
+                             lambda: f"{directory.label}/{component}",
+                             placement, directory, component)
 
     # -- verdicts and accounting --------------------------------------------
 
@@ -512,35 +553,38 @@ class CoherenceAuditor:
         return f"{shard.machine.label}@0x{shard.lo:08x}"
 
     def _publish(self, verdict: str, staleness: float, policy: str,
-                 shard: str, now: float, name: str, latency: float,
-                 weak: bool) -> str:
+                 now: float, latency: float, weak: bool,
+                 describe: Callable[[], str], placement: Any = None,
+                 directory: Any = None,
+                 component: Optional[str] = None) -> str:
+        """Account one verdict.  The read's name (*describe*) and, when
+        no metric series needs it, the owning shard's label are only
+        rendered for what gets reported: a violation or an SLO burn."""
         self.observed += 1
         self.by_verdict[verdict] = self.by_verdict.get(verdict, 0) + 1
         if staleness > self.max_staleness:
             self.max_staleness = staleness
         if not weak and staleness > self.max_claimed_staleness:
             self.max_claimed_staleness = staleness
-        metrics = self._metrics
-        if metrics is not None:
-            labels = {"policy": policy, "shard": shard}
-            metrics.histogram("audit_staleness", labels,
-                              buckets=STALENESS_BUCKETS).observe(staleness)
-            metrics.counter("audit_resolutions_total",
-                            {"policy": policy,
-                             "verdict": verdict}).inc()
-            if verdict == "violation":
-                metrics.counter("audit_violations_total", labels).inc()
+        violation = verdict == "violation"
+        if self._metrics is not None or violation:
+            shard = self._shard_label(placement, directory, component)
+        if self._metrics is not None:
+            self._m_staleness.labels(policy, shard).observe(staleness)
+            self._m_resolutions.labels(policy, verdict).inc()
+            if violation:
+                self._m_violations.labels(policy, shard).inc()
         detail = None
-        if verdict == "violation":
-            detail = {"name": name, "policy": policy, "shard": shard,
-                      "time": now, "staleness": staleness,
-                      "verdict": verdict}
+        if violation:
+            detail = {"name": describe(), "policy": policy,
+                      "shard": shard, "time": now,
+                      "staleness": staleness, "verdict": verdict}
             self.violations.append(detail)
         burned: list[str] = []
         if self.slo is not None and verdict != "failed":
             burned = self.slo.observe(staleness=staleness,
                                       latency=latency,
-                                      violation=(verdict == "violation"),
+                                      violation=violation,
                                       policy=policy)
             self.slo_burns += len(burned)
         if self.recorder is not None:
@@ -550,7 +594,7 @@ class CoherenceAuditor:
             for objective in burned:
                 self.recorder.capture(
                     kind="slo_burn", time=now,
-                    detail={"slo": objective, "name": name,
+                    detail={"slo": objective, "name": describe(),
                             "policy": policy, "staleness": staleness,
                             "latency": latency})
         return verdict

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from functools import partial
+from typing import Any, Callable, Iterable, Mapping, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+__all__ = ["Counter", "Family", "Gauge", "Histogram", "MetricsRegistry",
            "LabelSet"]
 
 #: A frozen, order-normalised label set (how series are keyed).
@@ -133,6 +134,45 @@ class Histogram:
         return out
 
 
+class Family:
+    """Every series of one labelled metric, addressed by label
+    *values* — the handle an emitter keeps so its hot path never
+    rebuilds a label set.
+
+    ``family.labels("dirserver@a")`` is one dict probe on the value
+    tuple; only the first sight of a value combination goes through
+    the registry's get-or-create (so a series still appears exactly
+    when it is first emitted into, and snapshots keep their order).
+    Values are the label strings themselves, in the order the label
+    names were declared.
+
+    >>> registry = MetricsRegistry()
+    >>> load = registry.counter_family("load_total", "server")
+    >>> load.labels("a").inc()
+    >>> registry.value_of("load_total", {"server": "a"})
+    1.0
+    """
+
+    __slots__ = ("_create", "_names", "_bound")
+
+    def __init__(self, create: Callable[[dict], Any],
+                 label_names: tuple[str, ...]):
+        self._create = create
+        self._names = label_names
+        self._bound: dict[tuple, Any] = {}
+
+    def labels(self, *values: str) -> Any:
+        """The instrument for this combination of label values."""
+        instrument = self._bound.get(values)
+        if instrument is None:
+            if len(values) != len(self._names):
+                raise ValueError(
+                    f"expected values for {self._names}, got {values}")
+            instrument = self._bound[values] = self._create(
+                dict(zip(self._names, values)))
+        return instrument
+
+
 class MetricsRegistry:
     """A namespace of labelled instruments, get-or-create style.
 
@@ -181,6 +221,25 @@ class MetricsRegistry:
                 buckets=tuple(buckets) if buckets else DEFAULT_BUCKETS)
             self._histograms[key] = instrument
         return instrument
+
+    # -- bound handles ----------------------------------------------------
+
+    def counter_family(self, name: str, *label_names: str) -> Family:
+        """A :class:`Family` over the counter *name*'s series."""
+        return Family(partial(self.counter, name), label_names)
+
+    def gauge_family(self, name: str, *label_names: str) -> Family:
+        """A :class:`Family` over the gauge *name*'s series."""
+        return Family(partial(self.gauge, name), label_names)
+
+    def histogram_family(self, name: str, *label_names: str,
+                         buckets: Optional[Iterable[float]] = None,
+                         ) -> Family:
+        """A :class:`Family` over the histogram *name*'s series."""
+        return Family(
+            partial(self.histogram, name,
+                    buckets=tuple(buckets) if buckets else None),
+            label_names)
 
     # -- reading -----------------------------------------------------------
 

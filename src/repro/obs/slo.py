@@ -74,6 +74,10 @@ class SLOTracker:
             raise ValueError(f"duplicate SLO names in {names}")
         self.objectives = list(objectives)
         self.metrics = metrics
+        self._m_events = (
+            metrics.counter_family("slo_events_total",
+                                   "slo", "policy", "outcome")
+            if metrics is not None else None)
         self.events: dict[str, int] = {n: 0 for n in names}
         self.burns: dict[str, int] = {n: 0 for n in names}
 
@@ -83,7 +87,7 @@ class SLOTracker:
         """Score one observation; returns the names of the objectives
         it burned."""
         burned: list[str] = []
-        metrics = self.metrics
+        events = self._m_events
         for objective in self.objectives:
             name = objective.name
             self.events[name] += 1
@@ -91,11 +95,9 @@ class SLOTracker:
             if not good:
                 self.burns[name] += 1
                 burned.append(name)
-            if metrics is not None:
-                metrics.counter(
-                    "slo_events_total",
-                    {"slo": name, "policy": policy,
-                     "outcome": "good" if good else "burn"}).inc()
+            if events is not None:
+                events.labels(name, policy,
+                              "good" if good else "burn").inc()
         return burned
 
     def burn_fraction(self, name: str) -> float:

@@ -97,7 +97,7 @@ class SpanSampler:
                 f"window={self.window}>")
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed, attributed unit of work in a trace tree."""
 
@@ -111,6 +111,10 @@ class Span:
     status: str = "ok"          #: ``"ok"`` or ``"failed"``
     reason: str = ""            #: failure detail when status is failed
     attrs: dict[str, Any] = field(default_factory=dict)
+    #: The head-sampling verdict of the span's *trace* (does it go to
+    #: the tracer's main store?), decided once when the trace is
+    #: minted and inherited by every span that joins it.
+    sampled: bool = field(default=True, compare=False, repr=False)
 
     @property
     def duration(self) -> float:
@@ -169,11 +173,20 @@ class Tracer:
         """The innermost active span (automatic parent), if any."""
         return self._stack[-1] if self._stack else None
 
+    def _mint_trace(self) -> tuple[str, bool]:
+        """A fresh trace id and its sampling verdict — the one place
+        the sampler is asked about a trace minted here."""
+        seq = next(self._trace_ids)
+        sampler = self.sampler
+        return f"t{seq}", sampler is None or sampler.keep_trace(seq)
+
     def new_trace_id(self) -> str:
-        return f"t{next(self._trace_ids)}"
+        return self._mint_trace()[0]
 
     def _kept(self, trace_id: str) -> bool:
-        """Whether *trace_id*'s spans go to the main store.
+        """The sampling verdict of a trace known only by its id —
+        context that re-enters from a message or the wire with no
+        span of the trace active.
 
         A pure function of the id — minted ids are ``t<seq>``, so the
         sampler's stateless hash decides without any per-trace state.
@@ -188,11 +201,24 @@ class Tracer:
             return True
         return sampler.keep_trace(seq)
 
+    def _join(self, trace_id: Optional[str],
+              anchor: Optional[Span]) -> tuple[str, bool]:
+        """The trace a new span belongs to and that trace's sampling
+        verdict: *anchor*'s (its parent / the active span) when the
+        span joins the anchor's trace, a freshly minted one when there
+        is nothing to join, else whatever the raw id says."""
+        if anchor is not None and (not trace_id
+                                   or trace_id == anchor.trace_id):
+            return anchor.trace_id, anchor.sampled
+        if not trace_id:
+            return self._mint_trace()
+        return trace_id, self._kept(trace_id)
+
     def _store(self, span: Span) -> Span:
         recent = self._recent
         if recent is not None:
             recent.append(span)
-            if not self._kept(span.trace_id):
+            if not span.sampled:
                 self.sampled_out += 1
                 return span
         if (self.max_spans is not None
@@ -213,31 +239,35 @@ class Tracer:
         explicit *trace_id* joins an existing one).  Activated spans
         become :attr:`current` until :meth:`end`.
         """
-        parent_span: Optional[Span] = (self.current
-                                       if parent is _CURRENT else parent)
-        if trace_id is None:
-            trace_id = (parent_span.trace_id if parent_span is not None
-                        else self.new_trace_id())
-        span = Span(trace_id=trace_id,
-                    span_id=f"s{next(self._span_ids)}",
-                    parent_id=(parent_span.span_id
-                               if parent_span is not None else None),
-                    kind=kind, name=name, start=time,
-                    attrs=dict(attrs) if attrs else {})
+        stack = self._stack
+        if parent is _CURRENT:
+            parent = stack[-1] if stack else None
+        trace_id, sampled = self._join(trace_id, parent)
+        span = Span(trace_id, f"s{next(self._span_ids)}",
+                    parent.span_id if parent is not None else None,
+                    kind, name, time, None, "ok", "",
+                    dict(attrs) if attrs else {}, sampled)
         self._store(span)
         if activate:
-            self._stack.append(span)
+            stack.append(span)
         return span
 
     def end(self, span: Span, time: float) -> Span:
         """Close *span* at virtual *time* and deactivate it."""
         span.end = time
-        if span in self._stack:
-            # Pop through to the span (defensive: tolerates a child
-            # left open by an aborted walk).
-            while self._stack:
-                if self._stack.pop() is span:
-                    break
+        stack = self._stack
+        if stack:
+            if stack[-1] is span:
+                stack.pop()
+            else:
+                # Pop through to the span (defensive: tolerates a
+                # child left open by an aborted walk).  Identity, not
+                # equality: a span that is not on the stack pops
+                # nothing.
+                for index in range(len(stack) - 2, -1, -1):
+                    if stack[index] is span:
+                        del stack[index:]
+                        break
         return span
 
     def event(self, kind: str, name: str, time: float, *,
@@ -249,19 +279,19 @@ class Tracer:
         Unlike :meth:`begin`, the parent may be given as a raw span
         id — that is how trace context carried by a kernel
         :class:`~repro.sim.messages.Message` re-enters the tracer at
-        delivery time without holding a :class:`Span` object.
+        delivery time without holding a :class:`Span` object.  When
+        that context names the active span's own trace (a hop pumping
+        its message to delivery) the instant inherits its verdict.
         """
-        active = self.current
-        if trace_id is None and active is not None:
-            trace_id = active.trace_id
+        stack = self._stack
+        active = stack[-1] if stack else None
         if parent_span_id is None and active is not None:
             parent_span_id = active.span_id
-        span = Span(trace_id=trace_id or self.new_trace_id(),
-                    span_id=f"s{next(self._span_ids)}",
-                    parent_id=parent_span_id,
-                    kind=kind, name=name, start=time, end=time,
-                    attrs=dict(attrs) if attrs else {})
-        return self._store(span)
+        trace_id, sampled = self._join(trace_id, active)
+        return self._store(
+            Span(trace_id, f"s{next(self._span_ids)}", parent_span_id,
+                 kind, name, time, time, "ok", "",
+                 dict(attrs) if attrs else {}, sampled))
 
     # -- reading -----------------------------------------------------------
 
@@ -294,8 +324,15 @@ class Tracer:
         return list(seen)
 
     def clear(self) -> None:
-        """Drop all stored spans (the activation stack survives)."""
+        """Drop every recorded span — the main store, the recent ring
+        and their ``dropped_spans`` / ``sampled_out`` tallies.  The
+        activation stack and the id counters survive, so open spans
+        still close and later ids never collide with cleared ones."""
         self._spans.clear()
+        if self._recent is not None:
+            self._recent.clear()
+        self.dropped_spans = 0
+        self.sampled_out = 0
 
     def __len__(self) -> int:
         return len(self._spans)

@@ -136,6 +136,8 @@ class Simulator:
             self._m_events = metrics.counter(
                 "sim_events_processed_total")
             self._g_queue = metrics.gauge("sim_event_queue_depth")
+            self._g_mailbox = metrics.gauge_family(
+                "process_mailbox_depth", "process")
 
     # -- topology --------------------------------------------------------
 
@@ -350,28 +352,24 @@ class Simulator:
                 gateway.process(message)
         self._record(self.clock._now, "deliver", (_fmt_deliver, message))
         message.receiver.deliver(message)
-        if self._obs_full:
-            self._m_delivered.inc()
+        if self._obs_on:
             if message.trace_id is not None:
+                # While the hop that sent the message is still the
+                # tracer's active span (a resolver pumping its own
+                # leg), the instant inherits that trace's sampling
+                # verdict instead of re-deriving it from the id.
                 self.obs.tracer.event(
-                    "deliver", f"msg#{message.msg_id}", self.clock.now,
+                    "deliver", f"msg#{message.msg_id}", self.clock._now,
                     trace_id=message.trace_id,
                     parent_span_id=message.parent_span_id,
                     attrs={"receiver": message.receiver.label})
-            self.obs.metrics.gauge(
-                "process_mailbox_depth",
-                {"process": message.receiver.label},
-            ).set(len(message.receiver.mailbox))
-        elif self._obs_on and message.trace_id is not None:
-            # Sampled mode: keep the trace-context instant (the tracer
-            # itself decides whether its trace is stored) but skip the
-            # per-delivery counter and labelled-gauge registry lookup —
-            # those totals are reconciled at pump boundaries.
-            self.obs.tracer.event(
-                "deliver", f"msg#{message.msg_id}", self.clock.now,
-                trace_id=message.trace_id,
-                parent_span_id=message.parent_span_id,
-                attrs={"receiver": message.receiver.label})
+            if self._obs_full:
+                # Sampled mode skips the per-delivery counter and
+                # labelled gauge — those totals are reconciled at pump
+                # boundaries (_flush_message_counters).
+                self._m_delivered.inc()
+                self._g_mailbox.labels(message.receiver.label).set(
+                    len(message.receiver.mailbox))
 
     def add_gateway(self, gateway: Any) -> None:
         """Install a boundary gateway; its ``process(message)`` hook

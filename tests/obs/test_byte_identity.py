@@ -1,0 +1,191 @@
+"""Byte-identity goldens for everything the obs spine exports.
+
+The hot-path work in `repro.obs` (one sampling verdict per trace,
+bound metric handles, the auditor's single walk) must be invisible in
+every artifact: for one small sharded scenario — Zipf lookups hot
+enough to split live, a batch, rebinds through the write discipline, a
+failover around a crashed replica and one forced contract violation —
+the Chrome trace, the run summary, the metrics snapshot and the
+flight-recorder state are pinned as sha256 digests of their JSON (key
+order included), at sampler ``None`` / ``rate=1.0`` / ``rate=0.05``.
+The digests were captured from the commit *before* that work landed.
+
+Regenerate (only when a change is *intended* to alter an export)::
+
+    PYTHONPATH=src python tests/obs/test_byte_identity.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from repro.namespaces.base import ProcessContext
+from repro.namespaces.tree import NamingTree
+from repro.nameservice.placement import DirectoryPlacement
+from repro.nameservice.resolver import DistributedResolver
+from repro.nameservice.retry import RetryPolicy
+from repro.nameservice.sharding import ShardManager
+from repro.obs import (
+    CoherenceAuditor,
+    FlightRecorder,
+    Instrumentation,
+    SLObjective,
+    SLOTracker,
+    SpanSampler,
+    run_summary,
+    to_chrome_trace,
+)
+from repro.sim.failures import FailureInjector
+from repro.sim.kernel import Simulator
+from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
+
+SAMPLERS = {
+    "none": lambda: None,
+    "rate1": lambda: SpanSampler(rate=1.0, seed=1),
+    "rate005": lambda: SpanSampler(rate=0.05, seed=1),
+}
+
+DOCUMENTS = ("chrome_trace", "run_summary", "metrics", "flight")
+
+GOLDENS = {
+    "none": {
+        "chrome_trace":
+            "f26e8f1e00b04a01b2d142074ce468083e549ccd6f876f16e48dbad527d86ace",
+        "run_summary":
+            "61eb93aec6d7c8a08c86a9a26e7d8b174684823507e9d1296de828ed9f582475",
+        "metrics":
+            "9829b1ef6d36891b3ee9fd64e627ab96ee15926ab7eda2f492e679f8bf1d5d67",
+        "flight":
+            "e1370aca08c4efdbc2928b437c229ee6c1cd136c0ede5270f24a9af31f2a7d78",
+    },
+    "rate1": {
+        "chrome_trace":
+            "f26e8f1e00b04a01b2d142074ce468083e549ccd6f876f16e48dbad527d86ace",
+        "run_summary":
+            "c8ed5cce8138a622cc41c8424eccb86d71da7f34832e3525fb6e6ef69c54855e",
+        "metrics":
+            "5d1307062ca452bdb5fbbc1ad88df296d105494c29820fbfcbc2e95f934806e5",
+        "flight":
+            "e1370aca08c4efdbc2928b437c229ee6c1cd136c0ede5270f24a9af31f2a7d78",
+    },
+    "rate005": {
+        "chrome_trace":
+            "6f82a791c8eeb7690156ebed8c02878b703b42be90ba0bf834c6e3d0bd805641",
+        "run_summary":
+            "fca7c8b80a805cf4e7b6234211f8aef7ee8ae9b470868d025c99420ff09b26c9",
+        "metrics":
+            "5d1307062ca452bdb5fbbc1ad88df296d105494c29820fbfcbc2e95f934806e5",
+        "flight":
+            "e1370aca08c4efdbc2928b437c229ee6c1cd136c0ede5270f24a9af31f2a7d78",
+    },
+}
+
+
+def run_scenario(sampler) -> dict:
+    """The four exported documents of one instrumented sharded run."""
+    recorder = FlightRecorder(window=30.0)
+    obs = Instrumentation(max_spans=600, sampler=sampler)
+    auditor = CoherenceAuditor(
+        recorder=recorder,
+        slo=SLOTracker([SLObjective("fast", max_latency=5.0)],
+                       metrics=obs.metrics))
+    obs.auditor = auditor
+    auditor.bind_obs(obs)
+    simulator = Simulator(seed=3, obs=obs)
+    recorder.wire(trace_log=simulator.trace)
+    network = simulator.network("lan")
+    pool = [simulator.machine(network, f"s{i}") for i in range(4)]
+    client_m = simulator.machine(network, "client-m")
+    tree = NamingTree("root", sigma=simulator.sigma)
+    namespace = build_zipf_namespace(tree, "hot", count=400, distinct=32)
+    placement = DirectoryPlacement()
+    placement.place(tree.root, client_m)
+    shard_map = placement.place_sharded(namespace.directory, *pool[:2],
+                                        replicas=2)
+    client = simulator.spawn(client_m, "client")
+    resolver = DistributedResolver(
+        simulator, placement, retry_policy=RetryPolicy(max_attempts=3))
+    resolver.shard_manager = ShardManager(
+        resolver, pool=pool, split_fraction=0.3, check_every=40,
+        min_window=20, max_shards=8)
+    context = ProcessContext(tree.root)
+    ranks = ZipfSampler(400, rng=random.Random(5)).sample_many(150)
+    names = ["/hot/" + namespace.names[rank] for rank in ranks]
+    for name in names[:100]:
+        resolver.resolve(client, context, name)
+    resolver.resolve_many(client, context, names[100:120])
+    old = namespace.directory.state(namespace.names[0])
+    resolver.rebind(namespace.directory, namespace.names[0],
+                    namespace.shared_leaf)
+    resolver.rebind(namespace.directory, "fresh", namespace.shared_leaf)
+    # A crashed primary: the walk fails over to the shard's secondary.
+    FailureInjector(simulator).crash_machine(shard_map.shards[0].machine)
+    for name in names[120:]:
+        resolver.resolve(client, context, name)
+    resolver.resolve(client, context, "/hot/missing")
+    # A read that still returns the pre-rebind entity long after the
+    # write, claimed coherent: the one violation (and recorder dump).
+    auditor.observe_lookup(
+        namespace.directory, namespace.names[0], old,
+        now=simulator.clock.now + 20.0, policy="invalidate",
+        placement=placement)
+    assert shard_map.is_partition()
+    assert resolver.shard_splits > 0
+    assert auditor.violation_count == 1
+    spans = obs.tracer.spans
+    return {
+        "chrome_trace": to_chrome_trace(spans),
+        "run_summary": run_summary(
+            spans, obs.metrics, trace_log=simulator.trace,
+            clock=simulator.clock.now,
+            notes={"audit": auditor.summary(),
+                   "sampled_out": obs.tracer.sampled_out,
+                   "dropped_spans": obs.tracer.dropped_spans}),
+        "metrics": obs.metrics.snapshot(),
+        "flight": recorder.to_dict(),
+    }
+
+
+def digests(documents: dict) -> dict:
+    return {name: hashlib.sha256(
+        json.dumps(documents[name]).encode()).hexdigest()
+        for name in DOCUMENTS}
+
+
+class TestExportsAreByteIdentical:
+    @pytest.mark.parametrize("mode", sorted(SAMPLERS))
+    def test_documents_match_the_pinned_digests(self, mode):
+        assert digests(run_scenario(SAMPLERS[mode]())) == GOLDENS[mode]
+
+    def test_sampling_changes_storage_not_measurement(self):
+        # Metrics, audit tallies and the recorder's windows are taken
+        # from every resolution, kept trace or not.
+        full = run_scenario(SAMPLERS["rate1"]())
+        sampled = run_scenario(SAMPLERS["rate005"]())
+        assert full["metrics"] == sampled["metrics"]
+        assert full["flight"] == sampled["flight"]
+        assert full["run_summary"]["notes"]["audit"] == \
+            sampled["run_summary"]["notes"]["audit"]
+        assert full["run_summary"]["notes"]["sampled_out"] == 0
+        assert sampled["run_summary"]["notes"]["sampled_out"] > 0
+        assert 0 < sampled["run_summary"]["span_count"] \
+            < full["run_summary"]["span_count"]
+
+
+def _regenerate() -> None:  # pragma: no cover - maintenance helper
+    print("GOLDENS = {")
+    for mode in SAMPLERS:
+        print(f'    "{mode}": {{')
+        for name, digest in digests(
+                run_scenario(SAMPLERS[mode]())).items():
+            print(f'        "{name}":\n            "{digest}",')
+        print("    },")
+    print("}")
+
+
+if __name__ == "__main__":  # pragma: no cover
+    _regenerate()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.obs import Instrumentation, NO_OBS, Tracer
+import dataclasses
+
+from repro.obs import Instrumentation, NO_OBS, SpanSampler, Tracer
 
 
 class TestSpans:
@@ -49,6 +51,40 @@ class TestSpans:
         tracer.begin("hop", "query", 0.0)  # never ended
         tracer.end(outer, 2.0)
         assert tracer.current is None
+
+    def test_end_pops_only_down_to_the_ended_span(self):
+        # An aborted walk leaves its hop open under the resolution it
+        # belongs to; closing the resolution discards the orphan but
+        # must leave the enclosing batch active.
+        tracer = Tracer()
+        batch = tracer.begin("batch", "b", 0.0, parent=None)
+        resolution = tracer.begin("resolution", "r", 0.0)
+        orphan = tracer.begin("hop", "query", 0.0)  # never ended
+        tracer.end(resolution, 1.0)
+        assert tracer.current is batch
+        assert not orphan.finished
+        tracer.end(batch, 2.0)
+        assert tracer.current is None
+
+    def test_end_of_a_span_not_on_the_stack_pops_nothing(self):
+        # The stack is searched by identity: a value-equal copy of an
+        # active span is still a different span.
+        tracer = Tracer()
+        outer = tracer.begin("resolution", "r", 0.0, parent=None)
+        inner = tracer.begin("hop", "query", 0.0)
+        twin = dataclasses.replace(outer)
+        assert twin == outer and twin is not outer
+        tracer.end(twin, 1.0)
+        assert tracer.current is inner
+        assert twin.end == 1.0 and not outer.finished
+
+    def test_end_twice_is_harmless(self):
+        tracer = Tracer()
+        outer = tracer.begin("resolution", "r", 0.0, parent=None)
+        inner = tracer.begin("hop", "query", 0.0)
+        tracer.end(inner, 1.0)
+        tracer.end(inner, 1.5)
+        assert tracer.current is outer
 
     def test_fail_records_status_and_reason(self):
         tracer = Tracer()
@@ -103,6 +139,33 @@ class TestRingBuffer:
             tracer.event("step", str(index), 0.0, trace_id="t1")
         assert len(tracer) == 100
         assert tracer.dropped_spans == 0
+
+
+class TestClear:
+    def test_clear_empties_the_recent_ring_and_tallies(self):
+        tracer = Tracer(max_spans=4,
+                        sampler=SpanSampler(rate=0.5, seed=3, window=64))
+        for index in range(20):
+            span = tracer.begin("hop", f"h{index}", float(index),
+                                parent=None)
+            tracer.end(span, float(index))
+        assert tracer.recent_window(0.0, 100.0)
+        assert tracer.sampled_out and tracer.dropped_spans
+        tracer.clear()
+        assert len(tracer) == 0
+        assert tracer.recent_window(0.0, 100.0) == []
+        assert tracer.sampled_out == 0 and tracer.dropped_spans == 0
+
+    def test_clear_keeps_the_stack_and_the_id_sequence(self):
+        tracer = Tracer()
+        outer = tracer.begin("resolution", "r", 0.0, parent=None)
+        tracer.clear()
+        assert tracer.current is outer
+        child = tracer.event("step", "a", 1.0)
+        assert (child.trace_id, child.parent_id) \
+            == (outer.trace_id, outer.span_id)
+        assert child.span_id == "s2"
+        assert tracer.recent_window(0.0, 5.0) == [child]
 
 
 class TestInstrumentation:
