@@ -9,11 +9,14 @@ failover, policy-gated weak-coherence stale reads) keeps names
 resolving across crashes and partitions (experiment A8), and a lease
 subsystem (server-granted promises with expiry, callback breaking,
 grace mode) bounds cache staleness even when callbacks are lost
-(experiment A9).  Every binding write takes one path — commit,
-replicate, then invalidate or break leases (:mod:`repro.nameservice.
-writes`).  Hot directories can be *sharded* — bindings split
-across shard servers by consistent hashing, with live load-driven
-splits migrating bindings as simulated messages (experiment A10).
+(experiment A9).  Every resolution is one walk (:mod:`repro.
+nameservice.walk`), pumped on the kernel by the resolver and driven
+by messages in the async protocol, and every binding write takes one
+path — commit, replicate, then invalidate or break leases
+(:mod:`repro.nameservice.writes`).  Hot directories can be *sharded* —
+bindings split across shard servers by consistent hashing, with live
+load-driven splits migrating bindings as simulated messages
+(experiment A10).
 """
 
 from repro.nameservice.cache import (
@@ -57,9 +60,11 @@ from repro.nameservice.sharding import (
     SplitPlan,
     binding_hash,
 )
+from repro.nameservice.walk import Ask, retry_effects, walk_effects
 from repro.nameservice.writes import WritePath, commit_binding
 
 __all__ = [
+    "Ask",
     "AsyncNameClient",
     "BindingCache",
     "BreakerState",
@@ -91,4 +96,6 @@ __all__ = [
     "check_semantics_preserved",
     "commit_binding",
     "fanout_effects",
+    "retry_effects",
+    "walk_effects",
 ]

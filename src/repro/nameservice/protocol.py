@@ -1,23 +1,24 @@
 """An asynchronous name-lookup protocol over the transport seam.
 
-:class:`DistributedResolver` walks synchronously (it drives the kernel
-itself); this module is the *protocol* version: clients and servers
-exchange request/reply messages through their message handlers, with
-request ids, per-step timeouts and bounded retries.  Since PR 10 the
-protocol speaks through :mod:`repro.transport` instead of calling the
-simulator kernel directly: constructed over a
-:class:`~repro.sim.kernel.Simulator` (the historical API, unchanged)
-it runs on :class:`~repro.transport.sim.SimTransport` with identical
-virtual-time semantics; constructed over an
+:class:`AsyncNameClient` is the message-driven driver of the one walk
+(:mod:`repro.nameservice.walk`) — the same generator
+:class:`DistributedResolver` pumps synchronously.  Each
+:class:`~repro.nameservice.walk.Ask` the walk yields becomes one
+request message to a :class:`NameLookupServer` plus a timeout timer,
+each :class:`~repro.nameservice.leases.Wait` a backoff timer; replies
+and timeouts resume the walk.  What stays here is what belongs to
+messages: request ids, per-request sequence numbers, timers and the
+late-reply count.  The protocol speaks through :mod:`repro.transport`:
+over a :class:`~repro.sim.kernel.Simulator` it runs on
+:class:`~repro.transport.sim.SimTransport` in virtual time; over an
 :class:`~repro.transport.aio.AsyncioTransport` (via
 :meth:`AsyncNameClient.over` / a transport-backed
-:class:`NameLookupServer`) the *identical* resolver/retry/lease code
-serves lookups over real TCP sockets with wall-clock timeouts.
-Nothing here runs the substrate — the caller pumps
-:meth:`Simulator.run` (or the asyncio loop), so lookups interleave
-naturally with any other traffic, and failures (crashed servers,
-partitions, refused connections) surface as timeouts rather than
-hangs.
+:class:`NameLookupServer`) the identical code serves lookups over real
+TCP sockets with wall-clock timeouts.  Nothing here runs the
+substrate — the caller pumps :meth:`Simulator.run` (or the asyncio
+loop), so lookups interleave naturally with any other traffic, and
+failures (crashed servers, partitions, refused connections) surface as
+timeouts rather than hangs.
 
 Correctness property (tested): with no failures, an async lookup
 completes with exactly the entity the section-2 recursion yields
@@ -25,19 +26,21 @@ locally.  Under a crashed server or a partition, the lookup fails
 cleanly after its retries instead of returning a wrong entity —
 incoherence is never silently introduced by the transport.
 
-Retries follow the same :class:`~repro.nameservice.retry.RetryPolicy`
-discipline as the synchronous walk: pass one and timed-out steps are
-re-sent after exponential backoff with seeded jitter instead of
-immediately (``retry_policy=None`` keeps the legacy immediate
-re-send).  Backoff waits are spent on the *transport's* clock —
-virtual time on the simulator, wall seconds on asyncio — with jitter
-drawn from the transport's seeded RNG either way.  Replies that
-arrive after their step already timed out are counted
-(``async_late_replies_total`` / :attr:`AsyncNameClient.late_replies`)
-rather than silently dropped — a reply racing its own retry is normal
-under latency spikes, and the counter makes the race visible.  After
-a machine restart, :meth:`NameLookupServer.respawn` re-registers the
-dead server process with its handler (wire it as a
+Retry, backoff and failover are the walk's: a timed-out request is
+re-asked up to ``max_retries`` more times — after exponential backoff
+with seeded jitter under a :class:`~repro.nameservice.retry.
+RetryPolicy`, at once without one — and when a directory's replica
+stops answering, the next one in the router's candidate list is asked.
+Backoff waits are spent on the *transport's* clock — virtual time on
+the simulator, wall seconds on asyncio — with jitter drawn from the
+transport's seeded RNG either way.  Replies that arrive after their
+request already timed out are counted (``async_late_replies_total`` /
+:attr:`AsyncNameClient.late_replies`) rather than silently dropped — a
+reply racing its own retry is normal under latency spikes, and the
+counter makes the race visible; one that arrives during the backoff
+*before* the re-send is simply the answer.  After a machine restart,
+:meth:`NameLookupServer.respawn` re-registers the dead server process
+with its handler (wire it as a
 :meth:`~repro.sim.failures.FailureInjector.on_restart` hook).
 
 On an instrumented transport (`repro.obs`), each lookup is one
@@ -52,16 +55,20 @@ lookups interleave.  Completions, failures and retries are counted in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import SchemeError
 from repro.model.context import Context
 from repro.model.entities import Entity, ObjectEntity, UNDEFINED_ENTITY
-from repro.model.names import ROOT_NAME, CompoundName, NameLike
-from repro.nameservice.leases import LeaseTable
+from repro.model.names import CompoundName, NameLike
+from repro.nameservice.cache import CachePolicy
+from repro.nameservice.leases import LeaseTable, Wait
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import RetryPolicy
+from repro.nameservice.walk import (DOWN, LOST, STALE, Ask, ResolutionCost,
+                                    walk_effects)
+from repro.obs.instrument import NO_OBS
 from repro.sim.network import Machine
 from repro.transport.base import Endpoint, Timer, Transport, as_transport
 
@@ -80,24 +87,37 @@ class LookupOutcome:
     entity: Entity = UNDEFINED_ENTITY
     failed: bool = False
     reason: str = ""
-    steps: int = 0
+    #: Step timeouts that fired (each one a lost attempt).
     retries: int = 0
+    #: The walk's own accounting — steps, re-asks (``cost.retries``),
+    #: failovers — in the units the synchronous resolver reports.
+    cost: ResolutionCost = field(default_factory=ResolutionCost)
 
     @property
     def ok(self) -> bool:
         return not self.failed and self.entity.is_defined()
 
+    @property
+    def steps(self) -> int:
+        return self.cost.steps
+
+    @property
+    def failovers(self) -> int:
+        return self.cost.failovers
+
 
 class PlacementRouter:
     """Routes lookup steps via :class:`DirectoryPlacement` (sim side).
 
-    The router seam answers two questions the client walk asks:
-    :meth:`target_for` at advance time — ``None`` means "this step is
-    local, read the context directly", anything else is a send target
-    for the request — and :meth:`retarget` at resend time, which
-    re-routes against the *live* placement (the shard owning a
-    component may have split/migrated during a backoff) and always
-    yields a target, exactly like the pre-seam resend path.
+    The router seam answers the walk's two routing questions
+    (:mod:`repro.nameservice.walk`): :meth:`replicas` — the candidate
+    machines for a binding, empty meaning "read it in place" — and
+    :meth:`target_on` — whom to ask on one of them.  The client's own
+    machine is its own target (a directory hosted there is read
+    locally); any other machine's is its :class:`NameLookupServer`,
+    addressed at whatever process it runs *when the request leaves*,
+    so a re-ask after a backoff reaches a server that respawned
+    meanwhile.
     """
 
     def __init__(self, placement: DirectoryPlacement,
@@ -107,24 +127,20 @@ class PlacementRouter:
         self.servers = servers
         self.local_machine = local_machine
 
-    def _target_on(self, host: Machine) -> Any:
+    def replicas(self, directory: ObjectEntity, component: str):
+        return self.placement.replicas_for_binding(directory, component)
+
+    def target_on(self, directory: ObjectEntity, host: Machine) -> Any:
+        if self.placement.is_stale(directory, host):
+            return STALE
+        if host is self.local_machine:
+            return host
         server = self.servers.get(id(host))
-        if server is None:
+        if server is not None:
+            return server
+        if host.alive:
             raise SchemeError(f"no lookup server on {host.label}")
-        return server.process
-
-    def target_for(self, directory: Optional[ObjectEntity],
-                   component: str) -> Any:
-        if directory is None:
-            return None
-        host = self.placement.host_of_binding(directory, component)
-        if host is None or host is self.local_machine:
-            return None
-        return self._target_on(host)
-
-    def retarget(self, directory: ObjectEntity, component: str) -> Any:
-        host = self.placement.host_of_binding(directory, component)
-        return self._target_on(host)
+        return DOWN
 
 
 class NameLookupServer:
@@ -136,9 +152,9 @@ class NameLookupServer:
     ``None``) plus whether it is a further directory.
 
     Args:
-        simulator: A :class:`~repro.sim.kernel.Simulator` (the
-            historical API — a server process is spawned on
-            *machine*) or any :class:`~repro.transport.base.Transport`
+        simulator: A :class:`~repro.sim.kernel.Simulator` (a server
+            process is spawned on *machine*) or any
+            :class:`~repro.transport.base.Transport`
             (an endpoint is created on *machine*, which a real
             transport may ignore).
         machine: The hosting node (sim: a
@@ -177,6 +193,10 @@ class NameLookupServer:
             self._m_requests = self._obs.metrics.counter(
                 "lookup_server_requests_total",
                 {"server": self.endpoint.label})
+
+    @property
+    def label(self) -> str:
+        return self.endpoint.label
 
     def _handle(self, _endpoint: Endpoint, message: Any) -> None:
         payload = message.payload
@@ -238,16 +258,11 @@ class NameLookupServer:
 @dataclass
 class _Pending:
     request_id: int
-    name: CompoundName
-    remaining: list[str]
-    current: Context
     completion: Completion
     outcome: LookupOutcome
-    server: Any = None
-    directory: Optional[ObjectEntity] = None
-    component: str = ""
-    attempts: int = 0
-    timer: Optional[Timer] = None
+    steps: Any                     #: the lookup's walk_effects generator
+    seq: int = 0                   #: requests sent; the last is awaited
+    timer: Optional[Timer] = None  #: that request's timeout, or a backoff
     span: Optional[object] = None  #: the lookup's repro.obs span
 
 
@@ -264,14 +279,15 @@ class AsyncNameClient:
         process: The client's own simulator process (handler installed).
         timeout: Transport time to wait for each step's reply
             (virtual units on the simulator, wall seconds on asyncio).
-        max_retries: Re-sends per step before failing the lookup.
-        retry_policy: When set, each re-send waits out an exponential
+        max_retries: Re-asks per replica of a step before the walk
+            fails over to the next (or, out of replicas, fails the
+            lookup).
+        retry_policy: When set, each re-ask waits out an exponential
             backoff with seeded jitter (drawn from the transport's
             RNG — the kernel's on the simulator, so schedules stay
-            deterministic per seed) instead of going out the instant
-            the timeout fires.  ``None`` keeps the legacy immediate
-            re-send.  :attr:`RetryPolicy.max_attempts` is ignored
-            here — *max_retries* stays the attempt bound.
+            deterministic per seed); ``None`` re-asks the instant the
+            timeout fires.  :attr:`RetryPolicy.max_attempts` is
+            ignored here — *max_retries* stays the attempt bound.
         lease_table: When set, the client participates in the lease
             callback protocol (:mod:`repro.nameservice.leases`): an
             incoming ``{"lease": {"op": "break", ...}}`` message
@@ -301,6 +317,7 @@ class AsyncNameClient:
                  router: Any = None):
         self.transport: Transport = as_transport(simulator)
         self.simulator = getattr(self.transport, "simulator", simulator)
+        self.rng = self.transport.rng
         self.placement = placement
         self.servers = servers
         if isinstance(process, Endpoint):
@@ -309,13 +326,15 @@ class AsyncNameClient:
             self.endpoint = self.transport.adopt(process)
         #: The backing simulator process (sim transport only).
         self.process = getattr(self.endpoint, "process", None)
+        self._home = self.endpoint.node
         if router is None:
             if placement is None or servers is None:
                 raise SchemeError(
                     "AsyncNameClient needs placement+servers or a router")
-            router = PlacementRouter(placement, servers,
-                                     self.endpoint.node)
+            router = PlacementRouter(placement, servers, self._home)
         self.router = router
+        self.replicas = router.replicas
+        self.target_on = router.target_on
         self.timeout = timeout
         self.max_retries = max_retries
         self.latency = latency
@@ -354,8 +373,6 @@ class AsyncNameClient:
         """
         name_ = CompoundName.coerce(name_)
         request_id = next(self._ids)
-        parts = list(name_.parts)
-        current = context
         outcome = LookupOutcome(name=name_)
         span = None
         if self._obs.enabled:
@@ -366,27 +383,12 @@ class AsyncNameClient:
                 self.transport.now(), parent=None, activate=False,
                 attrs={"client": self.endpoint.label,
                        "transport": self.transport.kind})
-        pending = _Pending(request_id=request_id, name=name_,
-                           remaining=parts, current=current,
-                           completion=completion, outcome=outcome,
-                           span=span)
+        pending = _Pending(
+            request_id, completion, outcome,
+            walk_effects(self, outcome.cost, context, name_, self._home,
+                         self._home, "lookup"), span=span)
         self._pending[request_id] = pending
-        if name_.rooted:
-            root = current(ROOT_NAME)
-            outcome.steps += 1
-            if not root.is_defined() or not isinstance(
-                    root.state, Context):
-                if not parts and root.is_defined():
-                    self._finish(pending, root)
-                else:
-                    self._fail(pending, "no root binding")
-                return request_id
-            if not parts:
-                self._finish(pending, root)
-                return request_id
-            pending.current = root.state
-            pending.directory = root  # type: ignore[assignment]
-        self._advance(pending)
+        self._step(pending, None)
         return request_id
 
     def resolve_many(self, context: Context, names: list[NameLike],
@@ -421,55 +423,67 @@ class AsyncNameClient:
         return [self.resolve(context, name_, finisher(index))
                 for index, name_ in enumerate(names)]
 
-    # -- the walk ------------------------------------------------------------
+    # -- the walk's host (see repro.nameservice.walk) ----------------------
 
-    def _advance(self, pending: _Pending) -> None:
-        """Consume locally-resolvable steps; go remote when needed."""
-        while pending.remaining:
-            component = pending.remaining[0]
-            # Per-binding routing: for a sharded directory the next
-            # component decides which shard server answers.
-            target = self.router.target_for(pending.directory, component)
-            if target is not None:
-                self._send_request(pending, pending.directory,
-                                   component, target)
-                return
-            entity = pending.current(component)
-            self._consume(pending, entity)
-            if pending.request_id not in self._pending:
-                return  # finished or failed inside _consume
-        # remaining exhausted inside _consume paths
+    #: Every remote component is its own request/reply round trip from
+    #: the client; nothing is cached client-side, a lost directory
+    #: ends the lookup (below), and no breaker guards a server.  The
+    #: walk is built uninstrumented — its instants parent under the
+    #: tracer's *active* span and lookups interleave — so the lookup
+    #: span and the counters stay with this driver.
+    parks = False
+    failfast = False
+    cache_policy = CachePolicy.NONE
+    obs = NO_OBS
 
-    def _consume(self, pending: _Pending, entity: Entity) -> None:
-        """Account one resolved component and step into it."""
-        pending.outcome.steps += 1
-        pending.remaining.pop(0)
-        if not entity.is_defined():
-            self._finish(pending, UNDEFINED_ENTITY)
-            return
-        if not pending.remaining:
+    @property
+    def attempts(self) -> int:
+        return self.max_retries + 1
+
+    def now(self) -> float:
+        return self.transport.now()
+
+    def node_of(self, _target: Any) -> Any:
+        return self._home  # the walk never leaves the client
+
+    def breaker_for(self, _target: Any) -> None:
+        return None
+
+    def charge(self, _target: Any) -> None:
+        pass
+
+    # -- the walk's message-driven driver ----------------------------------
+
+    def _step(self, pending: _Pending, reply: Any) -> None:
+        """Resume the lookup's walk with *reply* and perform the
+        effect it yields next: a request (plus its timeout timer) for
+        an ask, a backoff timer for a wait."""
+        effect = entity = None
+        try:
+            effect = pending.steps.send(reply)
+        except StopIteration as done:
+            entity = done.value[0]
+        if pending.outcome.cost.failed:
+            # A message-driven client cannot read through a directory
+            # it could not reach: the first unrecovered loss ends the
+            # lookup (the synchronous resolver reads on, flagged).
+            self._fail(pending, "timeout")
+        elif effect is None:
             self._finish(pending, entity)
-            return
-        state = entity.state
-        if not isinstance(state, Context):
-            self._finish(pending, UNDEFINED_ENTITY)
-            return
-        pending.current = state
-        pending.directory = entity  # type: ignore[assignment]
+        elif effect.__class__ is Wait:
+            pending.timer = self.transport.schedule(
+                effect.delay, lambda: self._step(pending, None),
+                note=f"lookup-backoff req#{pending.request_id}")
+        else:
+            self._send_request(pending, effect)
 
-    # -- remote steps -------------------------------------------------------------
-
-    def _send_request(self, pending: _Pending,
-                      directory: ObjectEntity, component: str,
-                      target: Any) -> None:
-        pending.server = target
-        pending.component = component
-        pending.attempts += 1
-        request = self.endpoint.send(target, payload={"lookup": {
+    def _send_request(self, pending: _Pending, ask: Ask) -> None:
+        pending.seq += 1
+        request = self.endpoint.send(ask.target, payload={"lookup": {
             "request_id": pending.request_id,
-            "seq": pending.attempts,
-            "directory": directory,
-            "component": component,
+            "seq": pending.seq,
+            "directory": ask.directory,
+            "component": ask.component,
             "latency": self.latency,
         }}, latency=self.latency)
         if pending.span is not None:
@@ -493,19 +507,18 @@ class AsyncNameClient:
             # timeout-failure) before the answer made it back.
             self._count_late_reply("settled")
             return
-        if reply.get("seq") != pending.attempts:
+        if reply.get("seq") != pending.seq:
             # Late reply: a retry already superseded this attempt, so
             # this is the slow original (or a duplicate) finally
             # arriving.
             self._count_late_reply("superseded")
             return
-        if pending.timer is not None:
-            pending.timer.cancel()
+        # The answer to the awaited request — in time, or during the
+        # backoff before its re-send (the wait then ends early).
+        pending.timer.cancel()
         entity = reply["entity"]
-        self._consume(pending,
-                      entity if entity is not None else UNDEFINED_ENTITY)
-        if pending.request_id in self._pending:
-            self._advance(pending)
+        self._step(pending,
+                   entity if entity is not None else UNDEFINED_ENTITY)
 
     def _on_lease_message(self, message: Any, body: dict) -> None:
         """Handle a server-initiated lease callback (break)."""
@@ -539,35 +552,7 @@ class AsyncNameClient:
         pending.outcome.retries += 1
         if self._obs.enabled:
             self._obs.metrics.counter("async_lookup_retries_total").inc()
-        if pending.attempts > self.max_retries:
-            self._fail(pending, "timeout")
-            return
-        if self.retry_policy is None:
-            self._resend(pending)
-            return
-        # Backoff before the re-send; the guard lets a late reply (or
-        # any other settlement) that lands during the wait win the
-        # race — a stale resend must not fire for a superseded seq.
-        seq = pending.attempts
-        delay = self.retry_policy.backoff(pending.attempts,
-                                          self.transport.rng)
-
-        def resend() -> None:
-            current = self._pending.get(request_id)
-            if current is None or current.attempts != seq:
-                return
-            self._resend(current)
-
-        self.transport.schedule(
-            delay, resend, note=f"lookup-backoff req#{request_id}")
-
-    def _resend(self, pending: _Pending) -> None:
-        # Re-route against the *live* routing state: the shard owning
-        # this component may have split/migrated during the backoff.
-        target = self.router.retarget(
-            pending.directory, pending.component)  # type: ignore[arg-type]
-        self._send_request(pending, pending.directory,  # type: ignore
-                           pending.component, target)
+        self._step(pending, LOST)
 
     # -- completion ------------------------------------------------------------------
 

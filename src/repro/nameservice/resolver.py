@@ -4,7 +4,14 @@
 *placed* directories: each step whose directory is hosted on a machine
 other than where the previous step ran costs a message round-trip
 through the simulator kernel (so latencies, traces and server load are
-all observable).  Two classic interaction styles are supported:
+all observable).  The recursion itself — components, prefix cache,
+replica candidates, retry, failover, degraded steps — is
+:func:`repro.nameservice.walk.walk_effects`, shared with the
+message-driven :class:`~repro.nameservice.protocol.AsyncNameClient`;
+this class is its *synchronous driver* (each ask becomes kernel hops
+pumped to delivery, each wait runs the kernel) and its host (routing,
+servers, breakers, caches), plus the write path, shard migration and
+restart anti-entropy.  Two classic interaction styles are supported:
 
 * ``ITERATIVE`` — the client asks each directory's server in turn
   (every remote step is a client↔server round trip);
@@ -59,31 +66,28 @@ counts reconcile exactly with the returned :class:`ResolutionCost`
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+import operator
+from typing import Optional, Sequence
 
 from repro.errors import SchemeError
 from repro.model.context import Context
-from repro.model.entities import Entity, ObjectEntity, UNDEFINED_ENTITY
-from repro.model.names import ROOT_NAME, CompoundName, NameLike
-from repro.nameservice.cache import (
-    CachePolicy,
-    PrefixCache,
-    PrefixEntry,
-    binding_dep,
-    context_dep,
-)
+from repro.model.entities import Entity, ObjectEntity
+from repro.model.names import CompoundName, NameLike
+from repro.nameservice.cache import CachePolicy, PrefixCache, binding_dep
 # callback_fanout is kept bound here although the fan-out now runs in
 # repro.nameservice.writes: benchmarks/e2e patches it by this name.
 from repro.nameservice.leases import (  # noqa: F401
     LeaseManager,
     LeaseTable,
+    Wait,
     callback_fanout,
 )
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import (BreakerState, CircuitBreaker,
                                      RetryPolicy)
 from repro.nameservice.sharding import Shard
+from repro.nameservice.walk import (DOWN, LOST, STALE, Ask, ResolutionCost,
+                                    retry_effects, walk_effects)
 from repro.nameservice.writes import WritePath
 from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
@@ -102,90 +106,11 @@ class ResolutionStyle(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-
-@dataclass
-class ResolutionCost:
-    """Measured cost of one distributed resolution."""
-
-    steps: int = 0            #: components consumed
-    local_steps: int = 0      #: steps served on the current machine
-    remote_steps: int = 0     #: steps that needed another machine
-    cached_steps: int = 0     #: steps skipped via a cached/deduped prefix
-    messages: int = 0         #: simulator messages exchanged
-    latency: float = 0.0      #: virtual time spent (incl. backoff waits)
-    failed_hops: int = 0      #: unrecovered lost legs / unreachable dirs
-    retries: int = 0          #: hop re-sends under the retry policy
-    failovers: int = 0        #: replicas abandoned for the next one
-    stale_steps: int = 0      #: directory steps served from stale cache
-    weak: bool = False        #: True if any step was answered degraded
-    servers_touched: set[str] = field(default_factory=set)
-
     @property
-    def failed(self) -> bool:
-        """True if the walk lost a leg it could not recover — the
-        answer is not authoritative (fail-fast resolutions under a
-        crash/partition land here; failover resolutions only when
-        every replica was unreachable and no stale serve applied)."""
-        return self.failed_hops > 0
-
-    @property
-    def coherence(self) -> str:
-        """``"weak"`` for degraded (stale-served) answers, else
-        ``"coherent"`` — the paper's §3 distinction, operational."""
-        return "weak" if self.weak else "coherent"
-
-    def __add__(self, other: "ResolutionCost") -> "ResolutionCost":
-        if not isinstance(other, ResolutionCost):
-            return NotImplemented
-        return ResolutionCost(
-            steps=self.steps + other.steps,
-            local_steps=self.local_steps + other.local_steps,
-            remote_steps=self.remote_steps + other.remote_steps,
-            cached_steps=self.cached_steps + other.cached_steps,
-            messages=self.messages + other.messages,
-            latency=self.latency + other.latency,
-            failed_hops=self.failed_hops + other.failed_hops,
-            retries=self.retries + other.retries,
-            failovers=self.failovers + other.failovers,
-            stale_steps=self.stale_steps + other.stale_steps,
-            weak=self.weak or other.weak,
-            servers_touched=self.servers_touched | other.servers_touched)
-
-    def __radd__(self, other) -> "ResolutionCost":
-        if other == 0:  # so sum(costs) works without a start value
-            return self + ResolutionCost()
-        return NotImplemented
-
-    @classmethod
-    def merge(cls, costs: Iterable["ResolutionCost"]) -> "ResolutionCost":
-        """Aggregate many per-resolution costs into one report."""
-        total = cls()
-        for cost in costs:
-            total.steps += cost.steps
-            total.local_steps += cost.local_steps
-            total.remote_steps += cost.remote_steps
-            total.cached_steps += cost.cached_steps
-            total.messages += cost.messages
-            total.latency += cost.latency
-            total.failed_hops += cost.failed_hops
-            total.retries += cost.retries
-            total.failovers += cost.failovers
-            total.stale_steps += cost.stale_steps
-            total.weak = total.weak or cost.weak
-            total.servers_touched |= cost.servers_touched
-        return total
-
-    def __str__(self) -> str:
-        extra = ""
-        if self.failed_hops or self.retries or self.failovers:
-            extra = (f" failed={self.failed_hops} retries={self.retries} "
-                     f"failovers={self.failovers}")
-        if self.weak:
-            extra += " WEAK"
-        return (f"steps={self.steps} remote={self.remote_steps} "
-                f"cached={self.cached_steps} "
-                f"messages={self.messages} latency={self.latency:g}"
-                f"{extra}")
+    def leg(self) -> str:
+        """What a lookup leg is called on the wire and in traces: the
+        client's ``query``, or a server-to-server ``forward``."""
+        return "query" if self is ResolutionStyle.ITERATIVE else "forward"
 
 
 class DistributedResolver:
@@ -202,8 +127,8 @@ class DistributedResolver:
         retry_policy: When set, dropped hops are retried with backoff
             and seeded jitter, a per-server circuit breaker skips
             servers that keep dropping, and the walk fails over across
-            a directory's replica set.  ``None`` (the default) keeps
-            the seed fail-fast behaviour: a lost leg fails the walk.
+            a directory's replica set.  ``None`` (the default) is
+            fail-fast: the primary, once; a lost leg fails the walk.
         serve_stale: Policy gate for degraded reads — when no
             authoritative replica of a directory is reachable, answer
             the step from the client's possibly-stale prefix cache and
@@ -232,7 +157,8 @@ class DistributedResolver:
         self._sim = simulator
         self._placement = placement
         self._latency = latency
-        self._obs = simulator.obs
+        self.obs = simulator.obs
+        self.rng = simulator.rng
         self._servers: dict[int, SimProcess] = {}
         self.cache_policy = cache_policy
         self.cache_ttl = cache_ttl
@@ -241,8 +167,8 @@ class DistributedResolver:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.lease_term = lease_term
-        if self._obs.enabled:
-            metrics = self._obs.metrics
+        if self.obs.enabled:
+            metrics = self.obs.metrics
             self._m_messages = metrics.counter("resolver_messages_total")
             self._m_latency = metrics.histogram(
                 "resolver_resolution_latency")
@@ -339,19 +265,19 @@ class DistributedResolver:
             return self.server_for(machine)
         return self._servers.get(id(machine))
 
-    def _breaker_for(self, server: SimProcess) -> CircuitBreaker:
+    def breaker_for(self, server: SimProcess) -> CircuitBreaker:
         breaker = self._breakers.get(server.uid)
         if breaker is None:
             breaker = CircuitBreaker(
                 failure_threshold=self.breaker_threshold,
                 cooldown=self.breaker_cooldown,
-                label=server.label, obs=self._obs)
+                label=server.label, obs=self.obs)
             self._breakers[server.uid] = breaker
         return breaker
 
     def breaker_of(self, machine: Machine) -> CircuitBreaker:
         """The circuit breaker guarding a machine's current server."""
-        return self._breaker_for(self.server_for(machine))
+        return self.breaker_for(self.server_for(machine))
 
     def breaker_allows(self, machine: Machine) -> bool:
         """Whether *machine*'s breaker would admit a request — a
@@ -416,10 +342,10 @@ class DistributedResolver:
         """Clear the per-server load counters."""
         self._load.clear()
 
-    def _charge(self, server: SimProcess) -> None:
+    def charge(self, server: SimProcess) -> None:
         """Account one directory step served by *server*."""
         self._load[server.uid] = self._load.get(server.uid, 0) + 1
-        if self._obs.enabled:
+        if self.obs.enabled:
             self._m_load.labels(server.label).inc()
 
     # -- prefix caching ----------------------------------------------------
@@ -430,7 +356,7 @@ class DistributedResolver:
         if cache is None:
             leased = self.cache_policy is CachePolicy.LEASE
             cache = PrefixCache(
-                machine, obs=self._obs,
+                machine, obs=self.obs,
                 # LEASE keeps expired entries for grace-mode serving
                 # even without the explicit serve_stale gate.
                 keep_expired=self.serve_stale or leased,
@@ -481,7 +407,7 @@ class DistributedResolver:
         """
         if sender is receiver:
             return True
-        obs = self._obs
+        obs = self.obs
         before = self._sim.clock.now
         if not sender.alive:
             # A downed server answers/refers nothing: no message ever
@@ -529,66 +455,30 @@ class DistributedResolver:
             self._m_messages.inc()
         return not message.dropped
 
-    def _walk_to(self, client_server: SimProcess, at: SimProcess,
-                 target: SimProcess, cost: ResolutionCost,
-                 style: ResolutionStyle) -> SimProcess:
-        if target is at:
-            return at
-        cost.servers_touched.add(target.label)
-        if style is ResolutionStyle.ITERATIVE:
-            # Referral back to the client, then query the next server.
-            self._hop(at, client_server, cost, "referral")
-            self._hop(client_server, target, cost, "query")
-        else:
-            self._hop(at, target, cost, "forward")
-        return target
-
     def _hop_retried(self, sender: SimProcess, receiver: SimProcess,
                      cost: ResolutionCost, what: str) -> bool:
         """A hop that honours the retry policy (no failover — the
         endpoints are fixed, e.g. the answer leg home).  Without a
         policy it is exactly :meth:`_hop`."""
         policy = self.retry_policy
+        if self._hop(sender, receiver, cost, what,
+                     count_failure=policy is None):
+            return True
         if policy is None:
-            return self._hop(sender, receiver, cost, what)
-        obs = self._obs
-        for attempt in range(1, policy.max_attempts + 1):
-            if self._hop(sender, receiver, cost, what,
-                         count_failure=False):
-                return True
-            if attempt >= policy.max_attempts:
-                break
-            cost.retries += 1
-            delay = policy.backoff(attempt, self._sim.rng)
-            if obs.enabled:
-                obs.metrics.counter("resolver_retries_total").inc()
-                obs.tracer.event(
-                    "retry", f"{what}→{receiver.label}",
-                    self._sim.clock.now,
-                    attrs={"attempt": attempt, "backoff": delay,
-                           "server": receiver.label})
-            before = self._sim.clock.now
-            self._sim.run(until=before + delay)
-            cost.latency += self._sim.clock.now - before
+            return False
+        if self._pump(retry_effects(self, cost, Ask(receiver, what)),
+                      cost, self._leg, sender) is not LOST:
+            return True
         cost.failed_hops += 1
-        if obs.enabled and obs.tracer.current is not None:
-            obs.tracer.current.fail(f"hop {what} lost after "
-                                    f"{policy.max_attempts} attempts")
+        if self.obs.enabled and self.obs.tracer.current is not None:
+            self.obs.tracer.current.fail(f"hop {what} lost after "
+                                         f"{policy.max_attempts} attempts")
         return False
 
     def _return_home(self, client_server: SimProcess, at: SimProcess,
-                     cost: ResolutionCost,
-                     style: ResolutionStyle) -> None:
+                     cost: ResolutionCost) -> None:
         if at is not client_server:
             self._hop_retried(at, client_server, cost, "answer")
-
-    @staticmethod
-    def _count_locality(client_server: SimProcess, at: SimProcess,
-                        cost: ResolutionCost) -> None:
-        if at is client_server:
-            cost.local_steps += 1
-        else:
-            cost.remote_steps += 1
 
     def _route_host(self, directory: Entity, component: Optional[str],
                     routes: Optional[dict]) -> Optional[Machine]:
@@ -625,407 +515,104 @@ class DistributedResolver:
         routes[key] = host
         return host
 
-    def _step_into(self, directory: Entity, at: SimProcess,
-                   component: Optional[str],
-                   routes: Optional[dict]) -> SimProcess:
-        # Inlined no-sharding fast path (hot: once per walk step).
-        placement = self._placement
-        if routes is None or not placement.has_sharding:
-            host = placement.host_of_binding(directory, component)
-        else:
-            host = self._route_host(directory, component, routes)
+    # -- the walk's host (see repro.nameservice.walk) ----------------------
+
+    #: The walk stands at the server that answered: its next steps
+    #: there cost nothing (batch coalescing depends on this).
+    parks = True
+    node_of = staticmethod(operator.attrgetter("machine"))
+
+    @property
+    def failfast(self) -> bool:
+        """Without a retry policy: the primary, once, lost legs fail
+        the walk (which still reads on — see :meth:`_ask`)."""
+        return self.retry_policy is None
+
+    @property
+    def attempts(self) -> int:
+        return self.retry_policy.max_attempts
+
+    def now(self) -> float:
+        return self._sim.clock.now
+
+    def replicas(self, directory: ObjectEntity,
+                 component: Optional[str]) -> Sequence[Machine]:
+        """For sharded directories the serving machines are
+        per-binding (the owning shard), not per-directory, so routing
+        needs to know what will be asked."""
+        return self._placement.replicas_for_binding(directory, component)
+
+    def target_on(self, directory: ObjectEntity, machine: Machine):
+        if self._placement.is_stale(directory, machine):
+            return STALE
+        if not machine.alive and id(machine) not in self._servers:
+            return DOWN
+        return self.server_for(machine)
+
+    def primary(self, directory: ObjectEntity, component: Optional[str],
+                routes: Optional[dict]) -> Optional[SimProcess]:
+        host = self._route_host(directory, component, routes)
         if host is None:
-            # Unplaced directories (e.g. per-process private roots)
-            # are wherever the walk already is.
-            return at
+            return None  # unplaced (e.g. per-process private roots)
         server = self.server_for(host)
-        self._charge(server)
+        self.charge(server)
         return server
 
-    # -- failover ----------------------------------------------------------
+    # -- the walk's sync driver --------------------------------------------
 
-    def _enter_directory(self, client_server: SimProcess,
-                         directory: ObjectEntity, at: SimProcess,
-                         cost: ResolutionCost,
-                         style: ResolutionStyle,
-                         component: Optional[str] = None,
-                         routes: Optional[dict] = None,
-                         ) -> Optional[SimProcess]:
-        """Move the walk to the server answering the next lookup.
+    def _pump(self, steps, cost: ResolutionCost, ask, *route):
+        """Drive an effect generator by blocking on each effect: an
+        :class:`~repro.nameservice.walk.Ask` is answered by
+        ``ask(effect, *route)``, a wait runs the kernel for the backoff
+        (charged as latency).  Returns the generator's result."""
+        reply = None
+        try:
+            while True:
+                effect = steps.send(reply)
+                if effect.__class__ is Wait:
+                    before = self._sim.clock.now
+                    self._sim.run(until=before + effect.delay)
+                    cost.latency += self._sim.clock.now - before
+                    reply = None
+                else:
+                    reply = ask(effect, *route, cost)
+        except StopIteration as done:
+            return done.value
 
-        *component* is the binding about to be consulted in
-        *directory*: for sharded directories the serving machine is
-        per-binding (the owning shard), not per-directory, so routing
-        needs to know what will be asked.  ``None`` (no next lookup)
-        routes to the directory's representative host.
-
-        Without a retry policy this is the seed fail-fast path: one
-        attempt against the primary, lost legs fail the walk.  With
-        one, candidates are tried in replica order (preferring the
-        server the walk already parks at), each with bounded backoff
-        retries and a circuit breaker; stale replicas are skipped.
-        Returns the server now serving the walk, or None when *every*
-        replica was unreachable (the caller degrades or fails).
-        """
-        if self.retry_policy is None:
-            return self._walk_to(client_server, at,
-                                 self._step_into(directory, at,
-                                                 component, routes),
-                                 cost, style)
-        return self._enter_with_failover(client_server, directory, at,
-                                         cost, style, component)
-
-    def _enter_with_failover(self, client_server: SimProcess,
-                             directory: ObjectEntity, at: SimProcess,
-                             cost: ResolutionCost,
-                             style: ResolutionStyle,
-                             component: Optional[str] = None,
-                             ) -> Optional[SimProcess]:
-        replicas = list(self._placement.replicas_for_binding(directory,
-                                                             component))
-        if not replicas:
-            return at  # unplaced — local state, nothing to reach
-        # Prefer the replica the walk is already parked at: entering
-        # it is free (batch coalescing depends on this).
-        if at.machine in replicas:
-            replicas.remove(at.machine)
-            replicas.insert(0, at.machine)
-        policy = self.retry_policy
-        obs = self._obs
-        iterative = style is ResolutionStyle.ITERATIVE
-        origin = at if at.alive else client_server
-        referred = False
-        # Candidates passed over (stale-skipped, breaker-skipped, or
-        # attempt-exhausted) before one answered: serving from any
-        # later replica is a failover.
-        passed_over = 0
-        for machine in replicas:
-            if self._placement.is_stale(directory, machine):
-                # A replica that missed a write must not serve reads
-                # until anti-entropy catches it up.
-                passed_over += 1
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "resolver_stale_replica_skips_total").inc()
-                    obs.tracer.event(
-                        "failover", "replica.stale-skip",
-                        self._sim.clock.now,
-                        attrs={"directory": directory.label,
-                               "replica": machine.label})
-                continue
-            if not machine.alive and id(machine) not in self._servers:
-                # The machine is down and no server process ever ran
-                # there — there is nothing to address a message to, so
-                # the candidate is unreachable without spending a hop.
-                passed_over += 1
-                if obs.enabled:
-                    obs.tracer.event(
-                        "failover", "replica.down-skip",
-                        self._sim.clock.now,
-                        attrs={"directory": directory.label,
-                               "replica": machine.label})
-                continue
-            server = self.server_for(machine)
-            if server is at:
-                self._charge(server)
-                return at
-            now = self._sim.clock.now
-            breaker = self._breaker_for(server)
-            if not breaker.allow(now):
-                passed_over += 1
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "resolver_circuit_open_skips_total").inc()
-                    obs.tracer.event(
-                        "circuit", "skip", now,
-                        attrs={"server": server.label,
-                               "directory": directory.label})
-                continue
-            cost.servers_touched.add(server.label)
-            if iterative and not referred and at is not client_server:
-                # One referral leaves the current server, however many
-                # candidate queries follow.
-                self._hop_retried(at, client_server, cost, "referral")
-                referred = True
-            sender = client_server if iterative else origin
-            what = "query" if iterative else "forward"
-            for attempt in range(1, policy.max_attempts + 1):
-                if self._hop(sender, server, cost, what,
-                             count_failure=False):
-                    breaker.record_success(self._sim.clock.now)
-                    self._charge(server)
-                    if passed_over:
-                        cost.failovers += 1
-                        if obs.enabled:
-                            obs.metrics.counter(
-                                "resolver_failovers_total").inc()
-                            obs.tracer.event(
-                                "failover", directory.label,
-                                self._sim.clock.now,
-                                attrs={"directory": directory.label,
-                                       "to": server.label,
-                                       "passed_over": passed_over})
-                    return server
-                breaker.record_failure(self._sim.clock.now)
-                if attempt >= policy.max_attempts or \
-                        not breaker.allow(self._sim.clock.now):
-                    break
-                cost.retries += 1
-                delay = policy.backoff(attempt, self._sim.rng)
-                if obs.enabled:
-                    obs.metrics.counter("resolver_retries_total").inc()
-                    obs.tracer.event(
-                        "retry", f"{what}→{server.label}",
-                        self._sim.clock.now,
-                        attrs={"attempt": attempt, "backoff": delay,
-                               "server": server.label})
-                before = self._sim.clock.now
-                self._sim.run(until=before + delay)
-                cost.latency += self._sim.clock.now - before
-            passed_over += 1
-        return None
-
-    def _degraded_step(self, client_server: SimProcess, context: Context,
-                       rooted: bool, consumed: tuple[str, ...],
-                       directory: ObjectEntity, cost: ResolutionCost,
-                       ) -> tuple[SimProcess, Optional[PrefixEntry]]:
-        """Every replica of *directory* was unreachable: serve the
-        step from the client's stale prefix cache (tagging the answer
-        weakly coherent) if the ``serve_stale`` gate allows, else mark
-        the walk failed.  Either way the walk continues at the client.
-
-        Under ``LEASE`` this is *grace mode*: the client enters grace
-        (it cannot renew) and keeps answering from its expired leased
-        entries — returning the **cached** directory, which may predate
-        a rebind it never heard about, so the caller must continue the
-        walk in the returned entry's state.  The grace answer is
-        always tagged weak; on heal, :meth:`LeaseTable.exit_grace`
-        revalidates before anything is promoted back to fresh.
-
-        Returns ``(server the walk continues at, stale entry or
-        None)``; a non-None entry means the step was served degraded.
-        """
-        obs = self._obs
-        now = self._sim.clock.now
-        leased = self.cache_policy is CachePolicy.LEASE
-        if (self.serve_stale or leased) \
-                and self.cache_policy is not CachePolicy.NONE:
-            cache = self.prefix_cache_of(client_server.machine)
-            entry = cache.lookup_stale(context, rooted, consumed)
-            if leased:
-                # Grace mode: the cached entry may point at an *older*
-                # directory than the true σ does (a rebind we never
-                # heard about) — serve the promise we still hold,
-                # weak-tagged.  A *revoked* promise (delivered break
-                # callback) was dropped from the cache, so it can
-                # never be resurrected here.
-                if entry is not None:
-                    self.lease_table_of(
-                        client_server.machine).enter_grace(now)
-            elif entry is not None and entry.directory is not directory:
-                entry = None
-            if entry is not None:
-                cost.stale_steps += 1
-                cost.weak = True
-                if leased:
-                    self.lease_table_of(
-                        client_server.machine).served_in_grace(now)
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "resolver_stale_served_total").inc()
-                    obs.tracer.event(
-                        "stale", "serve.degraded", now,
-                        attrs={"directory": entry.directory.label,
-                               "prefix": "/".join(consumed),
-                               "machine": client_server.machine.label})
-                return client_server, entry
-        cost.failed_hops += 1
-        if obs.enabled:
-            obs.metrics.counter("resolver_unreachable_total").inc()
-            obs.tracer.event(
-                "failover", "exhausted", now,
-                attrs={"directory": directory.label,
-                       "prefix": "/".join(consumed)})
-            if obs.tracer.current is not None:
-                obs.tracer.current.fail(
-                    f"directory {directory.label} unreachable")
-        return client_server, None
-
-    # -- the walk ----------------------------------------------------------
-
-    def _deepest_prefix(self, client_machine: Machine, context: Context,
-                        rooted: bool, comps: list[str],
-                        memo: Optional[dict]):
-        """The deepest usable memoized prefix of *comps*.
-
-        Batch-local memo entries (always coherent — nothing external
-        interleaves within one batch) and the machine's policy-gated
-        prefix cache are both consulted; the deeper wins.  Returns
-        ``(consumed, directory, deps, source)`` or None, where
-        *source* says which layer won (``"memo"`` or ``"cache"``).
-        """
-        best = None
-        if memo is not None:
-            for length in range(len(comps) - 1, 0, -1):
-                hit = memo.get((id(context), rooted, tuple(comps[:length])))
-                if hit is not None:
-                    best = (length, hit[0], hit[1], "memo")
-                    break
-        if self.cache_policy is not CachePolicy.NONE:
-            cache = self.prefix_cache_of(client_machine)
-            found = cache.lookup_longest(context, rooted, comps,
-                                         self._sim.clock.now,
-                                         self._placement.epoch)
-            if found is not None and (best is None or found[0] > best[0]):
-                entry = found[1]
-                best = (found[0], entry.directory, entry.deps, "cache")
-        return best
-
-    def _remember_prefix(self, client_machine: Machine, context: Context,
-                         rooted: bool, consumed: tuple[str, ...],
-                         directory: ObjectEntity, deps: tuple,
-                         memo: Optional[dict]) -> None:
-        if memo is not None:
-            memo[(id(context), rooted, consumed)] = (directory, deps)
-        if self.cache_policy is CachePolicy.NONE:
-            return
-        if self._placement.host_of(directory) is None:
-            return  # local state — there is no walk to skip
-        cache = self.prefix_cache_of(client_machine)
-        ttl = self.cache_ttl if self.cache_policy is CachePolicy.TTL else None
-        now = self._sim.clock.now
-        epoch = self._placement.epoch
-        cache.fill(context, rooted, consumed, directory, deps,
-                   now, ttl, epoch)
-        if self.cache_policy is CachePolicy.LEASE:
-            table = self.lease_table_of(client_machine)
-            if table.in_grace \
-                    and self._placement.host_of(directory) \
-                    is not client_machine:
-                # A *remote* authoritative step succeeded again: the
-                # partition healed.  Revalidate before promoting
-                # anything back to fresh.  (Locally-placed directories
-                # answer through any partition, so they prove nothing.)
-                table.exit_grace(now, epoch)
-        self.writes.note_copies(client_machine, deps)
-
-    def _walk_one(self, client_server: SimProcess, context: Context,
-                  name_: CompoundName, style: ResolutionStyle,
-                  cost: ResolutionCost, at: SimProcess,
-                  memo: Optional[dict],
-                  routes: Optional[dict] = None,
-                  ) -> tuple[Entity, SimProcess]:
-        """Resolve one coerced name; mirrors the section-2 recursion of
-        :func:`repro.model.resolution.resolve_traced` exactly.
-
-        The final answer hop is *not* sent — the caller decides when
-        the walk returns home (once per resolution, or once per batch).
-        Returns ``(entity, server the walk parked at)``.
-        """
-        parts = list(name_.parts)
-        rooted = name_.rooted
-        # The root binding is one walk step like any other component.
-        comps = ([ROOT_NAME] + parts) if rooted else parts
-        if not comps:
-            return UNDEFINED_ENTITY, at
-
-        current: Context = context
-        entered: Optional[ObjectEntity] = None
-        deps: list = []
-        start = 0
-        obs = self._obs
-        # Once a step is served degraded (or unreachable) the walk's
-        # remaining prefixes must not be memoized as coherent.
-        tainted = False
-
-        hit = self._deepest_prefix(client_server.machine, context,
-                                   rooted, comps, memo)
-        if hit is not None:
-            start, directory, hit_deps, source = hit
-            if obs.enabled:
-                obs.tracer.event(
-                    "cache", "prefix.hit", self._sim.clock.now,
-                    attrs={"consumed": start, "source": source,
-                           "machine": client_server.machine.label,
-                           "prefix": "/".join(comps[:start])})
-            cost.steps += start
-            cost.cached_steps += start
-            entered = directory
-            current = directory.state
-            deps = list(hit_deps)
-            nxt = self._enter_directory(client_server, directory, at,
-                                        cost, style, comps[start],
-                                        routes)
-            if nxt is None:
-                at, stale_entry = self._degraded_step(
-                    client_server, context, rooted,
-                    tuple(comps[:start]), directory, cost)
-                if stale_entry is not None:
-                    entered = stale_entry.directory
-                    current = entered.state
-                tainted = True
+    def _ask(self, leg: Ask, client_server: SimProcess,
+             cost: ResolutionCost):
+        """One lookup leg of the walk as kernel hops.  The step's
+        first leg leaves the server the walk is parked at — one
+        referral back to the client (iterative) however many candidate
+        queries follow, or a forward from there (recursive)."""
+        terminal = self.retry_policy is None
+        if leg.origin is None:
+            if leg.what == "query":
+                if leg.at is not client_server:
+                    self._hop_retried(leg.at, client_server, cost,
+                                      "referral")
+                leg.origin = client_server
             else:
-                at = nxt
-            self._count_locality(client_server, at, cost)
-        elif obs.enabled and (memo is not None
-                              or self.cache_policy is not CachePolicy.NONE):
-            obs.tracer.event(
-                "cache", "prefix.miss", self._sim.clock.now,
-                attrs={"machine": client_server.machine.label,
-                       "prefix": "/".join(comps[:-1])})
+                leg.origin = (leg.at if terminal or leg.at.alive
+                              else client_server)
+        # Fail-fast, a lost leg is terminal: _hop counts it and the
+        # walk reads on, flagged by ``cost.failed``.
+        if self._hop(leg.origin, leg.target, cost, leg.what,
+                     count_failure=terminal) or terminal:
+            return leg.directory.state(leg.component)
+        return LOST
 
-        for index in range(start, len(comps)):
-            component = comps[index]
-            entity = current(component)
-            cost.steps += 1
-            if obs.enabled:
-                obs.tracer.event(
-                    "step", component, self._sim.clock.now,
-                    attrs={"index": index, "server": at.label,
-                           "directory": (entered.label
-                                         if entered is not None
-                                         else "<context>")})
-            if index == len(comps) - 1:
-                return entity, at
-            if not entity.is_defined():
-                return UNDEFINED_ENTITY, at
-            state = entity.state
-            if not isinstance(state, Context):
-                return UNDEFINED_ENTITY, at
-            deps.append(binding_dep(entered, component)
-                        if entered is not None
-                        else context_dep(context, component))
-            entered = entity  # type: ignore[assignment]
-            current = state
-            nxt = self._enter_directory(client_server, entered, at,
-                                        cost, style, comps[index + 1],
-                                        routes)
-            if nxt is None:
-                at, stale_entry = self._degraded_step(
-                    client_server, context, rooted,
-                    tuple(comps[:index + 1]), entered, cost)
-                if stale_entry is not None:
-                    # Continue in the *cached* (possibly older)
-                    # directory — the degraded walk must not read
-                    # through true state it could never have reached.
-                    entered = stale_entry.directory
-                    current = entered.state
-                tainted = True
-            else:
-                at = nxt
-            self._count_locality(client_server, at, cost)
-            if not tainted:
-                self._remember_prefix(client_server.machine, context,
-                                      rooted, tuple(comps[:index + 1]),
-                                      entered, tuple(deps), memo)
-        return UNDEFINED_ENTITY, at  # pragma: no cover - loop returns
+    def _leg(self, leg: Ask, sender: SimProcess, cost: ResolutionCost):
+        """One re-sent leg between fixed endpoints."""
+        return self._hop(sender, leg.target, cost, leg.what,
+                         count_failure=False) or LOST
 
     # -- observability -----------------------------------------------------
 
     def _begin_resolution(self, name_: CompoundName, style: ResolutionStyle,
                           client: SimProcess, root: bool):
         """Open one name's ``resolution`` span (instrumented runs)."""
-        return self._obs.tracer.begin(
+        return self.obs.tracer.begin(
             "resolution", str(name_) or "<empty>", self._sim.clock.now,
             **({"parent": None} if root else {}),
             attrs={"style": str(style), "policy": str(self.cache_policy),
@@ -1038,7 +625,7 @@ class DistributedResolver:
                           cached_steps=cost.cached_steps,
                           resolved=entity.is_defined(),
                           coherence=cost.coherence)
-        self._obs.tracer.end(span, self._sim.clock.now)
+        self.obs.tracer.end(span, self._sim.clock.now)
         self._m_resolutions.labels(style.value).inc()
         self._m_outcomes.labels("failed" if cost.failed
                                 else cost.coherence).inc()
@@ -1074,13 +661,15 @@ class DistributedResolver:
         cost = ResolutionCost()
         client_server = self.server_for(client.machine)
         span = (self._begin_resolution(name_, style, client, root=True)
-                if self._obs.enabled else None)
-        entity, at = self._walk_one(client_server, context, name_, style,
-                                    cost, client_server, None)
-        self._return_home(client_server, at, cost, style)
+                if self.obs.enabled else None)
+        entity, at = self._pump(
+            walk_effects(self, cost, context, name_, client_server,
+                         client_server, style.leg),
+            cost, self._ask, client_server)
+        self._return_home(client_server, at, cost)
         if span is not None:
             self._finish_resolution(span, cost, entity, style)
-        auditor = self._obs.auditor
+        auditor = self.obs.auditor
         if auditor is not None:
             auditor.observe_resolution(
                 context, name_, entity, now=self._sim.clock.now,
@@ -1118,7 +707,7 @@ class DistributedResolver:
                        key=lambda i: (not coerced[i].rooted,
                                       coerced[i].parts, i))
         client_server = self.server_for(client.machine)
-        obs = self._obs
+        obs = self.obs
         batch_span = None
         if obs.enabled:
             batch_span = obs.tracer.begin(
@@ -1140,9 +729,10 @@ class DistributedResolver:
             span = (self._begin_resolution(coerced[i], style, client,
                                            root=False)
                     if obs.enabled else None)
-            entity, at = self._walk_one(client_server, context,
-                                        coerced[i], style, cost, at,
-                                        memo, routes)
+            entity, at = self._pump(
+                walk_effects(self, cost, context, coerced[i],
+                             client_server, at, style.leg, memo, routes),
+                cost, self._ask, client_server)
             results[i] = (entity, cost)
             if span is not None:
                 self._finish_resolution(span, cost, entity, style)
@@ -1160,7 +750,7 @@ class DistributedResolver:
                 self.shard_manager.on_resolution()
         # One answer hop closes the whole batch, charged to the last
         # name processed (its span parents under the batch span).
-        self._return_home(client_server, at, results[order[-1]][1], style)
+        self._return_home(client_server, at, results[order[-1]][1])
         if batch_span is not None:
             batch_span.attrs["messages"] = sum(
                 cost.messages for _entity, cost in results)
@@ -1280,7 +870,7 @@ class DistributedResolver:
         (minimum one — an empty range still hands off ownership), and
         ``commit(plan)`` only when every batch reached every receiver.
         """
-        obs = self._obs
+        obs = self.obs
         span = None
         if obs.enabled:
             span = obs.tracer.begin(
@@ -1359,7 +949,7 @@ class DistributedResolver:
         stale = self._placement.stale_uids_of(machine)
         if not stale:
             return 0
-        obs = self._obs
+        obs = self.obs
         span = None
         if obs.enabled:
             span = obs.tracer.begin(

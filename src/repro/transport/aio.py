@@ -43,7 +43,7 @@ from repro.errors import SimulationError
 from repro.obs.instrument import NO_OBS, Instrumentation
 from repro.transport.base import Endpoint, Handler, Timer, Transport
 from repro.transport.framing import FrameDecoder, FrameError, encode_frame
-from repro.transport.wire import WireCodec
+from repro.transport.wire import WireCodec, WireError
 
 __all__ = ["Address", "ConnAddress", "AsyncioEnvelope",
            "AsyncioEndpoint", "AsyncioTransport"]
@@ -105,6 +105,15 @@ class AsyncioEnvelope:
         self.parent_span_id: Optional[str] = None
 
 
+#: Bytes asked of the socket per read.  asyncio's selector transport
+#: allocates its whole ``recv()`` buffer anew for every read, 256 KiB
+#: by default: above glibc's mmap threshold, so unless the heap happens
+#: to hold a hole that large (import order decides) each read is an
+#: mmap, two page faults and a munmap — a third of a loopback lookup's
+#: CPU.  Frames are a few hundred bytes; 64 KiB always comes off the heap.
+_READ_SIZE = 65536
+
+
 class _Connection:
     """One TCP connection: reader task + framed writes."""
 
@@ -117,6 +126,8 @@ class _Connection:
         self.transport = transport
         self.reader = reader
         self.writer = writer
+        if hasattr(writer.transport, "max_size"):  # selector loops only
+            writer.transport.max_size = _READ_SIZE
         self.peer_key = peer_key
         self.session_id = next(_Connection._ids)
         self.closed = False
@@ -127,7 +138,7 @@ class _Connection:
     async def _read_loop(self) -> None:
         try:
             while True:
-                data = await self.reader.read(65536)
+                data = await self.reader.read(_READ_SIZE)
                 if not data:
                     break
                 for frame in self.decoder.feed(data):
@@ -328,7 +339,7 @@ class AsyncioTransport(Transport):
             # Loopback: still round-trip the codec, so in-process
             # endpoints see exactly the wire's visible payloads.
             frame["to"] = target.label
-            self._deliver_local(frame, conn=None)
+            self._dispatch(frame, None)
             return
         if isinstance(target, ConnAddress):
             frame["to"] = target.label
@@ -386,32 +397,36 @@ class AsyncioTransport(Transport):
 
     # -- inbound -----------------------------------------------------------
 
-    def _dispatch(self, frame: dict, conn: _Connection) -> None:
-        endpoint = self._endpoints.get(frame.get("to"))
-        if endpoint is None:
-            self.frames_dropped += 1
-            return
-        envelope = AsyncioEnvelope(
-            self.codec.decode(frame.get("p")),
-            sender=ConnAddress(conn, frame.get("frm", "")))
-        trace = frame.get("t") or (None, None)
-        envelope.trace_id, envelope.parent_span_id = trace[0], trace[1]
-        self.frames_delivered += 1
-        endpoint._deliver(envelope)
+    def _dispatch(self, frame: Any, conn: Optional[_Connection]) -> None:
+        """Deliver one inbound frame to the endpoint it addresses
+        (*conn* is ``None`` for a loopback frame, whose sender is the
+        local endpoint itself).
 
-    def _deliver_local(self, frame: dict, conn: Optional[_Connection],
-                       ) -> None:
-        endpoint = self._endpoints.get(frame.get("to"))
+        Frames come from outside the program: one that is not an
+        envelope for a live endpoint, or whose payload the codec
+        rejects, is dropped and counted — it must never raise into
+        the connection's reader and take every pipelined request on
+        that connection down with it.
+        """
+        endpoint = None
+        if isinstance(frame, dict) and isinstance(frame.get("to"), str):
+            endpoint = self._endpoints.get(frame["to"])
+        if endpoint is not None:
+            try:
+                payload = self.codec.decode(frame.get("p"))
+            except WireError:
+                endpoint = None
         if endpoint is None:
             self.frames_dropped += 1
             return
-        # Decode through the codec like any inbound frame; the sender
-        # address is the local endpoint itself.
+        sender = frame.get("frm", "")
         envelope = AsyncioEnvelope(
-            self.codec.decode(frame.get("p")),
-            sender=self._endpoints.get(frame.get("frm")))
-        trace = frame.get("t") or (None, None)
-        envelope.trace_id, envelope.parent_span_id = trace[0], trace[1]
+            payload,
+            sender=(ConnAddress(conn, sender) if conn is not None
+                    else self._endpoints.get(sender)))
+        trace = frame.get("t")
+        if isinstance(trace, list) and len(trace) == 2:
+            envelope.trace_id, envelope.parent_span_id = trace
         self.frames_delivered += 1
         endpoint._deliver(envelope)
 

@@ -14,7 +14,7 @@ simulator uses.
 :class:`RemoteNameClient` is the other half: it wraps the *unchanged*
 :class:`~repro.nameservice.protocol.AsyncNameClient` with a
 :class:`RemoteRouter` (every remote-directory step goes to a server
-address; resends fail over to the next replica), a proxy-cache codec,
+address; the shared walk fails over down the list), a proxy-cache codec,
 and awaitable conveniences (:meth:`RemoteNameClient.resolve` turns
 the completion-callback API into a coroutine).  Lease holders are
 identified by connection session, so a multi-process demo
@@ -68,35 +68,29 @@ class RemoteRouter:
     """Client-side routing: remote-directory steps go to a server.
 
     Every step whose directory is a :class:`~repro.transport.wire.
-    RemoteEntity` proxy is sent to the current server address; steps
-    through local contexts stay local (so a client may mix local
-    bindings with the remote namespace).  :meth:`retarget` — the
-    resend path — fails over to the next address in the list, making
-    a replicated deployment survive a crashed replica exactly like
-    the simulator's placement failover.
+    RemoteEntity` proxy has the server address list — primary first —
+    as its replica candidates; steps through local contexts stay local
+    (so a client may mix local bindings with the remote namespace).
+    The walk (:mod:`repro.nameservice.walk`) fails over down the list
+    when an address stops answering, making a replicated deployment
+    survive a crashed replica exactly like the simulator's placement
+    failover.
     """
 
     def __init__(self, addresses: Optional[list[Address]] = None):
         self.addresses: list[Address] = list(addresses or [])
-        self.cursor = 0
-        self.failovers = 0
 
-    def _current(self) -> Address:
+    def replicas(self, directory: ObjectEntity,
+                 component: str) -> list[Address]:
+        if not isinstance(directory, RemoteEntity):
+            return []
         if not self.addresses:
             raise SchemeError("RemoteRouter has no server addresses")
-        return self.addresses[self.cursor % len(self.addresses)]
+        return self.addresses
 
-    def target_for(self, directory: Optional[ObjectEntity],
-                   component: str) -> Any:
-        if isinstance(directory, RemoteEntity):
-            return self._current()
-        return None
-
-    def retarget(self, directory: ObjectEntity, component: str) -> Any:
-        if len(self.addresses) > 1:
-            self.cursor = (self.cursor + 1) % len(self.addresses)
-            self.failovers += 1
-        return self._current()
+    def target_on(self, directory: ObjectEntity,
+                  address: Address) -> Address:
+        return address
 
 
 class NamingService:
@@ -297,12 +291,12 @@ class RemoteNameClient:
     Args:
         addresses: Server ``(host, port)`` pairs (or
             :class:`~repro.transport.aio.Address`), primary first;
-            resends fail over down the list.
+            lookups fail over down the list.
         seed: Seeds the transport RNG (retry backoff jitter).
         obs: Instrumentation.
         timeout: Per-step reply timeout, wall seconds.
-        max_retries: Re-sends per step before a lookup fails.
-        retry_policy: Backoff discipline between resends.
+        max_retries: Re-asks per server address of a step.
+        retry_policy: Backoff discipline between re-asks.
         label: This client's endpoint label.
     """
 
@@ -355,10 +349,18 @@ class RemoteNameClient:
     async def _ctl_call(self, request: dict, reply_op: str,
                         timeout: float = 5.0, index: int = 0) -> dict:
         future = asyncio.get_running_loop().create_future()
-        self._ctl_waiters.setdefault(reply_op, deque()).append(future)
+        waiters = self._ctl_waiters.setdefault(reply_op, deque())
+        waiters.append(future)
         self.endpoint.send(self._ctl_address(index),
                            payload={"ctl": request})
-        return await asyncio.wait_for(future, timeout)
+        try:
+            return await asyncio.wait_for(future, timeout)
+        finally:
+            # A waiter that gave up (timeout, cancellation) must not
+            # stay queued: it would swallow the reply meant for the
+            # next call of this op.
+            if future in waiters:
+                waiters.remove(future)
 
     async def connect(self, timeout: float = 5.0) -> Entity:
         """Hello every server; install the root proxy; returns it."""

@@ -42,8 +42,9 @@ class SimEndpoint(Endpoint):
 
     def send(self, target: Any, payload: Any = None,
              latency: Optional[float] = None) -> Message:
-        receiver = target.process if isinstance(target, SimEndpoint) \
-            else target
+        # Whatever carries a ``process`` — an endpoint, a lookup server
+        # that may have respawned — is addressed at its current one.
+        receiver = getattr(target, "process", target)
         if not isinstance(receiver, SimProcess):
             raise SimulationError(
                 f"SimEndpoint cannot address {target!r}")

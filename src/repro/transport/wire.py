@@ -36,7 +36,12 @@ from repro.model.entities import Entity, ObjectEntity, UNDEFINED_ENTITY
 
 __all__ = ["RemoteContext", "RemoteEntity", "RemoteDirectory",
            "DirectoryRegistry", "EntityProxyCache", "WireCodec",
-           "describe_entity", "remote_uid_of"]
+           "WireError", "describe_entity", "remote_uid_of"]
+
+
+class WireError(ValueError):
+    """A well-framed payload that names a protocol kind (``lookup`` /
+    ``reply`` / ``lease``) but does not have that kind's shape."""
 
 
 class RemoteContext(Context):
@@ -172,7 +177,10 @@ class WireCodec:
 
     Payload kinds outside the protocol vocabulary must already be
     JSON-framable and pass through untouched, so demo/control traffic
-    needs no codec support.
+    needs no codec support.  Inbound payloads come from outside the
+    program: :meth:`decode` raises :class:`WireError` for one whose
+    body lacks the fields its handler reads, so handlers only ever see
+    well-shaped requests.
     """
 
     def __init__(self, registry: Optional[DirectoryRegistry] = None,
@@ -206,15 +214,27 @@ class WireCodec:
         if not isinstance(payload, dict):
             return payload
         if "lookup" in payload:
-            request = dict(payload["lookup"])
-            uid = request["directory"]
-            request["directory"] = (self.registry.get(uid)
-                                    if self.registry is not None
-                                    else UNDEFINED_ENTITY)
+            request = payload["lookup"]
+            if not (isinstance(request, dict) and "request_id" in request
+                    and isinstance(request.get("directory"), int)
+                    and isinstance(request.get("component"), str)):
+                raise WireError(f"malformed lookup request: {request!r}")
+            request = dict(request)
+            request["directory"] = (
+                self.registry.get(request["directory"])
+                if self.registry is not None else UNDEFINED_ENTITY)
             return {"lookup": request}
         if "reply" in payload:
-            reply = dict(payload["reply"])
+            reply = payload["reply"]
+            if not (isinstance(reply, dict)
+                    and isinstance(reply.get("request_id"), int)):
+                raise WireError(f"malformed lookup reply: {reply!r}")
             descriptor = reply.get("entity")
+            if descriptor is not None and not (
+                    isinstance(descriptor, dict)
+                    and isinstance(descriptor.get("uid"), int)):
+                raise WireError(f"malformed entity in reply: {reply!r}")
+            reply = dict(reply)
             if self.proxies is not None:
                 entity = self.proxies.proxy(descriptor)
             else:
@@ -225,6 +245,8 @@ class WireCodec:
             reply["entity"] = entity if entity.is_defined() else None
             return {"reply": reply}
         if "lease" in payload:
+            if not isinstance(payload["lease"], dict):
+                raise WireError(f"malformed lease message: {payload!r}")
             body = dict(payload["lease"])
             if "dep" in body:
                 body["dep"] = _dep_from_wire(body["dep"])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.model.state import GlobalState
 from repro.namespaces.tree import NamingTree
+from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
 from repro.namespaces.unix import UnixSystem
 from repro.workloads.scenarios import (
     build_pqid_population,
@@ -51,3 +52,35 @@ def rule_scenario():
 @pytest.fixture
 def pqid_population():
     return build_pqid_population(seed=7)
+
+
+class AsyncLookups:
+    """The walk's message-driven driver over a deployment built for the
+    synchronous one: a lookup server on each of *machines*, one
+    :class:`AsyncNameClient` (``.client``) on *client_machine*.
+    Calling it resolves one name to its ``LookupOutcome``, running the
+    kernel until the lookup settles."""
+
+    def __init__(self, simulator, placement, client_machine, machines,
+                 **client_options):
+        self.simulator = simulator
+        servers = {id(machine): NameLookupServer(simulator, machine)
+                   for machine in machines}
+        self.client = AsyncNameClient(
+            simulator, placement, servers,
+            simulator.spawn(client_machine, "async-client"),
+            **client_options)
+
+    def __call__(self, context, name_):
+        outcomes: list = []
+        self.client.resolve(context, name_, outcomes.append)
+        self.simulator.run()
+        [outcome] = outcomes
+        return outcome
+
+
+@pytest.fixture(scope="session")
+def async_lookups() -> type[AsyncLookups]:
+    """Session-scoped (it is only the class), so hypothesis-driven
+    tests may take it too."""
+    return AsyncLookups

@@ -269,6 +269,38 @@ class TestFailoverResolution:
         assert entity is world["files"][1]
         assert not back.failed and back.failovers == 0
 
+    def test_both_drivers_agree_across_a_primary_outage(
+            self, async_lookups):
+        """Failover comes from the one walk, whichever driver runs it:
+        the pumped resolver and the message-driven client report the
+        same entity, ``failed`` flag, re-ask and failover counts while
+        the primary is healthy, crashed, and restarted.  (One lookup
+        each per phase: only the resolver keeps circuit breakers.)"""
+        world = make_world()
+        resolver, injector = world["resolver"], world["injector"]
+        client_machine, m1, _m2 = world["machines"]
+        lookup = async_lookups(
+            world["simulator"], world["placement"], client_machine,
+            world["machines"],
+            max_retries=resolver.retry_policy.max_attempts - 1,
+            retry_policy=resolver.retry_policy)
+        injector.on_restart(resolver.handle_restart)
+        injector.on_restart(
+            lambda _m: lookup.client.servers[id(m1)].respawn(), machine=m1)
+        for fault, reasks_and_failovers in (
+                (None, (0, 0)),
+                (injector.crash_machine, (1, 1)),
+                (injector.restart_machine, (0, 0))):
+            if fault is not None:
+                fault(m1)
+            entity, cost = resolver.resolve(world["client"],
+                                            world["context"], "/svc/f0")
+            outcome = lookup(world["context"], "/svc/f0")
+            assert outcome.entity is entity is world["files"][0]
+            assert outcome.failed is cost.failed is False
+            assert (outcome.cost.retries, outcome.failovers) \
+                == (cost.retries, cost.failovers) == reasks_and_failovers
+
     def test_breaker_opens_then_recovers_after_cooldown(self):
         world = make_world(jitter=0.0)
         resolver = world["resolver"]

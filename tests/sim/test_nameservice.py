@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SchemeError
 from repro.model.entities import ObjectEntity
+from repro.model.resolution import resolve as local_resolve
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.placement import DirectoryPlacement
@@ -81,12 +82,20 @@ class TestPlacement:
 
 
 class TestResolverSemantics:
-    def test_matches_local_resolution(self, deployment):
+    def test_matches_local_resolution(self, deployment, async_lookups):
+        """Both drivers of the one walk are held to the section-2
+        recursion on the same names."""
         simulator, resolver, client, context, tree, leaf = deployment
+        lookup = async_lookups(simulator, resolver.placement,
+                               client.machine,
+                               client.machine.network.machines())
         for text in ("/a/b/c/leaf", "/a/b", "/a/nope", "/missing",
                      "a/b/c/leaf", "/"):
             assert check_semantics_preserved(resolver, client, context,
                                              text)
+            outcome = lookup(context, text)
+            assert outcome.entity is local_resolve(context, text)
+            assert not outcome.failed
 
     def test_resolves_leaf(self, deployment):
         simulator, resolver, client, context, tree, leaf = deployment

@@ -94,7 +94,7 @@ class TestBatchEquivalence:
     @given(names=st.lists(st.sampled_from(NAME_POOL), max_size=12))
     @settings(max_examples=15, deadline=None)
     def test_batch_matches_local_and_sequential(self, style, policy,
-                                                names):
+                                                names, async_lookups):
         batch_world = make_deployment(policy)
         results = batch_world["resolver"].resolve_many(
             batch_world["client"], batch_world["context"], names, style)
@@ -112,16 +112,31 @@ class TestBatchEquivalence:
             assert entity.is_defined() == sequential.is_defined()
             assert entity.label == sequential.label
             assert cost.steps - cost.cached_steps >= 0
+        # The walk's other driver, on the same names in the same world.
+        lookup = async_lookups(
+            batch_world["simulator"], batch_world["placement"],
+            batch_world["client"].machine,
+            batch_world["client"].machine.network.machines())
+        for name_ in names:
+            outcome = lookup(batch_world["context"], name_)
+            assert outcome.entity is local_resolve(batch_world["context"],
+                                                   name_)
+            assert not outcome.failed
 
     @pytest.mark.parametrize("style", STYLES)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_warm_cache_stays_equivalent(self, style, policy):
+    def test_warm_cache_stays_equivalent(self, style, policy,
+                                         async_lookups):
         world = make_deployment(policy)
+        lookup = async_lookups(world["simulator"], world["placement"],
+                               world["client"].machine,
+                               world["client"].machine.network.machines())
         for _round in range(3):  # later rounds hit the prefix cache
             results = world["resolver"].resolve_many(
                 world["client"], world["context"], NAME_POOL, style)
             for name_, (entity, _cost) in zip(NAME_POOL, results):
                 assert entity is local_resolve(world["context"], name_)
+                assert lookup(world["context"], name_).entity is entity
 
     def test_empty_batch(self):
         world = make_deployment()

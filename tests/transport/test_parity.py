@@ -28,6 +28,7 @@ from repro.model.entities import Entity, ObjectEntity
 from repro.model.names import ROOT_NAME
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
+from repro.nameservice.writes import commit_binding
 from repro.obs.audit import CoherenceAuditor
 from repro.sim.kernel import Simulator
 from repro.transport.service import NamingService, RemoteNameClient
@@ -90,25 +91,6 @@ def placed_directories(root: Entity) -> list[Entity]:
     return out
 
 
-def rebind_sim(root: Entity, path: list, label: str, directory: bool,
-               auditor: CoherenceAuditor, now: float,
-               placement: DirectoryPlacement, machine) -> Entity:
-    """Mirror of ``NamingService._rebind`` for the sim substrate; new
-    directories get placed so post-rebind steps stay remote (and
-    audited) exactly as they do over the socket."""
-    parent = root
-    for component in path[:-1]:
-        parent = parent.state(component)
-    component = path[-1]
-    old = parent.state(component)
-    new = context_object(label) if directory else ObjectEntity(label)
-    parent.state.bind(component, new)
-    if directory:
-        placement.place(new, machine)
-    auditor.record_write(parent, component, old, new, now, 0)
-    return new
-
-
 def run_script_sim(script, seed: int):
     """The script over SimTransport: every directory hosted remotely,
     so each component step is a real request/reply exchange."""
@@ -136,9 +118,20 @@ def run_script_sim(script, seed: int):
             simulator.run()
             rows.append(outcome_row(op[1], outcomes[0]))
         else:
+            # The write NamingService._rebind commits, by the same
+            # function; new directories get placed so post-rebind
+            # steps stay remote (and audited) exactly as they do over
+            # the socket.
             _, path, label, directory = op
-            rebind_sim(root, path, label, directory, auditor,
-                       simulator.clock.now, placement, server_machine)
+            parent = root
+            for component in path[:-1]:
+                parent = parent.state(component)
+            new = context_object(label) if directory else ObjectEntity(label)
+            commit_binding(parent, path[-1], new,
+                           now=simulator.clock.now, epoch=0,
+                           auditor=auditor)
+            if directory:
+                placement.place(new, server_machine)
     return rows, auditor
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import asyncio
 import socket
 
+import pytest
+
 from repro.model.context import context_object
 from repro.model.entities import ObjectEntity
 from repro.nameservice.retry import RetryPolicy
@@ -258,10 +260,69 @@ class TestWritePathRobustness:
         run(scenario())
 
 
+#: Well-framed frames no handler can use: each must be dropped and
+#: counted by the server, never kill the connection's reader task.
+WRONG_SHAPES = {
+    "lookup-empty": {"to": "lookupd", "frm": "client",
+                     "p": {"lookup": {}}},
+    "lookup-not-a-dict": {"to": "lookupd", "frm": "client",
+                          "p": {"lookup": 7}},
+    "directory-unhashable": {
+        "to": "lookupd", "frm": "client",
+        "p": {"lookup": {"request_id": 1, "seq": 1,
+                         "directory": [1, 2], "component": "usr"}}},
+    "component-missing": {
+        "to": "lookupd", "frm": "client",
+        "p": {"lookup": {"request_id": 1, "seq": 1, "directory": 1}}},
+    "frame-is-an-array": ["lookupd", "client"],
+    "addressee-unhashable": {"to": ["lookupd"], "frm": "client", "p": 1},
+}
+
+
+class TestHostilePeers:
+    @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+    def test_wrong_shaped_frame_is_dropped_connection_serves_on(
+            self, shape):
+        async def scenario():
+            service, client = await start_pair(timeout=0.5,
+                                               max_retries=0)
+            try:
+                [peer] = client.transport._peers.values()
+                conn = peer.conn
+                dropped = service.transport.frames_dropped
+                assert conn.send_frame(WRONG_SHAPES[shape])
+                outcome = await client.resolve("/usr/bin/python")
+                assert outcome.ok and outcome.retries == 0
+                assert service.transport.frames_dropped == dropped + 1
+                assert peer.conn is conn and not conn.closed
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+    def test_a_timed_out_control_call_does_not_poison_the_next(self):
+        async def scenario():
+            service, client = await start_pair()
+            try:
+                # A request the server never answers: its waiter gives
+                # up, and must not stay queued to eat the reply of the
+                # next call that awaits the same reply op.
+                with pytest.raises(asyncio.TimeoutError):
+                    await client._ctl_call({"op": "no-such-op"},
+                                           "stats-reply", timeout=0.05)
+                stats = await client.stats(timeout=1.0)
+                assert stats["op"] == "stats-reply"
+                assert not any(client._ctl_waiters.values())
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+
 class TestFailover:
     def test_resend_fails_over_to_live_replica(self):
-        """Primary address is dead: the first step times out, the
-        resend retargets to the live replica, the lookup completes."""
+        """Primary address is dead: each step's asks there time out,
+        the walk fails over to the live replica, the lookup completes."""
         async def scenario():
             service = NamingService(build_root(),
                                     retry_policy=FAST_RETRY)
@@ -281,14 +342,13 @@ class TestFailover:
             live.router.addresses.insert(
                 0, type(live.router.addresses[0])(
                     dead[0], dead[1], live.router.addresses[0].label))
-            live.router.cursor = 0
             try:
                 outcome = await live.resolve("/usr/bin/python",
                                              timeout=30)
                 assert outcome.ok
                 assert outcome.entity.label == "python3"
                 assert outcome.retries >= 1
-                assert live.router.failovers >= 1
+                assert outcome.failovers >= 1
                 assert live.transport.frames_dropped >= 1
             finally:
                 await live.aclose()
