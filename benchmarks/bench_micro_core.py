@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.coherence.metrics import measure_degree
 from repro.model.names import CompoundName
 from repro.model.resolution import resolve
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.namespaces.unix import UnixSystem
+from repro.obs.instrument import Instrumentation
+from repro.obs.trace import SpanSampler
 from repro.pqid.mapping import map_pid, qualify
 from repro.sim.kernel import Simulator
 from repro.workloads.scenarios import build_pqid_population
@@ -79,9 +83,24 @@ def test_pid_mapping_throughput(benchmark):
     assert benchmark(run) == 200
 
 
-def test_kernel_message_throughput(benchmark):
+#: The kernel-only obs overhead triple: the same message loop on
+#: NO_OBS, under 5%-sampled spans (per-message counters deferred to an
+#: end-of-run flush — the always-on mode) and fully instrumented
+#: (every message bumps its counters inline).  Compare the three rows
+#: of one ``--benchmark-only`` run; docs/observability.md has the
+#: budget.
+OBS_MODES = {
+    "no_obs": lambda: None,
+    "sampled": lambda: Instrumentation(
+        max_spans=4096, sampler=SpanSampler(rate=0.05, seed=1)),
+    "full": lambda: Instrumentation(max_spans=4096),
+}
+
+
+@pytest.mark.parametrize("obs_mode", OBS_MODES)
+def test_kernel_message_throughput(benchmark, obs_mode):
     def run():
-        simulator = Simulator(seed=1)
+        simulator = Simulator(seed=1, obs=OBS_MODES[obs_mode]())
         network = simulator.network("lan")
         processes = [simulator.spawn(simulator.machine(network), f"p{i}")
                      for i in range(8)]

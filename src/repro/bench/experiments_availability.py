@@ -47,21 +47,29 @@ from repro.obs.instrument import Instrumentation
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
 
-__all__ = ["run_a8_availability"]
+__all__ = ["run_a8_availability", "run_schedule"]
 
 _FANOUT = 5
 _TTL = 40.0
 #: Round start times (virtual); one small batch of lookups per round.
-_ROUNDS = tuple(float(t) for t in range(2, 240, 10))
+ROUNDS = tuple(float(t) for t in range(2, 240, 10))
 #: Fault windows (virtual time), chosen between rounds so every
 #: configuration sees identical deterministic disruption phases.
 _CRASH_AT, _RESTART_AT = 30.0, 78.0
 _FLAKY_AT, _STEADY_AT = 95.0, 118.0
 _PARTITION_AT, _HEAL_AT = 130.0, 185.0
 _DROP_PROB, _SPIKE = 0.25, 1.5
+#: The windows as the notes of A8 and A9 print them.
+WINDOWS_NOTE = (f"crash [{_CRASH_AT:g},{_RESTART_AT:g})",
+                f"flaky p={_DROP_PROB} [{_FLAKY_AT:g},{_STEADY_AT:g})",
+                f"partition [{_PARTITION_AT:g},{_HEAL_AT:g})")
+#: The configuration A8 replays instrumented (`tools/inspect_run.py
+#: --scenario chaos` is that replay).
+SERVE_STALE = dict(replicated=True, retry=True, serve_stale=True)
 
 
-def _phase(time: float) -> str:
+def fault_phase(time: float) -> str:
+    """The fault phase in effect at virtual *time*."""
     if _CRASH_AT <= time < _RESTART_AT:
         return "crash"
     if _FLAKY_AT <= time < _STEADY_AT:
@@ -69,6 +77,19 @@ def _phase(time: float) -> str:
     if _PARTITION_AT <= time < _HEAL_AT:
         return "partition"
     return "healthy"
+
+
+def fault_timeline(primary, lan, srv) -> list[tuple]:
+    """The scripted disruption, as ``schedule_timeline`` takes it
+    (A9 books the same script)."""
+    return [
+        (_CRASH_AT, "crash", primary),
+        (_RESTART_AT, "restart", primary),
+        (_FLAKY_AT, "flaky_link", lan, srv, _DROP_PROB, _SPIKE),
+        (_STEADY_AT, "steady_link", lan, srv),
+        (_PARTITION_AT, "partition", lan, srv),
+        (_HEAL_AT, "heal", lan, srv),
+    ]
 
 
 @dataclass
@@ -81,9 +102,9 @@ class _Outcome:
     latency: float
 
 
-def _run_schedule(seed: int, replicated: bool, retry: bool,
-                  serve_stale: bool,
-                  obs: Optional[Instrumentation] = None) -> dict:
+def run_schedule(seed: int, replicated: bool, retry: bool,
+                 serve_stale: bool,
+                 obs: Optional[Instrumentation] = None) -> dict:
     """One configuration through the full fault timeline."""
     simulator = Simulator(seed=seed, obs=obs)
     lan = simulator.network("lan")
@@ -113,17 +134,10 @@ def _run_schedule(seed: int, replicated: bool, retry: bool,
         breaker_threshold=3, breaker_cooldown=10.0)
     injector = FailureInjector(simulator)
     injector.on_restart(resolver.handle_restart)
-    injector.schedule_timeline([
-        (_CRASH_AT, "crash", primary),
-        (_RESTART_AT, "restart", primary),
-        (_FLAKY_AT, "flaky_link", lan, srv, _DROP_PROB, _SPIKE),
-        (_STEADY_AT, "steady_link", lan, srv),
-        (_PARTITION_AT, "partition", lan, srv),
-        (_HEAL_AT, "heal", lan, srv),
-    ])
+    injector.schedule_timeline(fault_timeline(primary, lan, srv))
     outcomes: list[_Outcome] = []
     costs: list[ResolutionCost] = []
-    for start in _ROUNDS:
+    for start in ROUNDS:
         simulator.run(until=start)
         names = [f"/svc/f{(index + int(start)) % _FANOUT}"
                  for index in range(3)]
@@ -135,7 +149,7 @@ def _run_schedule(seed: int, replicated: bool, retry: bool,
             entity, cost = resolver.resolve(client, context, name_)
             costs.append(cost)
             outcomes.append(_Outcome(
-                time=began, phase=_phase(began),
+                time=began, phase=fault_phase(began),
                 ok=entity.is_defined() and not cost.failed,
                 weak=cost.weak, stale_steps=cost.stale_steps,
                 latency=cost.latency))
@@ -147,9 +161,8 @@ def _run_schedule(seed: int, replicated: bool, retry: bool,
     successes = [outcome for outcome in outcomes if outcome.ok]
     weak_successes = [outcome for outcome in successes if outcome.weak]
     return {
+        "simulator": simulator,
         "outcomes": outcomes,
-        "attempted": len(outcomes),
-        "succeeded": len(successes),
         "success_rate": len(successes) / len(outcomes),
         "weak_successes": len(weak_successes),
         "weak_fraction": (len(weak_successes) / len(successes)
@@ -172,10 +185,9 @@ def run_a8_availability(seed: int = 0) -> ExperimentResult:
          dict(replicated=False, retry=False, serve_stale=False)),
         ("replicated + retry/failover",
          dict(replicated=True, retry=True, serve_stale=False)),
-        ("replicated + retry + serve-stale",
-         dict(replicated=True, retry=True, serve_stale=True)),
+        ("replicated + retry + serve-stale", SERVE_STALE),
     ]
-    measurements = {label: _run_schedule(seed, **kwargs)
+    measurements = {label: run_schedule(seed, **kwargs)
                     for label, kwargs in configs}
     baseline = measurements[configs[0][0]]
     failover = measurements[configs[1][0]]
@@ -234,24 +246,20 @@ def run_a8_availability(seed: int = 0) -> ExperimentResult:
                  degraded["stale_marks_left"] == 0
                  and len(settled) > 0
                  and all(o.ok and not o.weak for o in settled))
-    rerun = _run_schedule(seed, replicated=True, retry=True,
-                          serve_stale=True)
+    rerun = run_schedule(seed, **SERVE_STALE)
     result.check("results are deterministic for a fixed seed",
                  rerun["signature"] == degraded["signature"]
                  and rerun["p99_latency"] == degraded["p99_latency"])
 
     result.notes.append(
-        f"seed={seed} rounds={len(_ROUNDS)}×3 lookups, crash "
-        f"[{_CRASH_AT:g},{_RESTART_AT:g}), flaky p={_DROP_PROB} "
-        f"[{_FLAKY_AT:g},{_STEADY_AT:g}), partition "
-        f"[{_PARTITION_AT:g},{_HEAL_AT:g})")
+        f"seed={seed} rounds={len(ROUNDS)}×3 lookups, "
+        + ", ".join(WINDOWS_NOTE))
 
-    # Instrumented replay of the serve-stale config: the metrics
-    # snapshot shows the fault-tolerance layer working (retries,
-    # failovers, circuit transitions, stale serves, injected faults).
+    # Instrumented replay: the metrics snapshot shows the
+    # fault-tolerance layer working (retries, failovers, circuit
+    # transitions, stale serves, injected faults).
     obs = Instrumentation(max_spans=8192)
-    _run_schedule(seed, replicated=True, retry=True, serve_stale=True,
-                  obs=obs)
+    run_schedule(seed, obs=obs, **SERVE_STALE)
     result.metrics = obs.metrics.snapshot()
     result.metrics["spans_recorded"] = len(obs.tracer)
     result.metrics["spans_dropped"] = obs.tracer.dropped_spans

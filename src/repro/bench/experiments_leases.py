@@ -34,6 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.bench.experiments_availability import (
+    ROUNDS,
+    WINDOWS_NOTE,
+    fault_phase,
+    fault_timeline,
+)
 from repro.bench.harness import ExperimentResult
 from repro.model.context import Context
 from repro.model.entities import Entity, ObjectEntity
@@ -46,9 +52,10 @@ from repro.nameservice.retry import RetryPolicy
 from repro.obs.audit import CoherenceAuditor, CoherenceContract
 from repro.obs.instrument import Instrumentation
 from repro.sim.failures import FailureInjector
-from repro.sim.kernel import Machine, Simulator
+from repro.sim.kernel import Simulator
+from repro.sim.network import Machine, Network
 
-__all__ = ["run_a9_leases"]
+__all__ = ["run_a9_leases", "build", "run_blip", "run_schedule"]
 
 _TERM = 30.0           #: lease term (LEASE policy)
 _TTL = 60.0            #: prefix/binding TTL (TTL policy)
@@ -71,28 +78,13 @@ _BLIP_REBIND_AT = 11.0
 _BLIP_PRE = (2.0, 6.0)
 _BLIP_POST = tuple(float(t) for t in range(12, 92, 6))
 
-# Fault-schedule timeline (the A8 windows, §robustness), plus a
-# rebind mid-partition; the partition outlives the lease term so the
-# grace mode is exercised.
-_ROUNDS = tuple(float(t) for t in range(2, 240, 10))
-_CRASH_AT, _RESTART_AT = 30.0, 78.0
-_FLAKY_AT, _STEADY_AT = 95.0, 118.0
-_PARTITION_AT, _HEAL_AT = 130.0, 185.0
+# Fault-schedule timeline: A8's rounds and windows (imported, not
+# restated), plus a rebind mid-partition; the partition outlives the
+# lease term so the grace mode is exercised.
 _SCHED_REBIND_AT = 140.0
 _SETTLED = (250.0, 258.0, 266.0)
-_DROP_PROB, _SPIKE = 0.25, 1.5
 
 _POLICIES = (CachePolicy.TTL, CachePolicy.INVALIDATE, CachePolicy.LEASE)
-
-
-def _phase(time: float) -> str:
-    if _CRASH_AT <= time < _RESTART_AT:
-        return "crash"
-    if _FLAKY_AT <= time < _STEADY_AT:
-        return "flaky"
-    if _PARTITION_AT <= time < _HEAL_AT:
-        return "partition"
-    return "healthy"
 
 
 @dataclass
@@ -118,8 +110,9 @@ class _Scenario:
     svc: ObjectEntity
     new_dir: ObjectEntity
     old_leaf: Entity
-    new_leaf: Entity
-    client_machine: Machine
+    lan: Network
+    srv: Network
+    primary: Machine
     auditor: CoherenceAuditor
     rebound_at: Optional[float] = None
 
@@ -136,15 +129,17 @@ class _Scenario:
                  and began >= self.rebound_at
                  and entity is self.old_leaf)
         return _Probe(
-            time=began, phase=_phase(began),
+            time=began, phase=fault_phase(began),
             ok=entity.is_defined() and not cost.failed,
             weak=cost.weak, stale_steps=cost.stale_steps,
             stale=stale,
             claimed=stale and not cost.weak and not cost.failed)
 
 
-def _build(seed: int, policy: CachePolicy, schedule: str,
-           obs: Optional[Instrumentation]) -> _Scenario:
+def build(seed: int, policy: CachePolicy,
+          obs: Optional[Instrumentation] = None) -> _Scenario:
+    """The deployment under *policy*, no fault booked yet: hand it to
+    :func:`run_blip` or :func:`run_schedule`."""
     # Every run is audited: ground-truth staleness measurement rides
     # on a disabled Instrumentation (pure-python tallies, no metric
     # emission) so the timed runs pay near-zero overhead; the
@@ -168,7 +163,7 @@ def _build(seed: int, policy: CachePolicy, schedule: str,
     old_dir = tree.mkdir("svc/app")
     old_leaf = tree.mkfile("svc/app/cfg")
     new_dir = tree.mkdir("spare")
-    new_leaf = tree.mkfile("spare/cfg")
+    tree.mkfile("spare/cfg")
     placement = DirectoryPlacement()
     placement.place(tree.root, client_machine)
     svc = tree.directory("svc")
@@ -190,25 +185,11 @@ def _build(seed: int, policy: CachePolicy, schedule: str,
         lease_term=_TERM)
     injector = FailureInjector(simulator)
     injector.on_restart(resolver.handle_restart)
-    if schedule == "blip":
-        injector.schedule_timeline([
-            (_BLIP_PARTITION_AT, "partition", lan, srv),
-            (_BLIP_HEAL_AT, "heal", lan, srv),
-        ])
-    else:
-        injector.schedule_timeline([
-            (_CRASH_AT, "crash", primary),
-            (_RESTART_AT, "restart", primary),
-            (_FLAKY_AT, "flaky_link", lan, srv, _DROP_PROB, _SPIKE),
-            (_STEADY_AT, "steady_link", lan, srv),
-            (_PARTITION_AT, "partition", lan, srv),
-            (_HEAL_AT, "heal", lan, srv),
-        ])
     return _Scenario(
         simulator=simulator, client=client, context=context,
         resolver=resolver, injector=injector, svc=svc,
-        new_dir=new_dir, old_leaf=old_leaf, new_leaf=new_leaf,
-        client_machine=client_machine, auditor=auditor)
+        new_dir=new_dir, old_leaf=old_leaf, lan=lan, srv=srv,
+        primary=primary, auditor=auditor)
 
 
 def _stats(scenario: _Scenario, probes: list[_Probe]) -> dict:
@@ -224,23 +205,24 @@ def _stats(scenario: _Scenario, probes: list[_Probe]) -> dict:
                           / len(successes)) if successes else 0.0,
         "claimed_times": claimed,
         "max_claimed": max(claimed) if claimed else None,
-        "weak_stale_times": [probe.time for probe in probes
-                             if probe.stale and probe.weak],
         "losses": resolver.invalidation_losses,
         "coherence_messages": resolver.invalidation_messages,
         "hit_rate": (cache["hits"] / lookups) if lookups else 0.0,
         "lease": (resolver.lease_stats()
                   if resolver.leases is not None else {}),
-        "rebound_at": scenario.rebound_at,
         "audit": scenario.auditor.summary(),
         "signature": tuple((probe.phase, probe.ok, probe.weak,
                             probe.stale) for probe in probes),
     }
 
 
-def _run_blip(seed: int, policy: CachePolicy,
-              obs: Optional[Instrumentation] = None) -> dict:
-    scenario = _build(seed, policy, "blip", obs)
+def run_blip(scenario: _Scenario) -> dict:
+    """The blip instrument on a fresh :func:`build`: probe, rebind
+    inside a short partition, keep probing after the heal."""
+    scenario.injector.schedule_timeline([
+        (_BLIP_PARTITION_AT, "partition", scenario.lan, scenario.srv),
+        (_BLIP_HEAL_AT, "heal", scenario.lan, scenario.srv),
+    ])
     probes = [scenario.probe(start) for start in _BLIP_PRE]
     scenario.simulator.run(until=_BLIP_REBIND_AT)
     scenario.rebind()
@@ -249,11 +231,13 @@ def _run_blip(seed: int, policy: CachePolicy,
     return _stats(scenario, probes)
 
 
-def _run_schedule(seed: int, policy: CachePolicy,
-                  obs: Optional[Instrumentation] = None) -> dict:
-    scenario = _build(seed, policy, "faults", obs)
+def run_schedule(scenario: _Scenario) -> dict:
+    """The fault-schedule instrument on a fresh :func:`build`: A8's
+    timeline, with the rebind issued mid-partition."""
+    scenario.injector.schedule_timeline(
+        fault_timeline(scenario.primary, scenario.lan, scenario.srv))
     probes: list[_Probe] = []
-    for start in _ROUNDS:
+    for start in ROUNDS:
         if (scenario.rebound_at is None
                 and start >= _SCHED_REBIND_AT):
             scenario.simulator.run(until=_SCHED_REBIND_AT)
@@ -268,8 +252,10 @@ def _run_schedule(seed: int, policy: CachePolicy,
 
 def run_a9_leases(seed: int = 0) -> ExperimentResult:
     """A9: lease callbacks bound staleness; lost invalidations don't."""
-    blip = {policy: _run_blip(seed, policy) for policy in _POLICIES}
-    sched = {policy: _run_schedule(seed, policy) for policy in _POLICIES}
+    blip = {policy: run_blip(build(seed, policy))
+            for policy in _POLICIES}
+    sched = {policy: run_schedule(build(seed, policy))
+             for policy in _POLICIES}
     ttl_b, inv_b, lease_b = (blip[policy] for policy in _POLICIES)
     ttl_s, inv_s, lease_s = (sched[policy] for policy in _POLICIES)
 
@@ -389,7 +375,7 @@ def run_a9_leases(seed: int = 0) -> ExperimentResult:
             and run["audit"]["writes"] == 1
             for policy in _POLICIES
             for run in (blip[policy], sched[policy])))
-    rerun = _run_schedule(seed, CachePolicy.LEASE)
+    rerun = run_schedule(build(seed, CachePolicy.LEASE))
     result.check(
         "results are deterministic for a fixed seed",
         rerun["signature"] == lease_s["signature"]
@@ -399,9 +385,8 @@ def run_a9_leases(seed: int = 0) -> ExperimentResult:
     result.notes.append(
         f"seed={seed} blip: partition [{_BLIP_PARTITION_AT:g},"
         f"{_BLIP_HEAL_AT:g}) rebind@{_BLIP_REBIND_AT:g}, term={_TERM:g} "
-        f"ttl={_TTL:g}; schedule: crash [{_CRASH_AT:g},{_RESTART_AT:g}) "
-        f"flaky p={_DROP_PROB} [{_FLAKY_AT:g},{_STEADY_AT:g}) partition "
-        f"[{_PARTITION_AT:g},{_HEAL_AT:g}) rebind@{_SCHED_REBIND_AT:g}")
+        f"ttl={_TTL:g}; schedule: {' '.join(WINDOWS_NOTE)} "
+        f"rebind@{_SCHED_REBIND_AT:g}")
     result.notes.append(
         "blip claimed-stale windows — "
         + "; ".join(
@@ -419,8 +404,8 @@ def run_a9_leases(seed: int = 0) -> ExperimentResult:
     # callbacks, breaks, grace serves and revalidations all land in
     # the metrics snapshot.
     obs = Instrumentation(max_spans=16384)
-    _run_blip(seed, CachePolicy.LEASE, obs=obs)
-    _run_schedule(seed, CachePolicy.LEASE, obs=obs)
+    run_blip(build(seed, CachePolicy.LEASE, obs))
+    run_schedule(build(seed, CachePolicy.LEASE, obs))
     result.metrics = obs.metrics.snapshot()
     result.metrics["spans_recorded"] = len(obs.tracer)
     result.metrics["spans_dropped"] = obs.tracer.dropped_spans

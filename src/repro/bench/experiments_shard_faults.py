@@ -58,7 +58,8 @@ from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
 from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
 
-__all__ = ["run_a11_shard_faults", "run_a11_shard_faults_suite"]
+__all__ = ["run_a11_shard_faults", "run_a11_shard_faults_suite",
+           "deploy", "run_config"]
 
 _SKEW = 1.0    #: Zipf exponent of the name popularity law
 _POOL = 4      #: shard-server machines (= initial shard count)
@@ -84,13 +85,15 @@ class _Deployment:
     namespace: object
     shard_map: object
     pool: list
-    obs: Instrumentation
     auditor: CoherenceAuditor
     slo: SLOTracker
 
 
-def _deploy(seed: int, names: int, replicas: int) -> _Deployment:
-    obs = Instrumentation(max_spans=4096)
+def deploy(seed: int, names: int, replicas: int,
+           obs: Instrumentation) -> _Deployment:
+    """Four shards at degree *replicas* over a four-machine pool,
+    audited under *obs*, no fault booked yet: hand it to
+    :func:`run_config`."""
     slo = SLOTracker([
         SLObjective("violation-free", violation_free=True),
     ], metrics=obs.metrics)
@@ -118,7 +121,7 @@ def _deploy(seed: int, names: int, replicas: int) -> _Deployment:
     context = ProcessContext(tree.root)
     return _Deployment(simulator, resolver, placement, injector,
                        client, context, namespace, shard_map, pool,
-                       obs, auditor, slo)
+                       auditor, slo)
 
 
 def _name_in_shard(shard_map, shard_index: int) -> str:
@@ -134,8 +137,8 @@ def _name_in_shard(shard_map, shard_index: int) -> str:
         index += 1
 
 
-def _run_config(deployment: _Deployment, ranks: list[int],
-                ) -> dict[str, float]:
+def run_config(deployment: _Deployment, ranks: list[int],
+               ) -> dict[str, float]:
     """Drive *ranks* across the scripted fault timeline.
 
     The timeline is booked on the simulator clock (each healthy walk
@@ -202,10 +205,8 @@ def _run_config(deployment: _Deployment, ranks: list[int],
         "anti_entropy": resolver.anti_entropy_messages,
         "stale_remaining": deployment.placement.stale_count(),
         "partitioned": deployment.shard_map.is_partition(),
-        "replication": deployment.shard_map.replication,
         "audit": audit,
         "slo_burns": sum(deployment.slo.burns.values()),
-        "kernel_messages": float(deployment.simulator.messages_sent),
     }
 
 
@@ -226,8 +227,9 @@ def run_a11_shard_faults(seed: int = 0, names: int = 200_000,
     configs = {}
     for label, degree in (("single-owner shards", 1),
                           ("replicated shards", replicas)):
-        deployment = _deploy(seed, names, degree)
-        configs[label] = _run_config(deployment, ranks)
+        deployment = deploy(seed, names, degree,
+                            Instrumentation(max_spans=4096))
+        configs[label] = run_config(deployment, ranks)
         del deployment  # free the namespace promptly
 
     single = configs["single-owner shards"]
@@ -308,8 +310,8 @@ def run_a11_shard_faults_suite(seed: int = 0) -> ExperimentResult:
     the dead ranges' lookups.
 
     Runs at 5·10^4 names / 6·10^3 resolutions so the full experiment
-    suite stays quick; ``benchmarks/bench_a11_shard_faults.py`` runs
-    the full default scale.
+    suite stays quick; ``benchmarks/bench_experiments.py`` times a
+    larger one.
     """
     return run_a11_shard_faults(seed=seed, names=50_000,
                                 resolutions=6_000)

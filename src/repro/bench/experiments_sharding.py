@@ -54,7 +54,7 @@ from repro.obs.instrument import Instrumentation
 from repro.sim.kernel import Simulator
 from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
 
-__all__ = ["run_a10_sharding", "run_a10_sharding_suite"]
+__all__ = ["run_a10_sharding", "run_a10_sharding_suite", "replay"]
 
 _SERVICE = 0.4       #: virtual-time service cost per step at a server
 _RATE = 5.0          #: open-loop arrivals per virtual-time unit
@@ -194,6 +194,27 @@ def _run_config(deployment: _Deployment, ranks: list[int],
     }
 
 
+def replay(seed: int, obs: Instrumentation, names: int = 20_000,
+           resolutions: int = 2_000) -> _Deployment:
+    """The sharded configuration at reduced scale under *obs*:
+    shard/migration spans and counters without instrumenting the
+    timed runs.  The coherence auditor rides along — its summary is
+    the measured ground truth that no split or migration ever served
+    a stale binding (placement changes must be coherence-invisible).
+    ``tools/inspect_run.py --scenario shard`` shows this run."""
+    obs.auditor = CoherenceAuditor()
+    obs.auditor.bind_obs(obs)
+    deployment = _deploy(seed, names, sharded=True, obs=obs)
+    deployment.resolver.shard_manager.check_every = 200
+    deployment.resolver.shard_manager.min_window = 50
+    sampler = ZipfSampler(names, skew=_SKEW, rng=random.Random(seed))
+    for rank in sampler.sample_many(resolutions):
+        deployment.resolver.resolve(
+            deployment.client, deployment.context,
+            "/hot/" + deployment.namespace.names[rank])
+    return deployment
+
+
 def run_a10_sharding(seed: int = 0, names: int = 1_000_000,
                      resolutions: int = 100_000) -> ExperimentResult:
     """A10: live hot-shard splitting vs single placement, open-loop.
@@ -279,27 +300,13 @@ def run_a10_sharding(seed: int = 0, names: int = 1_000_000,
         "final_shards": float(shard["shards"]),
         "migration_messages": float(shard["migration_messages"]),
     }
-    # Instrumented replay at reduced scale: captures shard/migration
-    # spans + counters for the JSON record (and the inspect tooling)
-    # without instrumenting the timed runs above.  The coherence
-    # auditor rides along: its per-shard staleness histograms land in
-    # the same metrics snapshot, and its summary is the measured
-    # ground truth that no split or migration ever served a stale
-    # binding — placement changes must be coherence-invisible.
-    obs = Instrumentation(max_spans=4096,
-                          auditor=CoherenceAuditor())
-    replay = _deploy(seed, min(names, 20_000), sharded=True, obs=obs)
-    replay_sampler = ZipfSampler(min(names, 20_000), skew=_SKEW,
-                                 rng=random.Random(seed))
-    replay.resolver.shard_manager.check_every = 200
-    replay.resolver.shard_manager.min_window = 50
-    for rank in replay_sampler.sample_many(min(resolutions, 2_000)):
-        replay.resolver.resolve(replay.client, replay.context,
-                                "/hot/" + replay.namespace.names[rank])
+    obs = Instrumentation(max_spans=4096)
+    replayed = replay(seed, obs, min(names, 20_000),
+                      min(resolutions, 2_000))
     result.metrics = obs.metrics.snapshot()
     result.metrics["spans_recorded"] = len(obs.tracer)
     result.metrics["spans_dropped"] = obs.tracer.dropped_spans
-    result.metrics["replay_splits"] = replay.resolver.shard_splits
+    result.metrics["replay_splits"] = replayed.resolver.shard_splits
     audit = obs.auditor.summary()
     result.audit = {"replay": audit}
     result.check(
@@ -307,7 +314,7 @@ def run_a10_sharding(seed: int = 0, names: int = 1_000_000,
         "splits and migrations never surface a stale binding",
         audit["observed"] > 0 and audit["violations"] == 0
         and audit["max_staleness"] == 0.0
-        and replay.resolver.shard_splits > 0)
+        and replayed.resolver.shard_splits > 0)
     return result
 
 
@@ -316,8 +323,8 @@ def run_a10_sharding_suite(seed: int = 0) -> ExperimentResult:
     open-loop Zipf load where single placement saturates.
 
     Runs at 2·10^5 names / 2·10^4 resolutions so the full experiment
-    suite stays quick; the perf harness's ``a10_sharding`` scenario
-    (and ``BENCH_7.json``) runs the full 10^6 / 10^5 ROADMAP floor.
+    suite stays quick; :func:`run_a10_sharding`'s defaults are the
+    full 10^6 / 10^5 ROADMAP floor.
     """
     return run_a10_sharding(seed=seed, names=200_000,
                             resolutions=20_000)

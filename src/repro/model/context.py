@@ -21,6 +21,7 @@ identically and therefore *are* the same context function.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator, Mapping
 from typing import Optional
 
@@ -44,10 +45,16 @@ class Context:
     UNDEFINED_ENTITY
     """
 
-    __slots__ = ("_bindings", "label")
+    _counter = itertools.count(1)
+
+    __slots__ = ("uid", "_bindings", "label")
 
     def __init__(self, bindings: Optional[Mapping[str, Entity]] = None,
                  label: str = ""):
+        #: Creation-ordered, as ``Entity.uid``: the identity for keys
+        #: that are printed or outlive the instance, where ``id()``
+        #: differs from run to run and is reused after collection.
+        self.uid: int = next(Context._counter)
         self._bindings: dict[str, Entity] = {}
         self.label = label
         if bindings:

@@ -127,7 +127,7 @@ class BindingCache:
 
 #: A dependency key: one binding a cached prefix walk consumed.  Either
 #: ``("d", directory_uid, component)`` for a step through a placed
-#: directory, or ``("c", id(context), component)`` for a step through a
+#: directory, or ``("c", context.uid, component)`` for a step through a
 #: process's own (unplaced) starting context.
 DepKey = tuple[str, int, str]
 
@@ -143,7 +143,7 @@ def binding_dep(directory: ObjectEntity, component: str) -> DepKey:
 
 def context_dep(context: Context, component: str) -> DepKey:
     """The dependency key for a binding of a raw starting context."""
-    return ("c", id(context), component)
+    return ("c", context.uid, component)
 
 
 @dataclass

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.embedded.scoping import UpwardScopeContext
 from repro.errors import BindingError
 from repro.model.context import Context, context_object
 from repro.model.entities import Activity, ObjectEntity, UNDEFINED_ENTITY
 from repro.model.names import ROOT_NAME
+from repro.nameservice.cache import context_dep
+from repro.namespaces.base import ProcessContext
+from repro.namespaces.union import UnionContext
+from repro.transport.wire import RemoteContext
 
 
 @pytest.fixture
@@ -171,3 +176,36 @@ class TestContextObjectHelper:
         leaf = ObjectEntity("passwd")
         directory = context_object("etc", {"passwd": leaf})
         assert "passwd" in repr(directory.state)
+
+
+#: One factory per context class: every subclass must mint a uid.
+CONTEXT_CLASSES = {
+    "Context": Context,
+    "ProcessContext": lambda: ProcessContext(context_object("dir")),
+    "UnionContext": lambda: UnionContext([context_object("dir")]),
+    "UpwardScopeContext": lambda: UpwardScopeContext(context_object("dir")),
+    "RemoteContext": RemoteContext,
+}
+
+
+class TestUid:
+    """A context's ``uid`` is creation-ordered like ``Entity.uid`` —
+    the stable stand-in for ``id()`` in keys that are printed or that
+    outlive the instance (`repro.nameservice.cache.context_dep`)."""
+
+    @pytest.mark.parametrize("make", CONTEXT_CLASSES.values(),
+                             ids=CONTEXT_CLASSES)
+    def test_every_context_class_mints_increasing_uids(self, make):
+        first, second = make(), make()
+        assert isinstance(first.uid, int)
+        assert second.uid > first.uid
+
+    def test_equal_contexts_and_copies_keep_distinct_uids(self, entities):
+        x, _, _ = entities
+        a, b = Context({"x": x}), Context({"x": x})
+        assert a == b and a.uid != b.uid
+        assert a.copy().uid not in (a.uid, b.uid)
+
+    def test_context_dep_is_keyed_on_uid_not_address(self):
+        context = Context()
+        assert context_dep(context, "home") == ("c", context.uid, "home")

@@ -163,3 +163,111 @@ class TestInspectCli:
     def test_failure_scenario_shows_failed_spans(self):
         out = run_cli("--scenario", "failure")
         assert "FAILED(" in out
+
+
+def _splits_committed_and_aborted(spans) -> bool:
+    splits = [span["attrs"] for span in spans if span["kind"] == "shard"]
+    return ({attrs["committed"] for attrs in splits} == {True, False}
+            and all({"source", "target", "split_at", "moved", "messages"}
+                    <= set(attrs) for attrs in splits))
+
+
+def _violation_dumps_hold_their_window(flight) -> bool:
+    dumps = [dump for dump in flight["dumps"] if dump["kind"] == "violation"]
+    return bool(dumps) and all(
+        dump["kernel_trace"]
+        and all(dump["window"][0] <= entry["time"] <= dump["window"][1]
+                for entry in dump["kernel_trace"])
+        for dump in dumps)
+
+
+#: What each scenario's exports must show — asserted here once, for
+#: the artifacts CI's ``inspect-smoke`` matrix uploads.  ``spans``:
+#: span kinds / event names the summary holds (or a predicate on its
+#: spans); ``series`` / ``absent``: Prometheus series the metrics text
+#: holds / must not hold (a counter appears with its first increment,
+#: so absence is the zero assertion); ``notes``: predicate on the
+#: summary's scenario notes; ``flight``: predicate on the
+#: ``--flight-out`` document of the scenarios that carry a recorder.
+EXPORTS = {
+    "basic": dict(
+        spans={"batch", "resolution", "hop", "step"},
+        series={"resolver_messages_total", "sim_messages_sent_total"},
+        notes=lambda n: n["coherent"] and n["messages"] > 0),
+    "hot": dict(
+        args=("--policy", "invalidate"),
+        spans={"batch", "resolution", "cache", "rebind"},
+        series={"resolver_invalidation_messages_total",
+                "cache_prefix_hits_total"},
+        notes=lambda n: n["rounds"] == 3 and n["cached_steps"] > 0),
+    "failure": dict(
+        spans={"resolution", "failure", "drop"},
+        series={"failures_injected_total",
+                'resolver_resolution_outcomes_total{outcome="failed"}'},
+        notes=lambda n: n["crashed"] == "server2"),
+    "chaos": dict(
+        spans={"retry", "failover", "circuit", "stale"},
+        series={"resolver_retries_total", "resolver_failovers_total",
+                "resolver_stale_served_total", "circuit_transitions_total",
+                "failures_injected_total"},
+        notes=lambda n: n["outcomes"]["weak"] > 0 and n["failovers"] > 0),
+    "leases": dict(
+        spans={"lease", "lease.grant", "lease.break", "lease.expire",
+               "lease.grace"},
+        series={"lease_grants_total", "lease_breaks_total",
+                "lease_expirations_total", "lease_grace_served_total"},
+        notes=lambda n: n["losses"] == 1
+        and n["lease_stats"]["grace_hits"] > 0),
+    "audit": dict(
+        spans={"resolution", "rebind"},
+        series={"audit_resolutions_total", "audit_violations_total",
+                "audit_staleness_bucket", "slo_events_total"},
+        notes=lambda n: n["violations"] >= 1
+        and n["audit"]["by_verdict"].get("violation", 0) >= 1
+        and n["audit"]["writes"] == 1 and n["audit"]["observed"] > 0
+        and not n["audit"]["slo"]["violation-free"]["met"],
+        flight=_violation_dumps_hold_their_window),
+    "shard": dict(
+        spans=_splits_committed_and_aborted,
+        series={"resolver_shard_splits_total",
+                "resolver_migration_messages_total"},
+        notes=lambda n: n["splits"] > 0 and n["partition_ok"]),
+    "shard-faults": dict(
+        spans={"failover", "anti_entropy"},
+        series={"resolver_failovers_total",
+                "resolver_anti_entropy_syncs_total",
+                "resolver_replica_stale_marked_total",
+                "audit_resolutions_total", "failures_injected_total"},
+        absent={"audit_violations_total"},
+        notes=lambda n: n["outcomes"]["failed"] == 0
+        and n["failovers"] > 0 and n["anti_entropy"] > 0
+        and n["stale_remaining"] == 0 and n["violations"] == 0
+        and n["partition_ok"] and n["audit"]["observed"] > 0
+        and n["audit"]["violations"] == 0
+        and n["audit"]["slo"]["violation-free"]["met"],
+        flight=lambda f: f["captured"] >= 1
+        and all(dump["kind"] != "violation" for dump in f["dumps"])),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(EXPORTS))
+def test_scenario_exports_show_what_the_scenario_is_for(scenario, tmp_path):
+    want = EXPORTS[scenario]
+    select = ("--scenario", scenario, *want.get("args", ()))
+    summary_file, flight_file = tmp_path / "summary", tmp_path / "flight"
+    run_cli(*select, "--format", "summary", "--out", str(summary_file),
+            *(("--flight-out", str(flight_file)) if "flight" in want
+              else ()))
+    summary = json.loads(summary_file.read_text())
+    spans = [span for trace in summary["traces"].values() for span in trace]
+    if callable(want["spans"]):
+        assert want["spans"](spans)
+    else:
+        assert want["spans"] <= ({span["kind"] for span in spans}
+                                 | {span["name"] for span in spans})
+    assert want["notes"](summary["notes"]), summary["notes"]
+    if "flight" in want:
+        assert want["flight"](json.loads(flight_file.read_text()))
+    metrics = run_cli(*select, "--format", "prometheus")
+    assert all(series in metrics for series in want["series"])
+    assert not any(series in metrics for series in want.get("absent", ()))

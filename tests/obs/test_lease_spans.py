@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
@@ -141,3 +143,9 @@ class TestLeasesScenarioCli:
                  if event.get("cat") == "lease"}
         assert {"lease.grant", "lease.break", "lease.expire",
                 "lease.grace"} <= names
+
+    @pytest.mark.parametrize("fmt", ["summary", "chrome-trace"])
+    def test_exports_repeat_byte_for_byte_across_processes(self, fmt):
+        # Lease events print their dependency keys; a key built from
+        # id(context) differed in every fresh process.
+        assert self._run("--format", fmt) == self._run("--format", fmt)

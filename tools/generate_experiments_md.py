@@ -108,8 +108,9 @@ def main() -> None:
         "Regenerate this file with "
         "`python tools/generate_experiments_md.py > EXPERIMENTS.md`.\n"
         "Each experiment is also a benchmark "
-        "(`pytest benchmarks/bench_<id>_*.py --benchmark-only`) and a "
-        "test\n(`pytest tests/bench/test_experiments.py`).  The paper "
+        "(`pytest benchmarks/bench_experiments.py --benchmark-only "
+        "-k <id>`)\nand a test "
+        "(`pytest tests/bench/test_experiments.py`).  The paper "
         "reports no absolute numbers —\nits evaluation is the "
         "qualitative analysis of sections 4–7 — so \"reproduced\" "
         "means the\nmeasured table satisfies every claim-derived "

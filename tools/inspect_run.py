@@ -10,9 +10,11 @@ Usage::
     python tools/inspect_run.py --format summary --out summary.json
     python tools/inspect_run.py --scenario failure --style recursive
 
-Each scenario builds a small multi-server deployment, runs a batch of
-resolutions through :class:`~repro.nameservice.resolver.
-DistributedResolver` with `repro.obs` instrumentation enabled, and
+``basic``, ``hot`` and ``failure`` build a small 3-server deployment
+here and honour ``--style`` / ``--policy``; ``chaos``, ``leases``,
+``audit``, ``shard`` and ``shard-faults`` are the instrumented replays
+of experiments A8–A11 (`repro.bench`), in the experiment's own fixed
+configuration.  Each runs with `repro.obs` instrumentation enabled and
 emits one of:
 
 * ``tree`` (default) — per-resolution hop trees plus the top-N
@@ -28,8 +30,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
+from repro.bench import (
+    experiments_availability,
+    experiments_leases,
+    experiments_shard_faults,
+    experiments_sharding,
+)
 from repro.model.resolution import resolve as local_resolve
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
@@ -40,9 +49,11 @@ from repro.nameservice.resolver import (
     ResolutionCost,
     ResolutionStyle,
 )
-from repro.nameservice.retry import RetryPolicy
 from repro.obs import (
+    FlightRecorder,
     Instrumentation,
+    SLObjective,
+    SLOTracker,
     format_hop_tree,
     hottest_directories,
     hottest_servers,
@@ -52,6 +63,7 @@ from repro.obs import (
 )
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
+from repro.workloads.zipf import ZipfSampler
 
 SCENARIOS = {}
 
@@ -151,62 +163,35 @@ def run_failure(seed: int, style: ResolutionStyle, policy: CachePolicy,
                       "messages": cost.messages}}
 
 
+def _tally(results) -> dict:
+    """ok / weak / failed counts over A8 outcomes or A9 probes."""
+    return {"ok": sum(r.ok and not r.weak for r in results),
+            "weak": sum(r.ok and r.weak for r in results),
+            "failed": sum(not r.ok for r in results)}
+
+
+def _record_flights(auditor, simulator, obs: Instrumentation,
+                    window: float) -> FlightRecorder:
+    """Hang a flight recorder on a built deployment's auditor, before
+    the run starts, so ``--flight-out`` has windows to write."""
+    auditor.recorder = FlightRecorder(
+        trace_log=simulator.trace, tracer=obs.tracer, window=window)
+    return auditor.recorder
+
+
 @scenario("chaos")
-def run_chaos(seed: int, style: ResolutionStyle, policy: CachePolicy,
+def run_chaos(seed: int, _style: ResolutionStyle, _policy: CachePolicy,
               obs: Instrumentation) -> dict:
-    """A scripted fault schedule against a replicated directory: crash
-    + restart with anti-entropy, a flaky-link window, and a partition
-    answered by weak-coherence stale reads.  The trace shows retry /
-    failover / circuit / stale spans; the metrics show their counters.
-    """
-    simulator = Simulator(seed=seed, obs=obs)
-    lan = simulator.network("lan")
-    srv = simulator.network("srv")
-    client_machine = simulator.machine(lan, "client-m")
-    primary = simulator.machine(srv, "m1")
-    secondary = simulator.machine(srv, "m2")
-    tree = NamingTree("root", sigma=simulator.sigma, parent_links=True)
-    tree.mkdir("svc")
-    names = []
-    for index in range(4):
-        tree.mkfile(f"svc/f{index}")
-        names.append(f"/svc/f{index}")
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    placement.place_replicated(tree.directory("svc"), primary, secondary)
-    client = simulator.spawn(client_machine, "client")
-    context = ProcessContext(tree.root)
-    resolver = DistributedResolver(
-        simulator, placement, cache_policy=policy, cache_ttl=50.0,
-        retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.3,
-                                 max_backoff=2.0),
-        serve_stale=True, breaker_threshold=3, breaker_cooldown=10.0)
-    injector = FailureInjector(simulator)
-    injector.on_restart(resolver.handle_restart)
-    injector.schedule_timeline([
-        (10.0, "crash", primary),
-        (30.0, "restart", primary),
-        (40.0, "flaky_link", lan, srv, 0.3, 1.5),
-        (55.0, "steady_link", lan, srv),
-        (60.0, "partition", lan, srv),
-        (80.0, "heal", lan, srv),
-    ])
-    outcomes = {"ok": 0, "weak": 0, "failed": 0}
-    costs = []
-    for start in range(2, 100, 7):
-        simulator.run(until=float(start))
-        for name_ in names[:2]:
-            entity, cost = resolver.resolve(client, context, name_,
-                                            style)
-            costs.append(cost)
-            if entity.is_defined() and not cost.failed:
-                outcomes["weak" if cost.weak else "ok"] += 1
-            else:
-                outcomes["failed"] += 1
-    simulator.run()
-    cost = ResolutionCost.merge(costs)
-    return {"simulator": simulator,
-            "notes": {"scenario": "chaos", "outcomes": outcomes,
+    """A8's instrumented replay: the serve-stale configuration through
+    crash + restart, a flaky link and a partition.  The trace shows
+    retry / failover / circuit / stale spans; the metrics show their
+    counters."""
+    run = experiments_availability.run_schedule(
+        seed, obs=obs, **experiments_availability.SERVE_STALE)
+    cost = run["total"]
+    return {"simulator": run["simulator"],
+            "notes": {"scenario": "chaos",
+                      "outcomes": _tally(run["outcomes"]),
                       "retries": cost.retries,
                       "failovers": cost.failovers,
                       "stale_steps": cost.stale_steps,
@@ -214,312 +199,109 @@ def run_chaos(seed: int, style: ResolutionStyle, policy: CachePolicy,
 
 
 @scenario("leases")
-def run_leases(seed: int, style: ResolutionStyle, policy: CachePolicy,
+def run_leases(seed: int, _style: ResolutionStyle, _policy: CachePolicy,
                obs: Instrumentation) -> dict:
-    """The lease coherence protocol end to end (always LEASE policy,
-    whatever ``--policy`` says): a binding is rebound while the only
-    caching client is partitioned away — the break callback is lost
-    and the lease is broken server-side — then the partition outlives
-    the lease term, so the client serves grace-mode answers from its
-    expired leases until the heal lets it revalidate.  The trace shows
-    grant / renew / callback / break / expire / grace spans; the
-    metrics show the ``lease_*`` counters.
-    """
-    simulator = Simulator(seed=seed, obs=obs)
-    lan = simulator.network("lan")
-    srv = simulator.network("srv")
-    client_machine = simulator.machine(lan, "client-m")
-    primary = simulator.machine(srv, "m1")
-    secondary = simulator.machine(srv, "m2")
-    tree = NamingTree("root", sigma=simulator.sigma, parent_links=True)
-    tree.mkdir("svc")
-    old_dir = tree.mkdir("svc/app")
-    tree.mkfile("svc/app/cfg")
-    new_dir = tree.mkdir("spare")
-    tree.mkfile("spare/cfg")
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    svc = tree.directory("svc")
-    for directory in (svc, old_dir, new_dir):
-        placement.place_replicated(directory, primary, secondary)
-    client = simulator.spawn(client_machine, "client")
-    context = ProcessContext(tree.root)
-    resolver = DistributedResolver(
-        simulator, placement, cache_policy=CachePolicy.LEASE,
-        cache_ttl=10_000.0,
-        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.5,
-                                 max_backoff=1.0),
-        breaker_threshold=5, breaker_cooldown=5.0, lease_term=12.0)
-    injector = FailureInjector(simulator)
-    injector.on_restart(resolver.handle_restart)
-    injector.schedule_timeline([
-        (10.0, "partition", lan, srv),
-        (40.0, "heal", lan, srv),
-    ])
-    outcomes = {"ok": 0, "weak": 0, "failed": 0}
-    costs = []
-
-    def probe(start):
-        simulator.run(until=float(start))
-        entity, cost = resolver.resolve(client, context,
-                                        "/svc/app/cfg", style)
-        costs.append(cost)
-        if entity.is_defined() and not cost.failed:
-            outcomes["weak" if cost.weak else "ok"] += 1
-        else:
-            outcomes["failed"] += 1
-
-    for start in (2, 6):
-        probe(start)
-    simulator.run(until=11.0)
-    resolver.rebind(svc, "app", new_dir)   # callback lost → break
-    for start in range(12, 62, 6):
-        probe(start)
-    simulator.run()
-    cost = ResolutionCost.merge(costs)
-    return {"simulator": simulator,
-            "notes": {"scenario": "leases", "outcomes": outcomes,
-                      "messages": cost.messages,
-                      "losses": resolver.invalidation_losses,
-                      "lease_stats": resolver.lease_stats()}}
+    """A9's LEASE run through the fault schedule: a rebind whose break
+    callback is lost in the partition (broken server-side), then
+    grace-mode answers from expired leases until the heal.  The trace
+    shows grant / renew / callback / break / expire / grace spans;
+    the metrics show the ``lease_*`` counters."""
+    world = experiments_leases.build(seed, CachePolicy.LEASE, obs)
+    run = experiments_leases.run_schedule(world)
+    return {"simulator": world.simulator,
+            "notes": {"scenario": "leases",
+                      "outcomes": _tally(run["probes"]),
+                      "losses": run["losses"],
+                      "lease_stats": run["lease"]}}
 
 
 @scenario("audit")
-def run_audit(seed: int, style: ResolutionStyle, policy: CachePolicy,
+def run_audit(seed: int, _style: ResolutionStyle, _policy: CachePolicy,
               obs: Instrumentation) -> dict:
-    """The coherence auditor catching a lost INVALIDATE (always
-    INVALIDATE policy, whatever ``--policy`` says): a binding is
-    rebound while the only caching client is partitioned away, so the
-    invalidation callback is provably lost and the client keeps
-    serving the stale binding as *claimed-coherent* — past the
-    contract's delivery slack, which the auditor flags as violations,
-    burns the declared staleness SLO, and hands each event window to
-    the flight recorder.  ``--flight-out`` writes the recorder's
-    replayable JSON artifact.
-    """
-    from repro.obs.audit import (CoherenceAuditor, CoherenceContract,
-                                 FlightRecorder)
-    from repro.obs.slo import SLObjective, SLOTracker
-
-    recorder = FlightRecorder(window=25.0)
-    auditor = CoherenceAuditor(
-        contract=CoherenceContract(slack=6.0),
-        slo=SLOTracker([
-            SLObjective("fresh-reads", max_staleness=6.0),
-            SLObjective("violation-free", violation_free=True),
-        ], metrics=obs.metrics),
-        recorder=recorder)
-    obs.auditor = auditor
-    auditor.bind_obs(obs)
-    simulator = Simulator(seed=seed, obs=obs)
-    recorder.wire(trace_log=simulator.trace, tracer=obs.tracer)
-    lan = simulator.network("lan")
-    srv = simulator.network("srv")
-    client_machine = simulator.machine(lan, "client-m")
-    primary = simulator.machine(srv, "m1")
-    secondary = simulator.machine(srv, "m2")
-    tree = NamingTree("root", sigma=simulator.sigma, parent_links=True)
-    tree.mkdir("svc")
-    old_dir = tree.mkdir("svc/app")
-    tree.mkfile("svc/app/cfg")
-    new_dir = tree.mkdir("spare")
-    tree.mkfile("spare/cfg")
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    svc = tree.directory("svc")
-    for directory in (svc, old_dir, new_dir):
-        placement.place_replicated(directory, primary, secondary)
-    client = simulator.spawn(client_machine, "client")
-    context = ProcessContext(tree.root)
-    resolver = DistributedResolver(
-        simulator, placement, cache_policy=CachePolicy.INVALIDATE,
-        cache_ttl=10_000.0,
-        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.5,
-                                 max_backoff=1.0),
-        serve_stale=True, breaker_threshold=5, breaker_cooldown=5.0)
-    injector = FailureInjector(simulator)
-    injector.on_restart(resolver.handle_restart)
-    injector.schedule_timeline([
-        (10.0, "partition", lan, srv),
-        (40.0, "heal", lan, srv),
-    ])
-    outcomes = {"ok": 0, "weak": 0, "failed": 0}
-    costs = []
-
-    def probe(start):
-        simulator.run(until=float(start))
-        entity, cost = resolver.resolve(client, context,
-                                        "/svc/app/cfg", style)
-        costs.append(cost)
-        if entity.is_defined() and not cost.failed:
-            outcomes["weak" if cost.weak else "ok"] += 1
-        else:
-            outcomes["failed"] += 1
-
-    for start in (2, 6):
-        probe(start)
-    simulator.run(until=11.0)
-    resolver.rebind(svc, "app", new_dir)   # invalidation lost
-    for start in range(12, 62, 6):
-        probe(start)
-    simulator.run()
-    cost = ResolutionCost.merge(costs)
-    return {"simulator": simulator,
+    """A9's INVALIDATE blip: the invalidation is lost in the partition
+    and the client keeps serving the stale binding as
+    claimed-coherent — which the auditor flags as violations, burns
+    the staleness SLO the tool declares here, and hands each window
+    to the flight recorder (``--flight-out``)."""
+    world = experiments_leases.build(seed, CachePolicy.INVALIDATE, obs)
+    auditor = world.auditor
+    recorder = _record_flights(auditor, world.simulator, obs, window=25.0)
+    auditor.slo = SLOTracker([
+        SLObjective("fresh-reads", max_staleness=auditor.contract.slack),
+        SLObjective("violation-free", violation_free=True),
+    ], metrics=obs.metrics)
+    run = experiments_leases.run_blip(world)
+    return {"simulator": world.simulator,
             "recorder": recorder,
-            "notes": {"scenario": "audit", "outcomes": outcomes,
-                      "messages": cost.messages,
-                      "losses": resolver.invalidation_losses,
-                      "audit": auditor.summary(),
+            "notes": {"scenario": "audit",
+                      "outcomes": _tally(run["probes"]),
+                      "losses": run["losses"],
+                      "audit": run["audit"],
                       "violations": auditor.violation_count,
                       "flight_dumps": recorder.captured}}
 
 
 @scenario("shard")
-def run_shard(seed: int, style: ResolutionStyle, policy: CachePolicy,
+def run_shard(seed: int, _style: ResolutionStyle, _policy: CachePolicy,
               obs: Instrumentation) -> dict:
-    """Live hot-shard splitting on display: a Zipf run over a sharded
-    directory triggers load-driven splits, each migrating bindings as
-    simulated messages.  The trace shows ``shard`` spans (source,
-    target, split point, bindings moved, committed/aborted — the last
-    split is aborted against a crashed target); the metrics show the
-    ``resolver_shard_splits_total`` / ``resolver_migration_messages_
-    total`` counters.
-    """
-    import random as _random
-
-    from repro.nameservice.sharding import ShardManager
-    from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
-
-    simulator = Simulator(seed=seed, obs=obs)
-    network = simulator.network("lan")
-    pool = [simulator.machine(network, f"shard{i}") for i in range(4)]
-    client_machine = simulator.machine(network, "client-m")
-    tree = NamingTree("root", sigma=simulator.sigma)
-    namespace = build_zipf_namespace(tree, "hot", count=3000,
-                                     distinct=64)
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    shard_map = placement.place_sharded(namespace.directory, pool[0])
-    client = simulator.spawn(client_machine, "client")
-    resolver = DistributedResolver(simulator, placement,
-                                   cache_policy=policy, cache_ttl=50.0)
-    resolver.shard_manager = ShardManager(
-        resolver, pool=pool, split_fraction=0.3,
-        check_every=100, min_window=50)
-    context = ProcessContext(tree.root)
-    sampler = ZipfSampler(3000, rng=_random.Random(seed))
-    costs = []
-    for rank in sampler.sample_many(800):
-        _entity, cost = resolver.resolve(
-            client, context, "/hot/" + namespace.names[rank], style)
-        costs.append(cost)
-    # One deliberately-aborted split: crash the target first so the
-    # commit-last discipline shows up as a failed shard span.
-    victim = pool[3]
-    FailureInjector(simulator).crash_machine(victim)
-    widest = max(shard_map.shards, key=lambda s: (s.span, -s.lo))
-    resolver.split_shard(namespace.directory, widest, victim)
-    cost = ResolutionCost.merge(costs)
-    return {"simulator": simulator,
+    """A10's instrumented replay: Zipf load over a sharded directory
+    triggers live splits, each migrating bindings as simulated
+    messages.  The trace shows ``shard`` spans (source, target, split
+    point, bindings moved, committed/aborted); the metrics show the
+    split and migration counters."""
+    world = experiments_sharding.replay(seed, obs)
+    resolver = world.resolver
+    directory = world.namespace.directory
+    shard_map = world.placement.shard_map_of(directory)
+    # The tool's one addition: a last split onto a crashed target, so
+    # the commit-last discipline shows up as an aborted shard span.
+    victim = world.machines[-1]
+    FailureInjector(world.simulator).crash_machine(victim)
+    widest = max((shard for shard in shard_map.shards
+                  if shard.machine is not victim),
+                 key=lambda shard: (shard.span, -shard.lo))
+    resolver.split_shard(directory, widest, victim)
+    return {"simulator": world.simulator,
             "notes": {"scenario": "shard",
-                      "messages": cost.messages,
                       "splits": resolver.shard_splits,
                       "split_aborts": resolver.shard_split_aborts,
                       "migration_messages": resolver.migration_messages,
                       "shards": len(shard_map),
                       "machines": len(shard_map.machines()),
-                      "partition_ok": shard_map.is_partition()}}
+                      "partition_ok": shard_map.is_partition(),
+                      "audit": obs.auditor.summary()}}
 
 
 @scenario("shard-faults")
-def run_shard_faults(seed: int, style: ResolutionStyle,
-                     policy: CachePolicy, obs: Instrumentation) -> dict:
-    """Replicated shards riding out a shard-server crash: a Zipf run
-    over a 4-shard directory with two-deep replica sets crosses a
-    scripted crash/restart of one shard machine.  Lookups into the
-    dead range fail over to the surviving replica (``failover``
-    trace events, ``resolver_failovers_total``), a rebind during the
-    outage marks the dead copy stale, and the restart hook's
-    anti-entropy resyncs it — while the coherence auditor scores
-    every read (``audit_violations_total`` stays absent/zero) and the
-    flight recorder captures a replayable window around the outage
-    for ``--flight-out``.
-    """
-    import random as _random
-
-    from repro.obs.audit import (CoherenceAuditor, CoherenceContract,
-                                 FlightRecorder)
-    from repro.obs.slo import SLObjective, SLOTracker
-    from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
-
-    recorder = FlightRecorder(window=50.0)
-    auditor = CoherenceAuditor(
-        contract=CoherenceContract(slack=6.0),
-        slo=SLOTracker([
-            SLObjective("violation-free", violation_free=True),
-        ], metrics=obs.metrics),
-        recorder=recorder)
-    obs.auditor = auditor
-    auditor.bind_obs(obs)
-    simulator = Simulator(seed=seed, obs=obs)
-    recorder.wire(trace_log=simulator.trace, tracer=obs.tracer)
-    network = simulator.network("lan")
-    pool = [simulator.machine(network, f"shard{i}") for i in range(4)]
-    client_machine = simulator.machine(network, "client-m")
-    tree = NamingTree("root", sigma=simulator.sigma)
-    namespace = build_zipf_namespace(tree, "hot", count=3000,
-                                     distinct=64)
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    shard_map = placement.place_sharded(namespace.directory, *pool,
-                                        replicas=2)
-    client = simulator.spawn(client_machine, "client")
-    resolver = DistributedResolver(
-        simulator, placement,
-        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.1,
-                                 jitter=0.0))
-    injector = FailureInjector(simulator)
-    injector.on_restart(resolver.handle_restart)
-    victim = pool[0]
-    injector.schedule_timeline([
-        (300.0, "crash", victim),
-        (900.0, "restart", victim),
-    ])
-    context = ProcessContext(tree.root)
-    sampler = ZipfSampler(3000, rng=_random.Random(seed))
-    outcomes = {"ok": 0, "failed": 0}
-    failovers = 0
-    rebound = False
-    costs = []
-    for rank in sampler.sample_many(800):
-        simulator.run(until=simulator.clock.now)  # due faults land
-        if not victim.alive and not rebound:
-            # The outage write: fans out to the owning shard's
-            # replicas, marking the dead copy stale for anti-entropy.
-            resolver.rebind(namespace.directory, "spare0",
-                            namespace.shared_leaf)
-            rebound = True
-        _entity, cost = resolver.resolve(
-            client, context, "/hot/" + namespace.names[rank], style)
-        costs.append(cost)
-        failovers += cost.failovers
-        outcomes["failed" if cost.failed else "ok"] += 1
-    simulator.run()
-    recorder.capture(kind="final", time=simulator.clock.now,
+def run_shard_faults(seed: int, _style: ResolutionStyle,
+                     _policy: CachePolicy, obs: Instrumentation) -> dict:
+    """A11's replicated configuration at reduced scale: lookups into
+    a crashed shard server's range fail over (``failover`` events),
+    each outage's rebind marks the dead copy stale and anti-entropy
+    resyncs it on restart, the auditor scores every read
+    (``audit_violations_total`` stays absent) and the flight recorder
+    keeps a final window for ``--flight-out``."""
+    names, resolutions = 20_000, 2_000
+    world = experiments_shard_faults.deploy(seed, names, 2, obs)
+    recorder = _record_flights(world.auditor, world.simulator, obs,
+                               window=50.0)
+    ranks = ZipfSampler(names, rng=random.Random(seed)).sample_many(
+        resolutions)
+    run = experiments_shard_faults.run_config(world, ranks)
+    recorder.capture(kind="final", time=world.simulator.clock.now,
                      detail={"scenario": "shard-faults",
-                             "failovers": failovers})
-    cost = ResolutionCost.merge(costs)
-    return {"simulator": simulator,
+                             "failovers": run["failovers"]})
+    return {"simulator": world.simulator,
             "recorder": recorder,
             "notes": {"scenario": "shard-faults",
-                      "outcomes": outcomes,
-                      "messages": cost.messages,
-                      "failovers": failovers,
-                      "anti_entropy": resolver.anti_entropy_messages,
-                      "stale_remaining": placement.stale_count(),
-                      "audit": auditor.summary(),
-                      "violations": auditor.violation_count,
-                      "partition_ok": shard_map.is_partition(),
+                      "outcomes": {"ok": run["ok"],
+                                   "failed": run["failed"]},
+                      "failovers": run["failovers"],
+                      "anti_entropy": run["anti_entropy"],
+                      "stale_remaining": run["stale_remaining"],
+                      "audit": world.auditor.summary(),
+                      "violations": world.auditor.violation_count,
+                      "partition_ok": run["partitioned"],
                       "flight_dumps": recorder.captured}}
 
 
@@ -547,9 +329,12 @@ def main(argv=None) -> int:
                         default="basic")
     parser.add_argument("--style", choices=[s.value for s in
                                             ResolutionStyle],
-                        default="iterative")
+                        default="iterative",
+                        help="basic / hot / failure only: the other "
+                             "scenarios run their experiment's fixed "
+                             "configuration")
     parser.add_argument("--policy", choices=[p.value for p in CachePolicy],
-                        default="ttl")
+                        default="ttl", help="basic / hot / failure only")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", dest="fmt", default="tree",
                         choices=["tree", "chrome-trace", "prometheus",
