@@ -346,6 +346,14 @@ class DirectoryPlacement:
             return shard.replicas
         return tuple(self._replicas_of.get(directory.uid, ()))
 
+    def serves(self, machine: Machine, directory: Entity,
+               component: str) -> bool:
+        """True if *machine* is a live copy of *component*'s binding:
+        one of its replicas, and not marked stale — what a lookup
+        server may answer from."""
+        return (machine in self.replicas_for_binding(directory, component)
+                and not self.is_stale(directory, machine))
+
     def shard_of_binding(self, directory: Entity,
                          component: Optional[str]):
         """The shard owning *component*'s binding — a **pure read**.

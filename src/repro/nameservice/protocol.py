@@ -6,7 +6,12 @@
 :class:`~repro.nameservice.walk.Ask` the walk yields becomes one
 request message to a :class:`NameLookupServer` plus a timeout timer,
 each :class:`~repro.nameservice.leases.Wait` a backoff timer; replies
-and timeouts resume the walk.  What stays here is what belongs to
+and timeouts resume the walk.  A request names one binding and carries
+the unresolved suffix (``rest``); the server answers the binding and
+keeps walking the suffix for as long as it serves the directory it
+just reached, so the reply is a *trail* — one entity per component
+consumed — and a path one server holds costs one round trip, not one
+per component.  What stays here is what belongs to
 messages: request ids, per-request sequence numbers, timers and the
 late-reply count.  The protocol speaks through :mod:`repro.transport`:
 over a :class:`~repro.sim.kernel.Simulator` it runs on
@@ -71,6 +76,7 @@ from repro.nameservice.walk import (DOWN, LOST, STALE, Ask, ResolutionCost,
 from repro.obs.instrument import NO_OBS
 from repro.sim.network import Machine
 from repro.transport.base import Endpoint, Timer, Transport, as_transport
+from repro.transport.framing import MAX_REST
 
 __all__ = ["LookupOutcome", "PlacementRouter", "NameLookupServer",
            "AsyncNameClient"]
@@ -144,12 +150,16 @@ class PlacementRouter:
 
 
 class NameLookupServer:
-    """A directory server: answers single-step lookup requests.
+    """A directory server: answers lookup requests, a step at a time.
 
     One per machine; installs a message handler on a dedicated
-    endpoint.  A request carries the directory object and the
-    component to look up; the reply carries the resulting entity (or
-    ``None``) plus whether it is a further directory.
+    endpoint.  A request carries the directory object, the component
+    to look up and the components after it (``rest``); the reply
+    carries the ``trail``: the entity bound there and then one more
+    per component of ``rest`` for as long as the entity just reached
+    is a directory this server serves — ``⊥E`` last if the chain hit
+    an unbound name.  :attr:`requests_served`, the request metric and
+    the auditor count *steps*, chained or not.
 
     Args:
         simulator: A :class:`~repro.sim.kernel.Simulator` (a server
@@ -160,6 +170,11 @@ class NameLookupServer:
         machine: The hosting node (sim: a
             :class:`~repro.sim.network.Machine`).
         label: Endpoint label; defaults to ``lookupd@<machine>``.
+        placement: What this server serves, by the source its clients'
+            router reads: anything with ``serves(machine, directory,
+            component)`` (a :class:`DirectoryPlacement`; the socket
+            service's registry).  Without one the server cannot know
+            what it hosts and answers one step per request.
 
     Attributes:
         auditor: Optional :class:`~repro.obs.audit.CoherenceAuditor`;
@@ -175,10 +190,11 @@ class NameLookupServer:
     audit_policy: str = "invalidate"
 
     def __init__(self, simulator: Any, machine: Any = None,
-                 label: str = ""):
+                 label: str = "", placement: Any = None):
         self.transport: Transport = as_transport(simulator)
         self.simulator = getattr(self.transport, "simulator", None)
         self.machine = machine
+        self.placement = placement
         if not label:
             node_label = getattr(machine, "label", None)
             label = (f"lookupd@{node_label}" if node_label is not None
@@ -205,21 +221,35 @@ class NameLookupServer:
         request = payload["lookup"]
         directory: ObjectEntity = request["directory"]
         component: str = request["component"]
-        self.requests_served += 1
-        if self._obs.enabled:
-            self._m_requests.inc()
-        entity: Entity = UNDEFINED_ENTITY
-        if directory.is_context_object():
-            context: Context = directory.state
-            entity = context(component)
-        if self.auditor is not None and directory.is_defined():
-            self.auditor.observe_lookup(
-                directory, component, entity,
-                now=self.transport.now(), policy=self.audit_policy)
+        # Without a placement the server cannot know what it hosts.
+        placement = self.placement
+        rest = iter(request["rest"] if placement is not None else ())
+        trail: list[Entity] = []
+        while True:
+            self.requests_served += 1
+            if self._obs.enabled:
+                self._m_requests.inc()
+            entity: Entity = UNDEFINED_ENTITY
+            if directory.is_context_object():
+                context: Context = directory.state
+                entity = context(component)
+            if self.auditor is not None and directory.is_defined():
+                self.auditor.observe_lookup(
+                    directory, component, entity,
+                    now=self.transport.now(), policy=self.audit_policy)
+            trail.append(entity)
+            # §2: the rest of the name belongs with whoever holds the
+            # context just reached — walk on while that is this server.
+            component = next(rest, None)
+            if component is None or not entity.is_context_object() \
+                    or not placement.serves(self.machine, entity,
+                                            component):
+                break
+            directory = entity
         reply = self.endpoint.send(message.sender, payload={"reply": {
             "request_id": request["request_id"],
             "seq": request.get("seq", 0),
-            "entity": entity if entity.is_defined() else None,
+            "trail": trail,
         }}, latency=request.get("latency", 1.0))
         # The reply continues the request's trace.
         reply.trace_id = message.trace_id
@@ -425,12 +455,13 @@ class AsyncNameClient:
 
     # -- the walk's host (see repro.nameservice.walk) ----------------------
 
-    #: Every remote component is its own request/reply round trip from
-    #: the client; nothing is cached client-side, a lost directory
-    #: ends the lookup (below), and no breaker guards a server.  The
-    #: walk is built uninstrumented — its instants parent under the
-    #: tracer's *active* span and lookups interleave — so the lookup
-    #: span and the counters stay with this driver.
+    #: The walk never leaves the client, so every ask ships the
+    #: unresolved suffix for its server to walk on; nothing is cached
+    #: client-side, a lost directory ends the lookup (below), and no
+    #: breaker guards a server.  The walk is built uninstrumented — its
+    #: instants parent under the tracer's *active* span and lookups
+    #: interleave — so the lookup span and the counters stay with this
+    #: driver.
     parks = False
     failfast = False
     cache_policy = CachePolicy.NONE
@@ -484,6 +515,7 @@ class AsyncNameClient:
             "seq": pending.seq,
             "directory": ask.directory,
             "component": ask.component,
+            "rest": ask.rest[:MAX_REST],
             "latency": self.latency,
         }}, latency=self.latency)
         if pending.span is not None:
@@ -516,9 +548,7 @@ class AsyncNameClient:
         # The answer to the awaited request — in time, or during the
         # backoff before its re-send (the wait then ends early).
         pending.timer.cancel()
-        entity = reply["entity"]
-        self._step(pending,
-                   entity if entity is not None else UNDEFINED_ENTITY)
+        self._step(pending, reply["trail"])
 
     def _on_lease_message(self, message: Any, body: dict) -> None:
         """Handle a server-initiated lease callback (break)."""
@@ -571,6 +601,20 @@ class AsyncNameClient:
             pending.span.fail(reason)
         self._observe_done(pending, "failed")
         pending.completion(pending.outcome)
+
+    def abandon(self, request_id: int) -> bool:
+        """Drop a lookup whose caller is gone: no completion fires, its
+        timer and remaining re-asks die with it, and a reply that still
+        arrives is a settled late reply.  False if already settled."""
+        pending = self._pending.pop(request_id, None)
+        if pending is None:
+            return False
+        pending.timer.cancel()
+        pending.steps.close()
+        if pending.span is not None:
+            pending.span.fail("abandoned")
+        self._observe_done(pending, "abandoned")
+        return True
 
     def _observe_done(self, pending: _Pending, outcome: str) -> None:
         if not self._obs.enabled:

@@ -12,7 +12,13 @@ fail-fast regime — and performs no I/O.  It yields two effects:
 
 * :class:`Ask` — "ask *target* for ``directory(component)``, attempt
   *n*"; the driver resumes the generator with the entity bound there
-  (``⊥E`` if none) or with :data:`LOST`;
+  (``⊥E`` if none), with a *trail* or with :data:`LOST`.  A trail is
+  the answer of a server that kept walking ``Ask.rest`` (§2: the rest
+  of the name belongs with whoever holds the context just reached): a
+  list of one entity per component consumed, ``⊥E`` only last.  The
+  walk takes each as one more remote step at that server — cost,
+  ``charge``, deps and prefix fills as if it had asked — and carries
+  on from the last one through its own router;
 * :class:`~repro.nameservice.leases.Wait` — let a backoff pass; the
   driver resumes with ``None``, or with the reply the previous ask was
   still owed if that arrived first.
@@ -33,7 +39,8 @@ The *host* argument is the driver; the walk reads from it
   the primary, once, and the driver — which counts the lost leg —
   answers every ask so the walk reads on), ``parks`` (after an
   answered ask the walk stands at the target, so its next steps there
-  are free; a host that does not park stays at *home*) and
+  are free; a host that does not park stays at *home* and gets the
+  unresolved suffix on every ask, to ship with it) and
   ``cache_policy`` (``NONE`` = no probe, no fill, no degraded serve);
 * routing: ``replicas(directory, component)`` (candidate nodes,
   preferred first, empty if unplaced), ``target_on(directory, node)``
@@ -90,21 +97,25 @@ class Ask:
 
     One ``Ask`` serves a whole step: the walk re-yields it with the
     next ``attempt`` or ``target``.  *at* is where the walk stood when
-    the step began; ``origin`` is the driver's own note across the
-    step's asks.
+    the step began; *rest* is the components after *component* (empty
+    for a host that parks), which the target may resolve too and
+    answer with a trail; ``origin`` is the driver's own note across
+    the step's asks.
     """
 
-    __slots__ = ("target", "what", "directory", "component", "at",
+    __slots__ = ("target", "what", "directory", "component", "at", "rest",
                  "attempt", "origin")
 
     def __init__(self, target: Any, what: str,
                  directory: Optional[ObjectEntity] = None,
-                 component: Optional[str] = None, at: Any = None):
+                 component: Optional[str] = None, at: Any = None,
+                 rest: Any = ()):
         self.target = target
         self.what = what
         self.directory = directory
         self.component = component
         self.at = at
+        self.rest = rest
         self.attempt = 1
         self.origin: Any = None
 
@@ -256,6 +267,9 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
     # Once a step is served degraded (or unreachable) the walk's
     # remaining prefixes must not be memoized as coherent.
     tainted = False
+    # What a trail still owes the walk (next step last) and who sent it.
+    owed: list = []
+    owed_by: Any = None
 
     if remembering:
         hit = _deepest_prefix(host, home, context, rooted, comps, memo)
@@ -284,7 +298,12 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
         # walk stepped into is read wherever it is served.
         if entered is not None:
             served = None  # who answers; None: nobody could be reached
-            if failfast:
+            if owed:
+                # Already asked and answered: the server of the last
+                # ask walked on through this step.
+                entity, served = owed.pop(), owed_by
+                host.charge(served)
+            elif failfast:
                 served = host.primary(entered, component, routes)
                 if served is None:
                     served = at  # unplaced — wherever the walk is
@@ -337,7 +356,7 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                         cost.servers_touched.add(candidate.label)
                         if ask is None:
                             ask = Ask(candidate, what, entered, component,
-                                      at)
+                                      at, () if parks else comps[index + 1:])
                         else:
                             ask.target, ask.attempt = candidate, 1
                         reply = yield ask
@@ -360,6 +379,9 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                                     attrs={"directory": entered.label,
                                            "to": candidate.label,
                                            "passed_over": passed_over})
+                        if reply.__class__ is list:  # a trail
+                            owed, owed_by = reply[:0:-1], candidate
+                            reply = reply[0]
                         entity, served = reply, candidate
                         break
             if served is None:

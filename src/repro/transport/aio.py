@@ -27,8 +27,9 @@ into a backoff and resend.  ``send`` never blocks and never raises
 for network reasons.
 
 Like the simulator, ``send`` returns the envelope before the bytes
-leave (serialization happens on the next loop tick), so callers
-attach trace context exactly as they do on the kernel.
+leave, so callers attach trace context exactly as they do on the
+kernel: envelopes queue until the next loop tick, when one flush
+serializes them all and issues one ``write`` per connection.
 """
 
 from __future__ import annotations
@@ -148,15 +149,17 @@ class _Connection:
         finally:
             self._mark_closed()
 
-    def send_frame(self, frame: dict) -> bool:
-        if self.closed or self.writer.is_closing():
-            return False
-        try:
-            self.writer.write(encode_frame(frame))
-        except (ConnectionError, RuntimeError):
-            self._mark_closed()
-            return False
-        return True
+    def write(self, frames: list[bytes]) -> bool:
+        """All of *frames* in one ``write`` — or (False) none of them,
+        dropped and counted."""
+        if not (self.closed or self.writer.is_closing()):
+            try:
+                self.writer.write(b"".join(frames))
+                return True
+            except (ConnectionError, RuntimeError):
+                self._mark_closed()
+        self.transport.frames_dropped += len(frames)
+        return False
 
     def _mark_closed(self) -> None:
         if self.closed:
@@ -185,7 +188,7 @@ class _Peer:
 
     def __init__(self) -> None:
         self.conn: Optional[_Connection] = None
-        self.queue: list[dict] = []
+        self.queue: list[bytes] = []
         self.dialing = False
 
 
@@ -258,6 +261,8 @@ class AsyncioTransport(Transport):
         self._peers: dict[tuple[str, int], _Peer] = {}
         self._accepted: list[_Connection] = []
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Envelopes sent since the last flush: (route, to, frm, envelope).
+        self._outbox: list[tuple] = []
         #: Called with the session id of every connection that closes,
         #: so a server can drop the state it keeps per session.
         self.on_connection_closed: Optional[Callable[[int], None]] = None
@@ -323,46 +328,58 @@ class AsyncioTransport(Transport):
 
     def _post(self, sender: AsyncioEndpoint, target: Any,
               envelope: AsyncioEnvelope) -> None:
-        """Schedule the write for the next loop tick, so the caller
-        may attach trace context after ``send`` returns — the same
-        contract the simulator's ``send`` gives its callers."""
-        self.frames_sent += 1
-        asyncio.get_running_loop().call_soon(
-            self._write, sender, target, envelope)
-
-    def _write(self, sender: AsyncioEndpoint, target: Any,
-               envelope: AsyncioEnvelope) -> None:
-        frame = {"to": None, "frm": sender.label,
-                 "p": self.codec.encode(envelope.payload),
-                 "t": [envelope.trace_id, envelope.parent_span_id]}
-        if isinstance(target, AsyncioEndpoint):
-            # Loopback: still round-trip the codec, so in-process
-            # endpoints see exactly the wire's visible payloads.
-            frame["to"] = target.label
-            self._dispatch(frame, None)
-            return
+        """Queue the envelope for this loop tick's flush, so the
+        caller may attach trace context after ``send`` returns — the
+        same contract the simulator's ``send`` gives its callers."""
         if isinstance(target, ConnAddress):
-            frame["to"] = target.label
-            if not target.conn.send_frame(frame):
-                self.frames_dropped += 1
-            return
-        if isinstance(target, tuple) and len(target) == 3:
-            host, port, label = target
-            frame["to"] = label
-            self._send_dialed((host, int(port)), frame)
-            return
-        raise SimulationError(
-            f"AsyncioEndpoint cannot address {target!r}")
+            route, label = target.conn, target.label
+        elif isinstance(target, AsyncioEndpoint):
+            route, label = None, target.label
+        elif isinstance(target, tuple) and len(target) == 3:
+            route, label = (target[0], int(target[1])), target[2]
+        else:
+            raise SimulationError(
+                f"AsyncioEndpoint cannot address {target!r}")
+        self.frames_sent += 1
+        if not self._outbox:
+            asyncio.get_running_loop().call_soon(self._flush)
+        self._outbox.append((route, label, sender.label, envelope))
 
-    def _send_dialed(self, key: tuple[str, int], frame: dict) -> None:
+    def _flush(self) -> None:
+        """Serialize every envelope queued since the last tick and
+        write each connection's frames at once."""
+        outbox, self._outbox = self._outbox, []
+        batches: dict[Any, list[bytes]] = {}
+        for route, label, sender, envelope in outbox:
+            frame = {"to": label, "frm": sender,
+                     "p": self.codec.encode(envelope.payload)}
+            if envelope.trace_id is not None \
+                    or envelope.parent_span_id is not None:
+                frame["t"] = [envelope.trace_id, envelope.parent_span_id]
+            if route is None:
+                # Loopback: still round-trip the codec, so in-process
+                # endpoints see exactly the wire's visible payloads.
+                self._dispatch(frame, None)
+                continue
+            try:
+                batches.setdefault(route, []).append(encode_frame(frame))
+            except FrameError:  # oversized: lost like any other frame
+                self.frames_dropped += 1
+        for route, frames in batches.items():
+            if isinstance(route, tuple):
+                self._send_dialed(route, frames)
+            else:
+                route.write(frames)
+
+    def _send_dialed(self, key: tuple[str, int],
+                     frames: list[bytes]) -> None:
         peer = self._peers.get(key)
         if peer is None:
             peer = self._peers[key] = _Peer()
         if peer.conn is not None:
-            if not peer.conn.send_frame(frame):
-                self.frames_dropped += 1
+            peer.conn.write(frames)
             return
-        peer.queue.append(frame)
+        peer.queue.extend(frames)
         if not peer.dialing:
             peer.dialing = True
             asyncio.get_running_loop().create_task(self._dial(key, peer))
@@ -381,9 +398,7 @@ class AsyncioTransport(Transport):
         peer.conn = _Connection(self, reader, writer, peer_key=key)
         peer.dialing = False
         queued, peer.queue = peer.queue, []
-        for frame in queued:
-            if not peer.conn.send_frame(frame):
-                self.frames_dropped += 1
+        peer.conn.write(queued)
 
     def _forget_connection(self, conn: _Connection) -> None:
         if conn.peer_key is not None:

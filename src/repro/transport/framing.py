@@ -19,12 +19,16 @@ import json
 import struct
 from typing import Any, Iterator, Optional
 
-__all__ = ["MAX_FRAME", "FrameError", "encode_frame", "FrameDecoder",
-           "dumps", "loads"]
+__all__ = ["MAX_FRAME", "MAX_REST", "FrameError", "encode_frame",
+           "FrameDecoder", "dumps", "loads"]
 
 #: Frames above this size are rejected on both encode and decode — a
 #: corrupted length prefix must not make the reader buffer gigabytes.
 MAX_FRAME = 16 * 1024 * 1024
+#: Components a lookup request may ship beyond the one it asks — the
+#: steps one frame may make its server walk (namespaces can be cyclic).
+#: A longer name is finished by further asks.
+MAX_REST = 256
 
 _HEADER = struct.Struct(">I")
 

@@ -3,8 +3,10 @@
 :class:`NamingService` serves a namespace over an
 :class:`~repro.transport.aio.AsyncioTransport`: the *unchanged*
 :class:`~repro.nameservice.protocol.NameLookupServer` answers lookup
-steps, a small control endpoint (``ctl``) answers hello/lease/rebind
-requests, and rebinds fan break callbacks out to lease holders with
+steps (told by the registry that it serves the whole tree, so it walks
+a request's suffix to the end), a small control endpoint (``ctl``)
+answers hello/lease/rebind requests, and rebinds fan break callbacks
+out to lease holders with
 :func:`~repro.transport.leases.callback_fanout_async` — driven by the
 same :class:`~repro.nameservice.leases.LeaseManager`,
 :class:`~repro.nameservice.retry.RetryPolicy` and wall-clock-bound
@@ -123,7 +125,8 @@ class NamingService:
         self.registry.register_tree(root)
         self.transport = AsyncioTransport(
             seed=seed, obs=obs, codec=WireCodec(registry=self.registry))
-        self.server = NameLookupServer(self.transport, None, label)
+        self.server = NameLookupServer(self.transport, None, label,
+                                       placement=self.registry)
         if auditor is not None:
             self.server.auditor = auditor
         self.auditor = auditor
@@ -380,10 +383,14 @@ class RemoteNameClient:
         """Awaitable resolution: returns the final
         :class:`~repro.nameservice.protocol.LookupOutcome`."""
         future = asyncio.get_running_loop().create_future()
-        self.client.resolve(
+        request_id = self.client.resolve(
             self.start, name,
             lambda outcome: future.done() or future.set_result(outcome))
-        return await asyncio.wait_for(future, timeout)
+        try:
+            return await asyncio.wait_for(future, timeout)
+        finally:
+            # Timed out or cancelled: nobody is left to hear the answer.
+            self.client.abandon(request_id)
 
     async def lease(self, dep: tuple, timeout: float = 5.0) -> dict:
         """Take a lease on *dep*; installs the client-side grant."""

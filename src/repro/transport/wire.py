@@ -10,8 +10,8 @@ this module defines the mapping both sides agree on:
   the server's live entities; decoding a lookup request turns the
   wire's ``directory`` uid back into the registered context object
   (an unknown uid decodes to ``⊥E``, which the lookup server answers
-  as unbound — never a crash).  Encoding a reply flattens the entity
-  to a :func:`describe_entity` descriptor.
+  as unbound — never a crash).  Encoding a reply flattens each entity
+  of its trail to a :func:`describe_entity` descriptor.
 * **Client side** — an :class:`EntityProxyCache` turns descriptors
   into *proxies*: :class:`RemoteDirectory` (an object entity whose
   state is a :class:`RemoteContext`, so the client's walk steps into
@@ -33,6 +33,7 @@ from typing import Any, Optional
 
 from repro.model.context import Context
 from repro.model.entities import Entity, ObjectEntity, UNDEFINED_ENTITY
+from repro.transport.framing import MAX_REST
 
 __all__ = ["RemoteContext", "RemoteEntity", "RemoteDirectory",
            "DirectoryRegistry", "EntityProxyCache", "WireCodec",
@@ -132,6 +133,11 @@ class DirectoryRegistry:
         """The registered entity, or ``⊥E`` for unknown uids."""
         return self._by_uid.get(uid, UNDEFINED_ENTITY)
 
+    def serves(self, _node: Any, directory: Entity, _component: str) -> bool:
+        """What a lookup server over this registry may walk into: the
+        one process holds every registered entity, on its only node."""
+        return self._by_uid.get(directory.uid) is directory
+
     def __len__(self) -> int:
         return len(self._by_uid)
 
@@ -157,6 +163,24 @@ class EntityProxyCache:
         return len(self._proxies)
 
 
+def _is_rest(rest: Any) -> bool:
+    """A request's unresolved suffix: strings, at most the cap."""
+    return (isinstance(rest, list) and len(rest) <= MAX_REST
+            and all(isinstance(component, str) for component in rest))
+
+
+def _is_descriptor(value: Any) -> bool:
+    return isinstance(value, dict) and isinstance(value.get("uid"), int)
+
+
+def _is_trail(trail: Any) -> bool:
+    """A reply's answer: one descriptor per component consumed, the
+    last ``null`` if the chain hit an unbound name."""
+    return (isinstance(trail, list) and 0 < len(trail) <= MAX_REST + 1
+            and (trail[-1] is None or _is_descriptor(trail[-1]))
+            and all(map(_is_descriptor, trail[:-1])))
+
+
 def _dep_to_wire(dep: Any) -> Any:
     return list(dep) if isinstance(dep, tuple) else dep
 
@@ -173,7 +197,7 @@ class WireCodec:
     * servers pass a :class:`DirectoryRegistry` so incoming
       ``lookup.directory`` uids decode to live entities;
     * clients pass an :class:`EntityProxyCache` so incoming
-      ``reply.entity`` descriptors decode to stable proxies.
+      ``reply.trail`` descriptors decode to stable proxies.
 
     Payload kinds outside the protocol vocabulary must already be
     JSON-framable and pass through untouched, so demo/control traffic
@@ -194,12 +218,17 @@ class WireCodec:
         if not isinstance(payload, dict):
             return payload
         if "lookup" in payload:
-            request = dict(payload["lookup"])
-            request["directory"] = remote_uid_of(request["directory"])
-            return {"lookup": request}
+            # (The simulator's ``latency`` delivery hint stays behind.)
+            request = payload["lookup"]
+            return {"lookup": {
+                "request_id": request["request_id"], "seq": request["seq"],
+                "directory": remote_uid_of(request["directory"]),
+                "component": request["component"],
+                "rest": request["rest"]}}
         if "reply" in payload:
             reply = dict(payload["reply"])
-            reply["entity"] = describe_entity(reply.get("entity"))
+            reply["trail"] = [describe_entity(entity)
+                              for entity in reply["trail"]]
             return {"reply": reply}
         if "lease" in payload:
             body = dict(payload["lease"])
@@ -210,6 +239,11 @@ class WireCodec:
 
     # -- decode (JSONable → payload) ------------------------------------
 
+    def _registered(self, descriptor: Optional[dict]) -> Entity:
+        if self.registry is None or descriptor is None:
+            return UNDEFINED_ENTITY
+        return self.registry.get(descriptor["uid"])
+
     def decode(self, payload: Any) -> Any:
         if not isinstance(payload, dict):
             return payload
@@ -217,7 +251,8 @@ class WireCodec:
             request = payload["lookup"]
             if not (isinstance(request, dict) and "request_id" in request
                     and isinstance(request.get("directory"), int)
-                    and isinstance(request.get("component"), str)):
+                    and isinstance(request.get("component"), str)
+                    and _is_rest(request.get("rest"))):
                 raise WireError(f"malformed lookup request: {request!r}")
             request = dict(request)
             request["directory"] = (
@@ -229,20 +264,13 @@ class WireCodec:
             if not (isinstance(reply, dict)
                     and isinstance(reply.get("request_id"), int)):
                 raise WireError(f"malformed lookup reply: {reply!r}")
-            descriptor = reply.get("entity")
-            if descriptor is not None and not (
-                    isinstance(descriptor, dict)
-                    and isinstance(descriptor.get("uid"), int)):
-                raise WireError(f"malformed entity in reply: {reply!r}")
+            if not _is_trail(reply.get("trail")):
+                raise WireError(f"malformed trail in reply: {reply!r}")
             reply = dict(reply)
-            if self.proxies is not None:
-                entity = self.proxies.proxy(descriptor)
-            else:
-                entity = (self.registry.get(descriptor["uid"])
-                          if self.registry is not None
-                          and descriptor is not None
-                          else UNDEFINED_ENTITY)
-            reply["entity"] = entity if entity.is_defined() else None
+            entity = (self.proxies.proxy if self.proxies is not None
+                      else self._registered)
+            reply["trail"] = [entity(descriptor)
+                              for descriptor in reply["trail"]]
             return {"reply": reply}
         if "lease" in payload:
             if not isinstance(payload["lease"], dict):

@@ -56,15 +56,17 @@ def pqid_population():
 
 class AsyncLookups:
     """The walk's message-driven driver over a deployment built for the
-    synchronous one: a lookup server on each of *machines*, one
-    :class:`AsyncNameClient` (``.client``) on *client_machine*.
+    synchronous one: a lookup server on each of *machines* (handed the
+    placement, so it walks a request's suffix through what it hosts),
+    one :class:`AsyncNameClient` (``.client``) on *client_machine*.
     Calling it resolves one name to its ``LookupOutcome``, running the
     kernel until the lookup settles."""
 
     def __init__(self, simulator, placement, client_machine, machines,
                  **client_options):
         self.simulator = simulator
-        servers = {id(machine): NameLookupServer(simulator, machine)
+        servers = {id(machine): NameLookupServer(simulator, machine,
+                                                 placement=placement)
                    for machine in machines}
         self.client = AsyncNameClient(
             simulator, placement, servers,

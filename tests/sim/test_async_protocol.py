@@ -342,3 +342,41 @@ class TestServer:
         client.process.send(server.process, payload="junk")
         simulator.run()
         assert server.requests_served == 0
+
+
+class TestAbandon:
+    def test_an_abandoned_lookup_goes_quiet(self):
+        """No completion, no timer left to re-ask, and the reply that
+        was already on its way back counts as a settled late reply."""
+        simulator, client, context, _leaf, _s1 = make_world(
+            instrument=True)
+        outcomes = []
+        request_id = client.resolve(context, "/a/b/c/leaf", outcomes.append)
+        assert client.outstanding() == 1
+        assert client.abandon(request_id)
+        assert client.outstanding() == 0
+        assert not client.abandon(request_id)       # settled: a no-op
+        simulator.run()
+        assert outcomes == []
+        assert simulator.messages_sent == 2         # the ask, its reply
+        assert client.late_replies == 1
+        metrics = simulator.obs.metrics
+        assert metrics.value_of("async_late_replies_total",
+                                {"kind": "settled"}) == 1.0
+        assert metrics.value_of("async_lookups_total",
+                                {"outcome": "abandoned"}) == 1.0
+        [span] = simulator.obs.tracer.of_kind("lookup")
+        assert span.status == "failed" and span.reason == "abandoned"
+
+    def test_abandoning_during_a_backoff_cancels_the_re_ask(self):
+        policy = RetryPolicy(max_attempts=3, base_backoff=4.0, jitter=0.0)
+        simulator, client, context, _leaf, server1 = make_world(
+            timeout=2.0, retry_policy=policy)
+        FailureInjector(simulator).crash_machine(server1)
+        outcomes = []
+        request_id = client.resolve(context, "/a/b/c/leaf", outcomes.append)
+        simulator.run(until=3.0)                    # timed out; backing off
+        sent = simulator.messages_sent
+        assert client.abandon(request_id)
+        simulator.run()
+        assert outcomes == [] and simulator.messages_sent == sent

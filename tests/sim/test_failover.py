@@ -184,11 +184,13 @@ def make_world(cache_policy=CachePolicy.NONE, retry=True,
     m1 = simulator.machine(srv, "m1")
     m2 = simulator.machine(srv, "m2")
     tree = NamingTree("root", sigma=simulator.sigma, parent_links=True)
-    tree.mkdir("svc")
+    tree.mkdir("svc/deep")
     files = [tree.mkfile(f"svc/f{i}") for i in range(2)]
+    files.append(tree.mkfile("svc/deep/g"))
     placement = DirectoryPlacement()
     placement.place(tree.root, client_machine)
     placement.place_replicated(tree.directory("svc"), m1, m2)
+    placement.place_replicated(tree.directory("svc/deep"), m1, m2)
     client = simulator.spawn(client_machine, "client")
     context = ProcessContext(tree.root)
     policy = RetryPolicy(max_attempts=2, base_backoff=0.1,
@@ -300,6 +302,62 @@ class TestFailoverResolution:
             assert outcome.failed is cost.failed is False
             assert (outcome.cost.retries, outcome.failovers) \
                 == (cost.retries, cost.failovers) == reasks_and_failovers
+
+    def test_both_drivers_agree_when_the_chained_request_is_lost(
+            self, async_lookups):
+        """``/svc/deep/g`` is two steps at one server — one request for
+        the message-driven client, which ships the suffix.  The primary
+        dies with that request in flight: the lost request is re-asked
+        whole, the walk fails over to the secondary and chains there,
+        and both drivers report the same entity, ``failed``, re-ask and
+        failover counts — as they do once the primary is back.  (One
+        lookup per phase: only the resolver keeps circuit breakers.)"""
+        world = make_world(jitter=0.0)
+        resolver, injector = world["resolver"], world["injector"]
+        simulator = world["simulator"]
+        client_machine, m1, m2 = world["machines"]
+        lookup = async_lookups(
+            simulator, world["placement"], client_machine,
+            world["machines"], timeout=2.5,
+            max_retries=resolver.retry_policy.max_attempts - 1,
+            retry_policy=resolver.retry_policy)
+        servers = lookup.client.servers
+        injector.on_restart(resolver.handle_restart)
+        injector.on_restart(lambda _m: servers[id(m1)].respawn(), machine=m1)
+        resolver.resolve(world["client"], world["context"], "/svc/f0")
+
+        def pumped():
+            entity, cost = resolver.resolve(
+                world["client"], world["context"], "/svc/deep/g")
+            return entity, cost.failed, cost.retries, cost.failovers, \
+                cost.steps, cost.remote_steps
+
+        def messages():
+            sent = simulator.messages_sent
+            served = [servers[id(m)].requests_served for m in (m1, m2)]
+            outcome = lookup(world["context"], "/svc/deep/g")
+            messages.requests = simulator.messages_sent - sent
+            messages.served = [servers[id(m)].requests_served - before
+                               for m, before in zip((m1, m2), served)]
+            return outcome.entity, outcome.failed, outcome.cost.retries, \
+                outcome.failovers, outcome.steps, outcome.cost.remote_steps
+
+        reports = {}
+        for driver in (pumped, messages):
+            injector.schedule(simulator.clock.now + 0.5, "crash", m1)
+            reports[driver.__name__, "mid-flight"] = driver()
+            injector.restart_machine(m1)
+            reports[driver.__name__, "restarted"] = driver()
+        for phase, expected in (("mid-flight", (1, 1)),
+                                ("restarted", (0, 0))):
+            report = reports["messages", phase]
+            assert report == reports["pumped", phase]
+            assert report[:2] == (world["files"][2], False)
+            assert report[2:4] == expected
+            assert report[4:] == (4, 2)
+        # Restarted and healthy: one request, one reply, both steps
+        # served by the primary.
+        assert (messages.requests, messages.served) == (2, [2, 0])
 
     def test_breaker_opens_then_recovers_after_cooldown(self):
         world = make_world(jitter=0.0)

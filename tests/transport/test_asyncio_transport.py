@@ -13,8 +13,10 @@ import socket
 import pytest
 
 from repro.errors import SimulationError
+from repro.transport import aio
 from repro.transport.aio import Address, AsyncioTransport
 from repro.transport.base import Transport, as_transport
+from repro.transport.framing import FrameDecoder, FrameError
 
 
 def free_port() -> int:
@@ -204,4 +206,148 @@ class TestSockets:
             assert len(sessions) == 1  # one connection, three frames
             await client.aclose()
             await server.aclose()
+        run(scenario())
+
+
+class _RawPeer:
+    """A listening socket that keeps what arrives, so a test sees the
+    frames as the wire carries them."""
+
+    def __init__(self):
+        self.decoder = FrameDecoder()
+        self.frames: list = []
+
+    async def start(self) -> Address:
+        async def on_accept(reader, writer):
+            try:
+                while data := await reader.read(65536):
+                    self.frames.extend(self.decoder.feed(data))
+            finally:
+                writer.close()
+        self.server = await asyncio.start_server(on_accept, "127.0.0.1", 0)
+        host, port = self.server.sockets[0].getsockname()[:2]
+        return Address(host, port, "svc")
+
+    async def got(self, count: int) -> None:
+        for _ in range(200):
+            if len(self.frames) >= count:
+                return
+            await asyncio.sleep(0.01)
+        raise AssertionError(f"only {len(self.frames)} frames arrived")
+
+    async def aclose(self) -> None:
+        self.server.close()
+        await self.server.wait_closed()
+
+
+class TestFlush:
+    """One flush per loop tick: every envelope sent in the tick is
+    serialized then, and each connection is written once."""
+
+    def test_a_ticks_frames_leave_in_one_write_in_order(self, monkeypatch):
+        async def scenario():
+            peer = _RawPeer()
+            target = await peer.start()
+            transport = AsyncioTransport()
+            endpoint = transport.endpoint(label="c")
+            endpoint.send(target, payload="dial")   # opens the connection
+            await peer.got(1)
+            writes = []
+            original = asyncio.StreamWriter.write
+            monkeypatch.setattr(
+                asyncio.StreamWriter, "write",
+                lambda writer, data: (writes.append(data),
+                                      original(writer, data))[1])
+            for index in range(5):
+                endpoint.send(target, payload=index)
+            assert writes == []                     # nothing leaves in send
+            await peer.got(6)
+            assert len(writes) == 1
+            assert [frame["p"] for frame in peer.frames[1:]] == [0, 1, 2, 3, 4]
+            assert transport.frames_sent == 6
+            # A lone frame leaves on the very next tick, as it always
+            # did: batching holds nothing back.
+            endpoint.send(target, payload="lone")
+            await asyncio.sleep(0)
+            assert len(writes) == 2
+            await transport.aclose()
+            await peer.aclose()
+        run(scenario())
+
+    def test_frames_queued_behind_a_dial_leave_in_one_write(self):
+        async def scenario():
+            peer = _RawPeer()
+            target = await peer.start()
+            transport = AsyncioTransport()
+            endpoint = transport.endpoint(label="c")
+            endpoint.send(target, payload="a")
+            await asyncio.sleep(0)                  # flushed: dial in flight
+            endpoint.send(target, payload="b")
+            await peer.got(2)
+            assert [frame["p"] for frame in peer.frames] == ["a", "b"]
+            assert len(transport._peers) == 1
+            await transport.aclose()
+            await peer.aclose()
+        run(scenario())
+
+    def test_an_untraced_frame_carries_no_trace_field(self):
+        async def scenario():
+            peer = _RawPeer()
+            target = await peer.start()
+            transport = AsyncioTransport()
+            endpoint = transport.endpoint(label="c")
+            endpoint.send(target, payload="plain")
+            traced = endpoint.send(target, payload="traced")
+            traced.trace_id, traced.parent_span_id = "T", "S"
+            await peer.got(2)
+            assert peer.frames == [
+                {"to": "svc", "frm": "c", "p": "plain"},
+                {"to": "svc", "frm": "c", "p": "traced", "t": ["T", "S"]}]
+            await transport.aclose()
+            await peer.aclose()
+        run(scenario())
+
+    def test_an_untraced_frame_arrives_without_context(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            a = transport.endpoint(label="a")
+            got = []
+            transport.endpoint(label="b").on_message(
+                lambda _e, env: got.append((env.trace_id,
+                                            env.parent_span_id)))
+            a.send(transport.endpoint(label="b"), payload=1)
+            await asyncio.sleep(0)
+            assert got == [(None, None)]
+        run(scenario())
+
+    def test_an_unaddressable_target_raises_at_send(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            endpoint = transport.endpoint(label="c")
+            with pytest.raises(SimulationError):
+                endpoint.send("nowhere", payload=1)
+            assert transport.frames_sent == 0 and not transport._outbox
+        run(scenario())
+
+    def test_an_oversized_frame_is_dropped_alone(self, monkeypatch):
+        async def scenario():
+            peer = _RawPeer()
+            target = await peer.start()
+            transport = AsyncioTransport()
+            endpoint = transport.endpoint(label="c")
+            real = aio.encode_frame
+
+            def encode(frame):
+                if frame["p"] == "huge":
+                    raise FrameError("too big")
+                return real(frame)
+            monkeypatch.setattr(aio, "encode_frame", encode)
+            for payload in ("before", "huge", "after"):
+                endpoint.send(target, payload=payload)
+            await peer.got(2)
+            assert [frame["p"] for frame in peer.frames] == ["before",
+                                                             "after"]
+            assert transport.frames_dropped == 1
+            await transport.aclose()
+            await peer.aclose()
         run(scenario())

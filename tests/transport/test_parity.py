@@ -7,10 +7,14 @@ transport — a real ``NamingService`` on a localhost socket.  The
 *identical* protocol code must produce:
 
 * identical resolution outcomes per lookup (defined-ness, failure
-  flag, step count, resolved entity label), and
+  flag, step count, resolved entity label, and the number of request
+  messages it cost — both servers know what they serve, so both walk
+  a request's suffix and a path one server holds is one round trip),
+  and
 * identical coherence-audit verdict counts from a
   ``CoherenceAuditor`` wired to each substrate's server — with zero
-  violations on either.
+  violations on either (``observed`` equal: no step is audited twice
+  or skipped, chained or not).
 
 The script is generated from a seed so the suite covers a different
 op mix per seed without losing reproducibility.
@@ -75,9 +79,9 @@ def make_script(seed: int) -> list[tuple]:
     return script
 
 
-def outcome_row(name: str, outcome) -> tuple:
+def outcome_row(name: str, outcome, requests: int) -> tuple:
     return (name, outcome.ok, outcome.failed, outcome.reason,
-            outcome.steps,
+            outcome.steps, outcome.cost.remote_steps, requests,
             outcome.entity.label if outcome.entity.is_defined() else None)
 
 
@@ -92,8 +96,9 @@ def placed_directories(root: Entity) -> list[Entity]:
 
 
 def run_script_sim(script, seed: int):
-    """The script over SimTransport: every directory hosted remotely,
-    so each component step is a real request/reply exchange."""
+    """The script over SimTransport: every directory hosted remotely
+    on one machine, whose server is handed the placement — so, like
+    the socket service, it answers a whole path in one exchange."""
     auditor = CoherenceAuditor()
     simulator = Simulator(seed=seed)
     network = simulator.network("lan")
@@ -103,7 +108,8 @@ def run_script_sim(script, seed: int):
     placement = DirectoryPlacement()
     for directory in placed_directories(root):
         placement.place(directory, server_machine)
-    server = NameLookupServer(simulator, server_machine)
+    server = NameLookupServer(simulator, server_machine,
+                              placement=placement)
     server.auditor = auditor
     servers = {id(server_machine): server}
     process = simulator.spawn(client_machine, "client")
@@ -114,9 +120,12 @@ def run_script_sim(script, seed: int):
     for op in script:
         if op[0] == "lookup":
             outcomes = []
+            sent = simulator.messages_sent
             client.resolve(start, op[1], outcomes.append)
             simulator.run()
-            rows.append(outcome_row(op[1], outcomes[0]))
+            # Lookups are the only traffic: a request and its reply.
+            rows.append(outcome_row(op[1], outcomes[0],
+                                    (simulator.messages_sent - sent) // 2))
         else:
             # The write NamingService._rebind commits, by the same
             # function; new directories get placed so post-rebind
@@ -150,8 +159,10 @@ def run_script_asyncio(script, seed: int):
         try:
             for op in script:
                 if op[0] == "lookup":
+                    sent = client.transport.frames_sent
                     outcome = await client.resolve(op[1])
-                    rows.append(outcome_row(op[1], outcome))
+                    rows.append(outcome_row(
+                        op[1], outcome, client.transport.frames_sent - sent))
                 else:
                     _, path, label, directory = op
                     await client.rebind(path, label=label,
@@ -171,6 +182,10 @@ def test_same_script_same_outcomes_and_verdicts(seed):
     aio_rows, aio_auditor = run_script_asyncio(script, seed)
 
     assert aio_rows == sim_rows
+    # One server holds every path: each lookup that left the client
+    # cost exactly one request, however many steps it took.
+    assert {row[6] for row in sim_rows} == {1}
+    assert max(row[5] for row in sim_rows) == 3
 
     # Audit parity: every served step audited, identical verdict
     # tallies, zero violations on either substrate.
@@ -180,6 +195,44 @@ def test_same_script_same_outcomes_and_verdicts(seed):
     assert sim_auditor.by_verdict["violation"] == 0
     assert len(sim_auditor.violations) == 0
     assert len(aio_auditor.violations) == 0
+
+
+def test_a_path_split_over_two_servers_is_one_round_trip_each():
+    """The root directory on one server, ``/usr`` and below on another
+    (SimTransport only — the socket router has no per-directory
+    placement yet): ``/usr/bin/python`` is two round trips, the served
+    steps split 1 + 2, and every step is audited exactly once."""
+    auditor = CoherenceAuditor()
+    simulator = Simulator(seed=0)
+    network = simulator.network("lan")
+    client_machine = simulator.machine(network, "client-m")
+    machines = [simulator.machine(network, f"server-{i}") for i in (0, 1)]
+    root = build_namespace()
+    placement = DirectoryPlacement()
+    for directory in placed_directories(root):
+        placement.place(directory, machines[directory is not root])
+    servers = {id(machine): NameLookupServer(simulator, machine,
+                                             placement=placement)
+               for machine in machines}
+    for server in servers.values():
+        server.auditor = auditor
+    client = AsyncNameClient(simulator, placement, servers,
+                             simulator.spawn(client_machine, "client"))
+    start = Context(label="start")
+    start.bind(ROOT_NAME, root)
+    outcomes = []
+    client.resolve(start, "/usr/bin/python", outcomes.append)
+    simulator.run()
+    [outcome] = outcomes
+    assert outcome.ok and outcome.entity.label == "python3"
+    assert (outcome.steps, outcome.cost.remote_steps) == (4, 3)
+    assert outcome.cost.servers_touched == {
+        server.label for server in servers.values()}
+    assert simulator.messages_sent == 4             # 2 round trips
+    assert [servers[id(machine)].requests_served
+            for machine in machines] == [1, 2]
+    assert auditor.observed == 3
+    assert auditor.by_verdict["violation"] == 0
 
 
 def test_script_is_seed_sensitive_but_reproducible():

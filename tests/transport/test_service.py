@@ -13,10 +13,15 @@ import socket
 
 import pytest
 
-from repro.model.context import context_object
+from repro.model.context import Context, context_object
 from repro.model.entities import ObjectEntity
+from repro.model.names import ROOT_NAME
+from repro.model.resolution import resolve as local_resolve
 from repro.nameservice.retry import RetryPolicy
+from repro.obs.instrument import Instrumentation
+from repro.transport.framing import MAX_REST, encode_frame
 from repro.transport.service import NamingService, RemoteNameClient
+from repro.transport.wire import remote_uid_of
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_backoff=0.02,
                          max_backoff=0.1)
@@ -67,13 +72,98 @@ class TestLookups:
                 await service.aclose()
         run(scenario())
 
+    def test_one_round_trip_for_a_path_one_server_holds(self):
+        """The request ships the unresolved suffix and the server walks
+        it: three steps served, one request frame, one reply frame."""
+        async def scenario():
+            service, client = await start_pair()
+            try:
+                sent = client.transport.frames_sent
+                delivered = client.transport.frames_delivered
+                outcome = await client.resolve("/usr/bin/python")
+                assert outcome.ok and outcome.cost.remote_steps == 3
+                assert outcome.cost.local_steps == 0
+                assert client.transport.frames_sent == sent + 1
+                assert client.transport.frames_delivered == delivered + 1
+                assert service.server.requests_served == 3
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
     def test_missing_name_is_undefined_not_failed(self):
         async def scenario():
             service, client = await start_pair()
             try:
+                sent = client.transport.frames_sent
                 outcome = await client.resolve("/usr/bin/ghost")
                 assert not outcome.ok and not outcome.failed
                 assert not outcome.entity.is_defined()
+                # Asked and answered: the trail ends in the unbound
+                # name, the client does not ask for it again.
+                assert client.transport.frames_sent == sent + 1
+                assert service.server.requests_served == 3
+                # A leaf in the middle of the name ends the chain there.
+                outcome = await client.resolve("/usr/bin/python/x/y")
+                assert not outcome.ok and not outcome.failed
+                assert client.transport.frames_sent == sent + 2
+                assert service.server.requests_served == 6
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+    def test_unregistered_directory_is_not_walked_into(self):
+        """The server chains only through what its registry holds — the
+        directories its clients could also ask it for by uid."""
+        async def scenario():
+            service, client = await start_pair()
+            try:
+                side = context_object("side")
+                side.state.bind("door", ObjectEntity("door"))
+                service.root.state("etc").state.bind("side", side)
+                outcome = await client.resolve("/etc/side/door")
+                # etc → side served in one chain; `side` is unknown to
+                # the registry, so the next ask decodes to ⊥E: unbound.
+                assert not outcome.ok and not outcome.failed
+                service.registry.register_tree(side)
+                outcome = await client.resolve("/etc/side/door")
+                assert outcome.ok and outcome.entity.label == "door"
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+    def test_a_name_longer_than_the_cap_through_a_cycle(self):
+        """`..` bindings make the namespace cyclic, so a name may be
+        arbitrarily long: the client ships at most MAX_REST components
+        per request, the walk finishes the rest with further asks, and
+        the answer is the local model's."""
+        async def scenario():
+            root = build_root()
+            usr = root.state("usr")
+            usr.state.bind("..", root)
+            service = NamingService(root, retry_policy=FAST_RETRY)
+            address = await service.start()
+            client = RemoteNameClient([(address.host, address.port)],
+                                      retry_policy=FAST_RETRY)
+            await client.connect()
+            try:
+                laps = MAX_REST          # 2 components each: > 2 frames
+                name = "/" + "usr/../" * laps + "usr/bin/python"
+                start = Context(label="local")
+                start.bind(ROOT_NAME, root)
+                expected = local_resolve(start, name)
+                sent = client.transport.frames_sent
+                outcome = await client.resolve(name)
+                assert outcome.ok
+                assert remote_uid_of(outcome.entity) == expected.uid
+                steps = 2 * laps + 3
+                assert outcome.cost.remote_steps == steps
+                assert service.server.requests_served == steps
+                assert client.transport.frames_sent - sent \
+                    == -(-steps // (MAX_REST + 1))
+                assert service.transport.frames_dropped == 0
             finally:
                 await client.aclose()
                 await service.aclose()
@@ -269,13 +359,38 @@ WRONG_SHAPES = {
                           "p": {"lookup": 7}},
     "directory-unhashable": {
         "to": "lookupd", "frm": "client",
-        "p": {"lookup": {"request_id": 1, "seq": 1,
+        "p": {"lookup": {"request_id": 1, "seq": 1, "rest": [],
                          "directory": [1, 2], "component": "usr"}}},
     "component-missing": {
         "to": "lookupd", "frm": "client",
-        "p": {"lookup": {"request_id": 1, "seq": 1, "directory": 1}}},
+        "p": {"lookup": {"request_id": 1, "seq": 1, "directory": 1,
+                         "rest": []}}},
     "frame-is-an-array": ["lookupd", "client"],
     "addressee-unhashable": {"to": ["lookupd"], "frm": "client", "p": 1},
+    "rest-missing": {
+        "to": "lookupd", "frm": "client",
+        "p": {"lookup": {"request_id": 1, "seq": 1, "directory": 1,
+                         "component": "usr"}}},
+    "rest-over-long": {
+        "to": "lookupd", "frm": "client",
+        "p": {"lookup": {"request_id": 1, "seq": 1, "directory": 1,
+                         "component": "usr",
+                         "rest": [".."] * (MAX_REST + 1)}}},
+    "rest-element-not-a-string": {
+        "to": "lookupd", "frm": "client",
+        "p": {"lookup": {"request_id": 1, "seq": 1, "directory": 1,
+                         "component": "usr", "rest": ["bin", 7]}}},
+}
+
+#: Replies no client can use, by what is wrong with the trail.
+WRONG_TRAILS = {
+    "missing": {"request_id": 1, "seq": 1},
+    "empty": {"request_id": 1, "seq": 1, "trail": []},
+    "not-a-list": {"request_id": 1, "seq": 1, "trail": {"uid": 1}},
+    "null-in-the-middle": {"request_id": 1, "seq": 1,
+                           "trail": [None, {"uid": 1, "dir": False}]},
+    "descriptor-without-uid": {"request_id": 1, "seq": 1,
+                               "trail": [{"label": "x"}]},
 }
 
 
@@ -290,11 +405,81 @@ class TestHostilePeers:
                 [peer] = client.transport._peers.values()
                 conn = peer.conn
                 dropped = service.transport.frames_dropped
-                assert conn.send_frame(WRONG_SHAPES[shape])
+                served = service.server.requests_served
+                assert conn.write([encode_frame(WRONG_SHAPES[shape])])
                 outcome = await client.resolve("/usr/bin/python")
                 assert outcome.ok and outcome.retries == 0
                 assert service.transport.frames_dropped == dropped + 1
+                assert service.server.requests_served == served + 3
                 assert peer.conn is conn and not conn.closed
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+    @pytest.mark.parametrize("shape", sorted(WRONG_TRAILS))
+    def test_wrong_shaped_trail_is_dropped_client_serves_on(self, shape):
+        async def scenario():
+            service, client = await start_pair(timeout=0.5,
+                                               max_retries=0)
+            try:
+                [conn] = service.transport._accepted
+                assert conn.write([encode_frame({
+                    "to": "client", "frm": "lookupd",
+                    "p": {"reply": WRONG_TRAILS[shape]}})])
+                outcome = await client.resolve("/usr/bin/python")
+                assert outcome.ok and outcome.retries == 0
+                assert client.transport.frames_dropped == 1
+                assert client.client.late_replies == 0
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+    def test_an_abandoned_lookup_stops(self):
+        """A caller that gave up (timeout, cancellation) leaves nothing
+        behind: no pending entry, no timer re-asking on its behalf, no
+        task — and the lookup is counted as abandoned, its span failed."""
+        async def scenario():
+            service = NamingService(build_root(), retry_policy=FAST_RETRY)
+            address = await service.start()
+            obs = Instrumentation()
+            client = RemoteNameClient([(address.host, address.port)],
+                                      obs=obs, timeout=0.02, max_retries=50)
+            await client.connect()
+            # The server swallows lookups: every ask times out.
+            service.server.endpoint.on_message(lambda _e, _env: None)
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await client.resolve("/usr/bin/python", timeout=0.05)
+                assert client.client.outstanding() == 0
+                sent = client.transport.frames_sent
+                assert sent >= 2                    # it was re-asking
+                await asyncio.sleep(0.1)
+                assert client.transport.frames_sent == sent
+                assert obs.metrics.value_of(
+                    "async_lookups_total", {"outcome": "abandoned"}) == 1.0
+                [span] = obs.tracer.of_kind("lookup")
+                assert span.status == "failed" and span.reason == "abandoned"
+                assert span.end is not None
+
+                task = asyncio.ensure_future(client.resolve("/usr"))
+                await asyncio.sleep(0.01)
+                assert client.client.outstanding() == 1
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                assert client.client.outstanding() == 0
+                assert not client.client.abandon(1)  # settled: a no-op
+                loop = asyncio.get_running_loop()
+                await asyncio.sleep(0.05)
+                assert not [handle for handle in loop._scheduled
+                            if not handle.cancelled()]
+                assert asyncio.all_tasks() - {asyncio.current_task()} \
+                    == {c.reader_task
+                        for c in (*service.transport._accepted,
+                                  *(p.conn for p in
+                                    client.transport._peers.values()))}
             finally:
                 await client.aclose()
                 await service.aclose()

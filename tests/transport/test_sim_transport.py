@@ -121,7 +121,7 @@ class TestEndpoints:
 
 
 class TestProtocolOverSeam:
-    def make_world(self):
+    def make_world(self, chained=False):
         obs = Instrumentation()
         sim = Simulator(seed=0, obs=obs)
         network = sim.network("lan")
@@ -134,11 +134,31 @@ class TestProtocolOverSeam:
         placement.place(tree.root, client_machine)
         placement.place(tree.directory("a"), server_machine)
         placement.place(tree.directory("a/b"), server_machine)
-        servers = {id(machine): NameLookupServer(sim, machine)
-                   for machine in (client_machine, server_machine)}
+        servers = {id(machine): NameLookupServer(
+            sim, machine, placement=placement if chained else None)
+            for machine in (client_machine, server_machine)}
         process = sim.spawn(client_machine, "client")
         client = AsyncNameClient(sim, placement, servers, process)
         return sim, client, ProcessContext(tree.root), leaf, obs
+
+    @pytest.mark.parametrize("chained, exchanges", [(False, 2), (True, 1)])
+    def test_a_server_that_knows_what_it_hosts_walks_the_suffix(
+            self, chained, exchanges):
+        """``/a/b/leaf``: ``a`` and ``a/b`` live on one server.  Built
+        without the placement it cannot know that and answers one step
+        per request; handed it, the whole path is one exchange — same
+        entity, same steps, same count of steps served."""
+        sim, client, context, leaf, _obs = self.make_world(chained)
+        outcomes = []
+        client.resolve(context, "/a/b/leaf", outcomes.append)
+        sim.run()
+        [outcome] = outcomes
+        assert outcome.entity is leaf
+        assert (outcome.steps, outcome.cost.local_steps,
+                outcome.cost.remote_steps) == (4, 1, 2)
+        assert sim.messages_sent == 2 * exchanges
+        assert sum(server.requests_served
+                   for server in client.servers.values()) == 2
 
     def test_client_exposes_transport_and_process(self):
         sim, client, *_ = self.make_world()

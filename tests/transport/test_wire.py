@@ -8,12 +8,14 @@ than crashing, and lease dependency keys re-tuple exactly.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.model.context import Context, context_object
 from repro.model.entities import ObjectEntity, UNDEFINED_ENTITY
-from repro.transport.framing import dumps, loads
+from repro.transport.framing import MAX_REST, dumps, loads
 from repro.transport.wire import (DirectoryRegistry, EntityProxyCache,
                                   RemoteContext, RemoteDirectory,
-                                  RemoteEntity, WireCodec,
+                                  RemoteEntity, WireCodec, WireError,
                                   describe_entity, remote_uid_of)
 
 
@@ -96,6 +98,14 @@ class TestRegistry:
         registry = DirectoryRegistry()
         assert registry.get(999_999) is UNDEFINED_ENTITY
 
+    def test_serves_exactly_what_is_registered(self):
+        root, usr = build_tree()
+        registry = DirectoryRegistry()
+        registry.register_tree(root)
+        assert registry.serves(None, usr, "python")
+        assert not registry.serves(None, context_object("elsewhere"), "x")
+        assert not registry.serves(None, UNDEFINED_ENTITY, "x")
+
 
 class TestCodec:
     def test_lookup_request_round_trip(self):
@@ -107,10 +117,21 @@ class TestCodec:
         proxy = RemoteDirectory(usr.uid, "usr")
         request = {"lookup": {"request_id": 1, "seq": 1,
                               "directory": proxy, "component": "python",
-                              "latency": 1.0}}
+                              "rest": ["a", "b"], "latency": 1.0}}
         framed = loads(dumps(client.encode(request)))
         decoded = server.decode(framed)
         assert decoded["lookup"]["directory"] is usr
+        assert decoded["lookup"]["rest"] == ["a", "b"]
+
+    def test_the_simulators_latency_hint_stays_off_the_wire(self):
+        request = {"lookup": {"request_id": 1, "seq": 1,
+                              "directory": RemoteDirectory(5, "d"),
+                              "component": "x", "rest": [],
+                              "latency": 1.0}}
+        assert WireCodec().encode(request) == {"lookup": {
+            "request_id": 1, "seq": 1, "directory": 5, "component": "x",
+            "rest": []}}
+        assert "latency" in request["lookup"]   # the payload is not edited
 
     def test_reply_round_trip_builds_stable_proxy(self):
         root, usr = build_tree()
@@ -118,21 +139,45 @@ class TestCodec:
         server = WireCodec(registry=DirectoryRegistry())
         proxies = EntityProxyCache()
         client = WireCodec(proxies=proxies)
-        reply = {"reply": {"request_id": 1, "seq": 1, "entity": leaf}}
+        reply = {"reply": {"request_id": 1, "seq": 1, "trail": [usr, leaf]}}
         framed = loads(dumps(server.encode(reply)))
-        first = client.decode(framed)["reply"]["entity"]
-        second = client.decode(framed)["reply"]["entity"]
-        assert first is second                  # stable per uid
-        assert first.label == "python3"
-        assert remote_uid_of(first) == leaf.uid
+        first = client.decode(framed)["reply"]["trail"]
+        second = client.decode(framed)["reply"]["trail"]
+        assert [a is b for a, b in zip(first, second)] == [True, True]
+        assert isinstance(first[0], RemoteDirectory)
+        assert first[1].label == "python3"
+        assert remote_uid_of(first[1]) == leaf.uid
 
     def test_undefined_reply_stays_none(self):
+        root, usr = build_tree()
         server = WireCodec(registry=DirectoryRegistry())
         client = WireCodec(proxies=EntityProxyCache())
-        encoded = server.encode(
-            {"reply": {"request_id": 2, "entity": UNDEFINED_ENTITY}})
-        assert encoded["reply"]["entity"] is None
-        assert client.decode(encoded)["reply"]["entity"] is None
+        encoded = server.encode({"reply": {
+            "request_id": 2, "seq": 1, "trail": [usr, UNDEFINED_ENTITY]}})
+        assert encoded["reply"]["trail"][1] is None
+        trail = client.decode(encoded)["reply"]["trail"]
+        assert trail[1] is UNDEFINED_ENTITY and trail[0].is_defined()
+
+    @pytest.mark.parametrize("rest", [
+        None, "ab", [1], ["a", None], ["x"] * (MAX_REST + 1)])
+    def test_a_bad_rest_is_a_wire_error(self, rest):
+        request = {"request_id": 1, "seq": 1, "directory": 5,
+                   "component": "x", "rest": rest}
+        if rest is None:
+            del request["rest"]
+        with pytest.raises(WireError):
+            WireCodec(registry=DirectoryRegistry()).decode(
+                {"lookup": request})
+        request["rest"] = ["x"] * MAX_REST      # the cap itself is fine
+        WireCodec(registry=DirectoryRegistry()).decode({"lookup": request})
+
+    @pytest.mark.parametrize("trail", [
+        None, [], {"uid": 1}, [None, {"uid": 1}], [{"uid": "1"}], [7],
+        [{"uid": 1}] * (MAX_REST + 2)])
+    def test_a_bad_trail_is_a_wire_error(self, trail):
+        with pytest.raises(WireError):
+            WireCodec(proxies=EntityProxyCache()).decode(
+                {"reply": {"request_id": 1, "seq": 1, "trail": trail}})
 
     def test_lease_dep_retuples(self):
         codec = WireCodec()

@@ -122,18 +122,43 @@ async def run_session(args: argparse.Namespace) -> dict:
         root = await client.connect()
         check(root is not None and root.is_defined(), "no root proxy")
 
-        # 1. Plain lookups over the socket.
-        for path in FIXED_PATHS:
+        async def lookup(path: str):
+            """One lookup, with the frames and served steps it cost."""
+            served = (await client.stats())["requests_served"]
+            sent = client.transport.frames_sent
+            delivered = client.transport.frames_delivered
             outcome = await client.resolve(path)
+            frames = (client.transport.frames_sent - sent,
+                      client.transport.frames_delivered - delivered)
+            served = (await client.stats())["requests_served"] - served
             results["lookups"].append(
                 {"name": path, "ok": outcome.ok,
-                 "entity": outcome.entity.label, "steps": outcome.steps})
+                 "entity": outcome.entity.label, "steps": outcome.steps,
+                 "request_frames": frames[0], "reply_frames": frames[1],
+                 "steps_served": served})
+            return outcome, frames, served
+
+        # 1. Plain lookups over the socket.  The server holds the whole
+        #    tree, so it walks the suffix each request ships: one round
+        #    trip per lookup, however many steps it serves.
+        for path in FIXED_PATHS:
+            outcome, frames, served = await lookup(path)
             check(outcome.ok, f"lookup failed: {path}: {outcome.reason}")
-        sample = await client.resolve("/svc/name-0")
+            # (Every step but the root binding is the server's.)
+            check(frames == (1, 1) and served == outcome.steps - 1,
+                  f"{path}: expected 1 request + 1 reply frame for "
+                  f"{outcome.steps - 1} served steps, got {frames} for "
+                  f"{served}")
+        check(results["lookups"][0]["steps_served"] == 3,
+              "/usr/bin/python must advance requests_served by 3")
+        sample, _, _ = await lookup("/svc/name-0")
         check(sample.ok, "synthetic lookup failed")
-        missing = await client.resolve("/usr/bin/does-not-exist")
+        missing, frames, served = await lookup("/usr/bin/does-not-exist")
         check(not missing.ok and not missing.failed,
               "missing name must resolve undefined, not error")
+        check(frames == (1, 1) and served == 3,
+              f"missing name: expected one round trip, got {frames} "
+              f"frames for {served} served steps")
 
         # 2. Lease the /usr binding, then rebind it server-side: the
         #    break callback must arrive over the socket and revoke the
