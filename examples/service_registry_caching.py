@@ -1,24 +1,25 @@
 #!/usr/bin/env python
 """Cached name bindings: staleness is incoherence (extension demo).
 
-A service registry (a context object hosted on one machine) maps
-service names to endpoints.  Client machines cache the bindings.  When
-a service is re-deployed (its name rebound), a stale cache entry makes
-the same name denote *different* entities on different machines — the
-paper's incoherence, produced by an everyday mechanism.
+A service registry (a directory hosted on one machine) maps service
+names to their deployed versions.  The app's machine caches what it
+resolved.  When a service is re-deployed (its name rebound), a stale
+cache entry makes the same name denote *different* entities on
+different machines — the paper's incoherence, produced by an everyday
+mechanism.
 
-The demo contrasts the three policies of `repro.nameservice.cache`:
-no caching, TTL expiry, and server-driven invalidation.
+The demo contrasts the policies of `repro.nameservice.cache`: no
+caching, TTL expiry, server-driven invalidation, and leases.
 
 Run:  python examples/service_registry_caching.py
 """
 
 from repro.coherence import format_table
-from repro.model import ObjectEntity, context_object
+from repro.namespaces import NamingTree, ProcessContext
 from repro.nameservice import (
     CachePolicy,
-    CachingDirectoryService,
     DirectoryPlacement,
+    DistributedResolver,
 )
 from repro.sim import Simulator
 
@@ -27,35 +28,36 @@ def scenario(policy: CachePolicy):
     simulator = Simulator(seed=0)
     network = simulator.network("dc")
     registry_machine = simulator.machine(network, "registry")
-    app_machine = simulator.machine(network, "app")
-    registry = context_object("services")
-    simulator.sigma.add(registry)
-    v1 = ObjectEntity("db-v1")
-    simulator.sigma.add(v1)
-    registry.state.bind("db", v1)
+    app = simulator.spawn(simulator.machine(network, "app"), "app")
+    tree = NamingTree("root", sigma=simulator.sigma)
     placement = DirectoryPlacement()
-    placement.place(registry, registry_machine)
-    service = CachingDirectoryService(simulator, placement,
-                                      policy=policy, ttl=50.0)
+    for path in ("services", "services/db", "standby/db"):
+        placement.place(tree.mkdir(path), registry_machine)
+    placement.place(tree.root, registry_machine)
+    tree.mkfile("services/db/endpoint", label="db-v1")
+    v2 = tree.mkfile("standby/db/endpoint", label="db-v2")
+    resolver = DistributedResolver(simulator, placement,
+                                   cache_policy=policy, cache_ttl=50.0,
+                                   lease_term=50.0)
+    context = ProcessContext(tree.root)
 
-    # The app resolves 'db' (filling its cache), the operator
-    # re-deploys, and the app resolves again.
-    first = service.lookup(app_machine, registry, "db")
-    v2 = ObjectEntity("db-v2")
-    simulator.sigma.add(v2)
-    service.rebind(registry, "db", v2)
-    second = service.lookup(app_machine, registry, "db")
-    stats = service.stats()
+    # The app resolves the db endpoint (filling its cache), the
+    # operator re-deploys, and the app resolves again.
+    first, cost1 = resolver.resolve(app, context, "/services/db/endpoint")
+    resolver.rebind(tree.directory("services"), "db",
+                    tree.directory("standby/db"))
+    second, cost2 = resolver.resolve(app, context, "/services/db/endpoint")
     return [str(policy), first.label, second.label,
             "STALE" if second is not v2 else "fresh",
-            stats["remote_reads"], stats["invalidation_messages"]]
+            cost1.remote_steps + cost2.remote_steps,
+            resolver.invalidation_messages]
 
 
 def main() -> None:
     rows = [scenario(policy) for policy in CachePolicy]
     print(format_table(
         ["policy", "before redeploy", "after redeploy", "coherence",
-         "remote reads", "invalidations"],
+         "remote steps", "invalidations"],
         rows,
         title="Service registry: what the app sees across a redeploy"))
     print(

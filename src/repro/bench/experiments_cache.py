@@ -1,16 +1,20 @@
 """Ablation A5 (extension): cached bindings and coherence maintenance.
 
-A binding cache copies part of a context onto another machine — so a
-stale cache entry *is* incoherence in the paper's sense: the same name
+A cache copies part of a context onto another machine — so a stale
+cache entry *is* incoherence in the paper's sense: the same name
 denoting different entities in different parts of the system.  A5
-drives a lookup workload with occasional rebinds under the three
-policies of :mod:`repro.nameservice.cache` and measures the classic
-trade-off:
+drives lookups of ``/services/svc<i>/endpoint`` through
+:class:`~repro.nameservice.resolver.DistributedResolver`, with an
+occasional redeploy (``svc<i>`` rebound to its other version
+directory), under the policies of :mod:`repro.nameservice.cache` and
+measures the classic trade-off:
 
-* ``NONE``   — never stale, every remote lookup pays a round trip;
+* ``NONE``   — never stale, every step of every lookup is a remote read;
 * ``TTL``    — cheap reads, stale reads inside the expiry window;
 * ``INVALIDATE`` — cheap reads AND never stale after delivery, paying
-  one invalidation message per cached copy on each rebind.
+  one invalidation message per cached copy on each rebind;
+* ``LEASE``  — as INVALIDATE while callbacks arrive, re-reading once
+  per lease term.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from __future__ import annotations
 import random
 
 from repro.bench.harness import ExperimentResult
-from repro.model.context import context_object
-from repro.model.entities import ObjectEntity
-from repro.nameservice.cache import CachePolicy, CachingDirectoryService
+from repro.namespaces.base import ProcessContext
+from repro.namespaces.tree import NamingTree
+from repro.nameservice.cache import CachePolicy
 from repro.nameservice.placement import DirectoryPlacement
+from repro.nameservice.resolver import DistributedResolver
 from repro.sim.kernel import Simulator
 
 __all__ = ["run_a5_cache_coherence"]
@@ -33,69 +38,75 @@ def _run_policy(policy: CachePolicy, seed: int, operations: int,
                 rebind_every: int, ttl: float) -> dict[str, float]:
     simulator = Simulator(seed=seed)
     network = simulator.network("lan")
-    server_machine = simulator.machine(network, "registry")
-    client_machines = [simulator.machine(network, f"client{i}")
-                       for i in range(3)]
-    directory = context_object("services")
-    simulator.sigma.add(directory)
-    versions: dict[str, ObjectEntity] = {}
-    for name_ in _NAMES:
-        versions[name_] = ObjectEntity(f"{name_}-v1")
-        simulator.sigma.add(versions[name_])
-        directory.state.bind(name_, versions[name_])
+    registry = simulator.machine(network, "registry")
+    clients = [simulator.spawn(simulator.machine(network, f"client{i}"),
+                               f"app{i}")
+               for i in range(3)]
+    tree = NamingTree("root", sigma=simulator.sigma)
     placement = DirectoryPlacement()
-    placement.place(directory, server_machine)
-    service = CachingDirectoryService(simulator, placement,
-                                      policy=policy, ttl=ttl)
+    placement.place(tree.root, registry)
+    services = tree.mkdir("services")
+    placement.place(services, registry)
+    # Both versions of every service are placed before the run: place()
+    # bumps the placement epoch, which kills every cached prefix, so
+    # placing a fresh directory per redeploy would hide TTL's window.
+    versions: dict[str, list] = {name_: [] for name_ in _NAMES}
+    for name_, pair in versions.items():    # [live, standby]
+        for parent in ("services", "standby"):
+            pair.append(tree.mkdir(f"{parent}/{name_}"))
+            tree.mkfile(f"{parent}/{name_}/endpoint")
+            placement.place(pair[-1], registry)
+    resolver = DistributedResolver(simulator, placement,
+                                   cache_policy=policy, cache_ttl=ttl,
+                                   lease_term=ttl)
+    context = ProcessContext(tree.root)
     rng = random.Random(seed)
     stale = 0
     reads = 0
-    version_counter = {name_: 1 for name_ in _NAMES}
+    remote_steps = 0
     for op_index in range(operations):
         # Virtual time advances steadily so TTL windows are meaningful.
         simulator.schedule(1.0, lambda: None, note="tick")
         simulator.run()
         if rebind_every and op_index and op_index % rebind_every == 0:
             name_ = rng.choice(_NAMES)
-            version_counter[name_] += 1
-            fresh = ObjectEntity(
-                f"{name_}-v{version_counter[name_]}")
-            simulator.sigma.add(fresh)
-            service.rebind(directory, name_, fresh)
-            versions[name_] = fresh
+            versions[name_].reverse()
+            resolver.rebind(services, name_, versions[name_][0])
             continue
-        client = rng.choice(client_machines)
+        client = rng.choice(clients)
         name_ = rng.choice(_NAMES)
-        seen = service.lookup(client, directory, name_)
+        seen, cost = resolver.resolve(client, context,
+                                      f"/services/{name_}/endpoint")
         reads += 1
-        if seen is not versions[name_]:
+        remote_steps += cost.remote_steps
+        if seen is not versions[name_][0].state("endpoint"):
             stale += 1
-    stats = service.stats()
+    cache = resolver.cache_stats()
+    probes = cache["hits"] + cache["misses"]
     return {
         "stale_rate": stale / reads if reads else 0.0,
-        "remote_reads_per_lookup": stats["remote_reads"] / reads,
-        "invalidation_messages": float(stats["invalidation_messages"]),
-        "hit_rate": (stats["hits"] / (stats["hits"] + stats["misses"])
-                     if stats["hits"] + stats["misses"] else 0.0),
+        "remote_steps_per_lookup": remote_steps / reads,
+        "invalidation_messages": float(resolver.invalidation_messages),
+        "hit_rate": cache["hits"] / probes if probes else 0.0,
     }
 
 
 def run_a5_cache_coherence(seed: int = 0, operations: int = 400,
                            rebind_every: int = 25,
                            ttl: float = 40.0) -> ExperimentResult:
-    """A5: staleness vs message cost for the three cache policies."""
+    """A5: staleness vs message cost across the cache policies."""
     measurements = {policy: _run_policy(policy, seed, operations,
                                         rebind_every, ttl)
                     for policy in CachePolicy}
     result = ExperimentResult(
         exp_id="A5",
         title="Cache-coherence ablation (extension: cached bindings)",
-        headers=["policy", "stale-read rate", "remote reads / lookup",
+        headers=["policy", "stale-read rate", "remote steps / lookup",
                  "cache hit rate", "invalidation msgs"])
     for policy in CachePolicy:
         m = measurements[policy]
         result.rows.append([str(policy), m["stale_rate"],
-                            m["remote_reads_per_lookup"],
+                            m["remote_steps_per_lookup"],
                             m["hit_rate"],
                             int(m["invalidation_messages"])])
 
@@ -105,14 +116,15 @@ def run_a5_cache_coherence(seed: int = 0, operations: int = 400,
     result.check("no caching: never stale",
                  none["stale_rate"] == 0.0)
     result.check("no caching: every lookup pays a remote read",
-                 none["remote_reads_per_lookup"] == 1.0)
+                 # services, svc<i>, endpoint; the root binding is local
+                 none["remote_steps_per_lookup"] == 3.0)
     result.check("TTL caching: cheaper reads but stale windows",
-                 ttl_m["remote_reads_per_lookup"]
-                 < none["remote_reads_per_lookup"]
+                 ttl_m["remote_steps_per_lookup"]
+                 < none["remote_steps_per_lookup"]
                  and ttl_m["stale_rate"] > 0.0)
     result.check("invalidation: cheap reads and never stale",
-                 inv["remote_reads_per_lookup"]
-                 < none["remote_reads_per_lookup"]
+                 inv["remote_steps_per_lookup"]
+                 < none["remote_steps_per_lookup"]
                  and inv["stale_rate"] == 0.0)
     result.check("invalidation pays its coherence in messages",
                  inv["invalidation_messages"] > 0)

@@ -20,10 +20,7 @@ load-driven splits migrating bindings as simulated messages
 """
 
 from repro.nameservice.cache import (
-    BindingCache,
-    CacheEntry,
     CachePolicy,
-    CachingDirectoryService,
     PrefixCache,
     PrefixEntry,
 )
@@ -66,11 +63,8 @@ from repro.nameservice.writes import WritePath, commit_binding
 __all__ = [
     "Ask",
     "AsyncNameClient",
-    "BindingCache",
     "BreakerState",
-    "CacheEntry",
     "CachePolicy",
-    "CachingDirectoryService",
     "CircuitBreaker",
     "DirectoryPlacement",
     "DistributedResolver",

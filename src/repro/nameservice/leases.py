@@ -98,8 +98,7 @@ class _Grant:
 class LeaseTable:
     """The client side of the lease protocol, one table per machine.
 
-    Cached entries (both :class:`~repro.nameservice.cache.BindingCache`
-    bindings and :class:`~repro.nameservice.cache.PrefixCache`
+    Cached entries (:class:`~repro.nameservice.cache.PrefixCache`
     prefixes) are gated through :meth:`fresh` / :meth:`covers_all`: an
     entry is only served as live while every dependency it consumed
     has an unexpired, unrevoked lease — blind TTLs never apply.

@@ -67,7 +67,6 @@ from repro.errors import SchemeError
 from repro.model.context import Context
 from repro.model.entities import Entity, ObjectEntity, UNDEFINED_ENTITY
 from repro.model.names import CompoundName, NameLike
-from repro.nameservice.cache import CachePolicy
 from repro.nameservice.leases import LeaseTable, Wait
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import RetryPolicy
@@ -464,7 +463,6 @@ class AsyncNameClient:
     #: driver.
     parks = False
     failfast = False
-    cache_policy = CachePolicy.NONE
     obs = NO_OBS
 
     @property
@@ -476,6 +474,9 @@ class AsyncNameClient:
 
     def node_of(self, _target: Any) -> Any:
         return self._home  # the walk never leaves the client
+
+    def cache_of(self, _home: Any) -> None:
+        return None
 
     def breaker_for(self, _target: Any) -> None:
         return None

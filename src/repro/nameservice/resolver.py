@@ -24,9 +24,9 @@ DNS/AFS-style, measured by ablations A5 and A7):
 
 * a per-machine **prefix cache** (:class:`~repro.nameservice.cache.
   PrefixCache`): repeated resolutions skip the walk up to the deepest
-  live cached prefix, under the same NONE/TTL/INVALIDATE coherence
-  policies as the binding cache, with :meth:`DistributedResolver.rebind`
-  as the write discipline that keeps INVALIDATE exact;
+  live cached prefix, under the NONE/TTL/INVALIDATE/LEASE coherence
+  policies, with :meth:`DistributedResolver.rebind` as the write
+  discipline that keeps INVALIDATE and LEASE exact;
 * a **batch API** (:meth:`DistributedResolver.resolve_many`) that
   sorts names by shared prefix, dedupes common steps within the batch,
   and coalesces queries to the same server into one round trip.
@@ -78,7 +78,6 @@ from repro.nameservice.cache import CachePolicy, PrefixCache, binding_dep
 # repro.nameservice.writes: benchmarks/e2e patches it by this name.
 from repro.nameservice.leases import (  # noqa: F401
     LeaseManager,
-    LeaseTable,
     Wait,
     callback_fanout,
 )
@@ -350,24 +349,23 @@ class DistributedResolver:
 
     # -- prefix caching ----------------------------------------------------
 
-    def prefix_cache_of(self, machine: Machine) -> PrefixCache:
-        """The (lazily created) prefix cache of a client machine."""
+    def cache_of(self, home: SimProcess) -> Optional[PrefixCache]:
+        """The (lazily created) prefix cache of *home*'s machine —
+        ``None`` under ``NONE``, which is having no cache."""
+        policy = self.cache_policy
+        if policy is CachePolicy.NONE:
+            return None
+        machine = home.machine
         cache = self._prefix_caches.get(id(machine))
         if cache is None:
-            leased = self.cache_policy is CachePolicy.LEASE
             cache = PrefixCache(
-                machine, obs=self.obs,
-                # LEASE keeps expired entries for grace-mode serving
-                # even without the explicit serve_stale gate.
-                keep_expired=self.serve_stale or leased,
-                lease_table=(self.lease_table_of(machine)
-                             if leased else None))
+                machine, policy, self._placement, ttl=self.cache_ttl,
+                serve_stale=self.serve_stale,
+                lease_table=(self.writes.lease_table_of(machine)
+                             if policy is CachePolicy.LEASE else None),
+                note_copies=self.writes.note_copies, obs=self.obs)
             self._prefix_caches[id(machine)] = cache
         return cache
-
-    def lease_table_of(self, machine: Machine) -> LeaseTable:
-        """The (lazily created) client-side lease table of a machine."""
-        return self.writes.lease_table_of(machine)
 
     def lease_stats(self) -> dict[str, int]:
         """Server-side plus aggregated client-side lease counters."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.obs.instrument import NO_OBS, Instrumentation
@@ -104,21 +104,11 @@ class CircuitBreaker:
         label: Name used in metrics labels and trace events (usually
             the guarded server's process label).
         obs: Instrumentation transitions are published into.
-        clock: Optional ``now()`` source (a transport's clock).  When
-            set, the *now* argument of :meth:`allow` /
-            :meth:`record_success` / :meth:`record_failure` /
-            :meth:`reset` may be omitted and the breaker reads its
-            own time — virtual seconds bound to a
-            :class:`~repro.transport.sim.SimTransport`, wall seconds
-            bound to an asyncio transport.  Passing *now* explicitly
-            always wins, so clock-bound and legacy call styles mix
-            freely (and sim behaviour is bit-identical either way).
     """
 
     def __init__(self, failure_threshold: int = 3, cooldown: float = 30.0,
                  label: str = "",
-                 obs: Optional[Instrumentation] = None,
-                 clock: Optional[Callable[[], float]] = None):
+                 obs: Optional[Instrumentation] = None):
         if failure_threshold < 1:
             raise SimulationError("failure_threshold must be >= 1")
         if cooldown < 0:
@@ -126,7 +116,6 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
         self.label = label
-        self.clock = clock
         self._obs = obs if obs is not None else NO_OBS
         if self._obs.enabled:
             self._m_transitions = self._obs.metrics.counter_family(
@@ -135,14 +124,6 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self.opened_at = 0.0
         self.transitions = 0
-
-    def _resolve_now(self, now: Optional[float]) -> float:
-        if now is not None:
-            return now
-        if self.clock is None:
-            raise SimulationError(
-                f"breaker {self.label!r} has no clock; pass now= explicitly")
-        return self.clock()
 
     def _transition(self, to: BreakerState, now: float) -> None:
         self.state = to
@@ -155,14 +136,12 @@ class CircuitBreaker:
                 trace_id=None, parent_span_id=None,
                 attrs={"breaker": self.label, "to": str(to)})
 
-    def allow(self, now: Optional[float] = None) -> bool:
-        """May a request be attempted at time *now* (defaulting to the
-        bound :attr:`clock`)?
+    def allow(self, now: float) -> bool:
+        """May a request be attempted at time *now*?
 
         An open breaker whose cooldown has elapsed half-opens as a
         side effect (the caller's attempt is the probe).
         """
-        now = self._resolve_now(now)
         if self.state is BreakerState.OPEN:
             if now - self.opened_at >= self.cooldown:
                 self._transition(BreakerState.HALF_OPEN, now)
@@ -170,16 +149,14 @@ class CircuitBreaker:
             return False
         return True
 
-    def record_success(self, now: Optional[float] = None) -> None:
+    def record_success(self, now: float) -> None:
         """An attempt got through: close and forget past failures."""
-        now = self._resolve_now(now)
         self.consecutive_failures = 0
         if self.state is not BreakerState.CLOSED:
             self._transition(BreakerState.CLOSED, now)
 
-    def record_failure(self, now: Optional[float] = None) -> None:
+    def record_failure(self, now: float) -> None:
         """An attempt was dropped: count it, maybe trip open."""
-        now = self._resolve_now(now)
         self.consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN:
             self.opened_at = now

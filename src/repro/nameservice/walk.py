@@ -32,26 +32,28 @@ simulator kernel (an ask is its referral/query/forward hops, a wait is
 :class:`~repro.nameservice.protocol.AsyncNameClient` is message-driven
 (an ask is a request frame plus a timeout timer) on either transport.
 
-The *host* argument is the driver; the walk reads from it
+The *host* argument is the driver; the walk reads from it the names
+of :data:`HOST_PROTOCOL` and nothing else (a tier-1 test holds it to
+that):
 
 * the regime: ``retry_policy`` (backoff; ``None`` = re-ask at once),
   ``attempts`` (asks per candidate), ``failfast`` (no fault tolerance:
   the primary, once, and the driver — which counts the lost leg —
-  answers every ask so the walk reads on), ``parks`` (after an
+  answers every ask so the walk reads on) and ``parks`` (after an
   answered ask the walk stands at the target, so its next steps there
   are free; a host that does not park stays at *home* and gets the
-  unresolved suffix on every ask, to ship with it) and
-  ``cache_policy`` (``NONE`` = no probe, no fill, no degraded serve);
+  unresolved suffix on every ask, to ship with it);
+* the copies: ``cache_of(home)`` — the home node's
+  :class:`~repro.nameservice.cache.PrefixCache`, which takes its
+  policy's decisions itself, or ``None`` (no probe, no fill, no
+  degraded serve);
 * routing: ``replicas(directory, component)`` (candidate nodes,
   preferred first, empty if unplaced), ``target_on(directory, node)``
   (whom to ask there, or :data:`STALE` / :data:`DOWN`),
   ``primary(directory, component, routes)`` (fail-fast hosts),
   ``node_of(target)``, ``breaker_for(target)`` (may be ``None``) and
   ``charge(target)`` (one step served);
-* ``now()``, ``rng`` and ``obs``;
-* with a cache policy: ``cache_ttl``, ``serve_stale``,
-  ``prefix_cache_of(node)``, ``lease_table_of(node)``, ``placement``
-  and ``writes``.
+* ``now()``, ``rng`` and ``obs``.
 """
 
 from __future__ import annotations
@@ -63,13 +65,20 @@ from typing import Any, Generator, Iterable, Optional, Union
 from repro.model.context import Context
 from repro.model.entities import ObjectEntity, UNDEFINED_ENTITY
 from repro.model.names import ROOT_NAME, CompoundName
-from repro.nameservice.cache import (CachePolicy, PrefixEntry, binding_dep,
+from repro.nameservice.cache import (PrefixCache, PrefixEntry, binding_dep,
                                      context_dep)
 from repro.nameservice.leases import Wait
 from repro.nameservice.retry import CircuitBreaker
 
-__all__ = ["LOST", "STALE", "DOWN", "Ask", "ResolutionCost",
-           "retry_effects", "walk_effects"]
+__all__ = ["HOST_PROTOCOL", "LOST", "STALE", "DOWN", "Ask",
+           "ResolutionCost", "retry_effects", "walk_effects"]
+
+#: Every attribute :func:`walk_effects` and :func:`retry_effects` read
+#: from their host (see the module docstring).  Widening the protocol
+#: means adding a name here.
+HOST_PROTOCOL = ("retry_policy", "attempts", "failfast", "parks", "cache_of",
+                 "replicas", "target_on", "primary", "node_of",
+                 "breaker_for", "charge", "now", "rng", "obs")
 
 
 class _Verdict(enum.Enum):
@@ -255,8 +264,8 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
     last = len(comps) - 1
     obs = host.obs
     tracing = obs.enabled
-    caching = host.cache_policy is not CachePolicy.NONE
-    remembering = caching or memo is not None
+    cache: Optional[PrefixCache] = host.cache_of(home)
+    remembering = cache is not None or memo is not None
     failfast = host.failfast
     parks = host.parks
 
@@ -272,7 +281,8 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
     owed_by: Any = None
 
     if remembering:
-        hit = _deepest_prefix(host, home, context, rooted, comps, memo)
+        hit = _deepest_prefix(cache, context, rooted, comps, host.now(),
+                              memo)
         if hit is not None:
             start, entered, hit_deps, source = hit
             if tracing:
@@ -385,7 +395,7 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                         entity, served = reply, candidate
                         break
             if served is None:
-                stale = _degraded_step(host, cost, home, context, rooted,
+                stale = _degraded_step(host, cost, cache, context, rooted,
                                        tuple(comps[:index]), entered)
                 if stale is not None:
                     # Continue in the *cached* (possibly older)
@@ -403,9 +413,13 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                 cost.remote_steps += 1
             # (A prefix-cache hit's own step is already remembered.)
             if remembering and not tainted and index > start:
-                _remember_prefix(host, home, context, rooted,
-                                 tuple(comps[:index]), entered, tuple(deps),
-                                 memo)
+                consumed, consumed_deps = tuple(comps[:index]), tuple(deps)
+                if memo is not None:
+                    memo[(context.uid, rooted, consumed)] = (entered,
+                                                             consumed_deps)
+                if cache is not None:
+                    cache.remember(context, rooted, consumed, entered,
+                                   consumed_deps, host.now())
         if entity is None:
             entity = current(component)
         cost.steps += 1
@@ -441,101 +455,55 @@ def _note_skip(obs: Any, now: float, verdict: Any,
         now, attrs={"directory": directory.label, "replica": node.label})
 
 
-def _deepest_prefix(host: Any, home: Any, context: Context, rooted: bool,
-                    comps: list[str], memo: Optional[dict]):
+def _deepest_prefix(cache: Optional[PrefixCache], context: Context,
+                    rooted: bool, comps: list[str], now: float,
+                    memo: Optional[dict]):
     """The deepest usable memoized prefix of *comps*: the batch memo
-    and the home node's policy-gated prefix cache are both consulted;
-    the deeper wins.  Returns ``(consumed, directory, deps, source)``
-    or None, *source* naming the layer that won."""
+    and the home node's prefix cache are both consulted; the deeper
+    wins.  Returns ``(consumed, directory, deps, source)`` or None,
+    *source* naming the layer that won."""
     best = None
     if memo is not None:
         for length in range(len(comps) - 1, 0, -1):
-            hit = memo.get((id(context), rooted, tuple(comps[:length])))
+            hit = memo.get((context.uid, rooted, tuple(comps[:length])))
             if hit is not None:
                 best = (length, hit[0], hit[1], "memo")
                 break
-    if host.cache_policy is not CachePolicy.NONE:
-        found = host.prefix_cache_of(host.node_of(home)).lookup_longest(
-            context, rooted, comps, host.now(), host.placement.epoch)
+    if cache is not None:
+        found = cache.probe(context, rooted, comps, now)
         if found is not None and (best is None or found[0] > best[0]):
             entry = found[1]
             best = (found[0], entry.directory, entry.deps, "cache")
     return best
 
 
-def _remember_prefix(host: Any, home: Any, context: Context, rooted: bool,
-                     consumed: tuple[str, ...], directory: ObjectEntity,
-                     deps: tuple, memo: Optional[dict]) -> None:
-    if memo is not None:
-        memo[(id(context), rooted, consumed)] = (directory, deps)
-    policy = host.cache_policy
-    if policy is CachePolicy.NONE:
-        return
-    placement = host.placement
-    if placement.host_of(directory) is None:
-        return  # local state — there is no walk to skip
-    node = host.node_of(home)
-    now = host.now()
-    epoch = placement.epoch
-    host.prefix_cache_of(node).fill(
-        context, rooted, consumed, directory, deps, now,
-        host.cache_ttl if policy is CachePolicy.TTL else None, epoch)
-    if policy is CachePolicy.LEASE:
-        table = host.lease_table_of(node)
-        if table.in_grace and placement.host_of(directory) is not node:
-            # A *remote* authoritative step succeeded again: the
-            # partition healed.  Revalidate before promoting anything
-            # back to fresh.  (Locally-placed directories answer
-            # through any partition, so they prove nothing.)
-            table.exit_grace(now, epoch)
-    host.writes.note_copies(node, deps)
-
-
-def _degraded_step(host: Any, cost: ResolutionCost, home: Any,
-                   context: Context, rooted: bool,
-                   consumed: tuple[str, ...], directory: ObjectEntity,
-                   ) -> Optional[PrefixEntry]:
+def _degraded_step(host: Any, cost: ResolutionCost,
+                   cache: Optional[PrefixCache], context: Context,
+                   rooted: bool, consumed: tuple[str, ...],
+                   directory: ObjectEntity) -> Optional[PrefixEntry]:
     """Every replica of *directory* was unreachable: serve the step
-    from the home node's stale prefix cache (tagging the answer weakly
-    coherent) if the ``serve_stale`` gate allows, else mark the walk
-    failed.  Either way the walk continues at home.
-
-    Under ``LEASE`` this is *grace mode*: the client enters grace (it
-    cannot renew) and keeps answering from its expired leased entries
-    — returning the **cached** directory, which may predate a rebind
-    it never heard about, so the walk continues in the returned
-    entry's state.  The grace answer is always tagged weak; on heal,
-    :meth:`LeaseTable.exit_grace` revalidates before anything is
-    promoted back to fresh.  A *revoked* promise (delivered break
-    callback) was dropped from the cache, so it is never resurrected.
+    from what the home node's cache retained
+    (:meth:`~repro.nameservice.cache.PrefixCache.serve_degraded`),
+    tagging the answer weakly coherent, else mark the walk failed.
+    Either way the walk continues at home.
 
     Returns the stale entry the step was served from, or None.
     """
     obs = host.obs
     now = host.now()
-    policy = host.cache_policy
-    leased = policy is CachePolicy.LEASE
-    if policy is not CachePolicy.NONE and (host.serve_stale or leased):
-        node = host.node_of(home)
-        entry = host.prefix_cache_of(node).lookup_stale(context, rooted,
-                                                        consumed)
-        if entry is not None and not leased \
-                and entry.directory is not directory:
-            entry = None
+    if cache is not None:
+        entry = cache.serve_degraded(context, rooted, consumed, directory,
+                                     now)
         if entry is not None:
             cost.stale_steps += 1
             cost.weak = True
-            if leased:
-                table = host.lease_table_of(node)
-                table.enter_grace(now)
-                table.served_in_grace(now)
             if obs.enabled:
                 obs.metrics.counter("resolver_stale_served_total").inc()
                 obs.tracer.event(
                     "stale", "serve.degraded", now,
                     attrs={"directory": entry.directory.label,
                            "prefix": "/".join(consumed),
-                           "machine": node.label})
+                           "machine": cache.machine.label})
             return entry
     cost.failed_hops += 1
     if obs.enabled:

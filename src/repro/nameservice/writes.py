@@ -5,10 +5,11 @@ rebind *is* incoherence, so this module is the one place the TTL /
 INVALIDATE / LEASE contracts are kept.  :func:`commit_binding` is the
 commit step every substrate shares (the socket server's fan-out runs
 over real frames); :class:`WritePath` is the whole discipline on the
-simulator, to which :class:`~repro.nameservice.resolver.
-DistributedResolver` and :class:`~repro.nameservice.cache.
-CachingDirectoryService` both delegate — they differ only in which
-process speaks for a machine and in how a holder's copies are dropped.
+simulator, which :class:`~repro.nameservice.resolver.
+DistributedResolver` delegates to.  What depends on the caller comes
+in as two callables — which process speaks for a machine, and how a
+holder's copies are dropped — so a socket speaker can drive the same
+discipline.
 """
 
 from __future__ import annotations

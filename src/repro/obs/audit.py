@@ -506,9 +506,9 @@ class CoherenceAuditor:
                        ttl: Optional[float] = None,
                        lease_term: Optional[float] = None,
                        placement: Any = None) -> str:
-        """Audit one binding-level read (a
-        :meth:`~repro.nameservice.cache.CachingDirectoryService.lookup`
-        answered from cache); returns the verdict."""
+        """Audit one binding-level read (a step served by a
+        :class:`~repro.nameservice.protocol.NameLookupServer`);
+        returns the verdict."""
         value = self._value_at(directory.uid, component, now,
                                strict=False)
         staleness = 0.0

@@ -9,9 +9,9 @@ answers hello/lease/rebind requests, and rebinds fan break callbacks
 out to lease holders with
 :func:`~repro.transport.leases.callback_fanout_async` — driven by the
 same :class:`~repro.nameservice.leases.LeaseManager`,
-:class:`~repro.nameservice.retry.RetryPolicy` and wall-clock-bound
+:class:`~repro.nameservice.retry.RetryPolicy` and
 :class:`~repro.nameservice.retry.CircuitBreaker` objects the
-simulator uses.
+simulator uses, read at the transport's wall clock.
 
 :class:`RemoteNameClient` is the other half: it wraps the *unchanged*
 :class:`~repro.nameservice.protocol.AsyncNameClient` with a
@@ -24,7 +24,10 @@ identified by connection session, so a multi-process demo
 round trips over localhost.
 
 The control vocabulary is plain JSON (the wire codec passes ``ctl``
-payloads through untouched):
+payloads through untouched).  Every request carries an ``id`` that the
+server echoes in its reply, whenever that reply is sent — a rebind
+answers only when its fan-out ends, so replies do not arrive in request
+order:
 
 * ``{"ctl": {"op": "hello"}}`` → ``welcome`` with the root entity
   descriptor and the lookup endpoint's label;
@@ -42,7 +45,7 @@ payloads through untouched):
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+import itertools
 from typing import Any, Optional
 
 from repro.errors import NameSyntaxError, SchemeError
@@ -51,7 +54,7 @@ from repro.model.entities import Entity, ObjectEntity
 from repro.model.names import ROOT_NAME
 from repro.nameservice.leases import LeaseManager, LeaseTable
 from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
-from repro.nameservice.retry import CircuitBreaker, RetryPolicy
+from repro.nameservice.retry import RetryPolicy
 from repro.nameservice.writes import commit_binding
 from repro.obs.instrument import Instrumentation
 from repro.transport.aio import Address, AsyncioTransport
@@ -181,11 +184,11 @@ class NamingService:
             return
         op = body.get("op")
         if op == "hello":
-            endpoint.send(message.sender, payload={"ctl": {
+            self._reply(message.sender, body, {
                 "op": "welcome",
                 "root": describe_entity(self.root),
                 "lookup": self.server.endpoint.label,
-            }})
+            })
         elif op == "lease-grant":
             self._grant(message.sender, body)
         elif op == "rebind":
@@ -194,14 +197,20 @@ class NamingService:
             self._rebind_tasks.add(task)
             task.add_done_callback(self._rebind_tasks.discard)
         elif op == "stats":
-            endpoint.send(message.sender, payload={"ctl": {
+            self._reply(message.sender, body, {
                 "op": "stats-reply",
                 "requests_served": self.server.requests_served,
                 "rebinds": self.rebinds,
                 "leases": self.leases.stats(),
                 "frames_delivered": self.transport.frames_delivered,
                 "frames_dropped": self.transport.frames_dropped,
-            }})
+            })
+
+    def _reply(self, sender: Any, request: dict, reply: dict) -> None:
+        """Answer one control request, echoing its ``id``: the caller
+        matches replies by it, never by arrival order."""
+        reply["id"] = request.get("id")
+        self.ctl.send(sender, payload={"ctl": reply})
 
     def _grant(self, sender: Any, body: dict) -> None:
         dep = tuple(body["dep"])
@@ -210,28 +219,18 @@ class NamingService:
         now = self.transport.now()
         lease = self.leases.grant(session, dep, now, self.epoch,
                                   machine_label=f"conn#{session}")
-        self.ctl.send(sender, payload={"ctl": {
+        self._reply(sender, body, {
             "op": "lease-granted", "dep": list(dep),
             "term": self.leases.term, "epoch": lease.epoch,
-        }})
-
-    def _breaker_for(self, lease: Any) -> CircuitBreaker:
-        # Wall-clock-bound breakers (retry.CircuitBreaker clock=):
-        # the manager's cache keeps them per holder, we bind the
-        # transport clock on first creation.
-        breaker = self.leases.breaker_for_machine(
-            lease.machine_id, label=lease.machine_label)
-        if breaker.clock is None:
-            breaker.clock = self.transport.now
-        return breaker
+        })
 
     async def _rebind(self, reply_to: Any, body: dict) -> None:
         """Rebind a path server-side, then break holders' leases."""
         path = body.get("path")
 
         def refuse(error: str) -> None:
-            self.ctl.send(reply_to, payload={"ctl": {
-                "op": "rebound", "path": path, "error": error}})
+            self._reply(reply_to, body, {
+                "op": "rebound", "path": path, "error": error})
 
         if not isinstance(path, list) or not path \
                 or not all(isinstance(c, str) for c in path):
@@ -260,14 +259,15 @@ class NamingService:
             holders, now=self.transport.now, rng=self.transport.rng,
             deliver=self._deliver_break,
             retry_policy=self.retry_policy,
-            breaker_for=self._breaker_for,
+            breaker_for=lambda lease: self.leases.breaker_for_machine(
+                lease.machine_id, label=lease.machine_label),
             on_broken=lambda lease: self.leases.break_lease(
                 lease, self.transport.now()))
-        self.ctl.send(reply_to, payload={"ctl": {
+        self._reply(reply_to, body, {
             "op": "rebound", "path": path,
             "notified": report.notified, "broken": report.broken,
             "attempts": report.attempts, "skipped": report.skipped,
-        }})
+        })
 
     async def _deliver_break(self, lease: Any, attempt: int) -> bool:
         holder = self._holders.get(lease.machine_id)
@@ -322,7 +322,12 @@ class RemoteNameClient:
             timeout=timeout, max_retries=max_retries,
             retry_policy=retry_policy, lease_table=self.lease_table)
         self.root: Optional[Entity] = None
-        self._ctl_waiters: dict[str, deque] = {}
+        self._ctl_ids = itertools.count(1)
+        self._ctl_waiters: dict[int, asyncio.Future] = {}
+        #: Control replies nobody was waiting for any more (the call
+        #: timed out or was cancelled); dropped, like a late lookup
+        #: reply (``client.late_replies``).
+        self.late_ctl_replies = 0
         # Route ctl replies to our futures; everything else to the
         # protocol client's handler (installed by its constructor).
         protocol_handler = self.endpoint._handler
@@ -343,34 +348,35 @@ class RemoteNameClient:
         return Address(host, port, CTL_LABEL)
 
     def _on_ctl_reply(self, body: dict) -> None:
-        waiters = self._ctl_waiters.get(body.get("op"))
-        if waiters:
-            future = waiters.popleft()
-            if not future.done():
-                future.set_result(body)
+        call_id = body.get("id")
+        future = (self._ctl_waiters.pop(call_id, None)
+                  if isinstance(call_id, int) else None)
+        if future is None or future.done():
+            self.late_ctl_replies += 1
+        else:
+            future.set_result(body)
 
-    async def _ctl_call(self, request: dict, reply_op: str,
-                        timeout: float = 5.0, index: int = 0) -> dict:
+    async def _ctl_call(self, request: dict, timeout: float = 5.0,
+                        index: int = 0) -> dict:
+        """One control round trip: the reply is the one carrying this
+        request's id, however many calls are in flight."""
+        call_id = next(self._ctl_ids)
         future = asyncio.get_running_loop().create_future()
-        waiters = self._ctl_waiters.setdefault(reply_op, deque())
-        waiters.append(future)
+        self._ctl_waiters[call_id] = future
         self.endpoint.send(self._ctl_address(index),
-                           payload={"ctl": request})
+                           payload={"ctl": {**request, "id": call_id}})
         try:
             return await asyncio.wait_for(future, timeout)
         finally:
-            # A waiter that gave up (timeout, cancellation) must not
-            # stay queued: it would swallow the reply meant for the
-            # next call of this op.
-            if future in waiters:
-                waiters.remove(future)
+            # Timed out or cancelled: a reply that still comes is late.
+            self._ctl_waiters.pop(call_id, None)
 
     async def connect(self, timeout: float = 5.0) -> Entity:
         """Hello every server; install the root proxy; returns it."""
         addresses = []
         for index in range(len(self._server_hosts)):
-            welcome = await self._ctl_call({"op": "hello"}, "welcome",
-                                           timeout, index=index)
+            welcome = await self._ctl_call({"op": "hello"}, timeout,
+                                           index=index)
             host, port = self._server_hosts[index]
             addresses.append(Address(host, port, welcome["lookup"]))
             if self.root is None:
@@ -395,8 +401,7 @@ class RemoteNameClient:
     async def lease(self, dep: tuple, timeout: float = 5.0) -> dict:
         """Take a lease on *dep*; installs the client-side grant."""
         granted = await self._ctl_call(
-            {"op": "lease-grant", "dep": list(dep)}, "lease-granted",
-            timeout)
+            {"op": "lease-grant", "dep": list(dep)}, timeout)
         self.lease_table.grant(tuple(granted["dep"]),
                                self.transport.now(), granted["term"],
                                granted["epoch"])
@@ -409,11 +414,10 @@ class RemoteNameClient:
         counts after break callbacks settle."""
         return await self._ctl_call(
             {"op": "rebind", "path": list(path), "label": label,
-             "dir": directory}, "rebound", timeout)
+             "dir": directory}, timeout)
 
     async def stats(self, timeout: float = 5.0) -> dict:
-        return await self._ctl_call({"op": "stats"}, "stats-reply",
-                                    timeout)
+        return await self._ctl_call({"op": "stats"}, timeout)
 
     async def aclose(self) -> None:
         await self.transport.aclose()

@@ -9,10 +9,7 @@ from repro.errors import SimulationError
 from repro.model.entities import ObjectEntity
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
-from repro.nameservice.cache import (
-    CachePolicy,
-    CachingDirectoryService,
-)
+from repro.nameservice.cache import CachePolicy
 from repro.nameservice.leases import (
     LeaseManager,
     LeaseState,
@@ -149,63 +146,6 @@ class TestLeaseManager:
         assert [h.machine_id for h in holders] == [7, 3, 5]
 
 
-def _service_world(seed=0, term=10.0, retry=None):
-    """A remotely-hosted directory with one same-net and one
-    partitionable client, under the LEASE policy."""
-    simulator = Simulator(seed=seed)
-    lan = simulator.network("lan")
-    srv = simulator.network("srv")
-    server = simulator.machine(srv, "server")
-    near = simulator.machine(srv, "near")
-    far = simulator.machine(lan, "far")
-    from repro.model.context import context_object
-    directory = context_object("registry")
-    simulator.sigma.add(directory)
-    v1 = ObjectEntity("svc-v1")
-    simulator.sigma.add(v1)
-    directory.state.bind("svc", v1)
-    placement = DirectoryPlacement()
-    placement.place(directory, server)
-    service = CachingDirectoryService(
-        simulator, placement, policy=CachePolicy.LEASE, ttl=term,
-        retry_policy=retry)
-    return simulator, lan, srv, server, near, far, directory, v1, service
-
-
-class TestCachingServiceLease:
-    def test_delivered_callback_revokes_immediately(self):
-        (simulator, _lan, _srv, _server, near, _far, directory, v1,
-         service) = _service_world()
-        assert service.lookup(near, directory, "svc") is v1
-        v2 = ObjectEntity("svc-v2")
-        service.rebind(directory, "svc", v2)
-        assert service.lookup(near, directory, "svc") is v2
-        stats = service.stats()
-        assert stats["invalidation_losses"] == 0
-        assert stats["lease_acks"] == 1
-        assert service.lease_table_of(near).stats()["revocations"] == 1
-
-    def test_lost_callback_breaks_lease_and_staleness_is_bounded(self):
-        (simulator, lan, srv, _server, _near, far, directory, v1,
-         service) = _service_world(term=10.0)
-        assert service.lookup(far, directory, "svc") is v1
-        granted = simulator.clock.now
-        simulator.partition(lan, srv)
-        v2 = ObjectEntity("svc-v2")
-        service.rebind(directory, "svc", v2)
-        stats = service.stats()
-        assert stats["invalidation_losses"] == 1
-        assert stats["lease_breaks"] == 1
-        simulator.heal(lan, srv)
-        # Inside the term the stale copy still answers (the bound).
-        assert service.lookup(far, directory, "svc") is v1
-        # One term after the grant the promise has run out: the entry
-        # expires and the next read refetches coherently.
-        simulator.run(until=granted + 10.0)
-        assert service.lookup(far, directory, "svc") is v2
-        assert service.lease_table_of(far).stats()["expirations"] == 1
-
-
 def _resolver_world(seed=0, term=12.0):
     """A replicated two-level namespace under the LEASE policy, with
     a partitionable client — the resolver-level lease stack."""
@@ -295,7 +235,8 @@ class TestResolverLease:
             entity, cost = _probe(world)
             assert entity is world["old_leaf"]
             assert cost.weak and cost.stale_steps > 0
-        table = world["resolver"].lease_table_of(world["client_machine"])
+        table = world["resolver"].writes.lease_table_of(
+            world["client_machine"])
         assert table.in_grace
         assert table.stats()["grace_hits"] > 0
         # Heal: the next walk revalidates and answers coherently — the

@@ -237,8 +237,8 @@ class TestRebindCoherence:
         world = make_deployment(CachePolicy.TTL, ttl=TTL)
         resolver, simulator = world["resolver"], world["simulator"]
         resolver.resolve(world["client"], world["context"], "/a/b/c/leaf")
-        cache = resolver.prefix_cache_of(world["client"].machine)
-        key = (id(world["context"]), True, (ROOT_NAME, "a", "b", "c"))
+        cache = resolver.cache_of(world["client"])
+        key = (world["context"].uid, True, (ROOT_NAME, "a", "b", "c"))
         entry = cache._entries[key]
         expires_at = entry.expires_at
         epoch = world["placement"].epoch
@@ -347,7 +347,8 @@ class TestPrefixCacheUnit:
     def _cache(self):
         simulator = Simulator()
         machine = simulator.machine(simulator.network())
-        return PrefixCache(machine)
+        return PrefixCache(machine, CachePolicy.INVALIDATE,
+                           DirectoryPlacement())
 
     def test_deepest_live_prefix_wins(self):
         cache = self._cache()

@@ -1,0 +1,164 @@
+"""The walk's host protocol is a checked list.
+
+``walk.HOST_PROTOCOL`` names every attribute ``walk_effects`` and
+``retry_effects`` may read from their host.  Both drivers are run here
+with a recording proxy in the host's place — every cache policy, parked
+and not, fail-fast and failover, through a lost ask, a trail, a
+degraded step and a batch — and what the walk read must be inside the
+tuple.  Widening the protocol therefore shows up as a diff of that
+tuple, not as one more attribute a new driver discovers it needs.
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from repro.namespaces.base import ProcessContext
+from repro.namespaces.tree import NamingTree
+from repro.nameservice import protocol, resolver, walk
+from repro.nameservice.cache import CachePolicy
+from repro.nameservice.placement import DirectoryPlacement
+from repro.nameservice.retry import RetryPolicy
+from repro.nameservice.walk import HOST_PROTOCOL
+from repro.sim.failures import FailureInjector
+from repro.sim.kernel import Simulator
+
+#: What the walk read before the cache took its own decisions.
+REMOVED = {"cache_policy", "cache_ttl", "serve_stale", "prefix_cache_of",
+           "lease_table_of", "placement", "writes"}
+RETRY = RetryPolicy(max_attempts=2, base_backoff=0.5, max_backoff=1.0)
+
+
+class Recorder:
+    """Stands in for a host: forwards every read, remembering its name."""
+
+    def __init__(self, host, seen: set):
+        self._host, self._seen = host, seen
+
+    def __getattr__(self, name):
+        self._seen.add(name)
+        return getattr(self._host, name)
+
+
+@pytest.fixture
+def seen(monkeypatch):
+    """Route both drivers' walks through a :class:`Recorder`."""
+    names: set = set()
+
+    def recording(effects):
+        return lambda host, *args, **kwargs: effects(
+            Recorder(host, names), *args, **kwargs)
+
+    for module in (resolver, protocol):
+        monkeypatch.setattr(module, "walk_effects",
+                            recording(walk.walk_effects))
+    monkeypatch.setattr(resolver, "retry_effects",
+                        recording(walk.retry_effects))
+    return names
+
+
+class World:
+    """``/a/b/leaf`` with ``a`` and ``a/b`` replicated on two servers
+    across a partitionable link from the client; the root is the
+    client machine's own."""
+
+    def __init__(self):
+        sim = self.sim = Simulator(seed=0)
+        self.lan, self.srv = sim.network("lan"), sim.network("srv")
+        self.home = sim.machine(self.lan, "home")
+        self.servers = [sim.machine(self.srv, f"s{i}") for i in (1, 2)]
+        tree = NamingTree("root", sigma=sim.sigma, parent_links=True)
+        tree.mkfile("a/b/leaf")
+        tree.mkfile("a/b/other")
+        self.placement = DirectoryPlacement()
+        self.placement.place(tree.root, self.home)
+        for path in ("a", "a/b"):
+            self.placement.place_replicated(tree.directory(path),
+                                            *self.servers)
+        self.context = ProcessContext(tree.root)
+        self.client = sim.spawn(self.home, "client")
+        self.injector = FailureInjector(sim)
+
+
+def run_parked(policy, retry):
+    """The synchronous driver through a warm-up, a crashed primary, a
+    partition with every copy expired, and a batch after the heal."""
+    world = World()
+    subject = resolver.DistributedResolver(
+        world.sim, world.placement, cache_policy=policy,
+        retry_policy=retry, serve_stale=policy is CachePolicy.TTL,
+        lease_term=5.0, cache_ttl=5.0)
+
+    def resolve():
+        return subject.resolve(world.client, world.context, "/a/b/leaf")[1]
+
+    resolve()                                   # fills the cache
+    world.injector.crash_machine(world.servers[0])
+    world.sim.run(until=world.sim.clock.now + 20.0)     # copies expire
+    cost = resolve()                            # a lost ask, then s2
+    assert cost.failed if retry is None else cost.failovers == 1
+    world.sim.partition(world.lan, world.srv)
+    world.sim.run(until=world.sim.clock.now + 20.0)
+    cost = resolve()                            # nobody left to ask
+    if retry is not None and policy in (CachePolicy.TTL, CachePolicy.LEASE):
+        assert cost.weak and cost.stale_steps   # a degraded step
+    else:
+        assert cost.failed
+    world.sim.heal(world.lan, world.srv)
+    subject.resolve_many(world.client, world.context,
+                         ["/a/b/leaf", "/a/b/other"])
+    return subject
+
+
+def run_message_driven():
+    """The asyncio-shaped driver on the simulator transport: a chained
+    lookup, then one whose first replica is dead."""
+    world = World()
+    lookupds = {id(machine): protocol.NameLookupServer(
+                    world.sim, machine, placement=world.placement)
+                for machine in world.servers}
+    client = protocol.AsyncNameClient(
+        world.sim, world.placement, lookupds, world.client, timeout=2.0,
+        max_retries=1, retry_policy=RETRY)
+    outcomes: list = []
+    client.resolve(world.context, "/a/b/leaf", outcomes.append)
+    world.sim.run()
+    assert outcomes[0].ok and outcomes[0].cost.remote_steps == 2
+    assert lookupds[id(world.servers[0])].requests_served == 2  # a trail
+    world.injector.crash_machine(world.servers[0])
+    client.resolve(world.context, "/a/b/leaf", outcomes.append)
+    world.sim.run()
+    assert outcomes[1].ok and outcomes[1].cost.failovers == 1
+    return client
+
+
+@pytest.mark.parametrize("policy", list(CachePolicy))
+@pytest.mark.parametrize("retry", [None, RETRY], ids=["failfast", "failover"])
+def test_the_parked_driver_reads_only_the_protocol(seen, policy, retry):
+    run_parked(policy, retry)
+    assert seen <= set(HOST_PROTOCOL), seen - set(HOST_PROTOCOL)
+
+
+def test_every_name_is_read_and_both_drivers_provide_it(seen):
+    client = run_message_driven()
+    assert seen <= set(HOST_PROTOCOL), seen - set(HOST_PROTOCOL)
+    # `primary` is read under `failfast` only, which this host never is.
+    assert not client.failfast
+    assert all(hasattr(client, name)
+               for name in HOST_PROTOCOL if name != "primary")
+    for retry in (None, RETRY):
+        subject = run_parked(CachePolicy.LEASE, retry)
+    assert all(hasattr(subject, name) for name in HOST_PROTOCOL)
+    assert seen == set(HOST_PROTOCOL), set(HOST_PROTOCOL) - seen
+
+
+def test_the_protocol_is_fourteen_documented_names():
+    assert len(HOST_PROTOCOL) == len(set(HOST_PROTOCOL)) <= 14
+    assert not REMOVED & set(HOST_PROTOCOL)
+    listed = walk.__doc__.split("The *host* argument", 1)[1]
+    for name in HOST_PROTOCOL:
+        assert re.search(rf"``{name}(\(|``)", listed), name
+    for name in REMOVED:
+        assert f"``{name}" not in walk.__doc__, name

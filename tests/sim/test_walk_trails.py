@@ -37,8 +37,8 @@ from repro.sim.kernel import Simulator
 
 
 class ScriptedHost:
-    """The walk's host protocol over real cache parts and no I/O: a
-    client on *home* that does not park, routing by *placement*."""
+    """The walk's host protocol over a real cache and no I/O: a client
+    on *home* that does not park, routing by *placement*."""
 
     retry_policy = None
     attempts = 2
@@ -46,24 +46,26 @@ class ScriptedHost:
     parks = False
     obs = NO_OBS
     rng = random.Random(0)
-    cache_ttl = 50.0
-    serve_stale = False
 
     def __init__(self, policy, placement, home):
-        self.cache_policy = policy
-        self.placement = placement
         self.home = home
-        self.table = LeaseTable(home.label)
-        self.cache = PrefixCache(
-            home, lease_table=(self.table if policy is CachePolicy.LEASE
-                               else None))
-        self.writes = self          # note_copies lands here
         self.copies: list = []
         self.charged: list = []
         self.replicas = placement.replicas_for_binding
+        self.cache = None
+        if policy is not CachePolicy.NONE:
+            self.cache = PrefixCache(
+                home, policy, placement, ttl=50.0,
+                lease_table=(LeaseTable(home.label)
+                             if policy is CachePolicy.LEASE else None),
+                note_copies=lambda node, deps: self.copies.append(
+                    (node.label, deps)))
 
     def now(self):
         return 1.0
+
+    def cache_of(self, _home):
+        return self.cache
 
     def target_on(self, _directory, node):
         return node
@@ -76,15 +78,6 @@ class ScriptedHost:
 
     def charge(self, target):
         self.charged.append(target.label)
-
-    def prefix_cache_of(self, _node):
-        return self.cache
-
-    def lease_table_of(self, _node):
-        return self.table
-
-    def note_copies(self, node, deps):
-        self.copies.append((node.label, deps))
 
 
 def drive(host, context, name, replies, memo=None):
@@ -137,7 +130,8 @@ def host_state(host, memo):
         "charged": host.charged,
         "copies": host.copies,
         "entries": {key: (entry.directory, entry.deps)
-                    for key, entry in host.cache._entries.items()},
+                    for key, entry in (host.cache._entries.items()
+                                       if host.cache is not None else ())},
         "memo": memo,
     }
 

@@ -1,12 +1,11 @@
-"""The one write path, through both of its simulator callers.
+"""The one write path, through its simulator caller.
 
 ``repro.nameservice.writes.WritePath`` is the single definition of
-rebind → replicate → invalidate / lease-break.  These tests pin the
-two things that used to differ between the resolver's and the
-directory service's private copies of it: a crashed owning host is a
-counted loss (never an exception out of ``rebind``), and one scripted
-holders / drops / partition / crash timeline yields identical
-write-side counters whichever caller drives it.
+rebind → replicate → invalidate / lease-break, driven on the simulator
+by ``DistributedResolver``.  These tests pin what private copies of it
+once got wrong: a crashed owning host is a counted loss (never an
+exception out of ``rebind``), and one scripted holders / drops /
+partition / crash timeline keeps every write-side book.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import pytest
 
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
-from repro.nameservice.cache import CachePolicy, CachingDirectoryService
+from repro.nameservice.cache import CachePolicy
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.resolver import DistributedResolver
 from repro.nameservice.retry import RetryPolicy
@@ -29,10 +28,9 @@ TERM = 1_000.0     # long enough that no lease expires mid-timeline
 class World:
     """``/svc/app/cfg`` with ``svc`` and two alternative ``app``
     directories replicated on host+backup, read by two clients on
-    networks of their own.  *caller* picks who drives the write path;
-    reads and rebinds go through the same two verbs either way."""
+    networks of their own."""
 
-    def __init__(self, caller: str, policy: CachePolicy, seed: int = 3):
+    def __init__(self, policy: CachePolicy, seed: int = 3):
         sim = self.sim = Simulator(seed=seed)
         self.srv = sim.network("srv")
         self.lans = [sim.network("lan1"), sim.network("lan2")]
@@ -50,40 +48,29 @@ class World:
             self.placement.place_replicated(node, self.host, self.backup)
         self.injector = FailureInjector(sim)
         self.bound = 0          # index into self.apps of σ(svc)(app)
-        if caller == "resolver":
-            self.subject = DistributedResolver(
-                sim, self.placement, cache_policy=policy,
-                retry_policy=RETRY, lease_term=TERM)
-            context = ProcessContext(tree.root)
-            clients = [sim.spawn(machine, f"p{i + 1}")
-                       for i, machine in enumerate(self.machines)]
-            self._read = lambda i: self.subject.resolve(
-                clients[i], context, "/svc/app/cfg")
-        else:
-            self.subject = CachingDirectoryService(
-                sim, self.placement, policy=policy, ttl=TERM,
-                retry_policy=RETRY)
-            self._read = lambda i: self.subject.lookup(
-                self.machines[i], self.svc, "app")
+        self.subject = DistributedResolver(
+            sim, self.placement, cache_policy=policy,
+            retry_policy=RETRY, lease_term=TERM)
+        self.context = ProcessContext(tree.root)
+        self.clients = [sim.spawn(machine, f"p{i + 1}")
+                        for i, machine in enumerate(self.machines)]
 
     def read(self, *clients: int) -> None:
         for index in clients:
-            self._read(index)
+            self.subject.resolve(self.clients[index], self.context,
+                                 "/svc/app/cfg")
 
     def rebind(self) -> None:
         self.bound = 1 - self.bound
         self.subject.rebind(self.svc, "app", self.apps[self.bound])
 
     def write_side(self) -> dict:
-        """The books the write path keeps, read through the callers'
-        public surface."""
+        """The books the write path keeps, read through the
+        resolver's public surface."""
         subject = self.subject
         state = {
             "invalidation_messages": subject.invalidation_messages,
-            # Durations are differences of absolute clocks that the
-            # callers' reads advance differently: equal to rounding.
-            "invalidation_latency": round(subject.invalidation_latency,
-                                          9),
+            "invalidation_latency": subject.invalidation_latency,
             "invalidation_losses": subject.invalidation_losses,
             "backup_stale": self.placement.is_stale(self.svc,
                                                     self.backup),
@@ -95,13 +82,13 @@ class World:
                 held=len(subject.leases.holders_of(
                     ("d", self.svc.uid, "app"), self.sim.clock.now)),
                 revocations=sum(
-                    subject.lease_table_of(machine).revocations
+                    subject.writes.lease_table_of(machine).revocations
                     for machine in self.machines))
         return state
 
 
-def holders_then_host_crash(caller, policy):
-    world = World(caller, policy)
+def holders_then_host_crash(policy):
+    world = World(policy)
     world.read(0, 1)                       # both clients hold copies
     world.injector.crash_machine(world.host)
     world.rebind()                         # must not raise
@@ -112,9 +99,8 @@ class TestOwningHostDown:
     """``rebind`` with the owning host crashed and remote holders
     registered: nothing can be sent, nothing may raise."""
 
-    @pytest.mark.parametrize("caller", ["resolver", "service"])
-    def test_invalidate_counts_losses_and_keeps_holders(self, caller):
-        world = holders_then_host_crash(caller, CachePolicy.INVALIDATE)
+    def test_invalidate_counts_losses_and_keeps_holders(self):
+        world = holders_then_host_crash(CachePolicy.INVALIDATE)
         state = world.write_side()
         assert state["invalidation_messages"] == 0
         assert state["invalidation_losses"] == 2
@@ -127,9 +113,8 @@ class TestOwningHostDown:
         assert state["invalidation_messages"] == 2
         assert state["invalidation_losses"] == 2
 
-    @pytest.mark.parametrize("caller", ["resolver", "service"])
-    def test_lease_is_broken_server_side(self, caller):
-        world = holders_then_host_crash(caller, CachePolicy.LEASE)
+    def test_lease_is_broken_server_side(self):
+        world = holders_then_host_crash(CachePolicy.LEASE)
         state = world.write_side()
         assert state["invalidation_messages"] == 0
         assert state["invalidation_losses"] == 2
@@ -138,17 +123,10 @@ class TestOwningHostDown:
         assert state["revocations"] == 0   # the copies expire by term
 
 
-def scripted_timeline(world: World) -> list[dict]:
+def scripted_timeline(world: World) -> dict:
     """Holders, a partition, a crashed host and its restart — the
-    write-side state after every rebind."""
-    seen = []
-
-    def rebind():
-        world.rebind()
-        seen.append(dict(
-            world.write_side(), replication_messages=(
-                world.subject.writes.replication_messages)))
-
+    write-side state after the last rebind."""
+    rebind = world.rebind
     world.read(0, 1)
     rebind()                               # both holders reached
     world.read(0, 1)
@@ -167,17 +145,15 @@ def scripted_timeline(world: World) -> list[dict]:
     rebind()
     world.read(0, 1)
     rebind()
-    return seen
+    return dict(world.write_side(), replication_messages=(
+        world.subject.writes.replication_messages))
 
 
 class TestWritePathContract:
     @pytest.mark.parametrize("policy", [CachePolicy.INVALIDATE,
                                         CachePolicy.LEASE])
-    def test_both_callers_keep_identical_books(self, policy):
-        via_resolver = scripted_timeline(World("resolver", policy))
-        via_service = scripted_timeline(World("service", policy))
-        assert via_resolver == via_service
-        final = via_resolver[-1]
+    def test_scripted_timeline_keeps_its_books(self, policy):
+        final = scripted_timeline(World(policy))
         # The timeline did exercise every branch it scripts.
         assert final["invalidation_messages"] > 0
         assert final["invalidation_losses"] >= 2
@@ -189,14 +165,13 @@ class TestWritePathContract:
     @pytest.mark.parametrize("policy", [CachePolicy.NONE,
                                         CachePolicy.TTL])
     def test_uncoherent_policies_still_replicate(self, policy):
-        for caller in ("resolver", "service"):
-            world = World(caller, policy)
-            world.read(0, 1)
-            world.rebind()
-            world.injector.crash_machine(world.backup)
-            world.rebind()
-            state = world.write_side()
-            # One delivered, one sent at the crashed replica and lost.
-            assert world.subject.writes.replication_messages == 2
-            assert state["invalidation_messages"] == 0
-            assert state["backup_stale"]
+        world = World(policy)
+        world.read(0, 1)
+        world.rebind()
+        world.injector.crash_machine(world.backup)
+        world.rebind()
+        state = world.write_side()
+        # One delivered, one sent at the crashed replica and lost.
+        assert world.subject.writes.replication_messages == 2
+        assert state["invalidation_messages"] == 0
+        assert state["backup_stale"]

@@ -1,11 +1,10 @@
-"""Clock-parameterized retry machinery: regression + parity.
+"""Clock-parameterized retry machinery: regression.
 
-PR 10 lets a :class:`CircuitBreaker` carry its own ``now()`` source
-(a transport clock) so real-backend callers need not thread time
-through every call.  These tests pin that (a) the legacy explicit-now
-API is bit-identical to before, (b) clock-bound and explicit driving
-produce identical state machines, and (c) the seeded jitter schedule
-of :class:`RetryPolicy` is unchanged (golden digests per seed).
+Every caller of a :class:`CircuitBreaker` hands it the time (virtual
+seconds on the simulator, wall seconds over sockets).  These tests pin
+that (a) the explicit-now state machine is what it was and (b) the
+seeded jitter schedule of :class:`RetryPolicy` is unchanged (golden
+digests per seed).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import random
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.nameservice.retry import BreakerState, CircuitBreaker, RetryPolicy
 from repro.sim.kernel import Simulator
 from repro.transport.base import as_transport
@@ -77,55 +75,3 @@ class TestClockBinding:
         breaker = CircuitBreaker(failure_threshold=3, cooldown=30.0)
         outcome = drive(breaker, SCRIPT)
         assert outcome[-1][0] is BreakerState.CLOSED
-
-    def test_no_clock_and_no_now_raises(self):
-        breaker = CircuitBreaker()
-        with pytest.raises(SimulationError):
-            breaker.allow()
-        with pytest.raises(SimulationError):
-            breaker.record_failure()
-
-    def test_clock_bound_matches_explicit_now(self):
-        """The same script driven two ways lands in the same states,
-        transition counts and allow decisions."""
-        current = {"t": 0.0}
-        bound = CircuitBreaker(failure_threshold=3, cooldown=30.0,
-                               clock=lambda: current["t"])
-        explicit = CircuitBreaker(failure_threshold=3, cooldown=30.0)
-        bound_out, explicit_out = [], []
-        for op, time_ in SCRIPT:
-            current["t"] = time_
-            if op == "allow":
-                bound_out.append(bound.allow())          # clock-driven
-                explicit_out.append(explicit.allow(time_))
-            elif op == "fail":
-                bound.record_failure()
-                explicit.record_failure(time_)
-            else:
-                bound.record_success()
-                explicit.record_success(time_)
-        assert bound_out == explicit_out
-        assert bound.state is explicit.state
-        assert bound.transitions == explicit.transitions
-        assert bound.consecutive_failures == explicit.consecutive_failures
-
-    def test_explicit_now_overrides_bound_clock(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0,
-                                 clock=lambda: 0.0)
-        breaker.record_failure(5.0)       # explicit trip at t=5
-        assert breaker.state is BreakerState.OPEN
-        assert not breaker.allow(6.0)     # explicit: cooldown not over
-        assert breaker.allow(20.0)        # explicit: cooldown elapsed
-
-    def test_transport_clock_binds_directly(self):
-        simulator = Simulator(seed=0)
-        transport = as_transport(simulator)
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=5.0,
-                                 clock=transport.now)
-        breaker.record_failure()          # trips at virtual t=0
-        assert breaker.state is BreakerState.OPEN
-        assert not breaker.allow()
-        simulator.schedule(6.0, lambda: None)
-        simulator.run()                   # virtual time passes
-        assert breaker.allow()            # half-open probe allowed
-        assert breaker.state is BreakerState.HALF_OPEN

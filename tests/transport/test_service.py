@@ -275,8 +275,7 @@ class TestWritePathRobustness:
                                 {"op": "rebind", "path": "usr"},
                                 {"op": "rebind", "path": [["usr"]]},
                                 {"op": "rebind", "path": ["usr", "a/b"]}):
-                    reply = await client._ctl_call(request, "rebound",
-                                                   timeout=2.0)
+                    reply = await client._ctl_call(request, timeout=2.0)
                     assert "error" in reply, request
                 assert service.rebinds == 0
                 assert not service._rebind_tasks
@@ -490,16 +489,81 @@ class TestHostilePeers:
             service, client = await start_pair()
             try:
                 # A request the server never answers: its waiter gives
-                # up, and must not stay queued to eat the reply of the
-                # next call that awaits the same reply op.
+                # up, and must not stay behind to eat the reply of the
+                # next call.
                 with pytest.raises(asyncio.TimeoutError):
                     await client._ctl_call({"op": "no-such-op"},
-                                           "stats-reply", timeout=0.05)
+                                           timeout=0.05)
                 stats = await client.stats(timeout=1.0)
                 assert stats["op"] == "stats-reply"
-                assert not any(client._ctl_waiters.values())
+                assert not client._ctl_waiters
             finally:
                 await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+
+async def start_with_silent_holder(*deps):
+    """A service, a holder leasing ``(parent path, component)`` *deps*
+    that then swallows every break callback, and a writer: a rebind of
+    a leased binding answers only after the fan-out gave up (two
+    50 ms ack waits and a 10 ms backoff)."""
+    service = NamingService(
+        build_root(), ack_timeout=0.05,
+        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.01,
+                                 max_backoff=0.01, jitter=0.0))
+    address = await service.start()
+    holder, writer = (
+        RemoteNameClient([(address.host, address.port)],
+                         retry_policy=FAST_RETRY, label=label)
+        for label in ("holder", "writer"))
+    await holder.connect()
+    await writer.connect()
+    for parent, component in deps:
+        directory = (await holder.resolve(parent)).entity
+        await holder.lease(holder.dep_for(directory, component))
+    holder.endpoint.on_message(lambda endpoint, envelope: None)
+    return service, holder, writer
+
+
+class TestControlReplyMatching:
+    """Control replies are matched to callers by request id: rebinds
+    answer when their fan-outs end, not in request order."""
+
+    def test_concurrent_rebinds_each_get_their_own_reply(self):
+        async def scenario():
+            service, holder, writer = await start_with_silent_holder(
+                ("/usr", "bin"))
+            try:
+                slow, fast = await asyncio.gather(
+                    writer.rebind(["usr", "bin"]), writer.rebind(["tmp"]))
+                assert slow["path"] == ["usr", "bin"]
+                assert (slow["broken"], slow["notified"]) == (1, 0)
+                assert fast["path"] == ["tmp"]
+                assert (fast["broken"], fast["notified"]) == (0, 0)
+                assert writer.late_ctl_replies == 0
+            finally:
+                await holder.aclose()
+                await writer.aclose()
+                await service.aclose()
+        run(scenario())
+
+    def test_a_late_reply_does_not_resolve_the_next_call(self):
+        async def scenario():
+            service, holder, writer = await start_with_silent_holder(
+                ("/usr", "bin"), ("/", "tmp"))
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await writer.rebind(["usr", "bin"], timeout=0.02)
+                # The next call of the same op is still waiting when
+                # the first one's reply lands.
+                report = await writer.rebind(["tmp"], timeout=2.0)
+                assert report["path"] == ["tmp"] and report["broken"] == 1
+                assert writer.late_ctl_replies == 1
+                assert not writer._ctl_waiters
+            finally:
+                await holder.aclose()
+                await writer.aclose()
                 await service.aclose()
         run(scenario())
 
