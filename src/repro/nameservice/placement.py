@@ -216,16 +216,6 @@ class DirectoryPlacement:
         self._epoch += 1
         return shard_map
 
-    def is_sharded(self, directory: Entity) -> bool:
-        return directory.uid in self._shard_maps
-
-    @property
-    def has_sharding(self) -> bool:
-        """True if *any* directory is sharded — the resolver's hot
-        path uses this to skip all per-binding routing bookkeeping on
-        deployments that never shard."""
-        return bool(self._shard_maps)
-
     def shard_map_of(self, directory: Entity) -> Optional[ShardMap]:
         return self._shard_maps.get(directory.uid)
 
@@ -382,21 +372,15 @@ class DirectoryPlacement:
     def note_binding_load(self, directory: Entity,
                           component: Optional[str]) -> None:
         """Record one routing hit against *component*'s owning shard
-        without re-resolving the host (memoized-route bookkeeping)."""
+        without re-resolving the host.
+
+        No caller since the batch route memo went; ``benchmarks/e2e``'s
+        shim table names it and :meth:`ShardMap.note_load`, so both
+        stay until a ``[benchmark]`` issue re-points the table.
+        """
         shard_map = self._shard_maps.get(directory.uid)
         if shard_map is not None and component is not None:
             shard_map.note_load(component)
-
-    def require_host(self, directory: Entity) -> Machine:
-        host = self.host_of(directory)
-        if host is None:
-            raise SchemeError(
-                f"directory {directory.label!r} has no hosting machine")
-        return host
-
-    def placed_count(self) -> int:
-        """Number of directories with a placement (sharded included)."""
-        return len(self._replicas_of) + len(self._shard_maps)
 
     # -- stale marks (anti-entropy bookkeeping) ------------------------------
 
@@ -435,12 +419,6 @@ class DirectoryPlacement:
             self._stale.discard(key)
             return True
         return False
-
-    def primary_of_uid(self, directory_uid: int) -> Optional[Machine]:
-        """The primary machine for a directory uid (anti-entropy's
-        sync source), or None if the directory is no longer placed."""
-        replicas = self._replicas_of.get(directory_uid)
-        return replicas[0] if replicas else None
 
     def is_placed_uid(self, directory_uid: int) -> bool:
         """True if *directory_uid* still has any placement (replica

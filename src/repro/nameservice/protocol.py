@@ -13,17 +13,17 @@ just reached, so the reply is a *trail* — one entity per component
 consumed — and a path one server holds costs one round trip, not one
 per component.  What stays here is what belongs to
 messages: request ids, per-request sequence numbers, timers and the
-late-reply count.  The protocol speaks through :mod:`repro.transport`:
-over a :class:`~repro.sim.kernel.Simulator` it runs on
-:class:`~repro.transport.sim.SimTransport` in virtual time; over an
-:class:`~repro.transport.aio.AsyncioTransport` (via
-:meth:`AsyncNameClient.over` / a transport-backed
-:class:`NameLookupServer`) the identical code serves lookups over real
-TCP sockets with wall-clock timeouts.  Nothing here runs the
-substrate — the caller pumps :meth:`Simulator.run` (or the asyncio
-loop), so lookups interleave naturally with any other traffic, and
-failures (crashed servers, partitions, refused connections) surface as
-timeouts rather than hangs.
+late-reply count.  The protocol speaks through :mod:`repro.transport`
+and nothing else — client and server are each built over a
+:class:`~repro.transport.base.Transport`, one constructor apiece: on
+:class:`~repro.transport.sim.SimTransport` it runs in virtual time on
+the kernel; on :class:`~repro.transport.aio.AsyncioTransport` the
+identical code serves lookups over real TCP sockets with wall-clock
+timeouts.  Nothing here runs the substrate — the caller pumps
+:meth:`Simulator.run` (or the asyncio loop), so lookups interleave
+naturally with any other traffic, and failures (crashed servers,
+partitions, refused connections) surface as timeouts rather than
+hangs.
 
 Correctness property (tested): with no failures, an async lookup
 completes with exactly the entity the section-2 recursion yields
@@ -74,7 +74,7 @@ from repro.nameservice.walk import (DOWN, LOST, STALE, Ask, ResolutionCost,
                                     walk_effects)
 from repro.obs.instrument import NO_OBS
 from repro.sim.network import Machine
-from repro.transport.base import Endpoint, Timer, Transport, as_transport
+from repro.transport.base import Endpoint, Timer, Transport
 from repro.transport.framing import MAX_REST
 
 __all__ = ["LookupOutcome", "PlacementRouter", "NameLookupServer",
@@ -161,13 +161,11 @@ class NameLookupServer:
     the auditor count *steps*, chained or not.
 
     Args:
-        simulator: A :class:`~repro.sim.kernel.Simulator` (a server
-            process is spawned on *machine*) or any
-            :class:`~repro.transport.base.Transport`
-            (an endpoint is created on *machine*, which a real
-            transport may ignore).
-        machine: The hosting node (sim: a
-            :class:`~repro.sim.network.Machine`).
+        transport: The :class:`~repro.transport.base.Transport` to
+            serve on; an endpoint is created on *node*.
+        node: The hosting node (sim: a
+            :class:`~repro.sim.network.Machine`, where a server
+            process is spawned; a real transport may ignore it).
         label: Endpoint label; defaults to ``lookupd@<machine>``.
         placement: What this server serves, by the source its clients'
             router reads: anything with ``serves(machine, directory,
@@ -188,17 +186,16 @@ class NameLookupServer:
     auditor: Any = None
     audit_policy: str = "invalidate"
 
-    def __init__(self, simulator: Any, machine: Any = None,
+    def __init__(self, transport: Transport, node: Any = None,
                  label: str = "", placement: Any = None):
-        self.transport: Transport = as_transport(simulator)
-        self.simulator = getattr(self.transport, "simulator", None)
-        self.machine = machine
+        self.transport = transport
+        self.machine = node
         self.placement = placement
         if not label:
-            node_label = getattr(machine, "label", None)
+            node_label = getattr(node, "label", None)
             label = (f"lookupd@{node_label}" if node_label is not None
                      else "lookupd")
-        self.endpoint: Endpoint = self.transport.endpoint(machine, label)
+        self.endpoint: Endpoint = transport.endpoint(node, label)
         self.endpoint.on_message(self._handle)
         #: The backing simulator process (sim transport only).
         self.process = getattr(self.endpoint, "process", None)
@@ -249,7 +246,7 @@ class NameLookupServer:
             "request_id": request["request_id"],
             "seq": request.get("seq", 0),
             "trail": trail,
-        }}, latency=request.get("latency", 1.0))
+        }})
         # The reply continues the request's trace.
         reply.trace_id = message.trace_id
         reply.parent_span_id = message.parent_span_id
@@ -269,13 +266,13 @@ class NameLookupServer:
         (Simulator transport only — real servers restart by
         reconnecting.)
         """
-        if self.process is None or self.simulator is None:
+        if self.process is None:
             return False
         if self.process.alive or not self.machine.alive:
             return False
-        self.process = self.simulator.spawn(self.machine,
-                                            label=self.process.label)
-        self.endpoint = self.transport.adopt(self.process)
+        self.endpoint = self.transport.endpoint(self.machine,
+                                                self.process.label)
+        self.process = self.endpoint.process
         self.endpoint.on_message(self._handle)
         if self._obs.enabled:
             self._obs.metrics.counter(
@@ -299,13 +296,11 @@ class AsyncNameClient:
     """The client half: non-blocking compound-name resolution.
 
     Args:
-        simulator: The shared :class:`~repro.sim.kernel.Simulator`
-            (never run by the client) — or any transport, via
-            :meth:`over`.
-        placement: Directory placements (who to ask for which step).
-        servers: machine id → :class:`NameLookupServer` (share one
-            mapping between all clients).
-        process: The client's own simulator process (handler installed).
+        transport: The shared :class:`~repro.transport.base.Transport`
+            (never run by the client).
+        router: Who to ask for which step — ``replicas`` and
+            ``target_on`` (sim: a :class:`PlacementRouter`).
+        endpoint: The client's own endpoint (handler installed).
         timeout: Transport time to wait for each step's reply
             (virtual units on the simulator, wall seconds on asyncio).
         max_retries: Re-asks per replica of a step before the walk
@@ -324,8 +319,6 @@ class AsyncNameClient:
             back to the sender (the ack continues the callback's
             trace context), counted in
             ``async_lease_callbacks_total``.
-        router: Optional routing override (defaults to a
-            :class:`PlacementRouter` over *placement*/*servers*).
 
     Attributes:
         late_replies: Replies that arrived for an already-settled or
@@ -335,61 +328,28 @@ class AsyncNameClient:
             counted, never silently dropped.
     """
 
-    def __init__(self, simulator: Any,
-                 placement: Optional[DirectoryPlacement],
-                 servers: Optional[dict[int, NameLookupServer]],
-                 process: Any,
+    def __init__(self, transport: Transport, router: Any,
+                 endpoint: Endpoint, *,
                  timeout: float = 5.0, max_retries: int = 2,
-                 latency: float = 1.0,
                  retry_policy: Optional[RetryPolicy] = None,
-                 lease_table: Optional[LeaseTable] = None,
-                 router: Any = None):
-        self.transport: Transport = as_transport(simulator)
-        self.simulator = getattr(self.transport, "simulator", simulator)
-        self.rng = self.transport.rng
-        self.placement = placement
-        self.servers = servers
-        if isinstance(process, Endpoint):
-            self.endpoint = process
-        else:
-            self.endpoint = self.transport.adopt(process)
-        #: The backing simulator process (sim transport only).
-        self.process = getattr(self.endpoint, "process", None)
-        self._home = self.endpoint.node
-        if router is None:
-            if placement is None or servers is None:
-                raise SchemeError(
-                    "AsyncNameClient needs placement+servers or a router")
-            router = PlacementRouter(placement, servers, self._home)
+                 lease_table: Optional[LeaseTable] = None):
+        self.transport = transport
+        self.rng = transport.rng
+        self.endpoint = endpoint
+        self._home = endpoint.node
         self.router = router
         self.replicas = router.replicas
         self.target_on = router.target_on
         self.timeout = timeout
         self.max_retries = max_retries
-        self.latency = latency
         self.retry_policy = retry_policy
         self.lease_table = lease_table
         self.lease_callbacks = 0
         self.late_replies = 0
         self._pending: dict[int, _Pending] = {}
         self._ids = itertools.count(1)
-        self._obs = self.transport.obs
+        self._obs = transport.obs
         self.endpoint.on_message(self._on_message)
-
-    @classmethod
-    def over(cls, transport: Transport, router: Any, endpoint: Endpoint,
-             *, timeout: float = 5.0, max_retries: int = 2,
-             latency: float = 1.0,
-             retry_policy: Optional[RetryPolicy] = None,
-             lease_table: Optional[LeaseTable] = None,
-             ) -> "AsyncNameClient":
-        """Construct over an explicit transport/router/endpoint — the
-        real-backend entry point (the positional API stays the
-        simulator's)."""
-        return cls(transport, None, None, endpoint, timeout=timeout,
-                   max_retries=max_retries, latency=latency,
-                   retry_policy=retry_policy, lease_table=lease_table,
-                   router=router)
 
     # -- API ---------------------------------------------------------------
 
@@ -517,8 +477,7 @@ class AsyncNameClient:
             "directory": ask.directory,
             "component": ask.component,
             "rest": ask.rest[:MAX_REST],
-            "latency": self.latency,
-        }}, latency=self.latency)
+        }})
         if pending.span is not None:
             request.trace_id = pending.span.trace_id
             request.parent_span_id = pending.span.span_id
@@ -565,7 +524,7 @@ class AsyncNameClient:
                 {"held": str(held).lower()}).inc()
         ack = self.endpoint.send(message.sender, payload={"lease": {
             "op": "ack", "dep": dep, "held": held,
-        }}, latency=self.latency)
+        }})
         # The ack continues the callback's trace.
         ack.trace_id = message.trace_id
         ack.parent_span_id = message.parent_span_id

@@ -118,7 +118,6 @@ class DistributedResolver:
     Args:
         simulator: The kernel carrying the resolution traffic.
         placement: Directory → machine placement (possibly replicated).
-        latency: One-way message latency for server hops.
         cache_policy: Coherence policy for the per-machine prefix
             caches (``NONE`` disables prefix caching entirely).
         cache_ttl: Expiry window for ``TTL`` prefix entries, in
@@ -144,7 +143,6 @@ class DistributedResolver:
 
     def __init__(self, simulator: Simulator,
                  placement: DirectoryPlacement,
-                 latency: float = 1.0,
                  cache_policy: CachePolicy = CachePolicy.NONE,
                  cache_ttl: float = 10.0,
                  retry_policy: Optional[RetryPolicy] = None,
@@ -155,7 +153,6 @@ class DistributedResolver:
                  migration_batch: int = 100_000):
         self._sim = simulator
         self._placement = placement
-        self._latency = latency
         self.obs = simulator.obs
         self.rng = simulator.rng
         self._servers: dict[int, SimProcess] = {}
@@ -188,7 +185,7 @@ class DistributedResolver:
         #: The write discipline (rebind → replicate → invalidate /
         #: lease-break), its holder registry, lease state and counters.
         self.writes = WritePath(
-            simulator, placement, cache_policy, latency=latency,
+            simulator, placement, cache_policy,
             retry_policy=retry_policy, lease_term=lease_term,
             breaker_threshold=breaker_threshold,
             breaker_cooldown=breaker_cooldown,
@@ -274,16 +271,12 @@ class DistributedResolver:
             self._breakers[server.uid] = breaker
         return breaker
 
-    def breaker_of(self, machine: Machine) -> CircuitBreaker:
-        """The circuit breaker guarding a machine's current server."""
-        return self.breaker_for(self.server_for(machine))
-
     def breaker_allows(self, machine: Machine) -> bool:
         """Whether *machine*'s breaker would admit a request — a
         **pure read** for policy decisions (the split-target choice).
 
-        Unlike :meth:`breaker_of` this never spawns a server, and
-        unlike :meth:`CircuitBreaker.allow` it never flips an open
+        This never spawns a server, and unlike
+        :meth:`CircuitBreaker.allow` it never flips an open
         breaker to half-open — probing is the failover path's job, not
         a placement scan's.  A machine with no server (or no breaker)
         has no recorded failures, so it is allowed.
@@ -309,8 +302,7 @@ class DistributedResolver:
         is a new process under the old label), so this label-summed
         view is ambiguous.  Anything that *decides* off load — shard
         splitting, queue models, failover scoring — must key on uid
-        via :meth:`load_by_uid`, :meth:`load_of` or
-        :meth:`load_of_machine`.
+        via :meth:`load_by_uid` or :meth:`load_of_machine`.
         """
         report: dict[str, int] = {}
         for uid, count in self._load.items():
@@ -324,10 +316,6 @@ class DistributedResolver:
         diff two snapshots for a window)."""
         return dict(self._load)
 
-    def load_of(self, server: SimProcess) -> int:
-        """Steps served by one specific server process."""
-        return self._load.get(server.uid, 0)
-
     def load_of_machine(self, machine: Machine) -> int:
         """Steps served by *machine*'s current server process (0 if
         no server ever ran there; a crashed-and-respawned server
@@ -336,10 +324,6 @@ class DistributedResolver:
         if server is None:
             return 0
         return self._load.get(server.uid, 0)
-
-    def reset_load(self) -> None:
-        """Clear the per-server load counters."""
-        self._load.clear()
 
     def charge(self, server: SimProcess) -> None:
         """Account one directory step served by *server*."""
@@ -430,8 +414,7 @@ class DistributedResolver:
                 "hop", what, before,
                 attrs={"from": sender.label, "to": receiver.label,
                        "messages": 1})
-        message = sender.send(receiver, payload={"ns": what},
-                              latency=self._latency)
+        message = sender.send(receiver, payload={"ns": what})
         if span is not None:
             message.trace_id = span.trace_id
             message.parent_span_id = span.span_id
@@ -478,41 +461,6 @@ class DistributedResolver:
         if at is not client_server:
             self._hop_retried(at, client_server, cost, "answer")
 
-    def _route_host(self, directory: Entity, component: Optional[str],
-                    routes: Optional[dict]) -> Optional[Machine]:
-        """The machine serving *component*'s binding in *directory*,
-        through the batch route memo when one is active.
-
-        The memo saves re-hashing shared prefixes across a sorted
-        batch, but a route is only as good as the placement epoch it
-        was computed under: a shard split landing **mid-batch** bumps
-        the epoch, and serving later names from pre-split routes would
-        send them to a server whose bindings just migrated away.  The
-        memo therefore records its epoch and self-clears on any bump —
-        later batch items re-route against the live shard map.
-
-        With no sharded placements at all there is nothing to hash and
-        nothing for the memo to save, so the whole apparatus is
-        skipped — an unsharded deployment pays one boolean check over
-        the classic per-directory lookup.
-        """
-        if routes is None or not self._placement.has_sharding:
-            return self._placement.host_of_binding(directory, component)
-        epoch = self._placement.epoch
-        if routes.get("epoch") != epoch:
-            routes.clear()
-            routes["epoch"] = epoch
-        key = (directory.uid, component)
-        if key in routes:
-            # Memo hit — still record the routing hit against the
-            # owning shard, or the split policy would go blind to
-            # exactly the hot repeated lookups it exists to catch.
-            self._placement.note_binding_load(directory, component)
-            return routes[key]
-        host = self._placement.host_of_binding(directory, component)
-        routes[key] = host
-        return host
-
     # -- the walk's host (see repro.nameservice.walk) ----------------------
 
     #: The walk stands at the server that answered: its next steps
@@ -547,11 +495,12 @@ class DistributedResolver:
             return DOWN
         return self.server_for(machine)
 
-    def primary(self, directory: ObjectEntity, component: Optional[str],
-                routes: Optional[dict]) -> Optional[SimProcess]:
-        host = self._route_host(directory, component, routes)
+    def primary(self, directory: ObjectEntity, component: Optional[str]):
+        host = self._placement.host_of_binding(directory, component)
         if host is None:
             return None  # unplaced (e.g. per-process private roots)
+        if not host.alive and id(host) not in self._servers:
+            return DOWN
         server = self.server_for(host)
         self.charge(server)
         return server
@@ -717,10 +666,6 @@ class DistributedResolver:
         results: list = [None] * len(coerced)
         auditor = obs.auditor
         memo: dict = {}
-        # Batch route memo (see _route_host): epoch-guarded so a
-        # shard split landing mid-batch re-routes the rest of the
-        # batch instead of serving pre-split routes.
-        routes: dict = {"epoch": self._placement.epoch}
         at = client_server
         for i in order:
             cost = ResolutionCost()
@@ -729,7 +674,7 @@ class DistributedResolver:
                     if obs.enabled else None)
             entity, at = self._pump(
                 walk_effects(self, cost, context, coerced[i],
-                             client_server, at, style.leg, memo, routes),
+                             client_server, at, style.leg, memo),
                 cost, self._ask, client_server)
             results[i] = (entity, cost)
             if span is not None:
@@ -966,7 +911,7 @@ class DistributedResolver:
                     continue  # stays stale; a later restart retries
                 message = source_server.send(
                     self.server_for(machine),
-                    payload={"ns": "anti-entropy"}, latency=self._latency)
+                    payload={"ns": "anti-entropy"})
                 if span is not None:
                     message.trace_id = span.trace_id
                     message.parent_span_id = span.span_id

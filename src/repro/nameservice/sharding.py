@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 from zlib import crc32
 
 from repro.errors import SchemeError
@@ -106,9 +106,6 @@ class Shard:
         """The shard's primary (kept as a property so every historical
         single-owner call site reads the head of the replica set)."""
         return self.replicas[0]
-
-    def owns(self, component: str) -> bool:
-        return self.lo <= binding_hash(component) < self.hi
 
     @property
     def span(self) -> int:
@@ -379,9 +376,7 @@ class ShardManager:
                  merge_fraction: float = 0.0,
                  check_every: int = 1000,
                  min_window: int = 100,
-                 max_shards: int = 64,
-                 on_split: Optional[Callable[..., None]] = None,
-                 on_merge: Optional[Callable[..., None]] = None):
+                 max_shards: int = 64):
         self.resolver = resolver
         self.placement = resolver.placement
         self.pool = list(pool)
@@ -390,8 +385,6 @@ class ShardManager:
         self.check_every = check_every
         self.min_window = min_window
         self.max_shards = max_shards
-        self.on_split = on_split
-        self.on_merge = on_merge
         self.resolutions = 0
         self.splits = 0
         self.aborted_splits = 0
@@ -436,8 +429,6 @@ class ShardManager:
                                          target):
                 self.splits += 1
                 done += 1
-                if self.on_split is not None:
-                    self.on_split(shard_map, hot, target)
             else:
                 self.aborted_splits += 1
                 break  # unreachable target — retry next window
@@ -462,8 +453,6 @@ class ShardManager:
             return 0
         if self.resolver.merge_shards(shard_map.directory, left, right):
             self.merges += 1
-            if self.on_merge is not None:
-                self.on_merge(shard_map, left, right)
             return 1
         self.aborted_merges += 1
         return 0

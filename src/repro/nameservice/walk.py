@@ -50,7 +50,8 @@ that):
 * routing: ``replicas(directory, component)`` (candidate nodes,
   preferred first, empty if unplaced), ``target_on(directory, node)``
   (whom to ask there, or :data:`STALE` / :data:`DOWN`),
-  ``primary(directory, component, routes)`` (fail-fast hosts),
+  ``primary(directory, component)`` (fail-fast hosts: the target,
+  ``None`` if unplaced, or :data:`DOWN`),
   ``node_of(target)``, ``breaker_for(target)`` (may be ``None``) and
   ``charge(target)`` (one step served);
 * ``now()``, ``rng`` and ``obs``.
@@ -243,18 +244,16 @@ def retry_effects(host: Any, cost: ResolutionCost, ask: Ask,
 
 def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                  name_: CompoundName, home: Any, at: Any, what: str,
-                 memo: Optional[dict] = None,
-                 routes: Optional[dict] = None) -> Effects:
+                 memo: Optional[dict] = None) -> Effects:
     """Resolve one coerced name; mirrors the section-2 recursion of
     :func:`repro.model.resolution.resolve_traced` exactly.
 
     The walk starts where it stands (*at*; *home* is the client's own
     place) and charges *cost*.  *memo* is a batch-local prefix memo
     (always coherent — nothing external interleaves within one batch)
-    layered over the prefix cache; *routes* is handed through to
-    ``host.primary``.  The answer is not carried home — the caller
-    decides when (once per resolution, or once per batch).  Returns
-    ``(entity, where the walk now stands)``.
+    layered over the prefix cache.  The answer is not carried home —
+    the caller decides when (once per resolution, or once per batch).
+    Returns ``(entity, where the walk now stands)``.
     """
     rooted = name_.rooted
     # The root binding is one walk step like any other component.
@@ -314,9 +313,17 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                 entity, served = owed.pop(), owed_by
                 host.charge(served)
             elif failfast:
-                served = host.primary(entered, component, routes)
+                served = host.primary(entered, component)
                 if served is None:
                     served = at  # unplaced — wherever the walk is
+                elif served is DOWN:
+                    # A lost leg that costs no message; the walk reads
+                    # on in place, flagged, like every fail-fast loss.
+                    cost.failed_hops += 1
+                    if tracing and obs.tracer.current is not None:
+                        obs.tracer.current.fail(
+                            f"directory {entered.label} unreachable")
+                    served = at
                 elif served is not at:
                     cost.servers_touched.add(served.label)
                     entity = yield Ask(served, what, entered, component, at)

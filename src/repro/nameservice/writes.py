@@ -57,7 +57,6 @@ class WritePath:
         placement: Directory → machine placement (replicated and
             sharded directories included).
         policy: The coherence policy copies are kept under.
-        latency: One-way latency of every write-path message.
         retry_policy: Break-callback retry discipline (``LEASE``).
         lease_term: Term of ``LEASE`` grants, in virtual time.
         breaker_threshold / breaker_cooldown: Tuning of the per-holder
@@ -73,7 +72,6 @@ class WritePath:
 
     def __init__(self, simulator: Simulator,
                  placement: DirectoryPlacement, policy: CachePolicy, *,
-                 latency: float,
                  retry_policy: Optional[RetryPolicy],
                  lease_term: float,
                  speaker: Callable[[Machine], Optional[SimProcess]],
@@ -84,7 +82,6 @@ class WritePath:
         self._placement = placement
         self._obs = simulator.obs
         self.policy = policy
-        self._latency = latency
         self.retry_policy = retry_policy
         self._speaker = speaker
         self._drop_copies = drop_copies
@@ -222,8 +219,7 @@ class WritePath:
 
     def _send(self, sender: SimProcess, receiver: SimProcess,
               payload: dict, span):
-        message = sender.send(receiver, payload=payload,
-                              latency=self._latency)
+        message = sender.send(receiver, payload=payload)
         if span is not None:
             message.trace_id = span.trace_id
             message.parent_span_id = span.span_id

@@ -69,6 +69,9 @@ VERDICTS = ("fresh", "stale_declared", "stale_allowed", "violation",
 STALENESS_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
                      200.0, 500.0, 1000.0)
 
+#: Per-violation detail records a :class:`CoherenceAuditor` retains.
+MAX_VIOLATIONS = 256
+
 #: Sentinel: "this binding has no audited history — trust the live σ".
 _NO_HISTORY = object()
 
@@ -126,31 +129,27 @@ class CoherenceContract:
     ============ ====================================================
 
     *slack* is the deployment's callback/message delivery allowance —
-    the same quantity A9 calls its delivery slack.
+    the same quantity A9 calls its delivery slack; ``ttl`` and
+    ``term`` are the audited read's own (the resolver passes them).
     """
 
-    __slots__ = ("ttl", "lease_term", "slack")
+    __slots__ = ("slack",)
 
-    def __init__(self, ttl: float = 0.0, lease_term: float = 0.0,
-                 slack: float = 6.0):
-        self.ttl = ttl
-        self.lease_term = lease_term
+    def __init__(self, slack: float = 6.0):
         self.slack = slack
 
-    def bound(self, policy: str, ttl: Optional[float] = None,
-              lease_term: Optional[float] = None) -> float:
+    def bound(self, policy: str, ttl: float = 0.0,
+              lease_term: float = 0.0) -> float:
         """Allowed claimed-coherent staleness under *policy*."""
         kind = policy.lower()
         if "ttl" in kind:
-            return (ttl if ttl is not None else self.ttl) + self.slack
+            return ttl + self.slack
         if "lease" in kind:
-            return ((lease_term if lease_term is not None
-                     else self.lease_term) + self.slack)
+            return lease_term + self.slack
         return self.slack
 
     def __repr__(self) -> str:
-        return (f"<CoherenceContract ttl={self.ttl:g} "
-                f"lease_term={self.lease_term:g} slack={self.slack:g}>")
+        return f"<CoherenceContract slack={self.slack:g}>"
 
 
 class FlightRecorder:
@@ -258,14 +257,14 @@ class CoherenceAuditor:
             also trip the recorder.
         recorder: Optional :class:`FlightRecorder` capturing windows
             around violations and SLO burns.
-        max_violations: Bound on retained per-violation detail
-            records (counts are never bounded).
+
+    Per-violation detail records are kept for the last
+    :data:`MAX_VIOLATIONS` (counts are never bounded).
     """
 
     def __init__(self, contract: Optional[CoherenceContract] = None,
                  slo: Any = None,
-                 recorder: Optional[FlightRecorder] = None,
-                 max_violations: int = 256):
+                 recorder: Optional[FlightRecorder] = None):
         self.contract = contract or CoherenceContract()
         self.slo = slo
         self.recorder = recorder
@@ -277,7 +276,7 @@ class CoherenceAuditor:
         self.by_verdict: dict[str, int] = {v: 0 for v in VERDICTS}
         self.max_staleness = 0.0
         self.max_claimed_staleness = 0.0   # staleness of non-weak reads
-        self.violations: deque[dict] = deque(maxlen=max_violations)
+        self.violations: deque[dict] = deque(maxlen=MAX_VIOLATIONS)
         self.slo_burns = 0
 
     # -- wiring -------------------------------------------------------------
@@ -317,11 +316,6 @@ class CoherenceAuditor:
         if self._metrics is not None:
             self._metrics.counter("audit_writes_total").inc()
         return write
-
-    def history_of(self, directory: Entity,
-                   component: str) -> list[BindingWrite]:
-        """The recorded writes for one binding, oldest first."""
-        return list(self._writes.get((directory.uid, component), ()))
 
     # -- ground truth -------------------------------------------------------
 
@@ -447,8 +441,8 @@ class CoherenceAuditor:
                            policy: str, weak: bool = False,
                            failed: bool = False,
                            latency: float = 0.0,
-                           ttl: Optional[float] = None,
-                           lease_term: Optional[float] = None,
+                           ttl: float = 0.0,
+                           lease_term: float = 0.0,
                            placement: Any = None,
                            directory: Any = None,
                            component: Optional[str] = None) -> str:
@@ -502,9 +496,6 @@ class CoherenceAuditor:
 
     def observe_lookup(self, directory: Entity, component: str,
                        entity: Entity, *, now: float, policy: str,
-                       weak: bool = False,
-                       ttl: Optional[float] = None,
-                       lease_term: Optional[float] = None,
                        placement: Any = None) -> str:
         """Audit one binding-level read (a step served by a
         :class:`~repro.nameservice.protocol.NameLookupServer`);
@@ -522,16 +513,15 @@ class CoherenceAuditor:
             if staleness is None:
                 # Phantom value: measure from the oldest commit.
                 staleness = now - writes[0].time
-        verdict = self._judge(staleness, weak, policy, ttl, lease_term)
-        return self._publish(verdict, staleness, policy, now, 0.0, weak,
+        verdict = self._judge(staleness, False, policy)
+        return self._publish(verdict, staleness, policy, now, 0.0, False,
                              lambda: f"{directory.label}/{component}",
                              placement, directory, component)
 
     # -- verdicts and accounting --------------------------------------------
 
     def _judge(self, staleness: float, weak: bool, policy: str,
-               ttl: Optional[float],
-               lease_term: Optional[float]) -> str:
+               ttl: float = 0.0, lease_term: float = 0.0) -> str:
         if staleness <= 0.0:
             return "fresh"
         if weak:

@@ -72,9 +72,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
 
 #: Default histogram bucket upper bounds, in virtual time units or
 #: counts — a rough log scale wide enough for both latencies and

@@ -180,9 +180,6 @@ class Tracer:
         sampler = self.sampler
         return f"t{seq}", sampler is None or sampler.keep_trace(seq)
 
-    def new_trace_id(self) -> str:
-        return self._mint_trace()[0]
-
     def _kept(self, trace_id: str) -> bool:
         """The sampling verdict of a trace known only by its id —
         context that re-enters from a message or the wire with no

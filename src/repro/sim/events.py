@@ -18,13 +18,12 @@ lane maintenance runs entirely in C (the former ``@dataclass
 (order=True)`` event compared via generated python ``__lt__`` calls,
 the single hottest frame in kernel profiles).
 
-Two scheduling flavours share the heap:
-
-* :meth:`EventQueue.push` allocates a :class:`ScheduledEvent` handle
-  the caller can :meth:`~ScheduledEvent.cancel` (timers, timeouts);
-* :meth:`EventQueue.defer` enqueues a bare zero-argument callable with
-  no handle at all — the kernel's fire-and-forget fast path for
-  message deliveries, which are never cancelled.
+Two kinds of entry share the lanes: :meth:`EventQueue.push` allocates
+a :class:`ScheduledEvent` handle the caller can
+:meth:`~ScheduledEvent.cancel` (timers, timeouts); the kernel's
+``send`` appends each delivery as a bare
+:class:`~repro.sim.messages.Message` with no handle at all (deliveries
+are never cancelled) and the pump dispatches it by type.
 
 Cancelled events are *not* removed eagerly (heap deletion is O(n));
 they are skipped on pop, counted, and the heap is compacted once
@@ -38,10 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from itertools import chain
 from typing import Callable, Optional
-
-from repro.sim.messages import Message
 
 __all__ = ["ScheduledEvent", "EventQueue"]
 
@@ -50,7 +46,7 @@ Action = Callable[[], None]
 
 
 class ScheduledEvent:
-    """One pending event, ordered by ``(time, seq)``."""
+    """One pending event; its queue entry orders it by ``(time, seq)``."""
 
     __slots__ = ("time", "seq", "action", "note", "cancelled", "_queue")
 
@@ -76,25 +72,6 @@ class ScheduledEvent:
         if queue is not None:
             queue._on_cancel()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScheduledEvent):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __le__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) <= (other.time, other.seq)
-
-    def __gt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) > (other.time, other.seq)
-
-    def __ge__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) >= (other.time, other.seq)
-
-    __hash__ = None  # mutable, like the former eq=True dataclass
-
     def __repr__(self) -> str:
         flag = " cancelled" if self.cancelled else ""
         return f"<event t={self.time} #{self.seq} {self.note!r}{flag}>"
@@ -106,8 +83,8 @@ class EventQueue:
     __slots__ = ("_heap", "_fifo", "_seq", "_live", "_cancelled")
 
     def __init__(self) -> None:
-        # Entries are (time, seq, ScheduledEvent | Message | Action)
-        # tuples, split across two lanes (see module docstring): the
+        # Entries are (time, seq, ScheduledEvent | Message) tuples,
+        # split across two lanes (see module docstring): the
         # FIFO holds entries in strictly increasing (time, seq) order;
         # the heap holds the out-of-order remainder.
         self._heap: list[tuple] = []
@@ -130,23 +107,6 @@ class EventQueue:
             heapq.heappush(self._heap, (time, event.seq, event))
         self._live += 1
         return event
-
-    def defer(self, time: float, action) -> None:
-        """Schedule *action* at *time* with no cancellation handle.
-
-        The fire-and-forget fast path: no :class:`ScheduledEvent` is
-        allocated, so high-volume work pays one tuple and one C lane
-        append per event.  *action* is a plain zero-argument callable
-        or a :class:`~repro.sim.messages.Message` (the kernel stores
-        deliveries as bare messages and dispatches them by type,
-        skipping even the closure allocation).
-        """
-        fifo = self._fifo
-        if not fifo or time >= fifo[-1][0]:
-            fifo.append((time, next(self._seq), action))
-        else:
-            heapq.heappush(self._heap, (time, next(self._seq), action))
-        self._live += 1
 
     # -- dequeue -----------------------------------------------------------
 
@@ -176,37 +136,6 @@ class EventQueue:
             self._live -= 1
             return entry
 
-    def _pop_entry_at(self, time: float) -> Optional[tuple]:
-        """Pop the next live entry scheduled exactly at *time*, or
-        None once the merged head moves past it (same-instant batch
-        pump)."""
-        heap = self._heap
-        fifo = self._fifo
-        while True:
-            if fifo:
-                if heap and heap[0] < fifo[0]:
-                    if heap[0][0] != time:
-                        return None
-                    entry = heapq.heappop(heap)
-                else:
-                    if fifo[0][0] != time:
-                        return None
-                    entry = fifo.popleft()
-            elif heap:
-                if heap[0][0] != time:
-                    return None
-                entry = heapq.heappop(heap)
-            else:
-                return None
-            item = entry[2]
-            if type(item) is ScheduledEvent:
-                if item.cancelled:
-                    self._cancelled -= 1
-                    continue
-                item._queue = None
-            self._live -= 1
-            return entry
-
     def _unpop(self, entry: tuple) -> None:
         """Return a just-popped entry to the queue (run(until=...)
         pushback).  *entry* must sort before everything still queued —
@@ -220,18 +149,15 @@ class EventQueue:
 
     def pop(self) -> Optional[ScheduledEvent]:
         """Remove and return the earliest non-cancelled event, or None
-        when the queue is exhausted.  Deferred actions (and deferred
-        message deliveries) are wrapped in a fresh
-        :class:`ScheduledEvent` so every caller sees one API."""
+        when the queue is exhausted.  A message delivery is wrapped in
+        a fresh :class:`ScheduledEvent` so every caller sees one API."""
         entry = self._pop_entry()
         if entry is None:
             return None
         item = entry[2]
         if type(item) is ScheduledEvent:
             return item
-        if type(item) is Message:
-            return ScheduledEvent(entry[0], entry[1], item._fire)
-        return ScheduledEvent(entry[0], entry[1], item)
+        return ScheduledEvent(entry[0], entry[1], item._fire)
 
     # -- cancellation bookkeeping ------------------------------------------
 
@@ -248,8 +174,8 @@ class EventQueue:
         queue; unique ``(time, seq)`` keys make the rebuilt lanes pop
         in exactly the same order, so compaction is invisible to the
         simulation.  Rebuilds **in place** so lane aliases held by the
-        kernel's inline run pump stay valid across a mid-batch
-        compaction.
+        kernel's inline pump (``run_until_settled``) stay valid across
+        a mid-pump compaction.
         """
         self._heap[:] = [entry for entry in self._heap
                          if not (type(entry[2]) is ScheduledEvent
@@ -264,54 +190,6 @@ class EventQueue:
         self._cancelled = 0
 
     # -- observation -------------------------------------------------------
-
-    def _head(self) -> Optional[tuple]:
-        """The smaller of the two lane heads (may be cancelled)."""
-        heap = self._heap
-        fifo = self._fifo
-        if fifo:
-            if heap and heap[0] < fifo[0]:
-                return heap[0]
-            return fifo[0]
-        return heap[0] if heap else None
-
-    def peek_time(self) -> Optional[float]:
-        """The time of the next non-cancelled event, or None.
-
-        Lazily discards cancelled lane heads (bookkeeping stays
-        consistent).  Instrumentation that must not perturb the queue
-        should use :meth:`next_time` instead.
-        """
-        while True:
-            head = self._head()
-            if head is None:
-                return None
-            item = head[2]
-            if type(item) is ScheduledEvent and item.cancelled:
-                if self._fifo and head is self._fifo[0]:
-                    self._fifo.popleft()
-                else:
-                    heapq.heappop(self._heap)
-                self._cancelled -= 1
-                continue
-            return head[0]
-
-    def next_time(self) -> Optional[float]:
-        """The time of the next live event without mutating the queue.
-
-        The pure peek instrumentation sampling reads: O(1) unless the
-        merged head happens to be cancelled, in which case it scans
-        for the earliest live entry rather than popping anything.
-        """
-        if self._live == 0:
-            return None
-        head = self._head()
-        item = head[2]
-        if not (type(item) is ScheduledEvent and item.cancelled):
-            return head[0]
-        return min(entry[0] for entry in chain(self._heap, self._fifo)
-                   if not (type(entry[2]) is ScheduledEvent
-                           and entry[2].cancelled))
 
     def __len__(self) -> int:
         """Live (non-cancelled) events — O(1) via the counter."""

@@ -12,13 +12,16 @@ Message delivery honours the failure state maintained by
 network partitions, flaky links with seeded drop probability and
 latency spikes).
 
-Hot-path notes (PR 6, see ``docs/performance.md``): deliveries are
-enqueued via the allocation-free :meth:`EventQueue.defer` fast path,
-trace records pass lazy detail callables instead of eager f-strings,
-the run pump dispatches same-instant batches without re-checking
-bounds per event, and every event order — and therefore every seeded
-run — is bit-for-bit identical to the unoptimized kernel (pinned by
-``tests/sim/test_determinism_golden.py``).
+Hot-path notes (PR 6, see ``docs/performance.md``): :meth:`Simulator.
+send` appends each delivery to the event queue as a bare message (no
+handle, no closure), trace records pass lazy detail callables instead
+of eager f-strings, :meth:`Simulator.run_until_settled` — the pump
+every request/reply hop pays for — merges the queue's two lanes
+inline, and every event order — and therefore every seeded run — is
+bit-for-bit identical to the unoptimized kernel (pinned by
+``tests/sim/test_determinism_golden.py``).  :meth:`Simulator.run`, off
+the per-operation path, is the plain loop over
+:meth:`EventQueue._pop_entry`.
 """
 
 from __future__ import annotations
@@ -395,38 +398,7 @@ class Simulator:
             raise SimulationError("cannot schedule in the past")
         return self.queue.push(self.clock._now + delay, action, note=note)
 
-    def latency_jitter(self, base: float = 1.0, spread: float = 0.5) -> float:
-        """A deterministic (seeded) latency draw in [base, base+spread]."""
-        return base + self.rng.random() * spread
-
     # -- execution -------------------------------------------------------------
-
-    def run_next(self) -> bool:
-        """Process exactly one pending event (the earliest), if any.
-
-        The bounded counterpart of :meth:`run`: callers that only need
-        the simulation to make *one* step of progress (e.g. a resolver
-        waiting on a single hop) can pump the kernel event-by-event
-        instead of draining the whole queue to quiescence.
-
-        Returns:
-            True if an event was processed, False if the queue was
-            empty.
-        """
-        entry = self.queue._pop_entry()
-        if entry is None:
-            return False
-        self.clock.advance_to(entry[0])
-        item = entry[2]
-        if type(item) is Message:
-            self._deliver(item)
-        elif type(item) is ScheduledEvent:
-            item.action()
-        else:
-            item()
-        if self._obs_on:
-            self._m_events.inc()
-        return True
 
     def run_until_settled(self, messages, max_events: int = 1_000_000) -> int:
         """Pump events, in order, until given messages are delivered
@@ -517,104 +489,36 @@ class Simulator:
 
     def run(self, until: Optional[float] = None,
             max_events: int = 1_000_000) -> int:
-        """Process events until the queue empties (or bounds are hit).
-
-        Same-instant events are dispatched as one batch: the clock
-        advances once per distinct timestamp and the ``until`` bound
-        is checked once per batch head, while per-event order (and so
-        determinism) stays identical to one-at-a-time pumping.
+        """Process events, in ``(time, seq)`` order, until the queue
+        empties (or bounds are hit).
 
         Args:
             until: Stop before events later than this time (they stay
                 queued).
-            max_events: Safety bound on processed events.
+            max_events: Safety bound on processed events; reaching it
+                raises.
 
         Returns:
             The number of events processed.
         """
         processed = 0
         queue = self.queue
-        # The pump works on the raw lanes (EventQueue._pop_entry /
-        # _pop_entry_at inlined): compact() rebuilds both lanes in
-        # place, so these aliases stay valid even if a dispatched
-        # action cancels enough timers to trigger a mid-batch
-        # compaction.
-        heap = queue._heap
-        fifo = queue._fifo
         advance_to = self.clock.advance_to
         deliver = self._deliver
         while processed < max_events:
-            # Inline _pop_entry: smaller of the two lane heads, skip
-            # cancelled.
-            entry = None
-            while True:
-                if fifo:
-                    if heap and heap[0] < fifo[0]:
-                        entry = heappop(heap)
-                    else:
-                        entry = fifo.popleft()
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    entry = None
-                    break
-                item = entry[2]
-                if type(item) is ScheduledEvent:
-                    if item.cancelled:
-                        queue._cancelled -= 1
-                        continue
-                    item._queue = None
-                queue._live -= 1
-                break
+            entry = queue._pop_entry()
             if entry is None:
                 break
-            event_time = entry[0]
-            if until is not None and event_time > until:
+            if until is not None and entry[0] > until:
                 queue._unpop(entry)
                 break
-            advance_to(event_time)
-            # Same-instant batch: keep dispatching while the merged
-            # head stays at this timestamp.  Actions may enqueue
-            # further same-instant work (picked up here, in seq order)
-            # or cancel queued events (skipped by the pop).
-            while True:
-                item = entry[2]
-                if type(item) is Message:
-                    deliver(item)
-                elif type(item) is ScheduledEvent:
-                    item.action()
-                else:
-                    item()
-                processed += 1
-                if processed >= max_events:
-                    break
-                # Inline _pop_entry_at(event_time).
-                entry = None
-                while True:
-                    if fifo:
-                        source = (heap if heap and heap[0] < fifo[0]
-                                  else fifo)
-                    elif heap:
-                        source = heap
-                    else:
-                        break
-                    if source[0][0] != event_time:
-                        break
-                    if source is heap:
-                        candidate = heappop(heap)
-                    else:
-                        candidate = fifo.popleft()
-                    item = candidate[2]
-                    if type(item) is ScheduledEvent:
-                        if item.cancelled:
-                            queue._cancelled -= 1
-                            continue
-                        item._queue = None
-                    queue._live -= 1
-                    entry = candidate
-                    break
-                if entry is None:
-                    break
+            advance_to(entry[0])
+            item = entry[2]
+            if type(item) is Message:
+                deliver(item)
+            else:
+                item.action()
+            processed += 1
         else:
             raise SimulationError(
                 f"run exceeded max_events={max_events}; likely a livelock")

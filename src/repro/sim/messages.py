@@ -128,14 +128,6 @@ class Message:
         self.attachments.append(attachment)
         return attachment
 
-    def crosses_machines(self) -> bool:
-        """True if sender and receiver are on different machines."""
-        return self.sender.machine is not self.receiver.machine
-
-    def crosses_networks(self) -> bool:
-        """True if sender and receiver are on different networks."""
-        return self.sender.machine.network is not self.receiver.machine.network
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Message):
             return NotImplemented

@@ -132,11 +132,6 @@ class TraceLog:
         """The live entry store, oldest first (treat as read-only)."""
         return self._entries
 
-    @property
-    def kind_filter(self) -> Optional[frozenset[str]]:
-        """The record-time kind filter (None records everything)."""
-        return self._kinds
-
     def record(self, time: float, kind: str, detail: Detail,
                data: Any = None) -> Optional[TraceEntry]:
         """Append an entry; *detail* may be a string, a zero-arg

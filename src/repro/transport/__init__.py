@@ -17,8 +17,7 @@ resolution outcomes and coherence-audit verdicts; see
 ``docs/transport.md`` for the design.
 """
 
-from repro.transport.base import (Endpoint, Envelope, Timer, Transport,
-                                  as_transport)
+from repro.transport.base import Endpoint, Envelope, Timer, Transport
 from repro.transport.framing import (MAX_FRAME, FrameDecoder, FrameError,
                                      encode_frame, iter_frames)
 from repro.transport.leases import AckWaiter, callback_fanout_async
@@ -29,7 +28,7 @@ from repro.transport.wire import (DirectoryRegistry, EntityProxyCache,
                                   remote_uid_of)
 
 __all__ = [
-    "Endpoint", "Envelope", "Timer", "Transport", "as_transport",
+    "Endpoint", "Envelope", "Timer", "Transport",
     "SimEndpoint", "SimTransport",
     "AsyncioTransport", "AsyncioEndpoint", "Address",
     "MAX_FRAME", "FrameDecoder", "FrameError", "encode_frame",

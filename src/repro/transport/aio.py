@@ -203,9 +203,7 @@ class AsyncioEndpoint(Endpoint):
     def on_message(self, handler: Handler) -> None:
         self._handler = handler
 
-    def send(self, target: Any, payload: Any = None,
-             latency: Optional[float] = None) -> AsyncioEnvelope:
-        # latency is a simulator hint; the real network sets its own.
+    def send(self, target: Any, payload: Any = None) -> AsyncioEnvelope:
         envelope = AsyncioEnvelope(payload)
         self.transport._post(self, target, envelope)
         return envelope

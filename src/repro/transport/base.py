@@ -43,7 +43,7 @@ from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 from repro.obs.instrument import Instrumentation
 
-__all__ = ["Timer", "Envelope", "Endpoint", "Transport", "as_transport"]
+__all__ = ["Timer", "Envelope", "Endpoint", "Transport"]
 
 #: Handler signature installed with :meth:`Endpoint.on_message`.
 Handler = Callable[["Endpoint", "Envelope"], None]
@@ -89,14 +89,13 @@ class Endpoint:
         from the transport's event loop (kernel pump or asyncio)."""
         raise NotImplementedError
 
-    def send(self, target: Any, payload: Any = None,
-             latency: Optional[float] = None) -> Envelope:
+    def send(self, target: Any, payload: Any = None) -> Envelope:
         """Enqueue *payload* toward *target*; never blocks.
 
         *target* is either another endpoint of the same transport, or
-        the ``sender`` address of a received envelope.  *latency* is a
-        simulator hint (virtual delivery delay); real transports
-        ignore it — the network sets the latency.
+        the ``sender`` address of a received envelope.  How long
+        delivery takes is the substrate's to say (the kernel's
+        ``default_latency``, the real network).
 
         Returns the envelope immediately so trace context can be
         attached before the transport serializes it.
@@ -139,26 +138,6 @@ class Transport:
         raise NotImplementedError
 
     def endpoint(self, node: Any = None, label: str = "") -> Endpoint:
-        """Create (or adopt) an endpoint on *node* named *label*."""
+        """Create an endpoint on *node* named *label*."""
         raise NotImplementedError
 
-
-def as_transport(substrate: Any) -> Transport:
-    """Coerce *substrate* to a :class:`Transport`.
-
-    A :class:`Transport` passes through; a
-    :class:`~repro.sim.kernel.Simulator` is wrapped in a
-    :class:`~repro.transport.sim.SimTransport` (cached on the
-    simulator, so every wrap of the same kernel shares one adapter).
-    """
-    if isinstance(substrate, Transport):
-        return substrate
-    from repro.sim.kernel import Simulator
-    if isinstance(substrate, Simulator):
-        from repro.transport.sim import SimTransport
-        cached = getattr(substrate, "_transport_adapter", None)
-        if cached is None:
-            cached = SimTransport(substrate)
-            substrate._transport_adapter = cached
-        return cached
-    raise TypeError(f"not a transport or simulator: {substrate!r}")

@@ -110,7 +110,6 @@ class NamingService:
         retry_policy: Break-callback retry discipline (``None`` = one
             attempt, no backoff).
         ack_timeout: Wall seconds to await each break callback's ack.
-        label: The lookup endpoint's label.
         auditor: Optional :class:`~repro.obs.audit.CoherenceAuditor`;
             wired onto the lookup server (every served step audited)
             and fed ``record_write`` on every control-plane rebind.
@@ -121,14 +120,13 @@ class NamingService:
                  lease_term: float = 30.0,
                  retry_policy: Optional[RetryPolicy] = None,
                  ack_timeout: float = 1.0,
-                 label: str = "lookupd",
                  auditor: Any = None):
         self.root = root
         self.registry = DirectoryRegistry()
         self.registry.register_tree(root)
         self.transport = AsyncioTransport(
             seed=seed, obs=obs, codec=WireCodec(registry=self.registry))
-        self.server = NameLookupServer(self.transport, None, label,
+        self.server = NameLookupServer(self.transport,
                                        placement=self.registry)
         if auditor is not None:
             self.server.auditor = auditor
@@ -317,7 +315,7 @@ class RemoteNameClient:
         self.lease_table = LeaseTable(label, obs=obs)
         self.start = Context(label=f"{label}-start")
         self.router = RemoteRouter()
-        self.client = AsyncNameClient.over(
+        self.client = AsyncNameClient(
             self.transport, self.router, self.endpoint,
             timeout=timeout, max_retries=max_retries,
             retry_policy=retry_policy, lease_table=self.lease_table)

@@ -14,7 +14,7 @@ vocabulary.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -40,16 +40,14 @@ class SimEndpoint(Endpoint):
         self.process.on_message(
             lambda _process, message: handler(self, message))
 
-    def send(self, target: Any, payload: Any = None,
-             latency: Optional[float] = None) -> Message:
+    def send(self, target: Any, payload: Any = None) -> Message:
         # Whatever carries a ``process`` — an endpoint, a lookup server
         # that may have respawned — is addressed at its current one.
         receiver = getattr(target, "process", target)
         if not isinstance(receiver, SimProcess):
             raise SimulationError(
                 f"SimEndpoint cannot address {target!r}")
-        return self.process.send(receiver, payload=payload,
-                                 latency=latency)
+        return self.process.send(receiver, payload=payload)
 
     @property
     def node(self) -> Machine:
@@ -84,10 +82,8 @@ class SimTransport(Transport):
 
     def endpoint(self, node: Any = None, label: str = "") -> SimEndpoint:
         """Spawn a fresh process on *node* (a
-        :class:`~repro.sim.network.Machine`) — or adopt an existing
-        :class:`~repro.sim.process.SimProcess` passed as *node*."""
-        if isinstance(node, SimProcess):
-            return SimEndpoint(self, node)
+        :class:`~repro.sim.network.Machine`); :meth:`adopt` wraps one
+        that already runs."""
         if not isinstance(node, Machine):
             raise SimulationError(
                 f"SimTransport endpoints live on machines, got {node!r}")

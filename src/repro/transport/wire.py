@@ -218,7 +218,6 @@ class WireCodec:
         if not isinstance(payload, dict):
             return payload
         if "lookup" in payload:
-            # (The simulator's ``latency`` delivery hint stays behind.)
             request = payload["lookup"]
             return {"lookup": {
                 "request_id": request["request_id"], "seq": request["seq"],

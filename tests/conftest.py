@@ -6,8 +6,10 @@ import pytest
 
 from repro.model.state import GlobalState
 from repro.namespaces.tree import NamingTree
-from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
+from repro.nameservice.protocol import (AsyncNameClient, NameLookupServer,
+                                        PlacementRouter)
 from repro.namespaces.unix import UnixSystem
+from repro.transport.sim import SimTransport
 from repro.workloads.scenarios import (
     build_pqid_population,
     build_rule_scenario,
@@ -65,12 +67,13 @@ class AsyncLookups:
     def __init__(self, simulator, placement, client_machine, machines,
                  **client_options):
         self.simulator = simulator
-        servers = {id(machine): NameLookupServer(simulator, machine,
+        transport = SimTransport(simulator)
+        servers = {id(machine): NameLookupServer(transport, machine,
                                                  placement=placement)
                    for machine in machines}
         self.client = AsyncNameClient(
-            simulator, placement, servers,
-            simulator.spawn(client_machine, "async-client"),
+            transport, PlacementRouter(placement, servers, client_machine),
+            transport.adopt(simulator.spawn(client_machine, "async-client")),
             **client_options)
 
     def __call__(self, context, name_):

@@ -1,9 +1,14 @@
-"""Every repo path the documentation names exists."""
+"""Every repo path and class member the documentation names exists."""
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
+
+import repro
 
 REPO = Path(__file__).resolve().parents[2]
 DOCS = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
@@ -40,4 +45,50 @@ def test_every_path_the_docs_name_exists():
                 if not _exists(base, token):
                     dangling.append(f"{doc.relative_to(REPO)}: {token}")
     assert checked > 50, "the patterns no longer find the docs' paths"
+    assert not dangling, dangling
+
+
+#: ``Class.attr`` in backticks (a call's arguments may follow).
+MEMBER = re.compile(r"`([A-Z]\w*)\.([a-z_]\w*)[^`]*`")
+#: Generated files: ``api_reference.md`` is checked by its generator,
+#: ``EXPERIMENTS.md`` is experiment output.  (``benchmarks/e2e/`` is
+#: skipped too: its README belongs to ``[benchmark]`` issues.)
+UNCHECKED = {"api_reference.md", "EXPERIMENTS.md"}
+
+
+def _exported_classes() -> dict[str, list[type]]:
+    """Every class some ``repro.*`` module lists in ``__all__``."""
+    classes: dict[str, list[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            if inspect.isclass(value) and value not in classes.get(name, ()):
+                classes.setdefault(name, []).append(value)
+    return classes
+
+
+def _has_member(cls: type, attr: str) -> bool:
+    """A class attribute (methods, properties, slots, dataclass
+    fields) or an instance attribute some method of the class sets."""
+    if hasattr(cls, attr) or attr in getattr(cls, "__annotations__", ()):
+        return True
+    return any(re.search(rf"\bself\.{attr}\b\s*(:[^=\n]+)?=[^=]",
+                         inspect.getsource(klass))
+               for klass in cls.__mro__ if klass.__module__ != "builtins")
+
+
+def test_every_member_the_docs_name_exists():
+    classes = _exported_classes()
+    checked, dangling = 0, []
+    for doc in DOCS:
+        if doc.name in UNCHECKED or doc.parent.name == "e2e":
+            continue
+        for name, attr in MEMBER.findall(doc.read_text(encoding="utf-8")):
+            if name not in classes:
+                continue
+            checked += 1
+            if not any(_has_member(cls, attr) for cls in classes[name]):
+                dangling.append(f"{doc.relative_to(REPO)}: {name}.{attr}")
+    assert checked > 50, "the pattern no longer finds the docs' members"
     assert not dangling, dangling

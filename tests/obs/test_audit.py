@@ -40,7 +40,8 @@ def _rebind(auditor, directory, component, entity, time, epoch=0):
     context = directory.state
     old = context(component)
     context.bind(component, entity)
-    auditor.record_write(directory, component, old, entity, time, epoch)
+    return auditor.record_write(directory, component, old, entity, time,
+                                epoch)
 
 
 class TestGroundTruth:
@@ -87,8 +88,7 @@ class TestGroundTruth:
     def test_history_of_records_old_and_new(self):
         _tree, _context, svc, old_dir, new_dir, *_rest = _world()
         auditor = CoherenceAuditor()
-        _rebind(auditor, svc, "app", new_dir, time=10.0, epoch=3)
-        (write,) = auditor.history_of(svc, "app")
+        write = _rebind(auditor, svc, "app", new_dir, time=10.0, epoch=3)
         assert write.old is old_dir and write.new is new_dir
         assert write.time == 10.0 and write.epoch == 3
         assert write.to_dict()["component"] == "app"

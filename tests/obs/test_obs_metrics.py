@@ -25,7 +25,7 @@ class TestGauge:
         gauge = Gauge("depth")
         gauge.set(3)
         gauge.inc(2)
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.value == 4.0
 
     def test_high_water(self):

@@ -8,11 +8,13 @@ from repro.model.resolution import resolve
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
+from repro.nameservice.protocol import (AsyncNameClient, NameLookupServer,
+                                        PlacementRouter)
 from repro.nameservice.retry import RetryPolicy
 from repro.obs import Instrumentation
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
+from repro.transport.sim import SimTransport
 
 
 def make_world(timeout=5.0, max_retries=2, retry_policy=None,
@@ -34,13 +36,14 @@ def make_world(timeout=5.0, max_retries=2, retry_policy=None,
     placement.place(tree.directory("a"), client_machine)
     placement.place(tree.directory("a/b"), server1)
     placement.place(tree.directory("a/b/c"), server2)
-    servers = {id(machine): NameLookupServer(simulator, machine)
+    transport = SimTransport(simulator)
+    servers = {id(machine): NameLookupServer(transport, machine)
                for machine in (client_machine, server1, server2)}
     client_process = simulator.spawn(client_machine, "client")
-    client = AsyncNameClient(simulator, placement, servers,
-                             client_process, timeout=timeout,
-                             max_retries=max_retries,
-                             retry_policy=retry_policy)
+    client = AsyncNameClient(
+        transport, PlacementRouter(placement, servers, client_machine),
+        transport.adopt(client_process), timeout=timeout,
+        max_retries=max_retries, retry_policy=retry_policy)
     context = ProcessContext(tree.root)
     return simulator, client, context, leaf, server1
 
@@ -62,11 +65,13 @@ def world():
     placement.place(tree.directory("a"), client_machine)
     placement.place(tree.directory("a/b"), server1)
     placement.place(tree.directory("a/b/c"), server2)
-    servers = {id(machine): NameLookupServer(simulator, machine)
+    transport = SimTransport(simulator)
+    servers = {id(machine): NameLookupServer(transport, machine)
                for machine in (client_machine, server1, server2)}
     client_process = simulator.spawn(client_machine, "client")
-    client = AsyncNameClient(simulator, placement, servers,
-                             client_process, timeout=5.0, max_retries=2)
+    client = AsyncNameClient(
+        transport, PlacementRouter(placement, servers, client_machine),
+        transport.adopt(client_process), timeout=5.0, max_retries=2)
     context = ProcessContext(tree.root)
     return simulator, client, context, tree, leaf, server1, network
 
@@ -100,8 +105,9 @@ class TestHappyPath:
         # Kick off a lookup and unrelated messages; one run drains all.
         outcomes = []
         client.resolve(context, "/a/b/c/leaf", outcomes.append)
-        other = simulator.spawn(client.process.machine, "bystander")
-        client.process.send(other, payload="hi")
+        process = client.endpoint.process
+        other = simulator.spawn(process.machine, "bystander")
+        process.send(other, payload="hi")
         simulator.run()
         assert outcomes[0].entity is leaf
         assert other.receive().payload == "hi"
@@ -209,8 +215,8 @@ class TestFailures:
         assert first.failed
         injector.restart_machine(server1)
         # The server process died with the machine; spawn a new one.
-        fresh = NameLookupServer(simulator, server1)
-        client.servers[id(server1)] = fresh
+        fresh = NameLookupServer(client.transport, server1)
+        client.router.servers[id(server1)] = fresh
         second = run_lookup(simulator, client, context, "/a/b/c/leaf")
         assert second.ok and second.entity is leaf
 
@@ -288,7 +294,7 @@ class TestBackoffResend:
         simulator, client, context, leaf, server1 = make_world(
             timeout=2.0, retry_policy=policy)
         injector = FailureInjector(simulator)
-        server = client.servers[id(server1)]
+        server = client.router.servers[id(server1)]
         injector.on_restart(lambda _m: server.respawn(),
                             machine=server1)
         injector.schedule_timeline([(1.5, "crash", server1),
@@ -304,7 +310,7 @@ class TestServerRespawn:
     def test_respawn_revives_the_lookup_service(self):
         simulator, client, context, leaf, server1 = make_world()
         injector = FailureInjector(simulator)
-        server = client.servers[id(server1)]
+        server = client.router.servers[id(server1)]
         injector.crash_machine(server1)
         first = run_lookup(simulator, client, context, "/a/b/c/leaf")
         assert first.failed
@@ -318,7 +324,7 @@ class TestServerRespawn:
     def test_respawn_is_idempotent(self):
         simulator, client, context, _leaf, server1 = make_world()
         injector = FailureInjector(simulator)
-        server = client.servers[id(server1)]
+        server = client.router.servers[id(server1)]
         assert not server.respawn()  # alive: left alone
         injector.crash_machine(server1)
         assert not server.respawn()  # machine still down
@@ -331,15 +337,15 @@ class TestServer:
     def test_server_counts_requests(self, world):
         simulator, client, context, tree, leaf, server1, _ = world
         run_lookup(simulator, client, context, "/a/b/c/leaf")
-        served = [s for s in client.servers.values()
+        served = [s for s in client.router.servers.values()
                   if s.machine is server1][0]
         assert served.requests_served >= 1
 
     def test_server_ignores_foreign_payloads(self, world):
         simulator, client, context, tree, leaf, server1, _ = world
-        server = [s for s in client.servers.values()
+        server = [s for s in client.router.servers.values()
                   if s.machine is server1][0]
-        client.process.send(server.process, payload="junk")
+        client.endpoint.process.send(server.process, payload="junk")
         simulator.run()
         assert server.requests_served == 0
 

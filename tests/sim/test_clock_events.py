@@ -65,13 +65,6 @@ class TestEventQueue:
             event.action()
         assert ran == ["keep"]
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        drop = queue.push(0.5, lambda: None)
-        queue.push(2.0, lambda: None)
-        drop.cancel()
-        assert queue.peek_time() == 2.0
-
     def test_len_counts_live_events(self):
         queue = EventQueue()
         first = queue.push(1.0, lambda: None)
@@ -82,7 +75,7 @@ class TestEventQueue:
     def test_empty_queue(self):
         queue = EventQueue()
         assert queue.pop() is None
-        assert queue.peek_time() is None
+        assert len(queue) == 0
         assert not queue
 
     def test_repr_mentions_note(self):

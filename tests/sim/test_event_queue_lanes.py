@@ -1,7 +1,7 @@
 """Tests for the two-lane event queue and the kernel fast paths
 introduced by the PR 6 performance work: FIFO/heap lane merging,
-message payloads on the queue, cancellation bookkeeping with
-compaction, and the pure ``next_time`` peek."""
+message payloads on the queue and cancellation bookkeeping with
+compaction."""
 
 from __future__ import annotations
 
@@ -93,14 +93,6 @@ class TestDeferredMessages:
         assert message.delivered
         assert b.receive() is message
 
-    def test_defer_callable_still_supported(self):
-        queue = EventQueue()
-        fired = []
-        queue.defer(1.0, lambda: fired.append(True))
-        event = queue.pop()
-        event.action()
-        assert fired == [True]
-
 
 class TestCancellationBookkeeping:
     def test_len_is_live_count(self):
@@ -154,39 +146,6 @@ class TestCancellationBookkeeping:
         event.cancel()  # already popped: only the flag flips
         assert event.cancelled
         assert len(queue) == live_before
-        assert queue.cancelled_len() == 0
-
-
-class TestPurePeek:
-    def test_next_time_does_not_mutate(self):
-        queue = EventQueue()
-        first = queue.push(1.0, _noop)
-        queue.push(2.0, _noop)
-        first.cancel()
-        depth = queue.approx_len()
-        assert queue.next_time() == 2.0
-        # The cancelled head is still parked in the queue: a pure read.
-        assert queue.approx_len() == depth
-        assert queue.cancelled_len() == 1
-
-    def test_next_time_scans_both_lanes(self):
-        queue = EventQueue()
-        tail = queue.push(5.0, _noop)
-        queue.push(2.0, _noop)  # heap lane
-        assert queue.next_time() == 2.0
-        assert tail.time == 5.0
-
-    def test_next_time_empty(self):
-        assert EventQueue().next_time() is None
-
-    def test_peek_time_discards_cancelled_heads(self):
-        queue = EventQueue()
-        first = queue.push(1.0, _noop)
-        queue.push(2.0, _noop)
-        first.cancel()
-        depth = queue.approx_len()
-        assert queue.peek_time() == 2.0
-        assert queue.approx_len() == depth - 1  # head lazily dropped
         assert queue.cancelled_len() == 0
 
 

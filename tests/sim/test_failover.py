@@ -170,7 +170,7 @@ class TestReplicatedPlacement:
         assert placement.clear_stale(directory.uid, m1)
         assert not placement.clear_stale(directory.uid, m1)
         assert placement.stale_uids_of(m1) == []
-        assert placement.primary_of_uid(directory.uid) is m0
+        assert placement.host_of(directory) is m0
 
 
 def make_world(cache_policy=CachePolicy.NONE, retry=True,
@@ -224,6 +224,26 @@ class TestFailoverResolution:
         assert cost.retries >= 1  # the primary was retried first
         assert not cost.weak and cost.coherence == "coherent"
 
+    @pytest.mark.parametrize("retry", [False, True],
+                             ids=["failfast", "failover"])
+    def test_a_host_that_never_served_is_a_failed_step_not_a_raise(
+            self, retry):
+        """``svc`` lives on a machine that crashed before any server
+        ran there: nothing to address, so the step costs no message in
+        either regime — it is flagged and the walk reads on.  (Fail-fast
+        used to raise ``machine m1 is down`` out of ``resolve``.)"""
+        world = make_world(retry=retry)
+        _c, m1, _m2 = world["machines"]
+        world["placement"].place(world["tree"].directory("svc"), m1)
+        world["injector"].crash_machine(m1)
+        entity, cost = world["resolver"].resolve(
+            world["client"], world["context"], "/svc/f0")
+        assert entity is world["files"][0]
+        assert cost.failed and not cost.weak
+        assert str(cost) == ("steps=3 remote=0 cached=0 messages=0 "
+                             "latency=0 failed=1 retries=0 failovers=0")
+        assert world["simulator"].messages_sent == 0
+
     def test_fail_fast_resolver_fails_and_is_never_weak(self):
         world = make_world(retry=False)
         resolver = world["resolver"]
@@ -265,7 +285,8 @@ class TestFailoverResolution:
         injector.restart_machine(m1)
         assert resolver.server_for(m1).alive
         # Fresh server process ⇒ fresh (closed) circuit breaker.
-        assert resolver.breaker_of(m1).state is BreakerState.CLOSED
+        assert resolver.breaker_for(
+            resolver.server_for(m1)).state is BreakerState.CLOSED
         entity, back = resolver.resolve(world["client"],
                                         world["context"], "/svc/f1")
         assert entity is world["files"][1]
@@ -288,7 +309,8 @@ class TestFailoverResolution:
             retry_policy=resolver.retry_policy)
         injector.on_restart(resolver.handle_restart)
         injector.on_restart(
-            lambda _m: lookup.client.servers[id(m1)].respawn(), machine=m1)
+            lambda _m: lookup.client.router.servers[id(m1)].respawn(),
+            machine=m1)
         for fault, reasks_and_failovers in (
                 (None, (0, 0)),
                 (injector.crash_machine, (1, 1)),
@@ -321,7 +343,7 @@ class TestFailoverResolution:
             world["machines"], timeout=2.5,
             max_retries=resolver.retry_policy.max_attempts - 1,
             retry_policy=resolver.retry_policy)
-        servers = lookup.client.servers
+        servers = lookup.client.router.servers
         injector.on_restart(resolver.handle_restart)
         injector.on_restart(lambda _m: servers[id(m1)].respawn(), machine=m1)
         resolver.resolve(world["client"], world["context"], "/svc/f0")
@@ -373,8 +395,10 @@ class TestFailoverResolution:
         # and both breakers tripped (threshold 2 == max_attempts).
         assert cost.failed
         _c, m1, m2 = world["machines"]
-        assert resolver.breaker_of(m1).state is BreakerState.OPEN
-        assert resolver.breaker_of(m2).state is BreakerState.OPEN
+        assert resolver.breaker_for(
+            resolver.server_for(m1)).state is BreakerState.OPEN
+        assert resolver.breaker_for(
+            resolver.server_for(m2)).state is BreakerState.OPEN
         # While open, the replicas are skipped without any messages.
         _e, skipped = resolver.resolve(world["client"], world["context"],
                                        "/svc/f0")
@@ -384,7 +408,8 @@ class TestFailoverResolution:
         entity, cost = resolver.resolve(world["client"],
                                         world["context"], "/svc/f0")
         assert entity is world["files"][0] and not cost.failed
-        assert resolver.breaker_of(m1).state is BreakerState.CLOSED
+        assert resolver.breaker_for(
+            resolver.server_for(m1)).state is BreakerState.CLOSED
 
     def test_failover_is_deterministic_per_seed(self):
         def signature(seed):

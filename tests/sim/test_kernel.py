@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -72,18 +74,6 @@ class TestMessaging:
         simulator.run()
         assert simulator.messages_dropped == 1
         assert receiver.receive() is None
-
-    def test_crossing_predicates(self):
-        simulator = Simulator()
-        net1, net2 = simulator.network(), simulator.network()
-        m1 = simulator.machine(net1)
-        a = simulator.spawn(m1)
-        b = simulator.spawn(m1)
-        c = simulator.spawn(simulator.machine(net2))
-        same = a.send(b)
-        cross = a.send(c)
-        assert not same.crosses_machines()
-        assert cross.crosses_machines() and cross.crosses_networks()
 
 
 class TestPartitions:
@@ -157,22 +147,7 @@ class TestScheduling:
 
 
 class TestBoundedPump:
-    """run_next / run_until_settled: the kernel fast path."""
-
-    def test_run_next_processes_exactly_one_event(self):
-        simulator = Simulator()
-        ran = []
-        simulator.schedule(1.0, lambda: ran.append(1))
-        simulator.schedule(2.0, lambda: ran.append(2))
-        assert simulator.run_next() is True
-        assert ran == [1]
-        assert simulator.clock.now == 1.0
-        assert len(simulator.queue) == 1
-
-    def test_run_next_on_empty_queue(self):
-        simulator = Simulator()
-        assert simulator.run_next() is False
-        assert simulator.clock.now == 0.0
+    """run_until_settled: the kernel fast path."""
 
     def test_settles_message_without_draining_future_events(self):
         simulator = Simulator()
@@ -248,7 +223,7 @@ class TestBoundedPump:
             simulator = Simulator(seed=3)
             sender, receiver = two_processes(simulator)
             messages = [sender.send(receiver, payload=i,
-                                    latency=simulator.latency_jitter())
+                                    latency=1.0 + simulator.rng.random() / 2)
                         for i in range(10)]
             return simulator, messages
 
@@ -271,7 +246,7 @@ class TestDeterminism:
             sender = processes[index % 3]
             receiver = processes[(index + 1) % 3]
             sender.send(receiver,
-                        latency=simulator.latency_jitter())
+                        latency=1.0 + simulator.rng.random() / 2)
         simulator.run()
         return [entry.detail for entry in simulator.trace]
 
@@ -279,8 +254,8 @@ class TestDeterminism:
         assert self._digest(5) == self._digest(5)
 
     def test_different_seed_different_latencies(self):
-        first = Simulator(seed=1).latency_jitter()
-        second = Simulator(seed=2).latency_jitter()
+        first = Simulator(seed=1).rng.random()
+        second = Simulator(seed=2).rng.random()
         assert first != second
 
     def test_spawn_registers_in_sigma(self):
@@ -338,3 +313,111 @@ class TestOrderingProperties:
         ping.send(pong, payload=0)
         simulator.run()
         assert volleys == [0, 1, 2]
+
+
+class _Scripted:
+    """One kernel under a generated script.  Timers and deliveries log
+    themselves; a timer may, when it fires, enqueue same-instant work
+    or cancel a later timer — what a pump meets mid-run."""
+
+    def __init__(self):
+        self.sim = Simulator(seed=0)
+        self.sender, self.receiver = two_processes(self.sim)
+        self.log: list = []
+        self.handles: list = []
+        self.sent = 0
+        self.receiver.on_message(
+            lambda _process, message: self.log.append(message.payload))
+        #: Popped by :meth:`reference_run`, not yet due.
+        self.held: list = []
+
+    def apply(self, op) -> None:
+        if op[0] == "schedule":
+            _kind, delay, then = op
+            tag = f"timer{len(self.handles)}"
+            self.handles.append(self.sim.schedule(
+                delay, lambda: self._fire(tag, then)))
+        elif op[0] == "send":
+            self.sent += 1
+            self.sender.send(self.receiver, payload=f"msg{self.sent}",
+                             latency=op[1])
+        elif self.handles:  # cancel
+            self.handles[op[1] % len(self.handles)].cancel()
+
+    def _fire(self, tag: str, then) -> None:
+        self.log.append(tag)
+        if then == "timer":
+            self.sim.schedule(0.0, lambda: self.log.append(tag + "+"))
+        elif then == "send":
+            self.sender.send(self.receiver, payload=tag + ">", latency=0.0)
+        elif then == "cancel":
+            self.handles[-1].cancel()
+
+    def reference_run(self, until, max_events) -> bool:
+        """What ``run`` must do, from repeated ``EventQueue.pop()``
+        alone: each pop joins the not-yet-due events, the earliest
+        ``(time, seq)`` of those runs next.  True if the bound was
+        reached (where ``run`` raises)."""
+        processed = 0
+        while processed < max_events:
+            popped = self.sim.queue.pop()
+            if popped is not None:
+                self.held.append(popped)
+            self.held = [e for e in self.held if not e.cancelled]
+            if not self.held:
+                break
+            event = min(self.held, key=lambda e: (e.time, e.seq))
+            if until is not None and event.time > until:
+                break
+            self.held.remove(event)
+            self.sim.clock.advance_to(event.time)
+            event.action()
+            processed += 1
+        else:
+            return True
+        if until is not None and self.sim.clock.now < until:
+            self.sim.clock.advance_to(until)
+        return False
+
+    def queued(self) -> int:
+        return len(self.sim.queue) + sum(
+            not event.cancelled for event in self.held)
+
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5])
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS,
+              st.sampled_from([None, "timer", "send", "cancel"])),
+    st.tuples(st.just("send"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("run"), st.one_of(st.none(), _DELAYS),
+              st.one_of(st.none(), st.integers(0, 6))))
+
+
+class TestRunOrderContract:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_OPS, max_size=40))
+    def test_run_dispatches_what_repeated_pop_yields(self, script):
+        """``Simulator.run`` — whatever mix of lanes, same-instant
+        ties, cancellations, ``until`` push-backs and ``max_events``
+        stops a script produces — dispatches exactly the sequence
+        repeated ``EventQueue.pop()`` yields on a twin kernel, leaves
+        later events queued, and raises at the bound."""
+        subject, twin = _Scripted(), _Scripted()
+        for op in [*script, ("run", None, None)]:
+            if op[0] != "run":
+                subject.apply(op)
+                twin.apply(op)
+                continue
+            _kind, delay, bound = op
+            until = None if delay is None else subject.sim.clock.now + delay
+            bound = 1_000_000 if bound is None else bound
+            if twin.reference_run(until, bound):
+                with pytest.raises(SimulationError):
+                    subject.sim.run(until=until, max_events=bound)
+            else:
+                subject.sim.run(until=until, max_events=bound)
+            assert subject.log == twin.log
+            assert subject.sim.clock.now == twin.sim.clock.now
+            assert len(subject.sim.queue) == twin.queued()
+        assert not subject.sim.queue

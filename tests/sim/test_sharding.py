@@ -293,7 +293,7 @@ class TestEpochDiscipline:
         before = placement.epoch
         placement.place_sharded(a, m1, m2)
         assert placement.epoch == before + 1
-        assert placement.is_sharded(a)
+        assert placement.shard_map_of(a) is not None
         assert placement.replicas_of(a) == ()
         assert not placement.is_stale(a, m2)
 
@@ -301,32 +301,6 @@ class TestEpochDiscipline:
 class TestMidBatchEpochBump:
     """Satellite: a split landing inside resolve_many re-routes the
     rest of the batch instead of using the pre-split ShardMap."""
-
-    def test_route_memo_is_epoch_guarded(self):
-        """The precise pin: a memoized route dies with the epoch."""
-        world = make_deployment(names=600, shards=1)
-        resolver = world["resolver"]
-        placement = world["placement"]
-        directory = world["namespace"].directory
-        shard_map = world["shard_map"]
-        name_ = next(n for n in world["namespace"].names
-                     if 0 < binding_hash(n) < HASH_SPACE - 1)
-        routes = {"epoch": placement.epoch}
-        old_host = resolver._route_host(directory, name_, routes)
-        assert old_host is shard_map.owner_of(name_).machine
-        assert (directory.uid, name_) in routes  # memoized
-        # Split exactly at the name's hash: it moves to pool[1].
-        [shard] = shard_map.shards
-        plan = shard_map.plan_split(shard, world["pool"][1],
-                                    at=binding_hash(name_))
-        placement.apply_split(plan)
-        new_host = shard_map.owner_of(name_).machine
-        assert new_host is world["pool"][1]
-        assert new_host is not old_host
-        # The stale-epoch memo must NOT win: the guarded lookup drops
-        # the pre-split routes and re-consults live placement.
-        assert resolver._route_host(directory, name_, routes) is new_host
-        assert routes["epoch"] == placement.epoch
 
     def test_split_mid_batch_reroutes_later_items(self):
         world = make_deployment(names=1500, shards=1, manager=True,
@@ -835,7 +809,8 @@ class TestPickTarget:
         resolver = world["resolver"]
         manager = self._manager(world)
         now = world["simulator"].clock.now
-        breaker = resolver.breaker_of(world["pool"][1])
+        breaker = resolver.breaker_for(
+            resolver.server_for(world["pool"][1]))
         for _ in range(resolver.breaker_threshold):
             breaker.record_failure(now)
         assert not resolver.breaker_allows(world["pool"][1])
@@ -847,7 +822,8 @@ class TestPickTarget:
         world = make_deployment(names=400, shards=1, pool_size=3)
         resolver = world["resolver"]
         simulator = world["simulator"]
-        breaker = resolver.breaker_of(world["pool"][1])
+        breaker = resolver.breaker_for(
+            resolver.server_for(world["pool"][1]))
         for _ in range(resolver.breaker_threshold):
             breaker.record_failure(simulator.clock.now)
         assert not resolver.breaker_allows(world["pool"][1])

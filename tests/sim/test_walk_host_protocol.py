@@ -24,6 +24,7 @@ from repro.nameservice.retry import RetryPolicy
 from repro.nameservice.walk import HOST_PROTOCOL
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
+from repro.transport.sim import SimTransport
 
 #: What the walk read before the cache took its own decisions.
 REMOVED = {"cache_policy", "cache_ttl", "serve_stale", "prefix_cache_of",
@@ -116,11 +117,14 @@ def run_message_driven():
     """The asyncio-shaped driver on the simulator transport: a chained
     lookup, then one whose first replica is dead."""
     world = World()
+    transport = SimTransport(world.sim)
     lookupds = {id(machine): protocol.NameLookupServer(
-                    world.sim, machine, placement=world.placement)
+                    transport, machine, placement=world.placement)
                 for machine in world.servers}
     client = protocol.AsyncNameClient(
-        world.sim, world.placement, lookupds, world.client, timeout=2.0,
+        transport,
+        protocol.PlacementRouter(world.placement, lookupds, world.home),
+        transport.adopt(world.client), timeout=2.0,
         max_retries=1, retry_policy=RETRY)
     outcomes: list = []
     client.resolve(world.context, "/a/b/leaf", outcomes.append)

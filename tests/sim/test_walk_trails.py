@@ -30,10 +30,12 @@ from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy, PrefixCache
 from repro.nameservice.leases import LeaseTable
 from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
+from repro.nameservice.protocol import (AsyncNameClient, NameLookupServer,
+                                        PlacementRouter)
 from repro.nameservice.walk import LOST, Ask, ResolutionCost, walk_effects
 from repro.obs.instrument import NO_OBS
 from repro.sim.kernel import Simulator
+from repro.transport.sim import SimTransport
 
 
 class ScriptedHost:
@@ -285,11 +287,13 @@ def build_deployment(dir_paths, file_paths, servers, rng):
     if replicated:      # one replica missed a write: never asked, never chains
         entity, chosen = rng.choice(replicated)
         placement.mark_stale(entity, rng.choice(chosen))
-    lookupds = {id(machine): NameLookupServer(simulator, machine,
+    transport = SimTransport(simulator)
+    lookupds = {id(machine): NameLookupServer(transport, machine,
                                               placement=placement)
                 for machine in machines}
-    client = AsyncNameClient(simulator, placement, lookupds,
-                             simulator.spawn(client_machine, "client"))
+    client = AsyncNameClient(
+        transport, PlacementRouter(placement, lookupds, client_machine),
+        transport.adopt(simulator.spawn(client_machine, "client")))
     return simulator, tree, placement, lookupds, client, machines
 
 

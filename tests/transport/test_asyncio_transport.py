@@ -15,7 +15,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.transport import aio
 from repro.transport.aio import Address, AsyncioTransport
-from repro.transport.base import Transport, as_transport
+from repro.transport.base import Transport
 from repro.transport.framing import FrameDecoder, FrameError
 
 
@@ -35,7 +35,6 @@ class TestBasics:
         transport = AsyncioTransport()
         assert isinstance(transport, Transport)
         assert transport.kind == "asyncio"
-        assert as_transport(transport) is transport
 
     def test_now_is_wall_clock(self):
         async def scenario():

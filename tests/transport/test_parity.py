@@ -31,11 +31,13 @@ from repro.model.context import Context, context_object
 from repro.model.entities import Entity, ObjectEntity
 from repro.model.names import ROOT_NAME
 from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
+from repro.nameservice.protocol import (AsyncNameClient, NameLookupServer,
+                                        PlacementRouter)
 from repro.nameservice.writes import commit_binding
 from repro.obs.audit import CoherenceAuditor
 from repro.sim.kernel import Simulator
 from repro.transport.service import NamingService, RemoteNameClient
+from repro.transport.sim import SimTransport
 from repro.transport.wire import remote_uid_of
 
 SVC_NAMES = 8
@@ -108,12 +110,15 @@ def run_script_sim(script, seed: int):
     placement = DirectoryPlacement()
     for directory in placed_directories(root):
         placement.place(directory, server_machine)
-    server = NameLookupServer(simulator, server_machine,
+    transport = SimTransport(simulator)
+    server = NameLookupServer(transport, server_machine,
                               placement=placement)
     server.auditor = auditor
     servers = {id(server_machine): server}
     process = simulator.spawn(client_machine, "client")
-    client = AsyncNameClient(simulator, placement, servers, process)
+    client = AsyncNameClient(
+        transport, PlacementRouter(placement, servers, client_machine),
+        transport.adopt(process))
     start = Context(label="start")
     start.bind(ROOT_NAME, root)
     rows = []
@@ -211,13 +216,15 @@ def test_a_path_split_over_two_servers_is_one_round_trip_each():
     placement = DirectoryPlacement()
     for directory in placed_directories(root):
         placement.place(directory, machines[directory is not root])
-    servers = {id(machine): NameLookupServer(simulator, machine,
+    transport = SimTransport(simulator)
+    servers = {id(machine): NameLookupServer(transport, machine,
                                              placement=placement)
                for machine in machines}
     for server in servers.values():
         server.auditor = auditor
-    client = AsyncNameClient(simulator, placement, servers,
-                             simulator.spawn(client_machine, "client"))
+    client = AsyncNameClient(
+        transport, PlacementRouter(placement, servers, client_machine),
+        transport.adopt(simulator.spawn(client_machine, "client")))
     start = Context(label="start")
     start.bind(ROOT_NAME, root)
     outcomes = []

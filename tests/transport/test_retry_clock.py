@@ -16,7 +16,7 @@ import pytest
 
 from repro.nameservice.retry import BreakerState, CircuitBreaker, RetryPolicy
 from repro.sim.kernel import Simulator
-from repro.transport.base import as_transport
+from repro.transport.sim import SimTransport
 
 #: sha256 over 32 default-policy backoff draws, 16 hex chars — any
 #: change to the jitter math or draw order changes these.
@@ -47,7 +47,7 @@ class TestJitterDigests:
         """The seam hands the protocol the *kernel's* RNG, so sim
         backoff schedules stay deterministic per kernel seed."""
         simulator = Simulator(seed=3)
-        assert as_transport(simulator).rng is simulator.rng
+        assert SimTransport(simulator).rng is simulator.rng
 
 
 def drive(breaker, events):

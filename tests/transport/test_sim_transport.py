@@ -13,10 +13,11 @@ from repro.errors import SimulationError
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
+from repro.nameservice.protocol import (AsyncNameClient, NameLookupServer,
+                                        PlacementRouter)
 from repro.obs import Instrumentation
 from repro.sim.kernel import Simulator
-from repro.transport.base import Transport, as_transport
+from repro.transport.base import Transport
 from repro.transport.sim import SimEndpoint, SimTransport
 
 
@@ -31,21 +32,8 @@ def machine(sim):
 
 
 class TestAsTransport:
-    def test_wraps_simulator_once(self, sim):
-        transport = as_transport(sim)
-        assert isinstance(transport, SimTransport)
-        assert as_transport(sim) is transport  # cached per kernel
-
-    def test_passes_transports_through(self, sim):
-        transport = as_transport(sim)
-        assert as_transport(transport) is transport
-
-    def test_rejects_other_substrates(self):
-        with pytest.raises(TypeError):
-            as_transport(object())
-
     def test_surfaces_kernel_clock_rng_obs(self, sim):
-        transport = as_transport(sim)
+        transport = SimTransport(sim)
         assert transport.kind == "sim"
         assert transport.rng is sim.rng
         assert transport.obs is sim.obs
@@ -56,7 +44,7 @@ class TestAsTransport:
 
 class TestEndpoints:
     def test_endpoint_spawns_on_machine(self, sim, machine):
-        endpoint = as_transport(sim).endpoint(machine, "svc")
+        endpoint = SimTransport(sim).endpoint(machine, "svc")
         assert isinstance(endpoint, SimEndpoint)
         assert endpoint.label == "svc"
         assert endpoint.node is machine
@@ -64,15 +52,15 @@ class TestEndpoints:
 
     def test_adopt_wraps_existing_process(self, sim, machine):
         process = sim.spawn(machine, "existing")
-        endpoint = as_transport(sim).adopt(process)
+        endpoint = SimTransport(sim).adopt(process)
         assert endpoint.process is process
 
     def test_endpoint_rejects_non_machine(self, sim):
         with pytest.raises(SimulationError):
-            as_transport(sim).endpoint("not-a-machine", "x")
+            SimTransport(sim).endpoint("not-a-machine", "x")
 
     def test_send_between_endpoints(self, sim, machine):
-        transport = as_transport(sim)
+        transport = SimTransport(sim)
         a = transport.endpoint(machine, "a")
         b = transport.endpoint(machine, "b")
         got = []
@@ -85,7 +73,7 @@ class TestEndpoints:
     def test_send_accepts_raw_process_target(self, sim, machine):
         # A received envelope's sender is a SimProcess; replies must
         # address it directly.
-        transport = as_transport(sim)
+        transport = SimTransport(sim)
         a = transport.endpoint(machine, "a")
         process = sim.spawn(machine, "raw")
         a.send(process, payload="ping")
@@ -93,12 +81,12 @@ class TestEndpoints:
         assert process.receive().payload == "ping"
 
     def test_send_rejects_foreign_target(self, sim, machine):
-        endpoint = as_transport(sim).endpoint(machine, "a")
+        endpoint = SimTransport(sim).endpoint(machine, "a")
         with pytest.raises(SimulationError):
             endpoint.send("somewhere", payload="x")
 
     def test_trace_context_attaches_after_send(self, sim, machine):
-        transport = as_transport(sim)
+        transport = SimTransport(sim)
         a = transport.endpoint(machine, "a")
         b = transport.endpoint(machine, "b")
         seen = []
@@ -111,7 +99,7 @@ class TestEndpoints:
         assert seen == [("T1", "S1")]
 
     def test_timer_schedule_and_cancel(self, sim):
-        transport = as_transport(sim)
+        transport = SimTransport(sim)
         fired = []
         transport.schedule(1.0, lambda: fired.append("a"))
         timer = transport.schedule(2.0, lambda: fired.append("b"))
@@ -134,11 +122,14 @@ class TestProtocolOverSeam:
         placement.place(tree.root, client_machine)
         placement.place(tree.directory("a"), server_machine)
         placement.place(tree.directory("a/b"), server_machine)
+        transport = SimTransport(sim)
         servers = {id(machine): NameLookupServer(
-            sim, machine, placement=placement if chained else None)
+            transport, machine, placement=placement if chained else None)
             for machine in (client_machine, server_machine)}
         process = sim.spawn(client_machine, "client")
-        client = AsyncNameClient(sim, placement, servers, process)
+        client = AsyncNameClient(
+            transport, PlacementRouter(placement, servers, client_machine),
+            transport.adopt(process))
         return sim, client, ProcessContext(tree.root), leaf, obs
 
     @pytest.mark.parametrize("chained, exchanges", [(False, 2), (True, 1)])
@@ -158,14 +149,14 @@ class TestProtocolOverSeam:
                 outcome.cost.remote_steps) == (4, 1, 2)
         assert sim.messages_sent == 2 * exchanges
         assert sum(server.requests_served
-                   for server in client.servers.values()) == 2
+                   for server in client.router.servers.values()) == 2
 
     def test_client_exposes_transport_and_process(self):
         sim, client, *_ = self.make_world()
         assert isinstance(client.transport, SimTransport)
         assert isinstance(client.transport, Transport)
-        assert client.process is client.endpoint.process
-        assert client.simulator is sim
+        assert client.transport.simulator is sim
+        assert client.endpoint.process.label == "client"
 
     def test_lookup_span_carries_transport_label(self):
         sim, client, context, leaf, obs = self.make_world()
@@ -179,6 +170,6 @@ class TestProtocolOverSeam:
 
     def test_server_exposes_endpoint_and_process(self):
         sim, client, context, leaf, _obs = self.make_world()
-        server = next(iter(client.servers.values()))
+        server = next(iter(client.router.servers.values()))
         assert server.process is server.endpoint.process
         assert server.process.alive
