@@ -36,12 +36,8 @@ from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
 from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import (
-    DistributedResolver,
-    ResolutionCost,
-    ResolutionStyle,
-    check_semantics_preserved,
-)
+from repro.nameservice.resolver import DistributedResolver, ResolutionStyle
+from repro.nameservice.walk import ResolutionCost
 from repro.obs.instrument import Instrumentation
 from repro.sim.kernel import Simulator
 
@@ -166,8 +162,9 @@ def _semantics_cell(seed: int, style: ResolutionStyle,
                                       note="ttl-window")
         deployment.simulator.run()
     coherent_after = all(
-        check_semantics_preserved(deployment.resolver, deployment.client,
-                                  deployment.context, name_, style)
+        deployment.resolver.resolve(deployment.client, deployment.context,
+                                    name_, style)[0]
+        is local_resolve(deployment.context, name_)
         for name_ in probes)
     batch_results = deployment.resolver.resolve_many(
         deployment.client, deployment.context, probes, style)

@@ -27,7 +27,8 @@ from repro.namespaces.perprocess import PerProcessSystem
 from repro.namespaces.shared_graph import SharedGraphSystem
 from repro.namespaces.single_tree import SingleTreeSystem
 from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver, ResolutionCost
+from repro.nameservice.resolver import DistributedResolver
+from repro.nameservice.walk import ResolutionCost
 from repro.sim.kernel import Simulator
 
 __all__ = ["run_a4_resolution_cost"]

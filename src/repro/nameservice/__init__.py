@@ -39,12 +39,7 @@ from repro.nameservice.protocol import (
     LookupOutcome,
     NameLookupServer,
 )
-from repro.nameservice.resolver import (
-    DistributedResolver,
-    ResolutionCost,
-    ResolutionStyle,
-    check_semantics_preserved,
-)
+from repro.nameservice.resolver import DistributedResolver, ResolutionStyle
 from repro.nameservice.retry import (
     BreakerState,
     CircuitBreaker,
@@ -57,7 +52,8 @@ from repro.nameservice.sharding import (
     SplitPlan,
     binding_hash,
 )
-from repro.nameservice.walk import Ask, retry_effects, walk_effects
+from repro.nameservice.walk import (Ask, ResolutionCost, retry_effects,
+                                    walk_effects)
 from repro.nameservice.writes import WritePath, commit_binding
 
 __all__ = [
@@ -87,7 +83,6 @@ __all__ = [
     "WritePath",
     "binding_hash",
     "callback_fanout",
-    "check_semantics_preserved",
     "commit_binding",
     "fanout_effects",
     "retry_effects",

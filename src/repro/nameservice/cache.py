@@ -132,11 +132,13 @@ class PrefixCache:
         placement: Read for the current ``epoch`` and for which
             directories are placed at all (``host_of``).
         ttl: Expiry window of ``TTL`` entries, in virtual time.
-        serve_stale: Policy gate for degraded reads.  With it — or
-            under ``LEASE``, whose grace mode implies it — entries
-            past their TTL, lease or epoch are *retained*: never
-            served as live, but available to :meth:`serve_degraded`
-            (the paper's weak coherence made operational).
+        serve_stale: Policy gate for degraded reads, decided by
+            whoever builds the cache (the resolver opens it when
+            asked to, or under ``LEASE`` for its grace mode, and only
+            with a retry policy).  With it, entries past their TTL,
+            lease or epoch are *retained*: never served as live, but
+            available to :meth:`serve_degraded` (the paper's weak
+            coherence made operational).
         lease_table: ``LEASE``: this machine's client-side table;
             entries are fresh iff every dependency holds an unexpired
             lease there.
@@ -155,7 +157,7 @@ class PrefixCache:
         self._placement = placement
         self._ttl = ttl if policy is CachePolicy.TTL else None
         self.lease_table = lease_table
-        self.keep_expired = serve_stale or lease_table is not None
+        self.keep_expired = serve_stale
         self._note_copies = note_copies
         self._obs = obs if obs is not None else NO_OBS
         self._entries: dict[PrefixKey, PrefixEntry] = {}

@@ -422,7 +422,6 @@ class AsyncNameClient:
     #: interleave — so the lookup span and the counters stay with this
     #: driver.
     parks = False
-    failfast = False
     obs = NO_OBS
 
     @property

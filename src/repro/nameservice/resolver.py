@@ -37,7 +37,10 @@ dropped hops with exponential backoff and seeded jitter over virtual
 time, keeps a per-server :class:`~repro.nameservice.retry.
 CircuitBreaker`, and **fails over** to the next live replica of a
 directory (:meth:`~repro.nameservice.placement.DirectoryPlacement.
-place_replicated`) instead of failing the resolution.  When *no*
+place_replicated`) instead of failing the resolution.  Without a
+policy the same walk runs its one-candidate, one-attempt case: the
+primary alone, asked once, a lost leg read through and flagged by
+``cost.failed``.  When *no*
 authoritative replica is reachable, the policy-gated ``serve_stale``
 mode answers from the client's possibly-stale prefix cache and tags
 the result **weakly coherent** (``cost.weak``) — degraded answers are
@@ -92,8 +95,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
 from repro.sim.process import SimProcess
 
-__all__ = ["ResolutionStyle", "ResolutionCost", "DistributedResolver",
-           "check_semantics_preserved"]
+__all__ = ["ResolutionStyle", "DistributedResolver"]
 
 
 class ResolutionStyle(enum.Enum):
@@ -126,12 +128,15 @@ class DistributedResolver:
             and seeded jitter, a per-server circuit breaker skips
             servers that keep dropping, and the walk fails over across
             a directory's replica set.  ``None`` (the default) is
-            fail-fast: the primary, once; a lost leg fails the walk.
+            fail-fast: the primary is the only candidate, asked once;
+            a lost leg (or a stale or unreachable primary) fails the
+            walk, which reads on flagged by ``cost.failed``.
         serve_stale: Policy gate for degraded reads — when no
             authoritative replica of a directory is reachable, answer
             the step from the client's possibly-stale prefix cache and
             tag the resolution weakly coherent.  Requires a cache
-            policy other than ``NONE`` and a retry policy.  The
+            policy other than ``NONE`` and a retry policy
+            (:meth:`cache_of` opens the gate only with both).  The
             ``LEASE`` policy implies this gate (its *grace mode*).
         breaker_threshold / breaker_cooldown: Circuit-breaker tuning
             (consecutive drops to trip; virtual-time cooldown before
@@ -342,9 +347,13 @@ class DistributedResolver:
         machine = home.machine
         cache = self._prefix_caches.get(id(machine))
         if cache is None:
+            # The degraded serve is part of the fault-tolerance layer:
+            # asked for or implied by LEASE, it needs a retry policy.
             cache = PrefixCache(
                 machine, policy, self._placement, ttl=self.cache_ttl,
-                serve_stale=self.serve_stale,
+                serve_stale=(self.retry_policy is not None
+                             and (self.serve_stale
+                                  or policy is CachePolicy.LEASE)),
                 lease_table=(self.writes.lease_table_of(machine)
                              if policy is CachePolicy.LEASE else None),
                 note_copies=self.writes.note_copies, obs=self.obs)
@@ -469,14 +478,10 @@ class DistributedResolver:
     node_of = staticmethod(operator.attrgetter("machine"))
 
     @property
-    def failfast(self) -> bool:
-        """Without a retry policy: the primary, once, lost legs fail
-        the walk (which still reads on — see :meth:`_ask`)."""
-        return self.retry_policy is None
-
-    @property
     def attempts(self) -> int:
-        return self.retry_policy.max_attempts
+        """Asks per candidate; without a retry policy, one."""
+        policy = self.retry_policy
+        return 1 if policy is None else policy.max_attempts
 
     def now(self) -> float:
         return self._sim.clock.now
@@ -485,8 +490,10 @@ class DistributedResolver:
                  component: Optional[str]) -> Sequence[Machine]:
         """For sharded directories the serving machines are
         per-binding (the owning shard), not per-directory, so routing
-        needs to know what will be asked."""
-        return self._placement.replicas_for_binding(directory, component)
+        needs to know what will be asked.  Without a retry policy
+        there is no failover: the primary is the only candidate."""
+        replicas = self._placement.replicas_for_binding(directory, component)
+        return replicas if self.retry_policy is not None else replicas[:1]
 
     def target_on(self, directory: ObjectEntity, machine: Machine):
         if self._placement.is_stale(directory, machine):
@@ -494,16 +501,6 @@ class DistributedResolver:
         if not machine.alive and id(machine) not in self._servers:
             return DOWN
         return self.server_for(machine)
-
-    def primary(self, directory: ObjectEntity, component: Optional[str]):
-        host = self._placement.host_of_binding(directory, component)
-        if host is None:
-            return None  # unplaced (e.g. per-process private roots)
-        if not host.alive and id(host) not in self._servers:
-            return DOWN
-        server = self.server_for(host)
-        self.charge(server)
-        return server
 
     # -- the walk's sync driver --------------------------------------------
 
@@ -932,15 +929,3 @@ class DistributedResolver:
                 obs.tracer.end(span, self._sim.clock.now)
         return synced
 
-
-def check_semantics_preserved(resolver: DistributedResolver,
-                              client: SimProcess, context: Context,
-                              name_: NameLike,
-                              style: ResolutionStyle =
-                              ResolutionStyle.ITERATIVE) -> bool:
-    """True if the distributed walk returns exactly what the local
-    section-2 recursion returns (used by tests)."""
-    from repro.model.resolution import resolve as local_resolve
-
-    distributed, _cost = resolver.resolve(client, context, name_, style)
-    return distributed is local_resolve(context, name_)

@@ -7,8 +7,8 @@ that decides a resolution — the loop over the name's components, the
 prefix-cache probe and fill, the replica candidates of each directory
 with their stale / down / open-breaker skips, the bounded retry with
 seeded backoff (:func:`retry_effects`), the retry / failover
-accounting, the serve-stale / ``LEASE``-grace degraded step and the
-fail-fast regime — and performs no I/O.  It yields two effects:
+accounting and the serve-stale / ``LEASE``-grace degraded step — and
+performs no I/O.  It yields two effects:
 
 * :class:`Ask` — "ask *target* for ``directory(component)``, attempt
   *n*"; the driver resumes the generator with the entity bound there
@@ -37,12 +37,12 @@ of :data:`HOST_PROTOCOL` and nothing else (a tier-1 test holds it to
 that):
 
 * the regime: ``retry_policy`` (backoff; ``None`` = re-ask at once),
-  ``attempts`` (asks per candidate), ``failfast`` (no fault tolerance:
-  the primary, once, and the driver — which counts the lost leg —
-  answers every ask so the walk reads on) and ``parks`` (after an
-  answered ask the walk stands at the target, so its next steps there
-  are free; a host that does not park stays at *home* and gets the
-  unresolved suffix on every ask, to ship with it);
+  ``attempts`` (asks per candidate) and ``parks`` (after an answered
+  ask the walk stands at the target, so its next steps there are free;
+  a host that does not park stays at *home* and gets the unresolved
+  suffix on every ask, to ship with it).  A host without fault
+  tolerance is the one-candidate, one-attempt case: ``replicas``
+  answers the primary alone and ``attempts`` is 1;
 * the copies: ``cache_of(home)`` — the home node's
   :class:`~repro.nameservice.cache.PrefixCache`, which takes its
   policy's decisions itself, or ``None`` (no probe, no fill, no
@@ -50,8 +50,6 @@ that):
 * routing: ``replicas(directory, component)`` (candidate nodes,
   preferred first, empty if unplaced), ``target_on(directory, node)``
   (whom to ask there, or :data:`STALE` / :data:`DOWN`),
-  ``primary(directory, component)`` (fail-fast hosts: the target,
-  ``None`` if unplaced, or :data:`DOWN`),
   ``node_of(target)``, ``breaker_for(target)`` (may be ``None``) and
   ``charge(target)`` (one step served);
 * ``now()``, ``rng`` and ``obs``.
@@ -77,9 +75,9 @@ __all__ = ["HOST_PROTOCOL", "LOST", "STALE", "DOWN", "Ask",
 #: Every attribute :func:`walk_effects` and :func:`retry_effects` read
 #: from their host (see the module docstring).  Widening the protocol
 #: means adding a name here.
-HOST_PROTOCOL = ("retry_policy", "attempts", "failfast", "parks", "cache_of",
-                 "replicas", "target_on", "primary", "node_of",
-                 "breaker_for", "charge", "now", "rng", "obs")
+HOST_PROTOCOL = ("retry_policy", "attempts", "parks", "cache_of", "replicas",
+                 "target_on", "node_of", "breaker_for", "charge", "now",
+                 "rng", "obs")
 
 
 class _Verdict(enum.Enum):
@@ -265,7 +263,6 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
     tracing = obs.enabled
     cache: Optional[PrefixCache] = host.cache_of(home)
     remembering = cache is not None or memo is not None
-    failfast = host.failfast
     parks = host.parks
 
     current: Context = context
@@ -312,21 +309,6 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                 # ask walked on through this step.
                 entity, served = owed.pop(), owed_by
                 host.charge(served)
-            elif failfast:
-                served = host.primary(entered, component)
-                if served is None:
-                    served = at  # unplaced — wherever the walk is
-                elif served is DOWN:
-                    # A lost leg that costs no message; the walk reads
-                    # on in place, flagged, like every fail-fast loss.
-                    cost.failed_hops += 1
-                    if tracing and obs.tracer.current is not None:
-                        obs.tracer.current.fail(
-                            f"directory {entered.label} unreachable")
-                    served = at
-                elif served is not at:
-                    cost.servers_touched.add(served.label)
-                    entity = yield Ask(served, what, entered, component, at)
             else:
                 replicas = host.replicas(entered, component)
                 if not replicas:

@@ -16,11 +16,9 @@ from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
 from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import (
-    DistributedResolver,
-    ResolutionCost,
-)
+from repro.nameservice.resolver import DistributedResolver
 from repro.nameservice.retry import RetryPolicy
+from repro.nameservice.walk import ResolutionCost
 from repro.obs import Instrumentation
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator

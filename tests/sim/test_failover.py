@@ -474,6 +474,33 @@ class TestDegradedReads:
                                     "/svc/f0")
         assert cost.failed and not cost.weak
 
+    @pytest.mark.parametrize("fault", ["partition", "never-served",
+                                       "stale-primary"])
+    @pytest.mark.parametrize("policy", list(CachePolicy), ids=str)
+    def test_without_a_retry_policy_nothing_is_ever_weak(self, policy,
+                                                         fault):
+        """The degraded serve needs a retry policy even with the gate
+        asked for (and under ``LEASE``, which implies it): a warm cache
+        and an unreachable primary fail the walk, flagged."""
+        world = make_world(cache_policy=policy, retry=False,
+                           serve_stale=True)
+        resolver = world["resolver"]
+        _c, m1, m2 = world["machines"]
+        svc = world["tree"].directory("svc")
+        resolver.resolve(world["client"], world["context"], "/svc/f0")
+        if fault == "partition":
+            world["injector"].partition(*world["networks"])
+        elif fault == "never-served":
+            # Only the primary is ever asked, so m2 has run no server.
+            world["placement"].place(svc, m2)
+            world["injector"].crash_machine(m2)
+        else:
+            world["placement"].mark_stale(svc, m1)
+        _e, cost = resolver.resolve(world["client"], world["context"],
+                                    "/svc/f0")
+        assert cost.failed
+        assert not cost.weak and cost.stale_steps == 0
+
     def test_heal_restores_coherent_answers(self):
         world = make_world(cache_policy=CachePolicy.TTL, serve_stale=True)
         resolver = world["resolver"]

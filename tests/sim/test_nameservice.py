@@ -10,11 +10,7 @@ from repro.model.resolution import resolve as local_resolve
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import (
-    DistributedResolver,
-    ResolutionStyle,
-    check_semantics_preserved,
-)
+from repro.nameservice.resolver import DistributedResolver, ResolutionStyle
 from repro.sim.kernel import Simulator
 
 
@@ -87,8 +83,8 @@ class TestResolverSemantics:
                                client.machine.network.machines())
         for text in ("/a/b/c/leaf", "/a/b", "/a/nope", "/missing",
                      "a/b/c/leaf", "/"):
-            assert check_semantics_preserved(resolver, client, context,
-                                             text)
+            assert resolver.resolve(client, context, text)[0] is \
+                local_resolve(context, text)
             outcome = lookup(context, text)
             assert outcome.entity is local_resolve(context, text)
             assert not outcome.failed

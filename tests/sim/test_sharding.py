@@ -573,6 +573,33 @@ class TestReplicatedShards:
             world["client"], world["context"], "/hot/" + name_)
         assert cost.failed
 
+    @pytest.mark.parametrize("retry", [False, True],
+                             ids=["no-policy", "retrying"])
+    def test_single_owner_range_stays_dark_behind_a_stale_mark(self, retry):
+        """A11's permanently dark range: the sole owner missed a write
+        and came back with nobody to sync from.  Every resolver skips
+        the stale copy — a resolver without a retry policy used to read
+        through it as if it were fresh."""
+        world = make_deployment(names=400, shards=2, replicas=1,
+                                retry=retry)
+        resolver = world["resolver"]
+        shard_map = world["shard_map"]
+        namespace = world["namespace"]
+        injector = FailureInjector(world["simulator"])
+        injector.on_restart(resolver.handle_restart)
+        victim = shard_map.shards[0].machine
+        name_ = next(n for n in namespace.names
+                     if shard_map.owner_of(n).machine is victim)
+        resolver.resolve(world["client"], world["context"], "/hot/" + name_)
+        injector.crash_machine(victim)
+        resolver.rebind(namespace.directory, name_, namespace.shared_leaf)
+        injector.restart_machine(victim)
+        assert world["placement"].is_stale(namespace.directory, victim)
+        _entity, cost = resolver.resolve(
+            world["client"], world["context"], "/hot/" + name_)
+        assert cost.failed and not cost.weak
+        assert cost.messages == 0
+
     def test_rebind_fans_out_to_shard_secondaries(self):
         world = make_deployment(names=300, shards=2, replicas=2)
         resolver = world["resolver"]

@@ -3,10 +3,14 @@
 ``walk.HOST_PROTOCOL`` names every attribute ``walk_effects`` and
 ``retry_effects`` may read from their host.  Both drivers are run here
 with a recording proxy in the host's place — every cache policy, parked
-and not, fail-fast and failover, through a lost ask, a trail, a
+and not, with and without a retry policy, through a lost ask, a trail, a
 degraded step and a batch — and what the walk read must be inside the
 tuple.  Widening the protocol therefore shows up as a diff of that
 tuple, not as one more attribute a new driver discovers it needs.
+
+The walk reads no regime beyond ``retry_policy`` / ``attempts``: a
+resolver without a retry policy is the one-candidate, one-attempt case
+of the replica loop, which the property at the end holds it to.
 """
 
 from __future__ import annotations
@@ -14,21 +18,26 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.model.resolution import resolve as local_resolve
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice import protocol, resolver, walk
 from repro.nameservice.cache import CachePolicy
 from repro.nameservice.placement import DirectoryPlacement
+from repro.nameservice.resolver import ResolutionStyle
 from repro.nameservice.retry import RetryPolicy
 from repro.nameservice.walk import HOST_PROTOCOL
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
 from repro.transport.sim import SimTransport
 
-#: What the walk read before the cache took its own decisions.
+#: What the walk read before the cache took its own decisions, and
+#: before fail-fast became the one-candidate case of the replica loop.
 REMOVED = {"cache_policy", "cache_ttl", "serve_stale", "prefix_cache_of",
-           "lease_table_of", "placement", "writes"}
+           "lease_table_of", "placement", "writes", "failfast", "primary"}
 RETRY = RetryPolicy(max_attempts=2, base_backoff=0.5, max_backoff=1.0)
 
 
@@ -148,21 +157,83 @@ def test_the_parked_driver_reads_only_the_protocol(seen, policy, retry):
 def test_every_name_is_read_and_both_drivers_provide_it(seen):
     client = run_message_driven()
     assert seen <= set(HOST_PROTOCOL), seen - set(HOST_PROTOCOL)
-    # `primary` is read under `failfast` only, which this host never is.
-    assert not client.failfast
-    assert all(hasattr(client, name)
-               for name in HOST_PROTOCOL if name != "primary")
+    assert all(hasattr(client, name) for name in HOST_PROTOCOL)
     for retry in (None, RETRY):
         subject = run_parked(CachePolicy.LEASE, retry)
     assert all(hasattr(subject, name) for name in HOST_PROTOCOL)
     assert seen == set(HOST_PROTOCOL), set(HOST_PROTOCOL) - seen
 
 
-def test_the_protocol_is_fourteen_documented_names():
-    assert len(HOST_PROTOCOL) == len(set(HOST_PROTOCOL)) <= 14
+def test_the_protocol_is_twelve_documented_names():
+    assert len(HOST_PROTOCOL) == len(set(HOST_PROTOCOL)) == 12
     assert not REMOVED & set(HOST_PROTOCOL)
     listed = walk.__doc__.split("The *host* argument", 1)[1]
     for name in HOST_PROTOCOL:
         assert re.search(rf"``{name}(\(|``)", listed), name
     for name in REMOVED:
         assert f"``{name}" not in walk.__doc__, name
+
+
+#: How one directory is placed on its own three machines.
+PLACEMENTS = st.one_of(
+    st.just(("single",)),
+    st.tuples(st.just("replicated"), st.integers(2, 3)),
+    st.tuples(st.just("sharded"), st.integers(1, 3), st.integers(1, 3)))
+NAMES = ["/a/b/leaf", "/a/b", "/a/f", "/a/zzz/x", "/a/b/leaf/too-deep",
+         "/hot/n0", "/hot/n3", "/hot/n7", "/hot/zzz", "/", "", "a/b/leaf",
+         "hot/n5", "zzz"]
+COMPARED = ("messages", "steps", "local_steps", "remote_steps", "latency",
+            "servers_touched")
+
+
+def placed_world(kinds, retry):
+    """``/a/b/leaf``, ``/a/f`` and ``/hot/n0…n7``; ``a``, ``a/b`` and
+    ``hot`` each placed by its *kind* on three machines of its own — a
+    retrying walk prefers a replica it already stands at, which the
+    one-candidate walk never hears of, so no two sets share a machine."""
+    sim = Simulator(seed=0)
+    lan = sim.network("lan")
+    home = sim.machine(lan, "home")
+    tree = NamingTree("root", sigma=sim.sigma, parent_links=True)
+    tree.mkfile("a/b/leaf")
+    tree.mkfile("a/f")
+    for index in range(8):
+        tree.mkfile(f"hot/n{index}")
+    placement = DirectoryPlacement()
+    placement.place(tree.root, home)
+    for path, kind in zip(("a", "a/b", "hot"), kinds):
+        pool = [sim.machine(lan, f"{path}-{i}") for i in range(3)]
+        directory = tree.directory(path)
+        if kind[0] == "single":
+            placement.place(directory, pool[0])
+        elif kind[0] == "replicated":
+            placement.place_replicated(directory, *pool[:kind[1]])
+        else:
+            placement.place_sharded(directory, *pool[:kind[1]],
+                                    replicas=kind[2])
+    subject = resolver.DistributedResolver(sim, placement,
+                                           retry_policy=retry)
+    return subject, sim.spawn(home, "client"), ProcessContext(tree.root)
+
+
+@pytest.mark.parametrize("style", list(ResolutionStyle))
+@given(kinds=st.tuples(PLACEMENTS, PLACEMENTS, PLACEMENTS),
+       names=st.lists(st.sampled_from(NAMES), min_size=1, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_no_policy_is_the_one_candidate_one_attempt_case(style, kinds, names):
+    """Fault-free, a resolver without a retry policy and one allowed a
+    single attempt walk alike — the same entity as the section-2
+    recursion, at the same cost."""
+    bare, bare_client, bare_context = placed_world(kinds, None)
+    once, once_client, once_context = placed_world(
+        kinds, RetryPolicy(max_attempts=1))
+    for name_ in names:
+        entity, cost = bare.resolve(bare_client, bare_context, name_, style)
+        twin, twin_cost = once.resolve(once_client, once_context, name_,
+                                       style)
+        assert entity is local_resolve(bare_context, name_)
+        assert twin is local_resolve(once_context, name_)
+        assert entity.label == twin.label
+        assert not cost.failed and not twin_cost.failed
+        for field in COMPARED:
+            assert getattr(cost, field) == getattr(twin_cost, field), field

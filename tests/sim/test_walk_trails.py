@@ -32,7 +32,8 @@ from repro.nameservice.leases import LeaseTable
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.protocol import (AsyncNameClient, NameLookupServer,
                                         PlacementRouter)
-from repro.nameservice.walk import LOST, Ask, ResolutionCost, walk_effects
+from repro.nameservice.walk import (HOST_PROTOCOL, LOST, Ask, ResolutionCost,
+                                    walk_effects)
 from repro.obs.instrument import NO_OBS
 from repro.sim.kernel import Simulator
 from repro.transport.sim import SimTransport
@@ -44,7 +45,6 @@ class ScriptedHost:
 
     retry_policy = None
     attempts = 2
-    failfast = False
     parks = False
     obs = NO_OBS
     rng = random.Random(0)
@@ -139,6 +139,11 @@ def host_state(host, memo):
 
 
 class TestTrailsByHand:
+    def test_the_scripted_host_provides_the_whole_protocol(self, world):
+        host = ScriptedHost(CachePolicy.NONE, world["placement"],
+                            world["home"])
+        assert all(hasattr(host, name) for name in HOST_PROTOCOL)
+
     @pytest.mark.parametrize("policy", [CachePolicy.NONE, CachePolicy.TTL,
                                         CachePolicy.LEASE])
     @pytest.mark.parametrize("single", ["bare", "trail-of-one"])

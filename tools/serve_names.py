@@ -44,6 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.model.context import context_object  # noqa: E402
 from repro.model.entities import Entity, ObjectEntity  # noqa: E402
 from repro.nameservice.retry import RetryPolicy  # noqa: E402
+from repro.obs.export import span_to_dict  # noqa: E402
 from repro.obs.instrument import Instrumentation  # noqa: E402
 from repro.transport.service import (NamingService,  # noqa: E402
                                      RemoteNameClient)
@@ -203,13 +204,8 @@ async def run_session(args: argparse.Namespace) -> dict:
 
 def dump_trace(path: str, obs: Instrumentation,
                client: RemoteNameClient, results: dict) -> None:
-    spans = [{"trace_id": span.trace_id, "span_id": span.span_id,
-              "kind": span.kind, "name": span.name,
-              "start": span.start, "end": span.end,
-              "status": span.status, "reason": span.reason,
-              "attrs": dict(span.attrs)}
-             for span in obs.tracer.spans]
-    artifact = {"schema": "repro-transport-trace/1",
+    spans = [span_to_dict(span) for span in obs.tracer.spans]
+    artifact = {"schema": "repro-transport-trace/2",
                 "results": results, "spans": spans,
                 "metrics": obs.metrics.snapshot(),
                 "frames": {"sent": client.transport.frames_sent,
