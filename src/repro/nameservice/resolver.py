@@ -98,6 +98,11 @@ from repro.sim.process import SimProcess
 __all__ = ["ResolutionStyle", "DistributedResolver"]
 
 
+def _answered_on_arrival(_server: SimProcess, _message) -> None:
+    """A directory server's handler: the walk has already read what
+    the leg asked for, so a delivered message is done with."""
+
+
 class ResolutionStyle(enum.Enum):
     """Who chases the referrals."""
 
@@ -248,12 +253,15 @@ class DistributedResolver:
         here once the machine is back up — the lazy half of the
         restart story (:meth:`handle_restart` is the eager half, wired
         as a :meth:`~repro.sim.failures.FailureInjector.on_restart`
-        hook, which also runs anti-entropy).
+        hook, which also runs anti-entropy).  The walk reads a leg's
+        binding the moment it lands, so a server handles each delivery
+        by leaving nothing to queue.
         """
         server = self._servers.get(id(machine))
         if server is None or (not server.alive and machine.alive):
             server = self._sim.spawn(machine,
                                      label=f"dirserver@{machine.label}")
+            server.on_message(_answered_on_arrival)
             self._servers[id(machine)] = server
             self._server_labels[server.uid] = server.label
         return server

@@ -157,8 +157,8 @@ class FlightRecorder:
 
     On :meth:`capture` the recorder snapshots everything observable
     about the last *window* units of virtual time: the kernel
-    :class:`~repro.sim.trace.TraceLog` entries (resolved to stable
-    dicts exactly once — safe against later ring-buffer eviction) and
+    :class:`~repro.sim.trace.TraceLog` entries (copied to JSON-safe
+    dicts — safe against later ring-buffer eviction) and
     the tracer's recent spans (drawn from the always-kept sampling
     ring, so a sampled-out trace still shows up in its violation
     window).  Dumps are bounded by *max_dumps*; older ones are

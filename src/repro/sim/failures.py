@@ -72,8 +72,7 @@ class FailureInjector:
         machine.network.renumber_machine(machine, new_maddr)
         self._sim.trace.record(
             self._sim.clock.now, "renumber",
-            lambda label=machine.label, old=old, new=new_maddr:
-                f"machine {label}: maddr {old} → {new}")
+            f"machine {machine.label}: maddr {old} → {new_maddr}")
         self._observe("renumber_machine", machine.label,
                       old=old, new=new_maddr)
 
@@ -83,8 +82,7 @@ class FailureInjector:
         self._sim.internet.renumber(network, new_naddr)
         self._sim.trace.record(
             self._sim.clock.now, "renumber",
-            lambda label=network.label, old=old, new=new_naddr:
-                f"network {label}: naddr {old} → {new}")
+            f"network {network.label}: naddr {old} → {new_naddr}")
         self._observe("renumber_network", network.label,
                       old=old, new=new_naddr)
 
@@ -105,8 +103,7 @@ class FailureInjector:
         for process in machine.processes():
             process.alive = False
         self._sim.trace.record(self._sim.clock.now, "failure",
-                               lambda label=machine.label:
-                                   f"crash {label}")
+                               f"crash {machine.label}")
         self._observe("crash", machine.label)
 
     def on_restart(self, hook: Callable[[Machine], None],
@@ -137,8 +134,7 @@ class FailureInjector:
             return
         machine.alive = True
         self._sim.trace.record(self._sim.clock.now, "repair",
-                               lambda label=machine.label:
-                                   f"restart {label}")
+                               f"restart {machine.label}")
         self._observe("restart", machine.label)
         for scope, hook in self._restart_hooks:
             if scope is None or scope is machine:

@@ -12,13 +12,16 @@ Message delivery honours the failure state maintained by
 network partitions, flaky links with seeded drop probability and
 latency spikes).
 
-Hot-path notes (PR 6, see ``docs/performance.md``): :meth:`Simulator.
-send` appends each delivery to the event queue as a bare message (no
-handle, no closure), trace records pass lazy detail callables instead
-of eager f-strings, :meth:`Simulator.run_until_settled` — the pump
-every request/reply hop pays for — merges the queue's two lanes
-inline, and every event order — and therefore every seeded run — is
-bit-for-bit identical to the unoptimized kernel (pinned by
+Hot-path notes (see ``docs/performance.md``): :meth:`Simulator.send`
+appends each delivery to the event queue as a bare message (no
+handle, no closure); trace records are plain tuples of atomic values —
+the per-message ones a ``(template, *args)`` detail formatted only
+when read — so the log keeps no message alive and the cyclic collector
+never rescans it;
+:meth:`Simulator.run_until_settled` — the pump every request/reply
+hop pays for — merges the queue's two lanes inline; and every event
+order — and therefore every seeded run — is bit-for-bit identical to
+the unoptimized kernel (pinned by
 ``tests/sim/test_determinism_golden.py``).  :meth:`Simulator.run`, off
 the per-operation path, is the plain loop over
 :meth:`EventQueue._pop_entry`.
@@ -42,25 +45,6 @@ from repro.sim.process import SimProcess
 from repro.sim.trace import TraceLog
 
 __all__ = ["Simulator"]
-
-
-# Lazy trace-detail formatters for the per-message records.  The hot
-# path records ``(formatter, message)`` tuples — one small tuple
-# instead of a closure per record — and TraceEntry.detail calls the
-# formatter on first read.  They only touch fields that are fixed by
-# the time the record is made (labels, msg_id, drop_reason), so a
-# lazily-read detail is identical to the eagerly formatted one.
-
-def _fmt_send(m: Message) -> str:
-    return f"{m.sender.label} → {m.receiver.label} msg#{m.msg_id}"
-
-
-def _fmt_drop(m: Message) -> str:
-    return f"msg#{m.msg_id}: {m.drop_reason}"
-
-
-def _fmt_deliver(m: Message) -> str:
-    return f"msg#{m.msg_id} at {m.receiver.label}"
 
 
 class Simulator:
@@ -139,8 +123,6 @@ class Simulator:
             self._m_events = metrics.counter(
                 "sim_events_processed_total")
             self._g_queue = metrics.gauge("sim_event_queue_depth")
-            self._g_mailbox = metrics.gauge_family(
-                "process_mailbox_depth", "process")
 
     # -- topology --------------------------------------------------------
 
@@ -148,20 +130,16 @@ class Simulator:
                 naddr: Optional[int] = None) -> Network:
         """Create a network."""
         network = Network(self.internet, naddr=naddr, label=label)
-        self.trace.record(
-            self.clock.now, "topology",
-            lambda label=network.label, naddr=network.naddr:
-                f"network {label} naddr={naddr}")
+        self.trace.record(self.clock.now, "topology",
+                          f"network {network.label} naddr={network.naddr}")
         return network
 
     def machine(self, network: Network, label: str = "",
                 maddr: Optional[int] = None) -> Machine:
         """Create a machine on *network*."""
         machine = Machine(network, maddr=maddr, label=label)
-        self.trace.record(
-            self.clock.now, "topology",
-            lambda label=machine.label, maddr=machine.maddr:
-                f"machine {label} maddr={maddr}")
+        self.trace.record(self.clock.now, "topology",
+                          f"machine {machine.label} maddr={machine.maddr}")
         return machine
 
     def spawn(self, machine: Machine, label: str = "",
@@ -171,12 +149,10 @@ class Simulator:
             raise SimulationError(f"machine {machine.label} is down")
         process = SimProcess(self, machine, label=label, parent=parent)
         self.sigma.add(process)
-        self.trace.record(
-            self.clock.now, "spawn",
-            lambda label=process.label, addr=process.full_address,
-                   parent_label=parent.label if parent else None:
-                f"{label} @{addr}"
-                + (f" child-of {parent_label}" if parent_label else ""))
+        detail = f"{process.label} @{process.full_address}"
+        if parent is not None and parent.label:
+            detail += f" child-of {parent.label}"
+        self.trace.record(self.clock.now, "spawn", detail)
         return process
 
     # -- partitions (used by FailureInjector) ------------------------------
@@ -191,9 +167,8 @@ class Simulator:
         if key in self._partitions:
             return False
         self._partitions.add(key)
-        self.trace.record(
-            self.clock.now, "failure",
-            lambda a=first, b=second: f"partition {a.label} ⇹ {b.label}")
+        self.trace.record(self.clock.now, "failure",
+                          f"partition {first.label} ⇹ {second.label}")
         return True
 
     def heal(self, first: Network, second: Network) -> bool:
@@ -206,9 +181,8 @@ class Simulator:
         if key not in self._partitions:
             return False
         self._partitions.discard(key)
-        self.trace.record(
-            self.clock.now, "repair",
-            lambda a=first, b=second: f"heal {a.label} ⇄ {b.label}")
+        self.trace.record(self.clock.now, "repair",
+                          f"heal {first.label} ⇄ {second.label}")
         return True
 
     def partitioned(self, first: Network, second: Network) -> bool:
@@ -237,8 +211,8 @@ class Simulator:
             drop_prob, extra_latency)
         self.trace.record(
             self.clock.now, "failure",
-            lambda a=first, b=second, p=drop_prob, x=extra_latency:
-                f"flaky link {a.label} ~ {b.label} p={p:g} +{x:g}")
+            f"flaky link {first.label} ~ {second.label} "
+            f"p={drop_prob:g} +{extra_latency:g}")
 
     def clear_flaky_link(self, first: Network, second: Network) -> bool:
         """Restore the link to lossless/no-spike (idempotent).
@@ -248,9 +222,8 @@ class Simulator:
         key = frozenset((id(first), id(second)))
         if self._flaky_links.pop(key, None) is None:
             return False
-        self.trace.record(
-            self.clock.now, "repair",
-            lambda a=first, b=second: f"steady link {a.label} ~ {b.label}")
+        self.trace.record(self.clock.now, "repair",
+                          f"steady link {first.label} ~ {second.label}")
         return True
 
     def link_flakiness(self, first: Network,
@@ -301,10 +274,10 @@ class Simulator:
         message.trace_id = None
         message.parent_span_id = None
         self.messages_sent += 1
-        # Inlined EventQueue.defer with the message itself as the
-        # queue payload: no delivery closure, no handle, no extra
-        # frame — the run pump dispatches Message entries straight to
-        # _deliver.
+        # EventQueue.push's two-lane append, inlined with the message
+        # itself as the queue payload: no delivery closure, no handle,
+        # no extra frame — the run pumps dispatch Message entries
+        # straight to _deliver.
         queue = self.queue
         fifo = queue._fifo
         if not fifo or deliver_time >= fifo[-1][0]:
@@ -312,31 +285,38 @@ class Simulator:
         else:
             heappush(queue._heap, (deliver_time, next(queue._seq), message))
         queue._live += 1
-        self._record(now, "send", (_fmt_send, message))
+        self._record(now, "send", ("%s → %s msg#%d", sender.label,
+                                   receiver.label, message.msg_id))
         if self._obs_full:
             self._m_sent.inc()
             self._g_queue.set(self.queue.approx_len())
         return message
 
     def _deliver(self, message: Message) -> None:
-        if not message.receiver.machine.alive:
+        receiver = message.receiver
+        if not receiver.machine.alive:
             message.dropped = True
             message.drop_reason = "receiver machine down"
         elif self._partitions and self.partitioned(
-                message.sender.machine.network,
-                message.receiver.machine.network):
+                message.sender.machine.network, receiver.machine.network):
             message.dropped = True
             message.drop_reason = "network partition"
         elif self._flaky_links:
             drop_prob, _spike = self.link_flakiness(
-                message.sender.machine.network,
-                message.receiver.machine.network)
+                message.sender.machine.network, receiver.machine.network)
             if drop_prob > 0 and self.rng.random() < drop_prob:
                 message.dropped = True
                 message.drop_reason = "flaky link"
+        # Tested last so the flaky link's seeded draw stays in order:
+        # a process that exited, or died with a machine that has since
+        # restarted, is gone.
+        if not (message.dropped or receiver.alive):
+            message.dropped = True
+            message.drop_reason = "receiver dead"
         if message.dropped:
             self.messages_dropped += 1
-            self._record(self.clock._now, "drop", (_fmt_drop, message))
+            self._record(self.clock._now, "drop",
+                         ("msg#%d: %s", message.msg_id, message.drop_reason))
             if self._obs_on:
                 if self._obs_full:
                     self._m_dropped.inc()
@@ -345,7 +325,7 @@ class Simulator:
                         "drop", f"msg#{message.msg_id}", self.clock.now,
                         trace_id=message.trace_id,
                         parent_span_id=message.parent_span_id,
-                        attrs={"receiver": message.receiver.label,
+                        attrs={"receiver": receiver.label,
                                "reason": message.drop_reason})
             return
         self.messages_delivered += 1
@@ -353,8 +333,9 @@ class Simulator:
         if self._gateways:
             for gateway in self._gateways:
                 gateway.process(message)
-        self._record(self.clock._now, "deliver", (_fmt_deliver, message))
-        message.receiver.deliver(message)
+        self._record(self.clock._now, "deliver",
+                     ("msg#%d at %s", message.msg_id, receiver.label))
+        receiver.deliver(message)
         if self._obs_on:
             if message.trace_id is not None:
                 # While the hop that sent the message is still the
@@ -365,14 +346,12 @@ class Simulator:
                     "deliver", f"msg#{message.msg_id}", self.clock._now,
                     trace_id=message.trace_id,
                     parent_span_id=message.parent_span_id,
-                    attrs={"receiver": message.receiver.label})
+                    attrs={"receiver": receiver.label})
             if self._obs_full:
-                # Sampled mode skips the per-delivery counter and
-                # labelled gauge — those totals are reconciled at pump
-                # boundaries (_flush_message_counters).
+                # Sampled mode skips the per-delivery counter — that
+                # total is reconciled at pump boundaries
+                # (_flush_message_counters).
                 self._m_delivered.inc()
-                self._g_mailbox.labels(message.receiver.label).set(
-                    len(message.receiver.mailbox))
 
     def add_gateway(self, gateway: Any) -> None:
         """Install a boundary gateway; its ``process(message)`` hook
@@ -381,8 +360,7 @@ class Simulator:
         self._gateways.append(gateway)
         self.trace.record(
             self.clock.now, "topology",
-            lambda g=gateway:
-                f"gateway {getattr(g, 'label', '?')} installed")
+            f"gateway {getattr(gateway, 'label', '?')} installed")
 
     def remove_gateway(self, gateway: Any) -> None:
         """Uninstall a boundary gateway (no error if absent)."""

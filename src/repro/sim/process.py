@@ -2,7 +2,8 @@
 
 A :class:`SimProcess` is an :class:`~repro.model.entities.Activity`
 living on a :class:`~repro.sim.network.Machine` with a local address.
-It has a mailbox, an optional message handler, and a parent link (the
+It has an optional message handler, a mailbox that queues what
+arrives while no handler is installed, and a parent link (the
 parent/child structure matters to §5.1: "a child inherits the context
 of its parent").
 
@@ -83,21 +84,21 @@ class SimProcess(Activity):
         return self._simulator.send(self, receiver, payload, latency=latency)
 
     def deliver(self, message: Message) -> None:
-        """Called by the kernel when a message arrives."""
-        if not self.alive:
-            message.dropped = True
-            message.drop_reason = "receiver dead"
-            return
-        self.mailbox.append(message)
+        """Called by the kernel when a message arrives: the handler
+        takes it, or, with none installed, the mailbox queues it for
+        :meth:`receive` — never both."""
         if self.handler is not None:
             self.handler(self, message)
+        else:
+            self.mailbox.append(message)
 
     def receive(self) -> Optional[Message]:
         """Pop the oldest mailbox message, or None if empty."""
         return self.mailbox.popleft() if self.mailbox else None
 
     def on_message(self, handler: Handler) -> None:
-        """Install *handler* to run at each delivery (after enqueue)."""
+        """Install *handler* to run at each delivery, instead of
+        queueing the message in the mailbox."""
         self.handler = handler
 
     # -- lifecycle -------------------------------------------------------

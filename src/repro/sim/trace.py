@@ -4,80 +4,44 @@ Experiments use traces two ways: to assert causality in tests (message
 m was delivered after it was sent, renumbering happened between sends)
 and to print run digests in benchmark output.
 
+A record's *detail* is its text, or — at the kernel's per-message
+sites, two records a message — a ``(template, *args)`` tuple of
+atomic values that reading formats as ``template % args``, so the hot
+path never formats a string nobody reads.  Every record is
+stored as one flat tuple, ``(time, kind, data, text)`` or ``(time,
+kind, data, template, *args)``: CPython's cyclic collector untracks a
+tuple of atomic values on its first young pass, so the log costs no
+garbage-collection time however long it grows, and it holds no
+reference to the messages, processes or machines it describes.
+:class:`TraceEntry` is the read view that iteration,
+:meth:`TraceLog.of_kind`, :meth:`TraceLog.tail` and the exports
+build.
+
 The log keeps a per-kind index built **lazily** on the first
 :meth:`TraceLog.of_kind` / :meth:`TraceLog.kinds` call after new
 records (so the hot record path pays one deque append, nothing more),
 and supports an optional ``max_entries`` ring-buffer mode for long
 benchmark runs: once full, the oldest entries are evicted (and counted
-in :attr:`TraceLog.evicted`) instead of growing without bound.
-
-Detail strings are **lazy**: hot call sites (the kernel's send/deliver
-path records twice per message) pass a zero-argument callable — or the
-even cheaper ``(formatter, arg)`` tuple, one small tuple instead of a
-closure — and :attr:`TraceEntry.detail` formats it on first read.
-Entries that nothing ever inspects (the overwhelming majority, and
-*every* entry a ring buffer evicts unread) never pay for string
-formatting.  A ``kinds`` filter drops uninteresting kinds at record
-time for benchmark runs that only care about, say, drops.
+in :attr:`TraceLog.evicted`) instead of growing without bound.  A
+``kinds`` filter drops uninteresting kinds at record time.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable
 from itertools import islice
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 __all__ = ["TraceEntry", "TraceLog"]
 
-#: A detail: the formatted string, a zero-argument callable producing
-#: it on demand, or a ``(formatter, arg)`` tuple resolved as
-#: ``formatter(arg)`` — the cheapest lazy form (no closure allocation).
-Detail = Union[str, Callable[[], str], tuple]
 
+class TraceEntry(namedtuple("TraceEntry", ("time", "kind", "detail", "data"),
+                            defaults=(None,))):
+    """One trace record, read back from a :class:`TraceLog`: its virtual
+    ``time``, ``kind``, ``detail`` text and optional ``data`` payload."""
 
-class TraceEntry:
-    """One trace record: (time, kind, detail)."""
-
-    __slots__ = ("time", "kind", "_detail", "data")
-
-    def __init__(self, time: float, kind: str, detail: Detail,
-                 data: Any = None) -> None:
-        self.time = time
-        self.kind = kind
-        self._detail = detail
-        self.data = data
-
-    @property
-    def detail(self) -> str:
-        """The formatted detail (resolved exactly once, on first read).
-
-        The resolved value is coerced to ``str`` before it is cached:
-        a formatter returning a non-string would otherwise never match
-        the "already resolved" check and be re-invoked on every read —
-        observable (and wrong) for formatters that close over mutable
-        simulation state.
-        """
-        detail = self._detail
-        if type(detail) is not str:
-            if type(detail) is tuple:
-                detail = detail[0](detail[1])
-            else:
-                detail = detail()
-            if type(detail) is not str:
-                detail = str(detail)
-            self._detail = detail
-        return detail
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceEntry):
-            return NotImplemented
-        return (self.time == other.time and self.kind == other.kind
-                and self.detail == other.detail
-                and self.data == other.data)
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.kind, self.detail))
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"[t={self.time:g}] {self.kind}: {self.detail}"
@@ -96,9 +60,16 @@ class TraceEntry:
                 "detail": self.detail, "data": data}
 
 
+def _view(record: tuple) -> TraceEntry:
+    """The entry a stored record reads as (its detail formatted)."""
+    time, kind, data, detail = record[:4]
+    if len(record) > 4:
+        detail %= record[4:]
+    return TraceEntry(time, kind, detail, data)
+
+
 class TraceLog:
-    """An append-only (optionally ring-buffered) log of
-    :class:`TraceEntry` records.
+    """An append-only (optionally ring-buffered) log of trace records.
 
     Args:
         max_entries: When set, the log keeps only the newest
@@ -116,11 +87,11 @@ class TraceLog:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._entries: deque[TraceEntry] = deque()
+        self._entries: deque[tuple] = deque()
         # Per-kind index, built lazily by _index(): `_indexed` counts
         # entries already indexed; an eviction shifts positions, so it
         # marks the whole index stale for a full rebuild instead.
-        self._by_kind: dict[str, deque[TraceEntry]] = {}
+        self._by_kind: dict[str, deque[tuple]] = {}
         self._indexed = 0
         self._index_stale = False
         self._kinds = frozenset(kinds) if kinds is not None else None
@@ -128,34 +99,31 @@ class TraceLog:
         self.evicted = 0
 
     @property
-    def entries(self) -> deque[TraceEntry]:
-        """The live entry store, oldest first (treat as read-only)."""
-        return self._entries
+    def entries(self) -> list[TraceEntry]:
+        """Every retained entry, oldest first."""
+        return list(self)
 
-    def record(self, time: float, kind: str, detail: Detail,
-               data: Any = None) -> Optional[TraceEntry]:
-        """Append an entry; *detail* may be a string, a zero-arg
-        callable, or a ``(formatter, arg)`` tuple, formatted lazily on
-        first read.  Returns None when a kind filter drops the record."""
+    def record(self, time: float, kind: str, detail: Union[str, tuple],
+               data: Any = None) -> None:
+        """Append one record.  *detail* is its text, or a
+        ``(template, *args)`` tuple of atomic values that reading
+        formats as ``template % args``."""
         if self._kinds is not None and kind not in self._kinds:
-            return None
-        # Bypass TraceEntry.__init__'s python frame: the kernel calls
-        # record twice per message, so entry creation is slot stores.
-        entry = TraceEntry.__new__(TraceEntry)
-        entry.time = time
-        entry.kind = kind
-        entry._detail = detail
-        entry.data = data
+            return
         entries = self._entries
         max_entries = self.max_entries
         if max_entries is not None and len(entries) >= max_entries:
             entries.popleft()
             self.evicted += 1
             self._index_stale = True
-        entries.append(entry)
-        return entry
+        # Stored flat: a full collection examines a nested tuple after
+        # its holder, which would then stay tracked one pass longer.
+        if type(detail) is tuple:
+            entries.append((time, kind, data) + detail)
+        else:
+            entries.append((time, kind, data, detail))
 
-    def _index(self) -> dict[str, deque[TraceEntry]]:
+    def _index(self) -> dict[str, deque[tuple]]:
         """The per-kind index, (re)built on demand.
 
         Amortized O(new entries since last call); a ring-buffer
@@ -170,9 +138,9 @@ class TraceLog:
         count = len(entries)
         if self._indexed < count:
             for entry in islice(entries, self._indexed, count):
-                queue = by_kind.get(entry.kind)
+                queue = by_kind.get(entry[1])
                 if queue is None:
-                    queue = by_kind[entry.kind] = deque()
+                    queue = by_kind[entry[1]] = deque()
                 queue.append(entry)
             self._indexed = count
         return by_kind
@@ -180,7 +148,7 @@ class TraceLog:
     def of_kind(self, kind: str) -> list[TraceEntry]:
         """All entries with the given kind, in order (amortized
         O(new entries) + O(matches))."""
-        return list(self._index().get(kind, ()))
+        return list(map(_view, self._index().get(kind, ())))
 
     def kinds(self) -> list[str]:
         """The distinct kinds recorded, in first-seen order (among
@@ -191,34 +159,23 @@ class TraceLog:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self._entries)
+        return map(_view, self._entries)
 
     def tail(self, count: int = 10) -> list[TraceEntry]:
         """The most recent *count* entries."""
         if count <= 0:
             return []
         start = max(0, len(self._entries) - count)
-        return list(islice(self._entries, start, None))
+        return list(map(_view, islice(self._entries, start, None)))
 
     def to_dicts(self) -> list[dict]:
         """Every entry as a JSON-safe dict (see
-        :meth:`TraceEntry.to_dict`).
-
-        The entry store is snapshotted *before* any detail is
-        resolved: a lazy formatter that records into this very log (or
-        triggers a ring-buffer eviction) would otherwise mutate the
-        deque mid-iteration and raise — or silently skip entries.
-        """
-        return [entry.to_dict() for entry in tuple(self._entries)]
+        :meth:`TraceEntry.to_dict`)."""
+        return [entry.to_dict() for entry in self]
 
     def window(self, start: float, end: float) -> list[dict]:
-        """Retained entries with ``start <= time <= end``, resolved to
-        JSON-safe dicts at call time.
-
-        This is the flight-recorder capture primitive: the returned
-        dicts are stable snapshots — later ring-buffer evictions
-        cannot invalidate them, and each lazy detail is resolved
-        exactly once (here, or earlier, never again).
-        """
-        return [entry.to_dict() for entry in tuple(self._entries)
+        """Retained entries with ``start <= time <= end`` as JSON-safe
+        dicts — the flight-recorder capture primitive; later
+        ring-buffer evictions cannot change them."""
+        return [entry.to_dict() for entry in self
                 if start <= entry.time <= end]

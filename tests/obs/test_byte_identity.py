@@ -56,9 +56,9 @@ GOLDENS = {
         "chrome_trace":
             "f26e8f1e00b04a01b2d142074ce468083e549ccd6f876f16e48dbad527d86ace",
         "run_summary":
-            "61eb93aec6d7c8a08c86a9a26e7d8b174684823507e9d1296de828ed9f582475",
+            "586e38ad950b8df5a95baf62b921fee744187365d91029500c85c32b4caf80bb",
         "metrics":
-            "9829b1ef6d36891b3ee9fd64e627ab96ee15926ab7eda2f492e679f8bf1d5d67",
+            "7dcb8366de58f21897765f0e674269e74a996ef2b452bf4e671ed3944c9f2fae",
         "flight":
             "e1370aca08c4efdbc2928b437c229ee6c1cd136c0ede5270f24a9af31f2a7d78",
     },

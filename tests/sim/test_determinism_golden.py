@@ -35,18 +35,18 @@ TRACE_GOLDENS = {
 
 #: sha256 of each experiment's full ``ExperimentResult.to_dict()``.
 EXPERIMENT_GOLDENS = {
-    ("A7", 0): "60e749c48835a2f66d92fc7a43698fc10acf5b21e9e37b33d7e209d355af5cea",
-    ("A7", 1): "e4a3c306a173232c91ab9ebcf51cdc303c975a6931b6cda036ea482451013f81",
-    ("A7", 7): "0ad512b67ccbadb2b2b7f5ee23b51c80023342a275da45b72fba1f04ab1fd372",
-    ("A7", 42): "4e878e88dd08f551ec13fd6395cea3aee26efe1f040e23489ed6b7a340990238",
-    ("A8", 0): "61ce5c50f5efed76453a1cfbe104fac0748fbfe67c27833218e667227131a220",
-    ("A8", 1): "89699668fbc442a9830c92e02fb42bf752c36fa5d50a80b37fae930c4228ed56",
-    ("A8", 7): "b0b05851b64a654d4fffabba0ba9e7510216fa1efa9b22f635f65743cacb1fff",
-    ("A8", 42): "d5065d5581ed3606716b539c30eee9aeaa2ace13dfd74bc0df842272f24cfd5d",
-    ("A9", 0): "1deaf23655f65d74e49c9d9896ebbf9cb006c459a7a473476660facaf2b4a9dc",
-    ("A9", 1): "98adc6f3f114d68f8e22d03775782aa5c2feaf9035ce318cbafc1e54520433e7",
-    ("A9", 7): "ef34d2cb44e0b4a563be563850f4d1dc6f914f57dd47cb01dbade395d743ba75",
-    ("A9", 42): "9ce6d2ad6dc27bac9531af8de584e34b3a7d4cbdbbcd764eb714f56a9c3bb1f9",
+    ("A7", 0): "be9fd999636cf3cc4ff5fe1a512af5b0c2f3e269b2bb1175ad98c77bbdac4933",
+    ("A7", 1): "2bd667b33e7c0043f72692f45c729864461600667a1303b3abec052a5fd85a0b",
+    ("A7", 7): "2468428cef7a72fa91f0a410cc20a7501c88260f70735196383341d99222d3cc",
+    ("A7", 42): "6e253af612e375c1ac4f0981069d305ef5b1f948dca408a4de8cdcc30fff6d60",
+    ("A8", 0): "08720bd8e80d0f0daa0cfb4007d12b009ef5fcb92d120af6faa6c176b0e9a9b5",
+    ("A8", 1): "474014baf28582725732df1208e5663bf8e5099c5f77f49e1ed75c63917c56fc",
+    ("A8", 7): "0402a8e1f4b71df7ae4d84812fd8c35d0b6d40b2155fd6edf240c4ef34db92cf",
+    ("A8", 42): "27ea830ec47b882ebd5e8990ab1457d2d2737ee623361c72e1c4fe821afa6165",
+    ("A9", 0): "1c424abe7fb6625a6a84c93ba758807e9937ddaab16a23173bd0528733a74e3f",
+    ("A9", 1): "21ad0439dbb3640cec19a0e9cda3ef424a9d5d596fff54a8f8757b4b1d75d252",
+    ("A9", 7): "18f9e634d7f44a96e30cecb5a23d102dcb268d06eeee08e719a8b460ce1ac63c",
+    ("A9", 42): "151b7513aeb0b0b7bbe47859334d7383b94c2ba476691428e30ed883dfc53982",
 }
 
 

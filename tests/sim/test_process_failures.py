@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.instrument import Instrumentation
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
@@ -68,6 +69,57 @@ class TestProcessLifecycle:
         process = simulator.spawn(simulator.machine(simulator.network()))
         process.exit()
         assert "dead" in repr(process)
+
+
+class TestDelivery:
+    def pair(self, simulator):
+        network = simulator.network("lan")
+        sender = simulator.spawn(simulator.machine(network, "a-m"), "a")
+        receiver = simulator.spawn(simulator.machine(network, "b-m"), "b")
+        return sender, receiver
+
+    def test_a_handler_takes_each_message_once(self, simulator):
+        sender, receiver = self.pair(simulator)
+        seen = []
+        receiver.on_message(
+            lambda process, message: seen.append((process, message)))
+        first = sender.send(receiver, payload=1)
+        second = sender.send(receiver, payload=2)
+        simulator.run()
+        assert seen == [(receiver, first), (receiver, second)]
+        assert receiver.receive() is None
+
+    def test_without_a_handler_the_mailbox_queues_in_order(self, simulator):
+        sender, receiver = self.pair(simulator)
+        messages = [sender.send(receiver, payload=index)
+                    for index in range(3)]
+        simulator.run()
+        assert [receiver.receive() for _ in range(4)] == [*messages, None]
+
+    def test_a_process_that_died_before_delivery_drops_it(self):
+        # The receiver's machine crashes and restarts while the message
+        # is in flight: the process is gone, so the message is dropped
+        # — counted, traced and observed as a drop, never a delivery.
+        obs = Instrumentation()
+        simulator = Simulator(seed=0, obs=obs)
+        sender, receiver = self.pair(simulator)
+        injector = FailureInjector(simulator)
+        message = sender.send(receiver, payload="ping", latency=2.0)
+        injector.schedule(0.5, "crash", receiver.machine)
+        injector.schedule(1.0, "restart", receiver.machine)
+        simulator.run()
+        assert receiver.machine.alive and not receiver.alive
+        assert message.dropped and not message.delivered
+        assert message.drop_reason == "receiver dead"
+        assert (simulator.messages_delivered,
+                simulator.messages_dropped) == (0, 1)
+        assert [e.detail for e in simulator.trace.of_kind("drop")] \
+            == [f"msg#{message.msg_id}: receiver dead"]
+        assert simulator.trace.of_kind("deliver") == []
+        assert obs.metrics.counter("sim_messages_dropped_total").value == 1
+        assert obs.metrics.counter(
+            "sim_messages_delivered_total").value == 0
+        assert receiver.receive() is None
 
 
 class TestFailureInjector:
@@ -281,8 +333,9 @@ class TestTraceLog:
 
     def test_entry_repr(self):
         log = TraceLog()
-        entry = log.record(1.5, "send", "hello")
-        assert "t=1.5" in repr(entry) and "hello" in repr(entry)
+        log.record(1.5, "send", "hello")
+        [entry] = log
+        assert repr(entry) == "[t=1.5] send: hello"
 
     def test_kernel_traces_lifecycle(self):
         simulator = Simulator()

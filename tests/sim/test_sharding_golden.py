@@ -44,10 +44,10 @@ TRACE_GOLDENS = {
 
 #: sha256 of A10's full ``ExperimentResult.to_dict()`` (reduced scale).
 EXPERIMENT_GOLDENS = {
-    0: "db768d30b727a93a2f607b1c6d01b856b78edcd80335f397896b9d64047a1a9d",
-    1: "114db4f87d48bd03851525a58b0ee800bc58c44f875877b82c0061c2e26fb4f5",
-    7: "d9b0ef279612d30eab606948017258c9f92436ee7f620dd7cbf0c55a5d08c50e",
-    42: "cc90f2c9b14b741c3b70bdd22e593954caefdc5e01adc8b6c63d5a67df023996",
+    0: "16b61cca3507351e366cc4747e46e6480a90dc74946a698295b4e47630cd4732",
+    1: "a2409c1e9b36b2b3c0052d7ec70042f37d4d4cfab845b2e7ea8756dcc2cdc7e4",
+    7: "dc7608de8a20402a128db6123820403d12b492b729cf3c90c76f7c5dd187ccf2",
+    42: "641650d429e181e59e98afa4b652cd62d152df6ad76efc8e62eee5c95f57fa52",
 }
 
 

@@ -1,17 +1,7 @@
-"""Export-safety regression tests for lazy trace details (PR 8).
+"""Export-safety regression tests for trace snapshots.
 
-Three hazards the flight recorder depends on being fixed:
-
-1. A formatter returning a non-string must be coerced *and cached* —
-   otherwise it never matches the "already resolved" check and is
-   re-invoked on every read, observable for formatters that close over
-   mutable simulation state.
-2. :meth:`TraceLog.to_dicts` / :meth:`TraceLog.window` must snapshot
-   the entry store before resolving details: a formatter that records
-   into the very log being exported (or triggers a ring-buffer
-   eviction) would otherwise mutate the deque mid-iteration.
-3. Exported dicts must stay stable after later evictions — the flight
-   recorder hands them out long after the ring has moved on.
+Exported dicts must stay stable after later evictions — the flight
+recorder hands them out long after the ring has moved on.
 """
 
 from __future__ import annotations
@@ -19,75 +9,11 @@ from __future__ import annotations
 from repro.sim.trace import TraceLog
 
 
-class TestSingleResolution:
-    def test_non_string_result_is_coerced_and_cached(self):
-        state = {"epoch": 1}
-        log = TraceLog()
-        entry = log.record(1.0, "placement",
-                           lambda: state["epoch"])  # returns an int
-        first = entry.detail
-        assert first == "1" and isinstance(first, str)
-        # The formatter closed over live state; mutating it after the
-        # first read must not change (or re-run) anything.
-        state["epoch"] = 99
-        assert entry.detail == "1"
-
-    def test_formatter_runs_exactly_once_across_exports(self):
-        calls = []
-        log = TraceLog()
-        log.record(1.0, "send", lambda: calls.append(1) or "m1 -> m2")
-        log.to_dicts()
-        log.window(0.0, 2.0)
-        log.tail(5)[0].detail
-        assert len(calls) == 1
-
-    def test_tuple_formatter_with_non_string_result(self):
-        log = TraceLog()
-        entry = log.record(2.0, "queue", (len, [1, 2, 3]))
-        assert entry.detail == "3"
-        assert entry.detail == "3"
-        assert entry._detail == "3"  # cached as the coerced string
-
-
-class TestReentrantExport:
-    def test_to_dicts_survives_a_formatter_that_records(self):
-        log = TraceLog(max_entries=3)
-
-        def noisy():
-            # A pathological formatter: resolving it appends to the
-            # log being exported, forcing an eviction mid-export.
-            log.record(9.0, "side-effect", "from formatter")
-            return "noisy"
-
-        log.record(1.0, "a", "first")
-        log.record(2.0, "b", noisy)
-        log.record(3.0, "c", "third")
-        dumped = log.to_dicts()
-        # The snapshot was taken before resolution: all three entries
-        # present exactly once, in order, despite the eviction.
-        assert [d["kind"] for d in dumped] == ["a", "b", "c"]
-        assert dumped[1]["detail"] == "noisy"
-        assert log.evicted == 1
-
-    def test_window_survives_a_formatter_that_records(self):
-        log = TraceLog(max_entries=2)
-
-        def noisy():
-            log.record(8.0, "side-effect", "boom")
-            return "ok"
-
-        log.record(1.0, "a", noisy)
-        log.record(2.0, "b", "plain")
-        window = log.window(0.0, 5.0)
-        assert [d["detail"] for d in window] == ["ok", "plain"]
-
-
 class TestSnapshotStability:
     def test_window_dicts_outlive_ring_eviction(self):
         log = TraceLog(max_entries=4)
         for index in range(4):
-            log.record(float(index), "probe",
-                       (("entry %d").__mod__, index))
+            log.record(float(index), "probe", f"entry {index}")
         window = log.window(0.0, 10.0)
         # Flood the ring: every original entry is evicted.
         for index in range(10, 20):

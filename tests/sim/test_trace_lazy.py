@@ -1,62 +1,65 @@
-"""Tests for lazy trace details, the record-time kind filter, and the
-lazily built per-kind index (PR 6 performance work)."""
+"""Tests for trace records as plain values, the record-time kind
+filter, and the lazily built per-kind index."""
 
 from __future__ import annotations
 
+import gc
+
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceEntry, TraceLog
 
 
 class TestLazyDetails:
-    def test_callable_detail_resolved_once(self):
-        log = TraceLog()
-        calls = []
-
-        def fmt() -> str:
-            calls.append(True)
-            return "formatted"
-
-        entry = log.record(1.0, "send", fmt)
-        assert calls == []  # nothing formatted at record time
-        assert entry.detail == "formatted"
-        assert entry.detail == "formatted"
-        assert calls == [True]  # resolved exactly once, then cached
-
-    def test_tuple_detail_resolved_lazily(self):
-        log = TraceLog()
-        calls = []
-
-        def fmt(arg) -> str:
-            calls.append(arg)
-            return f"msg#{arg}"
-
-        entry = log.record(1.0, "send", (fmt, 7))
-        assert calls == []
-        assert entry.detail == "msg#7"
-        assert calls == [7]
-        assert entry.detail == "msg#7"
-        assert calls == [7]
+    """A detail is a string, read back as is, or a ``(template,
+    *args)`` tuple of atomic values, formatted only when read."""
 
     def test_string_detail_unchanged(self):
         log = TraceLog()
-        entry = log.record(1.0, "send", "plain")
-        assert entry.detail == "plain"
+        assert log.record(1.0, "send", "plain") is None
+        assert [entry.detail for entry in log] == ["plain"]
+
+    def test_template_detail_is_formatted_on_read(self):
+        log = TraceLog()
+        log.record(1.0, "send", ("%s → %s msg#%d", "a", "b", 7), data=3)
+        assert list(log) == [TraceEntry(1.0, "send", "a → b msg#7", 3)]
+        assert log.window(0.0, 2.0)[0]["detail"] == "a → b msg#7"
 
     def test_repr_and_to_dict_resolve(self):
         log = TraceLog()
-        entry = log.record(2.0, "send", lambda: "lazy", data=7)
-        assert "lazy" in repr(entry)
+        log.record(2.0, "send", ("%s#%d", "lazy", 1), data=7)
+        [entry] = log
+        assert repr(entry) == "[t=2] send: lazy#1"
         assert entry.to_dict() == {"time": 2.0, "kind": "send",
-                                   "detail": "lazy", "data": 7}
+                                   "detail": "lazy#1", "data": 7}
+
+
+class TestPlainRecords:
+    def test_stored_records_are_untracked_by_the_collector(self):
+        simulator = Simulator(seed=1)
+        network = simulator.network("lan")
+        a = simulator.spawn(simulator.machine(network), "a")
+        b = simulator.spawn(simulator.machine(network), "b")
+        for index in range(20):
+            a.send(b, payload=index)
+        simulator.run()
+        gc.collect()
+        records = simulator.trace._entries
+        assert len(records) > 40
+        assert not any(gc.is_tracked(record) for record in records)
+
+    def test_entries_are_views_of_the_records(self):
+        log = TraceLog()
+        log.record(1.0, "send", "a")
+        assert log.entries == [TraceEntry(1.0, "send", "a", None)]
+        assert log.tail(1) == log.entries
 
 
 class TestKindFilter:
     def test_filtered_kinds_are_dropped(self):
         log = TraceLog(kinds=("drop",))
-        assert log.record(1.0, "send", "a") is None
-        kept = log.record(2.0, "drop", "b")
-        assert kept is not None
-        assert [e.kind for e in log] == ["drop"]
+        log.record(1.0, "send", "a")
+        log.record(2.0, "drop", "b")
+        assert [(e.kind, e.detail) for e in log] == [("drop", "b")]
 
     def test_unfiltered_log_records_everything(self):
         log = TraceLog()
@@ -104,10 +107,12 @@ class TestLazyIndex:
 
     def test_index_entries_are_the_recorded_objects(self):
         log = TraceLog()
-        first = log.record(1.0, "send", "a")
-        second = log.record(2.0, "deliver", "b")
-        assert log.of_kind("send")[0] is first
-        assert log.of_kind("deliver")[0] is second
+        log.record(1.0, "send", "a")
+        log.record(2.0, "deliver", "b")
+        first, second = log
+        assert log.of_kind("send") == [first]
+        assert log.of_kind("deliver") == [second]
+        assert second == TraceEntry(2.0, "deliver", "b")
 
     def test_eviction_rebuilds_index(self):
         log = TraceLog(max_entries=3)
