@@ -84,11 +84,10 @@ def test_pid_mapping_throughput(benchmark):
 
 
 #: The kernel-only obs overhead triple: the same message loop on
-#: NO_OBS, under 5%-sampled spans (per-message counters deferred to an
-#: end-of-run flush — the always-on mode) and fully instrumented
-#: (every message bumps its counters inline).  Compare the three rows
-#: of one ``--benchmark-only`` run; docs/observability.md has the
-#: budget.
+#: NO_OBS, under 5%-sampled spans (the always-on mode) and with every
+#: span kept.  Both instrumented rows publish the kernel's counters the
+#: same way, once at the end of the run.  Compare the three rows of one
+#: ``--benchmark-only`` run; docs/observability.md has the budget.
 OBS_MODES = {
     "no_obs": lambda: None,
     "sampled": lambda: Instrumentation(

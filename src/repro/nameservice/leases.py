@@ -532,9 +532,7 @@ class LeaseManager:
         return len(self._leases)
 
     def stats(self) -> dict[str, int]:
-        # No holder gives a lease up voluntarily; the ``releases`` key
-        # stays because A9's schedule note prints every key.
         return {"grants": self.grants, "renewals": self.renewals,
-                "breaks": self.breaks, "releases": 0,
+                "breaks": self.breaks,
                 "expirations": self.expirations, "acks": self.acks,
                 "held": len(self._leases)}

@@ -1,42 +1,31 @@
 """The discrete-event queue.
 
-Events are ``(time, seq, item)`` tuples kept in **two lanes**: a
-calendar-style FIFO deque for the common monotone case (an entry whose
-key is ≥ the FIFO tail is appended there — O(1) in, O(1) out) and a
-binary heap for out-of-order schedules.  Dequeue merges the lanes by
-taking the smaller head, so the global pop order is exactly the sorted
-``(time, seq)`` order either way.  Message-passing workloads schedule
-deliveries in nondecreasing time order almost always, which turns the
-former O(log n) heappop per event (~half the queue cost in kernel
-profiles) into a deque popleft.
+Events are ``(time, seq, item)`` tuples in one binary heap, popped in
+sorted ``(time, seq)`` order.  The sequence number breaks ties between
+events scheduled for the same instant in *scheduling order*, which —
+together with the seeded RNG in the kernel — makes every simulation
+run bit-for-bit reproducible.  Because ``seq`` is unique, tuple
+comparison never reaches ``item``, so heap maintenance runs entirely
+in C.
 
-The sequence number breaks ties between events scheduled for the same
-instant in *scheduling order*, which — together with the seeded RNG in
-the kernel — makes every simulation run bit-for-bit reproducible.
-Because ``seq`` is unique, tuple comparison never reaches ``item``, so
-lane maintenance runs entirely in C (the former ``@dataclass
-(order=True)`` event compared via generated python ``__lt__`` calls,
-the single hottest frame in kernel profiles).
-
-Two kinds of entry share the lanes: :meth:`EventQueue.push` allocates
+Two kinds of entry share the heap: :meth:`EventQueue.push` allocates
 a :class:`ScheduledEvent` handle the caller can
 :meth:`~ScheduledEvent.cancel` (timers, timeouts); the kernel's
-``send`` appends each delivery as a bare
+``send`` pushes each delivery as a bare
 :class:`~repro.sim.messages.Message` with no handle at all (deliveries
 are never cancelled) and the pump dispatches it by type.
 
 Cancelled events are *not* removed eagerly (heap deletion is O(n));
 they are skipped on pop, counted, and the heap is compacted once
 cancelled entries outnumber live ones — so ``len(queue)`` is O(1) via
-a live-event counter instead of the former O(n) scan, and long-lived
-simulations with many cancelled timers no longer leak heap slots.
+a live-event counter, and long-lived simulations with many cancelled
+timers do not leak heap slots.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from typing import Callable, Optional
 
 __all__ = ["ScheduledEvent", "EventQueue"]
@@ -80,15 +69,11 @@ class ScheduledEvent:
 class EventQueue:
     """A deterministic priority queue of scheduled events."""
 
-    __slots__ = ("_heap", "_fifo", "_seq", "_live", "_cancelled")
+    __slots__ = ("_heap", "_seq", "_live", "_cancelled")
 
     def __init__(self) -> None:
-        # Entries are (time, seq, ScheduledEvent | Message) tuples,
-        # split across two lanes (see module docstring): the
-        # FIFO holds entries in strictly increasing (time, seq) order;
-        # the heap holds the out-of-order remainder.
+        #: ``(time, seq, ScheduledEvent | Message)`` entries, a heap.
         self._heap: list[tuple] = []
-        self._fifo: deque[tuple] = deque()
         self._seq = itertools.count()
         #: Non-cancelled entries currently queued.
         self._live = 0
@@ -100,11 +85,7 @@ class EventQueue:
         """Schedule *action* at absolute virtual time *time*,
         returning a cancellable handle."""
         event = ScheduledEvent(time, next(self._seq), action, note, self)
-        fifo = self._fifo
-        if not fifo or time >= fifo[-1][0]:
-            fifo.append((time, event.seq, event))
-        else:
-            heapq.heappush(self._heap, (time, event.seq, event))
+        heapq.heappush(self._heap, (time, event.seq, event))
         self._live += 1
         return event
 
@@ -112,21 +93,10 @@ class EventQueue:
 
     def _pop_entry(self) -> Optional[tuple]:
         """Pop the earliest live ``(time, seq, item)`` entry (the
-        kernel's raw fast path), discarding cancelled entries.  Takes
-        the smaller of the two lane heads, so the merged order is the
-        global sorted ``(time, seq)`` order."""
+        kernel's raw fast path), discarding cancelled entries."""
         heap = self._heap
-        fifo = self._fifo
-        while True:
-            if fifo:
-                if heap and heap[0] < fifo[0]:
-                    entry = heapq.heappop(heap)
-                else:
-                    entry = fifo.popleft()
-            elif heap:
-                entry = heapq.heappop(heap)
-            else:
-                return None
+        while heap:
+            entry = heapq.heappop(heap)
             item = entry[2]
             if type(item) is ScheduledEvent:
                 if item.cancelled:
@@ -135,16 +105,15 @@ class EventQueue:
                 item._queue = None
             self._live -= 1
             return entry
+        return None
 
     def _unpop(self, entry: tuple) -> None:
         """Return a just-popped entry to the queue (run(until=...)
-        pushback).  *entry* must sort before everything still queued —
-        true for a freshly popped head — so an O(1) appendleft onto
-        the FIFO lane keeps both lanes sorted."""
+        pushback)."""
         item = entry[2]
         if type(item) is ScheduledEvent:
             item._queue = self
-        self._fifo.appendleft(entry)
+        heapq.heappush(self._heap, entry)
         self._live += 1
 
     def pop(self) -> Optional[ScheduledEvent]:
@@ -164,29 +133,22 @@ class EventQueue:
     def _on_cancel(self) -> None:
         self._live -= 1
         self._cancelled += 1
-        if self._cancelled > (len(self._heap) + len(self._fifo)) // 2:
+        if self._cancelled > len(self._heap) // 2:
             self.compact()
 
     def compact(self) -> None:
-        """Drop cancelled entries from both lanes.
+        """Drop cancelled entries from the heap.
 
         Called automatically once cancelled entries exceed half the
-        queue; unique ``(time, seq)`` keys make the rebuilt lanes pop
+        queue; unique ``(time, seq)`` keys make the rebuilt heap pop
         in exactly the same order, so compaction is invisible to the
-        simulation.  Rebuilds **in place** so lane aliases held by the
-        kernel's inline pump (``run_until_settled``) stay valid across
-        a mid-pump compaction.
+        simulation.  Rebuilds **in place**: the kernel's inline pump
+        (``run_until_settled``) holds an alias to the heap.
         """
         self._heap[:] = [entry for entry in self._heap
                          if not (type(entry[2]) is ScheduledEvent
                                  and entry[2].cancelled)]
         heapq.heapify(self._heap)
-        fifo = self._fifo
-        live = [entry for entry in fifo
-                if not (type(entry[2]) is ScheduledEvent
-                        and entry[2].cancelled)]
-        fifo.clear()
-        fifo.extend(live)
         self._cancelled = 0
 
     # -- observation -------------------------------------------------------
@@ -198,7 +160,7 @@ class EventQueue:
     def approx_len(self) -> int:
         """Queued entries including cancelled ones — the O(1) depth
         reading instrumentation samples."""
-        return len(self._heap) + len(self._fifo)
+        return len(self._heap)
 
     def cancelled_len(self) -> int:
         """Cancelled entries still occupying heap slots (drops to

@@ -13,18 +13,18 @@ network partitions, flaky links with seeded drop probability and
 latency spikes).
 
 Hot-path notes (see ``docs/performance.md``): :meth:`Simulator.send`
-appends each delivery to the event queue as a bare message (no
+pushes each delivery onto the event queue's heap as a bare message (no
 handle, no closure); trace records are plain tuples of atomic values —
 the per-message ones a ``(template, *args)`` detail formatted only
 when read — so the log keeps no message alive and the cyclic collector
-never rescans it;
-:meth:`Simulator.run_until_settled` — the pump every request/reply
-hop pays for — merges the queue's two lanes inline; and every event
-order — and therefore every seeded run — is bit-for-bit identical to
-the unoptimized kernel (pinned by
-``tests/sim/test_determinism_golden.py``).  :meth:`Simulator.run`, off
-the per-operation path, is the plain loop over
-:meth:`EventQueue._pop_entry`.
+never rescans it; :meth:`Simulator.run_until_settled` — the pump every
+request/reply hop pays for — pops the heap inline, while
+:meth:`Simulator.run` loops over :meth:`EventQueue._pop_entry`.  Every
+event order — and therefore every seeded run — is bit-for-bit
+identical to the unoptimized kernel (pinned by
+``tests/sim/test_determinism_golden.py``).  With instrumentation on,
+the kernel counts messages and events as plain ints and publishes them
+into the metrics registry once per pump, when it returns or raises.
 """
 
 from __future__ import annotations
@@ -103,13 +103,8 @@ class Simulator:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        # Full mode emits per-message counters/gauges inline; with a
-        # SpanSampler installed the kernel instead reconciles the
-        # plain-int totals into the counters at pump boundaries
-        # (_flush_message_counters) — the always-on sampled mode costs
-        # one dead branch per message instead of two counter bumps and
-        # a labelled gauge lookup.
-        self._obs_full = self._obs_on and self.obs.sampler is None
+        # The message totals already published (sent, delivered,
+        # dropped); see _flush_message_counters.
         self._flushed_msgs = [0, 0, 0]
         if self._obs_on:
             # Instrument handles are resolved once — the hot paths
@@ -274,22 +269,14 @@ class Simulator:
         message.trace_id = None
         message.parent_span_id = None
         self.messages_sent += 1
-        # EventQueue.push's two-lane append, inlined with the message
-        # itself as the queue payload: no delivery closure, no handle,
-        # no extra frame — the run pumps dispatch Message entries
+        # The message itself is the queue payload: no delivery
+        # closure, no handle — the pumps dispatch Message entries
         # straight to _deliver.
         queue = self.queue
-        fifo = queue._fifo
-        if not fifo or deliver_time >= fifo[-1][0]:
-            fifo.append((deliver_time, next(queue._seq), message))
-        else:
-            heappush(queue._heap, (deliver_time, next(queue._seq), message))
+        heappush(queue._heap, (deliver_time, next(queue._seq), message))
         queue._live += 1
         self._record(now, "send", ("%s → %s msg#%d", sender.label,
                                    receiver.label, message.msg_id))
-        if self._obs_full:
-            self._m_sent.inc()
-            self._g_queue.set(self.queue.approx_len())
         return message
 
     def _deliver(self, message: Message) -> None:
@@ -317,16 +304,13 @@ class Simulator:
             self.messages_dropped += 1
             self._record(self.clock._now, "drop",
                          ("msg#%d: %s", message.msg_id, message.drop_reason))
-            if self._obs_on:
-                if self._obs_full:
-                    self._m_dropped.inc()
-                if message.trace_id is not None:
-                    self.obs.tracer.event(
-                        "drop", f"msg#{message.msg_id}", self.clock.now,
-                        trace_id=message.trace_id,
-                        parent_span_id=message.parent_span_id,
-                        attrs={"receiver": receiver.label,
-                               "reason": message.drop_reason})
+            if self._obs_on and message.trace_id is not None:
+                self.obs.tracer.event(
+                    "drop", f"msg#{message.msg_id}", self.clock.now,
+                    trace_id=message.trace_id,
+                    parent_span_id=message.parent_span_id,
+                    attrs={"receiver": receiver.label,
+                           "reason": message.drop_reason})
             return
         self.messages_delivered += 1
         message.delivered = True
@@ -336,22 +320,16 @@ class Simulator:
         self._record(self.clock._now, "deliver",
                      ("msg#%d at %s", message.msg_id, receiver.label))
         receiver.deliver(message)
-        if self._obs_on:
-            if message.trace_id is not None:
-                # While the hop that sent the message is still the
-                # tracer's active span (a resolver pumping its own
-                # leg), the instant inherits that trace's sampling
-                # verdict instead of re-deriving it from the id.
-                self.obs.tracer.event(
-                    "deliver", f"msg#{message.msg_id}", self.clock._now,
-                    trace_id=message.trace_id,
-                    parent_span_id=message.parent_span_id,
-                    attrs={"receiver": receiver.label})
-            if self._obs_full:
-                # Sampled mode skips the per-delivery counter — that
-                # total is reconciled at pump boundaries
-                # (_flush_message_counters).
-                self._m_delivered.inc()
+        if self._obs_on and message.trace_id is not None:
+            # While the hop that sent the message is still the
+            # tracer's active span (a resolver pumping its own leg),
+            # the instant inherits that trace's sampling verdict
+            # instead of re-deriving it from the id.
+            self.obs.tracer.event(
+                "deliver", f"msg#{message.msg_id}", self.clock._now,
+                trace_id=message.trace_id,
+                parent_span_id=message.parent_span_id,
+                attrs={"receiver": receiver.label})
 
     def add_gateway(self, gateway: Any) -> None:
         """Install a boundary gateway; its ``process(message)`` hook
@@ -404,64 +382,49 @@ class Simulator:
             pending = tuple(messages)
         processed = 0
         queue = self.queue
-        # Same raw-lane pump as run() (EventQueue._pop_entry inlined);
-        # compact() rebuilds both lanes in place, so the aliases stay
-        # valid across mid-pump compactions.  Unlike run(), the
-        # settled predicate is re-checked per event — a timer action
-        # (e.g. a crash) can settle a message too, so batching
-        # same-instant dispatch past the settling event would overrun
-        # the stop point.
-        heap = queue._heap
-        fifo = queue._fifo
         advance_to = self.clock.advance_to
         deliver = self._deliver
+        heap = queue._heap
         single = pending[0] if len(pending) == 1 else None
-        while True:
-            if single is not None:
-                if single.delivered or single.dropped:
-                    break
-            elif all(message.delivered or message.dropped
-                     for message in pending):
-                break
-            if processed >= max_events:
-                raise SimulationError(
-                    f"run_until_settled exceeded max_events="
-                    f"{max_events}; likely a livelock")
-            # Inline _pop_entry: smaller of the two lane heads, skip
-            # cancelled.
+        try:
+            # The settled predicate is re-checked per event: a timer
+            # action (e.g. a crash) can settle a message too.
             while True:
-                if fifo:
-                    if heap and heap[0] < fifo[0]:
-                        entry = heappop(heap)
-                    else:
-                        entry = fifo.popleft()
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    entry = None
+                if single is not None:
+                    if single.delivered or single.dropped:
+                        break
+                elif all(message.delivered or message.dropped
+                         for message in pending):
                     break
-                item = entry[2]
-                if type(item) is ScheduledEvent:
-                    if item.cancelled:
-                        queue._cancelled -= 1
-                        continue
-                    item._queue = None
-                queue._live -= 1
-                break
-            if entry is None:
-                break  # queue exhausted; undeliverable messages stay unsettled
-            advance_to(entry[0])
-            item = entry[2]
-            if type(item) is Message:
-                deliver(item)
-            elif type(item) is ScheduledEvent:
-                item.action()
-            else:
-                item()
-            processed += 1
-        if self._obs_on and processed:
-            self._m_events.inc(processed)
-            if not self._obs_full:
+                if processed >= max_events:
+                    raise SimulationError(
+                        f"run_until_settled exceeded max_events="
+                        f"{max_events}; likely a livelock")
+                # EventQueue._pop_entry, inlined: calling it per event
+                # cost 1-2 % of sim-zipf-sharded's ops/s over alternating
+                # pairs (docs/performance.md).  compact() rebuilds the
+                # heap in place, so this alias survives a mid-pump one.
+                while heap:
+                    entry = heappop(heap)
+                    item = entry[2]
+                    if type(item) is ScheduledEvent:
+                        if item.cancelled:
+                            queue._cancelled -= 1
+                            continue
+                        item._queue = None
+                    queue._live -= 1
+                    break
+                else:
+                    break  # exhausted; undeliverable messages stay unsettled
+                advance_to(entry[0])
+                if type(item) is Message:
+                    deliver(item)
+                else:
+                    item.action()
+                processed += 1
+        finally:
+            if self._obs_on and processed:
+                self._m_events.inc(processed)
                 self._flush_message_counters()
         return processed
 
@@ -483,36 +446,36 @@ class Simulator:
         queue = self.queue
         advance_to = self.clock.advance_to
         deliver = self._deliver
-        while processed < max_events:
-            entry = queue._pop_entry()
-            if entry is None:
-                break
-            if until is not None and entry[0] > until:
-                queue._unpop(entry)
-                break
-            advance_to(entry[0])
-            item = entry[2]
-            if type(item) is Message:
-                deliver(item)
+        try:
+            while processed < max_events:
+                entry = queue._pop_entry()
+                if entry is None:
+                    break
+                if until is not None and entry[0] > until:
+                    queue._unpop(entry)
+                    break
+                advance_to(entry[0])
+                item = entry[2]
+                if type(item) is Message:
+                    deliver(item)
+                else:
+                    item.action()
+                processed += 1
             else:
-                item.action()
-            processed += 1
-        else:
-            raise SimulationError(
-                f"run exceeded max_events={max_events}; likely a livelock")
-        if until is not None and self.clock._now < until:
-            advance_to(until)
-        if self._obs_on and processed:
-            self._m_events.inc(processed)
-            self._g_queue.set(queue.approx_len())
-            if not self._obs_full:
+                raise SimulationError(
+                    f"run exceeded max_events={max_events}; likely a livelock")
+            if until is not None and self.clock._now < until:
+                advance_to(until)
+        finally:
+            if self._obs_on and processed:
+                self._m_events.inc(processed)
                 self._flush_message_counters()
         return processed
 
     def _flush_message_counters(self) -> None:
         """Reconcile the per-message counters from the plain-int
-        totals (sampled mode's pump-boundary bookkeeping — the hot
-        paths skipped the inline ``inc()`` calls)."""
+        totals and read the queue depth — the kernel's one way to
+        publish them, at the end of each pump, returned or raised."""
         flushed = self._flushed_msgs
         sent = self.messages_sent
         delivered = self.messages_delivered

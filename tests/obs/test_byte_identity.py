@@ -56,9 +56,9 @@ GOLDENS = {
         "chrome_trace":
             "f26e8f1e00b04a01b2d142074ce468083e549ccd6f876f16e48dbad527d86ace",
         "run_summary":
-            "586e38ad950b8df5a95baf62b921fee744187365d91029500c85c32b4caf80bb",
+            "c8ed5cce8138a622cc41c8424eccb86d71da7f34832e3525fb6e6ef69c54855e",
         "metrics":
-            "7dcb8366de58f21897765f0e674269e74a996ef2b452bf4e671ed3944c9f2fae",
+            "5d1307062ca452bdb5fbbc1ad88df296d105494c29820fbfcbc2e95f934806e5",
         "flight":
             "e1370aca08c4efdbc2928b437c229ee6c1cd136c0ede5270f24a9af31f2a7d78",
     },

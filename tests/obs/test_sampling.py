@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.obs import Instrumentation, SpanSampler, Tracer
 from repro.sim.kernel import Simulator
 
@@ -171,6 +172,34 @@ class TestKernelSampledMode:
         simulator.run_until_settled(message)
         assert obs.metrics.counter(
             "sim_messages_delivered_total").value == 1
+
+    @pytest.mark.parametrize("pump", ["run", "run_until_settled"])
+    @pytest.mark.parametrize("rate", [None, 0.05],
+                             ids=["no-sampler", "rate005"])
+    def test_a_pump_that_raises_still_publishes(self, rate, pump):
+        # A ping-pong pair never quiesces, so the pump stops at its
+        # bound by raising; what it ran must still reach the counters.
+        sampler = None if rate is None else SpanSampler(rate=rate, seed=1)
+        obs = Instrumentation(sampler=sampler)
+        simulator = Simulator(seed=5, obs=obs)
+        network = simulator.network("lan")
+        ping = simulator.spawn(simulator.machine(network), "ping")
+        pong = simulator.spawn(simulator.machine(network), "pong")
+        ping.on_message(lambda process, _message: process.send(pong))
+        pong.on_message(lambda process, _message: process.send(ping))
+        ping.send(pong)
+        with pytest.raises(SimulationError):
+            if pump == "run":
+                simulator.run(max_events=10)
+            else:
+                simulator.run_until_settled(
+                    ping.send(pong, latency=1e9), max_events=10)
+        counter = obs.metrics.counter
+        assert counter("sim_events_processed_total").value == 10
+        assert counter("sim_messages_sent_total").value \
+            == simulator.messages_sent > 10
+        assert counter("sim_messages_delivered_total").value \
+            == simulator.messages_delivered == 10
 
     def test_sampling_never_perturbs_the_simulation(self):
         # The hard determinism requirement: the kernel trace (event

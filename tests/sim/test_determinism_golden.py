@@ -35,18 +35,18 @@ TRACE_GOLDENS = {
 
 #: sha256 of each experiment's full ``ExperimentResult.to_dict()``.
 EXPERIMENT_GOLDENS = {
-    ("A7", 0): "be9fd999636cf3cc4ff5fe1a512af5b0c2f3e269b2bb1175ad98c77bbdac4933",
-    ("A7", 1): "2bd667b33e7c0043f72692f45c729864461600667a1303b3abec052a5fd85a0b",
-    ("A7", 7): "2468428cef7a72fa91f0a410cc20a7501c88260f70735196383341d99222d3cc",
-    ("A7", 42): "6e253af612e375c1ac4f0981069d305ef5b1f948dca408a4de8cdcc30fff6d60",
-    ("A8", 0): "08720bd8e80d0f0daa0cfb4007d12b009ef5fcb92d120af6faa6c176b0e9a9b5",
-    ("A8", 1): "474014baf28582725732df1208e5663bf8e5099c5f77f49e1ed75c63917c56fc",
-    ("A8", 7): "0402a8e1f4b71df7ae4d84812fd8c35d0b6d40b2155fd6edf240c4ef34db92cf",
-    ("A8", 42): "27ea830ec47b882ebd5e8990ab1457d2d2737ee623361c72e1c4fe821afa6165",
-    ("A9", 0): "1c424abe7fb6625a6a84c93ba758807e9937ddaab16a23173bd0528733a74e3f",
-    ("A9", 1): "21ad0439dbb3640cec19a0e9cda3ef424a9d5d596fff54a8f8757b4b1d75d252",
-    ("A9", 7): "18f9e634d7f44a96e30cecb5a23d102dcb268d06eeee08e719a8b460ce1ac63c",
-    ("A9", 42): "151b7513aeb0b0b7bbe47859334d7383b94c2ba476691428e30ed883dfc53982",
+    ("A7", 0): "35dc3ddd1f20538e98d63c641adc9144d5e2a89a344a285a879592b7bbabcb0e",
+    ("A7", 1): "003d585adf8909729488b336df7741535590e511480114a96ea295a11aa9cc92",
+    ("A7", 7): "f551dc523fa2010d51c51b6585523cfd08f68d8d3bed88fdf29b3c89a448d3ee",
+    ("A7", 42): "f353b8a9ba0748523c01b20728d8e03e145340c0fe2d34c673ea8b05c2f699b9",
+    ("A8", 0): "9aa261727faa8a484efcb80a24595d0fc52d77bd3590397e557768a80b10179f",
+    ("A8", 1): "c8a71e1e5481f3eea7925e12adaa4c4925dcd9969846d6e2689cddba3c2ee0f5",
+    ("A8", 7): "8aa76eb2c58206eeedd158e0560b966bae088368718c3a0af22df06a09d87f3b",
+    ("A8", 42): "f80059df5e3bb22070659506d236deea2d688693862f5442d8da871c24b38283",
+    ("A9", 0): "0fba344a451764ab9e1ee2792b0d2ffad3a08da9947bb1509c4f644eecb9f4a2",
+    ("A9", 1): "34e540970a7db6393edda2806033ba429ab4435f099ea40682b52d1911dfedeb",
+    ("A9", 7): "ff21a4f3d88dcaedf0f592e8ead983e6162188ed1a7147f7d5996e52e676ac0f",
+    ("A9", 42): "0b4e61bab821ee45369772495ca9d728aba86a9a5f4e340d1a79d52eecc22b42",
 }
 
 

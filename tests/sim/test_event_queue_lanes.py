@@ -1,7 +1,6 @@
-"""Tests for the two-lane event queue and the kernel fast paths
-introduced by the PR 6 performance work: FIFO/heap lane merging,
-message payloads on the queue and cancellation bookkeeping with
-compaction."""
+"""Tests for the event queue and the kernel pumps over it: pop order
+by ``(time, seq)``, messages as their own queue payload, and
+cancellation bookkeeping with in-place compaction."""
 
 from __future__ import annotations
 
@@ -16,20 +15,6 @@ def _noop() -> None:
 
 
 class TestLaneMerging:
-    def test_monotone_pushes_stay_in_fifo_lane(self):
-        queue = EventQueue()
-        for time in (1.0, 2.0, 2.0, 3.0):
-            queue.push(time, _noop)
-        assert len(queue._fifo) == 4
-        assert queue._heap == []
-
-    def test_out_of_order_push_goes_to_heap_lane(self):
-        queue = EventQueue()
-        queue.push(5.0, _noop)
-        queue.push(2.0, _noop)  # before the FIFO tail -> heap
-        assert len(queue._fifo) == 1
-        assert len(queue._heap) == 1
-
     def test_pop_merges_lanes_in_time_seq_order(self):
         queue = EventQueue()
         times = [3.0, 1.0, 2.0, 1.0, 5.0, 4.0, 2.0]
@@ -75,7 +60,7 @@ class TestDeferredMessages:
         a = simulator.spawn(simulator.machine(network), "a")
         b = simulator.spawn(simulator.machine(network), "b")
         message = a.send(b, payload="hi")
-        entry = simulator.queue._fifo[0]
+        entry = simulator.queue._heap[0]
         assert entry[2] is message
 
     def test_pop_wraps_message_into_firing_event(self):
@@ -190,4 +175,37 @@ class TestRunPumpIntegration:
         assert survivor.cancelled is False
         simulator.run()
         assert fired == ["cancel", "end"]
+        assert len(simulator.queue) == 0
+
+    def test_mid_pump_compaction_in_run_until_settled(self):
+        # A timer fired inside run_until_settled cancels most of the
+        # queue, so compact() rebuilds the heap under the pump's inline
+        # pop; the rebuild must be in place or the pump keeps popping a
+        # stale copy (the message would be delivered twice).
+        simulator = Simulator(seed=0)
+        network = simulator.network("lan")
+        a = simulator.spawn(simulator.machine(network), "a")
+        b = simulator.spawn(simulator.machine(network), "b")
+        fired = []
+        doomed = []
+
+        def cancel_most() -> None:
+            fired.append("cancel")
+            for event in doomed:
+                event.cancel()
+
+        simulator.schedule(0.5, cancel_most)
+        doomed.extend(
+            simulator.schedule(1.0, lambda i=i: fired.append(i))
+            for i in range(40))
+        for tag, delay in (("late0", 4.0), ("late1", 3.0), ("late2", 3.0)):
+            simulator.schedule(delay, lambda t=tag: fired.append(t))
+        message = a.send(b, payload="hi", latency=2.0)
+        assert simulator.run_until_settled(message) == 2
+        assert message.delivered
+        assert fired == ["cancel"]
+        assert simulator.queue.cancelled_len() == 0
+        assert simulator.run() == 3
+        assert fired == ["cancel", "late1", "late2", "late0"]
+        assert simulator.messages_delivered == 1
         assert len(simulator.queue) == 0

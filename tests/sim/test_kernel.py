@@ -421,3 +421,72 @@ class TestRunOrderContract:
             assert subject.sim.clock.now == twin.sim.clock.now
             assert len(subject.sim.queue) == twin.queued()
         assert not subject.sim.queue
+
+
+def _settle_by_pop(twin: _Scripted, message, max_events) -> bool:
+    """What ``run_until_settled`` must do, from repeated
+    ``EventQueue.pop()`` alone: dispatch the earliest ``(time, seq)``
+    event until *message* settles.  True if the bound was reached
+    first (where ``run_until_settled`` raises)."""
+    processed = 0
+    while not (message.delivered or message.dropped):
+        if processed >= max_events:
+            return True
+        popped = twin.sim.queue.pop()
+        if popped is not None:
+            twin.held.append(popped)
+        twin.held = [e for e in twin.held if not e.cancelled]
+        event = min(twin.held, key=lambda e: (e.time, e.seq))
+        twin.held.remove(event)
+        twin.sim.clock.advance_to(event.time)
+        event.action()
+        processed += 1
+    return False
+
+
+#: ``("settle", latency, bound)``: send a fresh message and pump until
+#: it settles, under ``max_events=bound``.
+_SETTLE = st.tuples(st.just("settle"), _DELAYS,
+                    st.one_of(st.none(), st.integers(0, 6)))
+
+
+class TestSettleOrderContract:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(_OPS, _SETTLE), max_size=40))
+    def test_settle_dispatches_the_prefix_repeated_pop_yields(self, script):
+        """``Simulator.run_until_settled`` dispatches exactly the
+        prefix of the sequence repeated ``EventQueue.pop()`` yields on
+        a twin kernel, stops right after the event that settles its
+        message, leaves the rest queued, and raises at the bound."""
+        subject, twin = _Scripted(), _Scripted()
+        for op in [*script, ("run", None, None)]:
+            if op[0] not in ("run", "settle"):
+                subject.apply(op)
+                twin.apply(op)
+                continue
+            _kind, delay, bound = op
+            bound = 1_000_000 if bound is None else bound
+            if op[0] == "run":
+                until = (None if delay is None
+                         else subject.sim.clock.now + delay)
+                if twin.reference_run(until, bound):
+                    with pytest.raises(SimulationError):
+                        subject.sim.run(until=until, max_events=bound)
+                else:
+                    subject.sim.run(until=until, max_events=bound)
+            else:
+                mine, theirs = (
+                    s.sender.send(s.receiver, payload="settle",
+                                  latency=delay)
+                    for s in (subject, twin))
+                if _settle_by_pop(twin, theirs, bound):
+                    with pytest.raises(SimulationError):
+                        subject.sim.run_until_settled(mine, bound)
+                    assert not mine.delivered
+                else:
+                    subject.sim.run_until_settled(mine, bound)
+                    assert subject.log[-1] == "settle"
+            assert subject.log == twin.log
+            assert subject.sim.clock.now == twin.sim.clock.now
+            assert len(subject.sim.queue) == twin.queued()
+        assert not subject.sim.queue

@@ -44,10 +44,10 @@ TRACE_GOLDENS = {
 
 #: sha256 of A10's full ``ExperimentResult.to_dict()`` (reduced scale).
 EXPERIMENT_GOLDENS = {
-    0: "16b61cca3507351e366cc4747e46e6480a90dc74946a698295b4e47630cd4732",
-    1: "a2409c1e9b36b2b3c0052d7ec70042f37d4d4cfab845b2e7ea8756dcc2cdc7e4",
-    7: "dc7608de8a20402a128db6123820403d12b492b729cf3c90c76f7c5dd187ccf2",
-    42: "641650d429e181e59e98afa4b652cd62d152df6ad76efc8e62eee5c95f57fa52",
+    0: "61b0811d637d5c6180789efbac96a17ebe297809cb6340f4564382e527e48bd3",
+    1: "baf3b57d2b8f28ea1fca86c53772124391223ac7357ae3a3eedca85f427f65fa",
+    7: "c7ee5410523f100b57e98ee3a6dd9133b4a0310cc0f0d5f4bb53ca501091c52f",
+    42: "2a0f28ae12889cc7f316f65c07c60ff482d23a38a99de88f7d130cd09c43c9fe",
 }
 
 
