@@ -272,10 +272,11 @@ class PrefixCache:
                 self.expirations += 1
                 if self._obs.enabled:
                     self._m_expirations.inc()
-                    self._obs.tracer.event(
-                        "cache", "prefix.expired", now,
-                        attrs={"machine": self.machine.label,
-                               "prefix": "/".join(key[2])})
+                    if self._obs.tracer.admit():
+                        self._obs.tracer.event(
+                            "cache", "prefix.expired", now,
+                            attrs={"machine": self.machine.label,
+                                   "prefix": "/".join(key[2])})
                 continue
             self.hits += 1
             if self._obs.enabled:

@@ -171,10 +171,11 @@ class LeaseTable:
                     "lease_expirations_total",
                     {"machine": self.machine_label, "side": "client"}
                 ).inc()
-                self._obs.tracer.event(
-                    "lease", "lease.expire", now,
-                    attrs={"machine": self.machine_label,
-                           "dep": repr(dep)})
+                if self._obs.tracer.admit():
+                    self._obs.tracer.event(
+                        "lease", "lease.expire", now,
+                        attrs={"machine": self.machine_label,
+                               "dep": repr(dep)})
         return False
 
     def covers_all(self, deps: tuple["DepKey", ...], now: float) -> bool:
@@ -190,9 +191,10 @@ class LeaseTable:
             self._obs.metrics.counter(
                 "lease_grace_served_total",
                 {"machine": self.machine_label}).inc()
-            self._obs.tracer.event(
-                "lease", "lease.grace", now,
-                attrs={"machine": self.machine_label})
+            if self._obs.tracer.admit():
+                self._obs.tracer.event(
+                    "lease", "lease.grace", now,
+                    attrs={"machine": self.machine_label})
 
     # -- revocation (callback delivered) ------------------------------------
 
@@ -210,10 +212,11 @@ class LeaseTable:
             self._obs.metrics.counter(
                 "lease_revocations_total",
                 {"machine": self.machine_label}).inc()
-            self._obs.tracer.event(
-                "lease", "lease.revoke", now,
-                attrs={"machine": self.machine_label,
-                       "dep": repr(dep)})
+            if self._obs.tracer.admit():
+                self._obs.tracer.event(
+                    "lease", "lease.revoke", now,
+                    attrs={"machine": self.machine_label,
+                           "dep": repr(dep)})
         return True
 
     # -- grace mode ---------------------------------------------------------
@@ -223,7 +226,7 @@ class LeaseTable:
         if self.in_grace:
             return
         self.in_grace = True
-        if self._obs.enabled:
+        if self._obs.enabled and self._obs.tracer.admit():
             self._obs.tracer.event(
                 "lease", "lease.grace_enter", now,
                 attrs={"machine": self.machine_label})
@@ -248,10 +251,11 @@ class LeaseTable:
                 self._obs.metrics.counter(
                     "lease_revalidations_total",
                     {"machine": self.machine_label}).inc(len(purged))
-            self._obs.tracer.event(
-                "lease", "lease.grace_exit", now,
-                attrs={"machine": self.machine_label,
-                       "purged": len(purged)})
+            if self._obs.tracer.admit():
+                self._obs.tracer.event(
+                    "lease", "lease.grace_exit", now,
+                    attrs={"machine": self.machine_label,
+                           "purged": len(purged)})
         return len(purged)
 
     def __len__(self) -> int:
@@ -435,10 +439,11 @@ class LeaseManager:
                     "lease_renewals_total",
                     {"machine": machine_label or str(machine_id),
                      "side": "server"}).inc()
-                self._obs.tracer.event(
-                    "lease", "lease.renew", now,
-                    attrs={"machine": machine_label,
-                           "dep": repr(dep)})
+                if self._obs.tracer.admit():
+                    self._obs.tracer.event(
+                        "lease", "lease.renew", now,
+                        attrs={"machine": machine_label,
+                               "dep": repr(dep)})
             return lease
         lease = Lease(dep=dep, machine_id=machine_id, granted_at=now,
                       expires_at=now + self.term, epoch=epoch,
@@ -451,10 +456,11 @@ class LeaseManager:
                 "lease_grants_total",
                 {"machine": machine_label or str(machine_id),
                  "side": "server"}).inc()
-            self._obs.tracer.event(
-                "lease", "lease.grant", now,
-                attrs={"machine": machine_label, "dep": repr(dep),
-                       "expires_at": lease.expires_at})
+            if self._obs.tracer.admit():
+                self._obs.tracer.event(
+                    "lease", "lease.grant", now,
+                    attrs={"machine": machine_label, "dep": repr(dep),
+                           "expires_at": lease.expires_at})
         return lease
 
     # -- queries ------------------------------------------------------------
@@ -498,9 +504,10 @@ class LeaseManager:
             self._obs.metrics.counter(
                 "lease_callback_acks_total",
                 {"machine": label}).inc()
-            self._obs.tracer.event(
-                "lease", "lease.ack", now,
-                attrs={"machine": label, "dep": repr(dep)})
+            if self._obs.tracer.admit():
+                self._obs.tracer.event(
+                    "lease", "lease.ack", now,
+                    attrs={"machine": label, "dep": repr(dep)})
 
     def break_lease(self, lease: Lease, now: float) -> None:
         """The callback could not be delivered: stop waiting, let the
@@ -511,11 +518,12 @@ class LeaseManager:
             self._obs.metrics.counter(
                 "lease_breaks_total",
                 {"machine": lease.machine_label}).inc()
-            self._obs.tracer.event(
-                "lease", "lease.break", now,
-                attrs={"machine": lease.machine_label,
-                       "dep": repr(lease.dep),
-                       "expires_at": lease.expires_at})
+            if self._obs.tracer.admit():
+                self._obs.tracer.event(
+                    "lease", "lease.break", now,
+                    attrs={"machine": lease.machine_label,
+                           "dep": repr(lease.dep),
+                           "expires_at": lease.expires_at})
 
     def _forget(self, dep: "DepKey", machine_id: int,
                 state: LeaseState) -> None:

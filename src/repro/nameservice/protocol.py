@@ -578,10 +578,12 @@ class AsyncNameClient:
     def _observe_done(self, pending: _Pending, outcome: str) -> None:
         if not self._obs.enabled:
             return
-        if pending.span is not None:
-            pending.span.attrs.update(steps=pending.outcome.steps,
-                                      retries=pending.outcome.retries)
-            self._obs.tracer.end(pending.span, self.transport.now())
+        span = pending.span
+        if span is not None:
+            if not span.muted:
+                span.attrs.update(steps=pending.outcome.steps,
+                                  retries=pending.outcome.retries)
+            self._obs.tracer.end(span, self.transport.now())
         self._obs.metrics.counter("async_lookups_total",
                                   {"outcome": outcome}).inc()
 

@@ -415,11 +415,11 @@ class DistributedResolver:
             if count_failure:
                 cost.failed_hops += 1
             if obs.enabled:
-                span = obs.tracer.begin(
-                    "hop", what, before,
-                    attrs={"from": sender.label, "to": receiver.label,
-                           "messages": 0})
-                span.fail(f"sender {sender.label} down")
+                span = obs.tracer.begin("hop", what, before)
+                if not span.muted:
+                    span.attrs = {"from": sender.label,
+                                  "to": receiver.label, "messages": 0}
+                    span.fail(f"sender {sender.label} down")
                 obs.tracer.end(span, before)
                 if count_failure and obs.tracer.current is not None:
                     obs.tracer.current.fail(
@@ -427,10 +427,10 @@ class DistributedResolver:
             return False
         span = None
         if obs.enabled:
-            span = obs.tracer.begin(
-                "hop", what, before,
-                attrs={"from": sender.label, "to": receiver.label,
-                       "messages": 1})
+            span = obs.tracer.begin("hop", what, before)
+            if not span.muted:
+                span.attrs = {"from": sender.label, "to": receiver.label,
+                              "messages": 1}
         message = sender.send(receiver, payload={"ns": what})
         if span is not None:
             message.trace_id = span.trace_id
@@ -562,21 +562,27 @@ class DistributedResolver:
     # -- observability -----------------------------------------------------
 
     def _begin_resolution(self, name_: CompoundName, style: ResolutionStyle,
-                          client: SimProcess, root: bool):
-        """Open one name's ``resolution`` span (instrumented runs)."""
-        return self.obs.tracer.begin(
-            "resolution", str(name_) or "<empty>", self._sim.clock.now,
-            **({"parent": None} if root else {}),
-            attrs={"style": str(style), "policy": str(self.cache_policy),
-                   "client": client.label})
+                          client: SimProcess, parent):
+        """Open one name's ``resolution`` span under *parent* (None:
+        a new trace) in instrumented runs; its name and attrs are
+        rendered only if it records."""
+        span = self.obs.tracer.begin(
+            "resolution", "", self._sim.clock.now, parent=parent)
+        if not span.muted:
+            span.name = str(name_) or "<empty>"
+            span.attrs = {"style": str(style),
+                          "policy": str(self.cache_policy),
+                          "client": client.label}
+        return span
 
     def _finish_resolution(self, span, cost: ResolutionCost,
                            entity: Entity, style: ResolutionStyle) -> None:
         """Close a ``resolution`` span and publish its metrics."""
-        span.attrs.update(messages=cost.messages, steps=cost.steps,
-                          cached_steps=cost.cached_steps,
-                          resolved=entity.is_defined(),
-                          coherence=cost.coherence)
+        if not span.muted:
+            span.attrs.update(messages=cost.messages, steps=cost.steps,
+                              cached_steps=cost.cached_steps,
+                              resolved=entity.is_defined(),
+                              coherence=cost.coherence)
         self.obs.tracer.end(span, self._sim.clock.now)
         self._m_resolutions.labels(style.value).inc()
         self._m_outcomes.labels("failed" if cost.failed
@@ -612,7 +618,7 @@ class DistributedResolver:
         name_ = CompoundName.coerce(name_)
         cost = ResolutionCost()
         client_server = self.server_for(client.machine)
-        span = (self._begin_resolution(name_, style, client, root=True)
+        span = (self._begin_resolution(name_, style, client, None)
                 if self.obs.enabled else None)
         entity, at = self._pump(
             walk_effects(self, cost, context, name_, client_server,
@@ -675,7 +681,7 @@ class DistributedResolver:
         for i in order:
             cost = ResolutionCost()
             span = (self._begin_resolution(coerced[i], style, client,
-                                           root=False)
+                                           batch_span)
                     if obs.enabled else None)
             entity, at = self._pump(
                 walk_effects(self, cost, context, coerced[i],
@@ -700,8 +706,9 @@ class DistributedResolver:
         # name processed (its span parents under the batch span).
         self._return_home(client_server, at, results[order[-1]][1])
         if batch_span is not None:
-            batch_span.attrs["messages"] = sum(
-                cost.messages for _entity, cost in results)
+            if not batch_span.muted:
+                batch_span.attrs["messages"] = sum(
+                    cost.messages for _entity, cost in results)
             obs.tracer.end(batch_span, self._sim.clock.now)
         return results
 
@@ -861,13 +868,14 @@ class DistributedResolver:
                     "resolver_migration_messages_total"
                 ).inc(cost.messages)
             if span is not None:
-                span.attrs["messages"] = cost.messages
-                span.attrs["committed"] = committed
-                span.attrs["shards"] = len(
-                    self._placement.shard_map_of(directory))
-                if not committed:
-                    span.fail(
-                        f"migration undeliverable — {kind} aborted")
+                if not span.muted:
+                    span.attrs["messages"] = cost.messages
+                    span.attrs["committed"] = committed
+                    span.attrs["shards"] = len(
+                        self._placement.shard_map_of(directory))
+                    if not committed:
+                        span.fail(
+                            f"migration undeliverable — {kind} aborted")
                 obs.tracer.end(span, self._sim.clock.now)
         return committed
 
@@ -932,8 +940,9 @@ class DistributedResolver:
                 obs.metrics.counter(
                     "resolver_anti_entropy_syncs_total").inc(synced)
             if span is not None:
-                span.attrs["synced"] = synced
-                span.attrs["messages"] = messages
+                if not span.muted:
+                    span.attrs["synced"] = synced
+                    span.attrs["messages"] = messages
                 obs.tracer.end(span, self._sim.clock.now)
         return synced
 

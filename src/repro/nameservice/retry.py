@@ -131,10 +131,10 @@ class CircuitBreaker:
         if self._obs.enabled:
             self._m_transitions.labels(self.label or "?",
                                        to.value).inc()
-            self._obs.tracer.event(
-                "circuit", f"{self.label or '?'}→{to}", now,
-                trace_id=None, parent_span_id=None,
-                attrs={"breaker": self.label, "to": str(to)})
+            if self._obs.tracer.admit():
+                self._obs.tracer.event(
+                    "circuit", f"{self.label or '?'}→{to}", now,
+                    attrs={"breaker": self.label, "to": str(to)})
 
     def allow(self, now: float) -> bool:
         """May a request be attempted at time *now*?

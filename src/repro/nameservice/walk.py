@@ -227,10 +227,11 @@ def retry_effects(host: Any, cost: ResolutionCost, ask: Ask,
             delay = policy.backoff(ask.attempt, host.rng)
             if obs.enabled:
                 obs.metrics.counter("resolver_retries_total").inc()
-                obs.tracer.event(
-                    "retry", f"{ask.what}→{ask.target.label}", now,
-                    attrs={"attempt": ask.attempt, "backoff": delay,
-                           "server": ask.target.label})
+                if obs.tracer.admit():
+                    obs.tracer.event(
+                        "retry", f"{ask.what}→{ask.target.label}", now,
+                        attrs={"attempt": ask.attempt, "backoff": delay,
+                               "server": ask.target.label})
             late = yield Wait(delay)
             if late is not None:
                 return late
@@ -261,6 +262,7 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
     last = len(comps) - 1
     obs = host.obs
     tracing = obs.enabled
+    tracer = obs.tracer
     cache: Optional[PrefixCache] = host.cache_of(home)
     remembering = cache is not None or memo is not None
     parks = host.parks
@@ -281,8 +283,8 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                               memo)
         if hit is not None:
             start, entered, hit_deps, source = hit
-            if tracing:
-                obs.tracer.event(
+            if tracing and tracer.admit():
+                tracer.event(
                     "cache", "prefix.hit", host.now(),
                     attrs={"consumed": start, "source": source,
                            "machine": host.node_of(home).label,
@@ -291,8 +293,8 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
             cost.cached_steps += start
             current = entered.state
             deps = list(hit_deps)
-        elif tracing:
-            obs.tracer.event(
+        elif tracing and tracer.admit():
+            tracer.event(
                 "cache", "prefix.miss", host.now(),
                 attrs={"machine": host.node_of(home).label,
                        "prefix": "/".join(comps[:-1])})
@@ -347,10 +349,12 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                                 obs.metrics.counter(
                                     "resolver_circuit_open_skips_total"
                                 ).inc()
-                                obs.tracer.event(
-                                    "circuit", "skip", host.now(),
-                                    attrs={"server": candidate.label,
-                                           "directory": entered.label})
+                                if tracer.admit():
+                                    tracer.event(
+                                        "circuit", "skip", host.now(),
+                                        attrs={"server": candidate.label,
+                                               "directory":
+                                                   entered.label})
                             continue
                         cost.servers_touched.add(candidate.label)
                         if ask is None:
@@ -373,11 +377,14 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                             if tracing:
                                 obs.metrics.counter(
                                     "resolver_failovers_total").inc()
-                                obs.tracer.event(
-                                    "failover", entered.label, host.now(),
-                                    attrs={"directory": entered.label,
-                                           "to": candidate.label,
-                                           "passed_over": passed_over})
+                                if tracer.admit():
+                                    tracer.event(
+                                        "failover", entered.label,
+                                        host.now(),
+                                        attrs={"directory": entered.label,
+                                               "to": candidate.label,
+                                               "passed_over":
+                                                   passed_over})
                         if reply.__class__ is list:  # a trail
                             owed, owed_by = reply[:0:-1], candidate
                             reply = reply[0]
@@ -412,8 +419,8 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
         if entity is None:
             entity = current(component)
         cost.steps += 1
-        if tracing:
-            obs.tracer.event(
+        if tracing and tracer.admit():
+            tracer.event(
                 "step", component, host.now(),
                 attrs={"index": index, "server": at.label,
                        "directory": (entered.label if entered is not None
@@ -438,10 +445,13 @@ def _note_skip(obs: Any, now: float, verdict: Any,
                directory: ObjectEntity, node: Any) -> None:
     if verdict is STALE:
         obs.metrics.counter("resolver_stale_replica_skips_total").inc()
-    obs.tracer.event(
-        "failover",
-        "replica.stale-skip" if verdict is STALE else "replica.down-skip",
-        now, attrs={"directory": directory.label, "replica": node.label})
+    if obs.tracer.admit():
+        obs.tracer.event(
+            "failover",
+            "replica.stale-skip" if verdict is STALE
+            else "replica.down-skip",
+            now, attrs={"directory": directory.label,
+                        "replica": node.label})
 
 
 def _deepest_prefix(cache: Optional[PrefixCache], context: Context,
@@ -488,19 +498,21 @@ def _degraded_step(host: Any, cost: ResolutionCost,
             cost.weak = True
             if obs.enabled:
                 obs.metrics.counter("resolver_stale_served_total").inc()
-                obs.tracer.event(
-                    "stale", "serve.degraded", now,
-                    attrs={"directory": entry.directory.label,
-                           "prefix": "/".join(consumed),
-                           "machine": cache.machine.label})
+                if obs.tracer.admit():
+                    obs.tracer.event(
+                        "stale", "serve.degraded", now,
+                        attrs={"directory": entry.directory.label,
+                               "prefix": "/".join(consumed),
+                               "machine": cache.machine.label})
             return entry
     cost.failed_hops += 1
     if obs.enabled:
         obs.metrics.counter("resolver_unreachable_total").inc()
-        obs.tracer.event(
-            "failover", "exhausted", now,
-            attrs={"directory": directory.label,
-                   "prefix": "/".join(consumed)})
+        if obs.tracer.admit():
+            obs.tracer.event(
+                "failover", "exhausted", now,
+                attrs={"directory": directory.label,
+                       "prefix": "/".join(consumed)})
         if obs.tracer.current is not None:
             obs.tracer.current.fail(
                 f"directory {directory.label} unreachable")

@@ -211,9 +211,10 @@ class WritePath:
             sent = self._break_leases(directory, name_, span)
         if span is not None:
             self._m_invalidation_msgs.inc(sent)
-            span.attrs["messages"] = sent
-            span.attrs["replicated"] = replicated
-            span.attrs["stale_marked"] = stale_marked
+            if not span.muted:
+                span.attrs["messages"] = sent
+                span.attrs["replicated"] = replicated
+                span.attrs["stale_marked"] = stale_marked
             obs.tracer.end(span, self._sim.clock.now)
         return sent
 
@@ -262,17 +263,18 @@ class WritePath:
                 obs.metrics.counter(
                     "resolver_replica_stale_marked_total",
                 ).inc(stale_marked)
-                obs.tracer.event(
-                    "failover", "replica.marked-stale",
-                    self._sim.clock.now,
-                    attrs={"directory": directory.label,
-                           "count": stale_marked})
+                if obs.tracer.admit():
+                    obs.tracer.event(
+                        "failover", "replica.marked-stale",
+                        self._sim.clock.now,
+                        attrs={"directory": directory.label,
+                               "count": stale_marked})
         return replicated, stale_marked
 
     def _drop(self, machine_id: int, directory: ObjectEntity,
               name_: str, span) -> None:
         dropped = self._drop_copies(machine_id, directory, name_)
-        if span is not None and dropped:
+        if span is not None and dropped and self._obs.tracer.admit():
             self._obs.tracer.event(
                 "cache", "prefix.invalidated", self._sim.clock.now,
                 attrs={"machine": self._machines[machine_id].label,
@@ -299,10 +301,11 @@ class WritePath:
             if obs.enabled:
                 obs.metrics.counter(
                     "resolver_invalidation_losses_total").inc()
-                obs.tracer.event(
-                    "cache", "invalidation.lost", self._sim.clock.now,
-                    attrs={"machine": self._machines[machine_id].label,
-                           "reason": reason})
+                if obs.tracer.admit():
+                    obs.tracer.event(
+                        "cache", "invalidation.lost", self._sim.clock.now,
+                        attrs={"machine": self._machines[machine_id].label,
+                               "reason": reason})
 
         fanout: list[tuple[int, object]] = []
         for machine_id in holders:
@@ -374,11 +377,12 @@ class WritePath:
             self.invalidation_messages += 1
             sim.run_until_settled(message)
             if obs.enabled:
-                obs.tracer.event(
-                    "lease", "lease.callback", sim.clock.now,
-                    attrs={"machine": machine.label, "dep": repr(dep),
-                           "attempt": attempt,
-                           "delivered": not message.dropped})
+                if obs.tracer.admit():
+                    obs.tracer.event(
+                        "lease", "lease.callback", sim.clock.now,
+                        attrs={"machine": machine.label, "dep": repr(dep),
+                               "attempt": attempt,
+                               "delivered": not message.dropped})
                 obs.metrics.counter(
                     "lease_callbacks_total",
                     {"delivered": str(not message.dropped).lower()}

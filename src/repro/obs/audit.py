@@ -159,10 +159,11 @@ class FlightRecorder:
     about the last *window* units of virtual time: the kernel
     :class:`~repro.sim.trace.TraceLog` entries (copied to JSON-safe
     dicts — safe against later ring-buffer eviction) and
-    the tracer's recent spans (drawn from the always-kept sampling
-    ring, so a sampled-out trace still shows up in its violation
-    window).  Dumps are bounded by *max_dumps*; older ones are
-    discarded and counted in :attr:`dropped`.
+    the tracer's recent spans (drawn from the sampling ring the
+    recorder starts when it is wired to the tracer, so a sampled-out
+    trace still shows up in its violation window).  Dumps are bounded
+    by *max_dumps*; older ones are discarded and counted in
+    :attr:`dropped`.
     """
 
     def __init__(self, trace_log: Any = None, tracer: Any = None,
@@ -170,19 +171,23 @@ class FlightRecorder:
         if max_dumps < 1:
             raise ValueError("max_dumps must be positive")
         self.trace_log = trace_log
-        self.tracer = tracer
+        self.tracer = None
         self.window = window
         self.dumps: deque[dict] = deque(maxlen=max_dumps)
         self.captured = 0
         self.dropped = 0
+        self.wire(tracer=tracer)
 
     def wire(self, trace_log: Any = None, tracer: Any = None) -> None:
         """Late-attach the sources (the simulator usually exists only
-        after the instrumentation carrying this recorder)."""
+        after the instrumentation carrying this recorder).  A tracer
+        keeps its recent ring from here on: the recorder is its
+        reader."""
         if trace_log is not None:
             self.trace_log = trace_log
         if tracer is not None:
             self.tracer = tracer
+            tracer.keep_recent()
 
     def capture(self, *, kind: str, time: float,
                 detail: Optional[dict] = None) -> dict:

@@ -6,7 +6,11 @@ and a :class:`~repro.obs.metrics.MetricsRegistry` behind a single
 `DistributedResolver`, `PrefixCache`, `FailureInjector`, the async
 protocol) holds one and guards its emission with ``if obs.enabled:``
 — so an un-instrumented run (the :data:`NO_OBS` default) pays one
-attribute check per would-be emission and allocates nothing.
+attribute check per would-be emission and allocates nothing.  Inside
+an enabled run a site also asks :meth:`~repro.obs.trace.Tracer.admit`
+(an instant) or reads the begun span's ``muted`` (a span) before
+rendering names and attrs, so a sampled-out trace nothing reads
+builds no span: each emission costs that check and its spent id.
 
 Usage::
 
@@ -37,10 +41,9 @@ class Instrumentation:
         max_spans: Ring-buffer bound forwarded to the tracer.
         sampler: Optional :class:`~repro.obs.trace.SpanSampler` — the
             always-on seam: sampled-out traces skip span storage, and
-            the kernel degrades per-message metric emission to
-            aggregate flushes at pump boundaries.  ``None`` (the
-            default) keeps behaviour byte-identical to full
-            instrumentation.
+            unless a flight recorder reads the tracer their spans are
+            never built.  Metrics and the auditor see every trace.
+            ``None`` (the default) keeps every span.
         auditor: Optional
             :class:`~repro.obs.audit.CoherenceAuditor`.  The
             resolver/caching-service hooks fire whenever an auditor is

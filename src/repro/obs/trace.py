@@ -49,19 +49,20 @@ class SpanSampler:
     number)`` — no RNG state, so two runs with the same seed sample
     the *same* traces regardless of what else executed, and the
     kernel's virtual-time event order never shifts.  A sampled-out
-    trace still mints its ids and drives the activation stack (so
-    nesting and determinism are untouched); only storage in the
-    tracer's main span store is skipped.  Every span — kept or not —
-    additionally lands in a bounded ``recent`` ring sized by
-    *window*, which is what the flight recorder reads to reconstruct
-    the moments around a violation: violation windows are always
-    kept, whatever the sampling rate.
+    trace still spends its ids and holds its place on the activation
+    stack (so nesting and determinism are untouched); only storage in
+    the tracer's main span store is skipped.  Once a flight recorder
+    reads the tracer (:meth:`Tracer.keep_recent`), every span — kept
+    or not — also lands in a bounded ``recent`` ring sized by
+    *window*, so the recorder's violation windows are whole whatever
+    the sampling rate.  With no reader, a sampled-out trace is
+    *muted*: none of its spans is built at all.
 
     Args:
         rate: Fraction of traces to keep in the main store
             (``0.0`` → none, ``1.0`` → all).
         seed: Decision seed; runs sharing it sample identically.
-        window: Size of the always-kept recent-span ring.
+        window: Size of the recent-span ring a flight recorder reads.
     """
 
     __slots__ = ("rate", "seed", "window")
@@ -116,6 +117,9 @@ class Span:
     #: minted and inherited by every span that joins it.
     sampled: bool = field(default=True, compare=False, repr=False)
 
+    #: False: a :class:`Span` records (a muted trace's are placeholders).
+    muted = False
+
     @property
     def duration(self) -> float:
         """Elapsed virtual time (0.0 while open or for instants)."""
@@ -138,6 +142,31 @@ class Span:
                 f"{flag}>")
 
 
+class _Muted:
+    """A span of a muted trace — sampled out, with no recent ring to
+    land in.  It records nothing; it only holds the span's place on the
+    activation stack (what nests under it joins its trace, muted too)
+    and its id, formatted only if someone asks (a message or a frame
+    carrying the trace context)."""
+
+    __slots__ = ("trace_id", "_seq")
+
+    muted = True
+    #: The verdict spans joining this one inherit: None, muted.
+    sampled = None
+
+    def __init__(self, trace_id: str, seq: int):
+        self.trace_id = trace_id
+        self._seq = seq
+
+    @property
+    def span_id(self) -> str:
+        return f"s{self._seq}"
+
+    def fail(self, reason: str) -> "_Muted":
+        return self
+
+
 class Tracer:
     """Mints, activates and stores spans.
 
@@ -146,11 +175,13 @@ class Tracer:
             evicted once the store is full (``dropped_spans`` counts
             them), so long benchmark runs cannot grow without bound.
         sampler: Optional :class:`SpanSampler`.  Sampled-out traces
-            skip the main store (counted in ``sampled_out``) but every
-            span still transits the bounded ``recent`` ring, which
-            :meth:`recent_window` serves to the flight recorder.
-            ``None`` keeps every span — byte-identical to the
-            pre-sampling tracer.
+            skip the main store (counted in ``sampled_out``).  Once
+            :meth:`keep_recent` is called (a flight recorder does),
+            their spans transit the bounded ``recent`` ring that
+            :meth:`recent_window` serves; before that they are muted —
+            no :class:`Span` is built, and emission sites ask
+            :meth:`admit` before building one.  ``None`` keeps every
+            span — byte-identical to the pre-sampling tracer.
     """
 
     def __init__(self, max_spans: Optional[int] = None,
@@ -158,9 +189,8 @@ class Tracer:
         self.max_spans = max_spans
         self.sampler = sampler
         self._spans: deque[Span] = deque(maxlen=max_spans)
-        self._recent: Optional[deque[Span]] = (
-            deque(maxlen=sampler.window) if sampler is not None else None)
-        self._stack: list[Span] = []
+        self._recent: Optional[deque[Span]] = None
+        self._stack: list = []
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self.dropped_spans = 0
@@ -169,21 +199,41 @@ class Tracer:
     # -- minting -----------------------------------------------------------
 
     @property
-    def current(self) -> Optional[Span]:
-        """The innermost active span (automatic parent), if any."""
+    def current(self) -> Any:
+        """The innermost active span (automatic parent), if any — a
+        muted placeholder inside a muted trace."""
         return self._stack[-1] if self._stack else None
 
-    def _mint_trace(self) -> tuple[str, bool]:
-        """A fresh trace id and its sampling verdict — the one place
-        the sampler is asked about a trace minted here."""
+    def keep_recent(self) -> None:
+        """Keep the bounded recent ring from now on — the flight
+        recorder calls this when it is wired to the tracer, and it is
+        the ring's only reader.  Sampled-out traces minted from here
+        on are built and pass through the ring; traces already muted
+        stay muted.  Without a sampler there is nothing to do:
+        :meth:`recent_window` reads the main store."""
+        if self.sampler is not None and self._recent is None:
+            self._recent = deque(maxlen=self.sampler.window)
+
+    def _verdict(self, kept: bool) -> Optional[bool]:
+        """A trace's verdict: True kept, False sampled out into the
+        recent ring, None muted (sampled out, and nothing reads the
+        ring)."""
+        if kept:
+            return True
+        return False if self._recent is not None else None
+
+    def _mint_trace(self) -> tuple[str, Optional[bool]]:
+        """A fresh trace id and its verdict — the one place the
+        sampler is asked about a trace minted here."""
         seq = next(self._trace_ids)
         sampler = self.sampler
-        return f"t{seq}", sampler is None or sampler.keep_trace(seq)
+        return f"t{seq}", (sampler is None
+                           or self._verdict(sampler.keep_trace(seq)))
 
-    def _kept(self, trace_id: str) -> bool:
-        """The sampling verdict of a trace known only by its id —
-        context that re-enters from a message or the wire with no
-        span of the trace active.
+    def _kept(self, trace_id: str) -> Optional[bool]:
+        """The verdict of a trace known only by its id — context that
+        re-enters from a message or the wire with no span of the trace
+        active.
 
         A pure function of the id — minted ids are ``t<seq>``, so the
         sampler's stateless hash decides without any per-trace state.
@@ -196,20 +246,40 @@ class Tracer:
             seq = int(trace_id[1:])
         except (ValueError, IndexError):
             return True
-        return sampler.keep_trace(seq)
+        return self._verdict(sampler.keep_trace(seq))
 
     def _join(self, trace_id: Optional[str],
-              anchor: Optional[Span]) -> tuple[str, bool]:
-        """The trace a new span belongs to and that trace's sampling
-        verdict: *anchor*'s (its parent / the active span) when the
-        span joins the anchor's trace, a freshly minted one when there
-        is nothing to join, else whatever the raw id says."""
+              anchor: Any) -> tuple[str, Optional[bool]]:
+        """The trace a new span belongs to and that trace's verdict:
+        *anchor*'s (its parent / the active span) when the span joins
+        the anchor's trace, a freshly minted one when there is nothing
+        to join, else whatever the raw id says."""
         if anchor is not None and (not trace_id
                                    or trace_id == anchor.trace_id):
             return anchor.trace_id, anchor.sampled
         if not trace_id:
             return self._mint_trace()
         return trace_id, self._kept(trace_id)
+
+    def admit(self, trace_id: Optional[str] = None) -> bool:
+        """Whether an instant emitted now — joining the active span's
+        trace, or *trace_id* — would be recorded anywhere.
+
+        Emission sites ask before building an instant's name and
+        attrs.  When the answer is no (its trace is muted), the
+        instant is accounted for here — its id spent, counted in
+        ``sampled_out`` — and the site skips :meth:`event`.  An
+        instant that would mint a new trace is always admitted:
+        :meth:`event` takes that trace's verdict.
+        """
+        stack = self._stack
+        anchor = stack[-1] if stack else None
+        if (anchor is None and not trace_id) \
+                or self._join(trace_id, anchor)[1] is not None:
+            return True
+        next(self._span_ids)
+        self.sampled_out += 1
+        return False
 
     def _store(self, span: Span) -> Span:
         recent = self._recent
@@ -228,30 +298,41 @@ class Tracer:
               parent: Any = _CURRENT,
               trace_id: Optional[str] = None,
               attrs: Optional[dict] = None,
-              activate: bool = True) -> Span:
+              activate: bool = True) -> Any:
         """Open a span starting at virtual *time*.
 
         With *parent* omitted the span nests under :attr:`current`;
         pass ``parent=None`` to root a **new trace** (unless an
         explicit *trace_id* joins an existing one).  Activated spans
         become :attr:`current` until :meth:`end`.
+
+        A span of a muted trace comes back as a placeholder whose
+        ``muted`` is True: it has ``trace_id``, ``span_id`` and a
+        no-op ``fail`` and nothing else (*attrs* are dropped), so a hot
+        caller renders its attrs only for a span that is not muted.
         """
         stack = self._stack
         if parent is _CURRENT:
             parent = stack[-1] if stack else None
         trace_id, sampled = self._join(trace_id, parent)
-        span = Span(trace_id, f"s{next(self._span_ids)}",
-                    parent.span_id if parent is not None else None,
-                    kind, name, time, None, "ok", "",
-                    dict(attrs) if attrs else {}, sampled)
-        self._store(span)
+        seq = next(self._span_ids)
+        if sampled is None:
+            self.sampled_out += 1
+            span = _Muted(trace_id, seq)
+        else:
+            span = Span(trace_id, f"s{seq}",
+                        parent.span_id if parent is not None else None,
+                        kind, name, time, None, "ok", "",
+                        dict(attrs) if attrs else {}, sampled)
+            self._store(span)
         if activate:
             stack.append(span)
         return span
 
-    def end(self, span: Span, time: float) -> Span:
+    def end(self, span: Any, time: float) -> Any:
         """Close *span* at virtual *time* and deactivate it."""
-        span.end = time
+        if not span.muted:
+            span.end = time
         stack = self._stack
         if stack:
             if stack[-1] is span:
@@ -270,8 +351,9 @@ class Tracer:
     def event(self, kind: str, name: str, time: float, *,
               trace_id: Optional[str] = None,
               parent_span_id: Optional[str] = None,
-              attrs: Optional[dict] = None) -> Span:
-        """Record an instant (zero-duration) span.
+              attrs: Optional[dict] = None) -> Optional[Span]:
+        """Record an instant (zero-duration) span; None when its trace
+        is muted (see :meth:`admit`, which emission sites ask first).
 
         Unlike :meth:`begin`, the parent may be given as a raw span
         id — that is how trace context carried by a kernel
@@ -282,11 +364,15 @@ class Tracer:
         """
         stack = self._stack
         active = stack[-1] if stack else None
+        trace_id, sampled = self._join(trace_id, active)
+        seq = next(self._span_ids)
+        if sampled is None:
+            self.sampled_out += 1
+            return None
         if parent_span_id is None and active is not None:
             parent_span_id = active.span_id
-        trace_id, sampled = self._join(trace_id, active)
         return self._store(
-            Span(trace_id, f"s{next(self._span_ids)}", parent_span_id,
+            Span(trace_id, f"s{seq}", parent_span_id,
                  kind, name, time, time, "ok", "",
                  dict(attrs) if attrs else {}, sampled))
 
@@ -307,7 +393,7 @@ class Tracer:
 
     def recent_window(self, start: float, end: float) -> list[Span]:
         """Spans whose start lies within ``[start, end]``, drawn from
-        the always-kept recent ring when sampling is active (so
+        the recent ring once :meth:`keep_recent` started it (so
         sampled-out spans are still visible to the flight recorder),
         falling back to the main store otherwise."""
         source = self._recent if self._recent is not None else self._spans

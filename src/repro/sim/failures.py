@@ -55,9 +55,9 @@ class FailureInjector:
             return
         obs.metrics.counter("failures_injected_total",
                             {"kind": kind}).inc()
-        obs.tracer.event("failure", name, self._sim.clock.now,
-                         trace_id=None, parent_span_id=None,
-                         attrs={"injected": kind, **attrs})
+        if obs.tracer.admit():
+            obs.tracer.event("failure", name, self._sim.clock.now,
+                             attrs={"injected": kind, **attrs})
 
     # -- reconfiguration (the §6 Example 1 events) -----------------------
 

@@ -304,7 +304,8 @@ class Simulator:
             self.messages_dropped += 1
             self._record(self.clock._now, "drop",
                          ("msg#%d: %s", message.msg_id, message.drop_reason))
-            if self._obs_on and message.trace_id is not None:
+            if self._obs_on and message.trace_id is not None \
+                    and self.obs.tracer.admit(message.trace_id):
                 self.obs.tracer.event(
                     "drop", f"msg#{message.msg_id}", self.clock.now,
                     trace_id=message.trace_id,
@@ -320,7 +321,8 @@ class Simulator:
         self._record(self.clock._now, "deliver",
                      ("msg#%d at %s", message.msg_id, receiver.label))
         receiver.deliver(message)
-        if self._obs_on and message.trace_id is not None:
+        if self._obs_on and message.trace_id is not None \
+                and self.obs.tracer.admit(message.trace_id):
             # While the hop that sent the message is still the
             # tracer's active span (a resolver pumping its own leg),
             # the instant inherits that trace's sampling verdict

@@ -9,6 +9,8 @@ the Chrome trace, the run summary, the metrics snapshot and the
 flight-recorder state are pinned as sha256 digests of their JSON (key
 order included), at sampler ``None`` / ``rate=1.0`` / ``rate=0.05``.
 The digests were captured from the commit *before* that work landed.
+The same run with no flight recorder — so sampled-out traces are muted
+and never built — must export the same trace, summary and metrics.
 
 Regenerate (only when a change is *intended* to alter an export)::
 
@@ -85,9 +87,11 @@ GOLDENS = {
 }
 
 
-def run_scenario(sampler) -> dict:
-    """The four exported documents of one instrumented sharded run."""
-    recorder = FlightRecorder(window=30.0)
+def run_scenario(sampler, recorded: bool = True) -> dict:
+    """The four exported documents of one instrumented sharded run
+    (``flight`` is None when the run is not *recorded*: no flight
+    recorder, so sampled-out traces are muted)."""
+    recorder = FlightRecorder(window=30.0) if recorded else None
     obs = Instrumentation(max_spans=600, sampler=sampler)
     auditor = CoherenceAuditor(
         recorder=recorder,
@@ -96,7 +100,8 @@ def run_scenario(sampler) -> dict:
     obs.auditor = auditor
     auditor.bind_obs(obs)
     simulator = Simulator(seed=3, obs=obs)
-    recorder.wire(trace_log=simulator.trace)
+    if recorder is not None:
+        recorder.wire(trace_log=simulator.trace)
     network = simulator.network("lan")
     pool = [simulator.machine(network, f"s{i}") for i in range(4)]
     client_m = simulator.machine(network, "client-m")
@@ -146,7 +151,7 @@ def run_scenario(sampler) -> dict:
                    "sampled_out": obs.tracer.sampled_out,
                    "dropped_spans": obs.tracer.dropped_spans}),
         "metrics": obs.metrics.snapshot(),
-        "flight": recorder.to_dict(),
+        "flight": recorder.to_dict() if recorder is not None else None,
     }
 
 
@@ -160,6 +165,18 @@ class TestExportsAreByteIdentical:
     @pytest.mark.parametrize("mode", sorted(SAMPLERS))
     def test_documents_match_the_pinned_digests(self, mode):
         assert digests(run_scenario(SAMPLERS[mode]())) == GOLDENS[mode]
+
+    @pytest.mark.parametrize("mode", ["rate1", "rate005"])
+    def test_muted_traces_export_what_recorded_ones_do(self, mode):
+        muted = run_scenario(SAMPLERS[mode](), recorded=False)
+        recorded = run_scenario(SAMPLERS[mode]())
+        # The one difference a recorder makes to the summary: its count.
+        del recorded["run_summary"]["notes"]["audit"]["flight_dumps"]
+        assert json.dumps(muted["run_summary"]) \
+            == json.dumps(recorded["run_summary"])
+        pinned = digests(muted)
+        for name in ("chrome_trace", "metrics"):
+            assert pinned[name] == GOLDENS[mode][name], name
 
     def test_sampling_changes_storage_not_measurement(self):
         # Metrics, audit tallies and the recorder's windows are taken

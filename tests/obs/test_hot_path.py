@@ -80,6 +80,7 @@ class TestOneSamplingDecisionPerTrace:
         sampler = CountingSampler(0.5, seed=4)
         obs, resolver, client, context, names, _ns = \
             _deployment(sampler)
+        obs.tracer.keep_recent()    # what a wired flight recorder does
         for name in names:
             resolver.resolve(client, context, name)
         recent = obs.tracer.recent_window(0.0, 1e9)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs import Instrumentation, SpanSampler, Tracer
+from repro.obs import FlightRecorder, Instrumentation, SpanSampler, Tracer
 from repro.sim.kernel import Simulator
 
 
@@ -87,6 +87,7 @@ class TestTracerSampling:
     def test_recent_ring_keeps_sampled_out_spans(self):
         tracer = Tracer(sampler=SpanSampler(rate=0.0, seed=1,
                                             window=512))
+        tracer.keep_recent()
         _traced_workload(tracer, traces=10)
         assert len(tracer) == 0          # nothing in the main store
         window = tracer.recent_window(0.0, 100.0)
@@ -96,6 +97,7 @@ class TestTracerSampling:
     def test_recent_ring_is_bounded_by_the_window(self):
         tracer = Tracer(sampler=SpanSampler(rate=0.0, seed=1,
                                             window=8))
+        tracer.keep_recent()
         _traced_workload(tracer, traces=30)
         assert len(tracer.recent_window(0.0, 1e9)) == 8
 
@@ -104,11 +106,81 @@ class TestTracerSampling:
         _traced_workload(tracer, traces=4)
         assert len(tracer.recent_window(0.0, 100.0)) == 8
 
+    def test_a_recorder_starts_the_ring_it_reads(self):
+        tracer = Tracer(sampler=SpanSampler(rate=0.0, seed=1))
+        _traced_workload(tracer, traces=3)
+        assert tracer.recent_window(0.0, 1e9) == []   # nothing reads it
+        FlightRecorder(tracer=tracer)
+        _traced_workload(tracer, traces=3)
+        assert len(tracer.recent_window(0.0, 1e9)) == 6
+
     def test_instrumentation_carries_the_sampler(self):
         sampler = SpanSampler(rate=0.25, seed=9)
         obs = Instrumentation(sampler=sampler)
         assert obs.sampler is sampler
         assert obs.tracer.sampler is sampler
+
+
+class TestMutedTraces:
+    """A sampled-out trace that no flight recorder reads is muted: no
+    :class:`Span` is built for it, yet every id and tally lands where
+    the recording tracer puts it."""
+
+    def test_a_muted_trace_builds_no_span(self):
+        tracer = Tracer(sampler=SpanSampler(rate=0.0, seed=1))
+        root = tracer.begin("resolution", "/n", 0.0, parent=None)
+        assert root.muted and tracer.current is root
+        assert tracer.event("step", "n", 0.5) is None
+        hop = tracer.begin("hop", "query", 0.25)
+        assert hop.muted and hop.trace_id == root.trace_id
+        assert hop.fail("lost") is hop
+        tracer.end(hop, 0.5)
+        tracer.end(root, 1.0)
+        assert tracer.current is None
+        assert len(tracer) == 0 and tracer.sampled_out == 3
+        assert (root.span_id, hop.span_id) == ("s1", "s3")
+
+    def test_admit_spends_a_muted_instants_id(self):
+        tracer = Tracer(sampler=SpanSampler(rate=0.0, seed=1))
+        assert tracer.admit()            # would mint: event() decides
+        root = tracer.begin("resolution", "/n", 0.0, parent=None)
+        assert not tracer.admit()
+        assert not tracer.admit(root.trace_id)
+        assert not tracer.admit("t99")   # sampled out by its id
+        assert tracer.admit("wire-7")    # foreign ids are always kept
+        tracer.end(root, 1.0)
+        assert tracer.sampled_out == 4
+        assert tracer.begin("hop", "q", 2.0).span_id == "s5"
+
+    def test_admit_passes_what_a_kept_trace_records(self):
+        tracer = Tracer(sampler=SpanSampler(rate=1.0, seed=1))
+        root = tracer.begin("resolution", "/n", 0.0, parent=None)
+        assert not root.muted and tracer.admit()
+        assert tracer.sampled_out == 0
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    def test_muted_and_recorded_tracers_agree_on_everything_kept(
+            self, rate):
+        muted = Tracer(sampler=SpanSampler(rate=rate, seed=2))
+        recorded = Tracer(sampler=SpanSampler(rate=rate, seed=2))
+        recorded.keep_recent()
+        for tracer in (muted, recorded):
+            _traced_workload(tracer)
+            tracer.event("failure", "crash", 50.0)
+        assert [repr(s) for s in muted.spans] \
+            == [repr(s) for s in recorded.spans]
+        assert muted.sampled_out == recorded.sampled_out
+
+    def test_a_trace_muted_before_the_recorder_stays_muted(self):
+        tracer = Tracer(sampler=SpanSampler(rate=0.0, seed=1))
+        root = tracer.begin("resolution", "/n", 0.0, parent=None)
+        tracer.keep_recent()
+        assert tracer.begin("hop", "q", 0.25).muted
+        assert tracer.event("step", "n", 0.5) is None
+        assert tracer.recent_window(0.0, 1e9) == []
+        assert not tracer.begin("resolution", "/m", 2.0,
+                                parent=None).muted
+        assert root.muted
 
 
 class TestKernelSampledMode:

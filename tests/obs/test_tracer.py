@@ -145,6 +145,7 @@ class TestClear:
     def test_clear_empties_the_recent_ring_and_tallies(self):
         tracer = Tracer(max_spans=4,
                         sampler=SpanSampler(rate=0.5, seed=3, window=64))
+        tracer.keep_recent()
         for index in range(20):
             span = tracer.begin("hop", f"h{index}", float(index),
                                 parent=None)

@@ -5,13 +5,18 @@ the trace log (plain tuples of atomic values), not a handled process's
 mailbox — so a long run leaves the collector no more to scan than a
 short one.  Each case warms a deployment up, counts the collector's
 tracked objects, runs many more operations, and requires the count to
-stay put and no :class:`~repro.sim.messages.Message` to survive.
+stay put and no :class:`~repro.sim.messages.Message` to survive.  The
+observed case holds the span stores to the same rule: a bounded main
+store and recent ring stay at their caps, and a muted trace leaves
+nothing behind.
 """
 
 from __future__ import annotations
 
 import gc
 import random
+
+import pytest
 
 from repro.model.entities import ObjectEntity
 from repro.namespaces.base import ProcessContext
@@ -23,6 +28,8 @@ from repro.nameservice.protocol import (AsyncNameClient, NameLookupServer,
 from repro.nameservice.resolver import DistributedResolver
 from repro.nameservice.retry import RetryPolicy
 from repro.nameservice.sharding import ShardManager
+from repro.obs import (CoherenceAuditor, FlightRecorder, Instrumentation,
+                       SpanSampler)
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
 from repro.transport.sim import SimTransport
@@ -80,6 +87,40 @@ def test_sharded_replicated_resolutions_with_a_live_split():
                 lambda: resolve(names[200:]))
     assert resolver.shard_splits == 1
     assert shard_map.is_partition()
+
+
+@pytest.mark.parametrize("recorded", [False, True],
+                         ids=["muted", "recorded"])
+def test_sampled_spans_and_the_auditor(recorded):
+    recorder = FlightRecorder() if recorded else None
+    obs = Instrumentation(max_spans=64,
+                          sampler=SpanSampler(rate=0.05, seed=1, window=64),
+                          auditor=CoherenceAuditor(recorder=recorder))
+    simulator = Simulator(seed=2, obs=obs)
+    network = simulator.network("lan")
+    pool = [simulator.machine(network, f"s{i}") for i in range(3)]
+    client_machine = simulator.machine(network, "client-m")
+    tree = NamingTree("root", sigma=simulator.sigma)
+    namespace = build_zipf_namespace(tree, "hot", count=2000, distinct=64)
+    placement = DirectoryPlacement()
+    placement.place(tree.root, client_machine)
+    placement.place_sharded(namespace.directory, *pool, replicas=2)
+    client = simulator.spawn(client_machine, "client")
+    resolver = DistributedResolver(
+        simulator, placement, retry_policy=RetryPolicy(max_attempts=3))
+    context = ProcessContext(tree.root)
+    ranks = ZipfSampler(2000, rng=random.Random(6)).sample_many(5400)
+    names = ["/hot/" + namespace.names[rank] for rank in ranks]
+
+    def resolve(batch):
+        for name in batch:
+            resolver.resolve(client, context, name)
+
+    assert_flat(lambda: resolve(names[:400]), lambda: resolve(names[400:]))
+    assert obs.auditor.observed == 5400
+    assert len(obs.tracer) == 64 and obs.tracer.dropped_spans > 0
+    assert len(obs.tracer.recent_window(0.0, 1e9)) == 64
+    assert obs.tracer.sampled_out > 8 * 5000
 
 
 def test_lease_lookups_with_rebinds():
