@@ -9,7 +9,8 @@ latency spikes, and a full client/server partition — and three
 resolver configurations are compared:
 
 * **fail-fast baseline** — the seed resolver: single placement, no
-  retries; any lost leg fails the resolution;
+  retries; any lost leg fails the resolution, and its losses feed the
+  primary's circuit breaker, which then skips it for a cooldown;
 * **replicated + retry** — the directory is placed on a replica set,
   the walk retries with exponential backoff + seeded jitter, keeps a
   per-server circuit breaker, and fails over to the secondary;

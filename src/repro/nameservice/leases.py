@@ -387,14 +387,12 @@ class LeaseManager:
     """
 
     def __init__(self, term: float,
-                 retry_policy: Optional[RetryPolicy] = None,
                  breaker_threshold: int = 3,
                  breaker_cooldown: float = 30.0,
                  obs: Optional[Instrumentation] = None):
         if term <= 0:
             raise SimulationError("lease term must be positive")
         self.term = term
-        self.retry_policy = retry_policy
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self._obs = obs if obs is not None else NO_OBS

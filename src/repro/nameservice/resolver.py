@@ -38,9 +38,10 @@ time, keeps a per-server :class:`~repro.nameservice.retry.
 CircuitBreaker`, and **fails over** to the next live replica of a
 directory (:meth:`~repro.nameservice.placement.DirectoryPlacement.
 place_replicated`) instead of failing the resolution.  Without a
-policy the same walk runs its one-candidate, one-attempt case: the
-primary alone, asked once, a lost leg read through and flagged by
-``cost.failed``.  When *no*
+policy the same walk runs its one-candidate, one-attempt case, faults
+included: the primary alone, asked once, its breaker fed; a lost leg
+fails the step, which reads on at home flagged by ``cost.failed``.
+When *no*
 authoritative replica is reachable, the policy-gated ``serve_stale``
 mode answers from the client's possibly-stale prefix cache and tags
 the result **weakly coherent** (``cost.weak``) — degraded answers are
@@ -133,9 +134,10 @@ class DistributedResolver:
             and seeded jitter, a per-server circuit breaker skips
             servers that keep dropping, and the walk fails over across
             a directory's replica set.  ``None`` (the default) is
-            fail-fast: the primary is the only candidate, asked once;
-            a lost leg (or a stale or unreachable primary) fails the
-            walk, which reads on flagged by ``cost.failed``.
+            fail-fast, exactly ``RetryPolicy(max_attempts=1)`` on the
+            primary alone: one ask, breaker included; a lost leg (or a
+            stale or unreachable primary) fails the step, which the
+            walk reads on at home, flagged by ``cost.failed``.
         serve_stale: Policy gate for degraded reads — when no
             authoritative replica of a directory is reachable, answer
             the step from the client's possibly-stale prefix cache and
@@ -394,15 +396,13 @@ class DistributedResolver:
     # -- messaging helpers -------------------------------------------------
 
     def _hop(self, sender: SimProcess, receiver: SimProcess,
-             cost: ResolutionCost, what: str,
-             count_failure: bool = True) -> bool:
+             cost: ResolutionCost, what: str) -> bool:
         """One message leg, pumped through the kernel only as far as
         its own delivery (a hop no longer drains unrelated events).
 
-        Returns True if the leg was delivered.  With *count_failure*
-        a lost leg is terminal: it bumps ``cost.failed_hops`` and
-        fails the enclosing span.  The failover path passes False and
-        does its own recovery accounting (retries / failovers).
+        Returns True if the leg was delivered.  A lost leg is the
+        caller's to account: the walk's degraded step, or
+        :meth:`_hop_retried` for a leg between fixed endpoints.
         """
         if sender is receiver:
             return True
@@ -410,10 +410,8 @@ class DistributedResolver:
         before = self._sim.clock.now
         if not sender.alive:
             # A downed server answers/refers nothing: no message ever
-            # leaves it, so the walk records a failed zero-message hop
+            # leaves it, so the leg is a failed zero-message hop
             # instead of raising out of the resolution.
-            if count_failure:
-                cost.failed_hops += 1
             if obs.enabled:
                 span = obs.tracer.begin("hop", what, before)
                 if not span.muted:
@@ -421,9 +419,6 @@ class DistributedResolver:
                                   "to": receiver.label, "messages": 0}
                     span.fail(f"sender {sender.label} down")
                 obs.tracer.end(span, before)
-                if count_failure and obs.tracer.current is not None:
-                    obs.tracer.current.fail(
-                        f"hop {what} lost: sender {sender.label} down")
             return False
         span = None
         if obs.enabled:
@@ -438,45 +433,27 @@ class DistributedResolver:
         self._sim.run_until_settled(message)
         cost.messages += 1
         cost.latency += self._sim.clock.now - before
-        if message.dropped and count_failure:
-            cost.failed_hops += 1
         if span is not None:
             if message.dropped:
                 span.fail(message.drop_reason)
             obs.tracer.end(span, self._sim.clock.now)
-            if message.dropped and count_failure \
-                    and obs.tracer.current is not None:
-                # The walk lost a leg — surface it on the enclosing
-                # resolution/batch span too.
-                obs.tracer.current.fail(
-                    f"hop {what} dropped: {message.drop_reason}")
             self._m_messages.inc()
         return not message.dropped
 
     def _hop_retried(self, sender: SimProcess, receiver: SimProcess,
                      cost: ResolutionCost, what: str) -> bool:
         """A hop that honours the retry policy (no failover — the
-        endpoints are fixed, e.g. the answer leg home).  Without a
-        policy it is exactly :meth:`_hop`."""
-        policy = self.retry_policy
-        if self._hop(sender, receiver, cost, what,
-                     count_failure=policy is None):
-            return True
-        if policy is None:
-            return False
-        if self._pump(retry_effects(self, cost, Ask(receiver, what)),
-                      cost, self._leg, sender) is not LOST:
+        endpoints are fixed, e.g. the answer leg home); a leg still
+        lost after :attr:`attempts` asks fails the walk."""
+        if self._hop(sender, receiver, cost, what) or self._pump(
+                retry_effects(self, cost, Ask(receiver, what)),
+                cost, self._leg, sender) is not LOST:
             return True
         cost.failed_hops += 1
         if self.obs.enabled and self.obs.tracer.current is not None:
             self.obs.tracer.current.fail(f"hop {what} lost after "
-                                         f"{policy.max_attempts} attempts")
+                                         f"{self.attempts} attempts")
         return False
-
-    def _return_home(self, client_server: SimProcess, at: SimProcess,
-                     cost: ResolutionCost) -> None:
-        if at is not client_server:
-            self._hop_retried(at, client_server, cost, "answer")
 
     # -- the walk's host (see repro.nameservice.walk) ----------------------
 
@@ -537,27 +514,19 @@ class DistributedResolver:
         first leg leaves the server the walk is parked at — one
         referral back to the client (iterative) however many candidate
         queries follow, or a forward from there (recursive)."""
-        terminal = self.retry_policy is None
         if leg.origin is None:
             if leg.what == "query":
-                if leg.at is not client_server:
-                    self._hop_retried(leg.at, client_server, cost,
-                                      "referral")
+                self._hop_retried(leg.at, client_server, cost, "referral")
                 leg.origin = client_server
             else:
-                leg.origin = (leg.at if terminal or leg.at.alive
-                              else client_server)
-        # Fail-fast, a lost leg is terminal: _hop counts it and the
-        # walk reads on, flagged by ``cost.failed``.
-        if self._hop(leg.origin, leg.target, cost, leg.what,
-                     count_failure=terminal) or terminal:
+                leg.origin = leg.at if leg.at.alive else client_server
+        if self._hop(leg.origin, leg.target, cost, leg.what):
             return leg.directory.state(leg.component)
         return LOST
 
     def _leg(self, leg: Ask, sender: SimProcess, cost: ResolutionCost):
         """One re-sent leg between fixed endpoints."""
-        return self._hop(sender, leg.target, cost, leg.what,
-                         count_failure=False) or LOST
+        return self._hop(sender, leg.target, cost, leg.what) or LOST
 
     # -- observability -----------------------------------------------------
 
@@ -611,8 +580,8 @@ class DistributedResolver:
         deepest live cached prefix instead of the root.
 
         Check ``cost.failed`` before trusting the answer under
-        faults: a fail-fast walk that lost a leg (or a failover walk
-        that exhausted every replica) is flagged there, and a
+        faults: a walk that lost a leg it could not recover (one ask
+        fail-fast, every replica under a policy) is flagged there, and a
         stale-served answer carries ``cost.weak``.
         """
         name_ = CompoundName.coerce(name_)
@@ -624,7 +593,7 @@ class DistributedResolver:
             walk_effects(self, cost, context, name_, client_server,
                          client_server, style.leg),
             cost, self._ask, client_server)
-        self._return_home(client_server, at, cost)
+        self._hop_retried(at, client_server, cost, "answer")
         if span is not None:
             self._finish_resolution(span, cost, entity, style)
         auditor = self.obs.auditor
@@ -704,7 +673,8 @@ class DistributedResolver:
                 self.shard_manager.on_resolution()
         # One answer hop closes the whole batch, charged to the last
         # name processed (its span parents under the batch span).
-        self._return_home(client_server, at, results[order[-1]][1])
+        self._hop_retried(at, client_server, results[order[-1]][1],
+                          "answer")
         if batch_span is not None:
             if not batch_span.muted:
                 batch_span.attrs["messages"] = sum(

@@ -89,8 +89,7 @@ class WritePath:
         self.leases: Optional[LeaseManager] = None
         if policy is CachePolicy.LEASE:
             self.leases = LeaseManager(
-                term=lease_term, retry_policy=retry_policy,
-                breaker_threshold=breaker_threshold,
+                term=lease_term, breaker_threshold=breaker_threshold,
                 breaker_cooldown=breaker_cooldown, obs=self._obs)
         #: LEASE: one client-side table per holder machine.
         self.lease_tables: dict[int, LeaseTable] = {}

@@ -74,8 +74,12 @@ class AckWaiter:
         self.late_acks = 0
 
     def expect(self, key: Any) -> None:
-        loop = asyncio.get_running_loop()
-        self._pending[key] = loop.create_future()
+        """Await an ack for *key*; a key already awaited shares its
+        pending future (two overlapping breaks of one lease are both
+        answered by its next ack)."""
+        future = self._pending.get(key)
+        if future is None or future.done():
+            self._pending[key] = asyncio.get_running_loop().create_future()
 
     async def wait(self, key: Any, timeout: float) -> bool:
         """True if the ack for *key* arrives within *timeout* seconds."""
@@ -88,7 +92,8 @@ class AckWaiter:
         except asyncio.TimeoutError:
             return False
         finally:
-            self._pending.pop(key, None)
+            if self._pending.get(key) is future:
+                del self._pending[key]
 
     def resolve(self, key: Any) -> bool:
         """Mark *key*'s ack as arrived; False (and counted) if nobody

@@ -131,9 +131,7 @@ class NamingService:
         if auditor is not None:
             self.server.auditor = auditor
         self.auditor = auditor
-        self.leases = LeaseManager(term=lease_term,
-                                   retry_policy=retry_policy,
-                                   obs=obs)
+        self.leases = LeaseManager(term=lease_term, obs=obs)
         self.retry_policy = retry_policy
         self.ack_timeout = ack_timeout
         self.acks = AckWaiter()

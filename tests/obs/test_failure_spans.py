@@ -141,32 +141,35 @@ class TestMidBatchCrashFailFast:
     def test_per_name_outcomes_and_failed_spans(self):
         world, results = run_batch_with_midbatch_crash(retry=False)
         merged = ResolutionCost.merge(c for _e, c in results)
-        # /a names finished before the crash; /x names lost legs (the
-        # query toward dead m2, then the answer hop home from it).
+        # /a names finished before the crash; each /x name lost its one
+        # query toward dead m2, so its step failed and read on at home.
         assert not results[0][1].failed and not results[1][1].failed
         assert results[2][1].failed and results[3][1].failed
         assert merged.retries == 0 and merged.failovers == 0
         obs = world["obs"]
         failed = [s for s in hop_spans(obs) if s.status == "failed"]
-        assert failed
+        assert [s.name for s in failed] == ["query", "query"]
+        assert all("m2" in s.attrs["to"] for s in failed)
         resolutions = obs.tracer.of_kind("resolution")
-        assert resolutions[2].status == "failed"
-        batch = [s for s in obs.tracer.spans if s.kind == "batch"]
-        assert batch[0].status == "failed"
+        assert [s.status for s in resolutions] == \
+            ["ok", "ok", "failed", "failed"]
+        assert all(s.reason == "directory y unreachable"
+                   for s in resolutions[2:])
+        # The walk never stood at the unreached m2, so no leg leaves it.
+        assert not [s for s in hop_spans(obs) if "m2" in s.attrs["from"]]
 
     def test_cost_still_reconciles(self):
         world, results = run_batch_with_midbatch_crash(retry=False)
         obs = world["obs"]
         merged = ResolutionCost.merge(c for _e, c in results)
         assert hop_message_sum(obs) == merged.messages
-        # Zero-message failed hops (dead sender) appear as spans but
-        # add nothing to the sum — the invariant stays exact.
-        dead_sender = [s for s in hop_spans(obs)
-                       if s.status == "failed"
-                       and s.attrs["messages"] == 0]
-        assert dead_sender  # the answer leg home from crashed m2
+        # Every hop span carried a real message: no zero-message leg
+        # from a dead sender.
+        assert all(s.attrs["messages"] == 1 for s in hop_spans(obs))
         assert obs.metrics.value_of("resolver_messages_total") == \
             merged.messages
+        batch = [s for s in obs.tracer.spans if s.kind == "batch"]
+        assert batch[0].attrs["messages"] == merged.messages
 
 
 class TestFailoverHopSequence:

@@ -39,10 +39,10 @@ EXPERIMENT_GOLDENS = {
     ("A7", 1): "003d585adf8909729488b336df7741535590e511480114a96ea295a11aa9cc92",
     ("A7", 7): "f551dc523fa2010d51c51b6585523cfd08f68d8d3bed88fdf29b3c89a448d3ee",
     ("A7", 42): "f353b8a9ba0748523c01b20728d8e03e145340c0fe2d34c673ea8b05c2f699b9",
-    ("A8", 0): "9aa261727faa8a484efcb80a24595d0fc52d77bd3590397e557768a80b10179f",
-    ("A8", 1): "c8a71e1e5481f3eea7925e12adaa4c4925dcd9969846d6e2689cddba3c2ee0f5",
-    ("A8", 7): "8aa76eb2c58206eeedd158e0560b966bae088368718c3a0af22df06a09d87f3b",
-    ("A8", 42): "f80059df5e3bb22070659506d236deea2d688693862f5442d8da871c24b38283",
+    ("A8", 0): "5703b3e409e557f82db0bef242505460cb9c422e26d707c459d3bd785f2a7b6d",
+    ("A8", 1): "cbd11bc41c7470c3e1fdaba7f013b013281af85ccd9f06e6d5bd98423c5b768f",
+    ("A8", 7): "af01ec5bae2e353da8ef48043cb8736a750641f5d3962d5db8cfd7531785574c",
+    ("A8", 42): "7955d82503030571e23fb30a8d071a21eaddb3426fcf6138b6201d3514283633",
     ("A9", 0): "0fba344a451764ab9e1ee2792b0d2ffad3a08da9947bb1509c4f644eecb9f4a2",
     ("A9", 1): "34e540970a7db6393edda2806033ba429ab4435f099ea40682b52d1911dfedeb",
     ("A9", 7): "ff21a4f3d88dcaedf0f592e8ead983e6162188ed1a7147f7d5996e52e676ac0f",

@@ -10,7 +10,8 @@ tuple, not as one more attribute a new driver discovers it needs.
 
 The walk reads no regime beyond ``retry_policy`` / ``attempts``: a
 resolver without a retry policy is the one-candidate, one-attempt case
-of the replica loop, which the property at the end holds it to.
+of the replica loop, faults included, which the tests at the end hold
+it to.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.resolver import ResolutionStyle
 from repro.nameservice.retry import RetryPolicy
 from repro.nameservice.walk import HOST_PROTOCOL
+from repro.obs import Instrumentation
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
 from repro.transport.sim import SimTransport
@@ -237,3 +239,110 @@ def test_no_policy_is_the_one_candidate_one_attempt_case(style, kinds, names):
         assert not cost.failed and not twin_cost.failed
         for field in COMPARED:
             assert getattr(cost, field) == getattr(twin_cost, field), field
+
+
+#: A fault of the directory server across the link, as (begin, end).
+FAULTS = {
+    "crash": (lambda injector, lan, srv, server: injector.crash_machine(server),
+              lambda injector, lan, srv, server:
+              injector.restart_machine(server)),
+    "partition": (lambda injector, lan, srv, _server:
+                  injector.partition(lan, srv),
+                  lambda injector, lan, srv, _server: injector.heal(lan, srv)),
+    "flaky": (lambda injector, lan, srv, _server:
+              injector.flaky_link(lan, srv, 0.5, 1.0),
+              lambda injector, lan, srv, _server:
+              injector.steady_link(lan, srv)),
+}
+FAULTED_NAMES = ["/a/b/leaf", "/a/f", "/a/b/other", "/a/b/leaf"]
+FAULTED = ("failed", "messages", "failed_hops", "local_steps", "remote_steps",
+           "cached_steps", "latency")
+
+
+def single_world(retry, policy=CachePolicy.NONE, seed=0, obs=None):
+    """``/a/b/leaf``, ``/a/b/other`` and ``/a/f``, every directory on one
+    machine: ``a`` on the client's LAN, ``a/b`` across a link on a
+    network of its own."""
+    sim = Simulator(seed=seed, obs=obs)
+    lan, srv = sim.network("lan"), sim.network("srv")
+    home = sim.machine(lan, "home")
+    outer, inner = sim.machine(lan, "a-0"), sim.machine(srv, "ab-0")
+    tree = NamingTree("root", sigma=sim.sigma, parent_links=True)
+    for path in ("a/b/leaf", "a/b/other", "a/f"):
+        tree.mkfile(path)
+    placement = DirectoryPlacement()
+    placement.place(tree.root, home)
+    placement.place(tree.directory("a"), outer)
+    placement.place(tree.directory("a/b"), inner)
+    subject = resolver.DistributedResolver(
+        sim, placement, cache_policy=policy, cache_ttl=5.0,
+        retry_policy=retry)
+    injector = FailureInjector(sim)
+    injector.on_restart(subject.handle_restart)
+    return (subject, sim.spawn(home, "client"), ProcessContext(tree.root),
+            injector, (lan, srv, inner))
+
+
+def faulted_rounds(retry, policy, style, fault, seed):
+    """Six rounds of single and batched lookups, the directory server
+    of ``a/b`` faulted from the second round through the fourth."""
+    subject, client, context, injector, where = single_world(
+        retry, policy, seed)
+    begin, end = FAULTS[fault]
+    outcomes = []
+    for round_ in range(6):
+        if round_ == 1:
+            begin(injector, *where)
+        if round_ == 4:
+            end(injector, *where)
+        results = [subject.resolve(client, context, name_, style)
+                   for name_ in FAULTED_NAMES]
+        results += subject.resolve_many(client, context, FAULTED_NAMES,
+                                        style)
+        outcomes += [(entity.label, *(getattr(cost, field)
+                                      for field in FAULTED))
+                     for entity, cost in results]
+        subject._sim.run(until=subject._sim.clock.now + 4.0)
+    return outcomes, subject.load
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("style", list(ResolutionStyle))
+@pytest.mark.parametrize("policy", [CachePolicy.NONE, CachePolicy.TTL,
+                                    CachePolicy.INVALIDATE])
+def test_no_policy_is_the_one_attempt_case_under_faults(policy, style, fault):
+    """Faulted, over single placements, a resolver without a retry
+    policy and one allowed a single attempt still walk alike: a lost
+    leg is lost in both, at the same cost, charged to the same
+    servers."""
+    for seed in (0, 1, 7):
+        bare = faulted_rounds(None, policy, style, fault, seed)
+        once = faulted_rounds(RetryPolicy(max_attempts=1), policy, style,
+                              fault, seed)
+        assert any(outcome[1] for outcome in bare[0])    # a fault bit
+        assert bare == once, seed
+
+
+def test_a_dropped_query_is_lost_without_a_retry_policy():
+    """A no-policy walk whose query is dropped charges nothing to the
+    server it never reached, records no breaker success there,
+    memoizes no prefix past the loss and sends no leg from there."""
+    obs = Instrumentation()
+    subject, client, context, injector, (_lan, _srv, inner) = single_world(
+        None, obs=obs)
+    subject.resolve(client, context, "/a/b/leaf")   # inner's server runs
+    server = subject.server_for(inner)
+    load = subject.load_of_machine(inner)
+    injector.crash_machine(inner)
+    seen = len(obs.tracer.spans)
+    (_leaf, first), (_other, second) = subject.resolve_many(
+        client, context, ["/a/b/leaf", "/a/b/other"])
+    assert first.failed and second.failed
+    assert subject.load_of_machine(inner) == load
+    # Both losses counted, no success in between to forget them.
+    assert subject.breaker_for(server).consecutive_failures == 2
+    # The batch memo holds /a, not /a/b: the second name asks again.
+    assert second.cached_steps == 2 and second.messages >= 1
+    hops = [span for span in obs.tracer.spans[seen:] if span.kind == "hop"]
+    assert hops and not [span for span in hops
+                         if span.attrs["from"] == server.label]

@@ -260,6 +260,50 @@ class TestLeases:
                 await service.aclose()
         run(scenario())
 
+    @pytest.mark.parametrize("retry", [None, FAST_RETRY],
+                             ids=["no-policy", "retry"])
+    def test_overlapping_rebinds_of_one_lease_share_its_ack(self, retry):
+        """Two rebinds of one leased binding each send a break callback
+        before the holder acks either: the holder's first ack answers
+        both waits — no orphaned waiter breaks the lease or re-sends."""
+        async def scenario():
+            service = NamingService(build_root(), ack_timeout=0.5,
+                                    retry_policy=retry)
+            address = await service.start()
+            holder, writer = (
+                RemoteNameClient([(address.host, address.port)],
+                                 retry_policy=FAST_RETRY, label=label)
+                for label in ("holder", "writer"))
+            await holder.connect()
+            await writer.connect()
+            await holder.lease(holder.dep_for(holder.root, "usr"))
+            # The holder answers break callbacks only once two are in.
+            handle = holder.endpoint._handler
+            held = []
+
+            def ack_in_pairs(endpoint, envelope):
+                if "lease" not in envelope.payload:
+                    return handle(endpoint, envelope)
+                held.append(envelope)
+                if len(held) == 2:
+                    for callback in held:
+                        handle(endpoint, callback)
+
+            holder.endpoint.on_message(ack_in_pairs)
+            try:
+                reports = await asyncio.gather(
+                    writer.rebind(["usr"]), writer.rebind(["usr"]))
+                assert [(r["notified"], r["broken"]) for r in reports] \
+                    == [(1, 0), (1, 0)]
+                assert holder.client.lease_callbacks == 2
+                assert service.leases.stats()["breaks"] == 0
+                assert not service.acks._pending
+            finally:
+                await holder.aclose()
+                await writer.aclose()
+                await service.aclose()
+        run(scenario())
+
 
 class TestWritePathRobustness:
     def test_malformed_rebind_path_is_refused_not_dropped(self):
