@@ -67,10 +67,7 @@ class Entity:
 
     def is_context_object(self) -> bool:
         """True if this entity is an object whose state is a context."""
-        # Imported here to avoid a cycle: context.py imports entities.
-        from repro.model.context import Context
-
-        return self.is_object() and isinstance(self._state, Context)
+        return self.is_object() and isinstance(self._state, _context.Context)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label!r} #{self.uid}>"
@@ -132,9 +129,7 @@ class _UndefinedEntity(Entity):
 
     @property
     def state(self) -> Any:
-        from repro.model.state import UNDEFINED_STATE
-
-        return UNDEFINED_STATE
+        return _state.UNDEFINED_STATE
 
     @state.setter
     def state(self, value: Any) -> None:
@@ -168,3 +163,8 @@ def require_object(entity: Entity) -> ObjectEntity:
     if not isinstance(entity, ObjectEntity):
         raise EntityError(f"expected an object, got {entity!r}")
     return entity
+
+
+# Last, and as modules: context.py and state.py import this one.
+from repro.model import context as _context  # noqa: E402
+from repro.model import state as _state  # noqa: E402

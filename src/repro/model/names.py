@@ -109,9 +109,11 @@ class CompoundName(Sequence[str]):
         """
         if not isinstance(text, str):
             raise NameSyntaxError(f"expected str, got {type(text).__name__}")
-        rooted = text.startswith(SEPARATOR)
-        parts = [p for p in text.split(SEPARATOR) if p and p != SELF]
-        return cls(parts, rooted=rooted)
+        name = object.__new__(cls)  # split parts are atomic: no re-check
+        name._parts = tuple([p for p in text.split(SEPARATOR)
+                             if p and p != SELF])
+        name._rooted = text.startswith(SEPARATOR)
+        return name
 
     @classmethod
     def coerce(cls, value: "NameLike") -> "CompoundName":

@@ -192,6 +192,74 @@ class _Peer:
         self.dialing = False
 
 
+class _Timer:
+    """What :meth:`AsyncioTransport.schedule` returns: one deadline in a
+    :class:`_TimerLane`, which holds its action only until it settles."""
+
+    __slots__ = ("when", "seq", "lane")
+
+    def __init__(self, when: float, seq: int, lane: "_TimerLane"):
+        self.when, self.seq, self.lane = when, seq, lane
+
+    def cancel(self) -> None:
+        lane, self.lane = self.lane, None
+        if lane is not None:
+            del lane.timers[self]
+            if not lane.timers:
+                lane.handle.cancel()
+                lane.drop()
+
+
+class _TimerLane:
+    """The pending timers of one delay on one loop.  With one delay, the
+    order they were set in is deadline order, so their dict is a sorted
+    FIFO, served by one loop handle armed at the head's deadline (a
+    cancelled head leaves it armed; the pass it wakes re-arms at the new
+    head).  An emptied lane cancels its handle and leaves ``lanes``."""
+
+    __slots__ = ("lanes", "loop", "delay", "timers", "added", "handle")
+
+    def __init__(self, lanes: dict, loop: asyncio.AbstractEventLoop,
+                 delay: float):
+        self.lanes, self.loop, self.delay = lanes, loop, delay
+        self.timers: dict[_Timer, Callable[[], None]] = {}
+        self.added = 0  #: timers ever set here; a timer's seq is its rank
+        self.handle: Optional[asyncio.TimerHandle] = None
+
+    def add(self, action: Callable[[], None]) -> _Timer:
+        timer = _Timer(self.loop.time() + self.delay, self.added, self)
+        self.added += 1
+        self.timers[timer] = action
+        if self.handle is None:
+            self.handle = self.loop.call_at(timer.when, self.fire)
+        return timer
+
+    def drop(self) -> None:
+        if self.lanes.get(self.delay) is self:
+            del self.lanes[self.delay]
+
+    def fire(self) -> None:
+        """Run, in order, each timer due and set before this pass; one an
+        action sets waits for a later pass, whatever its delay."""
+        loop, timers, limit = self.loop, self.timers, self.added
+        now = max(loop.time(), self.handle.when())
+        while timers:
+            timer = next(iter(timers))
+            if timer.when > now or timer.seq >= limit:
+                self.handle = loop.call_at(timer.when, self.fire)
+                return
+            action = timers.pop(timer)
+            timer.lane = None
+            try:
+                action()
+            except (SystemExit, KeyboardInterrupt):
+                raise
+            except BaseException as exc:  # as asyncio's handles: report, go on
+                loop.call_exception_handler({"exception": exc, "message":
+                                             f"Exception in timer {action!r}"})
+        self.drop()
+
+
 class AsyncioEndpoint(Endpoint):
     """A named mailbox on an :class:`AsyncioTransport`."""
 
@@ -259,6 +327,8 @@ class AsyncioTransport(Transport):
         self._peers: dict[tuple[str, int], _Peer] = {}
         self._accepted: list[_Connection] = []
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Pending timers by delay (see :class:`_TimerLane`).
+        self._lanes: dict[float, _TimerLane] = {}
         #: Envelopes sent since the last flush: (route, to, frm, envelope).
         self._outbox: list[tuple] = []
         #: Called with the session id of every connection that closes,
@@ -279,7 +349,11 @@ class AsyncioTransport(Transport):
                  note: str = "") -> Timer:
         if delay < 0:
             raise SimulationError("cannot schedule in the past")
-        return asyncio.get_running_loop().call_later(delay, action)
+        loop = asyncio.get_running_loop()
+        lane = self._lanes.get(delay)
+        if lane is None or lane.loop is not loop:  # none, or a dead loop's
+            lane = self._lanes[delay] = _TimerLane(self._lanes, loop, delay)
+        return lane.add(action)
 
     def endpoint(self, node: Any = None,
                  label: str = "") -> AsyncioEndpoint:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 __all__ = ["MAX_FRAME", "MAX_REST", "FrameError", "encode_frame",
-           "FrameDecoder", "dumps", "loads"]
+           "FrameDecoder", "dumps", "loads", "iter_frames"]
 
 #: Frames above this size are rejected on both encode and decode — a
 #: corrupted length prefix must not make the reader buffer gigabytes.
@@ -37,10 +37,13 @@ class FrameError(ValueError):
     """Raised on oversized or malformed frames."""
 
 
+#: ``json.dumps`` builds a new encoder per call for these arguments.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps(obj: Any) -> bytes:
     """Canonical JSON bytes (sorted keys, compact separators)."""
-    return json.dumps(obj, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _encode(obj).encode("utf-8")
 
 
 def loads(data: bytes) -> Any:
@@ -70,38 +73,29 @@ class FrameDecoder:
         self.max_frame = max_frame
         self._buffer = bytearray()
         self.frames_decoded = 0
-        self.bytes_fed = 0
 
     def feed(self, data: bytes) -> list[Any]:
         """Consume *data*; return every frame it completes (possibly
         none, possibly several), in arrival order."""
-        self.bytes_fed += len(data)
-        self._buffer.extend(data)
-        frames: list[Any] = []
-        while True:
-            obj = self._next()
-            if obj is _NOTHING:
-                return frames
-            frames.append(obj)
-
-    def _next(self) -> Any:
         buffer = self._buffer
-        if len(buffer) < _HEADER.size:
-            return _NOTHING
-        (length,) = _HEADER.unpack_from(buffer)
-        if length > self.max_frame:
-            raise FrameError(f"frame length {length} exceeds "
-                             f"max_frame={self.max_frame}")
-        end = _HEADER.size + length
-        if len(buffer) < end:
-            return _NOTHING
-        body = bytes(buffer[_HEADER.size:end])
-        del buffer[:end]
-        self.frames_decoded += 1
-        try:
-            return loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FrameError(f"malformed frame body: {exc}") from exc
+        buffer.extend(data)
+        frames: list[Any] = []
+        while len(buffer) >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(buffer)
+            if length > self.max_frame:
+                raise FrameError(f"frame length {length} exceeds "
+                                 f"max_frame={self.max_frame}")
+            end = _HEADER.size + length
+            if len(buffer) < end:
+                break
+            body = bytes(buffer[_HEADER.size:end])
+            del buffer[:end]
+            self.frames_decoded += 1
+            try:
+                frames.append(loads(body))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise FrameError(f"malformed frame body: {exc}") from exc
+        return frames
 
     @property
     def pending_bytes(self) -> int:
@@ -120,9 +114,3 @@ def iter_frames(stream: bytes) -> Iterator[Any]:
     if decoder.pending_bytes:
         raise FrameError(
             f"{decoder.pending_bytes} trailing bytes after last frame")
-
-
-__all__.append("iter_frames")
-
-#: Internal "no complete frame yet" sentinel (never a JSON value).
-_NOTHING: Optional[object] = object()

@@ -58,7 +58,7 @@ from repro.nameservice.retry import RetryPolicy
 from repro.nameservice.writes import commit_binding
 from repro.obs.instrument import Instrumentation
 from repro.transport.aio import Address, AsyncioTransport
-from repro.transport.base import Endpoint
+from repro.transport.base import Endpoint, Timer
 from repro.transport.leases import AckWaiter, callback_fanout_async
 from repro.transport.wire import (DirectoryRegistry, EntityProxyCache,
                                   RemoteEntity, WireCodec, describe_entity,
@@ -361,11 +361,21 @@ class RemoteNameClient:
         self._ctl_waiters[call_id] = future
         self.endpoint.send(self._ctl_address(index),
                            payload={"ctl": {**request, "id": call_id}})
+        deadline = self._deadline(future, timeout)
         try:
-            return await asyncio.wait_for(future, timeout)
+            return await future
         finally:
             # Timed out or cancelled: a reply that still comes is late.
+            deadline.cancel()
             self._ctl_waiters.pop(call_id, None)
+
+    def _deadline(self, future: asyncio.Future, timeout: float) -> Timer:
+        """Fail *future* with :class:`asyncio.TimeoutError` unless it
+        settles within *timeout* wall seconds: one transport timer,
+        which the awaiting caller cancels on its way out."""
+        return self.transport.schedule(
+            timeout, lambda: future.done()
+            or future.set_exception(asyncio.TimeoutError()))
 
     async def connect(self, timeout: float = 5.0) -> Entity:
         """Hello every server; install the root proxy; returns it."""
@@ -388,10 +398,12 @@ class RemoteNameClient:
         request_id = self.client.resolve(
             self.start, name,
             lambda outcome: future.done() or future.set_result(outcome))
+        deadline = self._deadline(future, timeout)
         try:
-            return await asyncio.wait_for(future, timeout)
+            return await future
         finally:
             # Timed out or cancelled: nobody is left to hear the answer.
+            deadline.cancel()
             self.client.abandon(request_id)
 
     async def lease(self, dep: tuple, timeout: float = 5.0) -> dict:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import NameSyntaxError
 from repro.model.names import (
@@ -74,6 +76,18 @@ class TestParsing:
     def test_parse_rejects_non_string(self):
         with pytest.raises(NameSyntaxError):
             CompoundName.parse(123)  # type: ignore[arg-type]
+
+    @given(st.text(alphabet=st.sampled_from("ab./ \u00e9"), max_size=24)
+           | st.text(max_size=24))
+    def test_parse_is_the_checked_constructor(self, text):
+        """Building the parsed name without re-checking its parts gives
+        exactly what the validating constructor gives."""
+        parts = [p for p in text.split("/") if p not in ("", ".")]
+        expected = CompoundName(parts, rooted=text.startswith("/"))
+        parsed = CompoundName.parse(text)
+        assert parsed == expected
+        assert (parsed.parts, parsed.rooted) == (expected.parts,
+                                                 expected.rooted)
 
     def test_str_roundtrip(self):
         for text in ("/etc/passwd", "usr/bin/cc", "../m2/x", "/"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import weakref
 
 import pytest
 
@@ -74,6 +75,160 @@ class TestBasics:
             await asyncio.sleep(0.05)
             return fired
         assert run(scenario()) == ["a"]
+
+
+def live_handles(loop: asyncio.AbstractEventLoop) -> list:
+    return [handle for handle in loop._scheduled if not handle.cancelled()]
+
+
+class TestTimerLanes:
+    """``schedule`` keeps one FIFO per delay, each behind one loop
+    handle; ``Timer.cancel`` and the deadline contract are unchanged."""
+
+    def test_one_delay_fires_in_the_order_set(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            fired = []
+            for i in range(6):
+                transport.schedule(0.01, lambda i=i: fired.append(i))
+            await asyncio.sleep(0.05)
+            return fired
+        assert run(scenario()) == [0, 1, 2, 3, 4, 5]
+
+    def test_mixed_delays_fire_by_deadline(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            fired = []
+            for delay, tag in ((0.03, "c"), (0.01, "a"), (0.0, "now"),
+                               (0.02, "b"), (0.01, "a2")):
+                transport.schedule(delay, lambda tag=tag: fired.append(tag))
+            await asyncio.sleep(0.06)
+            return fired
+        assert run(scenario()) == ["now", "a", "a2", "b", "c"]
+
+    def test_a_timer_never_fires_early(self):
+        """A cancelled head leaves the lane armed at its deadline; the
+        pass it wakes re-arms at the next head instead of firing it."""
+        async def scenario():
+            transport = AsyncioTransport()
+            fired = []
+            head = transport.schedule(0.02, lambda: fired.append("head"))
+            await asyncio.sleep(0.01)
+            due = transport.now() + 0.02
+            transport.schedule(0.02, lambda: fired.append(transport.now()))
+            head.cancel()
+            await asyncio.sleep(0.05)
+            return fired, due
+        (when,), due = run(scenario())
+        assert when >= due
+
+    def test_cancel_is_a_no_op_after_the_first(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            fired = []
+            early = transport.schedule(0.01, lambda: fired.append("early"))
+            kept = transport.schedule(0.01, lambda: fired.append("kept"))
+            early.cancel()
+            early.cancel()                # twice, before it was due
+            await asyncio.sleep(0.03)
+            kept.cancel()                 # after it fired
+            kept.cancel()
+            transport.schedule(0.01, lambda: fired.append("later"))
+            await asyncio.sleep(0.03)
+            return fired
+        assert run(scenario()) == ["kept", "later"]
+
+    def test_a_raising_action_goes_to_the_loop_and_the_pass_goes_on(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(
+                lambda _loop, context: errors.append(context))
+            transport = AsyncioTransport()
+            fired = []
+            transport.schedule(0.01, lambda: fired.append("before"))
+            transport.schedule(0.01, lambda: 1 / 0)
+            transport.schedule(0.01, lambda: fired.append("after"))
+            transport.schedule(0.02, lambda: fired.append("next lane"))
+            await asyncio.sleep(0.05)
+            return fired, errors
+        fired, errors = run(scenario())
+        assert fired == ["before", "after", "next lane"]
+        [context] = errors
+        assert isinstance(context["exception"], ZeroDivisionError)
+        assert "Exception in timer" in context["message"]
+
+    @pytest.mark.parametrize("delay", [0.0, 0.01])
+    def test_a_timer_an_action_sets_waits_for_a_later_pass(self, delay):
+        """One set from inside a pass, with the lane's own delay or
+        delay 0, fires after the loop has moved on: after a callback
+        the action queued with ``call_soon``, never inside its pass —
+        even on a clock too coarse to have moved since the pass began."""
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            transport = AsyncioTransport()
+            fired = []
+            started = loop.time()
+
+            def setter():
+                fired.append("setter")
+                loop.time = lambda: started   # a clock that did not move
+                try:
+                    transport.schedule(delay, lambda: fired.append("same"))
+                    transport.schedule(0, lambda: fired.append("zero"))
+                finally:
+                    del loop.time
+                loop.call_soon(lambda: fired.append("tick"))
+            transport.schedule(delay, setter)
+            transport.schedule(delay, lambda: fired.append("tail"))
+            await asyncio.sleep(delay + 0.03)
+            return fired
+        fired = run(scenario())
+        assert fired[:3] == ["setter", "tail", "tick"]
+        assert sorted(fired[3:]) == ["same", "zero"]
+
+    def test_a_settled_timer_lets_go_of_its_action(self):
+        """A timer the caller still holds does not keep what its action
+        closes over alive once it fired or was cancelled."""
+        async def scenario():
+            transport = AsyncioTransport()
+
+            class Record:
+                pass
+            held = []
+            for fire in (False, True):
+                record = Record()
+                timer = transport.schedule(0, lambda record=record: None)
+                held.append((timer, weakref.ref(record)))
+                del record
+                if fire:
+                    await asyncio.sleep(0.01)
+                else:
+                    timer.cancel()
+            return [ref() for _timer, ref in held]
+        assert run(scenario()) == [None, None]
+
+    def test_a_negative_delay_raises_and_sets_nothing(self):
+        async def scenario():
+            transport = AsyncioTransport()
+            with pytest.raises(SimulationError):
+                transport.schedule(-1, lambda: None)
+            assert transport._lanes == {}
+            assert not live_handles(asyncio.get_running_loop())
+        run(scenario())
+
+    def test_one_handle_per_delay_and_none_once_all_are_cancelled(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            transport = AsyncioTransport()
+            timers = [transport.schedule(delay, lambda: None)
+                      for delay in (2.0, 30.0, 2.0, 2.0, 0.5)]
+            assert len(live_handles(loop)) == 3
+            for timer in timers:
+                timer.cancel()
+            assert not live_handles(loop)
+            assert transport._lanes == {}
+        run(scenario())
 
 
 class TestLoopback:

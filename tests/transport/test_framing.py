@@ -9,6 +9,8 @@ land.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,16 @@ class TestRoundTrip:
         a = encode_frame({"b": 1, "a": [2, {"z": 3, "y": 4}]})
         b = encode_frame({"a": [2, {"y": 4, "z": 3}], "b": 1})
         assert a == b
+
+
+class TestCanonicalEncoder:
+    @given(value=json_values | st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_dumps_is_json_dumps_with_sorted_compact_output(self, value):
+        """The shared module-level encoder writes the bytes a fresh
+        ``json.dumps`` call would, NaN and infinities included."""
+        assert dumps(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":")).encode()
 
 
 class TestErrors:
