@@ -12,22 +12,24 @@ state of the context objects along the resolution path — resolving a
 compound name corresponds to traversing a directed path in the naming
 graph.
 
-:func:`resolve` implements the recursion (iteratively, so deep paths
-don't hit the interpreter's recursion limit) and optionally records a
-:class:`ResolutionTrace` of the traversed path, which the coherence
-auditor and the naming graph use.
+:func:`resolve_via` implements the recursion once (iteratively, so
+deep paths don't hit the interpreter's recursion limit), reading each
+binding through a caller's ``read``: :func:`resolve` reads live σ,
+:func:`resolve_traced` records a :class:`ResolutionTrace` and the
+coherence auditor reads its write history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.model.context import Context
 from repro.model.entities import Entity, UNDEFINED_ENTITY
 from repro.model.names import ROOT_NAME, CompoundName, NameLike
 
-__all__ = ["ResolutionStep", "ResolutionTrace", "resolve", "resolve_traced"]
+__all__ = ["ResolutionStep", "ResolutionTrace", "resolve", "resolve_traced",
+           "resolve_via"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,50 @@ class ResolutionTrace:
         return f"<trace {self.name} → {self.result.label} [{status}]>"
 
 
+def _read_live(_holder: Optional[Entity], context: Context,
+               component: str) -> Entity:
+    return context(component)
+
+
+def resolve_via(context: Context, name_: NameLike,
+                read: Callable[[Optional[Entity], Context, str],
+                               Entity] = _read_live,
+                ) -> tuple[Entity, Optional[Entity], Optional[int]]:
+    """The section-2 recursion, reading each binding (live σ by
+    default) as ``read(holder, context, component)``: *holder* is the
+    directory entity whose state *context* is, ``None`` at the start.
+
+    Returns ``(entity, holder, stuck_at)``: the result (``⊥E`` on
+    failure), the directory whose context answered the final component
+    (``None`` if that was *context* or the walk stopped before it) and
+    the :attr:`ResolutionTrace.stuck_at` index.
+    """
+    name_ = CompoundName.coerce(name_)
+    parts = name_.parts
+    current = context
+    holder: Optional[Entity] = None
+    if name_.rooted:
+        root = read(None, context, ROOT_NAME)
+        if not parts:
+            return root, None, None if root.is_defined() else 0
+        state = root.state if root.is_defined() else None
+        if not isinstance(state, Context):
+            return UNDEFINED_ENTITY, None, 0
+        current, holder = state, root
+    elif not parts:
+        return UNDEFINED_ENTITY, None, 0
+    last = len(parts) - 1
+    for index in range(last):
+        entity = read(holder, current, parts[index])
+        # More components remain: σ(c(n1)) must be a context.
+        state = entity.state if entity.is_defined() else None
+        if not isinstance(state, Context):
+            return UNDEFINED_ENTITY, None, index
+        current, holder = state, entity
+    entity = read(holder, current, parts[last])
+    return entity, holder, None if entity.is_defined() else last
+
+
 def resolve_traced(context: Context, name_: NameLike) -> ResolutionTrace:
     """Resolve *name_* in *context*, recording the traversal.
 
@@ -94,45 +140,17 @@ def resolve_traced(context: Context, name_: NameLike) -> ResolutionTrace:
     schemes that support parent traversal bind ``..`` explicitly in
     their directory contexts (as the Newcastle Connection does).
     """
-    name_ = CompoundName.coerce(name_)
-    trace = ResolutionTrace(name=name_)
+    trace = ResolutionTrace(name=CompoundName.coerce(name_))
 
-    current = context
-    if name_.rooted:
-        root = current(ROOT_NAME)
-        trace.steps.append(ResolutionStep(ROOT_NAME, current, root))
-        if len(name_) == 0:
-            trace.result = root
-            if not root.is_defined():
-                trace.stuck_at = 0
-            return trace
-        state = root.state if root.is_defined() else None
-        if not isinstance(state, Context):
-            trace.result = UNDEFINED_ENTITY
-            trace.stuck_at = 0
-            return trace
-        current = state
-    elif len(name_) == 0:
-        trace.stuck_at = 0
-        return trace
-
-    for index, component in enumerate(name_.parts):
+    def record(_holder: Optional[Entity], current: Context,
+               component: str) -> Entity:
         entity = current(component)
         trace.steps.append(ResolutionStep(component, current, entity))
-        last = index == len(name_.parts) - 1
-        if last:
-            trace.result = entity
-            if not entity.is_defined():
-                trace.stuck_at = index
-            return trace
-        # More components remain: σ(c(n1)) must be a context.
-        state = entity.state if entity.is_defined() else None
-        if not isinstance(state, Context):
-            trace.result = UNDEFINED_ENTITY
-            trace.stuck_at = index
-            return trace
-        current = state
-    return trace  # pragma: no cover - loop always returns
+        return entity
+
+    trace.result, _holder, trace.stuck_at = resolve_via(
+        context, trace.name, record)
+    return trace
 
 
 def resolve(context: Context, name_: NameLike) -> Entity:
@@ -147,4 +165,4 @@ def resolve(context: Context, name_: NameLike) -> Entity:
     >>> resolve(root, "usr/cc") is cc
     True
     """
-    return resolve_traced(context, name_).result
+    return resolve_via(context, name_)[0]

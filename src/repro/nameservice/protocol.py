@@ -448,20 +448,18 @@ class AsyncNameClient:
     def _step(self, pending: _Pending, reply: Any) -> None:
         """Resume the lookup's walk with *reply* and perform the
         effect it yields next: a request (plus its timeout timer) for
-        an ask, a backoff timer for a wait."""
-        effect = entity = None
+        an ask, a backoff timer for a wait.  A walk that returns
+        settles the lookup — ``"timeout"`` if it lost a step (its
+        answer is then ``⊥E``), else its entity."""
         try:
             effect = pending.steps.send(reply)
         except StopIteration as done:
-            entity = done.value[0]
-        if pending.outcome.cost.failed:
-            # A message-driven client cannot read through a directory
-            # it could not reach: the first unrecovered loss ends the
-            # lookup (the synchronous resolver reads on, flagged).
-            self._fail(pending, "timeout")
-        elif effect is None:
-            self._finish(pending, entity)
-        elif effect.__class__ is Wait:
+            if pending.outcome.cost.failed:
+                self._fail(pending, "timeout")
+            else:
+                self._finish(pending, done.value[0])
+            return
+        if effect.__class__ is Wait:
             pending.timer = self.transport.schedule(
                 effect.delay, lambda: self._step(pending, None),
                 note=f"lookup-backoff req#{pending.request_id}")

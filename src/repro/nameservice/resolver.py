@@ -39,9 +39,9 @@ CircuitBreaker`, and **fails over** to the next live replica of a
 directory (:meth:`~repro.nameservice.placement.DirectoryPlacement.
 place_replicated`) instead of failing the resolution.  Without a
 policy the same walk runs its one-candidate, one-attempt case, faults
-included: the primary alone, asked once, its breaker fed; a lost leg
-fails the step, which reads on at home flagged by ``cost.failed``.
-When *no*
+included: the primary alone, asked once, its breaker fed.  Under
+both, a lookup that loses a leg it cannot recover answers ``⊥E``,
+flagged by ``cost.failed``.  When *no*
 authoritative replica is reachable, the policy-gated ``serve_stale``
 mode answers from the client's possibly-stale prefix cache and tags
 the result **weakly coherent** (``cost.weak``) — degraded answers are
@@ -75,7 +75,7 @@ from typing import Optional, Sequence
 
 from repro.errors import SchemeError
 from repro.model.context import Context
-from repro.model.entities import Entity, ObjectEntity
+from repro.model.entities import Entity, ObjectEntity, UNDEFINED_ENTITY
 from repro.model.names import CompoundName, NameLike
 from repro.nameservice.cache import CachePolicy, PrefixCache, binding_dep
 # callback_fanout is kept bound here although the fan-out now runs in
@@ -136,8 +136,8 @@ class DistributedResolver:
             a directory's replica set.  ``None`` (the default) is
             fail-fast, exactly ``RetryPolicy(max_attempts=1)`` on the
             primary alone: one ask, breaker included; a lost leg (or a
-            stale or unreachable primary) fails the step, which the
-            walk reads on at home, flagged by ``cost.failed``.
+            stale or unreachable primary) fails the lookup, which
+            answers ``⊥E`` flagged by ``cost.failed``.
         serve_stale: Policy gate for degraded reads — when no
             authoritative replica of a directory is reachable, answer
             the step from the client's possibly-stale prefix cache and
@@ -579,9 +579,9 @@ class DistributedResolver:
         remote.  With a cache policy active, the walk starts at the
         deepest live cached prefix instead of the root.
 
-        Check ``cost.failed`` before trusting the answer under
-        faults: a walk that lost a leg it could not recover (one ask
-        fail-fast, every replica under a policy) is flagged there, and a
+        Under faults, a walk that lost a leg it could not recover (one
+        ask fail-fast, every replica under a policy, or the answer leg
+        home) answers ``⊥E`` with ``cost.failed`` set, and a
         stale-served answer carries ``cost.weak``.
         """
         name_ = CompoundName.coerce(name_)
@@ -594,6 +594,8 @@ class DistributedResolver:
                          client_server, style.leg),
             cost, self._ask, client_server)
         self._hop_retried(at, client_server, cost, "answer")
+        if cost.failed:
+            entity = UNDEFINED_ENTITY  # a lost leg loses the answer
         if span is not None:
             self._finish_resolution(span, cost, entity, style)
         auditor = self.obs.auditor
@@ -656,6 +658,8 @@ class DistributedResolver:
                 walk_effects(self, cost, context, coerced[i],
                              client_server, at, style.leg, memo),
                 cost, self._ask, client_server)
+            if cost.failed:
+                entity = UNDEFINED_ENTITY
             results[i] = (entity, cost)
             if span is not None:
                 self._finish_resolution(span, cost, entity, style)
@@ -672,9 +676,11 @@ class DistributedResolver:
                 # trigger a split while it is still running.
                 self.shard_manager.on_resolution()
         # One answer hop closes the whole batch, charged to the last
-        # name processed (its span parents under the batch span).
-        self._hop_retried(at, client_server, results[order[-1]][1],
-                          "answer")
+        # name processed (its span parents under the batch span); if it
+        # is lost, so is that name's answer.
+        last_cost = results[order[-1]][1]
+        if not self._hop_retried(at, client_server, last_cost, "answer"):
+            results[order[-1]] = (UNDEFINED_ENTITY, last_cost)
         if batch_span is not None:
             if not batch_span.muted:
                 batch_span.attrs["messages"] = sum(

@@ -148,7 +148,7 @@ class ResolutionCost:
     @property
     def failed(self) -> bool:
         """True if the walk lost a leg it could not recover — the
-        answer is not authoritative (fail-fast resolutions under a
+        answer is then ``⊥E`` (fail-fast resolutions under a
         crash/partition land here; failover resolutions only when
         every replica was unreachable and no stale serve applied)."""
         return self.failed_hops > 0
@@ -252,7 +252,8 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
     (always coherent — nothing external interleaves within one batch)
     layered over the prefix cache.  The answer is not carried home —
     the caller decides when (once per resolution, or once per batch).
-    Returns ``(entity, where the walk now stands)``.
+    Returns ``(entity, where the walk now stands)``, and ``(⊥E,
+    home)`` at the first leg it loses and cannot recover.
     """
     rooted = name_.rooted
     # The root binding is one walk step like any other component.
@@ -393,12 +394,15 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
             if served is None:
                 stale = _degraded_step(host, cost, cache, context, rooted,
                                        tuple(comps[:index]), entered)
-                if stale is not None:
-                    # Continue in the *cached* (possibly older)
-                    # directory — the degraded walk must not read
-                    # through true state it could never have reached.
-                    entered = stale.directory
-                    current = entered.state
+                if stale is None:
+                    # The first unrecovered loss ends the lookup: it
+                    # cannot read a directory it could not reach.
+                    return UNDEFINED_ENTITY, home
+                # Continue in the *cached* (possibly older) directory —
+                # the degraded walk must not read through true state it
+                # could never have reached.
+                entered = stale.directory
+                current = entered.state
                 tainted = True
                 served = home
             if parks:
@@ -483,8 +487,8 @@ def _degraded_step(host: Any, cost: ResolutionCost,
     """Every replica of *directory* was unreachable: serve the step
     from what the home node's cache retained
     (:meth:`~repro.nameservice.cache.PrefixCache.serve_degraded`),
-    tagging the answer weakly coherent, else mark the walk failed.
-    Either way the walk continues at home.
+    tagging the answer weakly coherent and going on at home, else mark
+    the walk failed — it then answers ``⊥E``.
 
     Returns the stale entry the step was served from, or None.
     """

@@ -15,8 +15,9 @@ resolution with
 * **measured staleness**: the virtual-time lag between the observation
   and the last instant at which the returned answer was the
   authoritative one (``0.0`` for a fresh answer), computed by
-  re-resolving the name against the recorded history ("resolve as of
-  *t*"); and
+  re-resolving the name through the paper's §2 recursion
+  (:func:`~repro.model.resolution.resolve_via`) with every audited
+  binding read from the recorded history ("resolve as of *t*"); and
 * a **verdict** against the policy's :class:`CoherenceContract`:
   ``fresh``, ``stale_declared`` (the service tagged the answer weakly
   coherent — staleness was admitted), ``stale_allowed`` (claimed
@@ -48,8 +49,9 @@ from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from repro.model.context import Context
-from repro.model.entities import Entity, UNDEFINED_ENTITY
-from repro.model.names import CompoundName, NameLike, ROOT_NAME
+from repro.model.entities import Entity
+from repro.model.names import CompoundName, NameLike
+from repro.model.resolution import resolve_via
 
 __all__ = [
     "BindingWrite",
@@ -345,51 +347,33 @@ class CoherenceAuditor:
             return _NO_HISTORY
         return self._value_in(writes, at, strict)
 
-    def _walk_as_of(self, context: Context, name_: CompoundName,
-                    at: float, strict: bool,
-                    ) -> tuple[Entity, Optional[Entity], bool]:
-        """The §2 recursion over *name_* with every audited binding
-        replaced by its value at *at*.
-
-        Returns ``(entity, holder, live)``: *holder* is the directory
-        entity whose context answered the final component (``None``
-        if that was *context* itself or the walk ended early), and
-        *live* says every step read what live σ holds right now — then
-        *holder* is also where the live tree keeps the binding.
-        """
-        parts = name_.parts
-        current: Context = context
-        holder: Optional[Entity] = None
-        if name_.rooted:
-            root = context(ROOT_NAME)
-            if not parts:
-                return root, None, True
-            state = root.state if root.is_defined() else None
-            if not isinstance(state, Context):
-                return UNDEFINED_ENTITY, None, True
-            current, holder = state, root
-        elif not parts:
-            return UNDEFINED_ENTITY, None, True
-        # *context*'s own bindings are process state, outside the
-        # write discipline; with no writes at all, neither is anything.
+    def _as_of(self, context: Context, name_: CompoundName, at: float,
+               strict: bool) -> tuple[Entity, Optional[Entity], bool]:
+        """:func:`~repro.model.resolution.resolve_via` as of *at*:
+        each audited binding a directory holds reads its value then
+        (*context*'s own are process state, outside the write
+        discipline).  Returns ``(entity, holder, live)``; *live* says
+        every read matched live σ, so *holder* is the live parent."""
         history = self._writes
+        if not history:
+            return *resolve_via(context, name_)[:2], True
         live = True
-        last = len(parts) - 1
-        for index, component in enumerate(parts):
+
+        def read(holder: Optional[Entity], current: Context,
+                 component: str) -> Entity:
+            nonlocal live
             entity = current(component)
-            if history and holder is not None:
+            if holder is not None:
                 writes = history.get((holder.uid, component))
                 if writes:
                     then = self._value_in(writes, at, strict)
                     if then is not entity:
-                        entity, live = then, False
-            if index == last:
-                return entity, holder, live
-            state = entity.state if entity.is_defined() else None
-            if not isinstance(state, Context):
-                break
-            current, holder = state, entity
-        return UNDEFINED_ENTITY, None, live
+                        live = False
+                        return then
+            return entity
+
+        entity, holder, _stuck = resolve_via(context, name_, read)
+        return entity, holder, live
 
     def resolve_as_of(self, context: Context, name_: NameLike,
                       at: float, *, strict: bool = False) -> Entity:
@@ -399,8 +383,8 @@ class CoherenceAuditor:
         writes committed exactly at *at*).  Bindings outside the write
         discipline never change, so their live value stands in for
         all of history."""
-        return self._walk_as_of(context, CompoundName.coerce(name_),
-                                at, strict)[0]
+        return self._as_of(context, CompoundName.coerce(name_), at,
+                           strict)[0]
 
     def measure(self, context: Context, name_: NameLike,
                 entity: Entity, now: float) -> float:
@@ -417,8 +401,8 @@ class CoherenceAuditor:
                  entity: Entity, now: float,
                  ) -> tuple[float, Optional[Entity], bool]:
         """:meth:`measure` plus the ``(holder, live)`` of the walk at
-        *now* (see :meth:`_walk_as_of`)."""
-        truth, holder, live = self._walk_as_of(context, name_, now, False)
+        *now* (see :meth:`_as_of`)."""
+        truth, holder, live = self._as_of(context, name_, now, False)
         staleness = 0.0
         if not self._same(truth, entity):
             times = self._write_times
@@ -426,7 +410,7 @@ class CoherenceAuditor:
             if count:
                 staleness = now - times[0]
             for index in range(count - 1, -1, -1):
-                if self._same(self._walk_as_of(
+                if self._same(self._as_of(
                         context, name_, times[index], True)[0], entity):
                     staleness = now - times[index]
                     break
@@ -466,38 +450,14 @@ class CoherenceAuditor:
         staleness, holder, live = self._measure(context, name_, entity,
                                                 now)
         if directory is None and placement is not None and name_.parts:
-            if live:
-                directory, component = holder, name_.parts[-1]
-            else:
-                directory, component = self._live_parent(context, name_)
+            # A binding changed behind the write discipline's back:
+            # label by where the live tree keeps the final binding.
+            directory = holder if live else resolve_via(context, name_)[1]
+            component = name_.parts[-1]
         verdict = self._judge(staleness, weak, policy, ttl, lease_term)
         return self._publish(verdict, staleness, policy, now, latency,
                              weak, name_.__str__, placement, directory,
                              component)
-
-    @staticmethod
-    def _live_parent(context: Context,
-                     name_: CompoundName) -> tuple[Any, Optional[str]]:
-        """The directory entity holding *name_*'s final binding (live
-        σ walk — pure reads, no load counting), for shard labelling
-        when the audited history and live σ disagree along the path
-        (a binding changed behind the write discipline's back)."""
-        current: Context = context
-        parent: Any = None
-        if name_.rooted:
-            root = context(ROOT_NAME)
-            if not root.is_defined() \
-                    or not isinstance(root.state, Context):
-                return None, None
-            current, parent = root.state, root
-        parts = name_.parts
-        for component in parts[:-1]:
-            entity = current(component)
-            if not entity.is_defined() \
-                    or not isinstance(entity.state, Context):
-                return None, None
-            current, parent = entity.state, entity
-        return parent, (parts[-1] if parts else None)
 
     def observe_lookup(self, directory: Entity, component: str,
                        entity: Entity, *, now: float, policy: str,

@@ -225,10 +225,6 @@ class MetricsRegistry:
         """A :class:`Family` over the counter *name*'s series."""
         return Family(partial(self.counter, name), label_names)
 
-    def gauge_family(self, name: str, *label_names: str) -> Family:
-        """A :class:`Family` over the gauge *name*'s series."""
-        return Family(partial(self.gauge, name), label_names)
-
     def histogram_family(self, name: str, *label_names: str,
                          buckets: Optional[Iterable[float]] = None,
                          ) -> Family:

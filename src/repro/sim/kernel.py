@@ -342,11 +342,6 @@ class Simulator:
             self.clock.now, "topology",
             f"gateway {getattr(gateway, 'label', '?')} installed")
 
-    def remove_gateway(self, gateway: Any) -> None:
-        """Uninstall a boundary gateway (no error if absent)."""
-        if gateway in self._gateways:
-            self._gateways.remove(gateway)
-
     # -- scheduling ----------------------------------------------------------
 
     def schedule(self, delay: float, action: Callable[[], None],

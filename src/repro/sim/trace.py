@@ -168,11 +168,6 @@ class TraceLog:
         start = max(0, len(self._entries) - count)
         return list(map(_view, islice(self._entries, start, None)))
 
-    def to_dicts(self) -> list[dict]:
-        """Every entry as a JSON-safe dict (see
-        :meth:`TraceEntry.to_dict`)."""
-        return [entry.to_dict() for entry in self]
-
     def window(self, start: float, end: float) -> list[dict]:
         """Retained entries with ``start <= time <= end`` as JSON-safe
         dicts — the flight-recorder capture primitive; later

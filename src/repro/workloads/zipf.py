@@ -96,13 +96,6 @@ class ZipfNamespace:
     names: list[str]              #: binding names, index == Zipf rank
     shared_leaf: ObjectEntity     #: filler entity bound past `distinct`
 
-    def name_of(self, rank: int) -> str:
-        return self.names[rank]
-
-    def full_name(self, rank: int) -> tuple[str, ...]:
-        """The compound name resolving rank *rank* through the tree."""
-        return self.path + (self.names[rank],)
-
 
 def build_zipf_namespace(tree: NamingTree, path: str = "hot",
                          count: int = 1_000_000,

@@ -8,44 +8,56 @@ from __future__ import annotations
 
 import pytest
 
+import repro.bench
 from repro.bench import ALL_EXPERIMENTS, run_all
 from repro.bench.harness import ExperimentResult
 
 
+@pytest.fixture(scope="session")
+def results():
+    """``results(seed)``: :func:`run_all` at *seed*, computed once per
+    session and shared by every test that reads it."""
+    computed: dict[int, dict[str, ExperimentResult]] = {}
+
+    def results(seed: int = 0) -> dict[str, ExperimentResult]:
+        if seed not in computed:
+            computed[seed] = run_all(seed=seed)
+        return computed[seed]
+    return results
+
+
 @pytest.mark.parametrize("exp_id", list(ALL_EXPERIMENTS))
-def test_experiment_shape_reproduces(exp_id):
-    result = ALL_EXPERIMENTS[exp_id](seed=0)
+def test_experiment_shape_reproduces(results, exp_id):
+    result = results(0)[exp_id]
     assert result.all_checks_pass(), (
         f"{exp_id} failed checks: {result.failed_checks()}\n"
         f"{result.render()}")
 
 
 @pytest.mark.parametrize("exp_id", list(ALL_EXPERIMENTS))
-def test_experiment_has_rows_and_checks(exp_id):
-    result = ALL_EXPERIMENTS[exp_id](seed=0)
+def test_experiment_has_rows_and_checks(results, exp_id):
+    result = results(0)[exp_id]
     assert result.rows, f"{exp_id} produced no table rows"
     assert result.checks, f"{exp_id} recorded no shape checks"
     assert result.exp_id == exp_id
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
-def test_experiments_hold_across_seeds(seed):
+def test_experiments_hold_across_seeds(results, seed):
     """The claims are structural, not seed luck: every experiment's
     shape checks hold under other seeds too."""
-    for exp_id in ALL_EXPERIMENTS:
-        result = ALL_EXPERIMENTS[exp_id](seed=seed)
+    for exp_id, result in results(seed).items():
         assert result.all_checks_pass(), (
             f"{exp_id} seed={seed}: {result.failed_checks()}")
 
 
-def test_run_all_covers_every_experiment():
-    results = run_all(seed=0)
-    assert list(results) == list(ALL_EXPERIMENTS)
-    assert all(isinstance(r, ExperimentResult) for r in results.values())
+def test_run_all_covers_every_experiment(results):
+    assert list(results(0)) == list(ALL_EXPERIMENTS)
+    assert all(isinstance(r, ExperimentResult) for r in results(0).values())
 
 
-def test_render_formats():
-    result = ALL_EXPERIMENTS["E2"](seed=0)
+def test_render_formats(results):
+    result = results(0)["E2"]
     rendered = result.render()
     assert "E2" in rendered
     assert "[PASS]" in rendered
@@ -61,33 +73,33 @@ def test_result_helpers():
     assert "SHAPE MISMATCH" in str(result)
 
 
-def test_e2_figures_match_paper_matrix():
-    result = ALL_EXPERIMENTS["E2"](seed=0)
+def test_e2_figures_match_paper_matrix(results):
+    result = results(0)["E2"]
     assert result.figures[("R(sender)|global")] == 1.0
     assert result.figures[("R(sender)|non-global")] == 1.0
     assert result.figures[("R(receiver)|global")] == 1.0
     assert result.figures[("R(receiver)|non-global")] == 0.0
 
 
-def test_a2_ordering_figures():
-    result = ALL_EXPERIMENTS["A2"](seed=0)
+def test_a2_ordering_figures(results):
+    result = results(0)["A2"]
     figures = result.figures
     assert figures["single-tree"] >= figures["shared-graph"] >= \
         figures["newcastle"]
     assert figures["shared-graph"] >= figures["cross-links"]
 
 
-def test_e9_mapped_beats_raw():
-    result = ALL_EXPERIMENTS["E9"](seed=0)
+def test_e9_mapped_beats_raw(results):
+    result = results(0)["E9"]
     assert result.figures["mapped_rate"] == 1.0
     assert result.figures["raw_rate"] < result.figures["mapped_rate"]
 
 
-def test_to_dict_is_json_serialisable_for_every_experiment():
+def test_to_dict_is_json_serialisable_for_every_experiment(results):
     import json
 
-    for exp_id, runner in ALL_EXPERIMENTS.items():
-        document = runner(seed=0).to_dict()
+    for exp_id, result in results(0).items():
+        document = result.to_dict()
         encoded = json.dumps(document)
         decoded = json.loads(encoded)
         assert decoded["exp_id"] == exp_id
@@ -95,7 +107,7 @@ def test_to_dict_is_json_serialisable_for_every_experiment():
         assert decoded["rows"], exp_id
 
 
-def test_run_all_json_tool(capsys):
+def test_run_all_json_tool(capsys, monkeypatch, results):
     import json
     import runpy
     import sys
@@ -103,6 +115,8 @@ def test_run_all_json_tool(capsys):
 
     tool = (Path(__file__).resolve().parents[2] / "tools"
             / "run_all_json.py")
+    # The tool runs as written; the suite it imports is the session's.
+    monkeypatch.setattr(repro.bench, "run_all", results)
     argv = sys.argv
     sys.argv = [str(tool), "--seed", "0"]
     try:

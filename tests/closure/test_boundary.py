@@ -77,18 +77,6 @@ class TestGatewayOverNewcastle:
         attachment = receiver.receive().attachments[0]
         assert str(attachment.name) == "usr/alpha-data"
 
-    def test_gateway_removal(self, wired_newcastle):
-        simulator, nc, processes = wired_newcastle
-        gateway = BoundaryGateway(nc.boundary_mapper()).install(simulator)
-        simulator.remove_gateway(gateway)
-        sender, receiver = processes["alpha"], processes["beta"]
-        message = sender.send(receiver)
-        message.attach("/usr/alpha-data")
-        simulator.run()
-        attachment = receiver.receive().attachments[0]
-        assert str(attachment.name) == "/usr/alpha-data"  # unmapped
-        simulator.remove_gateway(gateway)  # idempotent
-
 
 class TestGenericMappers:
     def test_mapper_from_scheme_rule_adapts_signature(self):

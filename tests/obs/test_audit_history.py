@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.model.context import Context
 from repro.model.entities import UNDEFINED_ENTITY
 from repro.model.names import CompoundName, ROOT_NAME
+from repro.model.resolution import resolve_traced
 from repro.model.state import GlobalState
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
@@ -183,7 +184,12 @@ class TestOneWalkLabelsTheLiveParent:
         # even where the audited history and σ disagree.
         auditor, context, _bindings, leaves = _replay(history)
         Instrumentation(auditor=auditor)    # metrics on: every read labels
-        expected = auditor._live_parent(context, CompoundName.parse(NAME))
+        # The oracle: the paper's recursion over live σ.  Its final
+        # step reads the name's last binding in the live parent.
+        trace = resolve_traced(context, NAME)
+        expected = (None, None)
+        if len(trace.steps) == 1 + len(CompoundName.parse(NAME)):
+            expected = (trace.steps[-2].result, trace.steps[-1].component)
         for at in instants:
             placement = _RecordingPlacement()
             auditor.observe_resolution(context, NAME, leaves[0], now=at,

@@ -127,14 +127,11 @@ class TestBoundMetricHandles:
         assert registry.snapshot()["counters"] == {
             'load_total{server="a"}': 3.0, 'load_total{server="b"}': 1.0}
 
-    def test_family_covers_gauges_and_histograms(self):
+    def test_family_covers_histograms(self):
         registry = MetricsRegistry()
-        depth = registry.gauge_family("depth", "process")
-        depth.labels("p").set(3)
         lag = registry.histogram_family("lag", "policy", "shard",
                                         buckets=(1.0, 5.0))
         lag.labels("ttl", "-").observe(2.0)
-        assert registry.value_of("depth", {"process": "p"}) == 3.0
         histogram = registry.histogram("lag", {"shard": "-",
                                                "policy": "ttl"})
         assert histogram.count == 1 and histogram.buckets == (1.0, 5.0)

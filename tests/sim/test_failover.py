@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.errors import SchemeError, SimulationError
-from repro.model.entities import ObjectEntity
+from repro.model.entities import UNDEFINED_ENTITY, ObjectEntity
 from repro.model.resolution import resolve as local_resolve
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
@@ -230,17 +230,18 @@ class TestFailoverResolution:
             self, retry):
         """``svc`` lives on a machine that crashed before any server
         ran there: nothing to address, so the step costs no message in
-        either regime — it is flagged and the walk reads on.  (Fail-fast
-        used to raise ``machine m1 is down`` out of ``resolve``.)"""
+        either regime — it fails the lookup, which answers ``⊥E`` and
+        counts no step past the loss.  (Fail-fast used to raise
+        ``machine m1 is down`` out of ``resolve``.)"""
         world = make_world(retry=retry)
         _c, m1, _m2 = world["machines"]
         world["placement"].place(world["tree"].directory("svc"), m1)
         world["injector"].crash_machine(m1)
         entity, cost = world["resolver"].resolve(
             world["client"], world["context"], "/svc/f0")
-        assert entity is world["files"][0]
+        assert entity is UNDEFINED_ENTITY
         assert cost.failed and not cost.weak
-        assert str(cost) == ("steps=3 remote=0 cached=0 messages=0 "
+        assert str(cost) == ("steps=2 remote=0 cached=0 messages=0 "
                              "latency=0 failed=1 retries=0 failovers=0")
         assert world["simulator"].messages_sent == 0
 

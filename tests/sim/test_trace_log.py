@@ -70,7 +70,7 @@ class TestExportSafety:
         log = TraceLog()
         log.record(0.0, "send", "scalar", data=7)
         log.record(1.0, "send", "object", data=object())
-        dicts = log.to_dicts()
+        dicts = [entry.to_dict() for entry in log]
         json.dumps(dicts)
         assert dicts[0]["data"] == 7
         assert isinstance(dicts[1]["data"], str)

@@ -104,7 +104,10 @@ def run_parked(policy, retry):
         lease_term=5.0, cache_ttl=5.0)
 
     def resolve():
-        return subject.resolve(world.client, world.context, "/a/b/leaf")[1]
+        entity, cost = subject.resolve(world.client, world.context,
+                                       "/a/b/leaf")
+        assert not (cost.failed and entity.is_defined())   # failed ⇒ ⊥E
+        return cost
 
     resolve()                                   # fills the cache
     world.injector.crash_machine(world.servers[0])
@@ -299,6 +302,10 @@ def faulted_rounds(retry, policy, style, fault, seed):
                    for name_ in FAULTED_NAMES]
         results += subject.resolve_many(client, context, FAULTED_NAMES,
                                         style)
+        # One failure rule: a lookup that lost a step answers ⊥E.
+        assert not [name_ for name_, (entity, cost)
+                    in zip(FAULTED_NAMES * 2, results)
+                    if cost.failed and entity.is_defined()]
         outcomes += [(entity.label, *(getattr(cost, field)
                                       for field in FAULTED))
                      for entity, cost in results]
