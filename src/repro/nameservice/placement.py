@@ -40,8 +40,7 @@ from repro.errors import SchemeError
 from repro.model.context import Context
 from repro.model.entities import Entity, ObjectEntity
 from repro.model.names import PARENT
-from repro.nameservice.sharding import (MergePlan, Shard, ShardMap,
-                                        SplitPlan)
+from repro.nameservice.sharding import Shard, ShardMap, SplitPlan
 from repro.sim.network import Machine
 
 __all__ = ["DirectoryPlacement"]
@@ -84,7 +83,7 @@ class DirectoryPlacement:
         A stale mark is a property of a *replica's copy*; when a
         placement change drops the machine from the set, the mark must
         go with it — otherwise re-adding the machine later (via
-        :meth:`add_replica`) resurrects a mark about a copy that no
+        :meth:`place_replicated`) resurrects a mark about a copy that no
         longer exists, and failover skips a perfectly fresh replica.
         """
         kept = {id(machine) for machine in keep}
@@ -118,35 +117,6 @@ class DirectoryPlacement:
         self._shard_maps.pop(directory.uid, None)
         self._replicas_of[directory.uid] = replicas
         self._prune_stale(directory.uid, replicas)
-        self._epoch += 1
-
-    def add_replica(self, directory: Entity, machine: Machine) -> None:
-        """Add a secondary replica (no-op if already a member)."""
-        self._require_directory(directory)
-        replicas = self._replicas_of.get(directory.uid)
-        if replicas is None:
-            raise SchemeError(
-                f"directory {directory.label!r} is not placed")
-        if machine in replicas:
-            return
-        replicas.append(machine)
-        self._epoch += 1
-
-    def remove_replica(self, directory: Entity, machine: Machine) -> None:
-        """Remove a replica from the set (membership change).
-
-        Removing the primary promotes the next secondary; removing the
-        last replica un-places the directory.  Bumps the epoch.
-        """
-        self._require_directory(directory)
-        replicas = self._replicas_of.get(directory.uid)
-        if replicas is None or machine not in replicas:
-            raise SchemeError(
-                f"{machine.label} does not host {directory.label!r}")
-        replicas.remove(machine)
-        self._stale.discard((directory.uid, id(machine)))
-        if not replicas:
-            del self._replicas_of[directory.uid]
         self._epoch += 1
 
     def place_subtree(self, root: ObjectEntity, machine: Machine,
@@ -225,16 +195,10 @@ class DirectoryPlacement:
         return [self._shard_maps[uid]
                 for uid in sorted(self._shard_maps)]
 
-    def apply_split(self, plan: SplitPlan,
-                    targets: Optional[tuple[Machine, ...]] = None) -> Shard:
+    def apply_split(self, plan: SplitPlan) -> Shard:
         """Commit a planned shard split and bump the epoch exactly
         once — the same signal a replica-membership change sends, so
         prefix-cache entries routed under the pre-split map die.
-
-        *targets* (when given) overrides the plan's replica set with
-        the machines that actually received the migrated bindings —
-        a planned replica that crashed mid-migration is excluded
-        instead of joining the new shard stale.
 
         Callers that migrate state (:meth:`~repro.nameservice.resolver.
         DistributedResolver.split_shard`) must move the bindings
@@ -243,32 +207,10 @@ class DirectoryPlacement:
         """
         for shard_map in self._shard_maps.values():
             if plan.shard in shard_map.shards:
-                new = shard_map.apply_split(plan, targets=targets)
+                new = shard_map.apply_split(plan)
                 self._epoch += 1
                 return new
         raise SchemeError("split plan does not match a live shard map")
-
-    def apply_merge(self, plan: MergePlan) -> Shard:
-        """Commit a planned shard merge and bump the epoch exactly
-        once (same discipline as :meth:`apply_split`).  Stale marks
-        for machines that leave the directory's replica population
-        with the merged-away shard are dropped — the copy they
-        described no longer hosts anything.
-        """
-        uid = None
-        for map_uid, shard_map in self._shard_maps.items():
-            if plan.right in shard_map.shards:
-                merged = shard_map.apply_merge(plan)
-                uid = map_uid
-                break
-        else:
-            raise SchemeError(
-                "merge plan does not match a live shard map")
-        keep = [machine for shard in self._shard_maps[uid].shards
-                for machine in shard.replicas]
-        self._prune_stale(uid, keep)
-        self._epoch += 1
-        return merged
 
     # -- routing -------------------------------------------------------------
 

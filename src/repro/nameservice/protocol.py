@@ -32,10 +32,10 @@ cleanly after its retries instead of returning a wrong entity —
 incoherence is never silently introduced by the transport.
 
 Retry, backoff and failover are the walk's: a timed-out request is
-re-asked up to ``max_retries`` more times — after exponential backoff
-with seeded jitter under a :class:`~repro.nameservice.retry.
-RetryPolicy`, at once without one — and when a directory's replica
-stops answering, the next one in the router's candidate list is asked.
+asked up to :attr:`~repro.nameservice.retry.RetryPolicy.max_attempts`
+times in all, after exponential backoff with seeded jitter (without a
+policy, once) — and when a directory's replica stops answering, the
+next one in the router's candidate list is asked.
 Backoff waits are spent on the *transport's* clock — virtual time on
 the simulator, wall seconds on asyncio — with jitter drawn from the
 transport's seeded RNG either way.  Replies that arrive after their
@@ -303,15 +303,13 @@ class AsyncNameClient:
         endpoint: The client's own endpoint (handler installed).
         timeout: Transport time to wait for each step's reply
             (virtual units on the simulator, wall seconds on asyncio).
-        max_retries: Re-asks per replica of a step before the walk
-            fails over to the next (or, out of replicas, fails the
-            lookup).
-        retry_policy: When set, each re-ask waits out an exponential
-            backoff with seeded jitter (drawn from the transport's
-            RNG — the kernel's on the simulator, so schedules stay
-            deterministic per seed); ``None`` re-asks the instant the
-            timeout fires.  :attr:`RetryPolicy.max_attempts` is
-            ignored here — *max_retries* stays the attempt bound.
+        retry_policy: Asks per replica of a step
+            (:attr:`RetryPolicy.max_attempts`) before the walk fails
+            over to the next (or, out of replicas, fails the lookup);
+            each re-ask waits out an exponential backoff with seeded
+            jitter (drawn from the transport's RNG — the kernel's on
+            the simulator, so schedules stay deterministic per seed).
+            ``None`` asks each replica once.
         lease_table: When set, the client participates in the lease
             callback protocol (:mod:`repro.nameservice.leases`): an
             incoming ``{"lease": {"op": "break", ...}}`` message
@@ -330,7 +328,7 @@ class AsyncNameClient:
 
     def __init__(self, transport: Transport, router: Any,
                  endpoint: Endpoint, *,
-                 timeout: float = 5.0, max_retries: int = 2,
+                 timeout: float = 5.0,
                  retry_policy: Optional[RetryPolicy] = None,
                  lease_table: Optional[LeaseTable] = None):
         self.transport = transport
@@ -341,7 +339,6 @@ class AsyncNameClient:
         self.replicas = router.replicas
         self.target_on = router.target_on
         self.timeout = timeout
-        self.max_retries = max_retries
         self.retry_policy = retry_policy
         self.lease_table = lease_table
         self.lease_callbacks = 0
@@ -423,10 +420,6 @@ class AsyncNameClient:
     #: driver.
     parks = False
     obs = NO_OBS
-
-    @property
-    def attempts(self) -> int:
-        return self.max_retries + 1
 
     def now(self) -> float:
         return self.transport.now()

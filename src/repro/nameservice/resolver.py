@@ -161,8 +161,7 @@ class DistributedResolver:
                  serve_stale: bool = False,
                  breaker_threshold: int = 3,
                  breaker_cooldown: float = 30.0,
-                 lease_term: float = 30.0,
-                 migration_batch: int = 100_000):
+                 lease_term: float = 30.0):
         self._sim = simulator
         self._placement = placement
         self.obs = simulator.obs
@@ -210,18 +209,14 @@ class DistributedResolver:
         self._load: dict[int, int] = {}
         self._server_labels: dict[int, str] = {}
         self.anti_entropy_messages = 0
-        # Sharding: bindings moved per migration message, the live
-        # split policy (wired by the deployment as
+        # Sharding: the live split policy (wired by the deployment as
         # ``resolver.shard_manager = ShardManager(resolver, pool=…)``)
         # and migration accounting.
-        self.migration_batch = migration_batch
         self.shard_manager = None
         self.migration_messages = 0
         self.migration_latency = 0.0
         self.shard_splits = 0
         self.shard_split_aborts = 0
-        self.shard_merges = 0
-        self.shard_merge_aborts = 0
 
     @property
     def replication_messages(self) -> int:
@@ -444,15 +439,17 @@ class DistributedResolver:
                      cost: ResolutionCost, what: str) -> bool:
         """A hop that honours the retry policy (no failover — the
         endpoints are fixed, e.g. the answer leg home); a leg still
-        lost after :attr:`attempts` asks fails the walk."""
+        lost after every ask the retry policy allows fails the walk."""
         if self._hop(sender, receiver, cost, what) or self._pump(
                 retry_effects(self, cost, Ask(receiver, what)),
                 cost, self._leg, sender) is not LOST:
             return True
         cost.failed_hops += 1
         if self.obs.enabled and self.obs.tracer.current is not None:
+            policy = self.retry_policy
+            attempts = 1 if policy is None else policy.max_attempts
             self.obs.tracer.current.fail(f"hop {what} lost after "
-                                         f"{self.attempts} attempts")
+                                         f"{attempts} attempts")
         return False
 
     # -- the walk's host (see repro.nameservice.walk) ----------------------
@@ -461,12 +458,6 @@ class DistributedResolver:
     #: there cost nothing (batch coalescing depends on this).
     parks = True
     node_of = staticmethod(operator.attrgetter("machine"))
-
-    @property
-    def attempts(self) -> int:
-        """Asks per candidate; without a retry policy, one."""
-        policy = self.retry_policy
-        return 1 if policy is None else policy.max_attempts
 
     def now(self) -> float:
         return self._sim.clock.now
@@ -712,6 +703,9 @@ class DistributedResolver:
 
     # -- shard splits / migration ------------------------------------------
 
+    #: Bindings moved per migration message.
+    migration_batch = 100_000
+
     def split_shard(self, directory: ObjectEntity, shard: Shard,
                     machine: Machine) -> bool:
         """Split *shard* of a sharded directory, migrating the upper
@@ -748,65 +742,18 @@ class DistributedResolver:
             raise SchemeError(
                 f"directory {directory.label!r} is not sharded")
         plan = shard_map.plan_split(shard, machine)
-        return self._migrate(
-            "split", directory, plan, shard.machine, [machine],
-            self._placement.apply_split,
-            {"directory": directory.label,
-             "source": shard.machine.label,
-             "target": machine.label,
-             "split_at": plan.split_at,
-             "moved": len(plan.moved),
-             "replicas": len(plan.targets)})
-
-    def merge_shards(self, directory: ObjectEntity, left: Shard,
-                     right: Shard) -> bool:
-        """Fold *right*'s range into *left* (adjacent shards of a
-        sharded directory) — the inverse of :meth:`split_shard`, under
-        the same commit-last discipline.
-
-        Binding batches stream from *right*'s primary to every *left*
-        replica that is not already a *right* replica (those already
-        hold the range's bindings); only when every receiver has every
-        batch does :meth:`~repro.nameservice.placement.
-        DirectoryPlacement.apply_merge` commit the widened map and
-        bump the epoch exactly once.  Any undeliverable batch — or an
-        unaddressable endpoint — aborts with the old map intact: a
-        left replica that missed the data must never become an owner
-        of the merged range.
-
-        Returns True if the merge committed.
-        """
-        shard_map = self._placement.shard_map_of(directory)
-        if shard_map is None:
-            raise SchemeError(
-                f"directory {directory.label!r} is not sharded")
-        plan = shard_map.plan_merge(left, right)
-        return self._migrate(
-            "merge", directory, plan, right.machine,
-            [m for m in left.replicas if m not in right.replicas],
-            self._placement.apply_merge,
-            {"directory": directory.label,
-             "source": right.machine.label,
-             "target": left.machine.label,
-             "merge_at": right.lo,
-             "moved": len(plan.moved)})
-
-    def _migrate(self, kind: str, directory: ObjectEntity, plan,
-                 source_machine: Machine, receivers: list[Machine],
-                 commit, attrs: dict) -> bool:
-        """The commit-last migration behind :meth:`split_shard` and
-        :meth:`merge_shards`: stream ``plan.moved`` from
-        *source_machine*'s server to every receiver in ⌈moved /
-        :attr:`migration_batch`⌉ retried ``migrate`` hops each
-        (minimum one — an empty range still hands off ownership), and
-        ``commit(plan)`` only when every batch reached every receiver.
-        """
         obs = self.obs
         span = None
         if obs.enabled:
             span = obs.tracer.begin(
-                "shard", f"{kind}:{directory.label}", self._sim.clock.now,
-                parent=None, attrs=attrs)
+                "shard", f"split:{directory.label}", self._sim.clock.now,
+                parent=None,
+                attrs={"directory": directory.label,
+                       "source": shard.machine.label,
+                       "target": machine.label,
+                       "split_at": plan.split_at,
+                       "moved": len(plan.moved),
+                       "replicas": len(plan.targets)})
         committed = False
         cost = ResolutionCost()  # migration accounting only
         # A migration endpoint that is down and has never had a server
@@ -814,29 +761,24 @@ class DistributedResolver:
         # (a dead machine with an existing server still gets messages
         # sent at it, which fail and abort through the hop path).
         if all(m.alive or id(m) in self._servers
-               for m in [source_machine, *receivers]):
-            source = self.server_for(source_machine)
-            batches = max(
-                1, -(-len(plan.moved) // max(1, self.migration_batch)))
-            committed = True
-            for receiver in receivers:
-                target = self.server_for(receiver)
-                if not all(self._hop_retried(source, target, cost,
-                                             "migrate")
-                           for _index in range(batches)):
-                    # A receiver that missed data must never become
-                    # an owner of the range.
-                    committed = False
-                    break
+               for m in (shard.machine, machine)):
+            source = self.server_for(shard.machine)
+            target = self.server_for(machine)
+            batches = max(1, -(-len(plan.moved) // self.migration_batch))
+            committed = all(self._hop_retried(source, target, cost,
+                                              "migrate")
+                            for _index in range(batches))
             if committed:
-                commit(plan)
+                self._placement.apply_split(plan)
         self.migration_messages += cost.messages
         self.migration_latency += cost.latency
-        tally = f"shard_{kind}s" if committed else f"shard_{kind}_aborts"
-        setattr(self, tally, getattr(self, tally) + 1)
+        if committed:
+            self.shard_splits += 1
+        else:
+            self.shard_split_aborts += 1
         if obs.enabled:
             obs.metrics.counter(
-                f"resolver_shard_{kind}s_total",
+                "resolver_shard_splits_total",
                 {"outcome": "committed" if committed else "aborted"}
             ).inc()
             if cost.messages:
@@ -847,11 +789,9 @@ class DistributedResolver:
                 if not span.muted:
                     span.attrs["messages"] = cost.messages
                     span.attrs["committed"] = committed
-                    span.attrs["shards"] = len(
-                        self._placement.shard_map_of(directory))
+                    span.attrs["shards"] = len(shard_map)
                     if not committed:
-                        span.fail(
-                            f"migration undeliverable — {kind} aborted")
+                        span.fail("migration undeliverable — split aborted")
                 obs.tracer.end(span, self._sim.clock.now)
         return committed
 

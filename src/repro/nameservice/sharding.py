@@ -21,16 +21,11 @@ across shard servers by consistent hashing of the binding name:
   driven by :meth:`~repro.nameservice.resolver.DistributedResolver.
   split_shard` as *simulated messages*, so traces, failure injection
   and the retry/breaker machinery all apply to rebalancing traffic;
-* :meth:`ShardMap.plan_merge` / :meth:`~repro.nameservice.placement.
-  DirectoryPlacement.apply_merge` are the inverse: two *adjacent* cold
-  ranges collapse into one, so maps stop growing monotonically to
-  ``max_shards`` once load cools;
 * a :class:`ShardManager` watches the per-shard routing load the
   resolver records (:meth:`ShardMap.note_load`), splits any shard
   whose share of a check window crosses the split threshold — the
-  live feedback loop experiment A10 measures — and (when
-  ``merge_fraction`` is set) merges the coldest adjacent pair back
-  together when its combined share falls below it.
+  live feedback loop experiment A10 measures.  The map only splits;
+  ``max_shards`` bounds its growth.
 
 Shard membership changes ride the existing placement-*epoch* protocol
 (:attr:`~repro.nameservice.placement.DirectoryPlacement.epoch`): a
@@ -54,7 +49,7 @@ from repro.model.entities import ObjectEntity
 from repro.sim.network import Machine
 
 __all__ = ["HASH_SPACE", "binding_hash", "Shard", "ShardMap",
-           "SplitPlan", "MergePlan", "ShardManager"]
+           "SplitPlan", "ShardManager"]
 
 #: The hash ring: binding names map into ``[0, HASH_SPACE)``.
 HASH_SPACE = 1 << 32
@@ -130,18 +125,7 @@ class SplitPlan:
     #: new primary these are drawn from the source shard's own
     #: replicas — machines that already hold the range's data — so a
     #: split keeps the map's replication degree without extra copies.
-    targets: tuple[Machine, ...] = ()
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    """A pure description of one merge of two adjacent shards; the
-    right shard's range folds into the left, computed before any
-    migration message is sent and applied only if migration succeeds."""
-
-    left: Shard
-    right: Shard
-    moved: tuple[str, ...]           #: bindings migrating to the left
+    targets: tuple[Machine, ...]
 
 
 class ShardMap:
@@ -229,14 +213,8 @@ class ShardMap:
                          machine=machine, moved=moved,
                          targets=(machine,) + fill)
 
-    def apply_split(self, plan: SplitPlan,
-                    targets: Optional[tuple[Machine, ...]] = None) -> Shard:
+    def apply_split(self, plan: SplitPlan) -> Shard:
         """Commit a planned split; returns the new shard.
-
-        *targets* overrides the plan's replica set — the resolver
-        passes the subset of planned targets that actually received
-        the migrated bindings, so a target that crashed mid-migration
-        is excluded rather than recorded as a (stale) replica.
 
         Window loads of both halves reset — the post-split window
         re-measures the true distribution instead of guessing how the
@@ -244,47 +222,13 @@ class ShardMap:
         """
         shard = plan.shard
         index = self._shards.index(shard)
-        members = targets or plan.targets or (plan.machine,)
-        new = Shard(plan.split_at, shard.hi, *members)
+        new = Shard(plan.split_at, shard.hi, *plan.targets)
         new.members.update(plan.moved)
         shard.members.difference_update(plan.moved)
         shard.hi = plan.split_at
         shard.load = 0
         self._shards.insert(index + 1, new)
         return new
-
-    # -- merging ------------------------------------------------------------
-
-    def plan_merge(self, left: Shard, right: Shard) -> MergePlan:
-        """Describe folding *right*'s range into *left* (they must be
-        adjacent: ``left.hi == right.lo``).  Pure — nothing changes
-        until :meth:`apply_merge`."""
-        if left not in self._shards or right not in self._shards:
-            raise SchemeError("both shards must belong to this map")
-        if left is right:
-            raise SchemeError("cannot merge a shard with itself")
-        if left.hi != right.lo:
-            raise SchemeError(
-                f"{left!r} and {right!r} are not adjacent")
-        return MergePlan(left=left, right=right,
-                         moved=tuple(sorted(right.members)))
-
-    def apply_merge(self, plan: MergePlan) -> Shard:
-        """Commit a planned merge; returns the surviving left shard.
-
-        The union is taken over *right*'s live member set rather than
-        the plan's snapshot, so bindings created in the right range
-        between plan and commit stay owned.  The merged window load
-        resets for the same reason a split's does.
-        """
-        left, right = plan.left, plan.right
-        if right not in self._shards:
-            raise SchemeError(f"{right!r} is not a shard of this map")
-        left.hi = right.hi
-        left.members.update(right.members)
-        left.load = 0
-        self._shards.remove(right)
-        return left
 
     # -- introspection ------------------------------------------------------
 
@@ -361,19 +305,10 @@ class ShardManager:
     :meth:`~repro.nameservice.resolver.DistributedResolver.
     split_shard`, i.e. migration runs as simulated messages and an
     unreachable target aborts the split (retried next window).
-
-    When *merge_fraction* > 0 the manager also runs the inverse
-    policy: the coldest adjacent shard pair whose combined share of
-    the window falls below *merge_fraction* is folded back into one
-    shard (at most one merge per map per window — merged loads reset,
-    so chaining merges inside one window would act on no data).  Keep
-    ``merge_fraction`` well below ``split_fraction`` for hysteresis,
-    or a shard could oscillate split/merge every other window.
     """
 
     def __init__(self, resolver, *, pool: Iterable[Machine],
                  split_fraction: float = 0.25,
-                 merge_fraction: float = 0.0,
                  check_every: int = 1000,
                  min_window: int = 100,
                  max_shards: int = 64):
@@ -381,15 +316,12 @@ class ShardManager:
         self.placement = resolver.placement
         self.pool = list(pool)
         self.split_fraction = split_fraction
-        self.merge_fraction = merge_fraction
         self.check_every = check_every
         self.min_window = min_window
         self.max_shards = max_shards
         self.resolutions = 0
         self.splits = 0
         self.aborted_splits = 0
-        self.merges = 0
-        self.aborted_merges = 0
 
     # -- the feedback loop --------------------------------------------------
 
@@ -400,13 +332,10 @@ class ShardManager:
             self.check()
 
     def check(self) -> int:
-        """Scan every sharded directory once; returns splits + merges
-        done."""
+        """Scan every sharded directory once; returns splits done."""
         done = 0
         for shard_map in self.placement.shard_maps():
             done += self._check_map(shard_map)
-            if self.merge_fraction > 0:
-                done += self._check_merges(shard_map)
             shard_map.reset_window()
         return done
 
@@ -433,29 +362,6 @@ class ShardManager:
                 self.aborted_splits += 1
                 break  # unreachable target — retry next window
         return done
-
-    def _check_merges(self, shard_map: ShardMap) -> int:
-        """Fold the coldest adjacent pair if its combined share of the
-        window is below *merge_fraction*.  At most one merge per map
-        per window: the merged shard's load resets, so a second merge
-        in the same window would be deciding on zeroed data."""
-        if len(shard_map) < 2:
-            return 0
-        window = sum(s.load for s in shard_map.shards)
-        if window < self.min_window:
-            return 0
-        shards = shard_map.shards
-        coldest = min(range(len(shards) - 1),
-                      key=lambda i: (shards[i].load + shards[i + 1].load,
-                                     i))
-        left, right = shards[coldest], shards[coldest + 1]
-        if left.load + right.load > self.merge_fraction * window:
-            return 0
-        if self.resolver.merge_shards(shard_map.directory, left, right):
-            self.merges += 1
-            return 1
-        self.aborted_merges += 1
-        return 0
 
     def _pick_target(self, shard_map: ShardMap,
                      hot: Shard) -> Optional[Machine]:
@@ -493,6 +399,4 @@ class ShardManager:
 
     def stats(self) -> dict[str, int]:
         return {"resolutions": self.resolutions, "splits": self.splits,
-                "aborted_splits": self.aborted_splits,
-                "merges": self.merges,
-                "aborted_merges": self.aborted_merges}
+                "aborted_splits": self.aborted_splits}

@@ -36,13 +36,13 @@ The *host* argument is the driver; the walk reads from it the names
 of :data:`HOST_PROTOCOL` and nothing else (a tier-1 test holds it to
 that):
 
-* the regime: ``retry_policy`` (backoff; ``None`` = re-ask at once),
-  ``attempts`` (asks per candidate) and ``parks`` (after an answered
+* the regime: ``retry_policy`` (asks per candidate and the backoff
+  between them; ``None`` = one ask) and ``parks`` (after an answered
   ask the walk stands at the target, so its next steps there are free;
   a host that does not park stays at *home* and gets the unresolved
   suffix on every ask, to ship with it).  A host without fault
   tolerance is the one-candidate, one-attempt case: ``replicas``
-  answers the primary alone and ``attempts`` is 1;
+  answers the primary alone and ``retry_policy`` is ``None``;
 * the copies: ``cache_of(home)`` — the home node's
   :class:`~repro.nameservice.cache.PrefixCache`, which takes its
   policy's decisions itself, or ``None`` (no probe, no fill, no
@@ -75,7 +75,7 @@ __all__ = ["HOST_PROTOCOL", "LOST", "STALE", "DOWN", "Ask",
 #: Every attribute :func:`walk_effects` and :func:`retry_effects` read
 #: from their host (see the module docstring).  Widening the protocol
 #: means adding a name here.
-HOST_PROTOCOL = ("retry_policy", "attempts", "parks", "cache_of", "replicas",
+HOST_PROTOCOL = ("retry_policy", "parks", "cache_of", "replicas",
                  "target_on", "node_of", "breaker_for", "charge", "now",
                  "rng", "obs")
 
@@ -209,32 +209,33 @@ def retry_effects(host: Any, cost: ResolutionCost, ask: Ask,
     """The bounded retry of an ask that was just lost.
 
     Re-yields *ask* with the next attempt number until it is answered,
-    ``host.attempts`` are spent or *breaker* trips, waiting out
-    ``host.retry_policy.backoff(attempt, host.rng)`` before each
-    re-ask (no policy: no wait).  Returns the reply, or :data:`LOST`.
+    ``host.retry_policy.max_attempts`` are spent (no policy: one) or
+    *breaker* trips, waiting out ``host.retry_policy.backoff(attempt,
+    host.rng)`` before each re-ask.  Returns the reply, or
+    :data:`LOST`.
     """
     policy = host.retry_policy
+    attempts = 1 if policy is None else policy.max_attempts
     obs = host.obs
     while True:
         now = host.now()
         if breaker is not None:
             breaker.record_failure(now)
-        if ask.attempt >= host.attempts or \
+        if ask.attempt >= attempts or \
                 (breaker is not None and not breaker.allow(now)):
             return LOST
         cost.retries += 1
-        if policy is not None:
-            delay = policy.backoff(ask.attempt, host.rng)
-            if obs.enabled:
-                obs.metrics.counter("resolver_retries_total").inc()
-                if obs.tracer.admit():
-                    obs.tracer.event(
-                        "retry", f"{ask.what}→{ask.target.label}", now,
-                        attrs={"attempt": ask.attempt, "backoff": delay,
-                               "server": ask.target.label})
-            late = yield Wait(delay)
-            if late is not None:
-                return late
+        delay = policy.backoff(ask.attempt, host.rng)
+        if obs.enabled:
+            obs.metrics.counter("resolver_retries_total").inc()
+            if obs.tracer.admit():
+                obs.tracer.event(
+                    "retry", f"{ask.what}→{ask.target.label}", now,
+                    attrs={"attempt": ask.attempt, "backoff": delay,
+                           "server": ask.target.label})
+        late = yield Wait(delay)
+        if late is not None:
+            return late
         ask.attempt += 1
         reply = yield ask
         if reply is not LOST:

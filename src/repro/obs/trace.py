@@ -383,10 +383,6 @@ class Tracer:
         """Every stored span, in start order (a copy)."""
         return list(self._spans)
 
-    def of_trace(self, trace_id: str) -> list[Span]:
-        """All spans of one trace, in start order."""
-        return [s for s in self._spans if s.trace_id == trace_id]
-
     def of_kind(self, kind: str) -> list[Span]:
         """All spans of one kind, in start order."""
         return [s for s in self._spans if s.kind == kind]
@@ -398,13 +394,6 @@ class Tracer:
         falling back to the main store otherwise."""
         source = self._recent if self._recent is not None else self._spans
         return [s for s in source if start <= s.start <= end]
-
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids, in first-seen order."""
-        seen: dict[str, None] = {}
-        for span in self._spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
 
     def clear(self) -> None:
         """Drop every recorded span — the main store, the recent ring

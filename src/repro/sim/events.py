@@ -162,10 +162,5 @@ class EventQueue:
         reading instrumentation samples."""
         return len(self._heap)
 
-    def cancelled_len(self) -> int:
-        """Cancelled entries still occupying heap slots (drops to
-        zero after :meth:`compact`)."""
-        return self._cancelled
-
     def __bool__(self) -> bool:
         return self._live > 0

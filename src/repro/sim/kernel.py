@@ -58,9 +58,6 @@ class Simulator:
             (and everything built on it) publishes spans and metrics
             into; defaults to the inert :data:`~repro.obs.NO_OBS`, so
             un-instrumented runs pay ~zero observability cost.
-        trace: Optional pre-configured :class:`TraceLog` (e.g.
-            ring-buffered or kind-filtered for long benchmark runs);
-            defaults to an unbounded log recording every kind.
 
     >>> sim = Simulator(seed=7)
     >>> net = sim.network("lan")
@@ -74,8 +71,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, default_latency: float = 1.0,
-                 obs: Optional[Instrumentation] = None,
-                 trace: Optional[TraceLog] = None):
+                 obs: Optional[Instrumentation] = None):
         self.obs = obs if obs is not None else NO_OBS
         # Resolved once: the kernel's NO_OBS guard is a single local
         # attribute load instead of two chained ones per emission.
@@ -85,10 +81,9 @@ class Simulator:
         self.rng = random.Random(seed)
         self.sigma = GlobalState()
         self.internet = Internetwork()
-        # Callers may pass a pre-configured log (ring-buffered or
-        # kind-filtered) for long benchmark runs.  The recorder is
-        # bound once — replacing ``sim.trace`` mid-run is unsupported.
-        self.trace = trace if trace is not None else TraceLog()
+        # The recorder is bound once — replacing ``sim.trace`` mid-run
+        # is unsupported.
+        self.trace = TraceLog()
         self._record = self.trace.record
         self.default_latency = float(default_latency)
         self._partitions: set[frozenset[int]] = set()

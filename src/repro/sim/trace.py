@@ -19,19 +19,14 @@ build.
 
 The log keeps a per-kind index built **lazily** on the first
 :meth:`TraceLog.of_kind` / :meth:`TraceLog.kinds` call after new
-records (so the hot record path pays one deque append, nothing more),
-and supports an optional ``max_entries`` ring-buffer mode for long
-benchmark runs: once full, the oldest entries are evicted (and counted
-in :attr:`TraceLog.evicted`) instead of growing without bound.  A
-``kinds`` filter drops uninteresting kinds at record time.
+records, so the hot record path pays one deque append, nothing more.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from collections.abc import Iterable
 from itertools import islice
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, Union
 
 __all__ = ["TraceEntry", "TraceLog"]
 
@@ -69,38 +64,20 @@ def _view(record: tuple) -> TraceEntry:
 
 
 class TraceLog:
-    """An append-only (optionally ring-buffered) log of trace records.
+    """An append-only log of trace records."""
 
-    Args:
-        max_entries: When set, the log keeps only the newest
-            *max_entries* records, evicting the oldest on overflow.
-        kinds: When set, only entries of these kinds are recorded at
-            all; everything else is dropped at :meth:`record` time
-            (the cheap filter for huge benchmark runs).
-    """
+    __slots__ = ("_entries", "_by_kind", "_indexed")
 
-    __slots__ = ("max_entries", "_entries", "_by_kind", "evicted",
-                 "_kinds", "_indexed", "_index_stale")
-
-    def __init__(self, max_entries: Optional[int] = None,
-                 kinds: Optional[Iterable[str]] = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._entries: deque[tuple] = deque()
         # Per-kind index, built lazily by _index(): `_indexed` counts
-        # entries already indexed; an eviction shifts positions, so it
-        # marks the whole index stale for a full rebuild instead.
+        # entries already indexed.
         self._by_kind: dict[str, deque[tuple]] = {}
         self._indexed = 0
-        self._index_stale = False
-        self._kinds = frozenset(kinds) if kinds is not None else None
-        #: Entries dropped by the ring buffer since creation.
-        self.evicted = 0
 
     @property
     def entries(self) -> list[TraceEntry]:
-        """Every retained entry, oldest first."""
+        """Every entry, oldest first."""
         return list(self)
 
     def record(self, time: float, kind: str, detail: Union[str, tuple],
@@ -108,32 +85,17 @@ class TraceLog:
         """Append one record.  *detail* is its text, or a
         ``(template, *args)`` tuple of atomic values that reading
         formats as ``template % args``."""
-        if self._kinds is not None and kind not in self._kinds:
-            return
-        entries = self._entries
-        max_entries = self.max_entries
-        if max_entries is not None and len(entries) >= max_entries:
-            entries.popleft()
-            self.evicted += 1
-            self._index_stale = True
         # Stored flat: a full collection examines a nested tuple after
         # its holder, which would then stay tracked one pass longer.
         if type(detail) is tuple:
-            entries.append((time, kind, data) + detail)
+            self._entries.append((time, kind, data) + detail)
         else:
-            entries.append((time, kind, data, detail))
+            self._entries.append((time, kind, data, detail))
 
     def _index(self) -> dict[str, deque[tuple]]:
-        """The per-kind index, (re)built on demand.
-
-        Amortized O(new entries since last call); a ring-buffer
-        eviction forces a full O(len) rebuild on the next read.
-        """
+        """The per-kind index, extended on demand (amortized O(new
+        entries since the last call))."""
         by_kind = self._by_kind
-        if self._index_stale:
-            by_kind.clear()
-            self._indexed = 0
-            self._index_stale = False
         entries = self._entries
         count = len(entries)
         if self._indexed < count:
@@ -151,8 +113,7 @@ class TraceLog:
         return list(map(_view, self._index().get(kind, ())))
 
     def kinds(self) -> list[str]:
-        """The distinct kinds recorded, in first-seen order (among
-        retained entries when a ring buffer has evicted)."""
+        """The distinct kinds recorded, in first-seen order."""
         return list(self._index())
 
     def __len__(self) -> int:
@@ -169,8 +130,8 @@ class TraceLog:
         return list(map(_view, islice(self._entries, start, None)))
 
     def window(self, start: float, end: float) -> list[dict]:
-        """Retained entries with ``start <= time <= end`` as JSON-safe
-        dicts — the flight-recorder capture primitive; later
-        ring-buffer evictions cannot change them."""
+        """Entries with ``start <= time <= end`` as JSON-safe dicts —
+        the flight-recorder capture primitive; later records cannot
+        change them."""
         return [entry.to_dict() for entry in self
                 if start <= entry.time <= end]

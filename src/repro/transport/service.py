@@ -294,15 +294,17 @@ class RemoteNameClient:
         seed: Seeds the transport RNG (retry backoff jitter).
         obs: Instrumentation.
         timeout: Per-step reply timeout, wall seconds.
-        max_retries: Re-asks per server address of a step.
-        retry_policy: Backoff discipline between re-asks.
+        retry_policy: Asks per server address of a step and the
+            backoff between them; the default re-asks at once, three
+            attempts in all.
         label: This client's endpoint label.
     """
 
     def __init__(self, addresses: list, *, seed: int = 0,
                  obs: Optional[Instrumentation] = None,
-                 timeout: float = 2.0, max_retries: int = 2,
-                 retry_policy: Optional[RetryPolicy] = None,
+                 timeout: float = 2.0,
+                 retry_policy: Optional[RetryPolicy] = RetryPolicy(
+                     max_attempts=3, base_backoff=0.0),
                  label: str = "client"):
         self._server_hosts = [(address[0], int(address[1]))
                               for address in addresses]
@@ -315,8 +317,8 @@ class RemoteNameClient:
         self.router = RemoteRouter()
         self.client = AsyncNameClient(
             self.transport, self.router, self.endpoint,
-            timeout=timeout, max_retries=max_retries,
-            retry_policy=retry_policy, lease_table=self.lease_table)
+            timeout=timeout, retry_policy=retry_policy,
+            lease_table=self.lease_table)
         self.root: Optional[Entity] = None
         self._ctl_ids = itertools.count(1)
         self._ctl_waiters: dict[int, asyncio.Future] = {}

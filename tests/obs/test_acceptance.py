@@ -103,9 +103,8 @@ class TestSingleTraceReconciliation:
             world["client"], world["context"], NAMES, style)
         cost = ResolutionCost.merge(c for _entity, c in results)
 
-        trace_ids = obs.tracer.trace_ids()
-        assert len(trace_ids) == 1
-        spans = obs.tracer.of_trace(trace_ids[0])
+        spans = obs.tracer.spans
+        assert len({s.trace_id for s in spans}) == 1
 
         roots = [s for s in spans if s.parent_id is None]
         assert len(roots) == 1
@@ -154,11 +153,11 @@ class TestSingleTraceReconciliation:
             _entity, cost = world["resolver"].resolve(
                 world["client"], world["context"], name_, style)
             total += cost.messages
-        trace_ids = obs.tracer.trace_ids()
+        trace_ids = {s.trace_id for s in obs.tracer.spans}
         assert len(trace_ids) == 2
         for trace_id in trace_ids:
-            spans = obs.tracer.of_trace(trace_id)
-            roots = [s for s in spans if s.parent_id is None]
+            roots = [s for s in obs.tracer.spans
+                     if s.trace_id == trace_id and s.parent_id is None]
             assert [s.kind for s in roots] == ["resolution"]
         assert hop_message_sum(obs.tracer.spans) == total
         assert obs.metrics.value_of("resolver_messages_total") == total
@@ -193,7 +192,8 @@ class TestExactHopSequence:
             world["resolver"].resolve(world["client"], world["context"],
                                       "/a/b/c/leaf",
                                       ResolutionStyle.ITERATIVE)
-        second = world["obs"].tracer.of_trace("t2")
+        second = [s for s in world["obs"].tracer.spans
+                  if s.trace_id == "t2"]
         hops = [s.name for s in second if s.kind == "hop"]
         assert hops == ["query", "answer"]  # straight to c-m and back
         assert cached_consumed_sum(second) == 4

@@ -117,8 +117,8 @@ class TestSpans:
         lone = tracer.begin("rebind", "w", 1.0, parent=None)
         tracer.end(lone, 2.0)
         assert [s.kind for s in tracer.of_kind("step")] == ["step"]
-        assert len(tracer.of_trace(root.trace_id)) == 2
-        assert tracer.trace_ids() == [root.trace_id, lone.trace_id]
+        assert [s.trace_id for s in tracer.spans] == [
+            root.trace_id, root.trace_id, lone.trace_id]
         assert len(tracer) == 3
 
 

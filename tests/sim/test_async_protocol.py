@@ -17,8 +17,12 @@ from repro.sim.kernel import Simulator
 from repro.transport.sim import SimTransport
 
 
-def make_world(timeout=5.0, max_retries=2, retry_policy=None,
-               instrument=False):
+#: Three asks per replica of a step, re-asked the instant a timeout
+#: fires.
+RE_ASK = RetryPolicy(max_attempts=3, base_backoff=0.0)
+
+
+def make_world(timeout=5.0, retry_policy=RE_ASK, instrument=False):
     """The fixture deployment, with tunable client timing (and
     optional instrumentation) for the late-reply/backoff tests."""
     obs = Instrumentation() if instrument else None
@@ -43,7 +47,7 @@ def make_world(timeout=5.0, max_retries=2, retry_policy=None,
     client = AsyncNameClient(
         transport, PlacementRouter(placement, servers, client_machine),
         transport.adopt(client_process), timeout=timeout,
-        max_retries=max_retries, retry_policy=retry_policy)
+        retry_policy=retry_policy)
     context = ProcessContext(tree.root)
     return simulator, client, context, leaf, server1
 
@@ -71,7 +75,8 @@ def world():
     client_process = simulator.spawn(client_machine, "client")
     client = AsyncNameClient(
         transport, PlacementRouter(placement, servers, client_machine),
-        transport.adopt(client_process), timeout=5.0, max_retries=2)
+        transport.adopt(client_process), timeout=5.0,
+        retry_policy=RE_ASK)
     context = ProcessContext(tree.root)
     return simulator, client, context, tree, leaf, server1, network
 

@@ -134,19 +134,8 @@ class TestReplicatedPlacement:
         epoch = placement.epoch
         placement.mark_stale(directory, m1)
         assert placement.epoch == epoch
-        placement.add_replica(directory, m1)  # already a member: no-op
-        assert placement.epoch == epoch
-        placement.remove_replica(directory, m1)
+        placement.place_replicated(directory, m0)  # m1 leaves the set
         assert placement.epoch == epoch + 1
-
-    def test_remove_primary_promotes_next(self, world):
-        directory, (m0, m1, _m2) = world
-        placement = DirectoryPlacement()
-        placement.place_replicated(directory, m0, m1)
-        placement.remove_replica(directory, m0)
-        assert placement.host_of(directory) is m1
-        placement.remove_replica(directory, m1)
-        assert placement.host_of(directory) is None
 
     def test_remove_replica_discards_its_stale_mark(self, world):
         directory, (m0, m1, _m2) = world
@@ -154,7 +143,7 @@ class TestReplicatedPlacement:
         placement.place_replicated(directory, m0, m1)
         placement.mark_stale(directory, m1)
         assert placement.stale_count() == 1
-        placement.remove_replica(directory, m1)
+        placement.place_replicated(directory, m0)  # m1 leaves the set
         assert placement.stale_count() == 0
 
     def test_stale_bookkeeping(self, world):
@@ -305,9 +294,7 @@ class TestFailoverResolution:
         client_machine, m1, _m2 = world["machines"]
         lookup = async_lookups(
             world["simulator"], world["placement"], client_machine,
-            world["machines"],
-            max_retries=resolver.retry_policy.max_attempts - 1,
-            retry_policy=resolver.retry_policy)
+            world["machines"], retry_policy=resolver.retry_policy)
         injector.on_restart(resolver.handle_restart)
         injector.on_restart(
             lambda _m: lookup.client.router.servers[id(m1)].respawn(),
@@ -342,7 +329,6 @@ class TestFailoverResolution:
         lookup = async_lookups(
             simulator, world["placement"], client_machine,
             world["machines"], timeout=2.5,
-            max_retries=resolver.retry_policy.max_attempts - 1,
             retry_policy=resolver.retry_policy)
         servers = lookup.client.router.servers
         injector.on_restart(resolver.handle_restart)

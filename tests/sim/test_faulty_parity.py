@@ -123,8 +123,9 @@ def run_message_driver(seed: int, script: list[tuple]) -> list[tuple]:
                                   server.respawn(), machine=server.machine)
     client = AsyncNameClient(
         transport, PlacementRouter(world.placement, lookupds, world.home),
-        transport.adopt(world.client), timeout=2.0, max_retries=1,
-        retry_policy=RetryPolicy(base_backoff=0.1, max_backoff=0.4))
+        transport.adopt(world.client), timeout=2.0,
+        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.1,
+                                 max_backoff=0.4))
     outcomes = []
     for action, names in script:
         apply(world, action)

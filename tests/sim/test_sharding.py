@@ -21,8 +21,6 @@ Pins, in one place:
   primary, rebinds fan out to shard secondaries with missed writes
   marked stale, and anti-entropy on restart resyncs from a fellow
   shard replica;
-* shard merging — adjacent cold ranges fold back together under the
-  same commit-last/epoch discipline, inverse of a split;
 * the crash-during-migration fault-point sweep — killing source or
   target at every batch boundary either aborts cleanly or commits,
   never leaving a binding with other than exactly one owner range.
@@ -54,7 +52,7 @@ from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
 
 def make_deployment(names=2000, pool_size=4, seed=0, sharded=True,
                     shards=1, manager=False, check_every=100,
-                    min_window=50, replicas=1, migration_batch=100_000,
+                    min_window=50, replicas=1, migration_batch=None,
                     retry=False):
     """A hot directory of *names* bindings under ``/hot``, either on a
     single machine or sharded over the first *shards* pool machines
@@ -78,9 +76,11 @@ def make_deployment(names=2000, pool_size=4, seed=0, sharded=True,
         shard_map = None
     client = simulator.spawn(client_m, "client")
     resolver = DistributedResolver(
-        simulator, placement, migration_batch=migration_batch,
+        simulator, placement,
         retry_policy=(RetryPolicy(max_attempts=2, base_backoff=0.1,
                                   jitter=0.0) if retry else None))
+    if migration_batch is not None:
+        resolver.migration_batch = migration_batch
     if manager:
         resolver.shard_manager = ShardManager(
             resolver, pool=pool, split_fraction=0.3,
@@ -262,7 +262,7 @@ class TestEpochDiscipline:
         placement.place(a, m1)  # m2 is no longer a replica
         assert not placement.is_stale(a, m2)
         # Re-adding m2 later must not resurrect the old mark.
-        placement.add_replica(a, m2)
+        placement.place_replicated(a, m1, m2)
         assert not placement.is_stale(a, m2)
         assert placement.stale_count() == 0
 
@@ -282,7 +282,7 @@ class TestEpochDiscipline:
         a = tree.directory("a")
         placement.place_replicated(a, m1, m2)
         placement.mark_stale(a, m2)
-        placement.add_replica(a, m2)  # no-op membership change
+        placement.place_replicated(a, m1, m2)  # same membership
         assert placement.is_stale(a, m2)
 
     def test_place_sharded_clears_replica_state(self):
@@ -385,24 +385,12 @@ class TestMigrationFailure:
 
 @st.composite
 def split_sequences(draw):
-    """(shard_count, [(shard_index_seed, fraction)]) split scripts."""
-    initial = draw(st.integers(min_value=1, max_value=4))
-    steps = draw(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=10 ** 6),
-                  st.floats(min_value=0.01, max_value=0.99)),
-        max_size=12))
-    return initial, steps
-
-
-@st.composite
-def split_merge_sequences(draw):
-    """(shard_count, replicas, [(op, shard_index_seed, fraction)])
-    interleaved split/merge scripts."""
+    """(shard_count, replicas, [(shard_index_seed, fraction)]) split
+    scripts."""
     initial = draw(st.integers(min_value=1, max_value=4))
     replicas = draw(st.integers(min_value=1, max_value=3))
     steps = draw(st.lists(
-        st.tuples(st.sampled_from(["split", "merge"]),
-                  st.integers(min_value=0, max_value=10 ** 6),
+        st.tuples(st.integers(min_value=0, max_value=10 ** 6),
                   st.floats(min_value=0.01, max_value=0.99)),
         max_size=12))
     return initial, replicas, steps
@@ -418,45 +406,6 @@ class TestOwnershipProperty:
     @settings(max_examples=40, deadline=None)
     def test_exactly_one_owner_after_any_split_sequence(self, script,
                                                         probes):
-        initial, steps = script
-        simulator = Simulator(seed=0)
-        network = simulator.network("lan")
-        pool = [simulator.machine(network, f"s{i}") for i in range(4)]
-        tree = NamingTree("root", sigma=simulator.sigma)
-        namespace = build_zipf_namespace(tree, "hot", count=200,
-                                         distinct=8)
-        shard_map = ShardMap(namespace.directory, pool[:initial])
-        all_members = {name_ for shard in shard_map.shards
-                       for name_ in shard.members}
-        for index_seed, fraction in steps:
-            shard = shard_map.shards[index_seed % len(shard_map)]
-            if shard.span < 2:
-                continue
-            at = shard.lo + max(1, int(shard.span * fraction))
-            if not shard.lo < at < shard.hi:
-                continue
-            machine = pool[index_seed % len(pool)]
-            shard_map.apply_split(
-                shard_map.plan_split(shard, machine, at=at))
-        assert shard_map.is_partition()
-        member_union = set()
-        for shard in shard_map.shards:
-            assert not member_union & shard.members
-            member_union |= shard.members
-            for name_ in shard.members:
-                assert shard_map.owner_of(name_) is shard
-        assert member_union == all_members
-        for probe in probes + list(namespace.names[:5]):
-            assert len(shard_map.owners_of(probe)) == 1
-            assert shard_map.owners_of(probe)[0] is \
-                shard_map.owner_of(probe)
-
-    @given(script=split_merge_sequences(),
-           probes=st.lists(st.text(min_size=1, max_size=12),
-                           max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_exactly_one_owner_after_splits_and_merges(self, script,
-                                                       probes):
         initial, replicas, steps = script
         simulator = Simulator(seed=0)
         network = simulator.network("lan")
@@ -468,17 +417,7 @@ class TestOwnershipProperty:
                              replicas=replicas)
         all_members = {name_ for shard in shard_map.shards
                        for name_ in shard.members}
-        for op, index_seed, fraction in steps:
-            if op == "merge":
-                if len(shard_map) < 2:
-                    continue
-                left = shard_map.shards[index_seed
-                                        % (len(shard_map) - 1)]
-                right = shard_map.shards[
-                    shard_map.shards.index(left) + 1]
-                shard_map.apply_merge(
-                    shard_map.plan_merge(left, right))
-                continue
+        for index_seed, fraction in steps:
             shard = shard_map.shards[index_seed % len(shard_map)]
             if shard.span < 2:
                 continue
@@ -499,6 +438,8 @@ class TestOwnershipProperty:
         assert member_union == all_members
         for probe in probes + list(namespace.names[:5]):
             assert len(shard_map.owners_of(probe)) == 1
+            assert shard_map.owners_of(probe)[0] is \
+                shard_map.owner_of(probe)
 
 
 class TestReplicatedShards:
@@ -678,119 +619,6 @@ class TestReplicatedShards:
         assert new.replicas[1] in shard.replicas
         assert len(new.replicas) == 2
         assert shard_map.is_partition()
-
-
-class TestShardMerging:
-    """Satellite: adjacent cold ranges fold back together under the
-    same commit-last / epoch discipline as splits."""
-
-    def test_plan_and_apply_merge_conserve_members(self):
-        world = make_deployment(names=600, shards=3)
-        shard_map = world["shard_map"]
-        left, right = shard_map.shards[0], shard_map.shards[1]
-        before = set(left.members) | set(right.members)
-        hi_before = right.hi
-        plan = shard_map.plan_merge(left, right)
-        merged = shard_map.apply_merge(plan)
-        assert merged is left
-        assert len(shard_map) == 2
-        assert left.hi == hi_before
-        assert set(left.members) == before
-        assert shard_map.is_partition()
-        for name_ in list(before)[:20]:
-            assert shard_map.owner_of(name_) is left
-
-    def test_plan_merge_rejects_non_adjacent_and_foreign(self):
-        world = make_deployment(names=300, shards=3)
-        other = make_deployment(names=100, shards=1)
-        shard_map = world["shard_map"]
-        with pytest.raises(SchemeError):
-            shard_map.plan_merge(shard_map.shards[0],
-                                 shard_map.shards[2])
-        with pytest.raises(SchemeError):
-            shard_map.plan_merge(shard_map.shards[1],
-                                 shard_map.shards[0])
-        with pytest.raises(SchemeError):
-            shard_map.plan_merge(shard_map.shards[0],
-                                 other["shard_map"].shards[0])
-
-    def test_merge_shards_migrates_and_bumps_epoch_once(self):
-        world = make_deployment(names=600, shards=3)
-        resolver = world["resolver"]
-        placement = world["placement"]
-        shard_map = world["shard_map"]
-        left, right = shard_map.shards[1], shard_map.shards[2]
-        epoch_before = placement.epoch
-        messages_before = resolver.migration_messages
-        assert resolver.merge_shards(world["namespace"].directory,
-                                     left, right)
-        assert resolver.shard_merges == 1
-        assert placement.epoch == epoch_before + 1
-        assert resolver.migration_messages > messages_before
-        assert len(shard_map) == 2
-        assert shard_map.is_partition()
-
-    def test_merge_aborts_against_dead_receiver(self):
-        world = make_deployment(names=600, shards=3)
-        resolver = world["resolver"]
-        placement = world["placement"]
-        shard_map = world["shard_map"]
-        left, right = shard_map.shards[0], shard_map.shards[1]
-        FailureInjector(world["simulator"]).crash_machine(left.machine)
-        epoch_before = placement.epoch
-        assert not resolver.merge_shards(world["namespace"].directory,
-                                         left, right)
-        assert resolver.shard_merge_aborts == 1
-        assert placement.epoch == epoch_before
-        assert len(shard_map) == 3
-        assert shard_map.is_partition()
-
-    def test_merged_range_still_resolves(self):
-        world = make_deployment(names=600, shards=3)
-        resolver = world["resolver"]
-        shard_map = world["shard_map"]
-        namespace = world["namespace"]
-        right = shard_map.shards[1]
-        probe = next(iter(right.members))
-        assert resolver.merge_shards(namespace.directory,
-                                     shard_map.shards[0], right)
-        entity, cost = resolver.resolve(
-            world["client"], world["context"], "/hot/" + probe)
-        assert entity is local_resolve(world["context"],
-                                       "/hot/" + probe)
-        assert not cost.failed
-
-    def test_manager_merges_cold_adjacent_pair(self):
-        world = make_deployment(names=600, shards=4)
-        resolver = world["resolver"]
-        shard_map = world["shard_map"]
-        manager = ShardManager(resolver, pool=world["pool"],
-                               split_fraction=0.6, merge_fraction=0.1,
-                               check_every=10, min_window=50)
-        resolver.shard_manager = manager
-        # A window where the two upper ranges are nearly cold.
-        shard_map.shards[0].load = 60
-        shard_map.shards[1].load = 60
-        shard_map.shards[2].load = 5
-        shard_map.shards[3].load = 5
-        assert manager.check() == 1
-        assert manager.merges == 1
-        assert len(shard_map) == 3
-        assert shard_map.is_partition()
-        # Post-merge loads reset: a second check has no window yet.
-        assert manager.check() == 0
-        assert manager.merges == 1
-
-    def test_merge_fraction_zero_never_merges(self):
-        world = make_deployment(names=600, shards=4, manager=True)
-        manager = world["resolver"].shard_manager
-        shard_map = world["shard_map"]
-        for shard in shard_map.shards:
-            shard.load = 30
-        assert manager.check() == 0
-        assert manager.merges == 0
-        assert len(shard_map) == 4
-        assert "merges" in manager.stats()
 
 
 class TestPickTarget:

@@ -1,10 +1,8 @@
-"""TraceLog per-kind index, ring-buffer mode and export safety."""
+"""TraceLog per-kind index, growth and export safety."""
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
@@ -36,33 +34,13 @@ class TestKindIndex:
 
 
 class TestRingBuffer:
-    def test_oldest_evicted(self):
-        log = TraceLog(max_entries=3)
-        for index in range(5):
-            log.record(float(index), "send", str(index))
-        assert len(log) == 3
-        assert log.evicted == 2
-        assert [e.detail for e in log] == ["2", "3", "4"]
-
-    def test_index_follows_eviction(self):
-        log = TraceLog(max_entries=2)
-        log.record(0.0, "send", "a")
-        log.record(1.0, "deliver", "b")
-        log.record(2.0, "deliver", "c")  # evicts the only "send"
-        assert log.of_kind("send") == []
-        assert "send" not in log.kinds()
-        assert [e.detail for e in log.of_kind("deliver")] == ["b", "c"]
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            TraceLog(max_entries=0)
+    """The log has no ring: it keeps every record."""
 
     def test_unbounded_by_default(self):
         log = TraceLog()
         for index in range(1000):
             log.record(float(index), "send", str(index))
         assert len(log) == 1000
-        assert log.evicted == 0
 
 
 class TestExportSafety:

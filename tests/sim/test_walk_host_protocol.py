@@ -8,10 +8,9 @@ degraded step and a batch — and what the walk read must be inside the
 tuple.  Widening the protocol therefore shows up as a diff of that
 tuple, not as one more attribute a new driver discovers it needs.
 
-The walk reads no regime beyond ``retry_policy`` / ``attempts``: a
-resolver without a retry policy is the one-candidate, one-attempt case
-of the replica loop, faults included, which the tests at the end hold
-it to.
+The walk reads no regime beyond ``retry_policy``: a resolver without
+a retry policy is the one-candidate, one-attempt case of the replica
+loop, faults included, which the tests at the end hold it to.
 """
 
 from __future__ import annotations
@@ -36,10 +35,12 @@ from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
 from repro.transport.sim import SimTransport
 
-#: What the walk read before the cache took its own decisions, and
-#: before fail-fast became the one-candidate case of the replica loop.
+#: What the walk read before the cache took its own decisions, before
+#: fail-fast became the one-candidate case of the replica loop, and
+#: before the retry policy alone bounded the attempts.
 REMOVED = {"cache_policy", "cache_ttl", "serve_stale", "prefix_cache_of",
-           "lease_table_of", "placement", "writes", "failfast", "primary"}
+           "lease_table_of", "placement", "writes", "failfast", "primary",
+           "attempts"}
 RETRY = RetryPolicy(max_attempts=2, base_backoff=0.5, max_backoff=1.0)
 
 
@@ -138,8 +139,7 @@ def run_message_driven():
     client = protocol.AsyncNameClient(
         transport,
         protocol.PlacementRouter(world.placement, lookupds, world.home),
-        transport.adopt(world.client), timeout=2.0,
-        max_retries=1, retry_policy=RETRY)
+        transport.adopt(world.client), timeout=2.0, retry_policy=RETRY)
     outcomes: list = []
     client.resolve(world.context, "/a/b/leaf", outcomes.append)
     world.sim.run()
@@ -169,8 +169,8 @@ def test_every_name_is_read_and_both_drivers_provide_it(seen):
     assert seen == set(HOST_PROTOCOL), set(HOST_PROTOCOL) - seen
 
 
-def test_the_protocol_is_twelve_documented_names():
-    assert len(HOST_PROTOCOL) == len(set(HOST_PROTOCOL)) == 12
+def test_the_protocol_is_eleven_documented_names():
+    assert len(HOST_PROTOCOL) == len(set(HOST_PROTOCOL)) == 11
     assert not REMOVED & set(HOST_PROTOCOL)
     listed = walk.__doc__.split("The *host* argument", 1)[1]
     for name in HOST_PROTOCOL:

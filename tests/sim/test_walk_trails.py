@@ -28,10 +28,11 @@ from repro.model.resolution import resolve as local_resolve
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy, PrefixCache
-from repro.nameservice.leases import LeaseTable
+from repro.nameservice.leases import LeaseTable, Wait
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.protocol import (AsyncNameClient, NameLookupServer,
                                         PlacementRouter)
+from repro.nameservice.retry import RetryPolicy
 from repro.nameservice.walk import (HOST_PROTOCOL, LOST, Ask, ResolutionCost,
                                     walk_effects)
 from repro.obs.instrument import NO_OBS
@@ -43,8 +44,7 @@ class ScriptedHost:
     """The walk's host protocol over a real cache and no I/O: a client
     on *home* that does not park, routing by *placement*."""
 
-    retry_policy = None
-    attempts = 2
+    retry_policy = RetryPolicy(max_attempts=2, base_backoff=0.0)
     parks = False
     obs = NO_OBS
     rng = random.Random(0)
@@ -83,9 +83,10 @@ class ScriptedHost:
 
 
 def drive(host, context, name, replies, memo=None):
-    """Run the walk, answering its asks from *replies* in order.
-    Returns ``(entity, cost, asks)``, *asks* as ``(target, directory,
-    component, rest, attempt)`` labels."""
+    """Run the walk, answering its asks from *replies* in order and
+    letting every backoff pass at once.  Returns ``(entity, cost,
+    asks)``, *asks* as ``(target, directory, component, rest,
+    attempt)`` labels."""
     cost = ResolutionCost()
     steps = walk_effects(host, cost, context, CompoundName.coerce(name),
                          host.home, host.home, "lookup", memo=memo)
@@ -95,6 +96,8 @@ def drive(host, context, name, replies, memo=None):
     try:
         while True:
             effect = steps.send(reply)
+            while isinstance(effect, Wait):
+                effect = steps.send(None)
             assert isinstance(effect, Ask)
             asks.append((effect.target.label, effect.directory.label,
                          effect.component, list(effect.rest),

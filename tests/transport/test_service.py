@@ -52,7 +52,8 @@ async def start_pair(**client_kwargs):
     service = NamingService(build_root(), retry_policy=FAST_RETRY)
     address = await service.start()
     client = RemoteNameClient([(address.host, address.port)],
-                              retry_policy=FAST_RETRY, **client_kwargs)
+                              **{"retry_policy": FAST_RETRY,
+                                 **client_kwargs})
     await client.connect()
     return service, client
 
@@ -443,7 +444,7 @@ class TestHostilePeers:
             self, shape):
         async def scenario():
             service, client = await start_pair(timeout=0.5,
-                                               max_retries=0)
+                                               retry_policy=None)
             try:
                 [peer] = client.transport._peers.values()
                 conn = peer.conn
@@ -464,7 +465,7 @@ class TestHostilePeers:
     def test_wrong_shaped_trail_is_dropped_client_serves_on(self, shape):
         async def scenario():
             service, client = await start_pair(timeout=0.5,
-                                               max_retries=0)
+                                               retry_policy=None)
             try:
                 [conn] = service.transport._accepted
                 assert conn.write([encode_frame({
@@ -487,8 +488,9 @@ class TestHostilePeers:
             service = NamingService(build_root(), retry_policy=FAST_RETRY)
             address = await service.start()
             obs = Instrumentation()
-            client = RemoteNameClient([(address.host, address.port)],
-                                      obs=obs, timeout=0.02, max_retries=50)
+            client = RemoteNameClient(
+                [(address.host, address.port)], obs=obs, timeout=0.02,
+                retry_policy=RetryPolicy(max_attempts=51, base_backoff=0.0))
             await client.connect()
             # The server swallows lookups: every ask times out.
             service.server.endpoint.on_message(lambda _e, _env: None)
@@ -623,14 +625,13 @@ class TestFailover:
             dead = ("127.0.0.1", free_port())
             client = RemoteNameClient(
                 [dead, (address.host, address.port)],
-                timeout=0.1, max_retries=3, retry_policy=FAST_RETRY)
+                timeout=0.1, retry_policy=FAST_RETRY)
             # connect() must also try the replica list in order; the
             # dead primary would hang hello, so connect to the live
             # one directly and splice the dead address in front of
             # the router for the lookup path.
             live = RemoteNameClient([(address.host, address.port)],
-                                    timeout=0.1, max_retries=3,
-                                    retry_policy=FAST_RETRY)
+                                    timeout=0.1, retry_policy=FAST_RETRY)
             await live.connect()
             live.router.addresses.insert(
                 0, type(live.router.addresses[0])(

@@ -114,7 +114,7 @@ async def run_session(args: argparse.Namespace) -> dict:
     obs = Instrumentation()
     client = RemoteNameClient(
         [(args.host, args.port)], seed=args.seed, obs=obs,
-        timeout=args.timeout, max_retries=2,
+        timeout=args.timeout,
         retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.05,
                                  max_backoff=0.5))
     results: dict = {"lookups": [], "ok": False}
