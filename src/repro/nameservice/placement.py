@@ -119,13 +119,13 @@ class DirectoryPlacement:
         self._prune_stale(directory.uid, replicas)
         self._epoch += 1
 
-    def place_subtree(self, root: ObjectEntity, machine: Machine,
-                      follow_parent: bool = False) -> int:
+    def place_subtree(self, root: ObjectEntity, machine: Machine) -> int:
         """Host *root* and every directory below it on *machine*.
 
-        Stops at directories already placed elsewhere (so a mounted
-        foreign subtree keeps its own placement) and at sharded
-        directories (their bindings have per-shard owners).  Returns
+        Follows every binding but the parent link; stops at
+        directories already placed elsewhere (so a mounted foreign
+        subtree keeps its own placement) and at sharded directories
+        (their bindings have per-shard owners).  Returns
         the number of directories placed.  The epoch is bumped exactly
         **once** per call that changes any placement — re-placing a
         subtree is one membership change, not one per directory, so
@@ -152,7 +152,7 @@ class DirectoryPlacement:
             placed += 1
             context: Context = node.state
             for name_ in context.names():
-                if name_ == PARENT and not follow_parent:
+                if name_ == PARENT:
                     continue
                 child = context(name_)
                 if child.is_context_object():

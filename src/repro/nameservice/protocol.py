@@ -33,9 +33,11 @@ incoherence is never silently introduced by the transport.
 
 Retry, backoff and failover are the walk's: a timed-out request is
 asked up to :attr:`~repro.nameservice.retry.RetryPolicy.max_attempts`
-times in all, after exponential backoff with seeded jitter (without a
-policy, once) — and when a directory's replica stops answering, the
-next one in the router's candidate list is asked.
+times in all, after exponential backoff with seeded jitter — and when
+a directory's replica stops answering, the next one in the router's
+candidate list is asked.  Without a policy the walk asks the primary
+once and never fails over, exactly as
+:class:`~repro.nameservice.resolver.DistributedResolver` does.
 Backoff waits are spent on the *transport's* clock — virtual time on
 the simulator, wall seconds on asyncio — with jitter drawn from the
 transport's seeded RNG either way.  Replies that arrive after their
@@ -309,7 +311,9 @@ class AsyncNameClient:
             each re-ask waits out an exponential backoff with seeded
             jitter (drawn from the transport's RNG — the kernel's on
             the simulator, so schedules stay deterministic per seed).
-            ``None`` asks each replica once.
+            ``None`` is exactly ``RetryPolicy(max_attempts=1)`` on the
+            primary alone: one ask, no failover — the kernel driver's
+            rule too.
         lease_table: When set, the client participates in the lease
             callback protocol (:mod:`repro.nameservice.leases`): an
             incoming ``{"lease": {"op": "break", ...}}`` message
@@ -376,38 +380,6 @@ class AsyncNameClient:
         self._pending[request_id] = pending
         self._step(pending, None)
         return request_id
-
-    def resolve_many(self, context: Context, names: list[NameLike],
-                     completion: Callable[[list[LookupOutcome]], None],
-                     ) -> list[int]:
-        """Begin resolving a batch of names concurrently.
-
-        All lookups are issued immediately, so their request/reply
-        traffic interleaves in the transport and the batch completes
-        in roughly one lookup's latency instead of the sum.
-        *completion* fires exactly once, with one
-        :class:`LookupOutcome` per input name in input order, after
-        the last lookup settles.
-
-        Returns the request ids, in input order.
-        """
-        outcomes: list[Optional[LookupOutcome]] = [None] * len(names)
-        remaining = len(names)
-        if remaining == 0:
-            completion([])
-            return []
-
-        def finisher(index: int) -> Completion:
-            def finish(outcome: LookupOutcome) -> None:
-                nonlocal remaining
-                outcomes[index] = outcome
-                remaining -= 1
-                if remaining == 0:
-                    completion(outcomes)  # type: ignore[arg-type]
-            return finish
-
-        return [self.resolve(context, name_, finisher(index))
-                for index, name_ in enumerate(names)]
 
     # -- the walk's host (see repro.nameservice.walk) ----------------------
 

@@ -229,11 +229,6 @@ class DistributedResolver:
         return self.writes.invalidation_messages
 
     @property
-    def invalidation_latency(self) -> float:
-        """Virtual time :meth:`rebind` spent draining its fan-outs."""
-        return self.writes.invalidation_latency
-
-    @property
     def invalidation_losses(self) -> int:
         """Undeliverable invalidations plus broken leases."""
         return self.writes.invalidation_losses
@@ -466,10 +461,8 @@ class DistributedResolver:
                  component: Optional[str]) -> Sequence[Machine]:
         """For sharded directories the serving machines are
         per-binding (the owning shard), not per-directory, so routing
-        needs to know what will be asked.  Without a retry policy
-        there is no failover: the primary is the only candidate."""
-        replicas = self._placement.replicas_for_binding(directory, component)
-        return replicas if self.retry_policy is not None else replicas[:1]
+        needs to know what will be asked."""
+        return self._placement.replicas_for_binding(directory, component)
 
     def target_on(self, directory: ObjectEntity, machine: Machine):
         if self._placement.is_stale(directory, machine):

@@ -42,8 +42,8 @@ class RetryPolicy:
 
     Attributes:
         max_attempts: Total attempts per server (1 = no retry).
-        base_backoff: Virtual-time wait before the first retry.
-        backoff_factor: Multiplier applied per further retry.
+        base_backoff: Virtual-time wait before the first retry; it
+            doubles per further retry.
         max_backoff: Cap on the un-jittered backoff.
         jitter: Fraction of the backoff added as random spread; the
             draw comes from the *kernel's* seeded RNG, so schedules
@@ -52,7 +52,6 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_backoff: float = 0.5
-    backoff_factor: float = 2.0
     max_backoff: float = 8.0
     jitter: float = 0.25
 
@@ -73,7 +72,7 @@ class RetryPolicy:
         """
         if attempt < 1:
             raise SimulationError("attempt is 1-based")
-        raw = min(self.base_backoff * self.backoff_factor ** (attempt - 1),
+        raw = min(self.base_backoff * 2.0 ** (attempt - 1),
                   self.max_backoff)
         return raw * (1.0 + self.jitter * rng.random())
 
@@ -165,12 +164,6 @@ class CircuitBreaker:
               and self.consecutive_failures >= self.failure_threshold):
             self.opened_at = now
             self._transition(BreakerState.OPEN, now)
-
-    def reset(self, now: float = 0.0) -> None:
-        """Forcibly close (e.g. the guarded server was restarted)."""
-        self.consecutive_failures = 0
-        if self.state is not BreakerState.CLOSED:
-            self._transition(BreakerState.CLOSED, now)
 
     def __repr__(self) -> str:
         return (f"<CircuitBreaker {self.label!r} {self.state} "

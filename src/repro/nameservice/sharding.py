@@ -174,9 +174,6 @@ class ShardMap:
         """The unique shard owning *component*."""
         return self._shard_for_hash(binding_hash(component))
 
-    def machine_of(self, component: str) -> Machine:
-        return self.owner_of(component).machine
-
     def note_load(self, component: str) -> None:
         """Record one routing hit against the owning shard (the
         signal :class:`ShardManager` splits on — counted per shard,
@@ -271,15 +268,6 @@ class ShardMap:
 
     def __len__(self) -> int:
         return len(self._shards)
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "shards": len(self._shards),
-            "machines": len(self.machines()),
-            "replication": self.replication,
-            "members": sum(len(s.members) for s in self._shards),
-            "window_load": sum(s.load for s in self._shards),
-        }
 
     def __repr__(self) -> str:
         return (f"<ShardMap {self.directory.label!r} "
@@ -396,7 +384,3 @@ class ShardManager:
                 and resolver.breaker_allows(hot.machine):
             return hot.machine
         return best
-
-    def stats(self) -> dict[str, int]:
-        return {"resolutions": self.resolutions, "splits": self.splits,
-                "aborted_splits": self.aborted_splits}

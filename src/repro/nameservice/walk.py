@@ -37,12 +37,11 @@ of :data:`HOST_PROTOCOL` and nothing else (a tier-1 test holds it to
 that):
 
 * the regime: ``retry_policy`` (asks per candidate and the backoff
-  between them; ``None`` = one ask) and ``parks`` (after an answered
-  ask the walk stands at the target, so its next steps there are free;
-  a host that does not park stays at *home* and gets the unresolved
-  suffix on every ask, to ship with it).  A host without fault
-  tolerance is the one-candidate, one-attempt case: ``replicas``
-  answers the primary alone and ``retry_policy`` is ``None``;
+  between them; ``None`` = exactly ``RetryPolicy(max_attempts=1)`` on
+  the primary: one ask, no failover, on every driver) and ``parks``
+  (after an answered ask the walk stands at the target, so its next
+  steps there are free; a host that does not park stays at *home* and
+  gets the unresolved suffix on every ask, to ship with it);
 * the copies: ``cache_of(home)`` — the home node's
   :class:`~repro.nameservice.cache.PrefixCache`, which takes its
   policy's decisions itself, or ``None`` (no probe, no fill, no
@@ -159,16 +158,6 @@ class ResolutionCost:
         ``"coherent"`` — the paper's §3 distinction, operational."""
         return "weak" if self.weak else "coherent"
 
-    def __add__(self, other: "ResolutionCost") -> "ResolutionCost":
-        if not isinstance(other, ResolutionCost):
-            return NotImplemented
-        return ResolutionCost.merge((self, other))
-
-    def __radd__(self, other) -> "ResolutionCost":
-        if other == 0:  # so sum(costs) works without a start value
-            return ResolutionCost.merge((self,))
-        return NotImplemented
-
     @classmethod
     def merge(cls, costs: Iterable["ResolutionCost"]) -> "ResolutionCost":
         """Aggregate many per-resolution costs into one report."""
@@ -268,6 +257,8 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
     cache: Optional[PrefixCache] = host.cache_of(home)
     remembering = cache is not None or memo is not None
     parks = host.parks
+    # No policy: the primary alone is a candidate (no failover).
+    failover = host.retry_policy is not None
 
     current: Context = context
     entered: Optional[ObjectEntity] = None
@@ -315,6 +306,8 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                 host.charge(served)
             else:
                 replicas = host.replicas(entered, component)
+                if not failover:
+                    replicas = replicas[:1]
                 if not replicas:
                     served = at  # unplaced — local state, nothing to reach
                 else:

@@ -101,7 +101,6 @@ class WritePath:
         self._holders: dict[DepKey, dict[int, None]] = {}
         self.replication_messages = 0
         self.invalidation_messages = 0
-        self.invalidation_latency = 0.0
         self.invalidation_losses = 0
         if self._obs.enabled:
             self._m_invalidation_msgs = self._obs.metrics.counter(
@@ -281,8 +280,7 @@ class WritePath:
 
     def _invalidate(self, directory: ObjectEntity, name_: str,
                     span) -> int:
-        """INVALIDATE fan-out: one batch, one bounded drain (its
-        virtual time accumulates in :attr:`invalidation_latency`).  An
+        """INVALIDATE fan-out: one batch, one bounded drain.  An
         undeliverable message is counted in :attr:`invalidation_losses`
         and the holder stays registered so a later rebind retries."""
         obs = self._obs
@@ -323,9 +321,7 @@ class WritePath:
                 {"ns": "invalidate"}, span)))
         self.invalidation_messages += len(fanout)
         if fanout:
-            before = self._sim.clock.now
             self._sim.run_until_settled([m for _mid, m in fanout])
-            self.invalidation_latency += self._sim.clock.now - before
         for machine_id, message in fanout:
             if message.dropped:
                 lost(machine_id, message.drop_reason)
@@ -353,7 +349,6 @@ class WritePath:
         # sharded directories (per-binding routing, as in rebind).
         host = self._placement.host_of_binding(directory, name_)
         sender = self._speaker(host) if host is not None else None
-        before = sim.clock.now
         sent = 0
 
         def called_back(lease: Lease) -> None:
@@ -412,7 +407,6 @@ class WritePath:
             on_broken=lambda lease: self.leases.break_lease(
                 lease, sim.clock.now))
         self.invalidation_losses += report.broken
-        self.invalidation_latency += sim.clock.now - before
         if obs.enabled and report.broken:
             obs.metrics.counter(
                 "resolver_invalidation_losses_total").inc(report.broken)

@@ -164,18 +164,19 @@ class FlightRecorder:
     the tracer's recent spans (drawn from the sampling ring the
     recorder starts when it is wired to the tracer, so a sampled-out
     trace still shows up in its violation window).  Dumps are bounded
-    by *max_dumps*; older ones are discarded and counted in
+    by :attr:`max_dumps`; older ones are discarded and counted in
     :attr:`dropped`.
     """
 
+    #: Dumps kept; older ones are dropped.
+    max_dumps = 64
+
     def __init__(self, trace_log: Any = None, tracer: Any = None,
-                 window: float = 25.0, max_dumps: int = 64):
-        if max_dumps < 1:
-            raise ValueError("max_dumps must be positive")
+                 window: float = 25.0):
         self.trace_log = trace_log
         self.tracer = None
         self.window = window
-        self.dumps: deque[dict] = deque(maxlen=max_dumps)
+        self.dumps: deque[dict] = deque(maxlen=self.max_dumps)
         self.captured = 0
         self.dropped = 0
         self.wire(tracer=tracer)

@@ -67,14 +67,6 @@ class Instrumentation:
         if auditor is not None:
             auditor.bind_obs(self)
 
-    def __bool__(self) -> bool:
-        """Truthiness mirrors ``enabled`` so hot paths can guard with
-        ``if obs:`` — one C-level truth test instead of an attribute
-        chain.  Components on the kernel's hottest paths go further
-        and snapshot ``enabled`` into a local once at construction
-        (the flag is fixed for an instrumentation's lifetime)."""
-        return self.enabled
-
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
         return (f"<Instrumentation {state}: {len(self.tracer)} spans, "

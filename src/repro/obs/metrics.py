@@ -69,9 +69,6 @@ class Gauge:
         if self.value > self.high_water:
             self.high_water = self.value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
 
 #: Default histogram bucket upper bounds, in virtual time units or
 #: counts — a rough log scale wide enough for both latencies and

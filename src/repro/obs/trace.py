@@ -54,27 +54,26 @@ class SpanSampler:
     the tracer's main span store is skipped.  Once a flight recorder
     reads the tracer (:meth:`Tracer.keep_recent`), every span — kept
     or not — also lands in a bounded ``recent`` ring sized by
-    *window*, so the recorder's violation windows are whole whatever
-    the sampling rate.  With no reader, a sampled-out trace is
-    *muted*: none of its spans is built at all.
+    :attr:`window`, so the recorder's violation windows are whole
+    whatever the sampling rate.  With no reader, a sampled-out trace
+    is *muted*: none of its spans is built at all.
 
     Args:
         rate: Fraction of traces to keep in the main store
             (``0.0`` → none, ``1.0`` → all).
         seed: Decision seed; runs sharing it sample identically.
-        window: Size of the recent-span ring a flight recorder reads.
     """
 
-    __slots__ = ("rate", "seed", "window")
+    __slots__ = ("rate", "seed")
 
-    def __init__(self, rate: float, seed: int = 0, window: int = 256):
+    #: Size of the recent-span ring a flight recorder reads.
+    window = 256
+
+    def __init__(self, rate: float, seed: int = 0):
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must be within [0, 1]")
-        if window < 1:
-            raise ValueError("window must be positive")
         self.rate = rate
         self.seed = seed
-        self.window = window
 
     def keep_trace(self, trace_seq: int) -> bool:
         """Whether trace number *trace_seq* goes to the main store.
@@ -394,17 +393,6 @@ class Tracer:
         falling back to the main store otherwise."""
         source = self._recent if self._recent is not None else self._spans
         return [s for s in source if start <= s.start <= end]
-
-    def clear(self) -> None:
-        """Drop every recorded span — the main store, the recent ring
-        and their ``dropped_spans`` / ``sampled_out`` tallies.  The
-        activation stack and the id counters survive, so open spans
-        still close and later ids never collide with cleared ones."""
-        self._spans.clear()
-        if self._recent is not None:
-            self._recent.clear()
-        self.dropped_spans = 0
-        self.sampled_out = 0
 
     def __len__(self) -> int:
         return len(self._spans)

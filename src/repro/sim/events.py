@@ -13,7 +13,8 @@ a :class:`ScheduledEvent` handle the caller can
 :meth:`~ScheduledEvent.cancel` (timers, timeouts); the kernel's
 ``send`` pushes each delivery as a bare
 :class:`~repro.sim.messages.Message` with no handle at all (deliveries
-are never cancelled) and the pump dispatches it by type.
+are never cancelled).  :meth:`EventQueue.pop` returns the raw entry
+and the kernel's pumps dispatch its item by type.
 
 Cancelled events are *not* removed eagerly (heap deletion is O(n));
 they are skipped on pop, counted, and the heap is compacted once
@@ -91,9 +92,11 @@ class EventQueue:
 
     # -- dequeue -----------------------------------------------------------
 
-    def _pop_entry(self) -> Optional[tuple]:
-        """Pop the earliest live ``(time, seq, item)`` entry (the
-        kernel's raw fast path), discarding cancelled entries."""
+    def pop(self) -> Optional[tuple]:
+        """Remove and return the earliest live ``(time, seq, item)``
+        entry, discarding cancelled ones, or None when the queue is
+        exhausted.  *item* is a :class:`ScheduledEvent` or a bare
+        :class:`~repro.sim.messages.Message` delivery."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
@@ -115,18 +118,6 @@ class EventQueue:
             item._queue = self
         heapq.heappush(self._heap, entry)
         self._live += 1
-
-    def pop(self) -> Optional[ScheduledEvent]:
-        """Remove and return the earliest non-cancelled event, or None
-        when the queue is exhausted.  A message delivery is wrapped in
-        a fresh :class:`ScheduledEvent` so every caller sees one API."""
-        entry = self._pop_entry()
-        if entry is None:
-            return None
-        item = entry[2]
-        if type(item) is ScheduledEvent:
-            return item
-        return ScheduledEvent(entry[0], entry[1], item._fire)
 
     # -- cancellation bookkeeping ------------------------------------------
 

@@ -19,7 +19,7 @@ the per-message ones a ``(template, *args)`` detail formatted only
 when read — so the log keeps no message alive and the cyclic collector
 never rescans it; :meth:`Simulator.run_until_settled` — the pump every
 request/reply hop pays for — pops the heap inline, while
-:meth:`Simulator.run` loops over :meth:`EventQueue._pop_entry`.  Every
+:meth:`Simulator.run` loops over :meth:`EventQueue.pop`.  Every
 event order — and therefore every seeded run — is bit-for-bit
 identical to the unoptimized kernel (pinned by
 ``tests/sim/test_determinism_golden.py``).  With instrumentation on,
@@ -246,10 +246,9 @@ class Simulator:
                 latency += self.rng.random() * spike
         now = self.clock._now
         deliver_time = now + latency
-        # Field-for-field inline of ``Message(sender, receiver, ...)``
-        # — the kernel's hottest allocation skips the constructor
-        # frame and its default-argument branches.  Keep in sync with
-        # Message.__init__.
+        # The one place a Message is built, field by field: the
+        # kernel's hottest allocation pays no constructor frame.
+        # Every name in Message.__slots__ is set here.
         message = Message.__new__(Message)
         message.sender = sender
         message.receiver = receiver
@@ -392,7 +391,7 @@ class Simulator:
                     raise SimulationError(
                         f"run_until_settled exceeded max_events="
                         f"{max_events}; likely a livelock")
-                # EventQueue._pop_entry, inlined: calling it per event
+                # EventQueue.pop, inlined: calling it per event
                 # cost 1-2 % of sim-zipf-sharded's ops/s over alternating
                 # pairs (docs/performance.md).  compact() rebuilds the
                 # heap in place, so this alias survives a mid-pump one.
@@ -440,7 +439,7 @@ class Simulator:
         deliver = self._deliver
         try:
             while processed < max_events:
-                entry = queue._pop_entry()
+                entry = queue.pop()
                 if entry is None:
                     break
                 if until is not None and entry[0] > until:

@@ -280,15 +280,6 @@ class AsyncioEndpoint(Endpoint):
     def node(self) -> Any:
         return (self.transport.host, self.transport.port)
 
-    @property
-    def address(self) -> Address:
-        """This endpoint's dialable address (listening transports)."""
-        if self.transport.port is None:
-            raise SimulationError(
-                f"endpoint {self.label!r}: transport is not listening")
-        return Address(self.transport.host, self.transport.port,
-                       self.label)
-
     def _deliver(self, envelope: AsyncioEnvelope) -> None:
         if self._handler is not None:
             self._handler(self, envelope)

@@ -296,7 +296,8 @@ class RemoteNameClient:
         timeout: Per-step reply timeout, wall seconds.
         retry_policy: Asks per server address of a step and the
             backoff between them; the default re-asks at once, three
-            attempts in all.
+            attempts in all.  ``None`` asks the primary address once
+            and never fails over.
         label: This client's endpoint label.
     """
 

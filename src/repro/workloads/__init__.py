@@ -24,7 +24,6 @@ from repro.workloads.zipf import (
     ZipfNamespace,
     ZipfSampler,
     build_zipf_namespace,
-    open_loop_arrivals,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "exchange_events",
     "internal_events",
     "mixed_workload",
-    "open_loop_arrivals",
 ]

@@ -1,4 +1,4 @@
-"""Open-loop Zipf-skewed workloads at "millions of users" scale.
+"""Zipf-skewed workloads at "millions of users" scale.
 
 The sharding experiment (A10) needs the workload the ROADMAP's north
 star describes: a directory of ≥10^6 names, hammered by ≥10^5
@@ -14,12 +14,7 @@ handful.  Everything here is seeded and allocation-conscious:
   Only the ``distinct`` hottest ranks get their own leaf entity;
   colder ranks share one filler object, keeping a million-binding
   directory in tens of MB — the experiment measures routing and load,
-  which depend on *bindings*, not on leaf identity;
-* :func:`open_loop_arrivals` — arrival timestamps decoupled from
-  service completions (the defining property of an open-loop load:
-  clients do not wait for answer ``i`` before issuing ``i+1``, so a
-  saturated server builds queue, it doesn't throttle the offered
-  rate).
+  which depend on *bindings*, not on leaf identity.
 """
 
 from __future__ import annotations
@@ -34,8 +29,7 @@ from repro.model.context import Context
 from repro.model.entities import ObjectEntity
 from repro.namespaces.tree import NamingTree
 
-__all__ = ["ZipfSampler", "ZipfNamespace", "build_zipf_namespace",
-           "open_loop_arrivals"]
+__all__ = ["ZipfSampler", "ZipfNamespace", "build_zipf_namespace"]
 
 
 class ZipfSampler:
@@ -63,11 +57,6 @@ class ZipfSampler:
             cumulative.append(total)
         self._cumulative = cumulative
         self._total = total
-
-    def sample(self) -> int:
-        """One rank draw (0 = hottest)."""
-        return bisect_left(self._cumulative,
-                           self._rng.random() * self._total)
 
     def sample_many(self, draws: int) -> list[int]:
         """*draws* rank draws, in draw order."""
@@ -132,20 +121,3 @@ def build_zipf_namespace(tree: NamingTree, path: str = "hot",
         path=tuple(p for p in path.split("/") if p),
         names=names, shared_leaf=shared)
 
-
-def open_loop_arrivals(count: int, rate: float,
-                       start: float = 0.0) -> list[float]:
-    """Deterministic open-loop arrival instants: request *i* arrives
-    at ``start + i/rate``, regardless of how the service keeps up.
-
-    Uniform spacing (not Poisson) is intentional: the experiment's
-    comparisons hinge on *offered rate vs service rate*, and a
-    deterministic arrival overlay keeps the latency distribution a
-    pure function of the seed-determined sample sequence.
-    """
-    if count < 0:
-        raise SimulationError("open_loop_arrivals needs count >= 0")
-    if rate <= 0:
-        raise SimulationError("open_loop_arrivals needs rate > 0")
-    step = 1.0 / rate
-    return [start + index * step for index in range(count)]

@@ -299,9 +299,10 @@ class TestFlightRecorder:
         assert loaded["captured"] == 2
         assert loaded["dumps"][0]["kernel_trace"]
 
-    def test_ring_bound_drops_oldest(self):
+    def test_ring_bound_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(FlightRecorder, "max_dumps", 2)
         auditor, recorder, context, old_leaf = \
-            self._violating_auditor(window=5.0, max_dumps=2)
+            self._violating_auditor(window=5.0)
         for now in (30.0, 40.0, 50.0):
             auditor.observe_resolution(context, "/svc/app/cfg",
                                        old_leaf, now=now,

@@ -24,9 +24,10 @@ class TestGauge:
     def test_set_inc_dec(self):
         gauge = Gauge("depth")
         gauge.set(3)
-        gauge.inc(2)
-        gauge.inc(-1)
+        gauge.set(gauge.value + 2)
+        gauge.set(gauge.value - 1)
         assert gauge.value == 4.0
+        assert gauge.high_water == 5.0
 
     def test_high_water(self):
         gauge = Gauge("depth")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.obs import Instrumentation, NO_OBS, SpanSampler, Tracer
+from repro.obs import Instrumentation, NO_OBS, Tracer
 
 
 class TestSpans:
@@ -139,34 +139,6 @@ class TestRingBuffer:
             tracer.event("step", str(index), 0.0, trace_id="t1")
         assert len(tracer) == 100
         assert tracer.dropped_spans == 0
-
-
-class TestClear:
-    def test_clear_empties_the_recent_ring_and_tallies(self):
-        tracer = Tracer(max_spans=4,
-                        sampler=SpanSampler(rate=0.5, seed=3, window=64))
-        tracer.keep_recent()
-        for index in range(20):
-            span = tracer.begin("hop", f"h{index}", float(index),
-                                parent=None)
-            tracer.end(span, float(index))
-        assert tracer.recent_window(0.0, 100.0)
-        assert tracer.sampled_out and tracer.dropped_spans
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.recent_window(0.0, 100.0) == []
-        assert tracer.sampled_out == 0 and tracer.dropped_spans == 0
-
-    def test_clear_keeps_the_stack_and_the_id_sequence(self):
-        tracer = Tracer()
-        outer = tracer.begin("resolution", "r", 0.0, parent=None)
-        tracer.clear()
-        assert tracer.current is outer
-        child = tracer.event("step", "a", 1.0)
-        assert (child.trace_id, child.parent_id) \
-            == (outer.trace_id, outer.span_id)
-        assert child.span_id == "s2"
-        assert tracer.recent_window(0.0, 5.0) == [child]
 
 
 class TestInstrumentation:

@@ -134,56 +134,6 @@ class TestHappyPath:
         assert outcome.steps == 5  # root + a + b + c + leaf
 
 
-class TestResolveMany:
-    def test_outcomes_in_input_order_one_completion(self, world):
-        simulator, client, context, tree, leaf, *_ = world
-        names = ["/a/b/c/leaf", "/missing", "/a/b", "a/b/c/leaf"]
-        batches = []
-        ids = client.resolve_many(context, names, batches.append)
-        assert len(ids) == len(names)
-        simulator.run()
-        assert len(batches) == 1  # completion fired exactly once
-        outcomes = batches[0]
-        assert [str(o.name) for o in outcomes] == names
-        assert outcomes[0].entity is leaf
-        assert outcomes[3].entity is leaf
-        assert not outcomes[1].entity.is_defined()
-        for name_, outcome in zip(names, outcomes):
-            assert outcome.entity is resolve(context, name_)
-
-    def test_batch_interleaves_instead_of_serializing(self, world):
-        simulator, client, context, tree, leaf, *_ = world
-        single = []
-        client.resolve(context, "/a/b/c/leaf", single.append)
-        simulator.run()
-        one_lookup_latency = simulator.clock.now
-        batches = []
-        started = simulator.clock.now
-        client.resolve_many(context, ["/a/b/c/leaf"] * 4, batches.append)
-        simulator.run()
-        # Concurrent request/reply traffic: the 4-name batch costs
-        # about one lookup's latency, not four.
-        assert simulator.clock.now - started < 4 * one_lookup_latency
-        assert all(o.entity is leaf for o in batches[0])
-
-    def test_empty_batch_completes_immediately(self, world):
-        simulator, client, context, *_ = world
-        batches = []
-        assert client.resolve_many(context, [], batches.append) == []
-        assert batches == [[]]
-
-    def test_partial_failure_still_completes(self, world):
-        simulator, client, context, tree, leaf, server1, _ = world
-        FailureInjector(simulator).crash_machine(server1)
-        batches = []
-        client.resolve_many(context, ["/a/b/c/leaf", "/a"],
-                            batches.append)
-        simulator.run()
-        outcomes = batches[0]
-        assert outcomes[0].failed and outcomes[0].reason == "timeout"
-        assert outcomes[1].ok
-
-
 class TestFailures:
     def test_crashed_server_times_out(self, world):
         simulator, client, context, tree, leaf, server1, _ = world

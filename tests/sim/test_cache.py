@@ -5,8 +5,6 @@ from __future__ import annotations
 import gc
 import weakref
 
-import pytest
-
 from repro.model.context import Context, context_object
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
@@ -153,17 +151,15 @@ class TestInvalidatePolicy:
 
     def test_invalidations_are_batched_and_latency_counted(self):
         """The fan-out to N holders is sent as one batch and drained
-        once: the rebind pays one latency unit of virtual time, not N,
-        and the wait is accumulated in `invalidation_latency`."""
+        once: the rebind pays one latency unit of virtual time, not N."""
         world = World(CachePolicy.INVALIDATE)
         world.lookup(0)
         world.lookup(1)
-        assert world.resolver.invalidation_latency == 0.0
         before = world.sim.clock.now
         world.redeploy(1)
         elapsed = world.sim.clock.now - before
         assert world.resolver.invalidation_messages == 2
-        assert world.resolver.invalidation_latency == elapsed == 1.0
+        assert elapsed == 1.0
 
     def test_rebind_drain_leaves_unrelated_events_queued(self):
         world = World(CachePolicy.INVALIDATE)

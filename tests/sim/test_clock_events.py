@@ -42,8 +42,8 @@ class TestEventQueue:
         queue.push(2.0, lambda: order.append("b"))
         queue.push(1.0, lambda: order.append("a"))
         queue.push(3.0, lambda: order.append("c"))
-        while (event := queue.pop()) is not None:
-            event.action()
+        while (entry := queue.pop()) is not None:
+            entry[2].action()
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_scheduling_order(self):
@@ -51,8 +51,8 @@ class TestEventQueue:
         order = []
         for tag in ("first", "second", "third"):
             queue.push(1.0, lambda t=tag: order.append(t))
-        while (event := queue.pop()) is not None:
-            event.action()
+        while (entry := queue.pop()) is not None:
+            entry[2].action()
         assert order == ["first", "second", "third"]
 
     def test_cancelled_events_are_skipped(self):
@@ -61,8 +61,8 @@ class TestEventQueue:
         keep = queue.push(1.0, lambda: ran.append("keep"))
         drop = queue.push(0.5, lambda: ran.append("drop"))
         drop.cancel()
-        while (event := queue.pop()) is not None:
-            event.action()
+        while (entry := queue.pop()) is not None:
+            entry[2].action()
         assert ran == ["keep"]
 
     def test_len_counts_live_events(self):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 
-from repro.sim.events import EventQueue, ScheduledEvent
+from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
 
 
@@ -23,9 +23,9 @@ class TestLaneMerging:
         popped = []
         while queue:
             popped.append(queue.pop())
-        assert [e.time for e in popped] == sorted(times)
+        assert [entry[0] for entry in popped] == sorted(times)
         # Equal times dequeue in scheduling (seq) order.
-        seqs_at_1 = [e.seq for e in popped if e.time == 1.0]
+        seqs_at_1 = [entry[1] for entry in popped if entry[0] == 1.0]
         assert seqs_at_1 == sorted(seqs_at_1)
 
     def test_random_interleaving_matches_sorted_order(self):
@@ -38,18 +38,18 @@ class TestLaneMerging:
             keys.append((time, event.seq))
         popped = []
         while queue:
-            event = queue.pop()
-            popped.append((event.time, event.seq))
+            time, seq, _event = queue.pop()
+            popped.append((time, seq))
         assert popped == sorted(keys)
 
     def test_interleaved_push_and_pop(self):
         queue = EventQueue()
         queue.push(2.0, _noop)
         queue.push(1.0, _noop)
-        assert queue.pop().time == 1.0
+        assert queue.pop()[0] == 1.0
         queue.push(0.5, _noop)  # earlier than everything queued
-        assert queue.pop().time == 0.5
-        assert queue.pop().time == 2.0
+        assert queue.pop()[0] == 0.5
+        assert queue.pop()[0] == 2.0
         assert queue.pop() is None
 
 
@@ -62,21 +62,10 @@ class TestDeferredMessages:
         message = a.send(b, payload="hi")
         entry = simulator.queue._heap[0]
         assert entry[2] is message
-
-    def test_pop_wraps_message_into_firing_event(self):
-        # External consumers popping the queue still see the one
-        # ScheduledEvent API; firing the wrapped action delivers.
-        simulator = Simulator(seed=0)
-        network = simulator.network("lan")
-        a = simulator.spawn(simulator.machine(network), "a")
-        b = simulator.spawn(simulator.machine(network), "b")
-        message = a.send(b, payload="hi")
-        event = simulator.queue.pop()
-        assert isinstance(event, ScheduledEvent)
-        assert event.time == message.deliver_time
-        event.action()
-        assert message.delivered
-        assert b.receive() is message
+        # pop hands back that raw entry; nothing is delivered yet.
+        assert simulator.queue.pop() is entry
+        assert entry[0] == message.deliver_time
+        assert not message.settled
 
 
 class TestCancellationBookkeeping:
@@ -96,8 +85,8 @@ class TestCancellationBookkeeping:
         drop = queue.push(2.0, _noop)
         last = queue.push(3.0, _noop)
         drop.cancel()
-        assert queue.pop() is keep
-        assert queue.pop() is last
+        assert queue.pop()[2] is keep
+        assert queue.pop()[2] is last
         assert queue.pop() is None
 
     def test_compaction_triggers_past_half_cancelled(self):
@@ -119,7 +108,7 @@ class TestCancellationBookkeeping:
         assert queue.approx_len() - len(queue) == 0
         popped = []
         while queue:
-            popped.append(queue.pop().time)
+            popped.append(queue.pop()[0])
         assert popped == sorted(
             e.time for e in fifo_events[4:] + heap_events[4:])
 
@@ -127,7 +116,7 @@ class TestCancellationBookkeeping:
         queue = EventQueue()
         event = queue.push(1.0, _noop)
         queue.push(2.0, _noop)
-        assert queue.pop() is event
+        assert queue.pop()[2] is event
         live_before = len(queue)
         event.cancel()  # already popped: only the flag flips
         assert event.cancelled

@@ -32,8 +32,7 @@ from repro.sim.kernel import Simulator
 class TestRetryPolicy:
     def test_backoff_is_exponential_and_capped(self):
         policy = RetryPolicy(max_attempts=5, base_backoff=0.5,
-                             backoff_factor=2.0, max_backoff=3.0,
-                             jitter=0.0)
+                             max_backoff=3.0, jitter=0.0)
         rng = random.Random(0)
         waits = [policy.backoff(k, rng) for k in (1, 2, 3, 4, 5)]
         assert waits == [0.5, 1.0, 2.0, 3.0, 3.0]
@@ -96,12 +95,23 @@ class TestCircuitBreaker:
         assert breaker.state is BreakerState.CLOSED
         assert breaker.transitions == 3  # open, half-open, closed
 
-    def test_reset_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure(0.0)
-        breaker.reset(1.0)
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.consecutive_failures == 0
+    def test_a_restarted_server_gets_a_closed_breaker(self):
+        # A restarted server is a new process, so it gets a new
+        # breaker: nothing has to close the old one.
+        simulator = Simulator(seed=0)
+        machine = simulator.machine(simulator.network("lan"), "m0")
+        resolver = DistributedResolver(
+            simulator, DirectoryPlacement(), breaker_threshold=1)
+        old = resolver.server_for(machine)
+        resolver.breaker_for(old).record_failure(0.0)
+        assert resolver.breaker_for(old).state is BreakerState.OPEN
+        injector = FailureInjector(simulator)
+        injector.crash_machine(machine)
+        injector.restart_machine(machine)
+        fresh = resolver.server_for(machine)
+        assert fresh is not old
+        assert resolver.breaker_for(fresh).state is BreakerState.CLOSED
+        assert resolver.breaker_for(fresh).consecutive_failures == 0
 
     def test_validation(self):
         with pytest.raises(SimulationError):

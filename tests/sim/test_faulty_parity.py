@@ -31,6 +31,8 @@ NAMES = ["/svc/f0", "/svc/f1", "/svc/deep/g", "/svc/deep", "/svc/nope",
          "/solo/x", "/solo/nope", "/here", "/svc/f0/too-deep"]
 #: Virtual time between rounds: past every backoff and lookup timeout.
 GAP = 20.0
+#: Both drivers' regime unless a test says otherwise.
+POLICY = RetryPolicy(max_attempts=2, base_backoff=0.1, max_backoff=0.4)
 
 
 class World:
@@ -92,12 +94,11 @@ def apply(world: World, action: tuple) -> None:
         world.injector.heal(world.lan, world.srv)
 
 
-def run_kernel_driver(seed: int, script: list[tuple]) -> list[tuple]:
+def run_kernel_driver(seed: int, script: list[tuple],
+                      retry_policy=POLICY) -> list[tuple]:
     world = World(seed)
     resolver = DistributedResolver(
-        world.sim, world.placement,
-        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.1,
-                                 max_backoff=0.4),
+        world.sim, world.placement, retry_policy=retry_policy,
         breaker_threshold=2, breaker_cooldown=5.0)
     world.injector.on_restart(resolver.handle_restart)
     outcomes = []
@@ -112,7 +113,9 @@ def run_kernel_driver(seed: int, script: list[tuple]) -> list[tuple]:
     return outcomes
 
 
-def run_message_driver(seed: int, script: list[tuple]) -> list[tuple]:
+def run_message_driver(seed: int, script: list[tuple],
+                       retry_policy=POLICY, timeout: float = 2.0,
+                       ) -> list[tuple]:
     world = World(seed)
     transport = SimTransport(world.sim)
     lookupds = {id(machine): NameLookupServer(transport, machine,
@@ -123,9 +126,8 @@ def run_message_driver(seed: int, script: list[tuple]) -> list[tuple]:
                                   server.respawn(), machine=server.machine)
     client = AsyncNameClient(
         transport, PlacementRouter(world.placement, lookupds, world.home),
-        transport.adopt(world.client), timeout=2.0,
-        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.1,
-                                 max_backoff=0.4))
+        transport.adopt(world.client), timeout=timeout,
+        retry_policy=retry_policy)
     outcomes = []
     for action, names in script:
         apply(world, action)
@@ -152,3 +154,24 @@ def test_both_drivers_agree_on_every_faulted_lookup(seed):
     assert len(kernel) == len(message)
     # A lookup that lost a step answers ⊥E.
     assert all(label == "⊥E" for _ok, failed, label in kernel if failed)
+
+
+def test_without_a_policy_a_crashed_primary_fails_both_drivers():
+    """No retry policy is exactly ``RetryPolicy(max_attempts=1)`` on
+    the primary, on both drivers: with ``/svc``'s primary down, a
+    lookup under it answers ``⊥E`` flagged failed on each — neither
+    driver fails over to the live replica.  (The lookup timeout
+    outlasts a round trip: one ask must be enough while m1 is up.)"""
+    healthy = [(("none",), ["/svc/f0"])]
+    assert run_kernel_driver(0, healthy, retry_policy=None) \
+        == run_message_driver(0, healthy, retry_policy=None, timeout=3.0) \
+        == [(True, False, "f0")]
+    script = [(("crash", 0), ["/svc/f0", "/here"])]
+    expected = [(False, True, "⊥E"), (True, False, "here")]
+    assert run_kernel_driver(0, script, retry_policy=None) == expected
+    assert run_message_driver(0, script, retry_policy=None,
+                              timeout=3.0) == expected
+    # The same deployment under a policy fails over to m2.
+    served = [(True, False, "f0"), (True, False, "here")]
+    assert run_kernel_driver(0, script) == served
+    assert run_message_driver(0, script, timeout=3.0) == served

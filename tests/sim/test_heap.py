@@ -91,10 +91,11 @@ def test_sharded_replicated_resolutions_with_a_live_split():
 
 @pytest.mark.parametrize("recorded", [False, True],
                          ids=["muted", "recorded"])
-def test_sampled_spans_and_the_auditor(recorded):
+def test_sampled_spans_and_the_auditor(recorded, monkeypatch):
+    monkeypatch.setattr(SpanSampler, "window", 64)
     recorder = FlightRecorder() if recorded else None
     obs = Instrumentation(max_spans=64,
-                          sampler=SpanSampler(rate=0.05, seed=1, window=64),
+                          sampler=SpanSampler(rate=0.05, seed=1),
                           auditor=CoherenceAuditor(recorder=recorder))
     simulator = Simulator(seed=2, obs=obs)
     network = simulator.network("lan")

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.sim.events import ScheduledEvent
 from repro.sim.kernel import Simulator
+from repro.sim.messages import Message
 
 
 def two_processes(simulator: Simulator):
@@ -19,6 +21,17 @@ def two_processes(simulator: Simulator):
 
 
 class TestMessaging:
+    def test_send_sets_every_message_slot(self):
+        """``Simulator.send`` is the one place a message is built: a
+        slot added to ``Message`` without a line there fails here, not
+        later as an ``AttributeError`` on first read."""
+        simulator = Simulator()
+        sender, receiver = two_processes(simulator)
+        message = sender.send(receiver, payload="ping")
+        unset = [slot for slot in Message.__slots__
+                 if not hasattr(message, slot)]
+        assert unset == []
+
     def test_roundtrip(self):
         simulator = Simulator()
         sender, receiver = two_processes(simulator)
@@ -315,6 +328,11 @@ class TestOrderingProperties:
         assert volleys == [0, 1, 2]
 
 
+def _cancelled(entry) -> bool:
+    item = entry[2]
+    return type(item) is ScheduledEvent and item.cancelled
+
+
 class _Scripted:
     """One kernel under a generated script.  Timers and deliveries log
     themselves; a timer may, when it fires, enqueue same-instant work
@@ -353,25 +371,38 @@ class _Scripted:
         elif then == "cancel":
             self.handles[-1].cancel()
 
+    def hold_next(self) -> None:
+        """Pop one raw ``(time, seq, item)`` entry into :attr:`held`
+        and drop the held entries cancelled since."""
+        popped = self.sim.queue.pop()
+        if popped is not None:
+            self.held.append(popped)
+        self.held = [entry for entry in self.held if not _cancelled(entry)]
+
+    def dispatch(self, entry) -> None:
+        """Run one held entry: deliver a message, fire a timer."""
+        self.held.remove(entry)
+        self.sim.clock.advance_to(entry[0])
+        item = entry[2]
+        if type(item) is Message:
+            self.sim._deliver(item)
+        else:
+            item.action()
+
     def reference_run(self, until, max_events) -> bool:
         """What ``run`` must do, from repeated ``EventQueue.pop()``
-        alone: each pop joins the not-yet-due events, the earliest
+        alone: each pop joins the not-yet-due entries, the earliest
         ``(time, seq)`` of those runs next.  True if the bound was
         reached (where ``run`` raises)."""
         processed = 0
         while processed < max_events:
-            popped = self.sim.queue.pop()
-            if popped is not None:
-                self.held.append(popped)
-            self.held = [e for e in self.held if not e.cancelled]
+            self.hold_next()
             if not self.held:
                 break
-            event = min(self.held, key=lambda e: (e.time, e.seq))
-            if until is not None and event.time > until:
+            entry = min(self.held)
+            if until is not None and entry[0] > until:
                 break
-            self.held.remove(event)
-            self.sim.clock.advance_to(event.time)
-            event.action()
+            self.dispatch(entry)
             processed += 1
         else:
             return True
@@ -381,7 +412,7 @@ class _Scripted:
 
     def queued(self) -> int:
         return len(self.sim.queue) + sum(
-            not event.cancelled for event in self.held)
+            not _cancelled(entry) for entry in self.held)
 
 
 _DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5])
@@ -432,14 +463,8 @@ def _settle_by_pop(twin: _Scripted, message, max_events) -> bool:
     while not (message.delivered or message.dropped):
         if processed >= max_events:
             return True
-        popped = twin.sim.queue.pop()
-        if popped is not None:
-            twin.held.append(popped)
-        twin.held = [e for e in twin.held if not e.cancelled]
-        event = min(twin.held, key=lambda e: (e.time, e.seq))
-        twin.held.remove(event)
-        twin.sim.clock.advance_to(event.time)
-        event.action()
+        twin.hold_next()
+        twin.dispatch(min(twin.held))
         processed += 1
     return False
 

@@ -299,9 +299,12 @@ def build_deployment(dir_paths, file_paths, servers, rng):
     lookupds = {id(machine): NameLookupServer(transport, machine,
                                               placement=placement)
                 for machine in machines}
+    # One ask per replica (no backoff is ever drawn), but failover past
+    # the stale replica: without a policy the primary alone is asked.
     client = AsyncNameClient(
         transport, PlacementRouter(placement, lookupds, client_machine),
-        transport.adopt(simulator.spawn(client_machine, "client")))
+        transport.adopt(simulator.spawn(client_machine, "client")),
+        retry_policy=RetryPolicy(max_attempts=1))
     return simulator, tree, placement, lookupds, client, machines
 
 

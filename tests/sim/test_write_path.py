@@ -70,7 +70,6 @@ class World:
         subject = self.subject
         state = {
             "invalidation_messages": subject.invalidation_messages,
-            "invalidation_latency": subject.invalidation_latency,
             "invalidation_losses": subject.invalidation_losses,
             "backup_stale": self.placement.is_stale(self.svc,
                                                     self.backup),

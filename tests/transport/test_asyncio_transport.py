@@ -53,12 +53,6 @@ class TestBasics:
         anonymous = transport.endpoint()
         assert anonymous.label  # auto-named
 
-    def test_address_requires_listening(self):
-        transport = AsyncioTransport()
-        endpoint = transport.endpoint(label="a")
-        with pytest.raises(SimulationError):
-            endpoint.address
-
     def test_schedule_rejects_negative_delay(self):
         async def scenario():
             with pytest.raises(SimulationError):
