@@ -17,15 +17,16 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from repro.model.context import Context
 from repro.model.entities import Entity
 from repro.model.names import PARENT, CompoundName
 from repro.model.resolution import resolve
 from repro.model.state import GlobalState
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["NamingGraph"]
 
@@ -139,6 +140,8 @@ class NamingGraph:
         Node keys are entity uids with ``label`` and ``kind`` attributes;
         edge keys are the binding names.
         """
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         for entity in self.nodes():
             graph.add_node(entity.uid, label=entity.label, kind=entity.KIND,

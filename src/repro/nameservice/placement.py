@@ -243,19 +243,18 @@ class DirectoryPlacement:
                         component: Optional[str]) -> Optional[Machine]:
         """The machine serving *component*'s binding in *directory*.
 
-        Sharded directory → the owning shard's machine (and the
-        routing hit is recorded for the split policy); replica set →
+        Sharded directory → the owning shard's machine; replica set →
         the primary; unplaced → None.  A ``None`` component (no
         binding in play, e.g. a bare enter) falls back to
-        :meth:`host_of`.
+        :meth:`host_of`.  A pure read: only the walk's router
+        (:meth:`replicas_for_binding`) counts toward a shard's load,
+        so the write path's fan-out cannot perturb the split window.
         """
         if not self._shard_maps:
             replicas = self._replicas_of.get(directory.uid)
             return replicas[0] if replicas else None
-        shard_map = self._shard_maps.get(directory.uid)
-        if shard_map is not None and component is not None:
-            shard = shard_map.owner_of(component)
-            shard.load += 1
+        shard = self.shard_of_binding(directory, component)
+        if shard is not None:
             return shard.machine
         return self.host_of(directory)
 
@@ -282,18 +281,22 @@ class DirectoryPlacement:
                component: str) -> bool:
         """True if *machine* is a live copy of *component*'s binding:
         one of its replicas, and not marked stale — what a lookup
-        server may answer from."""
-        return (machine in self.replicas_for_binding(directory, component)
-                and not self.is_stale(directory, machine))
+        server may answer from.  A pure read, like
+        :meth:`shard_of_binding`: a walk-on step is not a routing hit."""
+        shard = self.shard_of_binding(directory, component)
+        replicas = (shard.replicas if shard is not None
+                    else self._replicas_of.get(directory.uid, ()))
+        return machine in replicas and not self.is_stale(directory,
+                                                         machine)
 
     def shard_of_binding(self, directory: Entity,
                          component: Optional[str]):
         """The shard owning *component*'s binding — a **pure read**.
 
-        Unlike :meth:`host_of_binding` / :meth:`replicas_for_binding`
-        this never bumps the shard's window load counter, so observers
-        (the coherence auditor labels staleness samples per shard
-        through here) cannot perturb the split policy's decisions.
+        Unlike :meth:`replicas_for_binding` this never bumps the
+        shard's window load counter, so observers (the coherence
+        auditor labels staleness samples per shard through here) and
+        the write path cannot perturb the split policy's decisions.
         Returns ``None`` for unsharded directories or a ``None``
         component.
         """

@@ -38,6 +38,7 @@ re-leased on the next walk).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -75,7 +76,7 @@ class Shard:
     the historical single-owner shard.
     """
 
-    __slots__ = ("lo", "hi", "replicas", "load", "members")
+    __slots__ = ("lo", "hi", "replicas", "load", "names", "hashes")
 
     def __init__(self, lo: int, hi: int, machine: Machine,
                  *secondaries: Machine):
@@ -91,10 +92,11 @@ class Shard:
         self.replicas: tuple[Machine, ...] = tuple(deduped)
         #: Routing hits recorded since the last manager check window.
         self.load = 0
-        #: Binding names whose hash falls in this range (maintained so
-        #: a split knows how many bindings migrate without rescanning
-        #: the whole directory).
-        self.members: set[str] = set()
+        #: Binding names whose hash falls in this range, and each
+        #: name's hash at the same index — hashed once, so a split
+        #: compares instead of rehashing or rescanning the directory.
+        self.names: list[str] = []
+        self.hashes = array("I")
 
     @property
     def machine(self) -> Machine:
@@ -109,7 +111,7 @@ class Shard:
     def __repr__(self) -> str:
         return (f"<Shard [{self.lo:#010x},{self.hi:#010x}) "
                 f"@{self.machine.label} load={self.load} "
-                f"members={len(self.members)}>")
+                f"members={len(self.names)}>")
 
 
 @dataclass(frozen=True)
@@ -157,18 +159,20 @@ class ShardMap:
                   *(machines[(i + k) % count]
                     for k in range(self.replication)))
             for i in range(count)]
+        #: ``shard.lo`` of every shard, in ring order (the bisect key,
+        #: kept in step by :meth:`apply_split`).
+        self._los = bounds[:-1]
         context: Context = directory.state
         for name_ in context.names():
-            self._shard_for_hash(binding_hash(name_)).members.add(name_)
+            value = binding_hash(name_)
+            shard = self._shard_for_hash(value)
+            shard.names.append(name_)
+            shard.hashes.append(value)
 
     # -- routing ------------------------------------------------------------
 
     def _shard_for_hash(self, value: int) -> Shard:
-        index = bisect_right(self._los(), value) - 1
-        return self._shards[index]
-
-    def _los(self) -> list[int]:
-        return [shard.lo for shard in self._shards]
+        return self._shards[bisect_right(self._los, value) - 1]
 
     def owner_of(self, component: str) -> Shard:
         """The unique shard owning *component*."""
@@ -182,8 +186,14 @@ class ShardMap:
 
     def add_member(self, component: str) -> None:
         """Track a binding created after the map was built (all writes
-        come through the resolver/service rebind discipline)."""
-        self.owner_of(component).members.add(component)
+        come through the resolver/service rebind discipline).
+        Idempotent: a name the owning shard already lists (unbound,
+        then bound again) is not added twice."""
+        value = binding_hash(component)
+        shard = self._shard_for_hash(value)
+        if component not in shard.names:
+            shard.names.append(component)
+            shard.hashes.append(value)
 
     # -- splitting ----------------------------------------------------------
 
@@ -201,9 +211,9 @@ class ShardMap:
             raise SchemeError(
                 f"split point {split_at:#x} outside ({shard.lo:#x}, "
                 f"{shard.hi:#x})")
-        moved = tuple(sorted(
-            name_ for name_ in shard.members
-            if binding_hash(name_) >= split_at))
+        moved = tuple([name_ for name_, value
+                       in zip(shard.names, shard.hashes)
+                       if value >= split_at])
         fill = tuple(m for m in shard.replicas
                      if m is not machine)[:max(0, self.replication - 1)]
         return SplitPlan(shard=shard, split_at=split_at,
@@ -218,13 +228,18 @@ class ShardMap:
         old count divides.
         """
         shard = plan.shard
+        at = plan.split_at
         index = self._shards.index(shard)
-        new = Shard(plan.split_at, shard.hi, *plan.targets)
-        new.members.update(plan.moved)
-        shard.members.difference_update(plan.moved)
-        shard.hi = plan.split_at
+        new = Shard(at, shard.hi, *plan.targets)
+        names, hashes = shard.names, shard.hashes
+        new.names = [n for n, value in zip(names, hashes) if value >= at]
+        new.hashes = array("I", [value for value in hashes if value >= at])
+        shard.names = [n for n, value in zip(names, hashes) if value < at]
+        shard.hashes = array("I", [value for value in hashes if value < at])
+        shard.hi = at
         shard.load = 0
         self._shards.insert(index + 1, new)
+        self._los.insert(index + 1, at)
         return new
 
     # -- introspection ------------------------------------------------------

@@ -34,15 +34,16 @@ def commit_binding(directory: ObjectEntity, name_: str, entity: Entity, *,
                    placement: Optional[DirectoryPlacement] = None) -> None:
     """Change ``σ(directory)(name_)`` and record that it changed.
 
-    With a *placement*, a new binding in a sharded directory is noted
+    With a *placement*, a name new to a sharded directory is noted
     against its owning shard so a later split migrates it.  With an
     *auditor*, the write enters the authoritative history — commit
     time plus placement epoch, captured the instant σ changed.
     """
     context = directory.state
     old = context(name_) if auditor is not None else None
+    new = name_ not in context
     context.bind(name_, entity)
-    if placement is not None:
+    if placement is not None and new:
         placement.note_binding(directory, name_)
     if auditor is not None:
         auditor.record_write(directory, name_, old, entity, now, epoch)

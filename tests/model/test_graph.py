@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.model.context import context_object
 from repro.model.entities import ObjectEntity
 from repro.model.graph import NamingGraph
@@ -100,6 +106,21 @@ class TestTreeCheck:
 
 
 class TestNetworkxExport:
+    def test_service_half_does_not_import_networkx(self):
+        """Only ``to_networkx`` needs networkx, so a naming-service
+        process (resolver, socket service, auditor) never loads it."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "import repro.nameservice.resolver\n"
+             "import repro.transport.service\n"
+             "import repro.obs.audit\n"
+             "assert 'networkx' not in sys.modules, 'networkx loaded'\n"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+
     def test_snapshot_shape(self):
         sigma, root, usr, bin_, cc = build_world()
         nxg = NamingGraph(sigma).to_networkx()

@@ -33,9 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemeError
+from repro.model.entities import UNDEFINED_ENTITY
 from repro.model.resolution import resolve as local_resolve
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
+from repro.nameservice import sharding
+from repro.nameservice.cache import CachePolicy, binding_dep
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.resolver import DistributedResolver
 from repro.nameservice.sharding import (
@@ -53,7 +56,7 @@ from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
 def make_deployment(names=2000, pool_size=4, seed=0, sharded=True,
                     shards=1, manager=False, check_every=100,
                     min_window=50, replicas=1, migration_batch=None,
-                    retry=False):
+                    retry=False, cache_policy=CachePolicy.NONE):
     """A hot directory of *names* bindings under ``/hot``, either on a
     single machine or sharded over the first *shards* pool machines
     (each shard replicated *replicas*-deep), optionally with the live
@@ -76,7 +79,7 @@ def make_deployment(names=2000, pool_size=4, seed=0, sharded=True,
         shard_map = None
     client = simulator.spawn(client_m, "client")
     resolver = DistributedResolver(
-        simulator, placement,
+        simulator, placement, cache_policy=cache_policy,
         retry_policy=(RetryPolicy(max_attempts=2, base_backoff=0.1,
                                   jitter=0.0) if retry else None))
     if migration_batch is not None:
@@ -94,6 +97,17 @@ def make_deployment(names=2000, pool_size=4, seed=0, sharded=True,
     }
 
 
+def assert_index_in_step(shard_map):
+    """The bisect bounds match the shards, and each shard's ``names``
+    and ``hashes`` stay parallel with every hash inside its range."""
+    assert shard_map._los == [shard.lo for shard in shard_map.shards]
+    for shard in shard_map.shards:
+        assert len(shard.names) == len(shard.hashes)
+        for name_, value in zip(shard.names, shard.hashes):
+            assert value == binding_hash(name_)
+            assert shard.lo <= value < shard.hi
+
+
 class TestShardMap:
     """Structural invariants of the hash-range partition."""
 
@@ -109,25 +123,25 @@ class TestShardMap:
         world = make_deployment(names=500, shards=3)
         shard_map = world["shard_map"]
         names = world["namespace"].names
-        assert sum(len(s.members) for s in shard_map.shards) == 500
+        assert sum(len(s.names) for s in shard_map.shards) == 500
         for name_ in names[:50]:
             owner = shard_map.owner_of(name_)
-            assert name_ in owner.members
+            assert name_ in owner.names
             assert shard_map.owners_of(name_) == [owner]
 
     def test_split_conserves_members_and_partition(self):
         world = make_deployment(names=800, shards=1)
         shard_map = world["shard_map"]
         [shard] = shard_map.shards
-        before = set(shard.members)
+        before = set(shard.names)
         plan = shard_map.plan_split(shard, world["pool"][1])
         new = shard_map.apply_split(plan)
         assert shard_map.is_partition()
         assert shard.hi == new.lo == plan.split_at
-        assert all(binding_hash(n) >= plan.split_at for n in new.members)
-        assert all(binding_hash(n) < plan.split_at for n in shard.members)
-        assert shard.members | new.members == before
-        assert not shard.members & new.members
+        assert all(binding_hash(n) >= plan.split_at for n in new.names)
+        assert all(binding_hash(n) < plan.split_at for n in shard.names)
+        assert set(shard.names) | set(new.names) == before
+        assert not set(shard.names) & set(new.names)
 
     def test_plan_split_rejects_foreign_shard_and_bad_point(self):
         world = make_deployment(names=100, shards=2)
@@ -148,7 +162,49 @@ class TestShardMap:
         world["resolver"].rebind(world["namespace"].directory, "fresh",
                                  world["namespace"].shared_leaf)
         shard_map = world["shard_map"]
-        assert "fresh" in shard_map.owner_of("fresh").members
+        assert "fresh" in shard_map.owner_of("fresh").names
+
+    def test_split_neither_hashes_nor_sorts(self, monkeypatch):
+        world = make_deployment(names=800, shards=1)
+        shard_map = world["shard_map"]
+        calls = []
+
+        def counted(component):
+            calls.append(component)
+            return binding_hash(component)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a split must not sort")
+
+        monkeypatch.setattr(sharding, "binding_hash", counted)
+        monkeypatch.setattr(sharding, "sorted", no_sort, raising=False)
+        [shard] = shard_map.shards
+        plan = shard_map.plan_split(shard, world["pool"][1])
+        new = shard_map.apply_split(plan)
+        assert calls == []
+        assert list(plan.moved) == new.names
+        assert_index_in_step(shard_map)
+
+    def test_rebinding_never_duplicates_a_member(self):
+        world = make_deployment(names=100, shards=2)
+        resolver = world["resolver"]
+        directory = world["namespace"].directory
+        leaf = world["namespace"].shared_leaf
+        shard_map = world["shard_map"]
+
+        def members():
+            return sum(len(shard.names) for shard in shard_map.shards)
+
+        before = members()
+        resolver.rebind(directory, world["namespace"].names[0], leaf)
+        assert members() == before
+        resolver.rebind(directory, "fresh", leaf)
+        assert members() == before + 1
+        resolver.rebind(directory, "fresh", UNDEFINED_ENTITY)
+        assert "fresh" not in directory.state
+        resolver.rebind(directory, "fresh", leaf)
+        assert members() == before + 1
+        assert_index_in_step(shard_map)
 
 
 class TestUidKeyedLoad:
@@ -416,7 +472,7 @@ class TestOwnershipProperty:
         shard_map = ShardMap(namespace.directory, pool[:initial],
                              replicas=replicas)
         all_members = {name_ for shard in shard_map.shards
-                       for name_ in shard.members}
+                       for name_ in shard.names}
         for index_seed, fraction in steps:
             shard = shard_map.shards[index_seed % len(shard_map)]
             if shard.span < 2:
@@ -427,19 +483,54 @@ class TestOwnershipProperty:
             machine = pool[index_seed % len(pool)]
             shard_map.apply_split(
                 shard_map.plan_split(shard, machine, at=at))
+            assert_index_in_step(shard_map)
         assert shard_map.is_partition()
         member_union = set()
         for shard in shard_map.shards:
-            assert not member_union & shard.members
-            member_union |= shard.members
+            assert not member_union & set(shard.names)
+            member_union |= set(shard.names)
             assert 1 <= len(shard.replicas) <= min(replicas, initial)
-            for name_ in shard.members:
+            for name_ in shard.names:
                 assert shard_map.owner_of(name_) is shard
         assert member_union == all_members
         for probe in probes + list(namespace.names[:5]):
             assert len(shard_map.owners_of(probe)) == 1
             assert shard_map.owners_of(probe)[0] is \
                 shard_map.owner_of(probe)
+
+
+class TestPureRoutingReads:
+    """Only the walk's router (``replicas_for_binding``) counts a
+    routing hit: lookup servers' walk-on checks and the write path's
+    fan-out leave every shard's window load alone."""
+
+    def test_serves_and_host_of_binding_count_no_load(self):
+        world = make_deployment(names=300, shards=3, replicas=2)
+        placement = world["placement"]
+        directory = world["namespace"].directory
+        shard_map = world["shard_map"]
+        for name_ in world["namespace"].names[:50]:
+            shard = shard_map.owner_of(name_)
+            assert placement.serves(shard.replicas[1], directory, name_)
+            assert placement.host_of_binding(directory, name_) is \
+                shard.machine
+        assert [shard.load for shard in shard_map.shards] == [0, 0, 0]
+
+    def test_invalidating_rebind_counts_no_load(self):
+        world = make_deployment(names=300, shards=2,
+                                cache_policy=CachePolicy.INVALIDATE)
+        resolver = world["resolver"]
+        directory = world["namespace"].directory
+        shard_map = world["shard_map"]
+        name_ = world["namespace"].names[0]
+        # The client holds a copy of the binding (a leaf binding is
+        # never a cached prefix, so register the holder directly).
+        resolver.writes.note_copies(world["client_m"],
+                                    (binding_dep(directory, name_),))
+        sent = resolver.invalidation_messages
+        resolver.rebind(directory, name_, world["namespace"].shared_leaf)
+        assert resolver.invalidation_messages == sent + 1
+        assert [shard.load for shard in shard_map.shards] == [0, 0]
 
 
 class TestReplicatedShards:
@@ -550,7 +641,7 @@ class TestReplicatedShards:
                         world["namespace"].shared_leaf)
         assert resolver.replication_messages == before + 1
         shard = world["shard_map"].owner_of("fresh")
-        assert "fresh" in shard.members
+        assert "fresh" in shard.names
         assert not world["placement"].is_stale(directory,
                                                shard.replicas[1])
 
