@@ -314,6 +314,12 @@ class DirectoryPlacement:
         if shard_map is not None:
             shard_map.add_member(component)
 
+    def forget_binding(self, directory: Entity, component: str) -> None:
+        """Stop tracking a binding removed from a sharded directory."""
+        shard_map = self._shard_maps.get(directory.uid)
+        if shard_map is not None:
+            shard_map.remove_member(component)
+
     def note_binding_load(self, directory: Entity,
                           component: Optional[str]) -> None:
         """Record one routing hit against *component*'s owning shard

@@ -419,7 +419,8 @@ class DistributedResolver:
         message = sender.send(receiver, payload={"ns": what})
         if span is not None:
             message.trace_id = span.trace_id
-            message.parent_span_id = span.span_id
+            if not span.muted:
+                message.parent_span_id = span.span_id
         self._sim.run_until_settled(message)
         cost.messages += 1
         cost.latency += self._sim.clock.now - before
@@ -836,7 +837,8 @@ class DistributedResolver:
                     payload={"ns": "anti-entropy"})
                 if span is not None:
                     message.trace_id = span.trace_id
-                    message.parent_span_id = span.span_id
+                    if not span.muted:
+                        message.parent_span_id = span.span_id
                 self._sim.run_until_settled(message)
                 self.anti_entropy_messages += 1
                 messages += 1

@@ -185,15 +185,18 @@ class ShardMap:
         self.owner_of(component).load += 1
 
     def add_member(self, component: str) -> None:
-        """Track a binding created after the map was built (all writes
-        come through the resolver/service rebind discipline).
-        Idempotent: a name the owning shard already lists (unbound,
-        then bound again) is not added twice."""
+        """Track a binding the rebind discipline created after the map
+        was built (it adds a name only while the name is unbound)."""
         value = binding_hash(component)
         shard = self._shard_for_hash(value)
-        if component not in shard.names:
-            shard.names.append(component)
-            shard.hashes.append(value)
+        shard.names.append(component)
+        shard.hashes.append(value)
+
+    def remove_member(self, component: str) -> None:
+        """Stop tracking a binding the write discipline removed."""
+        shard = self.owner_of(component)
+        index = shard.names.index(component)
+        del shard.names[index], shard.hashes[index]
 
     # -- splitting ----------------------------------------------------------
 

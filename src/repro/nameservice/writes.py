@@ -35,16 +35,18 @@ def commit_binding(directory: ObjectEntity, name_: str, entity: Entity, *,
     """Change ``σ(directory)(name_)`` and record that it changed.
 
     With a *placement*, a name new to a sharded directory is noted
-    against its owning shard so a later split migrates it.  With an
-    *auditor*, the write enters the authoritative history — commit
-    time plus placement epoch, captured the instant σ changed.
+    against its owning shard so a later split migrates it, and an
+    unbound one is forgotten.  With an *auditor*, the write enters the
+    authoritative history — commit time plus placement epoch, captured
+    the instant σ changed.
     """
     context = directory.state
     old = context(name_) if auditor is not None else None
-    new = name_ not in context
+    was_bound = name_ in context
     context.bind(name_, entity)
-    if placement is not None and new:
-        placement.note_binding(directory, name_)
+    if placement is not None and was_bound != (name_ in context):
+        (placement.forget_binding if was_bound
+         else placement.note_binding)(directory, name_)
     if auditor is not None:
         auditor.record_write(directory, name_, old, entity, now, epoch)
 
@@ -222,7 +224,8 @@ class WritePath:
         message = sender.send(receiver, payload=payload)
         if span is not None:
             message.trace_id = span.trace_id
-            message.parent_span_id = span.span_id
+            if not span.muted:
+                message.parent_span_id = span.span_id
         return message
 
     def _replicate(self, directory: ObjectEntity, replicas: tuple,

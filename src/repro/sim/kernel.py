@@ -42,7 +42,7 @@ from repro.sim.events import EventQueue, ScheduledEvent
 from repro.sim.messages import Message
 from repro.sim.network import Internetwork, Machine, Network
 from repro.sim.process import SimProcess
-from repro.sim.trace import TraceLog
+from repro.sim.trace import DELIVER, DROP, SEND, TraceLog
 
 __all__ = ["Simulator"]
 
@@ -269,8 +269,8 @@ class Simulator:
         queue = self.queue
         heappush(queue._heap, (deliver_time, next(queue._seq), message))
         queue._live += 1
-        self._record(now, "send", ("%s → %s msg#%d", sender.label,
-                                   receiver.label, message.msg_id))
+        self._record(now, "send", (SEND, sender.label, receiver.label,
+                                   message.msg_id))
         return message
 
     def _deliver(self, message: Message) -> None:
@@ -297,7 +297,7 @@ class Simulator:
         if message.dropped:
             self.messages_dropped += 1
             self._record(self.clock._now, "drop",
-                         ("msg#%d: %s", message.msg_id, message.drop_reason))
+                         (DROP, message.msg_id, message.drop_reason))
             if self._obs_on and message.trace_id is not None \
                     and self.obs.tracer.admit(message.trace_id):
                 self.obs.tracer.event(
@@ -313,7 +313,7 @@ class Simulator:
             for gateway in self._gateways:
                 gateway.process(message)
         self._record(self.clock._now, "deliver",
-                     ("msg#%d at %s", message.msg_id, receiver.label))
+                     (DELIVER, message.msg_id, receiver.label))
         receiver.deliver(message)
         if self._obs_on and message.trace_id is not None \
                 and self.obs.tracer.admit(message.trace_id):

@@ -4,31 +4,42 @@ Experiments use traces two ways: to assert causality in tests (message
 m was delivered after it was sent, renumbering happened between sends)
 and to print run digests in benchmark output.
 
-A record's *detail* is its text, or — at the kernel's per-message
-sites, two records a message — a ``(template, *args)`` tuple of
+A record's *detail* is its text, or a ``(template, *args)`` tuple of
 atomic values that reading formats as ``template % args``, so the hot
-path never formats a string nobody reads.  Every record is
-stored as one flat tuple, ``(time, kind, data, text)`` or ``(time,
-kind, data, template, *args)``: CPython's cyclic collector untracks a
-tuple of atomic values on its first young pass, so the log costs no
-garbage-collection time however long it grows, and it holds no
-reference to the messages, processes or machines it describes.
-:class:`TraceEntry` is the read view that iteration,
-:meth:`TraceLog.of_kind`, :meth:`TraceLog.tail` and the exports
-build.
-
-The log keeps a per-kind index built **lazily** on the first
-:meth:`TraceLog.of_kind` / :meth:`TraceLog.kinds` call after new
-records, so the hot record path pays one deque append, nothing more.
+path never formats a string nobody reads.  Each record is one packed
+row — time, message id, two label indices, kind tag — in a bytearray.
+The kernel's send, deliver and drop records lead their detail with
+:data:`SEND`, :data:`DELIVER` or :data:`DROP`, and their row is the
+whole record: no object per record, so the log drives no collection and
+refers to no message, process or machine.  Any other record keeps its
+tuple, ``(time, kind, data, text)`` or ``(time, kind, data, template,
+*args)``, in a side list its row indexes.  :class:`TraceEntry` is the
+read view that iteration, :meth:`TraceLog.of_kind`, :meth:`TraceLog.tail`
+and the exports build; the per-kind index of row numbers is built
+**lazily**, on the first :meth:`TraceLog.of_kind` / :meth:`TraceLog.kinds`
+call after new records.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
-from itertools import islice
+from array import array
+from collections import defaultdict, namedtuple
+from struct import Struct
 from typing import Any, Iterator, Union
 
-__all__ = ["TraceEntry", "TraceLog"]
+__all__ = ["DELIVER", "DROP", "SEND", "TraceEntry", "TraceLog"]
+
+#: Message templates: a detail ``(SEND, sender, receiver, msg_id)``,
+#: ``(DELIVER, msg_id, receiver)`` or ``(DROP, msg_id, reason)`` makes a
+#: message row, read back with its kind, no data and a float time.
+SEND = "%s → %s msg#%d"
+DELIVER = "msg#%d at %s"
+DROP = "msg#%d: %s"
+#: A row's kind by its tag; tag 0: see the row's tuple.
+_KINDS = (None, "send", "deliver", "drop")
+#: One row: time, message id (tag 0: side index), label indices, kind tag.
+_ROW = Struct("dqIIb")
+_pack = _ROW.pack
 
 
 class TraceEntry(namedtuple("TraceEntry", ("time", "kind", "detail", "data"),
@@ -55,8 +66,24 @@ class TraceEntry(namedtuple("TraceEntry", ("time", "kind", "detail", "data"),
                 "detail": self.detail, "data": data}
 
 
-def _view(record: tuple) -> TraceEntry:
-    """The entry a stored record reads as (its detail formatted)."""
+class _Labels(dict):
+    """Label → index, numbering each label on first sight."""
+
+    def __missing__(self, label: str) -> int:
+        self[label] = index = len(self)
+        return index
+
+
+def _entry(row: tuple, labels: list, side: list) -> TraceEntry:
+    """The entry a stored row reads as (its detail formatted)."""
+    time, msg_id, first, second, tag = row
+    if tag == 1:
+        return TraceEntry(time, "send",
+                          SEND % (labels[first], labels[second], msg_id))
+    if tag:
+        return TraceEntry(time, _KINDS[tag], (DELIVER if tag == 2 else DROP)
+                          % (msg_id, labels[first]))
+    record = side[msg_id]
     time, kind, data, detail = record[:4]
     if len(record) > 4:
         detail %= record[4:]
@@ -66,13 +93,14 @@ def _view(record: tuple) -> TraceEntry:
 class TraceLog:
     """An append-only log of trace records."""
 
-    __slots__ = ("_entries", "_by_kind", "_indexed")
+    __slots__ = ("_rows", "_labels", "_side", "_by_kind", "_indexed")
 
     def __init__(self) -> None:
-        self._entries: deque[tuple] = deque()
-        # Per-kind index, built lazily by _index(): `_indexed` counts
-        # entries already indexed.
-        self._by_kind: dict[str, deque[tuple]] = {}
+        self._rows = bytearray()
+        self._labels = _Labels()
+        self._side: list[tuple] = []
+        # Per-kind row numbers of the first `_indexed` rows (_index()).
+        self._by_kind: dict[str, array] = defaultdict(lambda: array("q"))
         self._indexed = 0
 
     @property
@@ -82,56 +110,74 @@ class TraceLog:
 
     def record(self, time: float, kind: str, detail: Union[str, tuple],
                data: Any = None) -> None:
-        """Append one record.  *detail* is its text, or a
-        ``(template, *args)`` tuple of atomic values that reading
-        formats as ``template % args``."""
-        # Stored flat: a full collection examines a nested tuple after
-        # its holder, which would then stay tracked one pass longer.
+        """Append one record: *detail* is text or ``(template, *args)``;
+        one led by :data:`SEND`, :data:`DELIVER` or :data:`DROP` is a
+        message row, whatever *kind* and *data* say."""
         if type(detail) is tuple:
-            self._entries.append((time, kind, data) + detail)
+            template = detail[0]
+            if template is SEND:
+                self._rows += _pack(time, detail[3], self._labels[detail[1]],
+                                    self._labels[detail[2]], 1)
+                return
+            if template is DELIVER:
+                self._rows += _pack(time, detail[1], self._labels[detail[2]],
+                                    0, 2)
+                return
+            if template is DROP:
+                self._rows += _pack(time, detail[1], self._labels[detail[2]],
+                                    0, 3)
+                return
+            record = (time, kind, data) + detail
         else:
-            self._entries.append((time, kind, data, detail))
+            record = (time, kind, data, detail)
+        self._rows += _pack(time, len(self._side), 0, 0, 0)
+        self._side.append(record)
 
-    def _index(self) -> dict[str, deque[tuple]]:
+    def _unpacked(self, start: int = 0) -> Iterator[tuple]:
+        """Rows *start*… unpacked from a copy (an export blocks appends)."""
+        return _ROW.iter_unpack(self._rows[start * _ROW.size:])
+
+    def _read(self, start: int = 0) -> Iterator[TraceEntry]:
+        labels, side = list(self._labels), self._side
+        return (_entry(row, labels, side) for row in self._unpacked(start))
+
+    def _index(self) -> dict[str, array]:
         """The per-kind index, extended on demand (amortized O(new
-        entries since the last call))."""
-        by_kind = self._by_kind
-        entries = self._entries
-        count = len(entries)
-        if self._indexed < count:
-            for entry in islice(entries, self._indexed, count):
-                queue = by_kind.get(entry[1])
-                if queue is None:
-                    queue = by_kind[entry[1]] = deque()
-                queue.append(entry)
-            self._indexed = count
+        rows since the last call))."""
+        by_kind, side = self._by_kind, self._side
+        for number, (_time, msg_id, _first, _second, tag) in enumerate(
+                self._unpacked(self._indexed), self._indexed):
+            by_kind[_KINDS[tag] or side[msg_id][1]].append(number)
+        self._indexed = len(self)
         return by_kind
 
     def of_kind(self, kind: str) -> list[TraceEntry]:
         """All entries with the given kind, in order (amortized
-        O(new entries) + O(matches))."""
-        return list(map(_view, self._index().get(kind, ())))
+        O(new rows) + O(matches))."""
+        rows, size = self._rows, _ROW.size
+        labels, side = list(self._labels), self._side
+        return [_entry(_ROW.unpack_from(rows, number * size), labels, side)
+                for number in self._index().get(kind, ())]
 
     def kinds(self) -> list[str]:
         """The distinct kinds recorded, in first-seen order."""
         return list(self._index())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows) // _ROW.size
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        return map(_view, self._entries)
+        return self._read()
 
     def tail(self, count: int = 10) -> list[TraceEntry]:
         """The most recent *count* entries."""
-        if count <= 0:
-            return []
-        start = max(0, len(self._entries) - count)
-        return list(map(_view, islice(self._entries, start, None)))
+        return list(self._read(max(0, len(self) - count))) if count > 0 else []
 
     def window(self, start: float, end: float) -> list[dict]:
         """Entries with ``start <= time <= end`` as JSON-safe dicts —
         the flight-recorder capture primitive; later records cannot
-        change them."""
-        return [entry.to_dict() for entry in self
-                if start <= entry.time <= end]
+        change them.  Only the rows inside the window are turned into
+        entries."""
+        labels, side = list(self._labels), self._side
+        return [_entry(row, labels, side).to_dict()
+                for row in self._unpacked() if start <= row[0] <= end]

@@ -7,8 +7,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.namespaces.base import ProcessContext
+from repro.namespaces.tree import NamingTree
+from repro.nameservice.placement import DirectoryPlacement
+from repro.nameservice.resolver import DistributedResolver
 from repro.obs import FlightRecorder, Instrumentation, SpanSampler, Tracer
 from repro.sim.kernel import Simulator
+from repro.workloads.zipf import build_zipf_namespace
 
 
 def _traced_workload(tracer: Tracer, traces: int = 40):
@@ -178,6 +183,50 @@ class TestMutedTraces:
         assert not tracer.begin("resolution", "/m", 2.0,
                                 parent=None).muted
         assert root.muted
+
+
+class TestMutedHops:
+    """A hop of a muted trace sends its trace id and no span id: the
+    kernel asks :meth:`Tracer.admit` before it would read one."""
+
+    def _hop_contexts(self, rate: float) -> list[tuple]:
+        obs = Instrumentation(sampler=SpanSampler(rate=rate, seed=1))
+        simulator = Simulator(seed=0, obs=obs)
+        network = simulator.network("lan")
+        client_m, primary, secondary = (
+            simulator.machine(network, label)
+            for label in ("client-m", "primary", "secondary"))
+        tree = NamingTree("root", sigma=simulator.sigma)
+        namespace = build_zipf_namespace(tree, "hot", count=10)
+        placement = DirectoryPlacement()
+        placement.place(tree.root, client_m)
+        placement.place_replicated(namespace.directory, primary, secondary)
+        resolver = DistributedResolver(simulator, placement)
+        client = simulator.spawn(client_m, "client")
+        seen: list[tuple] = []
+
+        class Tap:
+            label = "tap"
+
+            def process(self, message):
+                seen.append((message.trace_id, message.parent_span_id))
+
+        simulator.add_gateway(Tap())
+        _entity, cost = resolver.resolve(client, ProcessContext(tree.root),
+                                         "/hot/u1")
+        sent = resolver.rebind(namespace.directory, "u1",
+                               namespace.shared_leaf)
+        assert cost.messages >= 1 and sent == 0
+        assert len(seen) == simulator.messages_delivered > cost.messages
+        return seen
+
+    def test_a_muted_hop_carries_no_span_id(self):
+        for trace_id, parent_span_id in self._hop_contexts(rate=0.0):
+            assert trace_id is not None and parent_span_id is None
+
+    def test_a_kept_hop_carries_its_span_id(self):
+        for trace_id, parent_span_id in self._hop_contexts(rate=1.0):
+            assert trace_id is not None and parent_span_id is not None
 
 
 class TestKernelSampledMode:

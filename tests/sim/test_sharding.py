@@ -44,10 +44,10 @@ from repro.nameservice.resolver import DistributedResolver
 from repro.nameservice.sharding import (
     HASH_SPACE,
     ShardManager,
-    ShardMap,
     binding_hash,
 )
 from repro.nameservice.retry import RetryPolicy
+from repro.nameservice.writes import commit_binding
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
 from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
@@ -163,6 +163,19 @@ class TestShardMap:
                                  world["namespace"].shared_leaf)
         shard_map = world["shard_map"]
         assert "fresh" in shard_map.owner_of("fresh").names
+
+    def test_unbind_forgets_the_member(self):
+        world = make_deployment(names=100, shards=2)
+        directory = world["namespace"].directory
+        shard_map = world["shard_map"]
+        world["resolver"].rebind(directory, "fresh",
+                                 world["namespace"].shared_leaf)
+        world["resolver"].rebind(directory, "fresh", UNDEFINED_ENTITY)
+        listed = [name_ for shard in shard_map.shards
+                  for name_ in shard.names]
+        assert len(listed) == 100
+        assert sorted(listed) == sorted(directory.state.names())
+        assert_index_in_step(shard_map)
 
     def test_split_neither_hashes_nor_sorts(self, monkeypatch):
         world = make_deployment(names=800, shards=1)
@@ -441,20 +454,23 @@ class TestMigrationFailure:
 
 @st.composite
 def split_sequences(draw):
-    """(shard_count, replicas, [(shard_index_seed, fraction)]) split
-    scripts."""
+    """(shard_count, replicas, [(op, seed, fraction)]) scripts: splits
+    of a shard at a fraction of its range, interleaved with binds and
+    unbinds of ``u{seed % 260}`` (the directory binds u0 … u199)."""
     initial = draw(st.integers(min_value=1, max_value=4))
     replicas = draw(st.integers(min_value=1, max_value=3))
     steps = draw(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+        st.tuples(st.sampled_from(("split", "bind", "unbind")),
+                  st.integers(min_value=0, max_value=10 ** 6),
                   st.floats(min_value=0.01, max_value=0.99)),
-        max_size=12))
+        max_size=16))
     return initial, replicas, steps
 
 
 class TestOwnershipProperty:
-    """Property: after ANY split sequence, every binding is owned by
-    exactly one shard, and membership matches ownership."""
+    """Property: after ANY mix of binds, unbinds and splits, every
+    binding is owned by exactly one shard, and membership matches
+    ownership and the live bindings."""
 
     @given(script=split_sequences(),
            probes=st.lists(st.text(min_size=1, max_size=12),
@@ -469,11 +485,17 @@ class TestOwnershipProperty:
         tree = NamingTree("root", sigma=simulator.sigma)
         namespace = build_zipf_namespace(tree, "hot", count=200,
                                          distinct=8)
-        shard_map = ShardMap(namespace.directory, pool[:initial],
-                             replicas=replicas)
-        all_members = {name_ for shard in shard_map.shards
-                       for name_ in shard.names}
-        for index_seed, fraction in steps:
+        directory = namespace.directory
+        placement = DirectoryPlacement()
+        shard_map = placement.place_sharded(directory, *pool[:initial],
+                                            replicas=replicas)
+        for op, index_seed, fraction in steps:
+            if op != "split":
+                entity = (namespace.shared_leaf if op == "bind"
+                          else UNDEFINED_ENTITY)
+                commit_binding(directory, f"u{index_seed % 260}", entity,
+                               now=0.0, epoch=0, placement=placement)
+                continue
             shard = shard_map.shards[index_seed % len(shard_map)]
             if shard.span < 2:
                 continue
@@ -485,6 +507,7 @@ class TestOwnershipProperty:
                 shard_map.plan_split(shard, machine, at=at))
             assert_index_in_step(shard_map)
         assert shard_map.is_partition()
+        assert_index_in_step(shard_map)
         member_union = set()
         for shard in shard_map.shards:
             assert not member_union & set(shard.names)
@@ -492,7 +515,9 @@ class TestOwnershipProperty:
             assert 1 <= len(shard.replicas) <= min(replicas, initial)
             for name_ in shard.names:
                 assert shard_map.owner_of(name_) is shard
-        assert member_union == all_members
+        assert sum(map(len, (shard.names for shard in shard_map.shards))) \
+            == len(member_union)
+        assert member_union == set(directory.state.names())
         for probe in probes + list(namespace.names[:5]):
             assert len(shard_map.owners_of(probe)) == 1
             assert shard_map.owners_of(probe)[0] is \

@@ -1,10 +1,12 @@
-"""Tests for trace records as plain values and the lazily built
+"""Tests for trace records stored as packed rows and the lazily built
 per-kind index."""
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 
+import repro.sim.trace as trace_module
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceEntry, TraceLog
 
@@ -33,19 +35,51 @@ class TestLazyDetails:
                                    "detail": "lazy#1", "data": 7}
 
 
+def _two_processes(seed: int = 1):
+    """A simulator and two processes whose deliveries keep nothing."""
+    simulator = Simulator(seed=seed)
+    network = simulator.network("lan")
+    a = simulator.spawn(simulator.machine(network), "a")
+    b = simulator.spawn(simulator.machine(network), "b")
+    b.on_message(lambda process, message: None)
+    return simulator, a, b
+
+
 class TestPlainRecords:
-    def test_stored_records_are_untracked_by_the_collector(self):
-        simulator = Simulator(seed=1)
-        network = simulator.network("lan")
-        a = simulator.spawn(simulator.machine(network), "a")
-        b = simulator.spawn(simulator.machine(network), "b")
-        for index in range(20):
-            a.send(b, payload=index)
-        simulator.run()
+    MESSAGES = 10_000
+
+    def _exchange(self, simulator, a, b) -> None:
+        records = len(simulator.trace)
+        for _batch in range(self.MESSAGES // 100):
+            for index in range(100):
+                a.send(b, payload=index)
+            simulator.run()
+        assert len(simulator.trace) - records == 2 * self.MESSAGES
+
+    def test_message_records_allocate_no_tracked_objects(self):
+        simulator, a, b = _two_processes()
         gc.collect()
-        records = simulator.trace._entries
-        assert len(records) > 40
-        assert not any(gc.is_tracked(record) for record in records)
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            self._exchange(simulator, a, b)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert grown <= 16
+
+    def test_log_retains_at_most_64_bytes_a_message(self):
+        simulator, a, b = _two_processes()
+        tracemalloc.start()
+        try:
+            self._exchange(simulator, a, b)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        in_log = snapshot.filter_traces(
+            [tracemalloc.Filter(True, trace_module.__file__)])
+        retained = sum(stat.size for stat in in_log.statistics("filename"))
+        assert retained <= 64 * self.MESSAGES
 
     def test_entries_are_views_of_the_records(self):
         log = TraceLog()
