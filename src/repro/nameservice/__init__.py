@@ -11,12 +11,14 @@ subsystem (server-granted promises with expiry, callback breaking,
 grace mode) bounds cache staleness even when callbacks are lost
 (experiment A9).  Every resolution is one walk (:mod:`repro.
 nameservice.walk`), pumped on the kernel by the resolver and driven
-by messages in the async protocol, and every binding write takes one
-path — commit, replicate, then invalidate or break leases
-(:mod:`repro.nameservice.writes`).  Hot directories can be *sharded* —
-bindings split across shard servers by consistent hashing, with live
-load-driven splits migrating bindings as simulated messages
-(experiment A10).
+by messages in the async protocol.  Every binding write is one
+discipline too — commit, replicate, then invalidate or break leases
+(:func:`~repro.nameservice.writes.write_effects`) — driven on the
+kernel by :class:`~repro.nameservice.writes.WritePath` and on sockets
+by :class:`~repro.transport.service.NamingService`.  Hot directories
+can be *sharded* — bindings split across shard servers by consistent
+hashing, with live load-driven splits migrating bindings as simulated
+messages (experiment A10).
 """
 
 from repro.nameservice.cache import (
@@ -25,13 +27,10 @@ from repro.nameservice.cache import (
     PrefixEntry,
 )
 from repro.nameservice.leases import (
-    FanoutReport,
     Lease,
     LeaseManager,
     LeaseState,
     LeaseTable,
-    callback_fanout,
-    fanout_effects,
 )
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.protocol import (
@@ -54,7 +53,12 @@ from repro.nameservice.sharding import (
 )
 from repro.nameservice.walk import (Ask, ResolutionCost, retry_effects,
                                     walk_effects)
-from repro.nameservice.writes import WritePath, commit_binding
+from repro.nameservice.writes import (
+    WritePath,
+    WriteReport,
+    commit_binding,
+    write_effects,
+)
 
 __all__ = [
     "Ask",
@@ -64,7 +68,6 @@ __all__ = [
     "CircuitBreaker",
     "DirectoryPlacement",
     "DistributedResolver",
-    "FanoutReport",
     "Lease",
     "LeaseManager",
     "LeaseState",
@@ -81,10 +84,10 @@ __all__ = [
     "ShardMap",
     "SplitPlan",
     "WritePath",
+    "WriteReport",
     "binding_hash",
-    "callback_fanout",
     "commit_binding",
-    "fanout_effects",
     "retry_effects",
     "walk_effects",
+    "write_effects",
 ]

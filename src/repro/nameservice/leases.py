@@ -12,15 +12,17 @@ simply runs out, so a partitioned client's staleness is bounded by
 
     lease term + one delivery delay.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 * :class:`LeaseManager` — server side.  Grants per-client, per-
   dependency-key leases over virtual time, remembers which machine
-  holds which promise, fans callbacks out on rebind (via
-  :func:`callback_fanout`, reusing :class:`~repro.nameservice.retry.
-  RetryPolicy` and :class:`~repro.nameservice.retry.CircuitBreaker`
-  directly), tracks acks, and *breaks* leases whose callbacks cannot
-  be delivered — the broken promise expires on the client by term.
+  holds which promise, keeps one callback
+  :class:`~repro.nameservice.retry.CircuitBreaker` per holder, tracks
+  acks, and *breaks* leases whose callbacks cannot be delivered — the
+  broken promise expires on the client by term.  The callbacks
+  themselves are a write's business:
+  :func:`~repro.nameservice.writes.write_effects` fans them out on
+  rebind.
 * :class:`LeaseTable` — client side.  Gates cached entries: an entry
   is fresh iff its covering lease is unexpired (replacing blind TTLs
   for leased clients).  In *grace mode* — entered when the client
@@ -28,10 +30,6 @@ Three cooperating pieces:
   but every answer must be tagged weakly coherent by the caller; on
   heal, :meth:`LeaseTable.exit_grace` revalidates epochs before
   entries may be promoted back to fresh.
-* :func:`fanout_effects` — the bounded-retry callback delivery loop as
-  an effect-yielding generator, with :func:`callback_fanout` its
-  simulator-pumping driver (the asyncio driver lives in
-  :mod:`repro.transport.leases`).
 
 Everything runs over the simulator's virtual clock and seeded RNG, so
 lease schedules are deterministic per seed.
@@ -41,19 +39,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Generator, NamedTuple,
-                    Optional, Union)
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.errors import SimulationError
-from repro.nameservice.retry import CircuitBreaker, RetryPolicy
+from repro.nameservice.retry import CircuitBreaker
 from repro.obs.instrument import NO_OBS, Instrumentation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache.py)
     from repro.nameservice.cache import DepKey
 
-__all__ = ["LeaseState", "Lease", "LeaseTable", "LeaseManager",
-           "FanoutReport", "Deliver", "Wait", "fanout_effects",
-           "callback_fanout"]
+__all__ = ["LeaseState", "Lease", "LeaseTable", "LeaseManager", "Wait"]
 
 
 class LeaseState(enum.Enum):
@@ -271,110 +266,12 @@ class LeaseTable:
                 "in_grace": int(self.in_grace)}
 
 
-@dataclass
-class FanoutReport:
-    """What one callback fan-out accomplished."""
-
-    notified: int = 0   #: callbacks delivered (and revoked client-side)
-    broken: int = 0     #: leases broken — callback undeliverable
-    attempts: int = 0   #: delivery attempts including retries
-    skipped: int = 0    #: holders skipped by an open circuit breaker
-
-
-class Deliver(NamedTuple):
-    """Fan-out effect: make delivery *attempt* of *lease*'s callback;
-    the driver sends back whether the callback (and its ack) made it."""
-
-    lease: Lease
-    attempt: int
-
-
 class Wait(NamedTuple):
-    """Fan-out effect: let *delay* of backoff pass before resuming."""
+    """Effect: let *delay* of backoff pass before resuming — between
+    the walk's re-asks (:mod:`repro.nameservice.walk`) and between a
+    write's callback attempts (:mod:`repro.nameservice.writes`)."""
 
     delay: float
-
-
-def fanout_effects(holders: list[Lease], *,
-                   now: Callable[[], float],
-                   rng,
-                   retry_policy: Optional[RetryPolicy],
-                   breaker_for: Callable[[Lease],
-                                         Optional[CircuitBreaker]],
-                   on_broken: Callable[[Lease], None],
-                   ) -> Generator[Union[Deliver, Wait], Optional[bool],
-                                  FanoutReport]:
-    """The callback fan-out as a sans-IO state machine.
-
-    The one bounded-retry delivery loop: for each holder it yields
-    :class:`Deliver` up to ``retry_policy.max_attempts`` times (the
-    driver answers with the delivery outcome) and :class:`Wait` with
-    ``retry_policy.backoff(attempt, rng)`` between failures.  A holder
-    whose circuit breaker (from *breaker_for*) is open is skipped
-    without an attempt — its lease is broken outright, exactly as an
-    exhausted retry budget would.  Breaker bookkeeping uses the same
-    ``record_success`` / ``record_failure`` hooks as the resolver's
-    hop path.  *on_broken* runs for every lease left undeliverable;
-    the generator returns the :class:`FanoutReport`.
-    """
-    report = FanoutReport()
-    attempts_per = 1 if retry_policy is None else retry_policy.max_attempts
-    for lease in holders:
-        breaker = breaker_for(lease)
-        if breaker is not None and not breaker.allow(now()):
-            report.skipped += 1
-            report.broken += 1
-            on_broken(lease)
-            continue
-        delivered = False
-        for attempt in range(1, attempts_per + 1):
-            report.attempts += 1
-            if (yield Deliver(lease, attempt)):
-                delivered = True
-                if breaker is not None:
-                    breaker.record_success(now())
-                break
-            if breaker is not None:
-                breaker.record_failure(now())
-            if attempt < attempts_per and retry_policy is not None:
-                yield Wait(retry_policy.backoff(attempt, rng))
-            if breaker is not None and not breaker.allow(now()):
-                break  # tripped mid-holder: stop burning attempts
-        if delivered:
-            report.notified += 1
-        else:
-            report.broken += 1
-            on_broken(lease)
-    return report
-
-
-def callback_fanout(holders: list[Lease], *,
-                    now: Callable[[], float],
-                    rng,
-                    deliver: Callable[[Lease, int], bool],
-                    wait: Callable[[float], None],
-                    retry_policy: Optional[RetryPolicy],
-                    breaker_for: Callable[[Lease],
-                                          Optional[CircuitBreaker]],
-                    on_broken: Callable[[Lease], None]) -> FanoutReport:
-    """Drive :func:`fanout_effects` by blocking on each effect.
-
-    ``deliver(lease, attempt)`` returns True when the callback (and
-    its ack) made it; *wait* spends the backoff (virtual time on the
-    simulator).
-    """
-    steps = fanout_effects(holders, now=now, rng=rng,
-                           retry_policy=retry_policy,
-                           breaker_for=breaker_for, on_broken=on_broken)
-    outcome = None
-    try:
-        while True:
-            effect = steps.send(outcome)
-            outcome = (deliver(effect.lease, effect.attempt)
-                       if isinstance(effect, Deliver)
-                       else wait(effect.delay))
-    except StopIteration as done:
-        return done.value
 
 
 class LeaseManager:
@@ -409,15 +306,15 @@ class LeaseManager:
 
     # -- breakers -----------------------------------------------------------
 
-    def breaker_for_machine(self, machine_id: int,
-                            label: str = "") -> CircuitBreaker:
-        breaker = self._breakers.get(machine_id)
+    def breaker_for(self, lease: Lease) -> CircuitBreaker:
+        """The callback breaker of *lease*'s holder machine."""
+        breaker = self._breakers.get(lease.machine_id)
         if breaker is None:
             breaker = CircuitBreaker(
                 failure_threshold=self.breaker_threshold,
                 cooldown=self.breaker_cooldown,
-                label=label or f"lease-cb:{machine_id}", obs=self._obs)
-            self._breakers[machine_id] = breaker
+                label="lease-cb:" + lease.machine_label, obs=self._obs)
+            self._breakers[lease.machine_id] = breaker
         return breaker
 
     # -- grant / renew ------------------------------------------------------

@@ -77,14 +77,8 @@ from repro.errors import SchemeError
 from repro.model.context import Context
 from repro.model.entities import Entity, ObjectEntity, UNDEFINED_ENTITY
 from repro.model.names import CompoundName, NameLike
-from repro.nameservice.cache import CachePolicy, PrefixCache, binding_dep
-# callback_fanout is kept bound here although the fan-out now runs in
-# repro.nameservice.writes: benchmarks/e2e patches it by this name.
-from repro.nameservice.leases import (  # noqa: F401
-    LeaseManager,
-    Wait,
-    callback_fanout,
-)
+from repro.nameservice.cache import CachePolicy, DepKey, PrefixCache
+from repro.nameservice.leases import LeaseManager, Wait
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import (BreakerState, CircuitBreaker,
                                      RetryPolicy)
@@ -97,6 +91,11 @@ from repro.sim.network import Machine
 from repro.sim.process import SimProcess
 
 __all__ = ["ResolutionStyle", "DistributedResolver"]
+
+# Nothing calls this name: benchmarks/e2e/spec.py wraps it by this name
+# for its ``leases`` layer and its tests require the name to exist.  It
+# is bound to the kernel write driver, which now runs the fan-out.
+callback_fanout = WritePath.rebind
 
 
 def _answered_on_arrival(_server: SimProcess, _message) -> None:
@@ -687,13 +686,12 @@ class DistributedResolver:
         """
         return self.writes.rebind(directory, name_, entity)
 
-    def _drop_prefixes(self, machine_id: int, directory: ObjectEntity,
-                       name_: str) -> int:
+    def _drop_prefixes(self, machine_id: int, dep: DepKey) -> int:
         """Drop a holder's cached prefixes through one binding."""
         cache = self._prefix_caches.get(machine_id)
         if cache is None:
             return 0
-        return cache.invalidate_through(binding_dep(directory, name_))
+        return cache.invalidate_through(dep)
 
     # -- shard splits / migration ------------------------------------------
 

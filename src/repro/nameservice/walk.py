@@ -1,9 +1,9 @@
 """The walk: section-2 name resolution, defined once, sans-IO.
 
 :func:`walk_effects` is the paper's recursion over *placed* directories
-as an effect-yielding generator, in the shape of
-:func:`repro.nameservice.leases.fanout_effects`.  It owns everything
-that decides a resolution — the loop over the name's components, the
+as an effect-yielding generator — the shape the write discipline,
+:func:`repro.nameservice.writes.write_effects`, shares.  It owns
+everything that decides a resolution — the loop over the name's components, the
 prefix-cache probe and fill, the replica candidates of each directory
 with their stale / down / open-breaker skips, the bounded retry with
 seeded backoff (:func:`retry_effects`), the retry / failover

@@ -20,7 +20,6 @@ resolution outcomes and coherence-audit verdicts; see
 from repro.transport.base import Endpoint, Envelope, Timer, Transport
 from repro.transport.framing import (MAX_FRAME, FrameDecoder, FrameError,
                                      encode_frame, iter_frames)
-from repro.transport.leases import AckWaiter, callback_fanout_async
 from repro.transport.sim import SimEndpoint, SimTransport
 from repro.transport.wire import (DirectoryRegistry, EntityProxyCache,
                                   RemoteContext, RemoteDirectory,
@@ -36,7 +35,6 @@ __all__ = [
     "DirectoryRegistry", "EntityProxyCache", "RemoteContext",
     "RemoteDirectory", "RemoteEntity", "WireCodec", "describe_entity",
     "remote_uid_of",
-    "AckWaiter", "callback_fanout_async",
 ]
 
 

@@ -4,14 +4,15 @@
 :class:`~repro.transport.aio.AsyncioTransport`: the *unchanged*
 :class:`~repro.nameservice.protocol.NameLookupServer` answers lookup
 steps (told by the registry that it serves the whole tree, so it walks
-a request's suffix to the end), a small control endpoint (``ctl``)
-answers hello/lease/rebind requests, and rebinds fan break callbacks
-out to lease holders with
-:func:`~repro.transport.leases.callback_fanout_async` — driven by the
-same :class:`~repro.nameservice.leases.LeaseManager`,
+a request's suffix to the end), and a small control endpoint (``ctl``)
+answers hello/lease/rebind requests.  A rebind is the one write
+discipline, :func:`~repro.nameservice.writes.write_effects`, with the
+service as its asyncio driver: a break leg is a callback frame plus an
+awaited ack (:class:`AckWaiter`), a wait is real seconds, and the
+:class:`~repro.nameservice.leases.LeaseManager`,
 :class:`~repro.nameservice.retry.RetryPolicy` and
-:class:`~repro.nameservice.retry.CircuitBreaker` objects the
-simulator uses, read at the transport's wall clock.
+:class:`~repro.nameservice.retry.CircuitBreaker` objects are the ones
+the simulator uses, read at the transport's wall clock.
 
 :class:`RemoteNameClient` is the other half: it wraps the *unchanged*
 :class:`~repro.nameservice.protocol.AsyncNameClient` with a
@@ -35,9 +36,9 @@ order:
   ``lease-granted`` with the term (holder = the sending connection);
 * ``{"ctl": {"op": "rebind", "path": [...], "label": ..,
   "dir": bool}}`` → break callbacks fan out to holders, then
-  ``rebound`` reports the :class:`~repro.nameservice.leases.
-  FanoutReport` counts (or an ``error`` for a path that cannot be
-  rebound);
+  ``rebound`` reports the :class:`~repro.nameservice.writes.
+  WriteReport`'s callback counts (or an ``error`` for a path that
+  cannot be rebound);
 * ``{"ctl": {"op": "stats"}}`` → server counters (requests served,
   frames, leases) for smoke checks.
 """
@@ -52,19 +53,20 @@ from repro.errors import NameSyntaxError, SchemeError
 from repro.model.context import Context, context_object
 from repro.model.entities import Entity, ObjectEntity
 from repro.model.names import ROOT_NAME
-from repro.nameservice.leases import LeaseManager, LeaseTable
+from repro.nameservice.cache import CachePolicy
+from repro.nameservice.leases import LeaseManager, LeaseTable, Wait
 from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
 from repro.nameservice.retry import RetryPolicy
-from repro.nameservice.writes import commit_binding
+from repro.nameservice.writes import FANOUT, write_effects
 from repro.obs.instrument import Instrumentation
 from repro.transport.aio import Address, AsyncioTransport
 from repro.transport.base import Endpoint, Timer
-from repro.transport.leases import AckWaiter, callback_fanout_async
 from repro.transport.wire import (DirectoryRegistry, EntityProxyCache,
                                   RemoteEntity, WireCodec, describe_entity,
                                   remote_uid_of)
 
-__all__ = ["RemoteRouter", "NamingService", "RemoteNameClient"]
+__all__ = ["RemoteRouter", "AckWaiter", "NamingService",
+           "RemoteNameClient"]
 
 CTL_LABEL = "ctl"
 
@@ -98,8 +100,65 @@ class RemoteRouter:
         return address
 
 
+class AckWaiter:
+    """Matches awaited acks to ``(key)`` under wall-clock deadlines.
+
+    Break callbacks are fire-and-forget frames, so the deliverer
+    awaits the holder's ack (matched by ``(dep, session)``): an
+    unacked callback is a failed attempt, exactly like an undelivered
+    simulator message.  The deliverer calls :meth:`expect` before
+    sending, then awaits :meth:`wait`; the receive path calls
+    :meth:`resolve` when the ack frame lands.  Unmatched acks (late,
+    duplicate) are counted, never raised — mirroring the protocol's
+    late-reply discipline.
+    """
+
+    def __init__(self) -> None:
+        self._pending: dict[Any, asyncio.Future] = {}
+        self.late_acks = 0
+
+    def expect(self, key: Any) -> None:
+        """Await an ack for *key*; a key already awaited shares its
+        pending future (two overlapping breaks of one lease are both
+        answered by its next ack)."""
+        future = self._pending.get(key)
+        if future is None or future.done():
+            self._pending[key] = asyncio.get_running_loop().create_future()
+
+    async def wait(self, key: Any, timeout: float) -> bool:
+        """True if the ack for *key* arrives within *timeout* seconds."""
+        future = self._pending.get(key)
+        if future is None:  # pragma: no cover - defensive
+            return False
+        try:
+            # asyncio.wait never cancels the future: an overlapping
+            # break of the same lease may still be sharing it.
+            done, _pending = await asyncio.wait((future,), timeout=timeout)
+            return bool(done)
+        finally:
+            if self._pending.get(key) is future:
+                del self._pending[key]
+
+    def resolve(self, key: Any) -> bool:
+        """Mark *key*'s ack as arrived; False (and counted) if nobody
+        is waiting for it."""
+        future = self._pending.get(key)
+        if future is None or future.done():
+            self.late_acks += 1
+            return False
+        future.set_result(True)
+        return True
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+
 class NamingService:
     """Serve a namespace root over asyncio TCP.
+
+    The service is also the asyncio host of
+    :func:`~repro.nameservice.writes.write_effects`: one server, no
+    placement, leases for every holder.
 
     Args:
         root: The namespace root (a context object); the whole
@@ -115,6 +174,9 @@ class NamingService:
             and fed ``record_write`` on every control-plane rebind.
     """
 
+    policy = CachePolicy.LEASE
+    placement = None
+
     def __init__(self, root: Entity, *, seed: int = 0,
                  obs: Optional[Instrumentation] = None,
                  lease_term: float = 30.0,
@@ -126,6 +188,9 @@ class NamingService:
         self.registry.register_tree(root)
         self.transport = AsyncioTransport(
             seed=seed, obs=obs, codec=WireCodec(registry=self.registry))
+        self.now = self.transport.now
+        self.rng = self.transport.rng
+        self.obs = self.transport.obs
         self.server = NameLookupServer(self.transport,
                                        placement=self.registry)
         if auditor is not None:
@@ -221,7 +286,8 @@ class NamingService:
         })
 
     async def _rebind(self, reply_to: Any, body: dict) -> None:
-        """Rebind a path server-side, then break holders' leases."""
+        """Rebind a path server-side: drive the write discipline, then
+        report its callback counts."""
         path = body.get("path")
 
         def refuse(error: str) -> None:
@@ -231,7 +297,6 @@ class NamingService:
         if not isinstance(path, list) or not path \
                 or not all(isinstance(c, str) for c in path):
             return refuse("path must be a non-empty list of names")
-        now = self.transport.now()
         parent: Entity = self.root
         for component in path[:-1]:
             parent = parent.state(component)
@@ -242,30 +307,30 @@ class NamingService:
             new: Entity = context_object(body.get("label", component))
         else:
             new = ObjectEntity(body.get("label", component))
+        steps = write_effects(self, parent, component, new)
+        outcome = None
         try:
-            commit_binding(parent, component, new, now=now,
-                           epoch=self.epoch, auditor=self.auditor)
+            while True:
+                leg = steps.send(outcome)
+                outcome = None
+                if type(leg) is Wait:
+                    await asyncio.sleep(leg.delay)
+                elif leg is FANOUT:  # committed: make it decodable
+                    self.registry.register(new)
+                    self.rebinds += 1
+                else:  # a break leg: no placement, nothing else
+                    outcome = await self._deliver_break(leg.to)
         except NameSyntaxError as error:
             return refuse(str(error))
-        self.registry.register(new)
-        self.rebinds += 1
-        dep = ("binding", remote_uid_of(parent), component)
-        holders = self.leases.holders_of(dep, now)
-        report = await callback_fanout_async(
-            holders, now=self.transport.now, rng=self.transport.rng,
-            deliver=self._deliver_break,
-            retry_policy=self.retry_policy,
-            breaker_for=lambda lease: self.leases.breaker_for_machine(
-                lease.machine_id, label=lease.machine_label),
-            on_broken=lambda lease: self.leases.break_lease(
-                lease, self.transport.now()))
+        except StopIteration as done:
+            report = done.value
         self._reply(reply_to, body, {
             "op": "rebound", "path": path,
             "notified": report.notified, "broken": report.broken,
             "attempts": report.attempts, "skipped": report.skipped,
         })
 
-    async def _deliver_break(self, lease: Any, attempt: int) -> bool:
+    async def _deliver_break(self, lease: Any) -> bool:
         holder = self._holders.get(lease.machine_id)
         if holder is None or holder.conn.closed:
             return False
@@ -434,6 +499,7 @@ class RemoteNameClient:
         await self.transport.aclose()
 
     def dep_for(self, directory: Entity, component: str) -> tuple:
-        """The lease dependency key for one binding, wire-identical
-        on both sides (uses the server's uid for proxies)."""
-        return ("binding", remote_uid_of(directory), component)
+        """The lease dependency key for one binding: the simulator's
+        :func:`~repro.nameservice.cache.binding_dep` key, with the
+        server's uid for proxies, so the write path keys it alike."""
+        return ("d", remote_uid_of(directory), component)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.model.entities import ObjectEntity
 from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
@@ -175,6 +174,7 @@ def _resolver_world(seed=0, term=12.0):
         breaker_threshold=5, breaker_cooldown=5.0, lease_term=term)
     return {"simulator": simulator, "lan": lan, "srv": srv,
             "client_machine": client_machine, "client": client,
+            "primary": primary,
             "context": context, "resolver": resolver, "svc": svc,
             "new_dir": new_dir, "old_leaf": old_leaf,
             "new_leaf": new_leaf}
@@ -187,6 +187,26 @@ def _probe(world):
 
 
 class TestResolverLease:
+    def test_local_holder_is_released_like_an_acked_one(self):
+        """A holder on the owning host is called back without a
+        message; the server must forget its lease as a delivered ack
+        makes it, or every later rebind calls it back again."""
+        world = _resolver_world()
+        simulator, resolver = world["simulator"], world["resolver"]
+        local = simulator.spawn(world["primary"], "local")
+        resolver.resolve(local, world["context"], "/svc/app/cfg")
+        dep = ("d", world["svc"].uid, "app")
+        holders = resolver.leases.holders_of(dep, simulator.clock.now)
+        assert [h.machine_id for h in holders] == [id(world["primary"])]
+        held = resolver.leases.stats()["held"]
+        resolver.rebind(world["svc"], "app", world["new_dir"])
+        table = resolver.writes.lease_table_of(world["primary"])
+        assert table.revocations == 1
+        assert resolver.leases.holders_of(dep, simulator.clock.now) == []
+        stats = resolver.leases.stats()
+        assert (stats["held"], stats["acks"]) == (held - 1, 1)
+        assert resolver.invalidation_messages == 0
+
     def test_connected_rebind_reaches_the_holder(self):
         world = _resolver_world()
         entity, cost = _probe(world)
