@@ -182,6 +182,8 @@ TABLE = [
     # the attempt budget: three tries, then the lease is broken
     ({(0, 1): False}, RetryPolicy(max_attempts=3, base_backoff=0.5,
                                   max_backoff=2.0), None, (0, 1, 3, 0)),
+    # no policy, a holder that never answers: one try, then broken
+    ({(0, 1): False}, None, None, (0, 1, 1, 0)),
     # a success stops the retries
     ({(0, 1): False, (0, 2): True},
      RetryPolicy(max_attempts=4, base_backoff=0.5, max_backoff=2.0),
@@ -275,6 +277,11 @@ class TestRetryAndBreaker:
         _report, log, _states = check_row({(0, 1): False, (0, 2): True},
                                           policy, None)
         assert log["broken"] == [] and len(log["waits"]) == 1
+
+    def test_no_policy_means_single_attempt(self):
+        report, log, _states = check_row({(0, 1): False}, None, None)
+        assert report[2] == 1 and log["broken"] == [0]
+        assert log["waits"] == []
 
     def test_fanout_failures_trip_the_breaker_like_hop_failures(self):
         """The same failure sequence through the fan-out and through
