@@ -200,10 +200,9 @@ class DirectoryPlacement:
         once — the same signal a replica-membership change sends, so
         prefix-cache entries routed under the pre-split map die.
 
-        Callers that migrate state (:meth:`~repro.nameservice.resolver.
-        DistributedResolver.split_shard`) must move the bindings
-        *before* committing; an aborted migration never reaches this
-        point and the epoch stays put.
+        Callers that migrate state (:func:`~repro.nameservice.writes.
+        migrate_effects`) move the bindings *before* committing; an
+        aborted migration never reaches this point and the epoch stays put.
         """
         for shard_map in self._shard_maps.values():
             if plan.shard in shard_map.shards:

@@ -10,8 +10,9 @@ replica candidates, retry, failover, degraded steps — is
 message-driven :class:`~repro.nameservice.protocol.AsyncNameClient`;
 this class is its *synchronous driver* (each ask becomes kernel hops
 pumped to delivery, each wait runs the kernel) and its host (routing,
-servers, breakers, caches), plus the write path, shard migration and
-restart anti-entropy.  Two classic interaction styles are supported:
+servers, breakers, caches), and the kernel driver of the rebind, split
+and restart-sync effects of :mod:`repro.nameservice.writes`.  Two
+classic interaction styles are supported:
 
 * ``ITERATIVE`` — the client asks each directory's server in turn
   (every remote step is a client↔server round trip);
@@ -85,7 +86,7 @@ from repro.nameservice.retry import (BreakerState, CircuitBreaker,
 from repro.nameservice.sharding import Shard
 from repro.nameservice.walk import (DOWN, LOST, STALE, Ask, ResolutionCost,
                                     retry_effects, walk_effects)
-from repro.nameservice.writes import WritePath
+from repro.nameservice.writes import WritePath, migrate_effects, sync_effects
 from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
 from repro.sim.process import SimProcess
@@ -213,7 +214,6 @@ class DistributedResolver:
         # and migration accounting.
         self.shard_manager = None
         self.migration_messages = 0
-        self.migration_latency = 0.0
         self.shard_splits = 0
         self.shard_split_aborts = 0
 
@@ -700,34 +700,12 @@ class DistributedResolver:
 
     def split_shard(self, directory: ObjectEntity, shard: Shard,
                     machine: Machine) -> bool:
-        """Split *shard* of a sharded directory, migrating the upper
-        half-range of its bindings to *machine* — as simulated
-        messages, so traces, failure injection and the retry/breaker
-        machinery all apply to rebalancing traffic.
-
-        The migration is **commit-last**: binding batches stream from
-        the source shard's server to the target first (⌈moved /
-        :attr:`migration_batch`⌉ messages, minimum one — an empty
-        range still hands off ownership), each leg going through the
-        retried-hop path; only when every batch lands does
-        :meth:`~repro.nameservice.placement.DirectoryPlacement.
-        apply_split` commit the new map and bump the placement epoch
-        exactly once.  An undeliverable batch (or a dead source)
-        aborts the split with the old map — and the old epoch —
-        intact, so no route ever points at a half-migrated shard; on a
-        replicated map the aborted range keeps being served by the old
-        shard's surviving replicas, so a crash at *any* fault point of
-        the migration leaves every binding with exactly one live
-        owner range.
-
-        On a replicated map the new shard's secondaries
-        (``plan.targets[1:]``) are drawn from the source shard's own
-        replica set — machines that already hold the migrating
-        bindings — so only the new primary receives migration traffic
-        and the replication degree carries over with zero extra
-        copies.
-
-        Returns True if the split committed.
+        """Split *shard* of a sharded directory onto *machine*: run
+        :func:`~repro.nameservice.writes.migrate_effects` on the
+        kernel, each migration batch a retried hop from the source
+        shard's server to the target's, so traces, failure injection
+        and the retry/breaker machinery all apply to rebalancing
+        traffic.  Returns True if the split committed.
         """
         shard_map = self._placement.shard_map_of(directory)
         if shard_map is None:
@@ -756,14 +734,11 @@ class DistributedResolver:
                for m in (shard.machine, machine)):
             source = self.server_for(shard.machine)
             target = self.server_for(machine)
-            batches = max(1, -(-len(plan.moved) // self.migration_batch))
-            committed = all(self._hop_retried(source, target, cost,
-                                              "migrate")
-                            for _index in range(batches))
-            if committed:
-                self._placement.apply_split(plan)
+            committed = self._pump(
+                migrate_effects(self, plan), cost,
+                lambda _leg, cost: self._hop_retried(source, target,
+                                                     cost, "migrate"))
         self.migration_messages += cost.messages
-        self.migration_latency += cost.latency
         if committed:
             self.shard_splits += 1
         else:
@@ -790,26 +765,14 @@ class DistributedResolver:
     # -- restart / anti-entropy --------------------------------------------
 
     def handle_restart(self, machine: Machine) -> int:
-        """Respawn hook: bring a restarted machine's server back and
-        anti-entropy its stale replicas.
-
-        Wire as ``injector.on_restart(resolver.handle_restart)`` so
-        :meth:`~repro.sim.failures.FailureInjector.restart_machine`
-        calls it.  The machine's dead directory-server process is
-        re-registered (fresh process, fresh circuit breaker), and each
-        directory whose copy here missed a write is synced from its
-        sync source — the directory's primary, or for a sharded
-        directory a live fresh fellow replica of the stale shard
-        (:meth:`~repro.nameservice.placement.DirectoryPlacement.
-        sync_source_for`) — one message per directory, counted in
-        :attr:`anti_entropy_messages`; a sync with no reachable source
-        leaves the mark in place.  Returns the number of directories
-        synced.
-        """
-        server = self._servers.get(id(machine))
-        if server is not None and not server.alive and machine.alive:
-            del self._servers[id(machine)]
-            server = self.server_for(machine)
+        """Respawn hook (``injector.on_restart(resolver.
+        handle_restart)``): respawn the machine's dead server (fresh
+        process, fresh breaker), then run :func:`~repro.nameservice.
+        writes.sync_effects` for its stale replicas, one message per
+        sync (:attr:`anti_entropy_messages`).  Returns the number of
+        directories synced."""
+        if id(machine) in self._servers:
+            self.server_for(machine)
         stale = self._placement.stale_uids_of(machine)
         if not stale:
             return 0
@@ -820,30 +783,10 @@ class DistributedResolver:
                 "anti_entropy", machine.label, self._sim.clock.now,
                 parent=None, attrs={"machine": machine.label,
                                     "stale": len(stale)})
-        synced = 0
-        messages = 0
-        for uid in stale:
-            source = self._placement.sync_source_for(uid, machine)
-            if source is None and self._placement.is_placed_uid(uid):
-                continue  # no live fresh source — stays stale
-            if source is not None and source is not machine:
-                source_server = self._speaker_for(source)
-                if source_server is None or not source_server.alive:
-                    continue  # stays stale; a later restart retries
-                message = source_server.send(
-                    self.server_for(machine),
-                    payload={"ns": "anti-entropy"})
-                if span is not None:
-                    message.trace_id = span.trace_id
-                    if not span.muted:
-                        message.parent_span_id = span.span_id
-                self._sim.run_until_settled(message)
-                self.anti_entropy_messages += 1
-                messages += 1
-                if message.dropped:
-                    continue  # unreachable source — stays stale
-            if self._placement.clear_stale(uid, machine):
-                synced += 1
+        cost = ResolutionCost()  # anti-entropy accounting only
+        synced = self._pump(sync_effects(self, machine, stale), cost,
+                            self._sync_leg, span)
+        self.anti_entropy_messages += cost.messages
         if obs.enabled:
             if synced:
                 obs.metrics.counter(
@@ -851,7 +794,17 @@ class DistributedResolver:
             if span is not None:
                 if not span.muted:
                     span.attrs["synced"] = synced
-                    span.attrs["messages"] = messages
+                    span.attrs["messages"] = cost.messages
                 obs.tracer.end(span, self._sim.clock.now)
         return synced
 
+    def _sync_leg(self, leg, span, cost: ResolutionCost) -> bool:
+        """One anti-entropy copy: one message, no ``hop`` span."""
+        source = self._speaker_for(leg.origin)
+        if source is None or not source.alive:
+            return False
+        message = self.writes.send(source, self.server_for(leg.to),
+                                   {"ns": "anti-entropy"}, span)
+        self._sim.run_until_settled(message)
+        cost.messages += 1
+        return not message.dropped

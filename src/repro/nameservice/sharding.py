@@ -326,8 +326,6 @@ class ShardManager:
         self.min_window = min_window
         self.max_shards = max_shards
         self.resolutions = 0
-        self.splits = 0
-        self.aborted_splits = 0
 
     # -- the feedback loop --------------------------------------------------
 
@@ -360,13 +358,10 @@ class ShardManager:
             target = self._pick_target(shard_map, hot)
             if target is None:
                 break
-            if self.resolver.split_shard(shard_map.directory, hot,
-                                         target):
-                self.splits += 1
-                done += 1
-            else:
-                self.aborted_splits += 1
+            if not self.resolver.split_shard(shard_map.directory, hot,
+                                             target):
                 break  # unreachable target — retry next window
+            done += 1
         return done
 
     def _pick_target(self, shard_map: ShardMap,

@@ -1,20 +1,21 @@
-"""The write path: commit → replicate → invalidate / lease-break.
+"""Every change a deployment makes to its replicas, as effects.
 
-In the paper's model a cached or replicated binding that missed a
-rebind *is* incoherence, so this module is the one place the TTL /
-INVALIDATE / LEASE contracts are kept.  :func:`write_effects` is that
-discipline, written once as a sans-IO generator in the shape of
-:func:`~repro.nameservice.walk.walk_effects`: it commits
-(:func:`commit_binding`), decides who must hear of the write and what
-a lost message costs, and yields the message legs (:class:`Leg`) and
-backoffs (:class:`~repro.nameservice.leases.Wait`) for a driver to
-perform.  Two drivers run it: :class:`WritePath` pumps the simulator
-kernel for :class:`~repro.nameservice.resolver.DistributedResolver`,
-and :class:`~repro.transport.service.NamingService` sends frames and
-awaits acks on a real socket.
+A name stays coherent only if every copy of its directory sees every
+binding change.  Each operation that moves directory state between
+replicas is written here once, as a sans-IO generator in the shape of
+:func:`~repro.nameservice.walk.walk_effects` that yields message legs
+(:class:`Leg`) and backoffs (:class:`~repro.nameservice.leases.Wait`)
+for a driver to perform: a rebind (:func:`write_effects`, where the
+TTL / INVALIDATE / LEASE contracts are kept; driven by
+:class:`WritePath` on the kernel and by :class:`~repro.transport.
+service.NamingService` on a socket), a shard split
+(:func:`migrate_effects`, reading ``placement`` and
+``migration_batch`` from its host) and a restart's anti-entropy
+(:func:`sync_effects`, reading ``placement``), the last two driven by
+:class:`~repro.nameservice.resolver.DistributedResolver`.
 
-The *host* argument is the driver; the write reads these names from
-it and nothing else:
+A rebind's *host* is its driver; the write reads these names from it
+and nothing else:
 
 * the regime: ``policy`` (the :class:`~repro.nameservice.cache.
   CachePolicy` copies are kept under), ``retry_policy`` (callback
@@ -45,12 +46,13 @@ from repro.nameservice.cache import CachePolicy, DepKey, binding_dep
 from repro.nameservice.leases import LeaseManager, LeaseTable, Wait
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import RetryPolicy
+from repro.nameservice.sharding import SplitPlan
 from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
 from repro.sim.process import SimProcess
 
 __all__ = ["FANOUT", "Leg", "WriteReport", "commit_binding",
-           "write_effects", "WritePath"]
+           "write_effects", "migrate_effects", "sync_effects", "WritePath"]
 
 
 def commit_binding(directory: ObjectEntity, name_: str, entity: Entity, *,
@@ -76,7 +78,7 @@ def commit_binding(directory: ObjectEntity, name_: str, entity: Entity, *,
 
 
 class Leg(NamedTuple):
-    """Effect: messages of one write, leaving *origin*.
+    """Effect: messages of one change, leaving *origin*.
 
     * ``"replicate"`` — *to* is a secondary replica; the driver
       resumes with whether the write reached it;
@@ -85,7 +87,9 @@ class Leg(NamedTuple):
       (``None``: delivered);
     * ``"break"`` — *to* is a :class:`~repro.nameservice.leases.
       Lease`, *attempt* the callback's attempt number; resumed with
-      whether the holder got the callback.
+      whether the holder got the callback;
+    * ``"migrate"`` / ``"sync"`` — one batch of a split's bindings / one
+      anti-entropy copy, sent to *to*; resumed with whether it landed.
     """
 
     op: str
@@ -269,6 +273,49 @@ def write_effects(host: Any, directory: ObjectEntity, name_: str,
     return report
 
 
+def migrate_effects(host: Any, plan: SplitPlan) -> Generator[Leg, bool, bool]:
+    """Split a shard by *plan*, **commit-last**: ⌈moved /
+    ``host.migration_batch``⌉ batches (minimum one: an empty range
+    still hands off ownership) go to ``plan.machine``, and only when
+    all land does :meth:`~repro.nameservice.placement.
+    DirectoryPlacement.apply_split` commit the map and bump the epoch,
+    once.  A lost batch aborts with the old map and epoch intact, so
+    no route points at a half-migrated shard and every binding keeps
+    exactly one live owner range.  The new shard's secondaries
+    (``plan.targets[1:]``) are the source's replicas, which already
+    hold the bindings.  Returns True if the split committed.
+    """
+    batches = max(1, -(-len(plan.moved) // host.migration_batch))
+    for _index in range(batches):
+        if not (yield Leg("migrate", plan.shard.machine, plan.machine)):
+            return False
+    host.placement.apply_split(plan)
+    return True
+
+
+def sync_effects(host: Any, machine: Machine,
+                 stale: list) -> Generator[Leg, bool, int]:
+    """Anti-entropy for *machine*: sync each directory uid in *stale*
+    from :meth:`~repro.nameservice.placement.DirectoryPlacement.
+    sync_source_for`, one leg each.  A source that is *machine* itself
+    clears the mark for free; a lost leg, or a placed directory with
+    no source, leaves it for a later restart; an unplaced directory's
+    mark is dropped.  Returns the number of marks cleared.
+    """
+    placement = host.placement
+    cleared = 0
+    for uid in stale:
+        source = placement.sync_source_for(uid, machine)
+        if source is None and placement.is_placed_uid(uid):
+            continue  # no live fresh source — stays stale
+        if source is not None and source is not machine \
+                and not (yield Leg("sync", source, machine)):
+            continue  # unreachable source — stays stale
+        if placement.clear_stale(uid, machine):
+            cleared += 1
+    return cleared
+
+
 class WritePath:
     """The kernel driver of :func:`write_effects`, and its host.
 
@@ -426,16 +473,16 @@ class WritePath:
                                 and primary.alive else None)
                     outcome = False
                     if receiver is not None:
-                        message = self._send(primary, receiver,
-                                             {"ns": "replicate"}, span)
+                        message = self.send(primary, receiver,
+                                            {"ns": "replicate"}, span)
                         sim.run_until_settled(message)
                         self.replication_messages += 1
                         outcome = not message.dropped
                 elif leg.op == "invalidate":
                     sender = self._speaker(leg.origin)
-                    batch = [self._send(sender,
-                                        self._speaker(self._machines[h]),
-                                        {"ns": "invalidate"}, span)
+                    batch = [self.send(sender,
+                                       self._speaker(self._machines[h]),
+                                       {"ns": "invalidate"}, span)
                              for h in leg.to]
                     self.invalidation_messages += len(batch)
                     sim.run_until_settled(batch)
@@ -469,9 +516,9 @@ class WritePath:
         machine = self._machines[lease.machine_id]
         sender = self._speaker(leg.origin)
         receiver = self._speaker(machine)
-        message = self._send(sender, receiver,
-                             {"lease": {"op": "break", "dep": lease.dep}},
-                             span)
+        message = self.send(sender, receiver,
+                            {"lease": {"op": "break", "dep": lease.dep}},
+                            span)
         self.invalidation_messages += 1
         sim.run_until_settled(message)
         delivered = not message.dropped
@@ -488,9 +535,9 @@ class WritePath:
                 {"delivered": str(delivered).lower()}).inc()
         if delivered:
             self.call_back(lease.machine_id, lease.dep)
-            ack = self._send(receiver, sender,
-                             {"lease": {"op": "ack", "dep": lease.dep}},
-                             span)
+            ack = self.send(receiver, sender,
+                            {"lease": {"op": "ack", "dep": lease.dep}},
+                            span)
             self.invalidation_messages += 1
             sim.run_until_settled(ack)
             if not ack.dropped:
@@ -498,8 +545,9 @@ class WritePath:
                                        sim.clock.now)
         return delivered
 
-    def _send(self, sender: SimProcess, receiver: SimProcess,
-              payload: dict, span):
+    def send(self, sender: SimProcess, receiver: SimProcess,
+             payload: dict, span):
+        """Send one message stamped with *span*'s trace context."""
         message = sender.send(receiver, payload=payload)
         if span is not None:
             message.trace_id = span.trace_id
