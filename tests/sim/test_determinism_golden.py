@@ -35,6 +35,10 @@ TRACE_GOLDENS = {
 
 #: sha256 of each experiment's full ``ExperimentResult.to_dict()``.
 EXPERIMENT_GOLDENS = {
+    ("A5", 0): "a0f94073ec95115f63535046e9c2188f3cbf3b423de19c173d8bbaed9685a79c",
+    ("A5", 1): "269250064e5ccd1f5ec769901d6745c5945b6e8073d0a8d5749f5f590c2d2400",
+    ("A5", 7): "c083b168772ffd12f5f54fa8ae5312b8b67c26bd8e8611e0ca2ea7290be7bed3",
+    ("A5", 42): "b4a57093fa036a83c26bdaa3760caae9deb8d1256e5755c4b480263111776a0c",
     ("A7", 0): "35dc3ddd1f20538e98d63c641adc9144d5e2a89a344a285a879592b7bbabcb0e",
     ("A7", 1): "003d585adf8909729488b336df7741535590e511480114a96ea295a11aa9cc92",
     ("A7", 7): "f551dc523fa2010d51c51b6585523cfd08f68d8d3bed88fdf29b3c89a448d3ee",
@@ -119,8 +123,10 @@ def experiment_digest(result) -> str:
 def _experiment_runners():
     from repro.bench.experiments_availability import run_a8_availability
     from repro.bench.experiments_batch import run_a7_batch_resolution
+    from repro.bench.experiments_cache import run_a5_cache_coherence
     from repro.bench.experiments_leases import run_a9_leases
-    return {"A7": run_a7_batch_resolution,
+    return {"A5": run_a5_cache_coherence,
+            "A7": run_a7_batch_resolution,
             "A8": run_a8_availability,
             "A9": run_a9_leases}
 

@@ -6,8 +6,8 @@ as deterministic as any other kernel workload: for a fixed seed, the
 same splits at the same points, the same migration traffic, and a
 byte-identical trace log.  These tests pin sha256 digests of a
 canonical split-and-migrate scenario (including an aborted split onto
-a crashed machine) and of the A10 experiment's full result dict at
-reduced scale, across seeds 0/1/7/42.
+a crashed machine) and of the A10 and A11 experiments' full result
+dicts at reduced scale, across seeds 0/1/7/42.
 
 Regenerate (only when a change is *intended* to alter observable
 behaviour)::
@@ -48,6 +48,14 @@ EXPERIMENT_GOLDENS = {
     1: "baf3b57d2b8f28ea1fca86c53772124391223ac7357ae3a3eedca85f427f65fa",
     7: "c7ee5410523f100b57e98ee3a6dd9133b4a0310cc0f0d5f4bb53ca501091c52f",
     42: "2a0f28ae12889cc7f316f65c07c60ff482d23a38a99de88f7d130cd09c43c9fe",
+}
+
+#: sha256 of A11's full ``ExperimentResult.to_dict()`` (reduced scale).
+A11_GOLDENS = {
+    0: "f995450db2124b76fdfb522117bb564b01cb013bc2eda96da0c8640583439fa7",
+    1: "8c3d143e3d0b33b3091b2070614aa219c74759b62be809f44724dac6a8502d27",
+    7: "a343860ea67b1a36345dd09b1fcda34f3c1013386833a620154392e44a92a1e4",
+    42: "7fa7f2bf7d309f932baeda30349d1d70d8657f92cfdb62e1c21338eb72e7c066",
 }
 
 
@@ -106,6 +114,12 @@ def run_a10_reduced(seed: int):
                             resolutions=3_000)
 
 
+def run_a11_reduced(seed: int):
+    from repro.bench.experiments_shard_faults import run_a11_shard_faults
+    return run_a11_shard_faults(seed=seed, names=20_000,
+                                resolutions=2_000)
+
+
 def experiment_digest(result) -> str:
     payload = json.dumps(result.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -134,6 +148,14 @@ class TestA10Goldens:
         assert experiment_digest(result) == EXPERIMENT_GOLDENS[seed]
 
 
+class TestA11Goldens:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a11_matches_pinned_digest(self, seed):
+        result = run_a11_reduced(seed)
+        assert result.all_checks_pass(), result.failed_checks()
+        assert experiment_digest(result) == A11_GOLDENS[seed]
+
+
 def _regenerate() -> None:  # pragma: no cover - maintenance helper
     print("TRACE_GOLDENS = {")
     for seed in SEEDS:
@@ -142,6 +164,10 @@ def _regenerate() -> None:  # pragma: no cover - maintenance helper
     print("EXPERIMENT_GOLDENS = {")
     for seed in SEEDS:
         print(f'    {seed}: "{experiment_digest(run_a10_reduced(seed))}",')
+    print("}")
+    print("A11_GOLDENS = {")
+    for seed in SEEDS:
+        print(f'    {seed}: "{experiment_digest(run_a11_reduced(seed))}",')
     print("}")
 
 
