@@ -34,17 +34,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.bench.harness import ExperimentResult
-from repro.model.context import Context
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
-from repro.nameservice.cache import CachePolicy
-from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver
-from repro.nameservice.retry import RetryPolicy
 from repro.nameservice.walk import ResolutionCost
 from repro.obs.instrument import Instrumentation
-from repro.sim.failures import FailureInjector
-from repro.sim.kernel import Simulator
+from repro.workloads.deployment import World, build_world
 
 __all__ = ["run_a8_availability", "run_schedule"]
 
@@ -78,9 +70,12 @@ def fault_phase(time: float) -> str:
     return "healthy"
 
 
-def fault_timeline(primary, lan, srv) -> list[tuple]:
-    """The scripted disruption, as ``schedule_timeline`` takes it
-    (A9 books the same script)."""
+def fault_timeline(world: World) -> list[tuple]:
+    """The scripted disruption of *world*'s ``m1`` and its ``lan`` /
+    ``srv`` link, as ``schedule_timeline`` takes it (A9 books the same
+    script)."""
+    primary = world.machines["m1"]
+    lan, srv = world.networks["lan"], world.networks["srv"]
     return [
         (_CRASH_AT, "crash", primary),
         (_RESTART_AT, "restart", primary),
@@ -105,35 +100,23 @@ def run_schedule(seed: int, replicated: bool, retry: bool,
                  serve_stale: bool,
                  obs: Optional[Instrumentation] = None) -> dict:
     """One configuration through the full fault timeline."""
-    simulator = Simulator(seed=seed, obs=obs)
-    lan = simulator.network("lan")
-    srv = simulator.network("srv")
-    client_machine = simulator.machine(lan, "client-m")
-    primary = simulator.machine(srv, "m1")
-    secondary = simulator.machine(srv, "m2")
-    tree = NamingTree("root", sigma=simulator.sigma, parent_links=True)
-    tree.mkdir("svc")
-    for index in range(_FANOUT):
-        tree.mkfile(f"svc/f{index}")
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    svc = tree.directory("svc")
-    if replicated:
-        placement.place_replicated(svc, primary, secondary)
-    else:
-        placement.place(svc, primary)
-    client = simulator.spawn(client_machine, "client")
-    context: Context = ProcessContext(tree.root)
-    resolver = DistributedResolver(
-        simulator, placement,
-        cache_policy=CachePolicy.TTL, cache_ttl=_TTL,
-        retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.3,
+    world = build_world({
+        "networks": ["lan", "srv"],
+        "machines": [["client-m", "lan"], ["m1", "srv"], ["m2", "srv"]],
+        "parent_links": True,
+        "paths": [f"svc/f{index}" for index in range(_FANOUT)],
+        "place": [["/", "client-m"],
+                  ["svc", "m1", "m2"] if replicated else ["svc", "m1"]],
+        "clients": [["client-m", "client"]],
+        "resolver": {
+            "cache_policy": "ttl", "cache_ttl": _TTL,
+            "retry_policy": dict(max_attempts=3, base_backoff=0.3,
                                  max_backoff=2.0) if retry else None,
-        serve_stale=serve_stale,
-        breaker_threshold=3, breaker_cooldown=10.0)
-    injector = FailureInjector(simulator)
-    injector.on_restart(resolver.handle_restart)
-    injector.schedule_timeline(fault_timeline(primary, lan, srv))
+            "serve_stale": serve_stale,
+            "breaker_threshold": 3, "breaker_cooldown": 10.0},
+        "restart_sync": True}, seed, obs)
+    simulator, resolver = world.simulator, world.resolver
+    world.injector.schedule_timeline(fault_timeline(world))
     outcomes: list[_Outcome] = []
     costs: list[ResolutionCost] = []
     for start in ROUNDS:
@@ -145,7 +128,8 @@ def run_schedule(seed: int, replicated: bool, retry: bool,
             # later than scheduled — classify each resolution by the
             # fault phase actually in effect when it began.
             began = simulator.clock.now
-            entity, cost = resolver.resolve(client, context, name_)
+            entity, cost = resolver.resolve(world.client, world.context,
+                                            name_)
             costs.append(cost)
             outcomes.append(_Outcome(
                 time=began, phase=fault_phase(began),
@@ -171,7 +155,7 @@ def run_schedule(seed: int, replicated: bool, retry: bool,
         "breaker_transitions": sum(
             breaker.transitions
             for breaker in resolver._breakers.values()),
-        "stale_marks_left": placement.stale_count(),
+        "stale_marks_left": world.placement.stale_count(),
         "signature": tuple((outcome.phase, outcome.ok, outcome.weak)
                            for outcome in outcomes),
     }

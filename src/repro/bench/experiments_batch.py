@@ -29,17 +29,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.bench.harness import ExperimentResult
-from repro.model.context import Context, context_object
+from repro.model.context import context_object
 from repro.model.entities import ObjectEntity
 from repro.model.resolution import resolve as local_resolve
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
-from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver, ResolutionStyle
+from repro.nameservice.resolver import ResolutionStyle
 from repro.nameservice.walk import ResolutionCost
 from repro.obs.instrument import Instrumentation
-from repro.sim.kernel import Simulator
+from repro.workloads.deployment import World, build_world
 
 __all__ = ["run_a7_batch_resolution"]
 
@@ -49,16 +46,10 @@ _TTL = 200.0
 
 @dataclass
 class _Deployment:
-    simulator: Simulator
-    resolver: DistributedResolver
-    client: object
-    context: Context
+    world: World
     names: list[str]
-    #: the directory holding the binding that the rebind flips
-    parent_dir: ObjectEntity
-    #: current and alternate hot directories (both pre-placed, so a
-    #: rebind does not disturb the placement epoch)
-    hot_v1: ObjectEntity
+    #: the alternate hot directory (pre-placed, so a rebind does not
+    #: disturb the placement epoch)
     hot_v2: ObjectEntity
 
 
@@ -67,43 +58,34 @@ def _deploy(seed: int, policy: CachePolicy, fanout: int,
     """A client machine plus one server machine per prefix level; the
     hot directory holds *fanout* leaves and has a pre-placed alternate
     version (same leaf names, different entities) for rebind tests."""
-    simulator = Simulator(seed=seed, obs=obs)
-    network = simulator.network("lan")
-    client_machine = simulator.machine(network, "client-m")
-    servers = [simulator.machine(network, f"server{i}")
-               for i in range(len(_PREFIX))]
-    tree = NamingTree("root", sigma=simulator.sigma, parent_links=True)
-    tree.mkdir("/".join(_PREFIX))
-    for index in range(fanout):
-        tree.mkfile("/".join(_PREFIX) + f"/f{index}")
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    for depth in range(len(_PREFIX)):
-        placement.place(tree.directory("/".join(_PREFIX[:depth + 1])),
-                        servers[depth])
-    hot_v1 = tree.directory("/".join(_PREFIX))
-    parent_dir = tree.directory("/".join(_PREFIX[:-1]))
+    levels = ["/".join(_PREFIX[:depth + 1]) for depth in range(len(_PREFIX))]
+    servers = [f"server{depth}" for depth in range(len(_PREFIX))]
+    hot = levels[-1]
+    world = build_world({
+        "networks": ["lan"],
+        "machines": [[label, "lan"] for label in ["client-m", *servers]],
+        "parent_links": True,
+        "paths": [hot + "/"] + [f"{hot}/f{i}" for i in range(fanout)],
+        "place": [["/", "client-m"], *map(list, zip(levels, servers))],
+        "clients": [["client-m", "client"]],
+        "resolver": {"cache_policy": policy.value, "cache_ttl": _TTL}},
+        seed, obs)
     # The alternate hot directory: same names, fresh entities.
     hot_v2 = context_object("hot-v2")
-    simulator.sigma.add(hot_v2)
+    world.simulator.sigma.add(hot_v2)
     for index in range(fanout):
         leaf = ObjectEntity(f"f{index}-v2")
-        simulator.sigma.add(leaf)
+        world.simulator.sigma.add(leaf)
         hot_v2.state.bind(f"f{index}", leaf)
-    placement.place(hot_v2, servers[-1])
-    client = simulator.spawn(client_machine, "client")
-    context = ProcessContext(tree.root)
-    resolver = DistributedResolver(simulator, placement,
-                                   cache_policy=policy, cache_ttl=_TTL)
-    names = ["/" + "/".join(_PREFIX) + f"/f{index}"
-             for index in range(fanout)]
-    return _Deployment(simulator, resolver, client, context, names,
-                       parent_dir, hot_v1, hot_v2)
+    world.placement.place(hot_v2, world.machines[servers[-1]])
+    return _Deployment(world, [f"/{hot}/f{i}" for i in range(fanout)],
+                       hot_v2)
 
 
 def _run_hot_workload(deployment: _Deployment, resolutions: int,
                       batched: bool, seed: int) -> dict[str, float]:
     """Resolve *resolutions* draws of the hot names; returns totals."""
+    world = deployment.world
     rng = random.Random(seed)
     rounds = resolutions // len(deployment.names)
     costs: list[ResolutionCost] = []
@@ -112,19 +94,19 @@ def _run_hot_workload(deployment: _Deployment, resolutions: int,
         rng.shuffle(batch)
         if batched:
             costs.extend(cost for _entity, cost in
-                         deployment.resolver.resolve_many(
-                             deployment.client, deployment.context, batch))
+                         world.resolver.resolve_many(
+                             world.client, world.context, batch))
         else:
             for name_ in batch:
-                _entity, cost = deployment.resolver.resolve(
-                    deployment.client, deployment.context, name_)
+                _entity, cost = world.resolver.resolve(
+                    world.client, world.context, name_)
                 costs.append(cost)
     total = ResolutionCost.merge(costs)
-    stats = deployment.resolver.cache_stats()
+    stats = world.resolver.cache_stats()
     hits, misses = stats["hits"], stats["misses"]
     return {
-        "kernel_messages": float(deployment.simulator.messages_sent),
-        "mean_messages": deployment.simulator.messages_sent
+        "kernel_messages": float(world.simulator.messages_sent),
+        "mean_messages": world.simulator.messages_sent
         / (rounds * len(deployment.names)),
         "latency": total.latency,
         "cached_steps": float(total.cached_steps),
@@ -132,7 +114,7 @@ def _run_hot_workload(deployment: _Deployment, resolutions: int,
         # Deterministic work proxy (wall clock would be noisy): every
         # kernel event the workload drove, including the trace's
         # send/deliver pairs.
-        "kernel_events": float(len(deployment.simulator.trace)),
+        "kernel_events": float(len(world.simulator.trace)),
     }
 
 
@@ -143,39 +125,35 @@ def _semantics_cell(seed: int, style: ResolutionStyle,
     promises coherence (immediately for NONE/INVALIDATE; after the
     expiry window for TTL)."""
     deployment = _deploy(seed, policy, fanout)
+    world = deployment.world
+    resolver, client, context = world.resolver, world.client, world.context
     probes = deployment.names[:8] + ["/a/b/nope", "missing", "/"]
     # Warm-up: two batches.
     for _ in range(2):
-        deployment.resolver.resolve_many(deployment.client,
-                                         deployment.context,
-                                         deployment.names, style)
-    deployment.resolver.rebind(deployment.parent_dir, _PREFIX[-1],
-                               deployment.hot_v2)
+        resolver.resolve_many(client, context, deployment.names, style)
+    resolver.rebind(world.tree.directory(_PREFIX[:-1]), _PREFIX[-1],
+                    deployment.hot_v2)
     stale_inside_window = False
     if policy is CachePolicy.TTL:
         # Inside the window the cached prefix may still serve hot-v1.
-        entity, _cost = deployment.resolver.resolve(
-            deployment.client, deployment.context, probes[0], style)
-        stale_inside_window = entity is not local_resolve(
-            deployment.context, probes[0])
-        deployment.simulator.schedule(_TTL + 1.0, lambda: None,
-                                      note="ttl-window")
-        deployment.simulator.run()
+        entity, _cost = resolver.resolve(client, context, probes[0], style)
+        stale_inside_window = entity is not local_resolve(context,
+                                                          probes[0])
+        world.simulator.schedule(_TTL + 1.0, lambda: None,
+                                 note="ttl-window")
+        world.simulator.run()
     coherent_after = all(
-        deployment.resolver.resolve(deployment.client, deployment.context,
-                                    name_, style)[0]
-        is local_resolve(deployment.context, name_)
+        resolver.resolve(client, context, name_, style)[0]
+        is local_resolve(context, name_)
         for name_ in probes)
-    batch_results = deployment.resolver.resolve_many(
-        deployment.client, deployment.context, probes, style)
+    batch_results = resolver.resolve_many(client, context, probes, style)
     batch_coherent = all(
-        entity is local_resolve(deployment.context, name_)
+        entity is local_resolve(context, name_)
         for name_, (entity, _cost) in zip(probes, batch_results))
     return {
         "coherent": coherent_after and batch_coherent,
         "stale_inside_window": stale_inside_window,
-        "paid_invalidations":
-            deployment.resolver.invalidation_messages > 0,
+        "paid_invalidations": resolver.invalidation_messages > 0,
     }
 
 

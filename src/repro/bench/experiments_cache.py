@@ -22,12 +22,8 @@ from __future__ import annotations
 import random
 
 from repro.bench.harness import ExperimentResult
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
-from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver
-from repro.sim.kernel import Simulator
+from repro.workloads.deployment import build_world
 
 __all__ = ["run_a5_cache_coherence"]
 
@@ -36,30 +32,27 @@ _NAMES = [f"svc{i}" for i in range(6)]
 
 def _run_policy(policy: CachePolicy, seed: int, operations: int,
                 rebind_every: int, ttl: float) -> dict[str, float]:
-    simulator = Simulator(seed=seed)
-    network = simulator.network("lan")
-    registry = simulator.machine(network, "registry")
-    clients = [simulator.spawn(simulator.machine(network, f"client{i}"),
-                               f"app{i}")
-               for i in range(3)]
-    tree = NamingTree("root", sigma=simulator.sigma)
-    placement = DirectoryPlacement()
-    placement.place(tree.root, registry)
-    services = tree.mkdir("services")
-    placement.place(services, registry)
     # Both versions of every service are placed before the run: place()
     # bumps the placement epoch, which kills every cached prefix, so
     # placing a fresh directory per redeploy would hide TTL's window.
-    versions: dict[str, list] = {name_: [] for name_ in _NAMES}
-    for name_, pair in versions.items():    # [live, standby]
-        for parent in ("services", "standby"):
-            pair.append(tree.mkdir(f"{parent}/{name_}"))
-            tree.mkfile(f"{parent}/{name_}/endpoint")
-            placement.place(pair[-1], registry)
-    resolver = DistributedResolver(simulator, placement,
-                                   cache_policy=policy, cache_ttl=ttl,
-                                   lease_term=ttl)
-    context = ProcessContext(tree.root)
+    dirs = [f"{parent}/{name_}" for name_ in _NAMES
+            for parent in ("services", "standby")]
+    world = build_world({
+        "networks": ["lan"],
+        "machines": [["registry", "lan"]]
+        + [[f"client{i}", "lan"] for i in range(3)],
+        "paths": ["services/"] + [dir_ + leaf for dir_ in dirs
+                                  for leaf in ("/", "/endpoint")],
+        "place": [[path, "registry"] for path in ["/", "services", *dirs]],
+        "clients": [[f"client{i}", f"app{i}"] for i in range(3)],
+        "resolver": {"cache_policy": policy.value, "cache_ttl": ttl,
+                     "lease_term": ttl}}, seed)
+    simulator, resolver, clients = (world.simulator, world.resolver,
+                                    world.clients)
+    services = world.tree.directory("services")
+    versions = {name_: [world.tree.directory(f"{parent}/{name_}")
+                        for parent in ("services", "standby")]
+                for name_ in _NAMES}    # [live, standby]
     rng = random.Random(seed)
     stale = 0
     reads = 0
@@ -75,7 +68,7 @@ def _run_policy(policy: CachePolicy, seed: int, operations: int,
             continue
         client = rng.choice(clients)
         name_ = rng.choice(_NAMES)
-        seen, cost = resolver.resolve(client, context,
+        seen, cost = resolver.resolve(client, world.context,
                                       f"/services/{name_}/endpoint")
         reads += 1
         remote_steps += cost.remote_steps

@@ -41,19 +41,11 @@ from repro.bench.experiments_availability import (
     fault_timeline,
 )
 from repro.bench.harness import ExperimentResult
-from repro.model.context import Context
 from repro.model.entities import Entity, ObjectEntity
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
-from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver
-from repro.nameservice.retry import RetryPolicy
 from repro.obs.audit import CoherenceAuditor, CoherenceContract
 from repro.obs.instrument import Instrumentation
-from repro.sim.failures import FailureInjector
-from repro.sim.kernel import Simulator
-from repro.sim.network import Machine, Network
+from repro.workloads.deployment import World, build_world
 
 __all__ = ["run_a9_leases", "build", "run_blip", "run_schedule"]
 
@@ -102,29 +94,23 @@ class _Probe:
 class _Scenario:
     """One client machine, one replica pair, one rebindable binding."""
 
-    simulator: Simulator
-    client: object
-    context: Context
-    resolver: DistributedResolver
-    injector: FailureInjector
+    world: World
     svc: ObjectEntity
     new_dir: ObjectEntity
     old_leaf: Entity
-    lan: Network
-    srv: Network
-    primary: Machine
     auditor: CoherenceAuditor
     rebound_at: Optional[float] = None
 
     def rebind(self) -> None:
-        self.rebound_at = self.simulator.clock.now
-        self.resolver.rebind(self.svc, "app", self.new_dir)
+        self.rebound_at = self.world.simulator.clock.now
+        self.world.resolver.rebind(self.svc, "app", self.new_dir)
 
     def probe(self, start: float) -> _Probe:
-        self.simulator.run(until=start)
-        began = self.simulator.clock.now
-        entity, cost = self.resolver.resolve(
-            self.client, self.context, "/svc/app/cfg")
+        world = self.world
+        world.simulator.run(until=start)
+        began = world.simulator.clock.now
+        entity, cost = world.resolver.resolve(
+            world.client, world.context, "/svc/app/cfg")
         stale = (self.rebound_at is not None
                  and began >= self.rebound_at
                  and entity is self.old_leaf)
@@ -152,48 +138,36 @@ def build(seed: int, policy: CachePolicy,
     else:
         obs.auditor = auditor
         auditor.bind_obs(obs)
-    simulator = Simulator(seed=seed, obs=obs)
-    lan = simulator.network("lan")
-    srv = simulator.network("srv")
-    client_machine = simulator.machine(lan, "client-m")
-    primary = simulator.machine(srv, "m1")
-    secondary = simulator.machine(srv, "m2")
-    tree = NamingTree("root", sigma=simulator.sigma, parent_links=True)
-    tree.mkdir("svc")
-    old_dir = tree.mkdir("svc/app")
-    old_leaf = tree.mkfile("svc/app/cfg")
-    new_dir = tree.mkdir("spare")
-    tree.mkfile("spare/cfg")
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    svc = tree.directory("svc")
-    for directory in (svc, old_dir, new_dir):
-        placement.place_replicated(directory, primary, secondary)
-    client = simulator.spawn(client_machine, "client")
-    context: Context = ProcessContext(tree.root)
-    ttl = _TTL if policy is CachePolicy.TTL else _UNBOUNDED_TTL
-    resolver = DistributedResolver(
-        simulator, placement,
-        cache_policy=policy, cache_ttl=ttl,
-        retry_policy=RetryPolicy(**_RETRY),
-        # LEASE availability under partition comes from the grace
-        # mode alone; the other policies get the explicit stale gate
-        # so the comparison is about *coherence*, not availability.
-        serve_stale=policy is not CachePolicy.LEASE,
-        breaker_threshold=_BREAKER_THRESHOLD,
-        breaker_cooldown=_BREAKER_COOLDOWN,
-        lease_term=_TERM)
-    injector = FailureInjector(simulator)
-    injector.on_restart(resolver.handle_restart)
-    return _Scenario(
-        simulator=simulator, client=client, context=context,
-        resolver=resolver, injector=injector, svc=svc,
-        new_dir=new_dir, old_leaf=old_leaf, lan=lan, srv=srv,
-        primary=primary, auditor=auditor)
+    world = build_world({
+        "networks": ["lan", "srv"],
+        "machines": [["client-m", "lan"], ["m1", "srv"], ["m2", "srv"]],
+        "parent_links": True,
+        "paths": ["svc/app/cfg", "spare/cfg"],
+        "place": [["/", "client-m"]] + [[path, "m1", "m2"] for path in
+                                        ("svc", "svc/app", "spare")],
+        "clients": [["client-m", "client"]],
+        "resolver": {
+            "cache_policy": policy.value,
+            "cache_ttl": _TTL if policy is CachePolicy.TTL
+            else _UNBOUNDED_TTL,
+            "retry_policy": _RETRY,
+            # LEASE availability under partition comes from the grace
+            # mode alone; the other policies get the explicit stale
+            # gate so the comparison is about *coherence*, not
+            # availability.
+            "serve_stale": policy is not CachePolicy.LEASE,
+            "breaker_threshold": _BREAKER_THRESHOLD,
+            "breaker_cooldown": _BREAKER_COOLDOWN,
+            "lease_term": _TERM},
+        "restart_sync": True}, seed, obs)
+    return _Scenario(world, svc=world.tree.directory("svc"),
+                     new_dir=world.tree.directory("spare"),
+                     old_leaf=world.tree.lookup("svc/app/cfg"),
+                     auditor=auditor)
 
 
 def _stats(scenario: _Scenario, probes: list[_Probe]) -> dict:
-    resolver = scenario.resolver
+    resolver = scenario.world.resolver
     cache = resolver.cache_stats()
     lookups = cache["hits"] + cache["misses"]
     successes = [probe for probe in probes if probe.ok]
@@ -219,31 +193,33 @@ def _stats(scenario: _Scenario, probes: list[_Probe]) -> dict:
 def run_blip(scenario: _Scenario) -> dict:
     """The blip instrument on a fresh :func:`build`: probe, rebind
     inside a short partition, keep probing after the heal."""
-    scenario.injector.schedule_timeline([
-        (_BLIP_PARTITION_AT, "partition", scenario.lan, scenario.srv),
-        (_BLIP_HEAL_AT, "heal", scenario.lan, scenario.srv),
+    world = scenario.world
+    lan, srv = world.networks["lan"], world.networks["srv"]
+    world.injector.schedule_timeline([
+        (_BLIP_PARTITION_AT, "partition", lan, srv),
+        (_BLIP_HEAL_AT, "heal", lan, srv),
     ])
     probes = [scenario.probe(start) for start in _BLIP_PRE]
-    scenario.simulator.run(until=_BLIP_REBIND_AT)
+    world.simulator.run(until=_BLIP_REBIND_AT)
     scenario.rebind()
     probes += [scenario.probe(start) for start in _BLIP_POST]
-    scenario.simulator.run()
+    world.simulator.run()
     return _stats(scenario, probes)
 
 
 def run_schedule(scenario: _Scenario) -> dict:
     """The fault-schedule instrument on a fresh :func:`build`: A8's
     timeline, with the rebind issued mid-partition."""
-    scenario.injector.schedule_timeline(
-        fault_timeline(scenario.primary, scenario.lan, scenario.srv))
+    world = scenario.world
+    world.injector.schedule_timeline(fault_timeline(world))
     probes: list[_Probe] = []
     for start in ROUNDS:
         if (scenario.rebound_at is None
                 and start >= _SCHED_REBIND_AT):
-            scenario.simulator.run(until=_SCHED_REBIND_AT)
+            world.simulator.run(until=_SCHED_REBIND_AT)
             scenario.rebind()
         probes.append(scenario.probe(start))
-    scenario.simulator.run()
+    world.simulator.run()
     settled = [scenario.probe(start) for start in _SETTLED]
     stats = _stats(scenario, probes + settled)
     stats["settled"] = settled

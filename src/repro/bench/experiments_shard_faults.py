@@ -41,22 +41,14 @@ source and its range stays dark even after restart.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.bench.harness import ExperimentResult
-from repro.model.context import Context
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
-from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver
-from repro.nameservice.retry import RetryPolicy
 from repro.obs.audit import CoherenceAuditor
 from repro.obs.instrument import Instrumentation
 from repro.obs.slo import SLObjective, SLOTracker
-from repro.sim.failures import FailureInjector
-from repro.sim.kernel import Simulator
-from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
+from repro.workloads.deployment import World, build_world
+from repro.workloads.zipf import ZipfSampler
 
 __all__ = ["run_a11_shard_faults", "run_a11_shard_faults_suite",
            "deploy", "run_config"]
@@ -74,54 +66,28 @@ _WALK = 2.0    #: clock units one healthy resolution advances (one
 _FAULTS = ((0.20, 0.40, 0), (0.55, 0.75, 2))
 
 
-@dataclass
-class _Deployment:
-    simulator: Simulator
-    resolver: DistributedResolver
-    placement: DirectoryPlacement
-    injector: FailureInjector
-    client: object
-    context: Context
-    namespace: object
-    shard_map: object
-    pool: list
-    auditor: CoherenceAuditor
-    slo: SLOTracker
-
-
 def deploy(seed: int, names: int, replicas: int,
-           obs: Instrumentation) -> _Deployment:
+           obs: Instrumentation) -> World:
     """Four shards at degree *replicas* over a four-machine pool,
-    audited under *obs*, no fault booked yet: hand it to
-    :func:`run_config`."""
+    audited under *obs* (``obs.auditor``, with its SLO tracker), no
+    fault booked yet: hand it to :func:`run_config`."""
     slo = SLOTracker([
         SLObjective("violation-free", violation_free=True),
     ], metrics=obs.metrics)
-    auditor = CoherenceAuditor(slo=slo)
-    obs.auditor = auditor
-    auditor.bind_obs(obs)
-    simulator = Simulator(seed=seed, obs=obs)
-    network = simulator.network("lan")
-    pool = [simulator.machine(network, f"shard{i}")
-            for i in range(_POOL)]
-    client_machine = simulator.machine(network, "client-m")
-    tree = NamingTree("root", sigma=simulator.sigma)
-    namespace = build_zipf_namespace(tree, "hot", count=names)
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    shard_map = placement.place_sharded(namespace.directory, *pool,
-                                        replicas=replicas)
-    client = simulator.spawn(client_machine, "client")
-    resolver = DistributedResolver(
-        simulator, placement,
-        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.1,
-                                 jitter=0.0))
-    injector = FailureInjector(simulator)
-    injector.on_restart(resolver.handle_restart)
-    context = ProcessContext(tree.root)
-    return _Deployment(simulator, resolver, placement, injector,
-                       client, context, namespace, shard_map, pool,
-                       auditor, slo)
+    obs.auditor = CoherenceAuditor(slo=slo)
+    obs.auditor.bind_obs(obs)
+    pool = [f"shard{i}" for i in range(_POOL)]
+    return build_world({
+        "networks": ["lan"],
+        "machines": [[label, "lan"] for label in [*pool, "client-m"]],
+        "zipf": {"path": "hot", "count": names},
+        "place": [["/", "client-m"]],
+        "shard": [["hot", pool, replicas]],
+        "clients": [["client-m", "client"]],
+        "resolver": {"retry_policy": {"max_attempts": 2,
+                                      "base_backoff": 0.1,
+                                      "jitter": 0.0}},
+        "restart_sync": True}, seed, obs)
 
 
 def _name_in_shard(shard_map, shard_index: int) -> str:
@@ -137,8 +103,7 @@ def _name_in_shard(shard_map, shard_index: int) -> str:
         index += 1
 
 
-def run_config(deployment: _Deployment, ranks: list[int],
-               ) -> dict[str, float]:
+def run_config(world: World, ranks: list[int]) -> dict[str, float]:
     """Drive *ranks* across the scripted fault timeline.
 
     The timeline is booked on the simulator clock (each healthy walk
@@ -149,20 +114,19 @@ def run_config(deployment: _Deployment, ranks: list[int],
     the first time the loop observes each crash, so it is always
     inside the window regardless of clock drift from failovers.
     """
-    resolver = deployment.resolver
-    simulator = deployment.simulator
-    namespace = deployment.namespace
+    resolver, simulator = world.resolver, world.simulator
+    namespace = world.namespace
+    shard_map = world.placement.shard_map_of(namespace.directory)
     horizon = len(ranks) * _WALK
     timeline = []
     pending_rebinds = []
     for crash_frac, restart_frac, pool_index in _FAULTS:
-        machine = deployment.pool[pool_index]
+        machine = world.machines[f"shard{pool_index}"]
         timeline.append((crash_frac * horizon, "crash", machine))
         timeline.append((restart_frac * horizon, "restart", machine))
         pending_rebinds.append(
-            (machine, _name_in_shard(deployment.shard_map,
-                                     pool_index)))
-    deployment.injector.schedule_timeline(timeline)
+            (machine, _name_in_shard(shard_map, pool_index)))
+    world.injector.schedule_timeline(timeline)
     down_windows = [(c * horizon, r * horizon) for c, r, _ in _FAULTS]
 
     ok = failed = failovers = 0
@@ -178,8 +142,7 @@ def run_config(deployment: _Deployment, ranks: list[int],
                 pending_rebinds.remove(entry)
         before = simulator.clock.now
         entity, cost = resolver.resolve(
-            deployment.client, deployment.context,
-            "/hot/" + namespace.names[rank])
+            world.client, world.context, "/hot/" + namespace.names[rank])
         failovers += cost.failovers
         if entity.is_defined() and not cost.failed:
             ok += 1
@@ -192,7 +155,8 @@ def run_config(deployment: _Deployment, ranks: list[int],
     simulator.run()
 
     total = ok + failed
-    audit = deployment.auditor.summary()
+    auditor = simulator.obs.auditor
+    audit = auditor.summary()
     return {
         "ok": ok,
         "failed": failed,
@@ -203,10 +167,10 @@ def run_config(deployment: _Deployment, ranks: list[int],
         "failed_in_window": failed_in_window,
         "first_crash": down_windows[0][0],
         "anti_entropy": resolver.anti_entropy_messages,
-        "stale_remaining": deployment.placement.stale_count(),
-        "partitioned": deployment.shard_map.is_partition(),
+        "stale_remaining": world.placement.stale_count(),
+        "partitioned": shard_map.is_partition(),
         "audit": audit,
-        "slo_burns": sum(deployment.slo.burns.values()),
+        "slo_burns": sum(auditor.slo.burns.values()),
     }
 
 
@@ -227,10 +191,10 @@ def run_a11_shard_faults(seed: int = 0, names: int = 200_000,
     configs = {}
     for label, degree in (("single-owner shards", 1),
                           ("replicated shards", replicas)):
-        deployment = deploy(seed, names, degree,
-                            Instrumentation(max_spans=4096))
-        configs[label] = run_config(deployment, ranks)
-        del deployment  # free the namespace promptly
+        world = deploy(seed, names, degree,
+                       Instrumentation(max_spans=4096))
+        configs[label] = run_config(world, ranks)
+        del world  # free the namespace promptly
 
     single = configs["single-owner shards"]
     repl = configs["replicated shards"]

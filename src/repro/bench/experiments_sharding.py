@@ -43,16 +43,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.bench.harness import ExperimentResult
-from repro.model.context import Context
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
-from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver
-from repro.nameservice.sharding import ShardManager
 from repro.obs.audit import CoherenceAuditor
 from repro.obs.instrument import Instrumentation
-from repro.sim.kernel import Simulator
-from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
+from repro.workloads.deployment import World, build_world
+from repro.workloads.zipf import ZipfSampler
 
 __all__ = ["run_a10_sharding", "run_a10_sharding_suite", "replay"]
 
@@ -91,47 +85,27 @@ class _OpenLoopQueue:
         return max(self.busy_until.values()) / horizon
 
 
-@dataclass
-class _Deployment:
-    simulator: Simulator
-    resolver: DistributedResolver
-    placement: DirectoryPlacement
-    client: object
-    client_uid: int
-    context: Context
-    namespace: object
-    machines: list
-
-
 def _deploy(seed: int, names: int, sharded: bool,
             obs: Optional[Instrumentation] = None,
-            max_shards: int = 32) -> _Deployment:
-    simulator = Simulator(seed=seed, obs=obs)
-    network = simulator.network("lan")
-    pool = [simulator.machine(network, f"shard{i}") for i in range(_POOL)]
-    client_machine = simulator.machine(network, "client-m")
-    tree = NamingTree("root", sigma=simulator.sigma)
-    namespace = build_zipf_namespace(tree, "hot", count=names)
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
+            max_shards: int = 32) -> World:
+    pool = [f"shard{i}" for i in range(_POOL)]
+    spec = {
+        "networks": ["lan"],
+        "machines": [[label, "lan"] for label in [*pool, "client-m"]],
+        "zipf": {"path": "hot", "count": names},
+        "place": [["/", "client-m"]],
+        "clients": [["client-m", "client"]]}
     if sharded:
-        placement.place_sharded(namespace.directory, pool[0])
-    else:
-        placement.place(namespace.directory, pool[0])
-    client = simulator.spawn(client_machine, "client")
-    resolver = DistributedResolver(simulator, placement)
-    if sharded:
+        spec["shard"] = [["hot", pool[:1], 1]]
         # The live feedback loop under test: watch per-shard window
         # load, split hot shards onto the least-loaded pool machine,
         # migrate bindings as simulated messages.
-        resolver.shard_manager = ShardManager(
-            resolver, pool=pool, split_fraction=0.2,
-            check_every=max(200, names // 200),
-            min_window=100, max_shards=max_shards)
-    context = ProcessContext(tree.root)
-    client_uid = resolver.server_for(client_machine).uid
-    return _Deployment(simulator, resolver, placement, client,
-                       client_uid, context, namespace, pool)
+        spec["splits"] = {"pool": pool, "split_fraction": 0.2,
+                          "check_every": max(200, names // 200),
+                          "min_window": 100, "max_shards": max_shards}
+    else:
+        spec["place"].append(["hot", pool[0]])
+    return build_world(spec, seed, obs)
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -143,33 +117,33 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[index]
 
 
-def _run_config(deployment: _Deployment, ranks: list[int],
-                ) -> dict[str, float]:
+def _run_config(world: World, ranks: list[int]) -> dict[str, float]:
     """Drive the sampled *ranks* through the deployment open-loop."""
-    resolver = deployment.resolver
-    namespace = deployment.namespace
+    resolver = world.resolver
+    namespace = world.namespace
     queue = _OpenLoopQueue(service=_SERVICE)
     latencies: list[float] = []
     step = 1.0 / _RATE
+    # The client machine's own server reads the local root and joins
+    # no queue; it is spawned here, before the first load snapshot.
+    home_uid = resolver.server_for(world.machines["client-m"]).uid
     before = resolver.load_by_uid()
     for index, rank in enumerate(ranks):
         arrival = index * step
         entity, cost = resolver.resolve(
-            deployment.client, deployment.context,
-            "/hot/" + namespace.names[rank])
+            world.client, world.context, "/hot/" + namespace.names[rank])
         assert entity.is_defined()
         after = resolver.load_by_uid()
         work = {uid: count - before.get(uid, 0)
                 for uid, count in after.items()
-                if uid != deployment.client_uid
+                if uid != home_uid
                 and count != before.get(uid, 0)}
         before = after
         latencies.append(cost.latency + queue.offer(arrival, work))
     quarter = max(1, len(latencies) // 4)
     quarters = [latencies[i * quarter:(i + 1) * quarter]
                 for i in range(4)]
-    shard_map = deployment.placement.shard_map_of(
-        namespace.directory)
+    shard_map = world.placement.shard_map_of(namespace.directory)
     return {
         "latencies": latencies,
         "p50": _percentile(latencies, 0.50),
@@ -188,14 +162,14 @@ def _run_config(deployment: _Deployment, ranks: list[int],
         "machines": (len(shard_map.machines())
                      if shard_map is not None else 1),
         "migration_messages": resolver.migration_messages,
-        "kernel_messages": float(deployment.simulator.messages_sent),
+        "kernel_messages": float(world.simulator.messages_sent),
         "partitioned": (shard_map.is_partition()
                         if shard_map is not None else True),
     }
 
 
 def replay(seed: int, obs: Instrumentation, names: int = 20_000,
-           resolutions: int = 2_000) -> _Deployment:
+           resolutions: int = 2_000) -> World:
     """The sharded configuration at reduced scale under *obs*:
     shard/migration spans and counters without instrumenting the
     timed runs.  The coherence auditor rides along — its summary is
@@ -204,15 +178,14 @@ def replay(seed: int, obs: Instrumentation, names: int = 20_000,
     ``tools/inspect_run.py --scenario shard`` shows this run."""
     obs.auditor = CoherenceAuditor()
     obs.auditor.bind_obs(obs)
-    deployment = _deploy(seed, names, sharded=True, obs=obs)
-    deployment.resolver.shard_manager.check_every = 200
-    deployment.resolver.shard_manager.min_window = 50
+    world = _deploy(seed, names, sharded=True, obs=obs)
+    world.resolver.shard_manager.check_every = 200
+    world.resolver.shard_manager.min_window = 50
     sampler = ZipfSampler(names, skew=_SKEW, rng=random.Random(seed))
     for rank in sampler.sample_many(resolutions):
-        deployment.resolver.resolve(
-            deployment.client, deployment.context,
-            "/hot/" + deployment.namespace.names[rank])
-    return deployment
+        world.resolver.resolve(world.client, world.context,
+                               "/hot/" + world.namespace.names[rank])
+    return world
 
 
 def run_a10_sharding(seed: int = 0, names: int = 1_000_000,
@@ -230,9 +203,9 @@ def run_a10_sharding(seed: int = 0, names: int = 1_000_000,
     configs = {}
     for label, sharded in (("single placement", False),
                            ("sharded + live splits", True)):
-        deployment = _deploy(seed, names, sharded)
-        configs[label] = _run_config(deployment, ranks)
-        del deployment  # free the million-binding namespace promptly
+        world = _deploy(seed, names, sharded)
+        configs[label] = _run_config(world, ranks)
+        del world  # free the million-binding namespace promptly
 
     single = configs["single placement"]
     shard = configs["sharded + live splits"]

@@ -370,12 +370,6 @@ class DirectoryPlacement:
             return True
         return False
 
-    def is_placed_uid(self, directory_uid: int) -> bool:
-        """True if *directory_uid* still has any placement (replica
-        set or shard map)."""
-        return (directory_uid in self._replicas_of
-                or directory_uid in self._shard_maps)
-
     def sync_source_for(self, directory_uid: int,
                         machine: Machine) -> Optional[Machine]:
         """The machine anti-entropy should copy *directory_uid*'s

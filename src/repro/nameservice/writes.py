@@ -298,17 +298,16 @@ def sync_effects(host: Any, machine: Machine,
     """Anti-entropy for *machine*: sync each directory uid in *stale*
     from :meth:`~repro.nameservice.placement.DirectoryPlacement.
     sync_source_for`, one leg each.  A source that is *machine* itself
-    clears the mark for free; a lost leg, or a placed directory with
-    no source, leaves it for a later restart; an unplaced directory's
-    mark is dropped.  Returns the number of marks cleared.
+    clears the mark for free; a lost leg, or no source, leaves it for
+    a later restart.  Returns the number of marks cleared.
     """
     placement = host.placement
     cleared = 0
     for uid in stale:
         source = placement.sync_source_for(uid, machine)
-        if source is None and placement.is_placed_uid(uid):
+        if source is None:
             continue  # no live fresh source — stays stale
-        if source is not None and source is not machine \
+        if source is not machine \
                 and not (yield Leg("sync", source, machine)):
             continue  # unreachable source — stays stale
         if placement.clear_stale(uid, machine):

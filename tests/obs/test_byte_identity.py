@@ -25,12 +25,6 @@ import random
 
 import pytest
 
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
-from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver
-from repro.nameservice.retry import RetryPolicy
-from repro.nameservice.sharding import ShardManager
 from repro.obs import (
     CoherenceAuditor,
     FlightRecorder,
@@ -41,9 +35,8 @@ from repro.obs import (
     run_summary,
     to_chrome_trace,
 )
-from repro.sim.failures import FailureInjector
-from repro.sim.kernel import Simulator
-from repro.workloads.zipf import ZipfSampler, build_zipf_namespace
+from repro.workloads.deployment import build_world
+from repro.workloads.zipf import ZipfSampler
 
 SAMPLERS = {
     "none": lambda: None,
@@ -99,25 +92,23 @@ def run_scenario(sampler, recorded: bool = True) -> dict:
                        metrics=obs.metrics))
     obs.auditor = auditor
     auditor.bind_obs(obs)
-    simulator = Simulator(seed=3, obs=obs)
+    pool = [f"s{i}" for i in range(4)]
+    world = build_world({
+        "networks": ["lan"],
+        "machines": [[label, "lan"] for label in [*pool, "client-m"]],
+        "zipf": {"path": "hot", "count": 400, "distinct": 32},
+        "place": [["/", "client-m"]],
+        "shard": [["hot", pool[:2], 2]],
+        "clients": [["client-m", "client"]],
+        "resolver": {"retry_policy": {"max_attempts": 3}},
+        "splits": {"pool": pool, "split_fraction": 0.3, "check_every": 40,
+                   "min_window": 20, "max_shards": 8}}, seed=3, obs=obs)
     if recorder is not None:
-        recorder.wire(trace_log=simulator.trace)
-    network = simulator.network("lan")
-    pool = [simulator.machine(network, f"s{i}") for i in range(4)]
-    client_m = simulator.machine(network, "client-m")
-    tree = NamingTree("root", sigma=simulator.sigma)
-    namespace = build_zipf_namespace(tree, "hot", count=400, distinct=32)
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_m)
-    shard_map = placement.place_sharded(namespace.directory, *pool[:2],
-                                        replicas=2)
-    client = simulator.spawn(client_m, "client")
-    resolver = DistributedResolver(
-        simulator, placement, retry_policy=RetryPolicy(max_attempts=3))
-    resolver.shard_manager = ShardManager(
-        resolver, pool=pool, split_fraction=0.3, check_every=40,
-        min_window=20, max_shards=8)
-    context = ProcessContext(tree.root)
+        recorder.wire(trace_log=world.simulator.trace)
+    simulator, placement, resolver = (world.simulator, world.placement,
+                                      world.resolver)
+    client, context, namespace = world.client, world.context, world.namespace
+    shard_map = placement.shard_map_of(namespace.directory)
     ranks = ZipfSampler(400, rng=random.Random(5)).sample_many(150)
     names = ["/hot/" + namespace.names[rank] for rank in ranks]
     for name in names[:100]:
@@ -128,7 +119,7 @@ def run_scenario(sampler, recorded: bool = True) -> dict:
                     namespace.shared_leaf)
     resolver.rebind(namespace.directory, "fresh", namespace.shared_leaf)
     # A crashed primary: the walk fails over to the shard's secondary.
-    FailureInjector(simulator).crash_machine(shard_map.shards[0].machine)
+    world.injector.crash_machine(shard_map.shards[0].machine)
     for name in names[120:]:
         resolver.resolve(client, context, name)
     resolver.resolve(client, context, "/hot/missing")

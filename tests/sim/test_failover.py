@@ -15,7 +15,6 @@ import pytest
 from repro.errors import SchemeError, SimulationError
 from repro.model.entities import UNDEFINED_ENTITY, ObjectEntity
 from repro.model.resolution import resolve as local_resolve
-from repro.namespaces.base import ProcessContext
 from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
 from repro.nameservice.placement import DirectoryPlacement
@@ -27,6 +26,7 @@ from repro.nameservice.retry import (
 )
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
+from repro.workloads.deployment import build_world
 
 
 class TestRetryPolicy:
@@ -176,34 +176,30 @@ def make_world(cache_policy=CachePolicy.NONE, retry=True,
                serve_stale=False, seed=0, jitter=0.25):
     """A replicated deployment: /svc hosted on m1 (primary) + m2,
     root on the client's machine, servers behind their own network."""
-    simulator = Simulator(seed=seed)
-    lan = simulator.network("lan")
-    srv = simulator.network("srv")
-    client_machine = simulator.machine(lan, "client-m")
-    m1 = simulator.machine(srv, "m1")
-    m2 = simulator.machine(srv, "m2")
-    tree = NamingTree("root", sigma=simulator.sigma, parent_links=True)
-    tree.mkdir("svc/deep")
-    files = [tree.mkfile(f"svc/f{i}") for i in range(2)]
-    files.append(tree.mkfile("svc/deep/g"))
-    placement = DirectoryPlacement()
-    placement.place(tree.root, client_machine)
-    placement.place_replicated(tree.directory("svc"), m1, m2)
-    placement.place_replicated(tree.directory("svc/deep"), m1, m2)
-    client = simulator.spawn(client_machine, "client")
-    context = ProcessContext(tree.root)
-    policy = RetryPolicy(max_attempts=2, base_backoff=0.1,
-                         max_backoff=0.4, jitter=jitter) if retry else None
-    resolver = DistributedResolver(
-        simulator, placement, cache_policy=cache_policy, cache_ttl=20.0,
-        retry_policy=policy, serve_stale=serve_stale,
-        breaker_threshold=2, breaker_cooldown=5.0)
-    return {"simulator": simulator, "resolver": resolver,
-            "client": client, "context": context, "tree": tree,
-            "files": files, "placement": placement,
-            "machines": (client_machine, m1, m2),
-            "networks": (lan, srv),
-            "injector": FailureInjector(simulator)}
+    policy = dict(max_attempts=2, base_backoff=0.1, max_backoff=0.4,
+                  jitter=jitter)
+    world = build_world({
+        "networks": ["lan", "srv"],
+        "machines": [["client-m", "lan"], ["m1", "srv"], ["m2", "srv"]],
+        "parent_links": True,
+        "paths": ["svc/deep/", "svc/f0", "svc/f1", "svc/deep/g"],
+        "place": [["/", "client-m"], ["svc", "m1", "m2"],
+                  ["svc/deep", "m1", "m2"]],
+        "clients": [["client-m", "client"]],
+        "resolver": {"cache_policy": cache_policy.value, "cache_ttl": 20.0,
+                     "retry_policy": policy if retry else None,
+                     "serve_stale": serve_stale,
+                     "breaker_threshold": 2, "breaker_cooldown": 5.0}},
+        seed)
+    tree = world.tree
+    return {"simulator": world.simulator, "resolver": world.resolver,
+            "client": world.client, "context": world.context, "tree": tree,
+            "files": [tree.lookup(path)
+                      for path in ("svc/f0", "svc/f1", "svc/deep/g")],
+            "placement": world.placement,
+            "machines": tuple(world.machines.values()),
+            "networks": tuple(world.networks.values()),
+            "injector": world.injector}
 
 
 class TestFailoverResolution:

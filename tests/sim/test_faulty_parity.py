@@ -13,19 +13,15 @@ that loses a step it cannot recover answers ``⊥E`` on both.
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 
 import pytest
 
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
-from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.protocol import (AsyncNameClient, NameLookupServer,
                                         PlacementRouter)
-from repro.nameservice.resolver import DistributedResolver
 from repro.nameservice.retry import RetryPolicy
-from repro.sim.failures import FailureInjector
-from repro.sim.kernel import Simulator
 from repro.transport.sim import SimTransport
+from repro.workloads.deployment import World, build_world
 
 NAMES = ["/svc/f0", "/svc/f1", "/svc/deep/g", "/svc/deep", "/svc/nope",
          "/solo/x", "/solo/nope", "/here", "/svc/f0/too-deep"]
@@ -35,29 +31,28 @@ GAP = 20.0
 POLICY = RetryPolicy(max_attempts=2, base_backoff=0.1, max_backoff=0.4)
 
 
-class World:
+def make_world(seed: int, retry_policy=POLICY,
+               restart_sync: bool = False) -> World:
     """``/svc`` and ``/svc/deep`` replicated on m1 + m2, ``/solo`` on m3
     alone, the root and ``/here`` on the client's machine; the servers
     sit behind a network of their own."""
+    return build_world({
+        "networks": ["lan", "srv"],
+        "machines": [["client-m", "lan"], ["m1", "srv"], ["m2", "srv"],
+                     ["m3", "srv"]],
+        "parent_links": True,
+        "paths": ["svc/f0", "svc/f1", "svc/deep/g", "solo/x", "here"],
+        "place": [["/", "client-m"], ["svc", "m1", "m2"],
+                  ["svc/deep", "m1", "m2"], ["solo", "m3"]],
+        "clients": [["client-m", "client"]],
+        "resolver": {"retry_policy": (asdict(retry_policy) if retry_policy
+                                      else None),
+                     "breaker_threshold": 2, "breaker_cooldown": 5.0},
+        "restart_sync": restart_sync}, seed)
 
-    def __init__(self, seed: int):
-        sim = self.sim = Simulator(seed=seed)
-        self.lan, self.srv = sim.network("lan"), sim.network("srv")
-        home = sim.machine(self.lan, "client-m")
-        self.servers = [sim.machine(self.srv, f"m{i}") for i in (1, 2, 3)]
-        m1, m2, m3 = self.servers
-        tree = NamingTree("root", sigma=sim.sigma, parent_links=True)
-        for path in ("svc/f0", "svc/f1", "svc/deep/g", "solo/x", "here"):
-            tree.mkfile(path)
-        self.placement = DirectoryPlacement()
-        self.placement.place(tree.root, home)
-        for path in ("svc", "svc/deep"):
-            self.placement.place_replicated(tree.directory(path), m1, m2)
-        self.placement.place(tree.directory("solo"), m3)
-        self.home = home
-        self.context = ProcessContext(tree.root)
-        self.client = sim.spawn(home, "client")
-        self.injector = FailureInjector(sim)
+
+def servers(world: World) -> list:
+    return [world.machines[label] for label in ("m1", "m2", "m3")]
 
 
 def make_script(seed: int, rounds: int = 12) -> list[tuple]:
@@ -83,24 +78,21 @@ def make_script(seed: int, rounds: int = 12) -> list[tuple]:
 
 
 def apply(world: World, action: tuple) -> None:
-    kind = action[0]
+    kind, lan, srv = action[0], world.networks["lan"], world.networks["srv"]
     if kind == "crash":
-        world.injector.crash_machine(world.servers[action[1]])
+        world.injector.crash_machine(servers(world)[action[1]])
     elif kind == "restart":
-        world.injector.restart_machine(world.servers[action[1]])
+        world.injector.restart_machine(servers(world)[action[1]])
     elif kind == "partition":
-        world.injector.partition(world.lan, world.srv)
+        world.injector.partition(lan, srv)
     elif kind == "heal":
-        world.injector.heal(world.lan, world.srv)
+        world.injector.heal(lan, srv)
 
 
 def run_kernel_driver(seed: int, script: list[tuple],
                       retry_policy=POLICY) -> list[tuple]:
-    world = World(seed)
-    resolver = DistributedResolver(
-        world.sim, world.placement, retry_policy=retry_policy,
-        breaker_threshold=2, breaker_cooldown=5.0)
-    world.injector.on_restart(resolver.handle_restart)
+    world = make_world(seed, retry_policy, restart_sync=True)
+    resolver = world.resolver
     outcomes = []
     for action, names in script:
         apply(world, action)
@@ -109,23 +101,24 @@ def run_kernel_driver(seed: int, script: list[tuple],
                                             name_)
             outcomes.append((entity.is_defined() and not cost.failed,
                              cost.failed, entity.label))
-        world.sim.run(until=world.sim.clock.now + GAP)
+        world.simulator.run(until=world.simulator.clock.now + GAP)
     return outcomes
 
 
 def run_message_driver(seed: int, script: list[tuple],
                        retry_policy=POLICY, timeout: float = 2.0,
                        ) -> list[tuple]:
-    world = World(seed)
-    transport = SimTransport(world.sim)
+    world = make_world(seed)
+    transport = SimTransport(world.simulator)
     lookupds = {id(machine): NameLookupServer(transport, machine,
                                               placement=world.placement)
-                for machine in world.servers}
+                for machine in servers(world)}
     for server in lookupds.values():
         world.injector.on_restart(lambda _machine, server=server:
                                   server.respawn(), machine=server.machine)
     client = AsyncNameClient(
-        transport, PlacementRouter(world.placement, lookupds, world.home),
+        transport, PlacementRouter(world.placement, lookupds,
+                                   world.machines["client-m"]),
         transport.adopt(world.client), timeout=timeout,
         retry_policy=retry_policy)
     outcomes = []
@@ -134,19 +127,27 @@ def run_message_driver(seed: int, script: list[tuple],
         for name_ in names:
             settled: list = []
             client.resolve(world.context, name_, settled.append)
-            world.sim.run()
+            world.simulator.run()
             outcome, = settled
             outcomes.append((outcome.ok, outcome.failed,
                              outcome.entity.label))
-        world.sim.run(until=world.sim.clock.now + GAP)
+        world.simulator.run(until=world.simulator.clock.now + GAP)
     return outcomes
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_both_drivers_agree_on_every_faulted_lookup(seed):
+#: (seed, lookup timeout).  At 2.0 every healthy remote ask takes the
+#: late-reply path; 3.0 covers one ask per step under faults.  The 2.0
+#: cases keep their seed-only ids.
+FAULTED = ([pytest.param(seed, 2.0, id=str(seed)) for seed in range(6)]
+           + [pytest.param(seed, 3.0, id=f"{seed}-timeout3.0")
+              for seed in range(6)])
+
+
+@pytest.mark.parametrize("seed, timeout", FAULTED)
+def test_both_drivers_agree_on_every_faulted_lookup(seed, timeout):
     script = make_script(seed)
     kernel = run_kernel_driver(seed, script)
-    message = run_message_driver(seed, script)
+    message = run_message_driver(seed, script, timeout=timeout)
     assert any(failed for _ok, failed, _label in kernel)
     assert any(ok for ok, _failed, _label in kernel)
     for index, (ours, theirs) in enumerate(zip(kernel, message)):

@@ -23,7 +23,9 @@ After every step:
 
 from __future__ import annotations
 
-from hypothesis import settings
+import json
+
+from hypothesis import note, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -33,17 +35,10 @@ from hypothesis.stateful import (
 )
 
 from repro.model.entities import ObjectEntity
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
-from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver
-from repro.nameservice.retry import RetryPolicy
 from repro.obs.audit import CoherenceAuditor
 from repro.obs.instrument import Instrumentation
-from repro.sim.failures import FailureInjector
-from repro.sim.kernel import Simulator
-from repro.workloads.zipf import build_zipf_namespace
+from repro.workloads.deployment import build_world
 
 NAMES = 24
 POOL = 4
@@ -59,31 +54,36 @@ class ShardedFaultsMachine(RuleBasedStateMachine):
     @initialize(policy=st.sampled_from(list(CachePolicy)),
                 seed=st.integers(0, 3))
     def build(self, policy, seed):
+        pool = [f"s{i}" for i in range(POOL)]
+        spec = {
+            "networks": ["lan", "srv"],
+            "machines": [[label, "srv"] for label in pool]
+            + [["client-m", "lan"]],
+            "zipf": {"path": "hot", "count": NAMES, "distinct": NAMES},
+            "place": [["/", "client-m"]],
+            "shard": [["hot", pool[:3], 2]],
+            "clients": [["client-m", "client"]],
+            "resolver": {"cache_policy": policy.value, "cache_ttl": 5.0,
+                         "retry_policy": {"max_attempts": 2,
+                                          "base_backoff": 0.1,
+                                          "max_backoff": 0.4},
+                         "breaker_threshold": 2, "breaker_cooldown": 5.0,
+                         "lease_term": 5.0},
+            "restart_sync": True}
+        # A shrunk failure prints the world it ran, as data.
+        note(f"seed={seed} spec={json.dumps(spec)}")
         self.auditor = CoherenceAuditor()
-        self.simulator = sim = Simulator(
-            seed=seed,
-            obs=Instrumentation(enabled=False, auditor=self.auditor))
-        self.lan = sim.network("lan")
-        self.srv = sim.network("srv")
-        self.pool = [sim.machine(self.srv, f"s{i}") for i in range(POOL)]
-        client_m = sim.machine(self.lan, "client-m")
-        tree = NamingTree("root", sigma=sim.sigma)
-        namespace = build_zipf_namespace(tree, "hot", count=NAMES,
-                                         distinct=NAMES)
-        self.directory = namespace.directory
-        self.names = namespace.names
-        self.placement = DirectoryPlacement()
-        self.placement.place(tree.root, client_m)
-        self.shard_map = self.placement.place_sharded(
-            self.directory, *self.pool[:3], replicas=2)
-        self.client = sim.spawn(client_m, "client")
-        self.context = ProcessContext(tree.root)
-        self.resolver = DistributedResolver(
-            sim, self.placement, cache_policy=policy, cache_ttl=5.0,
-            retry_policy=RetryPolicy(2, 0.1, 0.4),
-            breaker_threshold=2, breaker_cooldown=5.0, lease_term=5.0)
-        self.injector = FailureInjector(sim)
-        self.injector.on_restart(self.resolver.handle_restart)
+        world = build_world(spec, seed, Instrumentation(
+            enabled=False, auditor=self.auditor))
+        self.simulator, self.injector = world.simulator, world.injector
+        self.lan, self.srv = world.networks["lan"], world.networks["srv"]
+        self.pool = [world.machines[label] for label in pool]
+        self.directory = world.namespace.directory
+        self.names = world.namespace.names
+        self.placement = world.placement
+        self.shard_map = self.placement.shard_map_of(self.directory)
+        self.client, self.context = world.client, world.context
+        self.resolver = world.resolver
         self.injector.on_restart(self._check_synced)
         self.entities = [ObjectEntity(f"v{i}") for i in range(ENTITIES)]
 

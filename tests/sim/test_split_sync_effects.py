@@ -147,22 +147,12 @@ def no_source(host):
     return directory, s0, None
 
 
-def unplaced(host):
-    """A mark left for a directory with no placement.  No public call
-    unplaces a directory, so the mark is planted directly."""
-    s0 = host.machines[0]
-    directory = hot_directory(4)
-    host.placement._stale.add((directory.uid, id(s0)))
-    return directory, s0, None
-
-
 #: (world, leg outcome) → (leg asked for or None, marks cleared)
 SYNC_TABLE = [
     (replicated, True, 1),
     (self_source, True, 1),
     (sharded, True, 1),
     (no_source, True, 0),
-    (unplaced, True, 1),
     (replicated, False, 0),   # a lost leg stays stale
     (sharded, False, 0),
 ]
