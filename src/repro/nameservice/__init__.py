@@ -14,11 +14,11 @@ nameservice.walk`), pumped on the kernel by the resolver and driven
 by messages in the async protocol.  Every binding write is one
 discipline too — commit, replicate, then invalidate or break leases
 (:func:`~repro.nameservice.writes.write_effects`) — driven on the
-kernel by :class:`~repro.nameservice.writes.WritePath` and on sockets
-by :class:`~repro.transport.service.NamingService`.  Hot directories
-can be *sharded* — bindings split across shard servers by consistent
-hashing, with live load-driven splits migrating bindings as simulated
-messages (experiment A10).
+kernel by the resolver, which hosts and drives every effect generator,
+and on sockets by :class:`~repro.transport.service.NamingService`.
+Hot directories can be *sharded* — bindings split across shard servers
+by consistent hashing, with live load-driven splits migrating bindings
+as simulated messages (experiment A10).
 """
 
 from repro.nameservice.cache import (
@@ -54,7 +54,6 @@ from repro.nameservice.sharding import (
 from repro.nameservice.walk import (Ask, ResolutionCost, retry_effects,
                                     walk_effects)
 from repro.nameservice.writes import (
-    WritePath,
     WriteReport,
     commit_binding,
     write_effects,
@@ -83,7 +82,6 @@ __all__ = [
     "ShardManager",
     "ShardMap",
     "SplitPlan",
-    "WritePath",
     "WriteReport",
     "binding_hash",
     "commit_binding",

@@ -26,7 +26,8 @@ policies:
   staleness by the lease term plus one delivery delay.
 
 The client side of every policy is decided here; the server side —
-who is told on a rebind — is :class:`repro.nameservice.writes.WritePath`.
+who is told on a rebind — is kept by the rebind's kernel driver,
+:class:`repro.nameservice.resolver.DistributedResolver`.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class PrefixCache:
             entries are fresh iff every dependency holds an unexpired
             lease there.
         note_copies: ``(machine, deps)``, told of every fill
-            (:meth:`repro.nameservice.writes.WritePath.note_copies`).
+            (:meth:`repro.nameservice.resolver.DistributedResolver.
+            note_copies`).
     """
 
     def __init__(self, machine: Machine, policy: CachePolicy,

@@ -6,18 +6,20 @@ replicas is written here once, as a sans-IO generator in the shape of
 :func:`~repro.nameservice.walk.walk_effects` that yields message legs
 (:class:`Leg`) and backoffs (:class:`~repro.nameservice.leases.Wait`)
 for a driver to perform: a rebind (:func:`write_effects`, where the
-TTL / INVALIDATE / LEASE contracts are kept; driven by
-:class:`WritePath` on the kernel and by :class:`~repro.transport.
-service.NamingService` on a socket), a shard split
+TTL / INVALIDATE / LEASE contracts are kept), a shard split
 (:func:`migrate_effects`, reading ``placement`` and
 ``migration_batch`` from its host) and a restart's anti-entropy
-(:func:`sync_effects`, reading ``placement``), the last two driven by
-:class:`~repro.nameservice.resolver.DistributedResolver`.
+(:func:`sync_effects`, reading ``placement``).  All three run on the
+kernel under :class:`~repro.nameservice.resolver.DistributedResolver`,
+their host and the one kernel driver of every effect generator; the
+rebind runs on a socket under :class:`~repro.transport.service.
+NamingService`.
 
-A rebind's *host* is its driver; the write reads these names from it
-and nothing else:
+A rebind's *host* is its driver; the write reads from it the names of
+:data:`HOST_PROTOCOL` and nothing else (a tier-1 test holds it to
+that):
 
-* the regime: ``policy`` (the :class:`~repro.nameservice.cache.
+* the regime: ``cache_policy`` (the :class:`~repro.nameservice.cache.
   CachePolicy` copies are kept under), ``retry_policy`` (callback
   attempts per lease holder and the backoff between them; ``None`` =
   one attempt) and ``leases`` (the ``LEASE`` policy's
@@ -25,7 +27,7 @@ and nothing else:
 * the deployment: ``placement`` (``None`` for one server that holds
   every directory and no copies of its own), ``holders`` (the
   ``INVALIDATE`` registry: binding → holder ids) and
-  ``node_of(holder)``;
+  ``holder_node(holder)``;
 * ``call_back(holder, dep)`` — *holder* drops its copies through
   *dep*, and its lease on it;
 * the commit's ``auditor`` and ``epoch``;
@@ -38,21 +40,24 @@ names: behind one server every holder is remote.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Callable, Generator, NamedTuple, Optional,
-                    Union)
+from typing import Any, Generator, NamedTuple, Optional, Union
 
 from repro.model.entities import Entity, ObjectEntity
-from repro.nameservice.cache import CachePolicy, DepKey, binding_dep
-from repro.nameservice.leases import LeaseManager, LeaseTable, Wait
+from repro.nameservice.cache import CachePolicy, binding_dep
+from repro.nameservice.leases import Wait
 from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.retry import RetryPolicy
 from repro.nameservice.sharding import SplitPlan
-from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
-from repro.sim.process import SimProcess
 
-__all__ = ["FANOUT", "Leg", "WriteReport", "commit_binding",
-           "write_effects", "migrate_effects", "sync_effects", "WritePath"]
+__all__ = ["FANOUT", "HOST_PROTOCOL", "Leg", "WriteReport",
+           "commit_binding", "write_effects", "migrate_effects",
+           "sync_effects"]
+
+#: Every attribute :func:`write_effects` reads from its host (see the
+#: module docstring).  Widening the protocol means adding a name here.
+HOST_PROTOCOL = ("cache_policy", "retry_policy", "leases", "placement",
+                 "holders", "holder_node", "call_back", "auditor", "epoch",
+                 "now", "rng", "obs")
 
 
 def commit_binding(directory: ObjectEntity, name_: str, entity: Entity, *,
@@ -166,7 +171,7 @@ def write_effects(host: Any, directory: ObjectEntity, name_: str,
             # the range stays dark until the operator re-places it).
             forced_stale = tuple(m for m in shard.replicas if not m.alive)
             replicas = tuple(m for m in shard.replicas if m.alive)
-    policy = host.policy
+    policy = host.cache_policy
     if policy not in (CachePolicy.INVALIDATE, CachePolicy.LEASE) \
             and len(replicas) < 2 and not forced_stale:
         return report
@@ -204,7 +209,7 @@ def write_effects(host: Any, directory: ObjectEntity, name_: str,
 
     def local(holder: int) -> bool:
         return placement is not None and (
-            origin is None or host.node_of(holder) is origin)
+            origin is None or host.holder_node(holder) is origin)
 
     if policy is CachePolicy.INVALIDATE:
         def lost(holder: int, reason: str) -> None:
@@ -216,7 +221,7 @@ def write_effects(host: Any, directory: ObjectEntity, name_: str,
                 if obs.tracer.admit():
                     obs.tracer.event(
                         "cache", "invalidation.lost", host.now(),
-                        attrs={"machine": host.node_of(holder).label,
+                        attrs={"machine": host.holder_node(holder).label,
                                "reason": reason})
 
         batch = []
@@ -313,243 +318,3 @@ def sync_effects(host: Any, machine: Machine,
         if placement.clear_stale(uid, machine):
             cleared += 1
     return cleared
-
-
-class WritePath:
-    """The kernel driver of :func:`write_effects`, and its host.
-
-    Args:
-        simulator: The kernel carrying replication and coherence
-            traffic.
-        placement: Directory → machine placement (replicated and
-            sharded directories included).
-        policy: The coherence policy copies are kept under.
-        retry_policy: Break-callback retry discipline (``LEASE``).
-        lease_term: Term of ``LEASE`` grants, in virtual time.
-        breaker_threshold / breaker_cooldown: Tuning of the per-holder
-            callback circuit breakers.
-        speaker: ``machine → process`` speaking for a machine on the
-            write path — its live process while the machine is up
-            (spawned on demand), its last process or ``None`` while it
-            is down.  A holder always has one: it read through it.
-        drop_copies: ``(machine id, dep) → count`` — drop the copies a
-            holder keeps through one binding; returns how many cached
-            prefixes went with it.
-    """
-
-    def __init__(self, simulator: Simulator,
-                 placement: DirectoryPlacement, policy: CachePolicy, *,
-                 retry_policy: Optional[RetryPolicy],
-                 lease_term: float,
-                 speaker: Callable[[Machine], Optional[SimProcess]],
-                 drop_copies: Callable[[int, DepKey], int],
-                 breaker_threshold: int = 3,
-                 breaker_cooldown: float = 30.0):
-        self._sim = simulator
-        self.placement = placement
-        self.obs = simulator.obs
-        self.rng = simulator.rng
-        self.policy = policy
-        self.retry_policy = retry_policy
-        self._speaker = speaker
-        self._drop_copies = drop_copies
-        #: LEASE: the one server-side manager of the deployment.
-        self.leases: Optional[LeaseManager] = None
-        if policy is CachePolicy.LEASE:
-            self.leases = LeaseManager(
-                term=lease_term, breaker_threshold=breaker_threshold,
-                breaker_cooldown=breaker_cooldown, obs=self.obs)
-        #: LEASE: one client-side table per holder machine.
-        self.lease_tables: dict[int, LeaseTable] = {}
-        # Holder machines by id (leases and the registry key on ids).
-        self._machines: dict[int, Machine] = {}
-        #: INVALIDATE registry: binding → machines holding a copy
-        #: (insertion-ordered so fan-outs are deterministic per seed).
-        #: Under LEASE the manager's holder index plays this part.
-        self.holders: dict[DepKey, dict[int, None]] = {}
-        self.replication_messages = 0
-        self.invalidation_messages = 0
-        self.invalidation_losses = 0
-        if self.obs.enabled:
-            self._m_invalidation_msgs = self.obs.metrics.counter(
-                "resolver_invalidation_messages_total")
-
-    # -- host ----------------------------------------------------------------
-
-    def now(self) -> float:
-        return self._sim.clock.now
-
-    @property
-    def auditor(self):
-        return self.obs.auditor
-
-    @property
-    def epoch(self) -> int:
-        return self.placement.epoch
-
-    def node_of(self, holder: int) -> Machine:
-        return self._machines[holder]
-
-    def call_back(self, holder: int, dep: DepKey) -> None:
-        """*holder* drops its copies through *dep* and its lease on it
-        (the simulated holder's half of a delivered callback)."""
-        table = self.lease_tables.get(holder)
-        if table is not None:
-            table.revoke(dep, self._sim.clock.now)
-        dropped = self._drop_copies(holder, dep)
-        obs = self.obs
-        if dropped and obs.enabled and obs.tracer.admit():
-            obs.tracer.event(
-                "cache", "prefix.invalidated", self._sim.clock.now,
-                attrs={"machine": self._machines[holder].label,
-                       "count": dropped})
-
-    # -- holders -----------------------------------------------------------
-
-    def lease_table_of(self, machine: Machine) -> LeaseTable:
-        """The (lazily created) client-side lease table of a machine."""
-        table = self.lease_tables.get(id(machine))
-        if table is None:
-            table = LeaseTable(machine.label, obs=self.obs)
-            self.lease_tables[id(machine)] = table
-            self._machines[id(machine)] = machine
-        return table
-
-    def note_copies(self, machine: Machine, deps: tuple) -> None:
-        """Record that *machine* just cached copies depending on *deps*.
-
-        ``INVALIDATE`` registers it as a holder of each; ``LEASE``
-        grants it a lease on each (grants piggyback on the read that
-        filled the cache, so no grant messages are modelled and
-        renewals are re-reads).
-        """
-        if self.policy is CachePolicy.INVALIDATE:
-            self._machines[id(machine)] = machine
-            for dep in deps:
-                self.holders.setdefault(dep, {})[id(machine)] = None
-        elif self.policy is CachePolicy.LEASE:
-            now = self._sim.clock.now
-            epoch = self.placement.epoch
-            table = self.lease_table_of(machine)
-            for dep in deps:
-                self.leases.grant(id(machine), dep, now, epoch,
-                                  machine_label=machine.label)
-                table.grant(dep, now, self.leases.term, epoch)
-
-    # -- the write ---------------------------------------------------------
-
-    def rebind(self, directory: ObjectEntity, name_: str,
-               entity: Entity) -> int:
-        """Run :func:`write_effects` on the kernel, traced under one
-        ``rebind`` span: each leg is messages pumped to settlement, a
-        wait is virtual time passing.  Returns the number of
-        invalidation / callback / ack messages sent."""
-        sim = self._sim
-        obs = self.obs
-        sent_before = self.invalidation_messages
-        steps = write_effects(self, directory, name_, entity)
-        span = None
-        outcome: Any = None
-        try:
-            while True:
-                leg = steps.send(outcome)
-                outcome = None
-                if type(leg) is Wait:
-                    sim.run(until=sim.clock.now + leg.delay)
-                elif leg.op == "fanout":
-                    if obs.enabled:
-                        span = obs.tracer.begin(
-                            "rebind", f"{directory.label}/{name_}",
-                            sim.clock.now, parent=None,
-                            attrs={"directory": directory.label,
-                                   "component": name_})
-                elif leg.op == "replicate":
-                    # A dead primary propagates nothing; a downed
-                    # secondary that never ran a process has nothing to
-                    # deliver to.  Either way this replica missed it.
-                    primary = self._speaker(leg.origin)
-                    receiver = (self._speaker(leg.to) if primary is not None
-                                and primary.alive else None)
-                    outcome = False
-                    if receiver is not None:
-                        message = self.send(primary, receiver,
-                                            {"ns": "replicate"}, span)
-                        sim.run_until_settled(message)
-                        self.replication_messages += 1
-                        outcome = not message.dropped
-                elif leg.op == "invalidate":
-                    sender = self._speaker(leg.origin)
-                    batch = [self.send(sender,
-                                       self._speaker(self._machines[h]),
-                                       {"ns": "invalidate"}, span)
-                             for h in leg.to]
-                    self.invalidation_messages += len(batch)
-                    sim.run_until_settled(batch)
-                    outcome = [m.drop_reason if m.dropped else None
-                               for m in batch]
-                else:
-                    outcome = self._break(leg, span)
-        except StopIteration as done:
-            report: WriteReport = done.value
-        self.invalidation_losses += report.lost + report.broken
-        sent = self.invalidation_messages - sent_before
-        if span is not None:
-            if report.broken:
-                obs.metrics.counter(
-                    "resolver_invalidation_losses_total").inc(report.broken)
-            self._m_invalidation_msgs.inc(sent)
-            if not span.muted:
-                span.attrs["messages"] = sent
-                span.attrs["replicated"] = report.replicated
-                span.attrs["stale_marked"] = report.stale_marked
-            obs.tracer.end(span, sim.clock.now)
-        return sent
-
-    def _break(self, leg: Leg, span) -> bool:
-        """One break callback: delivered, the holder revokes its lease,
-        drops its copies and acks; an ack that arrives releases the
-        lease server-side."""
-        sim = self._sim
-        obs = self.obs
-        lease = leg.to
-        machine = self._machines[lease.machine_id]
-        sender = self._speaker(leg.origin)
-        receiver = self._speaker(machine)
-        message = self.send(sender, receiver,
-                            {"lease": {"op": "break", "dep": lease.dep}},
-                            span)
-        self.invalidation_messages += 1
-        sim.run_until_settled(message)
-        delivered = not message.dropped
-        if obs.enabled:
-            if obs.tracer.admit():
-                obs.tracer.event(
-                    "lease", "lease.callback", sim.clock.now,
-                    attrs={"machine": machine.label,
-                           "dep": repr(lease.dep),
-                           "attempt": leg.attempt,
-                           "delivered": delivered})
-            obs.metrics.counter(
-                "lease_callbacks_total",
-                {"delivered": str(delivered).lower()}).inc()
-        if delivered:
-            self.call_back(lease.machine_id, lease.dep)
-            ack = self.send(receiver, sender,
-                            {"lease": {"op": "ack", "dep": lease.dep}},
-                            span)
-            self.invalidation_messages += 1
-            sim.run_until_settled(ack)
-            if not ack.dropped:
-                self.leases.record_ack(lease.machine_id, lease.dep,
-                                       sim.clock.now)
-        return delivered
-
-    def send(self, sender: SimProcess, receiver: SimProcess,
-             payload: dict, span):
-        """Send one message stamped with *span*'s trace context."""
-        message = sender.send(receiver, payload=payload)
-        if span is not None:
-            message.trace_id = span.trace_id
-            if not span.muted:
-                message.parent_span_id = span.span_id
-        return message

@@ -174,8 +174,9 @@ class NamingService:
             and fed ``record_write`` on every control-plane rebind.
     """
 
-    policy = CachePolicy.LEASE
+    cache_policy = CachePolicy.LEASE
     placement = None
+    holders = holder_node = call_back = None   # read only with a placement
 
     def __init__(self, root: Entity, *, seed: int = 0,
                  obs: Optional[Instrumentation] = None,

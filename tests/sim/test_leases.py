@@ -200,7 +200,7 @@ class TestResolverLease:
         assert [h.machine_id for h in holders] == [id(world["primary"])]
         held = resolver.leases.stats()["held"]
         resolver.rebind(world["svc"], "app", world["new_dir"])
-        table = resolver.writes.lease_table_of(world["primary"])
+        table = resolver.lease_table_of(world["primary"])
         assert table.revocations == 1
         assert resolver.leases.holders_of(dep, simulator.clock.now) == []
         stats = resolver.leases.stats()
@@ -254,7 +254,7 @@ class TestResolverLease:
             entity, cost = _probe(world)
             assert entity is world["old_leaf"]
             assert cost.weak and cost.stale_steps > 0
-        table = world["resolver"].writes.lease_table_of(
+        table = world["resolver"].lease_table_of(
             world["client_machine"])
         assert table.in_grace
         assert table.stats()["grace_hits"] > 0

@@ -550,8 +550,8 @@ class TestPureRoutingReads:
         name_ = world["namespace"].names[0]
         # The client holds a copy of the binding (a leaf binding is
         # never a cached prefix, so register the holder directly).
-        resolver.writes.note_copies(world["client_m"],
-                                    (binding_dep(directory, name_),))
+        resolver.note_copies(world["client_m"],
+                             (binding_dep(directory, name_),))
         sent = resolver.invalidation_messages
         resolver.rebind(directory, name_, world["namespace"].shared_leaf)
         assert resolver.invalidation_messages == sent + 1

@@ -1,25 +1,24 @@
-"""The one write path, through its simulator caller.
+"""The one write path, through its kernel driver.
 
-``repro.nameservice.writes.WritePath`` is the single definition of
-rebind → replicate → invalidate / lease-break, driven on the simulator
-by ``DistributedResolver``.  These tests pin what private copies of it
-once got wrong: a crashed owning host is a counted loss (never an
-exception out of ``rebind``), and one scripted holders / drops /
-partition / crash timeline keeps every write-side book.
+``repro.nameservice.writes.write_effects`` is the single definition of
+rebind → replicate → invalidate / lease-break; on the simulator
+``DistributedResolver`` is its host and kernel driver, keeping the
+holder registry, the lease books and the message counters itself.
+These tests pin what private copies of it once got wrong: a crashed
+owning host is a counted loss (never an exception out of ``rebind``),
+and one scripted holders / drops / partition / crash timeline keeps
+every write-side book.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
-from repro.namespaces.base import ProcessContext
-from repro.namespaces.tree import NamingTree
 from repro.nameservice.cache import CachePolicy
-from repro.nameservice.placement import DirectoryPlacement
-from repro.nameservice.resolver import DistributedResolver
 from repro.nameservice.retry import RetryPolicy
-from repro.sim.failures import FailureInjector
-from repro.sim.kernel import Simulator
+from repro.workloads.deployment import build_world
 
 RETRY = RetryPolicy(max_attempts=2, base_backoff=0.5, max_backoff=1.0)
 TERM = 1_000.0     # long enough that no lease expires mid-timeline
@@ -31,29 +30,35 @@ class World:
     networks of their own."""
 
     def __init__(self, policy: CachePolicy, seed: int = 3):
-        sim = self.sim = Simulator(seed=seed)
-        self.srv = sim.network("srv")
-        self.lans = [sim.network("lan1"), sim.network("lan2")]
-        self.host = sim.machine(self.srv, "host")
-        self.backup = sim.machine(self.srv, "backup")
-        self.machines = [sim.machine(lan, f"c{i + 1}")
-                         for i, lan in enumerate(self.lans)]
-        tree = NamingTree("root", sigma=sim.sigma, parent_links=True)
-        self.svc = tree.mkdir("svc")
-        self.apps = [tree.mkdir("svc/app"), tree.mkdir("spare")]
-        tree.mkfile("svc/app/cfg")
-        tree.mkfile("spare/cfg")
-        self.placement = DirectoryPlacement()
-        for node in (self.svc, *self.apps):
-            self.placement.place_replicated(node, self.host, self.backup)
-        self.injector = FailureInjector(sim)
+        world = build_world({
+            "networks": ["srv", "lan1", "lan2"],
+            "machines": [["host", "srv"], ["backup", "srv"],
+                         ["c1", "lan1"], ["c2", "lan2"]],
+            "parent_links": True,
+            "paths": ["svc/", "svc/app/", "spare/", "svc/app/cfg",
+                      "spare/cfg"],
+            "place": [[path, "host", "backup"]
+                      for path in ("svc", "svc/app", "spare")],
+            "clients": [["c1", "p1"], ["c2", "p2"]],
+            "resolver": {"cache_policy": policy.value,
+                         "retry_policy": asdict(RETRY),
+                         "lease_term": TERM},
+        }, seed=seed)
+        self.sim = world.simulator
+        self.srv = world.networks["srv"]
+        self.lans = [world.networks["lan1"], world.networks["lan2"]]
+        self.host = world.machines["host"]
+        self.backup = world.machines["backup"]
+        self.machines = [world.machines["c1"], world.machines["c2"]]
+        self.svc = world.tree.directory("svc")
+        self.apps = [world.tree.directory("svc/app"),
+                     world.tree.directory("spare")]
+        self.placement = world.placement
+        self.injector = world.injector
         self.bound = 0          # index into self.apps of σ(svc)(app)
-        self.subject = DistributedResolver(
-            sim, self.placement, cache_policy=policy,
-            retry_policy=RETRY, lease_term=TERM)
-        self.context = ProcessContext(tree.root)
-        self.clients = [sim.spawn(machine, f"p{i + 1}")
-                        for i, machine in enumerate(self.machines)]
+        self.subject = world.resolver
+        self.context = world.context
+        self.clients = world.clients
 
     def read(self, *clients: int) -> None:
         for index in clients:
@@ -81,7 +86,7 @@ class World:
                 held=len(subject.leases.holders_of(
                     ("d", self.svc.uid, "app"), self.sim.clock.now)),
                 revocations=sum(
-                    subject.writes.lease_table_of(machine).revocations
+                    subject.lease_table_of(machine).revocations
                     for machine in self.machines))
         return state
 
@@ -145,7 +150,7 @@ def scripted_timeline(world: World) -> dict:
     world.read(0, 1)
     rebind()
     return dict(world.write_side(), replication_messages=(
-        world.subject.writes.replication_messages))
+        world.subject.replication_messages))
 
 
 class TestWritePathContract:
@@ -171,6 +176,6 @@ class TestWritePathContract:
         world.rebind()
         state = world.write_side()
         # One delivered, one sent at the crashed replica and lost.
-        assert world.subject.writes.replication_messages == 2
+        assert world.subject.replication_messages == 2
         assert state["invalidation_messages"] == 0
         assert state["backup_stale"]

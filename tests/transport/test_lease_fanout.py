@@ -5,11 +5,12 @@ A rebind's lease-break fan-out is written once, inside
 placement (the socket server's deployment) over scripted holders: each
 ``"break"`` leg is answered from a schedule, and each ``Wait`` passes
 on a scripted clock.  Every row of one table goes through a blocking
-driver and an awaiting one — the loop shapes of ``WritePath.rebind``
-and ``NamingService._rebind`` — and both must produce the pinned
-report and the same delivery order, backoff draws, broken leases and
-breaker transitions.  ``tests/transport/test_write_parity.py`` holds
-the two real drivers equal.
+driver and an awaiting one — the loop shapes of
+``DistributedResolver.rebind`` (the kernel driver of every effect
+generator) and ``NamingService._rebind`` — and both must produce the
+pinned report and the same delivery order, backoff draws, broken
+leases and breaker transitions.  ``tests/transport/test_write_parity.py``
+holds the two real drivers equal.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class ScriptedHost:
     cooldown, failures recorded beforehand)`` for every holder.
     """
 
-    policy = CachePolicy.LEASE
+    cache_policy = CachePolicy.LEASE
     placement = None
+    holders = holder_node = call_back = None   # read only with a placement
     auditor = None
     epoch = 0
     obs = NO_OBS

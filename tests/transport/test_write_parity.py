@@ -2,9 +2,10 @@
 
 ``repro.nameservice.writes.write_effects`` is the rebind — commit,
 replicate, invalidate or break leases — and two drivers run it:
-``WritePath`` on the simulator kernel and ``NamingService`` on real
-sockets.  One ``LEASE`` rebind with two holders of the rebound binding,
-one that acks and one that is gone, runs through each: on the kernel
+``DistributedResolver``, the one kernel driver of every effect
+generator, on the simulator and ``NamingService`` on real sockets.
+One ``LEASE`` rebind with two holders of the rebound binding, one that
+acks and one that is gone, runs through each: on the kernel
 the gone holder sits behind a partition, on the socket it is a client
 that closed its connection.  Both drivers must report the same
 notified / broken / attempts / skipped counts, and leave the lease
@@ -20,6 +21,7 @@ import pytest
 from repro.model.context import context_object
 from repro.model.entities import ObjectEntity
 from repro.namespaces.base import ProcessContext
+from repro.nameservice import resolver as resolver_module
 from repro.nameservice import writes
 from repro.nameservice.cache import CachePolicy
 from repro.nameservice.placement import DirectoryPlacement
@@ -53,8 +55,8 @@ def recorded_reports(monkeypatch) -> list:
         reports.append(report)
         return report
 
-    monkeypatch.setattr(writes, "write_effects", recording)
-    monkeypatch.setattr(service_module, "write_effects", recording)
+    for module in (writes, resolver_module, service_module):
+        monkeypatch.setattr(module, "write_effects", recording)
     return reports
 
 
