@@ -410,11 +410,7 @@ class DistributedResolver:
             if not span.muted:
                 span.attrs = {"from": sender.label, "to": receiver.label,
                               "messages": 1}
-        message = sender.send(receiver, payload={"ns": what})
-        if span is not None:
-            message.trace_id = span.trace_id
-            if not span.muted:
-                message.parent_span_id = span.span_id
+        message = self._send(sender, receiver, {"ns": what}, span)
         self._sim.run_until_settled(message)
         cost.messages += 1
         cost.latency += self._sim.clock.now - before
@@ -462,9 +458,7 @@ class DistributedResolver:
     def target_on(self, directory: ObjectEntity, machine: Machine):
         if self._placement.is_stale(directory, machine):
             return STALE
-        if not machine.alive and id(machine) not in self._servers:
-            return DOWN
-        return self.server_for(machine)
+        return self._speaker_for(machine) or DOWN
 
     # -- the walk's sync driver --------------------------------------------
 

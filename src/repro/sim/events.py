@@ -13,8 +13,9 @@ a :class:`ScheduledEvent` handle the caller can
 :meth:`~ScheduledEvent.cancel` (timers, timeouts); the kernel's
 ``send`` pushes each delivery as a bare
 :class:`~repro.sim.messages.Message` with no handle at all (deliveries
-are never cancelled).  :meth:`EventQueue.pop` returns the raw entry
-and the kernel's pumps dispatch its item by type.
+are never cancelled).  The kernel's one event loop pops the heap
+inline and dispatches each item by type; :meth:`EventQueue.pop` is the
+same pop as a method, the reference the kernel's order tests replay.
 
 Cancelled events are *not* removed eagerly (heap deletion is O(n));
 they are skipped on pop, counted, and the heap is compacted once
@@ -96,7 +97,10 @@ class EventQueue:
         """Remove and return the earliest live ``(time, seq, item)``
         entry, discarding cancelled ones, or None when the queue is
         exhausted.  *item* is a :class:`ScheduledEvent` or a bare
-        :class:`~repro.sim.messages.Message` delivery."""
+        :class:`~repro.sim.messages.Message` delivery.
+
+        The kernel's loop inlines this pop; the method is the test
+        reference its run and settle order contracts replay."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
@@ -133,8 +137,8 @@ class EventQueue:
         Called automatically once cancelled entries exceed half the
         queue; unique ``(time, seq)`` keys make the rebuilt heap pop
         in exactly the same order, so compaction is invisible to the
-        simulation.  Rebuilds **in place**: the kernel's inline pump
-        (``run_until_settled``) holds an alias to the heap.
+        simulation.  Rebuilds **in place**: the kernel's event loop
+        holds an alias to the heap.
         """
         self._heap[:] = [entry for entry in self._heap
                          if not (type(entry[2]) is ScheduledEvent

@@ -38,9 +38,10 @@ class FailureInjector:
     """Injects failures and reconfigurations into a simulation."""
 
     #: Fault kinds accepted by :meth:`schedule` / timelines, mapped to
-    #: the injector method that applies them.
-    TIMELINE_KINDS = ("crash", "restart", "partition", "heal",
-                      "flaky_link", "steady_link")
+    #: the name of the injector method that applies them.
+    TIMELINE_KINDS = {"crash": "crash_machine", "restart": "restart_machine",
+                      "partition": "partition", "heal": "heal",
+                      "flaky_link": "flaky_link", "steady_link": "steady_link"}
 
     def __init__(self, simulator: Simulator):
         self._sim = simulator
@@ -197,14 +198,7 @@ class FailureInjector:
             raise SimulationError(
                 f"unknown fault kind {kind!r}; expected one of "
                 f"{', '.join(self.TIMELINE_KINDS)}")
-        method = {
-            "crash": self.crash_machine,
-            "restart": self.restart_machine,
-            "partition": self.partition,
-            "heal": self.heal,
-            "flaky_link": self.flaky_link,
-            "steady_link": self.steady_link,
-        }[kind]
+        method = getattr(self, self.TIMELINE_KINDS[kind])
         delay = time - self._sim.clock.now
         if delay < 0:
             raise SimulationError(

@@ -14,15 +14,14 @@ latency spikes).
 
 Hot-path notes (see ``docs/performance.md``): :meth:`Simulator.send`
 pushes each delivery onto the event queue's heap as a bare message (no
-handle, no closure); trace records are plain tuples of atomic values —
-the per-message ones a ``(template, *args)`` detail formatted only
-when read — so the log keeps no message alive and the cyclic collector
-never rescans it; :meth:`Simulator.run_until_settled` — the pump every
-request/reply hop pays for — pops the heap inline, while
-:meth:`Simulator.run` loops over :meth:`EventQueue.pop`.  Every
-event order — and therefore every seeded run — is bit-for-bit
-identical to the unoptimized kernel (pinned by
-``tests/sim/test_determinism_golden.py``).  With instrumentation on,
+handle, no closure); each send, deliver and drop record is one packed
+row of the trace log, its detail formatted only when read — so the log
+keeps no message alive and the cyclic collector never rescans it;
+:meth:`Simulator.run` and :meth:`Simulator.run_until_settled` — the
+pump every request/reply hop pays for — are two entry points of one
+loop that pops the heap inline.  Every event order — and therefore
+every seeded run — is bit-for-bit identical to the unoptimized kernel
+(pinned by ``tests/sim/test_determinism_golden.py``).  With instrumentation on,
 the kernel counts messages and events as plain ints and publishes them
 into the metrics registry once per pump, when it returns or raises.
 """
@@ -368,15 +367,40 @@ class Simulator:
             The number of events processed.
         """
         if isinstance(messages, Message):
-            pending = (messages,)
-        else:
-            pending = tuple(messages)
+            return self._pump((messages,), None, max_events)
+        return self._pump(tuple(messages), None, max_events)
+
+    def run(self, until: Optional[float] = None,
+            max_events: int = 1_000_000) -> int:
+        """Process events, in ``(time, seq)`` order, until the queue
+        empties (or bounds are hit).
+
+        Args:
+            until: Stop before events later than this time (they stay
+                queued).
+            max_events: Safety bound on processed events; reaching it
+                raises.
+
+        Returns:
+            The number of events processed.
+        """
+        processed = self._pump(None, until, max_events)
+        if until is not None and self.clock._now < until:
+            self.clock.advance_to(until)
+        return processed
+
+    def _pump(self, pending: Optional[tuple], until: Optional[float],
+              max_events: int) -> int:
+        """The one event loop: dispatch events in ``(time, seq)``
+        order until every *pending* message has settled (None: never),
+        the next event is later than *until* (it goes back), or the
+        queue is exhausted; raise at *max_events*."""
         processed = 0
         queue = self.queue
         advance_to = self.clock.advance_to
         deliver = self._deliver
         heap = queue._heap
-        single = pending[0] if len(pending) == 1 else None
+        single = pending[0] if pending and len(pending) == 1 else None
         try:
             # The settled predicate is re-checked per event: a timer
             # action (e.g. a crash) can settle a message too.
@@ -384,13 +408,14 @@ class Simulator:
                 if single is not None:
                     if single.delivered or single.dropped:
                         break
-                elif all(message.delivered or message.dropped
-                         for message in pending):
+                elif pending is not None and all(
+                        message.delivered or message.dropped
+                        for message in pending):
                     break
                 if processed >= max_events:
                     raise SimulationError(
-                        f"run_until_settled exceeded max_events="
-                        f"{max_events}; likely a livelock")
+                        f"{'run' if pending is None else 'run_until_settled'}"
+                        f" exceeded max_events={max_events}; likely a livelock")
                 # EventQueue.pop, inlined: calling it per event
                 # cost 1-2 % of sim-zipf-sharded's ops/s over alternating
                 # pairs (docs/performance.md).  compact() rebuilds the
@@ -407,56 +432,15 @@ class Simulator:
                     break
                 else:
                     break  # exhausted; undeliverable messages stay unsettled
-                advance_to(entry[0])
-                if type(item) is Message:
-                    deliver(item)
-                else:
-                    item.action()
-                processed += 1
-        finally:
-            if self._obs_on and processed:
-                self._m_events.inc(processed)
-                self._flush_message_counters()
-        return processed
-
-    def run(self, until: Optional[float] = None,
-            max_events: int = 1_000_000) -> int:
-        """Process events, in ``(time, seq)`` order, until the queue
-        empties (or bounds are hit).
-
-        Args:
-            until: Stop before events later than this time (they stay
-                queued).
-            max_events: Safety bound on processed events; reaching it
-                raises.
-
-        Returns:
-            The number of events processed.
-        """
-        processed = 0
-        queue = self.queue
-        advance_to = self.clock.advance_to
-        deliver = self._deliver
-        try:
-            while processed < max_events:
-                entry = queue.pop()
-                if entry is None:
-                    break
                 if until is not None and entry[0] > until:
                     queue._unpop(entry)
                     break
                 advance_to(entry[0])
-                item = entry[2]
                 if type(item) is Message:
                     deliver(item)
                 else:
                     item.action()
                 processed += 1
-            else:
-                raise SimulationError(
-                    f"run exceeded max_events={max_events}; likely a livelock")
-            if until is not None and self.clock._now < until:
-                advance_to(until)
         finally:
             if self._obs_on and processed:
                 self._m_events.inc(processed)

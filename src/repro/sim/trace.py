@@ -15,15 +15,14 @@ refers to no message, process or machine.  Any other record keeps its
 tuple, ``(time, kind, data, text)`` or ``(time, kind, data, template,
 *args)``, in a side list its row indexes.  :class:`TraceEntry` is the
 read view that iteration, :meth:`TraceLog.of_kind`, :meth:`TraceLog.tail`
-and the exports build; the per-kind index of row numbers is built
-**lazily**, on the first :meth:`TraceLog.of_kind` / :meth:`TraceLog.kinds`
-call after new records.
+and the exports build; :meth:`TraceLog.of_kind` and
+:meth:`TraceLog.kinds` read the rows' kind tags and build entries only
+for the rows that match.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from struct import Struct
 from typing import Any, Iterator, Union
 
@@ -74,6 +73,11 @@ class _Labels(dict):
         return index
 
 
+def _kind(row: tuple, side: list) -> str:
+    """The kind a stored row reads as."""
+    return _KINDS[row[4]] or side[row[1]][1]
+
+
 def _entry(row: tuple, labels: list, side: list) -> TraceEntry:
     """The entry a stored row reads as (its detail formatted)."""
     time, msg_id, first, second, tag = row
@@ -93,15 +97,12 @@ def _entry(row: tuple, labels: list, side: list) -> TraceEntry:
 class TraceLog:
     """An append-only log of trace records."""
 
-    __slots__ = ("_rows", "_labels", "_side", "_by_kind", "_indexed")
+    __slots__ = ("_rows", "_labels", "_side")
 
     def __init__(self) -> None:
         self._rows = bytearray()
         self._labels = _Labels()
         self._side: list[tuple] = []
-        # Per-kind row numbers of the first `_indexed` rows (_index()).
-        self._by_kind: dict[str, array] = defaultdict(lambda: array("q"))
-        self._indexed = 0
 
     @property
     def entries(self) -> list[TraceEntry]:
@@ -141,27 +142,17 @@ class TraceLog:
         labels, side = list(self._labels), self._side
         return (_entry(row, labels, side) for row in self._unpacked(start))
 
-    def _index(self) -> dict[str, array]:
-        """The per-kind index, extended on demand (amortized O(new
-        rows since the last call))."""
-        by_kind, side = self._by_kind, self._side
-        for number, (_time, msg_id, _first, _second, tag) in enumerate(
-                self._unpacked(self._indexed), self._indexed):
-            by_kind[_KINDS[tag] or side[msg_id][1]].append(number)
-        self._indexed = len(self)
-        return by_kind
-
     def of_kind(self, kind: str) -> list[TraceEntry]:
-        """All entries with the given kind, in order (amortized
-        O(new rows) + O(matches))."""
-        rows, size = self._rows, _ROW.size
+        """All entries with the given kind, in order; only the matching
+        rows are turned into entries."""
         labels, side = list(self._labels), self._side
-        return [_entry(_ROW.unpack_from(rows, number * size), labels, side)
-                for number in self._index().get(kind, ())]
+        return [_entry(row, labels, side) for row in self._unpacked()
+                if _kind(row, side) == kind]
 
     def kinds(self) -> list[str]:
         """The distinct kinds recorded, in first-seen order."""
-        return list(self._index())
+        side = self._side
+        return list(dict.fromkeys(_kind(row, side) for row in self._unpacked()))
 
     def __len__(self) -> int:
         return len(self._rows) // _ROW.size

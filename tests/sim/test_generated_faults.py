@@ -18,7 +18,11 @@ After every step:
   after it (a mark only "before" is not enough: a restart booked
   mid-walk syncs a replica the walk may then rightly ask);
 * after each restart, no stale mark left on the restarted machine
-  has a live, fresh sync source.
+  has a live, fresh sync source;
+* every message the kernel sent since the build is counted exactly
+  once: by the lookup that paid for it (``cost.messages``) or by one of
+  the resolver's replication, invalidation, anti-entropy and migration
+  counters.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ class ShardedFaultsMachine(RuleBasedStateMachine):
         self.client, self.context = world.client, world.context
         self.resolver = world.resolver
         self.injector.on_restart(self._check_synced)
+        self.sent_at_build = self.simulator.messages_sent
+        self.charged = 0  # cost.messages over every lookup
         self.entities = [ObjectEntity(f"v{i}") for i in range(ENTITIES)]
 
     # -- helpers -----------------------------------------------------------
@@ -126,6 +132,7 @@ class ShardedFaultsMachine(RuleBasedStateMachine):
         before = self._stale_servers()
         _entity, cost = self.resolver.resolve(self.client, self.context,
                                               self._path(index))
+        self.charged += cost.messages
         assert not cost.servers_touched & before & self._stale_servers()
 
     @rule(indices=st.lists(names, min_size=1, max_size=4))
@@ -135,6 +142,7 @@ class ShardedFaultsMachine(RuleBasedStateMachine):
             self.client, self.context, [self._path(i) for i in indices])
         after = self._stale_servers()
         for _entity, cost in results:
+            self.charged += cost.messages
             assert not cost.servers_touched & before & after
 
     @rule(index=names, entity=st.integers(0, ENTITIES - 1))
@@ -202,6 +210,16 @@ class ShardedFaultsMachine(RuleBasedStateMachine):
     @invariant()
     def every_binding_has_one_owner(self):
         assert self.shard_map.is_partition()
+
+    @invariant()
+    def every_message_is_counted_once(self):
+        resolver = self.resolver
+        counted = (self.charged + resolver.replication_messages
+                   + resolver.invalidation_messages
+                   + resolver.anti_entropy_messages
+                   + resolver.migration_messages)
+        sent = self.simulator.messages_sent - self.sent_at_build
+        assert sent == counted, (sent, counted)
 
 
 ShardedFaultsMachine.TestCase.settings = settings(

@@ -228,6 +228,29 @@ class TestBoundedPump:
         with pytest.raises(SimulationError):
             simulator.run_until_settled(message, max_events=10)
 
+    def test_empty_batch_settles_at_once(self):
+        """An empty batch has nothing to wait for: the pump returns 0
+        and every queued event stays queued (it is not a full run)."""
+        simulator = Simulator()
+        sender, receiver = two_processes(simulator)
+        fired = []
+        simulator.schedule(1.0, lambda: fired.append(True))
+        sender.send(receiver, latency=2.0)
+        assert simulator.run_until_settled([]) == 0
+        assert len(simulator.queue) == 2
+        assert not fired and simulator.messages_delivered == 0
+        assert simulator.clock.now == 0.0
+
+    def test_settled_batch_dispatches_nothing(self):
+        simulator = Simulator()
+        sender, receiver = two_processes(simulator)
+        batch = [sender.send(receiver, payload=i) for i in range(2)]
+        simulator.run_until_settled(batch)
+        later = sender.send(receiver, latency=1.0)
+        assert simulator.run_until_settled(batch) == 0
+        assert simulator.run_until_settled(batch[0]) == 0
+        assert not later.settled and len(simulator.queue) == 1
+
     def test_equivalent_order_to_full_run(self):
         """Pumping bounded then draining gives the same trace as one
         full run()."""
