@@ -34,7 +34,7 @@ the classic per-directory answer for unsharded placements.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import SchemeError
 from repro.model.context import Context
@@ -194,6 +194,14 @@ class DirectoryPlacement:
         iteration for the split-policy scan)."""
         return [self._shard_maps[uid]
                 for uid in sorted(self._shard_maps)]
+
+    def placed_machines(self) -> Iterator[Machine]:
+        """Every machine a replica set or a shard map names, in
+        placement order (replica sets first; repeats included)."""
+        for replicas in self._replicas_of.values():
+            yield from replicas
+        for shard_map in self._shard_maps.values():
+            yield from shard_map.machines()
 
     def apply_split(self, plan: SplitPlan) -> Shard:
         """Commit a planned shard split and bump the epoch exactly

@@ -72,7 +72,7 @@ from repro.model.names import CompoundName, NameLike
 from repro.nameservice.leases import LeaseTable, Wait
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import RetryPolicy
-from repro.nameservice.walk import (DOWN, LOST, STALE, Ask, ResolutionCost,
+from repro.nameservice.walk import (LOST, STALE, Ask, ResolutionCost,
                                     walk_effects)
 from repro.obs.instrument import NO_OBS
 from repro.sim.network import Machine
@@ -124,7 +124,8 @@ class PlacementRouter:
     locally); any other machine's is its :class:`NameLookupServer`,
     addressed at whatever process it runs *when the request leaves*,
     so a re-ask after a backoff reaches a server that respawned
-    meanwhile.
+    meanwhile.  Lookup servers exist from the build: a down machine's
+    is asked (and the ask lost); a placed machine with none raises.
     """
 
     def __init__(self, placement: DirectoryPlacement,
@@ -143,11 +144,9 @@ class PlacementRouter:
         if host is self.local_machine:
             return host
         server = self.servers.get(id(host))
-        if server is not None:
-            return server
-        if host.alive:
+        if server is None:
             raise SchemeError(f"no lookup server on {host.label}")
-        return DOWN
+        return server
 
 
 class NameLookupServer:

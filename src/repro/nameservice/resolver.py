@@ -86,7 +86,7 @@ from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import (BreakerState, CircuitBreaker,
                                      RetryPolicy)
 from repro.nameservice.sharding import Shard
-from repro.nameservice.walk import (DOWN, LOST, STALE, Ask, ResolutionCost,
+from repro.nameservice.walk import (LOST, STALE, Ask, ResolutionCost,
                                     retry_effects, walk_effects)
 from repro.nameservice.writes import (Leg, WriteReport, migrate_effects,
                                      sync_effects, write_effects)
@@ -226,6 +226,8 @@ class DistributedResolver:
         self.migration_messages = 0
         self.shard_splits = 0
         self.shard_split_aborts = 0
+        for machine in placement.placed_machines():
+            self.server_for(machine)
 
     @property
     def placement(self) -> DirectoryPlacement:
@@ -233,15 +235,15 @@ class DistributedResolver:
         return self._placement
 
     def server_for(self, machine: Machine) -> SimProcess:
-        """The (lazily spawned) directory-server process of a machine.
+        """The directory-server process of a machine: the one spawn site.
 
-        A server whose process died with a machine crash is respawned
-        here once the machine is back up — the lazy half of the
-        restart story (:meth:`handle_restart` is the eager half, wired
-        as a :meth:`~repro.sim.failures.FailureInjector.on_restart`
-        hook, which also runs anti-entropy).  The walk reads a leg's
-        binding the moment it lands, so a server handles each delivery
-        by leaving nothing to queue.
+        The resolver's build spawns one on every machine the placement
+        names, so a down placed machine is addressed like any other and
+        the message is dropped.  Later this spawns on an up machine with
+        none yet (a client's, a split target, a placement made after
+        build) and respawns a server that died with its machine once
+        the machine is back up.  The walk reads a leg's binding the
+        moment it lands, so a server leaves nothing to queue.
         """
         server = self._servers.get(id(machine))
         if server is None or (not server.alive and machine.alive):
@@ -251,14 +253,6 @@ class DistributedResolver:
             self._servers[id(machine)] = server
             self._server_labels[server.uid] = server.label
         return server
-
-    def _speaker_for(self, machine: Machine) -> Optional[SimProcess]:
-        """The process that can speak for *machine* right now: its
-        server while the machine is up, else whatever (dead) server it
-        last ran — ``None`` if it never ran one."""
-        if machine.alive:
-            return self.server_for(machine)
-        return self._servers.get(id(machine))
 
     def breaker_for(self, server: SimProcess) -> CircuitBreaker:
         breaker = self._breakers.get(server.uid)
@@ -458,7 +452,7 @@ class DistributedResolver:
     def target_on(self, directory: ObjectEntity, machine: Machine):
         if self._placement.is_stale(directory, machine):
             return STALE
-        return self._speaker_for(machine) or DOWN
+        return self.server_for(machine)
 
     # -- the walk's sync driver --------------------------------------------
 
@@ -741,25 +735,22 @@ class DistributedResolver:
                             attrs={"directory": directory.label,
                                    "component": name_})
                 elif leg.op == "replicate":
-                    # A dead primary propagates nothing; a downed
-                    # secondary that never ran a process has nothing to
-                    # deliver to.  Either way this replica missed it.
-                    primary = self._speaker_for(leg.origin)
-                    receiver = (self._speaker_for(leg.to)
-                                if primary is not None and primary.alive
-                                else None)
+                    # A dead primary propagates nothing: this replica
+                    # missed it.
+                    primary = self.server_for(leg.origin)
                     outcome = False
-                    if receiver is not None:
-                        message = self._send(primary, receiver,
+                    if primary.alive:
+                        message = self._send(primary,
+                                             self.server_for(leg.to),
                                              {"ns": "replicate"}, span)
                         sim.run_until_settled(message)
                         self.replication_messages += 1
                         outcome = not message.dropped
                 elif leg.op == "invalidate":
-                    sender = self._speaker_for(leg.origin)
+                    sender = self.server_for(leg.origin)
                     batch = [self._send(
                                  sender,
-                                 self._speaker_for(self._holder_machines[h]),
+                                 self.server_for(self._holder_machines[h]),
                                  {"ns": "invalidate"}, span)
                              for h in leg.to]
                     self.invalidation_messages += len(batch)
@@ -792,8 +783,8 @@ class DistributedResolver:
         obs = self.obs
         lease = leg.to
         machine = self._holder_machines[lease.machine_id]
-        sender = self._speaker_for(leg.origin)
-        receiver = self._speaker_for(machine)
+        sender = self.server_for(leg.origin)
+        receiver = self.server_for(machine)
         message = self._send(sender, receiver,
                              {"lease": {"op": "break", "dep": lease.dep}},
                              span)
@@ -846,7 +837,8 @@ class DistributedResolver:
         kernel, each migration batch a retried hop from the source
         shard's server to the target's, so traces, failure injection
         and the retry/breaker machinery all apply to rebalancing
-        traffic.  Returns True if the split committed.
+        traffic.  A dead endpoint drops the migration, which aborts
+        the split.  Returns True if the split committed.
         """
         shard_map = self._placement.shard_map_of(directory)
         if shard_map is None:
@@ -867,12 +859,11 @@ class DistributedResolver:
                        "replicas": len(plan.targets)})
         committed = False
         cost = ResolutionCost()  # migration accounting only
-        # A migration endpoint that is down and has never had a server
-        # cannot even be addressed — abort without sending anything
-        # (a dead machine with an existing server still gets messages
-        # sent at it, which fail and abort through the hop path).
-        if all(m.alive or id(m) in self._servers
-               for m in (shard.machine, machine)):
+        # The one read of spawn history left: a split may name a target
+        # outside the deployment (an unplaced pool machine), and one
+        # that is down and never ran a server cannot be addressed, so
+        # the split aborts without a message.
+        if machine.alive or id(machine) in self._servers:
             source = self.server_for(shard.machine)
             target = self.server_for(machine)
             committed = self._pump(
@@ -907,13 +898,12 @@ class DistributedResolver:
 
     def handle_restart(self, machine: Machine) -> int:
         """Respawn hook (``injector.on_restart(resolver.
-        handle_restart)``): respawn the machine's dead server (fresh
+        handle_restart)``): respawn the machine's server (fresh
         process, fresh breaker), then run :func:`~repro.nameservice.
         writes.sync_effects` for its stale replicas, one message per
         sync (:attr:`anti_entropy_messages`).  Returns the number of
         directories synced."""
-        if id(machine) in self._servers:
-            self.server_for(machine)
+        self.server_for(machine)
         stale = self._placement.stale_uids_of(machine)
         if not stale:
             return 0
@@ -941,8 +931,8 @@ class DistributedResolver:
 
     def _sync_leg(self, leg, span, cost: ResolutionCost) -> bool:
         """One anti-entropy copy: one message, no ``hop`` span."""
-        source = self._speaker_for(leg.origin)
-        if source is None or not source.alive:
+        source = self.server_for(leg.origin)
+        if not source.alive:
             return False
         message = self._send(source, self.server_for(leg.to),
                              {"ns": "anti-entropy"}, span)

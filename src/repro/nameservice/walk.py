@@ -5,7 +5,7 @@ as an effect-yielding generator — the shape the write discipline,
 :func:`repro.nameservice.writes.write_effects`, shares.  It owns
 everything that decides a resolution — the loop over the name's components, the
 prefix-cache probe and fill, the replica candidates of each directory
-with their stale / down / open-breaker skips, the bounded retry with
+with their stale / open-breaker skips, the bounded retry with
 seeded backoff (:func:`retry_effects`), the retry / failover
 accounting and the serve-stale / ``LEASE``-grace degraded step — and
 performs no I/O.  It yields two effects:
@@ -48,7 +48,8 @@ that):
   degraded serve);
 * routing: ``replicas(directory, component)`` (candidate nodes,
   preferred first, empty if unplaced), ``target_on(directory, node)``
-  (whom to ask there, or :data:`STALE` / :data:`DOWN`),
+  (whom to ask there, or :data:`STALE`; a down node is asked like
+  any other and its ask is lost),
   ``node_of(target)``, ``breaker_for(target)`` (may be ``None``) and
   ``charge(target)`` (one step served);
 * ``now()``, ``rng`` and ``obs``.
@@ -68,7 +69,7 @@ from repro.nameservice.cache import (PrefixCache, PrefixEntry, binding_dep,
 from repro.nameservice.leases import Wait
 from repro.nameservice.retry import CircuitBreaker
 
-__all__ = ["HOST_PROTOCOL", "LOST", "STALE", "DOWN", "Ask",
+__all__ = ["HOST_PROTOCOL", "LOST", "STALE", "Ask",
            "ResolutionCost", "retry_effects", "walk_effects"]
 
 #: Every attribute :func:`walk_effects` and :func:`retry_effects` read
@@ -82,7 +83,6 @@ HOST_PROTOCOL = ("retry_policy", "parks", "cache_of", "replicas",
 class _Verdict(enum.Enum):
     LOST = "lost"
     STALE = "stale"
-    DOWN = "down"
 
     def __repr__(self) -> str:
         return self.name
@@ -93,9 +93,6 @@ LOST = _Verdict.LOST
 #: ``target_on`` verdict: the replica missed a write — skip it until
 #: anti-entropy catches it up.
 STALE = _Verdict.STALE
-#: ``target_on`` verdict: the node is down and nothing ever ran there
-#: to address — unreachable without spending a message.
-DOWN = _Verdict.DOWN
 
 
 class Ask:
@@ -320,17 +317,16 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
                             replicas = [here, *(node for node in replicas
                                                 if node is not here)]
                     ask = None
-                    # Candidates passed over (stale, down, breaker-
-                    # skipped or attempt-exhausted) before one answered:
-                    # serving from any later replica is a failover.
+                    # Candidates passed over (stale, breaker-skipped or
+                    # attempt-exhausted) before one answered: serving
+                    # from any later replica is a failover.
                     passed_over = 0
                     for node in replicas:
                         candidate = host.target_on(entered, node)
-                        if candidate is STALE or candidate is DOWN:
+                        if candidate is STALE:
                             passed_over += 1
                             if tracing:
-                                _note_skip(obs, host.now(), candidate,
-                                           entered, node)
+                                _note_skip(obs, host.now(), entered, node)
                             continue
                         if candidate is at:
                             host.charge(at)
@@ -439,17 +435,13 @@ def walk_effects(host: Any, cost: ResolutionCost, context: Context,
     return UNDEFINED_ENTITY, at
 
 
-def _note_skip(obs: Any, now: float, verdict: Any,
-               directory: ObjectEntity, node: Any) -> None:
-    if verdict is STALE:
-        obs.metrics.counter("resolver_stale_replica_skips_total").inc()
+def _note_skip(obs: Any, now: float, directory: ObjectEntity,
+               node: Any) -> None:
+    obs.metrics.counter("resolver_stale_replica_skips_total").inc()
     if obs.tracer.admit():
         obs.tracer.event(
-            "failover",
-            "replica.stale-skip" if verdict is STALE
-            else "replica.down-skip",
-            now, attrs={"directory": directory.label,
-                        "replica": node.label})
+            "failover", "replica.stale-skip", now,
+            attrs={"directory": directory.label, "replica": node.label})
 
 
 def _deepest_prefix(cache: Optional[PrefixCache], context: Context,

@@ -51,7 +51,7 @@ GOLDENS = {
         "chrome_trace":
             "f26e8f1e00b04a01b2d142074ce468083e549ccd6f876f16e48dbad527d86ace",
         "run_summary":
-            "c8ed5cce8138a622cc41c8424eccb86d71da7f34832e3525fb6e6ef69c54855e",
+            "e9610999f31806f7442c6f7e6eea2eb537bacad48c9d633829a9bb44b89aada3",
         "metrics":
             "5d1307062ca452bdb5fbbc1ad88df296d105494c29820fbfcbc2e95f934806e5",
         "flight":
@@ -61,7 +61,7 @@ GOLDENS = {
         "chrome_trace":
             "f26e8f1e00b04a01b2d142074ce468083e549ccd6f876f16e48dbad527d86ace",
         "run_summary":
-            "c8ed5cce8138a622cc41c8424eccb86d71da7f34832e3525fb6e6ef69c54855e",
+            "e9610999f31806f7442c6f7e6eea2eb537bacad48c9d633829a9bb44b89aada3",
         "metrics":
             "5d1307062ca452bdb5fbbc1ad88df296d105494c29820fbfcbc2e95f934806e5",
         "flight":
@@ -71,7 +71,7 @@ GOLDENS = {
         "chrome_trace":
             "6f82a791c8eeb7690156ebed8c02878b703b42be90ba0bf834c6e3d0bd805641",
         "run_summary":
-            "fca7c8b80a805cf4e7b6234211f8aef7ee8ae9b470868d025c99420ff09b26c9",
+            "5c2c6cf3b45fad294958499770f45db84020fdfb8adac1765f6fb24c61555bf1",
         "metrics":
             "5d1307062ca452bdb5fbbc1ad88df296d105494c29820fbfcbc2e95f934806e5",
         "flight":

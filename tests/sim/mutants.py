@@ -44,10 +44,10 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("baseline", None, "", "", "", SURVIVES),
-    Mutant("target_on addresses a down machine that never ran a server",
-           "repro.nameservice.resolver", "DistributedResolver.target_on",
-           "return self._speaker_for(machine) or DOWN",
-           "return self.server_for(machine)", KILLED, ("spawn",)),
+    Mutant("the build spawns no directory servers",
+           "repro.nameservice.resolver", "DistributedResolver.__init__",
+           "        for machine in placement.placed_machines():\n"
+           "            self.server_for(machine)\n", "", KILLED, ("spawn",)),
     Mutant("target_on without the stale skip",
            "repro.nameservice.resolver", "DistributedResolver.target_on",
            "if self._placement.is_stale(directory, machine):\n"

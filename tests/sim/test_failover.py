@@ -223,11 +223,12 @@ class TestFailoverResolution:
                              ids=["failfast", "failover"])
     def test_a_host_that_never_served_is_a_failed_step_not_a_raise(
             self, retry):
-        """``svc`` lives on a machine that crashed before any server
-        ran there: nothing to address, so the step costs no message in
-        either regime — it fails the lookup, which answers ``⊥E`` and
-        counts no step past the loss.  (Fail-fast used to raise
-        ``machine m1 is down`` out of ``resolve``.)"""
+        """``svc`` lives on a machine that crashed before it served
+        any lookup.  Its server exists from build, so the walk asks it
+        and the ask is lost: one message fail-fast, two under the retry
+        policy (one re-ask).  The step fails the lookup, which answers
+        ``⊥E`` and counts no step past the loss.  (Fail-fast used to
+        raise ``machine m1 is down`` out of ``resolve``.)"""
         world = make_world(retry=retry)
         _c, m1, _m2 = world["machines"]
         world["placement"].place(world["tree"].directory("svc"), m1)
@@ -236,9 +237,14 @@ class TestFailoverResolution:
             world["client"], world["context"], "/svc/f0")
         assert entity is UNDEFINED_ENTITY
         assert cost.failed and not cost.weak
-        assert str(cost) == ("steps=2 remote=0 cached=0 messages=0 "
-                             "latency=0 failed=1 retries=0 failovers=0")
-        assert world["simulator"].messages_sent == 0
+        assert str(cost) == (
+            "steps=2 remote=0 cached=0 messages=2 latency=2.12111 "
+            "failed=1 retries=1 failovers=0" if retry else
+            "steps=2 remote=0 cached=0 messages=1 latency=1 "
+            "failed=1 retries=0 failovers=0")
+        simulator = world["simulator"]
+        assert simulator.messages_sent == simulator.messages_dropped \
+            == cost.messages
 
     def test_fail_fast_resolver_fails_and_is_never_weak(self):
         world = make_world(retry=False)
@@ -253,16 +259,19 @@ class TestFailoverResolution:
         assert not cost.weak
 
     def test_cold_crashed_replica_is_skipped_without_messages(self):
-        # m1 goes down before any resolution ever spawned its server:
-        # there is no process to address, so failover skips it for free.
+        # m1 goes down before any resolution reached it.  Its server
+        # exists from build, so the failover pays for it like for any
+        # dead primary: the ask and its one re-ask are dropped, then m2
+        # answers.
         world = make_world()
         _c, m1, _m2 = world["machines"]
         world["injector"].crash_machine(m1)
         entity, cost = world["resolver"].resolve(
             world["client"], world["context"], "/svc/f0")
         assert entity is world["files"][0]
-        assert cost.failovers == 1 and cost.retries == 0
+        assert cost.failovers == 1 and cost.retries == 1
         assert cost.failed_hops == 0
+        assert world["simulator"].messages_dropped == 2
 
     def test_crash_restart_resolve_roundtrip(self):
         # Satellite (a): crash → restart → resolve, with the respawn

@@ -7,13 +7,17 @@ on :class:`~repro.transport.sim.SimTransport` (the message driver), each
 over its own copy of the same placement.  Faults change only between
 lookups, so both drivers face the same reachable set on every lookup and
 must agree on its outcome: ``(ok, failed, entity label)``.  A lookup
-that loses a step it cannot recover answers ``⊥E`` on both.
+that loses a step it cannot recover answers ``⊥E`` on both.  With the
+kernel's circuit breaker out of play (the message driver keeps none),
+they must also agree on what each lookup cost, step field by step
+field.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict
+from typing import Optional
 
 import pytest
 
@@ -32,7 +36,8 @@ POLICY = RetryPolicy(max_attempts=2, base_backoff=0.1, max_backoff=0.4)
 
 
 def make_world(seed: int, retry_policy=POLICY,
-               restart_sync: bool = False) -> World:
+               restart_sync: bool = False,
+               breaker_threshold: int = 2) -> World:
     """``/svc`` and ``/svc/deep`` replicated on m1 + m2, ``/solo`` on m3
     alone, the root and ``/here`` on the client's machine; the servers
     sit behind a network of their own."""
@@ -47,7 +52,8 @@ def make_world(seed: int, retry_policy=POLICY,
         "clients": [["client-m", "client"]],
         "resolver": {"retry_policy": (asdict(retry_policy) if retry_policy
                                       else None),
-                     "breaker_threshold": 2, "breaker_cooldown": 5.0},
+                     "breaker_threshold": breaker_threshold,
+                     "breaker_cooldown": 5.0},
         "restart_sync": restart_sync}, seed)
 
 
@@ -90,8 +96,12 @@ def apply(world: World, action: tuple) -> None:
 
 
 def run_kernel_driver(seed: int, script: list[tuple],
-                      retry_policy=POLICY) -> list[tuple]:
-    world = make_world(seed, retry_policy, restart_sync=True)
+                      retry_policy=POLICY, breaker_threshold: int = 2,
+                      costs: Optional[list] = None) -> list[tuple]:
+    """The outcome of every lookup of *script*; each lookup's cost is
+    appended to *costs* when given."""
+    world = make_world(seed, retry_policy, restart_sync=True,
+                       breaker_threshold=breaker_threshold)
     resolver = world.resolver
     outcomes = []
     for action, names in script:
@@ -101,13 +111,15 @@ def run_kernel_driver(seed: int, script: list[tuple],
                                             name_)
             outcomes.append((entity.is_defined() and not cost.failed,
                              cost.failed, entity.label))
+            if costs is not None:
+                costs.append(cost)
         world.simulator.run(until=world.simulator.clock.now + GAP)
     return outcomes
 
 
 def run_message_driver(seed: int, script: list[tuple],
                        retry_policy=POLICY, timeout: float = 2.0,
-                       ) -> list[tuple]:
+                       costs: Optional[list] = None) -> list[tuple]:
     world = make_world(seed)
     transport = SimTransport(world.simulator)
     lookupds = {id(machine): NameLookupServer(transport, machine,
@@ -131,6 +143,8 @@ def run_message_driver(seed: int, script: list[tuple],
             outcome, = settled
             outcomes.append((outcome.ok, outcome.failed,
                              outcome.entity.label))
+            if costs is not None:
+                costs.append(outcome.cost)
         world.simulator.run(until=world.simulator.clock.now + GAP)
     return outcomes
 
@@ -176,3 +190,29 @@ def test_without_a_policy_a_crashed_primary_fails_both_drivers():
     served = [(True, False, "f0"), (True, False, "here")]
     assert run_kernel_driver(0, script) == served
     assert run_message_driver(0, script, timeout=3.0) == served
+
+
+def step_fields(cost) -> tuple:
+    """What both drivers account for one lookup: every field of its
+    cost but ``messages`` and ``latency`` (the message driver charges 0
+    for both), with the servers touched named by machine —
+    ``dirserver@m1`` and ``lookupd@m1`` are the same machine's."""
+    return (cost.steps, cost.local_steps, cost.remote_steps,
+            cost.cached_steps, cost.failed_hops, cost.retries,
+            cost.failovers, cost.stale_steps, cost.weak,
+            {label.rpartition("@")[2] for label in cost.servers_touched})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_both_drivers_account_every_faulted_lookup_alike(seed):
+    """Every server exists from build on both drivers, so a down
+    machine costs the same asks on each: with the kernel's breaker
+    disabled, each lookup's step fields agree at timeout 3.0."""
+    script = make_script(seed)
+    kernel: list = []
+    message: list = []
+    run_kernel_driver(seed, script, breaker_threshold=10**9, costs=kernel)
+    run_message_driver(seed, script, timeout=3.0, costs=message)
+    assert len(kernel) == len(message)
+    for index, (ours, theirs) in enumerate(zip(kernel, message)):
+        assert step_fields(ours) == step_fields(theirs), (index, script)

@@ -61,8 +61,7 @@ class TestMutantTable:
         assert callable(mutated(row))
 
     def test_cheapest_killed_row_is_killed(self):
-        row = ROWS["target_on addresses a down machine that never ran a "
-                   "server"]
+        row = ROWS["the build spawns no directory servers"]
         assert row.verdict == KILLED
         assert_expected_verdict(row)
 

@@ -1,5 +1,6 @@
-"""Tests for trace records stored as packed rows and the lazily built
-per-kind index."""
+"""Tests for trace records stored as packed rows, read back (and
+filtered by kind) with a scan that builds entries only for the rows
+asked for."""
 
 from __future__ import annotations
 
@@ -103,7 +104,7 @@ class TestLazyIndex:
         log = TraceLog()
         log.record(1.0, "send", "a")
         assert [e.detail for e in log.of_kind("send")] == ["a"]
-        log.record(2.0, "send", "b")  # index must pick up the tail
+        log.record(2.0, "send", "b")  # each read scans every row
         assert [e.detail for e in log.of_kind("send")] == ["a", "b"]
 
     def test_index_entries_are_the_recorded_objects(self):
