@@ -8,12 +8,14 @@ all observable).  The recursion itself — components, prefix cache,
 replica candidates, retry, failover, degraded steps — is
 :func:`repro.nameservice.walk.walk_effects`, shared with the
 message-driven :class:`~repro.nameservice.protocol.AsyncNameClient`;
-this class is its *synchronous driver* (each ask becomes kernel hops
-pumped to delivery, each wait runs the kernel) and its host (routing,
-servers, breakers, caches).  It is the one kernel driver of every
-effect generator: it hosts and drives the rebind, split and
-restart-sync effects of :mod:`repro.nameservice.writes` too, and keeps
-the write side's holders, leases and counters.  Two classic
+this class is its host (routing, servers, breakers, caches) and its
+synchronous driver.  One interpreter, ``DistributedResolver._drive``,
+runs every effect generator on the kernel — the walk and its retry,
+and the rebind, split and restart-sync effects of
+:mod:`repro.nameservice.writes`: an ask becomes kernel hops pumped to
+delivery, a wait runs the kernel, and each write-side leg is one
+handler and one message counter of a single table.  The class keeps
+the write side's holders, leases and counters too.  Two classic
 interaction styles are supported:
 
 * ``ITERATIVE`` — the client asks each directory's server in turn
@@ -88,8 +90,8 @@ from repro.nameservice.retry import (BreakerState, CircuitBreaker,
 from repro.nameservice.sharding import Shard
 from repro.nameservice.walk import (LOST, STALE, Ask, ResolutionCost,
                                     retry_effects, walk_effects)
-from repro.nameservice.writes import (Leg, WriteReport, migrate_effects,
-                                     sync_effects, write_effects)
+from repro.nameservice.writes import (Leg, migrate_effects, sync_effects,
+                                     write_effects)
 from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
 from repro.sim.process import SimProcess
@@ -373,10 +375,30 @@ class DistributedResolver:
 
     # -- messaging helpers -------------------------------------------------
 
+    def _post(self, sender: SimProcess, receiver: SimProcess, payload: dict,
+              span, cost: ResolutionCost, settle: bool = True):
+        """The one place a resolver message leaves a server: *sender*
+        sends *payload* to *receiver*, stamped with *span*'s trace
+        context and counted on *cost*, and the kernel runs until it is
+        delivered or dropped — unless *settle* is False, for a batch
+        sent at once that settles together.  Returns the message, or
+        ``None``: a dead sender sends nothing."""
+        if not sender.alive:
+            return None
+        message = self._sim.send(sender, receiver, payload)
+        if span is not None:
+            message.trace_id = span.trace_id
+            if not span.muted:
+                message.parent_span_id = span.span_id
+        cost.messages += 1
+        if settle:
+            self._sim.run_until_settled(message)
+        return message
+
     def _hop(self, sender: SimProcess, receiver: SimProcess,
              cost: ResolutionCost, what: str) -> bool:
-        """One message leg, pumped through the kernel only as far as
-        its own delivery (a hop no longer drains unrelated events).
+        """One message leg under a ``hop`` span, pumped through the
+        kernel only as far as its own delivery.
 
         Returns True if the leg was delivered.  A lost leg is the
         caller's to account: the walk's degraded step, or
@@ -386,43 +408,36 @@ class DistributedResolver:
             return True
         obs = self.obs
         before = self._sim.clock.now
-        if not sender.alive:
-            # A downed server answers/refers nothing: no message ever
-            # leaves it, so the leg is a failed zero-message hop
-            # instead of raising out of the resolution.
-            if obs.enabled:
-                span = obs.tracer.begin("hop", what, before)
-                if not span.muted:
-                    span.attrs = {"from": sender.label,
-                                  "to": receiver.label, "messages": 0}
-                    span.fail(f"sender {sender.label} down")
-                obs.tracer.end(span, before)
-            return False
         span = None
         if obs.enabled:
             span = obs.tracer.begin("hop", what, before)
             if not span.muted:
                 span.attrs = {"from": sender.label, "to": receiver.label,
                               "messages": 1}
-        message = self._send(sender, receiver, {"ns": what}, span)
-        self._sim.run_until_settled(message)
-        cost.messages += 1
+        message = self._post(sender, receiver, {"ns": what}, span, cost)
         cost.latency += self._sim.clock.now - before
         if span is not None:
-            if message.dropped:
-                span.fail(message.drop_reason)
+            if message is None:  # a failed zero-message hop
+                if not span.muted:
+                    span.attrs["messages"] = 0
+                    span.fail(f"sender {sender.label} down")
+            else:
+                if message.dropped:
+                    span.fail(message.drop_reason)
+                self._m_messages.inc()
             obs.tracer.end(span, self._sim.clock.now)
-            self._m_messages.inc()
-        return not message.dropped
+        return message is not None and not message.dropped
 
     def _hop_retried(self, sender: SimProcess, receiver: SimProcess,
                      cost: ResolutionCost, what: str) -> bool:
         """A hop that honours the retry policy (no failover — the
         endpoints are fixed, e.g. the answer leg home); a leg still
         lost after every ask the retry policy allows fails the walk."""
-        if self._hop(sender, receiver, cost, what) or self._pump(
-                retry_effects(self, cost, Ask(receiver, what)),
-                cost, self._leg, sender) is not LOST:
+        if self._hop(sender, receiver, cost, what):
+            return True
+        leg = Ask(receiver, what)
+        leg.origin = sender
+        if self._drive(retry_effects(self, cost, leg), cost) is not LOST:
             return True
         cost.failed_hops += 1
         if self.obs.enabled and self.obs.tracer.current is not None:
@@ -454,46 +469,59 @@ class DistributedResolver:
             return STALE
         return self.server_for(machine)
 
-    # -- the walk's sync driver --------------------------------------------
+    # -- the one kernel interpreter ---------------------------------------
 
-    def _pump(self, steps, cost: ResolutionCost, ask, *route):
-        """Drive an effect generator by blocking on each effect: an
-        :class:`~repro.nameservice.walk.Ask` is answered by
-        ``ask(effect, *route)``, a wait runs the kernel for the backoff
-        (charged as latency).  Returns the generator's result."""
+    #: :meth:`_drive`'s ``Leg`` ops: op → (handler name, looked up on
+    #: the class at each call; the counter its messages add to).
+    _LEG_OPS = {"replicate": ("_copy", "replication_messages"),
+                "invalidate": ("_call_back_all", "invalidation_messages"),
+                "break": ("_break", "invalidation_messages"),
+                "migrate": ("_migrate", "migration_messages"),
+                "sync": ("_copy", "anti_entropy_messages")}
+
+    def _drive(self, steps, cost: ResolutionCost,
+               home: Optional[SimProcess] = None, span=None):
+        """Run any effect generator on the kernel; returns its result.
+        An ``Ask`` is hops (:meth:`_ask`, *home* the client's server),
+        a ``Wait`` runs the kernel, charged to *cost* as latency, and a
+        ``Leg`` goes under *span* to its :attr:`_LEG_OPS` handler, and
+        the messages it counts on *cost* are added to the op's counter."""
         reply = None
         try:
             while True:
                 effect = steps.send(reply)
-                if effect.__class__ is Wait:
+                if effect.__class__ is Ask:
+                    reply = self._ask(effect, home, cost)
+                elif effect.__class__ is Wait:
                     before = self._sim.clock.now
                     self._sim.run(until=before + effect.delay)
                     cost.latency += self._sim.clock.now - before
                     reply = None
                 else:
-                    reply = ask(effect, *route, cost)
+                    handler, counter = self._LEG_OPS[effect.op]
+                    sent = cost.messages
+                    reply = getattr(self, handler)(effect, cost, span)
+                    setattr(self, counter,
+                            getattr(self, counter) + cost.messages - sent)
         except StopIteration as done:
             return done.value
 
-    def _ask(self, leg: Ask, client_server: SimProcess,
-             cost: ResolutionCost):
-        """One lookup leg of the walk as kernel hops.  The step's
-        first leg leaves the server the walk is parked at — one
-        referral back to the client (iterative) however many candidate
-        queries follow, or a forward from there (recursive)."""
+    def _ask(self, leg: Ask, home: SimProcess, cost: ResolutionCost):
+        """One ask as a kernel hop.  A walk step's first ask leaves the
+        server the walk is parked at — one referral back to *home*
+        (iterative) however many candidate queries follow, or a forward
+        from there (recursive); a re-sent leg between fixed endpoints
+        comes with its origin set and answers True when delivered."""
         if leg.origin is None:
             if leg.what == "query":
-                self._hop_retried(leg.at, client_server, cost, "referral")
-                leg.origin = client_server
+                self._hop_retried(leg.at, home, cost, "referral")
+                leg.origin = home
             else:
-                leg.origin = leg.at if leg.at.alive else client_server
-        if self._hop(leg.origin, leg.target, cost, leg.what):
-            return leg.directory.state(leg.component)
-        return LOST
-
-    def _leg(self, leg: Ask, sender: SimProcess, cost: ResolutionCost):
-        """One re-sent leg between fixed endpoints."""
-        return self._hop(sender, leg.target, cost, leg.what) or LOST
+                leg.origin = leg.at if leg.at.alive else home
+        if not self._hop(leg.origin, leg.target, cost, leg.what):
+            return LOST
+        directory = leg.directory
+        return True if directory is None else directory.state(leg.component)
 
     # -- observability -----------------------------------------------------
 
@@ -572,10 +600,10 @@ class DistributedResolver:
         client_server = self.server_for(client.machine)
         span = (self._begin_resolution(name_, style, client, None)
                 if self.obs.enabled else None)
-        entity, at = self._pump(
+        entity, at = self._drive(
             walk_effects(self, cost, context, name_, client_server,
                          client_server, style.leg),
-            cost, self._ask, client_server)
+            cost, client_server)
         self._hop_retried(at, client_server, cost, "answer")
         if cost.failed:
             entity = UNDEFINED_ENTITY  # a lost leg loses the answer
@@ -625,10 +653,10 @@ class DistributedResolver:
             span = (self._begin_resolution(coerced[i], style, client,
                                            batch_span)
                     if obs.enabled else None)
-            entity, at = self._pump(
+            entity, at = self._drive(
                 walk_effects(self, cost, context, coerced[i],
                              client_server, at, style.leg, memo),
-                cost, self._ask, client_server)
+                cost, client_server)
             if cost.failed:
                 entity = UNDEFINED_ENTITY
             results[i] = (entity, cost)
@@ -715,52 +743,20 @@ class DistributedResolver:
         settlement, a wait is virtual time passing.  All binding writes
         to placed directories must come through here.  Returns the
         number of invalidation / callback / ack messages sent."""
-        sim = self._sim
-        obs = self.obs
-        sent_before = self.invalidation_messages
         steps = write_effects(self, directory, name_, entity)
-        span = None
-        outcome = None
         try:
-            while True:
-                leg = steps.send(outcome)
-                outcome = None
-                if type(leg) is Wait:
-                    sim.run(until=sim.clock.now + leg.delay)
-                elif leg.op == "fanout":
-                    if obs.enabled:
-                        span = obs.tracer.begin(
-                            "rebind", f"{directory.label}/{name_}",
-                            sim.clock.now, parent=None,
-                            attrs={"directory": directory.label,
-                                   "component": name_})
-                elif leg.op == "replicate":
-                    # A dead primary propagates nothing: this replica
-                    # missed it.
-                    primary = self.server_for(leg.origin)
-                    outcome = False
-                    if primary.alive:
-                        message = self._send(primary,
-                                             self.server_for(leg.to),
-                                             {"ns": "replicate"}, span)
-                        sim.run_until_settled(message)
-                        self.replication_messages += 1
-                        outcome = not message.dropped
-                elif leg.op == "invalidate":
-                    sender = self.server_for(leg.origin)
-                    batch = [self._send(
-                                 sender,
-                                 self.server_for(self._holder_machines[h]),
-                                 {"ns": "invalidate"}, span)
-                             for h in leg.to]
-                    self.invalidation_messages += len(batch)
-                    sim.run_until_settled(batch)
-                    outcome = [m.drop_reason if m.dropped else None
-                               for m in batch]
-                else:
-                    outcome = self._break(leg, span)
-        except StopIteration as done:
-            report: WriteReport = done.value
+            next(steps)  # FANOUT: the commit is done, messages follow
+        except StopIteration:
+            return 0  # nothing to fan out
+        obs = self.obs
+        span = None
+        if obs.enabled:
+            span = obs.tracer.begin(
+                "rebind", f"{directory.label}/{name_}", self._sim.clock.now,
+                parent=None, attrs={"directory": directory.label,
+                                    "component": name_})
+        sent_before = self.invalidation_messages
+        report = self._drive(steps, ResolutionCost(), span=span)
         self.invalidation_losses += report.lost + report.broken
         sent = self.invalidation_messages - sent_before
         if span is not None:
@@ -772,24 +768,48 @@ class DistributedResolver:
                 span.attrs["messages"] = sent
                 span.attrs["replicated"] = report.replicated
                 span.attrs["stale_marked"] = report.stale_marked
-            obs.tracer.end(span, sim.clock.now)
+            obs.tracer.end(span, self._sim.clock.now)
         return sent
 
-    def _break(self, leg: Leg, span) -> bool:
-        """One break callback: delivered, the holder revokes its lease,
-        drops its copies and acks; an ack that arrives releases the
-        lease server-side."""
+    # -- the write-side legs (see _LEG_OPS) --------------------------------
+
+    def _copy(self, leg: Leg, cost: ResolutionCost, span) -> bool:
+        """``replicate`` / ``sync``: one copy of directory state from
+        *origin*'s server to *to*'s; whether it landed.  A dead sender
+        is refused before *to*'s server is looked up, so the leg spawns
+        no server there."""
+        sender = self.server_for(leg.origin)
+        if not sender.alive:
+            return False
+        message = self._post(sender, self.server_for(leg.to),
+                             {"ns": leg.op}, span, cost)
+        return not message.dropped
+
+    def _call_back_all(self, leg: Leg, cost: ResolutionCost, span) -> list:
+        """``invalidate``: one message to every holder in *to* (the
+        write sends none from a dead origin), settled together; one
+        drop reason per holder (``None``: delivered)."""
+        sender = self.server_for(leg.origin)
+        batch = [self._post(sender,
+                            self.server_for(self._holder_machines[holder]),
+                            {"ns": "invalidate"}, span, cost, settle=False)
+                 for holder in leg.to]
+        self._sim.run_until_settled(batch)
+        return [m.drop_reason if m.dropped else None for m in batch]
+
+    def _break(self, leg: Leg, cost: ResolutionCost, span) -> bool:
+        """``break``: one callback.  Delivered, the holder revokes its
+        lease, drops its copies and acks; an ack that arrives releases
+        the lease server-side.  (Only a live origin calls back.)"""
         sim = self._sim
         obs = self.obs
         lease = leg.to
         machine = self._holder_machines[lease.machine_id]
         sender = self.server_for(leg.origin)
         receiver = self.server_for(machine)
-        message = self._send(sender, receiver,
+        message = self._post(sender, receiver,
                              {"lease": {"op": "break", "dep": lease.dep}},
-                             span)
-        self.invalidation_messages += 1
-        sim.run_until_settled(message)
+                             span, cost)
         delivered = not message.dropped
         if obs.enabled:
             if obs.tracer.admit():
@@ -804,26 +824,19 @@ class DistributedResolver:
                 {"delivered": str(delivered).lower()}).inc()
         if delivered:
             self.call_back(lease.machine_id, lease.dep)
-            ack = self._send(receiver, sender,
+            ack = self._post(receiver, sender,
                              {"lease": {"op": "ack", "dep": lease.dep}},
-                             span)
-            self.invalidation_messages += 1
-            sim.run_until_settled(ack)
+                             span, cost)
             if not ack.dropped:
                 self.leases.record_ack(lease.machine_id, lease.dep,
                                        sim.clock.now)
         return delivered
 
-    @staticmethod
-    def _send(sender: SimProcess, receiver: SimProcess, payload: dict,
-              span):
-        """Send one message stamped with *span*'s trace context."""
-        message = sender.send(receiver, payload=payload)
-        if span is not None:
-            message.trace_id = span.trace_id
-            if not span.muted:
-                message.parent_span_id = span.span_id
-        return message
+    def _migrate(self, leg: Leg, cost: ResolutionCost, _span) -> bool:
+        """``migrate``: one batch of a split's bindings, a retried hop
+        from the source shard's server to the target's."""
+        return self._hop_retried(self.server_for(leg.origin),
+                                 self.server_for(leg.to), cost, "migrate")
 
     # -- shard splits / migration ------------------------------------------
 
@@ -864,13 +877,7 @@ class DistributedResolver:
         # that is down and never ran a server cannot be addressed, so
         # the split aborts without a message.
         if machine.alive or id(machine) in self._servers:
-            source = self.server_for(shard.machine)
-            target = self.server_for(machine)
-            committed = self._pump(
-                migrate_effects(self, plan), cost,
-                lambda _leg, cost: self._hop_retried(source, target,
-                                                     cost, "migrate"))
-        self.migration_messages += cost.messages
+            committed = self._drive(migrate_effects(self, plan), cost)
         if committed:
             self.shard_splits += 1
         else:
@@ -915,9 +922,8 @@ class DistributedResolver:
                 parent=None, attrs={"machine": machine.label,
                                     "stale": len(stale)})
         cost = ResolutionCost()  # anti-entropy accounting only
-        synced = self._pump(sync_effects(self, machine, stale), cost,
-                            self._sync_leg, span)
-        self.anti_entropy_messages += cost.messages
+        synced = self._drive(sync_effects(self, machine, stale), cost,
+                             span=span)
         if obs.enabled:
             if synced:
                 obs.metrics.counter(
@@ -928,17 +934,6 @@ class DistributedResolver:
                     span.attrs["messages"] = cost.messages
                 obs.tracer.end(span, self._sim.clock.now)
         return synced
-
-    def _sync_leg(self, leg, span, cost: ResolutionCost) -> bool:
-        """One anti-entropy copy: one message, no ``hop`` span."""
-        source = self.server_for(leg.origin)
-        if not source.alive:
-            return False
-        message = self._send(source, self.server_for(leg.to),
-                             {"ns": "anti-entropy"}, span)
-        self._sim.run_until_settled(message)
-        cost.messages += 1
-        return not message.dropped
 
 
 # Nothing calls this name: benchmarks/e2e/spec.py wraps it by this name

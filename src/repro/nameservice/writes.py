@@ -10,10 +10,11 @@ TTL / INVALIDATE / LEASE contracts are kept), a shard split
 (:func:`migrate_effects`, reading ``placement`` and
 ``migration_batch`` from its host) and a restart's anti-entropy
 (:func:`sync_effects`, reading ``placement``).  All three run on the
-kernel under :class:`~repro.nameservice.resolver.DistributedResolver`,
-their host and the one kernel driver of every effect generator; the
-rebind runs on a socket under :class:`~repro.transport.service.
-NamingService`.
+kernel in the one interpreter of
+:class:`~repro.nameservice.resolver.DistributedResolver`, their host,
+which performs each :class:`Leg` op with one handler and counts its
+messages in one counter; the rebind runs on a socket under
+:class:`~repro.transport.service.NamingService`.
 
 A rebind's *host* is its driver; the write reads from it the names of
 :data:`HOST_PROTOCOL` and nothing else (a tier-1 test holds it to

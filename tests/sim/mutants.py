@@ -89,10 +89,32 @@ MUTANTS = (
            "            report.stale_marked += 1\n",
            "        else:\n"
            "            report.stale_marked += 1\n", SURVIVES),
-    Mutant("_sync_leg stops adding to cost.messages",
-           "repro.nameservice.resolver", "DistributedResolver._sync_leg",
-           "        cost.messages += 1\n", "", KILLED,
-           ("every_message_is_counted_once",)),
+    # The message-conservation invariant against the one counting
+    # site: each op's messages reach the counter _LEG_OPS names for it.
+    Mutant("a sync's message is added to no counter",
+           "repro.nameservice.resolver", "DistributedResolver._drive",
+           "                    setattr(self, counter,\n",
+           "                    if effect.op != \"sync\": setattr(self, counter,\n",
+           KILLED, ("every_message_is_counted_once",)),
+    Mutant("a replicate send is added to no counter",
+           "repro.nameservice.resolver", "DistributedResolver._drive",
+           "                    setattr(self, counter,\n",
+           "                    if effect.op != \"replicate\": "
+           "setattr(self, counter,\n",
+           KILLED, ("every_message_is_counted_once",)),
+    Mutant("a migrate batch is added to no counter",
+           "repro.nameservice.resolver", "DistributedResolver._drive",
+           "                    setattr(self, counter,\n",
+           "                    if effect.op != \"migrate\": "
+           "setattr(self, counter,\n",
+           KILLED, ("every_message_is_counted_once",)),
+    Mutant("a break's ack is counted on a scratch cost",
+           "repro.nameservice.resolver", "DistributedResolver._break",
+           "                             span, cost)\n"
+           "            if not ack.dropped:",
+           "                             span, ResolutionCost())\n"
+           "            if not ack.dropped:",
+           KILLED, ("every_message_is_counted_once",)),
 )
 
 

@@ -2,7 +2,10 @@
 
 A ``RuleBasedStateMachine`` drives one deployment — 24 names under
 ``/hot``, sharded over s0–s2 of four pool machines at ``replicas=2``,
-the pool on an ``srv`` network and the client on ``lan`` — through
+the pool on an ``srv`` network and the client on ``lan``, plus
+``/etc/app/cfg`` served by ``cfg-m`` on ``srv``, whose ``σ(etc)(app)``
+the client's cached prefix consumes, so rebinding it sends
+invalidations or lease breaks and acks — through
 interleavings of lookups, batches, rebinds, crashes, restarts,
 partitions, shard splits and clock advances, under a cache policy
 drawn from all four.  One more rule books a fault a moment ahead
@@ -62,9 +65,13 @@ class ShardedFaultsMachine(RuleBasedStateMachine):
         spec = {
             "networks": ["lan", "srv"],
             "machines": [[label, "srv"] for label in pool]
-            + [["client-m", "lan"]],
+            + [["cfg-m", "srv"], ["client-m", "lan"]],
+            "paths": ["etc/", "etc/app/", "etc/alt/", "etc/app/cfg",
+                      "etc/alt/cfg"],
             "zipf": {"path": "hot", "count": NAMES, "distinct": NAMES},
-            "place": [["/", "client-m"]],
+            "place": [["/", "client-m"]]
+            + [[path, "cfg-m"] for path in ("etc", "etc/app", "etc/alt")],
+            # s3 stays unplaced: a split onto it spawns its server.
             "shard": [["hot", pool[:3], 2]],
             "clients": [["client-m", "client"]],
             "resolver": {"cache_policy": policy.value, "cache_ttl": 5.0,
@@ -92,6 +99,9 @@ class ShardedFaultsMachine(RuleBasedStateMachine):
         self.sent_at_build = self.simulator.messages_sent
         self.charged = 0  # cost.messages over every lookup
         self.entities = [ObjectEntity(f"v{i}") for i in range(ENTITIES)]
+        self.etc = world.tree.directory("etc")
+        self.apps = [world.tree.directory("etc/app"),
+                     world.tree.directory("etc/alt")]
 
     # -- helpers -----------------------------------------------------------
 
@@ -149,6 +159,16 @@ class ShardedFaultsMachine(RuleBasedStateMachine):
     def rebind(self, index, entity):
         self.resolver.rebind(self.directory, self.names[index],
                              self.entities[entity])
+
+    @rule()
+    def resolve_through_etc(self):
+        _entity, cost = self.resolver.resolve(self.client, self.context,
+                                              "/etc/app/cfg")
+        self.charged += cost.messages
+
+    @rule(alt=st.integers(0, 1))
+    def rebind_etc(self, alt):
+        self.resolver.rebind(self.etc, "app", self.apps[alt])
 
     @rule(shard=st.integers(0, 63), onto=machines)
     def split(self, shard, onto):

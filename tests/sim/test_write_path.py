@@ -126,6 +126,20 @@ class TestOwningHostDown:
         assert state["held"] == 0
         assert state["revocations"] == 0   # the copies expire by term
 
+    def test_dead_primary_spawns_no_replica_server(self):
+        world = World(CachePolicy.NONE)
+        world.injector.crash_machine(world.backup)
+        world.injector.restart_machine(world.backup)  # no respawn hook
+        world.injector.crash_machine(world.host)
+        spawns = len(world.sim.trace.of_kind("spawn"))
+        sent = world.sim.messages_sent
+        world.rebind()
+        # The replicate leg is refused at its dead sender before the
+        # backup's (dead) server is looked up, so none is respawned.
+        assert len(world.sim.trace.of_kind("spawn")) == spawns
+        assert world.sim.messages_sent == sent
+        assert world.write_side()["backup_stale"]
+
 
 def scripted_timeline(world: World) -> dict:
     """Holders, a partition, a crashed host and its restart — the
@@ -179,3 +193,86 @@ class TestWritePathContract:
         assert world.subject.replication_messages == 2
         assert state["invalidation_messages"] == 0
         assert state["backup_stale"]
+
+
+#: The resolver's per-op message counters (``DistributedResolver.
+#: _LEG_OPS`` names one per effect op).
+COUNTERS = ("replication_messages", "invalidation_messages",
+            "migration_messages", "anti_entropy_messages")
+
+
+def rebind_none_with_a_replica():
+    world = World(CachePolicy.NONE)
+    return world.subject, world.sim, world.rebind
+
+
+def rebind_invalidate_with_two_holders():
+    world = World(CachePolicy.INVALIDATE)
+    world.read(0, 1)
+    return world.subject, world.sim, world.rebind
+
+
+def rebind_lease_with_a_held_lease():
+    world = World(CachePolicy.LEASE)
+    world.read(0)
+    return world.subject, world.sim, world.rebind
+
+
+def committed_split():
+    world = build_world({
+        "networks": ["srv"],
+        "machines": [["s0", "srv"], ["s1", "srv"], ["client-m", "srv"]],
+        "zipf": {"path": "hot", "count": 8, "distinct": 8},
+        "place": [["/", "client-m"]],
+        "shard": [["hot", ["s0"], 1]],
+        "clients": [["client-m", "client"]]})
+    directory = world.namespace.directory
+    (shard,) = world.placement.shard_map_of(directory).shards
+
+    def split():
+        assert world.resolver.split_shard(directory, shard,
+                                          world.machines["s1"])
+    return world.resolver, world.simulator, split
+
+
+def restart_syncs_a_stale_replica():
+    world = World(CachePolicy.NONE)
+    world.injector.crash_machine(world.backup)
+    world.rebind()                         # the backup misses it
+    world.injector.restart_machine(world.backup)
+    assert world.placement.is_stale(world.svc, world.backup)
+
+    def restart():
+        assert world.subject.handle_restart(world.backup) == 1
+    return world.subject, world.sim, restart
+
+
+#: operation → the counter deltas it must leave, every other one 0.
+ATTRIBUTION = [
+    (rebind_none_with_a_replica, {"replication_messages": 1}),
+    (rebind_invalidate_with_two_holders,
+     {"replication_messages": 1, "invalidation_messages": 2}),
+    (rebind_lease_with_a_held_lease,         # break + ack
+     {"replication_messages": 1, "invalidation_messages": 2}),
+    (committed_split, {"migration_messages": 1}),
+    (restart_syncs_a_stale_replica, {"anti_entropy_messages": 1}),
+]
+
+
+class TestCounterAttribution:
+    """Each operation's messages land in the counter(s) its ops name
+    and in no other: the conservation invariant checks only the sum,
+    so a message counted under the wrong op would pass it."""
+
+    @pytest.mark.parametrize("operation, expected", ATTRIBUTION,
+                             ids=[op.__name__ for op, _ in ATTRIBUTION])
+    def test_messages_land_in_the_named_counters(self, operation,
+                                                 expected):
+        resolver, simulator, run = operation()
+        before = {name: getattr(resolver, name) for name in COUNTERS}
+        sent_before = simulator.messages_sent
+        run()
+        moved = {name: getattr(resolver, name) - before[name]
+                 for name in COUNTERS}
+        assert moved == {name: expected.get(name, 0) for name in COUNTERS}
+        assert simulator.messages_sent - sent_before == sum(moved.values())
