@@ -1,60 +1,42 @@
-"""An asynchronous name-lookup protocol over the transport seam.
+"""An asynchronous name-lookup protocol, and the transport seam's one
+effect interpreter.
 
-:class:`AsyncNameClient` is the message-driven driver of the one walk
-(:mod:`repro.nameservice.walk`) — the same generator
-:class:`DistributedResolver` pumps synchronously.  Each
-:class:`~repro.nameservice.walk.Ask` the walk yields becomes one
-request message to a :class:`NameLookupServer` plus a timeout timer,
-each :class:`~repro.nameservice.leases.Wait` a backoff timer; replies
-and timeouts resume the walk.  A request names one binding and carries
-the unresolved suffix (``rest``); the server answers the binding and
-keeps walking the suffix for as long as it serves the directory it
-just reached, so the reply is a *trail* — one entity per component
-consumed — and a path one server holds costs one round trip, not one
-per component.  What stays here is what belongs to
-messages: request ids, per-request sequence numbers, timers and the
-late-reply count.  The protocol speaks through :mod:`repro.transport`
-and nothing else — client and server are each built over a
-:class:`~repro.transport.base.Transport`, one constructor apiece: on
-:class:`~repro.transport.sim.SimTransport` it runs in virtual time on
-the kernel; on :class:`~repro.transport.aio.AsyncioTransport` the
-identical code serves lookups over real TCP sockets with wall-clock
-timeouts.  Nothing here runs the substrate — the caller pumps
-:meth:`Simulator.run` (or the asyncio loop), so lookups interleave
-naturally with any other traffic, and failures (crashed servers,
-partitions, refused connections) surface as timeouts rather than
-hangs.
+:class:`EffectDriver` runs effect generators over a
+:class:`~repro.transport.base.Transport`: a
+:class:`~repro.nameservice.leases.Wait` is a transport timer, any other
+effect the host's to perform — at once, or by a message whose answer
+(or timeout timer) resumes the generator later.  :class:`AsyncNameClient`
+drives the one walk (:mod:`repro.nameservice.walk`, which
+:class:`~repro.nameservice.resolver.DistributedResolver` drives on the
+kernel), each :class:`~repro.nameservice.walk.Ask` one request to a
+:class:`NameLookupServer` plus a timeout timer;
+:class:`~repro.transport.service.NamingService` drives the rebind
+(:func:`~repro.nameservice.writes.write_effects`), each break leg a
+callback frame plus an ack-timeout timer.
+
+A request carries the unresolved suffix (``rest``); the server answers
+the binding and walks on for as long as it serves the directory just
+reached, so the reply is a *trail* — one entity per component consumed
+— and a path one server holds costs one round trip.  The client keeps
+what belongs to messages: request ids, per-request sequence numbers,
+timers and the late-reply count.  The same code runs in virtual time on
+:class:`~repro.transport.sim.SimTransport` and over TCP with wall-clock
+timeouts on :class:`~repro.transport.aio.AsyncioTransport`; nothing
+here runs the substrate (the caller pumps :meth:`Simulator.run` or the
+asyncio loop), and crashed servers, partitions and refused connections
+surface as timeouts, never hangs.
 
 Correctness property (tested): with no failures, an async lookup
 completes with exactly the entity the section-2 recursion yields
-locally.  Under a crashed server or a partition, the lookup fails
-cleanly after its retries instead of returning a wrong entity —
-incoherence is never silently introduced by the transport.
-
-Retry, backoff and failover are the walk's: a timed-out request is
-asked up to :attr:`~repro.nameservice.retry.RetryPolicy.max_attempts`
-times in all, after exponential backoff with seeded jitter — and when
-a directory's replica stops answering, the next one in the router's
-candidate list is asked.  Without a policy the walk asks the primary
-once and never fails over, exactly as
-:class:`~repro.nameservice.resolver.DistributedResolver` does.
-Backoff waits are spent on the *transport's* clock — virtual time on
-the simulator, wall seconds on asyncio — with jitter drawn from the
-transport's seeded RNG either way.  Replies that arrive after their
-request already timed out are counted (``async_late_replies_total`` /
-:attr:`AsyncNameClient.late_replies`) rather than silently dropped — a
-reply racing its own retry is normal under latency spikes, and the
-counter makes the race visible; one that arrives during the backoff
-*before* the re-send is simply the answer.  After a machine restart,
-:meth:`NameLookupServer.respawn` re-registers the dead server process
-with its handler (wire it as a
-:meth:`~repro.sim.failures.FailureInjector.on_restart` hook).
+locally; under a crashed server or a partition it fails cleanly after
+its retries (the walk's retry, backoff and failover, on the
+transport's clock) instead of returning a wrong entity.  Replies that
+arrive after their request timed out are counted
+(:attr:`AsyncNameClient.late_replies`), never silently dropped.
 
 On an instrumented transport (`repro.obs`), each lookup is one
-``lookup`` span labelled with the transport kind (``sim`` /
-``asyncio``); its request and reply messages carry the span's trace
-context, so deliveries/drops land in the right trace even though many
-lookups interleave.  Completions, failures and retries are counted in
+``lookup`` span labelled with the transport kind whose messages carry
+its trace context; outcomes and retries are counted in
 ``async_lookups_total{outcome=...}`` and
 ``async_lookup_retries_total``.
 """
@@ -282,6 +264,36 @@ class NameLookupServer:
         return True
 
 
+#: :meth:`EffectDriver._perform`'s outcome for an effect answered later.
+AWAITED = object()
+
+
+class EffectDriver:
+    """Runs effect generators on :attr:`transport`, one per *run* (any
+    record with the generator as ``steps`` and a ``timer`` slot).  The
+    host defines ``_perform(run, effect)`` — the outcome, or
+    :data:`AWAITED` once it armed ``run.timer`` and will resume the run
+    itself — and ``_settle(run, value)`` for a returned generator."""
+
+    transport: Transport
+
+    def _resume(self, run: Any, outcome: Any) -> None:
+        """Send *outcome* into *run* and perform what it yields until
+        an effect must wait or the generator returns."""
+        while True:
+            try:
+                effect = run.steps.send(outcome)
+            except StopIteration as done:
+                return self._settle(run, done.value)
+            if effect.__class__ is Wait:
+                run.timer = self.transport.schedule(
+                    effect.delay, lambda: self._resume(run, None))
+                return
+            outcome = self._perform(run, effect)
+            if outcome is AWAITED:
+                return
+
+
 @dataclass
 class _Pending:
     request_id: int
@@ -293,7 +305,7 @@ class _Pending:
     span: Optional[object] = None  #: the lookup's repro.obs span
 
 
-class AsyncNameClient:
+class AsyncNameClient(EffectDriver):
     """The client half: non-blocking compound-name resolution.
 
     Args:
@@ -377,7 +389,7 @@ class AsyncNameClient:
             walk_effects(self, outcome.cost, context, name_, self._home,
                          self._home, "lookup"), span=span)
         self._pending[request_id] = pending
-        self._step(pending, None)
+        self._resume(pending, None)
         return request_id
 
     # -- the walk's host (see repro.nameservice.walk) ----------------------
@@ -407,30 +419,18 @@ class AsyncNameClient:
     def charge(self, _target: Any) -> None:
         pass
 
-    # -- the walk's message-driven driver ----------------------------------
+    # -- the walk's effects (see EffectDriver) -----------------------------
 
-    def _step(self, pending: _Pending, reply: Any) -> None:
-        """Resume the lookup's walk with *reply* and perform the
-        effect it yields next: a request (plus its timeout timer) for
-        an ask, a backoff timer for a wait.  A walk that returns
-        settles the lookup — ``"timeout"`` if it lost a step (its
+    def _settle(self, pending: _Pending, result: Any) -> None:
+        """The walk returned: ``"timeout"`` if it lost a step (its
         answer is then ``⊥E``), else its entity."""
-        try:
-            effect = pending.steps.send(reply)
-        except StopIteration as done:
-            if pending.outcome.cost.failed:
-                self._fail(pending, "timeout")
-            else:
-                self._finish(pending, done.value[0])
-            return
-        if effect.__class__ is Wait:
-            pending.timer = self.transport.schedule(
-                effect.delay, lambda: self._step(pending, None),
-                note=f"lookup-backoff req#{pending.request_id}")
+        if pending.outcome.cost.failed:
+            self._fail(pending, "timeout")
         else:
-            self._send_request(pending, effect)
+            self._finish(pending, result[0])
 
-    def _send_request(self, pending: _Pending, ask: Ask) -> None:
+    def _perform(self, pending: _Pending, ask: Ask) -> Any:
+        """An ask is one request plus its timeout timer."""
         pending.seq += 1
         request = self.endpoint.send(ask.target, payload={"lookup": {
             "request_id": pending.request_id,
@@ -445,6 +445,7 @@ class AsyncNameClient:
         pending.timer = self.transport.schedule(
             self.timeout, lambda: self._on_timeout(pending.request_id),
             note=f"lookup-timeout req#{pending.request_id}")
+        return AWAITED
 
     def _on_message(self, _endpoint: Endpoint, message: Any) -> None:
         payload = message.payload
@@ -469,7 +470,7 @@ class AsyncNameClient:
         # The answer to the awaited request — in time, or during the
         # backoff before its re-send (the wait then ends early).
         pending.timer.cancel()
-        self._step(pending, reply["trail"])
+        self._resume(pending, reply["trail"])
 
     def _on_lease_message(self, message: Any, body: dict) -> None:
         """Handle a server-initiated lease callback (break)."""
@@ -503,7 +504,7 @@ class AsyncNameClient:
         pending.outcome.retries += 1
         if self._obs.enabled:
             self._obs.metrics.counter("async_lookup_retries_total").inc()
-        self._step(pending, LOST)
+        self._resume(pending, LOST)
 
     # -- completion ------------------------------------------------------------------
 

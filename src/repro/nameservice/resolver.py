@@ -514,7 +514,8 @@ class DistributedResolver:
         comes with its origin set and answers True when delivered."""
         if leg.origin is None:
             if leg.what == "query":
-                self._hop_retried(leg.at, home, cost, "referral")
+                if leg.at is not home:
+                    self._hop_retried(leg.at, home, cost, "referral")
                 leg.origin = home
             else:
                 leg.origin = leg.at if leg.at.alive else home

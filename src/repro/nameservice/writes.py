@@ -13,8 +13,9 @@ TTL / INVALIDATE / LEASE contracts are kept), a shard split
 kernel in the one interpreter of
 :class:`~repro.nameservice.resolver.DistributedResolver`, their host,
 which performs each :class:`Leg` op with one handler and counts its
-messages in one counter; the rebind runs on a socket under
-:class:`~repro.transport.service.NamingService`.
+messages in one counter; on a socket the rebind runs in the transport
+seam's one, :class:`~repro.nameservice.protocol.EffectDriver`, hosted
+by :class:`~repro.transport.service.NamingService`.
 
 A rebind's *host* is its driver; the write reads from it the names of
 :data:`HOST_PROTOCOL` and nothing else (a tier-1 test holds it to

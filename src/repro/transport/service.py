@@ -6,9 +6,11 @@
 steps (told by the registry that it serves the whole tree, so it walks
 a request's suffix to the end), and a small control endpoint (``ctl``)
 answers hello/lease/rebind requests.  A rebind is the one write
-discipline, :func:`~repro.nameservice.writes.write_effects`, with the
-service as its asyncio driver: a break leg is a callback frame plus an
-awaited ack (:class:`AckWaiter`), a wait is real seconds, and the
+discipline, :func:`~repro.nameservice.writes.write_effects`, run by the
+transport seam's one effect interpreter
+(:class:`~repro.nameservice.protocol.EffectDriver`, the lookup client's
+too): a break leg is a callback frame plus an ack-timeout timer, a wait
+a backoff timer, and the
 :class:`~repro.nameservice.leases.LeaseManager`,
 :class:`~repro.nameservice.retry.RetryPolicy` and
 :class:`~repro.nameservice.retry.CircuitBreaker` objects are the ones
@@ -28,7 +30,8 @@ The control vocabulary is plain JSON (the wire codec passes ``ctl``
 payloads through untouched).  Every request carries an ``id`` that the
 server echoes in its reply, whenever that reply is sent — a rebind
 answers only when its fan-out ends, so replies do not arrive in request
-order:
+order.  A request of the wrong shape is refused or dropped, never
+raised into the connection's reader:
 
 * ``{"ctl": {"op": "hello"}}`` → ``welcome`` with the root entity
   descriptor and the lookup endpoint's label;
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import NameSyntaxError, SchemeError
@@ -54,10 +58,11 @@ from repro.model.context import Context, context_object
 from repro.model.entities import Entity, ObjectEntity
 from repro.model.names import ROOT_NAME
 from repro.nameservice.cache import CachePolicy
-from repro.nameservice.leases import LeaseManager, LeaseTable, Wait
-from repro.nameservice.protocol import AsyncNameClient, NameLookupServer
+from repro.nameservice.leases import LeaseManager, LeaseTable
+from repro.nameservice.protocol import (AWAITED, AsyncNameClient,
+                                        EffectDriver, NameLookupServer)
 from repro.nameservice.retry import RetryPolicy
-from repro.nameservice.writes import FANOUT, write_effects
+from repro.nameservice.writes import write_effects
 from repro.obs.instrument import Instrumentation
 from repro.transport.aio import Address, AsyncioTransport
 from repro.transport.base import Endpoint, Timer
@@ -65,8 +70,7 @@ from repro.transport.wire import (DirectoryRegistry, EntityProxyCache,
                                   RemoteEntity, WireCodec, describe_entity,
                                   remote_uid_of)
 
-__all__ = ["RemoteRouter", "AckWaiter", "NamingService",
-           "RemoteNameClient"]
+__all__ = ["RemoteRouter", "NamingService", "RemoteNameClient"]
 
 CTL_LABEL = "ctl"
 
@@ -100,63 +104,31 @@ class RemoteRouter:
         return address
 
 
-class AckWaiter:
-    """Matches awaited acks to ``(key)`` under wall-clock deadlines.
-
-    Break callbacks are fire-and-forget frames, so the deliverer
-    awaits the holder's ack (matched by ``(dep, session)``): an
-    unacked callback is a failed attempt, exactly like an undelivered
-    simulator message.  The deliverer calls :meth:`expect` before
-    sending, then awaits :meth:`wait`; the receive path calls
-    :meth:`resolve` when the ack frame lands.  Unmatched acks (late,
-    duplicate) are counted, never raised — mirroring the protocol's
-    late-reply discipline.
-    """
-
-    def __init__(self) -> None:
-        self._pending: dict[Any, asyncio.Future] = {}
-        self.late_acks = 0
-
-    def expect(self, key: Any) -> None:
-        """Await an ack for *key*; a key already awaited shares its
-        pending future (two overlapping breaks of one lease are both
-        answered by its next ack)."""
-        future = self._pending.get(key)
-        if future is None or future.done():
-            self._pending[key] = asyncio.get_running_loop().create_future()
-
-    async def wait(self, key: Any, timeout: float) -> bool:
-        """True if the ack for *key* arrives within *timeout* seconds."""
-        future = self._pending.get(key)
-        if future is None:  # pragma: no cover - defensive
-            return False
-        try:
-            # asyncio.wait never cancels the future: an overlapping
-            # break of the same lease may still be sharing it.
-            done, _pending = await asyncio.wait((future,), timeout=timeout)
-            return bool(done)
-        finally:
-            if self._pending.get(key) is future:
-                del self._pending[key]
-
-    def resolve(self, key: Any) -> bool:
-        """Mark *key*'s ack as arrived; False (and counted) if nobody
-        is waiting for it."""
-        future = self._pending.get(key)
-        if future is None or future.done():
-            self.late_acks += 1
-            return False
-        future.set_result(True)
-        return True
-
-    def __len__(self) -> int:
-        return len(self._pending)
+def _dep_of(body: dict) -> Optional[tuple]:
+    """*body*'s ``dep`` as a lease key, or None unless it is a list of
+    strings and ints (a lease body's arrives decoded to a tuple)."""
+    dep = body.get("dep")
+    if isinstance(dep, (list, tuple)) and all(type(part) in (str, int)
+                                              for part in dep):
+        return tuple(dep)
+    return None
 
 
-class NamingService:
+@dataclass(eq=False)
+class _Write:
+    """One rebind in flight: its effects, whom to answer, and the timer
+    (a backoff or an ack timeout) it waits on."""
+
+    steps: Any
+    reply_to: Any
+    body: dict
+    timer: Optional[Timer] = None
+
+
+class NamingService(EffectDriver):
     """Serve a namespace root over asyncio TCP.
 
-    The service is also the asyncio host of
+    The service is also the socket host of
     :func:`~repro.nameservice.writes.write_effects`: one server, no
     placement, leases for every holder.
 
@@ -200,15 +172,18 @@ class NamingService:
         self.leases = LeaseManager(term=lease_term, obs=obs)
         self.retry_policy = retry_policy
         self.ack_timeout = ack_timeout
-        self.acks = AckWaiter()
         self.epoch = 0
         self.rebinds = 0
+        #: Acks no break callback awaited (late or unsolicited).
+        self.late_acks = 0
         # Live lease-holding sessions: session id → reply address,
         # forgotten when the session's connection closes.
         self._holders: dict[int, Any] = {}
         self.transport.on_connection_closed = (
             lambda session: self._holders.pop(session, None))
-        self._rebind_tasks: set[asyncio.Task] = set()
+        # Rebinds in flight; those awaiting each (dep, session)'s ack.
+        self._writes: set[_Write] = set()
+        self._awaiting: dict[tuple, list[_Write]] = {}
         self.ctl = self.transport.endpoint(label=CTL_LABEL)
         self.ctl.on_message(self._on_ctl)
         self.address: Optional[Address] = None
@@ -222,12 +197,13 @@ class NamingService:
         return self.address
 
     async def aclose(self) -> None:
-        """Cancel in-flight rebinds (a fan-out may be mid-backoff),
-        then close the transport."""
-        tasks = list(self._rebind_tasks)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        """Stop in-flight rebinds (a fan-out may be mid-backoff), then
+        close the transport."""
+        for write in self._writes:
+            write.timer.cancel()
+            write.steps.close()
+        self._writes.clear()
+        self._awaiting.clear()
         await self.transport.aclose()
 
     # -- control plane -----------------------------------------------------
@@ -254,10 +230,7 @@ class NamingService:
         elif op == "lease-grant":
             self._grant(message.sender, body)
         elif op == "rebind":
-            task = asyncio.get_running_loop().create_task(
-                self._rebind(message.sender, body))
-            self._rebind_tasks.add(task)
-            task.add_done_callback(self._rebind_tasks.discard)
+            self._rebind(message.sender, body)
         elif op == "stats":
             self._reply(message.sender, body, {
                 "op": "stats-reply",
@@ -275,7 +248,9 @@ class NamingService:
         self.ctl.send(sender, payload={"ctl": reply})
 
     def _grant(self, sender: Any, body: dict) -> None:
-        dep = tuple(body["dep"])
+        dep = _dep_of(body)
+        if dep is None:
+            return
         session = sender.session_id
         self._holders[session] = sender
         now = self.transport.now()
@@ -286,9 +261,10 @@ class NamingService:
             "term": self.leases.term, "epoch": lease.epoch,
         })
 
-    async def _rebind(self, reply_to: Any, body: dict) -> None:
-        """Rebind a path server-side: drive the write discipline, then
-        report its callback counts."""
+    def _rebind(self, reply_to: Any, body: dict) -> None:
+        """Rebind a path server-side: commit under the write
+        discipline, then run its fan-out; ``rebound`` reports its
+        callback counts when it settles."""
         path = body.get("path")
 
         def refuse(error: str) -> None:
@@ -304,50 +280,68 @@ class NamingService:
             if not parent.is_context_object():
                 return refuse(f"not a directory at {component!r}")
         component = path[-1]
-        if body.get("dir"):
-            new: Entity = context_object(body.get("label", component))
-        else:
-            new = ObjectEntity(body.get("label", component))
-        steps = write_effects(self, parent, component, new)
-        outcome = None
+        label = body.get("label", component)
+        if not isinstance(label, str):
+            return refuse("label must be a string")
+        new = (context_object if body.get("dir") else ObjectEntity)(label)
+        write = _Write(write_effects(self, parent, component, new),
+                       reply_to, body)
         try:
-            while True:
-                leg = steps.send(outcome)
-                outcome = None
-                if type(leg) is Wait:
-                    await asyncio.sleep(leg.delay)
-                elif leg is FANOUT:  # committed: make it decodable
-                    self.registry.register(new)
-                    self.rebinds += 1
-                else:  # a break leg: no placement, nothing else
-                    outcome = await self._deliver_break(leg.to)
+            next(write.steps)  # FANOUT: under LEASE every write fans out
         except NameSyntaxError as error:
             return refuse(str(error))
-        except StopIteration as done:
-            report = done.value
-        self._reply(reply_to, body, {
-            "op": "rebound", "path": path,
-            "notified": report.notified, "broken": report.broken,
-            "attempts": report.attempts, "skipped": report.skipped,
-        })
+        self.registry.register(new)  # committed: make it decodable
+        self.rebinds += 1
+        self._writes.add(write)
+        self._resume(write, None)
 
-    async def _deliver_break(self, lease: Any) -> bool:
+    def _perform(self, write: _Write, leg: Any) -> Any:
+        """A break leg (behind no placement, nothing else is sent): a
+        callback frame to the holder's live session, awaiting its ack
+        under ``(dep, session)`` for :attr:`ack_timeout` seconds."""
+        lease = leg.to
         holder = self._holders.get(lease.machine_id)
         if holder is None or holder.conn.closed:
             return False
         key = (lease.dep, lease.machine_id)
-        self.acks.expect(key)
+        self._awaiting.setdefault(key, []).append(write)
         self.ctl.send(holder, payload={"lease": {
             "op": "break", "dep": lease.dep,
         }})
-        return await self.acks.wait(key, self.ack_timeout)
+        write.timer = self.transport.schedule(
+            self.ack_timeout, lambda: self._ack_missed(key, write))
+        return AWAITED
+
+    def _ack_missed(self, key: tuple, write: _Write) -> None:
+        self._awaiting[key].remove(write)
+        if not self._awaiting[key]:
+            del self._awaiting[key]
+        self._resume(write, False)
 
     def _on_ack(self, sender: Any, body: dict) -> None:
-        dep = body.get("dep")
-        dep = tuple(dep) if isinstance(dep, list) else dep
+        """One ack answers every write awaiting its ``(dep, session)``
+        — overlapping breaks of one lease included — and is recorded
+        once; an ack nobody awaits is counted in :attr:`late_acks`."""
+        dep = _dep_of(body)
+        if dep is None:
+            return
         session = sender.session_id
-        if self.acks.resolve((dep, session)):
-            self.leases.record_ack(session, dep, self.transport.now())
+        writes = self._awaiting.pop((dep, session), None)
+        if writes is None:
+            self.late_acks += 1
+            return
+        self.leases.record_ack(session, dep, self.transport.now())
+        for write in writes:
+            write.timer.cancel()
+            self._resume(write, True)
+
+    def _settle(self, write: _Write, report: Any) -> None:
+        self._writes.discard(write)
+        self._reply(write.reply_to, write.body, {
+            "op": "rebound", "path": write.body["path"],
+            "notified": report.notified, "broken": report.broken,
+            "attempts": report.attempts, "skipped": report.skipped,
+        })
 
 
 class RemoteNameClient:

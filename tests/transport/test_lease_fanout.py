@@ -27,7 +27,7 @@ from repro.nameservice.leases import LeaseManager, LeaseState, Wait
 from repro.nameservice.retry import BreakerState, CircuitBreaker, RetryPolicy
 from repro.nameservice.writes import write_effects
 from repro.obs.instrument import NO_OBS
-from repro.transport.service import AckWaiter
+from repro.transport.service import NamingService, RemoteNameClient
 
 POLICY = RetryPolicy(max_attempts=3, base_backoff=0.5, max_backoff=4.0)
 LONG = RetryPolicy(max_attempts=5, base_backoff=0.5, max_backoff=1.0)
@@ -338,29 +338,73 @@ class TestRetryAndBreaker:
         assert breaker.state is BreakerState.CLOSED
 
 
+def with_holder(body, ack_timeout):
+    """Run ``body(service, holder, writer, dep)`` over localhost: a
+    service whose break callbacks await their ack for *ack_timeout*
+    seconds, a holder of the lease on ``/usr`` and a writer."""
+    async def scenario():
+        root = context_object("root")
+        root.state.bind("usr", context_object("usr"))
+        service = NamingService(root, ack_timeout=ack_timeout)
+        address = await service.start()
+        holder, writer = (RemoteNameClient([(address.host, address.port)],
+                                           label=label)
+                          for label in ("holder", "writer"))
+        try:
+            await holder.connect()
+            await writer.connect()
+            dep = holder.dep_for(holder.root, "usr")
+            await holder.lease(dep)
+            await body(service, holder, writer, dep)
+        finally:
+            await holder.aclose()
+            await writer.aclose()
+            await service.aclose()
+    asyncio.run(scenario())
+
+
 class TestAckWaiter:
+    """The service's ack wait: a break callback awaits its holder's ack
+    under ``(dep, session)`` for ``ack_timeout`` transport seconds."""
+
     def test_ack_arrives_in_time(self):
-        async def scenario():
-            waiter = AckWaiter()
-            waiter.expect("k")
-            asyncio.get_running_loop().call_soon(waiter.resolve, "k")
-            assert await waiter.wait("k", timeout=1.0)
-            assert len(waiter) == 0
-        asyncio.run(scenario())
+        async def body(service, holder, writer, dep):
+            report = await writer.rebind(["usr"])
+            assert (report["notified"], report["broken"]) == (1, 0)
+            assert service.leases.stats()["acks"] == 1
+            assert service.late_acks == 0 and not service._awaiting
+        with_holder(body, ack_timeout=1.0)
 
     def test_timeout_is_false_not_raise(self):
-        async def scenario():
-            waiter = AckWaiter()
-            waiter.expect("k")
-            assert not await waiter.wait("k", timeout=0.01)
-        asyncio.run(scenario())
+        async def body(service, holder, writer, dep):
+            holder.endpoint.on_message(lambda endpoint, envelope: None)
+            start = writer.transport.now()
+            report = await writer.rebind(["usr"])
+            assert writer.transport.now() - start >= 0.05
+            assert "error" not in report
+            assert (report["notified"], report["broken"]) == (0, 1)
+            assert service.leases.stats()["breaks"] == 1
+            assert not service._awaiting
+        with_holder(body, ack_timeout=0.05)
 
     def test_late_and_unexpected_acks_counted(self):
-        async def scenario():
-            waiter = AckWaiter()
-            assert not waiter.resolve("never-expected")
-            waiter.expect("k")
-            assert not await waiter.wait("k", timeout=0.01)
-            assert not waiter.resolve("k")   # late: future already gone
-            assert waiter.late_acks == 2
-        asyncio.run(scenario())
+        async def body(service, holder, writer, dep):
+            held = []
+            holder.endpoint.on_message(
+                lambda endpoint, envelope: held.append(envelope))
+            ack = {"lease": {"op": "ack", "dep": dep, "held": True}}
+
+            async def acked(count):
+                holder.endpoint.send(holder._ctl_address(), payload=ack)
+                for _ in range(100):
+                    if service.late_acks == count:
+                        return
+                    await asyncio.sleep(0.01)
+
+            await acked(1)                  # unsolicited
+            report = await writer.rebind(["usr"])
+            assert report["broken"] == 1 and len(held) == 1
+            await acked(2)                  # late: its wait ran out
+            assert service.late_acks == 2
+            assert service.leases.stats()["acks"] == 0
+        with_holder(body, ack_timeout=0.05)

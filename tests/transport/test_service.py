@@ -298,7 +298,53 @@ class TestLeases:
                     == [(1, 0), (1, 0)]
                 assert holder.client.lease_callbacks == 2
                 assert service.leases.stats()["breaks"] == 0
-                assert not service.acks._pending
+                assert not service._awaiting
+            finally:
+                await holder.aclose()
+                await writer.aclose()
+                await service.aclose()
+        run(scenario())
+
+
+    def test_an_ack_answers_a_break_whose_overlap_timed_out(self):
+        """Two rebinds break one lease 200 ms apart; the first one's
+        ack wait runs out, then the holder acks: the second break, still
+        waiting on the same ``(dep, session)``, is answered by it."""
+        async def scenario():
+            service = NamingService(build_root(), ack_timeout=0.3)
+            address = await service.start()
+            holder, writer = (
+                RemoteNameClient([(address.host, address.port)],
+                                 retry_policy=FAST_RETRY, label=label)
+                for label in ("holder", "writer"))
+            await holder.connect()
+            await writer.connect()
+            await holder.lease(holder.dep_for(holder.root, "usr"))
+            handle = holder.endpoint._handler
+            held = []
+            holder.endpoint.on_message(
+                lambda endpoint, envelope: held.append((endpoint, envelope))
+                if "lease" in envelope.payload else handle(endpoint, envelope))
+
+            async def callbacks(count):
+                for _ in range(100):
+                    if len(held) == count:
+                        return
+                    await asyncio.sleep(0.01)
+
+            try:
+                first = asyncio.ensure_future(writer.rebind(["usr"]))
+                await callbacks(1)
+                await asyncio.sleep(0.2)
+                second = asyncio.ensure_future(writer.rebind(["usr"]))
+                await callbacks(2)
+                assert (await first)["broken"] == 1   # its wait ran out
+                handle(*held[1])                      # the holder acks
+                report = await second
+                assert (report["notified"], report["broken"]) == (1, 0)
+                assert service.late_acks == 0
+                assert service.leases.stats()["acks"] == 1
+                assert not service._awaiting
             finally:
                 await holder.aclose()
                 await writer.aclose()
@@ -323,7 +369,7 @@ class TestWritePathRobustness:
                     reply = await client._ctl_call(request, timeout=2.0)
                     assert "error" in reply, request
                 assert service.rebinds == 0
-                assert not service._rebind_tasks
+                assert not service._writes
                 # The namespace is untouched and the service still works.
                 report = await client.rebind(["usr", "bin", "python"],
                                              label="python4")
@@ -336,8 +382,9 @@ class TestWritePathRobustness:
         run(scenario())
 
     def test_aclose_cancels_a_rebind_in_mid_backoff(self):
-        """The fan-out task must not outlive the service: a rebind
-        stuck retrying a silent holder is cancelled and awaited."""
+        """The fan-out must not outlive the service: a rebind stuck
+        retrying a silent holder is closed with its backoff timer, and
+        no task or live timer handle is left."""
         async def scenario():
             service = NamingService(
                 build_root(), ack_timeout=0.05,
@@ -355,16 +402,21 @@ class TestWritePathRobustness:
                 "op": "rebind", "path": ["usr"], "label": "usr-v2",
                 "dir": True}})
             for _ in range(100):
-                if service._rebind_tasks:
+                if service._writes:
                     break
                 await asyncio.sleep(0.01)
-            (task,) = service._rebind_tasks
+            (write,) = service._writes
             await asyncio.sleep(0.1)     # first attempt timed out
-            assert not task.done()       # …now asleep in the backoff
+            assert not service._awaiting  # …now asleep in the backoff
+            assert write.steps.gi_frame is not None
             await client.aclose()
             await asyncio.wait_for(service.aclose(), timeout=2.0)
-            assert task.cancelled()
-            assert not service._rebind_tasks
+            assert not service._writes and not service._awaiting
+            assert write.steps.gi_frame is None
+            loop = asyncio.get_running_loop()
+            assert not [handle for handle in loop._scheduled
+                        if not handle.cancelled()]
+            assert asyncio.all_tasks() == {asyncio.current_task()}
         run(scenario())
 
     def test_closed_sessions_leave_the_holder_map(self):
@@ -426,6 +478,20 @@ WRONG_SHAPES = {
                          "component": "usr", "rest": ["bin", 7]}}},
 }
 
+#: Control frames no handler can use: each is dropped, or a rebind
+#: refused, and neither reaches the lease tables or kills the reader.
+WRONG_CTL = {
+    "grant-without-dep": {"ctl": {"op": "lease-grant"}},
+    "grant-dep-not-a-list": {"ctl": {"op": "lease-grant", "dep": 7}},
+    "grant-dep-unhashable": {"ctl": {"op": "lease-grant", "dep": [[1]]}},
+    "ack-dep-a-dict": {"lease": {"op": "ack", "dep": {"a": 1}}},
+    "ack-dep-unhashable": {"lease": {"op": "ack", "dep": [[1]]}},
+    "rebind-label-not-a-string": {"ctl": {"op": "rebind",
+                                          "path": ["tmp"], "label": 7}},
+    "rebind-through-a-leaf": {"ctl": {
+        "op": "rebind", "path": ["usr", "bin", "python", "x"]}},
+}
+
 #: Replies no client can use, by what is wrong with the trail.
 WRONG_TRAILS = {
     "missing": {"request_id": 1, "seq": 1},
@@ -456,6 +522,31 @@ class TestHostilePeers:
                 assert service.transport.frames_dropped == dropped + 1
                 assert service.server.requests_served == served + 3
                 assert peer.conn is conn and not conn.closed
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+    @pytest.mark.parametrize("shape", sorted(WRONG_CTL))
+    def test_wrong_shaped_control_frame_leaves_the_reader_serving(
+            self, shape):
+        async def scenario():
+            service, client = await start_pair(timeout=0.5,
+                                               retry_policy=None)
+            try:
+                [peer] = client.transport._peers.values()
+                conn = peer.conn
+                [reader] = service.transport._accepted
+                books = (service.leases.stats(), dict(service._holders))
+                client.endpoint.send(client._ctl_address(),
+                                     payload=WRONG_CTL[shape])
+                outcome = await client.resolve("/usr/bin/python")
+                assert outcome.ok and outcome.retries == 0
+                assert not reader.reader_task.done()
+                assert peer.conn is conn and not conn.closed
+                assert (service.leases.stats(),
+                        dict(service._holders)) == books
+                assert service.rebinds == 0 and not service._awaiting
             finally:
                 await client.aclose()
                 await service.aclose()
